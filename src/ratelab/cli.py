@@ -21,6 +21,7 @@ from .errors import ConvergenceError, DomainError, InvalidSplit, ParseError, Rat
 from .sweep import (
     PRESETS,
     calibrate_k,
+    check_grid_span,
     discrepancy_report,
     emit_plot_script,
     parse_config,
@@ -40,8 +41,7 @@ def _parse_grid(text: str, what: str):
     try:
         if ":" in text:
             start, stop, step = (float(p) for p in text.split(":"))
-            if step <= 0:
-                raise ValueError("step must be > 0")
+            check_grid_span(start, stop, step)
             out = []
             v = start
             while v <= stop + 1e-9:
@@ -65,6 +65,12 @@ def _resolve_seed(args, config_seed: int) -> int:
     return config_seed
 
 
+def _at_least_one(value: int | None, flag: str) -> int | None:
+    if value is not None and value < 1:
+        raise ValidationError(f"{flag} must be >= 1")
+    return value
+
+
 def _write(path: str | None, text: str):
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -78,13 +84,9 @@ def _cmd_sweep(args) -> int:
         config = parse_config(fh.read())
     config = replace(config, seed=_resolve_seed(args, config.seed))
     if args.trials is not None:
-        if args.trials < 1:
-            raise ValidationError("--trials must be >= 1")
-        config = replace(config, trials=args.trials)
+        config = replace(config, trials=_at_least_one(args.trials, "--trials"))
     if args.workers is not None:
-        if args.workers < 1:
-            raise ValidationError("--workers must be >= 1")
-        config = replace(config, workers=args.workers)
+        config = replace(config, workers=_at_least_one(args.workers, "--workers"))
     out_path = args.out or config.output_path
     result = run_sweep(config)
     _write(out_path, render_csv(result))
@@ -94,10 +96,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    seed = args.seed if args.seed is not None else int(os.environ.get("RATELAB_SEED", 42))
+    seed = _resolve_seed(args, 42)
+    workers = _at_least_one(args.workers, "--workers") or 1
     k_grid = _parse_grid(args.k_grid, "--k-grid") if args.k_grid else None
     result = calibrate_k(args.preset, k_grid=k_grid, trials=args.trials, seed=seed,
-                         workers=args.workers or 1)
+                         workers=workers)
     _write(args.out, render_calibration_csv(result))
     if args.out not in (None, "-"):
         sys.stdout.write(f"best_k = {result.best_k}\n")

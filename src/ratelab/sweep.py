@@ -143,6 +143,20 @@ _DEFAULTS = {
 }
 
 
+MAX_GRID_POINTS = 100_000
+
+
+def check_grid_span(start: float, stop: float, step: float) -> None:
+    """Reject a start:stop:step grid with a nonpositive step or more than
+    :data:`MAX_GRID_POINTS` points, before any point is built."""
+    if step <= 0:
+        raise ValueError("step must be > 0")
+    if not (stop - start) / step <= MAX_GRID_POINTS - 1:
+        raise ValueError(
+            f"grid {start:g}:{stop:g}:{step:g} must be finite with at most {MAX_GRID_POINTS} points"
+        )
+
+
 def _parse_rho_grid(spec, errors, line):
     """Accept 'start:stop:step', a comma list, or a JSON list."""
     if isinstance(spec, (list, tuple)):
@@ -155,8 +169,7 @@ def _parse_rho_grid(spec, errors, line):
                 if len(parts) != 3:
                     raise ValueError("need start:stop:step")
                 start, stop, step = parts
-                if step <= 0:
-                    raise ValueError("step must be > 0")
+                check_grid_span(start, stop, step)
                 n = int(math.floor((stop - start) / step + 1e-9)) + 1
                 vals = [start + i * step for i in range(n)]
             else:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import integrate, special
 
 from ratelab import (
     ChannelRealization,
@@ -23,6 +23,8 @@ from ratelab import (
     h_rho,
     make_link,
     power_gain_cdf,
+    power_gain_pdf,
+    power_gain_sf,
     sample_power_gains,
     split_stream,
 )
@@ -306,3 +308,45 @@ def test_quadrature_validates_inputs():
 def test_quadrature_budget_exhaustion_raises():
     with pytest.raises(ConvergenceError):
         ergodic_rate_quadrature_quantities(FIG3, 1e4, "crs_noma_paper", budget=1)
+
+
+def nested_quadrature_reference(g, rho, scheme):
+    """The five quantities of exact-mode CRS-NOMA or CRS-OMA with the
+    inner integral over the S-D gain done by adaptive quadrature too."""
+    sr, rd, sd = g.sr, g.rd, g.sd
+
+    def quad(f, lo, hi, epsabs, epsrel):
+        return integrate.quad(f, lo, hi, limit=200, epsabs=epsabs, epsrel=epsrel)[0]
+
+    def half_rate(survival):  # 0.5 E[log2(1 + rho X)] from the survival of X
+        integral = quad(lambda x: rho * survival(x) / (1 + rho * x), 0, np.inf, 1e-10, 1e-9)
+        return 0.5 * integral / math.log(2)
+
+    if scheme == "crs_noma_exact":
+        def s_relay(y):
+            inner = quad(lambda s: power_gain_sf(rd, y * (1 + rho * s)) * power_gain_pdf(sd, s),
+                         0, np.inf, 1e-11, 1e-10)
+            return power_gain_sf(sr, y) * inner
+
+        c_relay = half_rate(s_relay)
+        c_direct = half_rate(lambda x: power_gain_sf(sd, x))
+        return {"c_relay_s1": c_relay, "c_direct_s1": c_direct, "c_s1": c_relay + c_direct,
+                "c_s2": c_direct, "c_total": c_relay + 2 * c_direct}
+
+    def s_branch_sum(w):  # P[lambda_SD + lambda_RD > w]
+        inner = quad(lambda s: power_gain_sf(rd, w - s) * power_gain_pdf(sd, s), 0, w, 1e-11, 1e-10)
+        return min(power_gain_sf(sd, w) + inner, 1.0)
+
+    c = half_rate(lambda w: power_gain_sf(sr, w) * s_branch_sum(w))
+    return {"c_relay_s1": c, "c_direct_s1": 0.0, "c_s1": c, "c_s2": 0.0, "c_total": c}
+
+
+@pytest.mark.parametrize("scheme,k", [("crs_noma_exact", 0), ("crs_noma_exact", 3),
+                                      ("crs_oma", 0), ("crs_oma", 10)])
+def test_quadrature_fixed_inner_rule_matches_nested_reference(scheme, k):
+    g = NetworkGeometry(sr=make_link(k, 8), rd=make_link(k, 8), sd=make_link(k, 3))
+    rho = 10 ** 0.5
+    fast = ergodic_rate_quadrature_quantities(g, rho, scheme)
+    ref = nested_quadrature_reference(g, rho, scheme)
+    for name, value in ref.items():
+        assert abs(fast[name] - value) <= 1e-10, name

@@ -6,9 +6,10 @@ import sys
 import pytest
 
 from ratelab import parse_config, preset_config, run_sweep, render_csv, emit_plot_script
-from ratelab.cli import main
+from ratelab.cli import _parse_grid, main
 from ratelab.errors import ParseError, ValidationError
 from ratelab.sweep import (
+    MAX_GRID_POINTS,
     PAPER_TARGETS,
     calibrate_k,
     discrepancy_report,
@@ -315,6 +316,40 @@ def test_cli_calibrate(tmp_path):
     text = out.read_text()
     assert "# best_k = " in text
     assert "k,rho_db,scheme,simulated,target,residual" in text
+
+
+def test_cli_calibrate_rejects_bad_seed_and_workers(monkeypatch, capsys):
+    args = ["calibrate", "--preset", "fig3", "--k-grid", "0", "--trials", "1000"]
+    monkeypatch.setenv("RATELAB_SEED", "abc")
+    assert main(args) == 1
+    assert capsys.readouterr().err == "ratelab: error: RATELAB_SEED must be an integer, got 'abc'\n"
+    monkeypatch.delenv("RATELAB_SEED")
+    for workers in ("0", "-3"):
+        assert main(args + ["--workers", workers]) == 1
+        assert capsys.readouterr().err == "ratelab: error: --workers must be >= 1\n"
+
+
+def test_grid_length_is_bounded_before_the_grid_is_built(tmp_path, capsys):
+    # one point past the bound: a parser that skipped the check would build
+    # only that many points, so a regression fails here instead of hanging
+    too_long = f"0:{MAX_GRID_POINTS}:1"
+    assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1", "--k-grid")) == MAX_GRID_POINTS
+    assert len(parse_config(MINIMAL + f"[sweep]\nrho_db = 0:{MAX_GRID_POINTS - 1}:1\n").rho_grid_db) \
+        == MAX_GRID_POINTS
+    for spec in (too_long, "0:nan:1"):
+        with pytest.raises(ValidationError, match="at most"):
+            _parse_grid(spec, "--k-grid")
+    for spec in (too_long, "0:inf:1", "0:nan:1"):
+        with pytest.raises(ValidationError, match="rho_db: grid .* at most"):
+            parse_config(MINIMAL + f"[sweep]\nrho_db = {spec}\n")
+    for argv in (["discrepancy", "--preset", "fig3", "--rho-grid", too_long],
+                 ["calibrate", "--preset", "fig3", "--k-grid", too_long]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ratelab: error: ") and err.count("\n") == 1
+    cfg = tmp_path / "long.txt"
+    cfg.write_text(MINIMAL + f"[sweep]\nrho_db = {too_long}\n")
+    assert main(["sweep", "--config", str(cfg)]) == 1
 
 
 def test_console_entry_point(tmp_path):
