@@ -12,12 +12,12 @@ from .channel import (
     power_gain_cdf,
     power_gain_pdf,
     power_gain_sf,
-    sample_power_gain,
     sample_power_gains,
     series_constants,
     split_stream,
 )
 from .rates import (
+    RATES,
     ChannelRealization,
     PowerSplit,
     RateBreakdown,
@@ -29,13 +29,11 @@ from .rates import (
 )
 from .analytic import (
     ClampStats,
-    ErgodicRateReport,
     SeriesTruncation,
     cdf_gamma2_paper,
     cdf_min_pair_approx,
     cdf_min_pair_series,
     cdf_single_link_series,
-    ergodic_rate_quadrature,
     ergodic_rate_quadrature_quantities,
     ergodic_rate_series,
     g_rho,
@@ -61,13 +59,13 @@ __all__ = [
     "__version__",
     "NetworkGeometry", "RicianLink", "SeriesConstants",
     "make_link", "marcum_q1", "power_gain_cdf", "power_gain_pdf", "power_gain_sf",
-    "sample_power_gain", "sample_power_gains", "series_constants", "split_stream",
-    "ChannelRealization", "PowerSplit", "RateBreakdown", "SnrSet",
+    "sample_power_gains", "series_constants", "split_stream",
+    "RATES", "ChannelRealization", "PowerSplit", "RateBreakdown", "SnrSet",
     "conventional_noma_rate", "crs_noma_rate", "crs_oma_rate", "instantaneous_snrs",
-    "ClampStats", "ErgodicRateReport", "SeriesTruncation",
+    "ClampStats", "SeriesTruncation",
     "cdf_gamma2_paper", "cdf_min_pair_approx", "cdf_min_pair_series",
-    "cdf_single_link_series", "ergodic_rate_quadrature",
-    "ergodic_rate_quadrature_quantities", "ergodic_rate_series", "g_rho", "h_rho",
+    "cdf_single_link_series", "ergodic_rate_quadrature_quantities",
+    "ergodic_rate_series", "g_rho", "h_rho",
     "EstimatorResult", "estimate_rates", "paired_gap",
     "CalibrationResult", "SweepConfig", "SweepResult", "SweepRow",
     "calibrate_k", "discrepancy_report", "emit_plot_script", "parse_config",

@@ -9,9 +9,11 @@ Three kinds of objects live here:
   (:func:`cdf_min_pair_approx`, :func:`cdf_gamma2_paper`);
 * the Chebyshev-node ergodic-rate series :func:`h_rho` / :func:`g_rho`
   and their combination :func:`ergodic_rate_series`;
-* :func:`ergodic_rate_quadrature`, a deterministic numerical-integration
-  oracle that shares nothing with the series path beyond the single-link
-  Marcum-Q survival.
+* :func:`ergodic_rate_quadrature_quantities`, a deterministic
+  numerical-integration oracle that shares nothing with the series path
+  beyond the single-link Marcum-Q survival.
+
+Both return a :class:`ratelab.rates.RateBreakdown` of ergodic rates.
 
 The published analysis carries a link-label inconsistency (the
 min-pair CDF is printed with S-D/S-R constants although the variate is
@@ -32,12 +34,11 @@ from scipy import integrate, special
 
 from .channel import NetworkGeometry, RicianLink, power_gain_pdf, power_gain_sf
 from .errors import ConvergenceError, DomainError, TruncationWarning
-from .rates import PowerSplit
+from .rates import RATES, PowerSplit, RateBreakdown
 
 __all__ = [
     "SeriesTruncation",
     "ClampStats",
-    "ErgodicRateReport",
     "DEFAULT_TRUNCATION",
     "cdf_min_pair_series",
     "cdf_min_pair_approx",
@@ -46,14 +47,10 @@ __all__ = [
     "h_rho",
     "g_rho",
     "ergodic_rate_series",
-    "ergodic_rate_quadrature",
     "ergodic_rate_quadrature_quantities",
-    "QUAD_SCHEMES",
 ]
 
 LN2 = math.log(2.0)
-
-QUAD_SCHEMES = ("crs_noma_paper", "crs_noma_exact", "conventional", "crs_oma")
 
 
 @dataclass(frozen=True)
@@ -97,17 +94,6 @@ class ClampStats:
             excess = abs(raw - clamped) if math.isfinite(raw) else math.inf
             self.max_excess = max(self.max_excess, excess)
         return clamped
-
-
-@dataclass(frozen=True)
-class ErgodicRateReport:
-    """Ergodic rates of CRS-NOMA from one analytic or oracle evaluation."""
-
-    c_r_s1: float
-    c_d_s1: float
-    c_total: float
-    method: str
-    link_mapping: str
 
 
 def _clamp(raw: float, stats: ClampStats | None) -> float:
@@ -383,8 +369,9 @@ def ergodic_rate_series(
     rho: float,
     trunc: SeriesTruncation = DEFAULT_TRUNCATION,
     literal: bool = False,
-) -> ErgodicRateReport:
-    """Total CRS-NOMA ergodic rate (h + 2g)/(2 ln 2) from the series.
+) -> RateBreakdown:
+    """Paper-mode CRS-NOMA ergodic rates from the series; the total is
+    (h + 2g)/(2 ln 2).
 
     ``literal=False`` (corrected): H over (S-R, R-D) and G over the S-D
     link alone, matching the variates gamma_1 and gamma_2.
@@ -394,21 +381,17 @@ def ergodic_rate_series(
     if literal:
         h = h_rho(geometry.sd, geometry.sr, rho, trunc)
         g = g_rho(geometry.rd, geometry.sr, rho, trunc)
-        method = "series_paper_literal"
-        mapping = "H(S-D,S-R);G(R-D,S-R)"
     else:
         h = h_rho(geometry.sr, geometry.rd, rho, trunc)
         g = g_rho(geometry.sd, None, rho, trunc)
-        method = "series_corrected"
-        mapping = "H(S-R,R-D);G(S-D)"
     c_r = h / (2.0 * LN2)
     c_d = g / (2.0 * LN2)
-    return ErgodicRateReport(
-        c_r_s1=c_r,
-        c_d_s1=c_d,
+    return RateBreakdown(
+        c_relay_s1=c_r,
+        c_direct_s1=c_d,
+        c_s1=c_r + c_d,
+        c_s2=c_d,
         c_total=c_r + 2.0 * c_d,
-        method=method,
-        link_mapping=mapping,
     )
 
 
@@ -457,8 +440,9 @@ def ergodic_rate_quadrature_quantities(
     scheme: str,
     split: PowerSplit | None = None,
     budget: int = 200,
-) -> dict[str, float]:
-    """All five ergodic rate quantities of one scheme, by integration.
+) -> RateBreakdown:
+    """All five ergodic rate quantities of one :data:`~ratelab.rates.RATES`
+    token, by integration.
 
     Survivals are built from the Marcum-Q single-link survival; min
     terms are survival products.  Every rate is an adaptive
@@ -473,13 +457,14 @@ def ergodic_rate_quadrature_quantities(
     subdivision budget is exhausted.
     """
     rho = _check_rho_pos(rho)
-    if scheme not in QUAD_SCHEMES:
-        raise DomainError(f"scheme must be one of {QUAD_SCHEMES}, got {scheme!r}")
+    if scheme not in RATES:
+        raise DomainError(f"scheme must be one of {tuple(RATES)}, got {scheme!r}")
     sr, rd, sd = geometry.sr, geometry.rd, geometry.sd
+    family, mode = RATES[scheme]
 
-    if scheme in ("crs_noma_paper", "crs_noma_exact"):
+    if family == "crs_noma":
         c_direct = 0.5 * _ergodic_log2(lambda x: power_gain_sf(sd, x), rho, budget)
-        if scheme == "crs_noma_paper":
+        if mode == "paper":
             c_relay = 0.5 * _ergodic_log2(
                 lambda x: power_gain_sf(sr, x) * power_gain_sf(rd, x), rho, budget
             )
@@ -498,13 +483,7 @@ def ergodic_rate_quadrature_quantities(
 
             c_relay = 0.5 * _ergodic_log2(s_y, rho, budget)
         c_s1 = c_relay + c_direct
-        return {
-            "c_relay_s1": c_relay,
-            "c_direct_s1": c_direct,
-            "c_s1": c_s1,
-            "c_s2": c_direct,
-            "c_total": c_s1 + c_direct,
-        }
+        return RateBreakdown(c_relay, c_direct, c_s1, c_direct, c_s1 + c_direct)
 
     if scheme == "conventional":
         if split is None:
@@ -531,13 +510,7 @@ def ergodic_rate_quadrature_quantities(
         c_s2 = 0.5 * _ergodic_log2(
             lambda v: power_gain_sf(sr, v / a2) * power_gain_sf(rd, v), rho, budget
         )
-        return {
-            "c_relay_s1": c_s1,
-            "c_direct_s1": 0.0,
-            "c_s1": c_s1,
-            "c_s2": c_s2,
-            "c_total": c_s1 + c_s2,
-        }
+        return RateBreakdown(c_s1, 0.0, c_s1, c_s2, c_s1 + c_s2)
 
     # crs_oma: W = min(lambda_SR, lambda_SD + lambda_RD); the branch sum
     # needs one convolution level: P[SD+RD > w] = S_SD(w) + int_0^w
@@ -551,28 +524,5 @@ def ergodic_rate_quadrature_quantities(
         return min(power_gain_sf(sd, w) + inner, 1.0)
 
     c_total = 0.5 * _ergodic_log2(lambda w: power_gain_sf(sr, w) * s_sum(w), rho, budget)
-    return {
-        "c_relay_s1": c_total,
-        "c_direct_s1": 0.0,
-        "c_s1": c_total,
-        "c_s2": 0.0,
-        "c_total": c_total,
-    }
+    return RateBreakdown(c_total, 0.0, c_total, 0.0, c_total)
 
-
-def ergodic_rate_quadrature(
-    geometry: NetworkGeometry,
-    rho: float,
-    scheme: str,
-    split: PowerSplit | None = None,
-    budget: int = 200,
-) -> ErgodicRateReport:
-    """Quadrature-oracle counterpart of :func:`ergodic_rate_series`."""
-    q = ergodic_rate_quadrature_quantities(geometry, rho, scheme, split, budget)
-    return ErgodicRateReport(
-        c_r_s1=q["c_relay_s1"],
-        c_d_s1=q["c_direct_s1"],
-        c_total=q["c_total"],
-        method="quadrature_oracle",
-        link_mapping=scheme,
-    )

@@ -26,7 +26,6 @@ __all__ = [
     "SeriesConstants",
     "NetworkGeometry",
     "make_link",
-    "sample_power_gain",
     "sample_power_gains",
     "power_gain_pdf",
     "power_gain_cdf",
@@ -122,22 +121,13 @@ def split_stream(seed: int, stream_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(stream_index)]))
 
 
-def sample_power_gain(link: RicianLink, rng: np.random.Generator) -> float:
-    """Draw one instantaneous power gain |h|^2.
+def sample_power_gains(link: RicianLink, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw n instantaneous power gains |h|^2.
 
     h = mu + g with mu = sqrt(K*Omega/(K+1)) and g circularly-symmetric
     complex Gaussian whose real/imaginary parts each have variance
     Omega/(2(K+1)).  Exact construction, no inverse-CDF approximation.
     """
-    mu = math.sqrt(link.los_power)
-    sd = math.sqrt(link.diffuse_var)
-    z = rng.standard_normal(2)
-    re = mu + sd * z[0]
-    im = sd * z[1]
-    return float(re * re + im * im)
-
-def sample_power_gains(link: RicianLink, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Vectorized form of :func:`sample_power_gain` (n draws)."""
     mu = math.sqrt(link.los_power)
     sd = math.sqrt(link.diffuse_var)
     z = rng.standard_normal((2, n))

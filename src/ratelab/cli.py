@@ -17,14 +17,15 @@ import os
 import sys
 from dataclasses import replace
 
-from .errors import ConvergenceError, DomainError, InvalidSplit, ParseError, RateLabError, ValidationError
+from .errors import (ConvergenceError, DomainError, InvalidKFactor, InvalidPower, InvalidSplit,
+                     ParseError, RateLabError, ValidationError)
 from .sweep import (
     PRESETS,
     calibrate_k,
-    check_grid_span,
     discrepancy_report,
     emit_plot_script,
     parse_config,
+    parse_grid,
     render_calibration_csv,
     render_csv,
     render_discrepancy_csv,
@@ -39,16 +40,7 @@ _EXIT_RUNTIME = 2
 
 def _parse_grid(text: str, what: str):
     try:
-        if ":" in text:
-            start, stop, step = (float(p) for p in text.split(":"))
-            check_grid_span(start, stop, step)
-            out = []
-            v = start
-            while v <= stop + 1e-9:
-                out.append(round(v, 12))
-                v += step
-            return out
-        return [float(p) for p in text.split(",") if p.strip()]
+        return parse_grid(text)
     except ValueError as exc:
         raise ValidationError(f"{what}: expected start:stop:step or a comma list ({exc})") from exc
 
@@ -161,7 +153,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, DomainError, InvalidSplit, FileNotFoundError) as exc:
+    except (ParseError, ValidationError, DomainError, InvalidKFactor, InvalidPower, InvalidSplit,
+            FileNotFoundError) as exc:
         print(f"ratelab: error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except (ConvergenceError, OSError, RateLabError) as exc:

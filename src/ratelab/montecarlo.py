@@ -18,18 +18,19 @@ import numpy as np
 from .channel import NetworkGeometry, sample_power_gains, split_stream
 from .errors import DomainError
 from .rates import (
+    QUANTITIES,
+    RATES,
     ChannelRealization,
     PowerSplit,
     RateBreakdown,
     conventional_noma_rate,
     crs_noma_rate,
     crs_oma_rate,
+    rate_token,
 )
 
-__all__ = ["EstimatorResult", "estimate_rates", "paired_gap", "SCHEMES", "QUANTITIES", "BLOCK_SIZE"]
+__all__ = ["EstimatorResult", "estimate_rates", "paired_gap", "QUANTITIES", "BLOCK_SIZE"]
 
-SCHEMES = ("crs_noma", "conventional", "crs_oma")
-QUANTITIES = ("c_s1", "c_s2", "c_total", "c_relay_s1", "c_direct_s1")
 BLOCK_SIZE = 1 << 17
 
 
@@ -71,24 +72,25 @@ def _draw_block(geometry: NetworkGeometry, seed: int, block: int, n: int) -> Cha
     return ChannelRealization(lsr, lrd, lsd)
 
 
-def _scheme_rates(
-    r: ChannelRealization, rho: float, scheme: str, mode: str, split: PowerSplit | None
-) -> RateBreakdown:
-    # mode-qualified aliases let a paired comparison pit the two
-    # CRS-NOMA evaluation modes against each other
-    if scheme == "crs_noma_paper":
-        return crs_noma_rate(r, rho, "paper")
-    if scheme == "crs_noma_exact":
-        return crs_noma_rate(r, rho, "exact")
-    if scheme == "crs_noma":
-        return crs_noma_rate(r, rho, mode)
-    if scheme == "conventional":
-        if split is None:
-            raise DomainError("conventional scheme requires a PowerSplit")
+def _token_rates(r: ChannelRealization, rho: float, token: str, split: PowerSplit | None) -> RateBreakdown:
+    if token == "conventional":
         return conventional_noma_rate(r, rho, split)
-    if scheme == "crs_oma":
+    if token == "crs_oma":
         return crs_oma_rate(r, rho)
-    raise DomainError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    return crs_noma_rate(r, rho, RATES[token][1])
+
+
+def _resolve(schemes, mode: str, split: PowerSplit | None, rho: float, trials: int) -> list[str]:
+    """Check the arguments both estimators share; return the RATES token
+    of each requested scheme under ``mode``."""
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
+    if not rho >= 0.0:
+        raise DomainError(f"rho must be >= 0, got {rho}")
+    tokens = [rate_token(s, mode) for s in schemes]
+    if "conventional" in tokens and split is None:
+        raise DomainError("conventional scheme requires a PowerSplit")
+    return tokens
 
 
 def _blocks(trials: int):
@@ -133,7 +135,7 @@ def _mean_stderr(s: float, sq: float, n: int):
 def estimate_rates(
     geometry: NetworkGeometry,
     rho: float,
-    schemes=SCHEMES,
+    schemes=("crs_noma", "conventional", "crs_oma"),
     mode: str = "paper",
     split: PowerSplit | None = None,
     trials: int = 10**6,
@@ -144,26 +146,21 @@ def estimate_rates(
 
     One realization of (lambda_SR, lambda_RD, lambda_SD) is drawn per
     trial and shared across schemes, so cross-scheme comparisons are
-    variance-coupled.  ``mode`` selects the CRS-NOMA evaluation mode
-    and leaves the baselines untouched.  Deterministic in all inputs.
+    variance-coupled.  A scheme is a :data:`~ratelab.rates.RATES`
+    token or a plain ``crs_noma``, which ``mode`` resolves; the
+    baselines ignore ``mode``.  Deterministic in all inputs.
     """
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    if not rho >= 0.0:
-        raise DomainError(f"rho must be >= 0, got {rho}")
     schemes = tuple(schemes)
-    for s in schemes:
-        if s not in SCHEMES:
-            raise DomainError(f"unknown scheme {s!r}; expected one of {SCHEMES}")
+    tokens = _resolve(schemes, mode, split, rho, trials)
     keys = [(s, q) for s in schemes for q in QUANTITIES]
 
     def block_fn(b, n):
         r = _draw_block(geometry, seed, b, n)
         out = {}
-        for s in schemes:
-            br = _scheme_rates(r, rho, s, mode, split)
+        for s, token in zip(schemes, tokens):
+            br = _token_rates(r, rho, token, split)
             for q in QUANTITIES:
-                v = np.asarray(getattr(br, q), dtype=float)
+                v = np.asarray(br[q], dtype=float)
                 out[(s, q)] = (float(np.sum(v)), float(np.sum(v * v)))
         return out
 
@@ -195,17 +192,14 @@ def paired_gap(
     Differencing inside each trial cancels the shared channel noise, so
     the standard error is far below that of two independent runs.
     """
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    if not rho >= 0.0:
-        raise DomainError(f"rho must be >= 0, got {rho}")
+    token_a, token_b = _resolve((scheme_a, scheme_b), mode, split, rho, trials)
     if quantity not in QUANTITIES:
         raise DomainError(f"unknown quantity {quantity!r}")
 
     def block_fn(b, n):
         r = _draw_block(geometry, seed, b, n)
-        va = np.asarray(getattr(_scheme_rates(r, rho, scheme_a, mode, split), quantity), dtype=float)
-        vb = np.asarray(getattr(_scheme_rates(r, rho, scheme_b, mode, split), quantity), dtype=float)
+        va = np.asarray(_token_rates(r, rho, token_a, split)[quantity], dtype=float)
+        vb = np.asarray(_token_rates(r, rho, token_b, split)[quantity], dtype=float)
         d = va - vb
         return {"gap": (float(np.sum(d)), float(np.sum(d * d)))}
 

@@ -37,10 +37,29 @@ __all__ = [
     "crs_noma_rate",
     "conventional_noma_rate",
     "crs_oma_rate",
-    "MODES",
+    "QUANTITIES",
+    "RATES",
+    "rate_token",
 ]
 
-MODES = ("exact", "paper")
+# Every rate the package evaluates, by token, with the (scheme, mode)
+# label its sweep rows carry; the baselines have one mode, labelled "-".
+RATES = {
+    "crs_noma_paper": ("crs_noma", "paper"),
+    "crs_noma_exact": ("crs_noma", "exact"),
+    "conventional": ("conventional", "-"),
+    "crs_oma": ("crs_oma", "-"),
+}
+QUANTITIES = ("c_s1", "c_s2", "c_total", "c_relay_s1", "c_direct_s1")
+
+
+def rate_token(scheme: str, mode: str) -> str:
+    """The :data:`RATES` token of ``scheme``; a plain ``crs_noma`` takes
+    ``mode``, every other scheme ignores it."""
+    token = f"crs_noma_{mode}" if scheme == "crs_noma" else scheme
+    if token not in RATES:
+        raise DomainError(f"unknown scheme {scheme!r} (mode {mode!r}); expected one of {tuple(RATES)}")
+    return token
 
 
 @dataclass(frozen=True)
@@ -70,13 +89,18 @@ class SnrSet:
 
 @dataclass(frozen=True)
 class RateBreakdown:
-    """Per-scheme instantaneous rates in bit/s/Hz.
+    """The five rate quantities of one scheme in bit/s/Hz.
+
+    The rate functions fill it with per-trial arrays (or scalars), the
+    quadrature oracle and the series with ergodic floats; ``result[q]``
+    reads quantity ``q`` of :data:`QUANTITIES` by name.
 
     For CRS-NOMA, c_s1 = c_relay_s1 + c_direct_s1 and c_s2 equals
     c_direct_s1.  The baselines have no relay/direct decomposition of
     s1; they report c_relay_s1 = c_s1 and c_direct_s1 = 0 so that the
     same five quantities exist for every scheme.  c_total = c_s1 + c_s2
-    holds exactly for all schemes.
+    holds exactly, except from the series, which sums
+    c_relay_s1 + 2*c_direct_s1 and agrees to rounding.
     """
 
     c_relay_s1: float
@@ -84,6 +108,11 @@ class RateBreakdown:
     c_s1: float
     c_s2: float
     c_total: float
+
+    def __getitem__(self, quantity: str):
+        if quantity not in QUANTITIES:
+            raise KeyError(quantity)
+        return getattr(self, quantity)
 
 
 @dataclass(frozen=True)
@@ -106,16 +135,10 @@ def _check_rho(rho: float) -> float:
     return float(rho)
 
 
-def _check_mode(mode: str) -> str:
-    if mode not in MODES:
-        raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
-    return mode
-
-
 def instantaneous_snrs(r: ChannelRealization, rho: float, mode: str = "exact") -> SnrSet:
     """Received SNRs for one realization at transmit SNR rho."""
     rho = _check_rho(rho)
-    mode = _check_mode(mode)
+    rate_token("crs_noma", mode)
     gamma_sd = rho * np.asarray(r.lambda_sd, dtype=float)
     if mode == "exact":
         gamma_rd = rho * np.asarray(r.lambda_rd, dtype=float) / (gamma_sd + 1.0)

@@ -26,9 +26,9 @@ from .analytic import (
     ergodic_rate_series,
 )
 from .channel import NetworkGeometry, make_link
-from .errors import DomainError, ParseError, ValidationError
-from .montecarlo import QUANTITIES, estimate_rates
-from .rates import PowerSplit
+from .errors import DomainError, InvalidKFactor, InvalidPower, InvalidSplit, ParseError, ValidationError
+from .montecarlo import estimate_rates
+from .rates import QUANTITIES, RATES, PowerSplit
 
 __all__ = [
     "SweepConfig",
@@ -38,6 +38,7 @@ __all__ = [
     "PRESETS",
     "PAPER_TARGETS",
     "parse_config",
+    "parse_grid",
     "config_from_mapping",
     "preset_config",
     "run_sweep",
@@ -50,7 +51,6 @@ __all__ = [
 ]
 
 ESTIMATORS = ("monte_carlo", "series_paper_literal", "series_corrected", "quadrature_oracle")
-SWEEP_SCHEMES = ("crs_noma", "conventional", "crs_oma")
 
 # Published channel-power presets and the rate values quoted for them
 # (sum rates in bit/s/Hz at 5 and 25 dB; conventional at 5 dB).
@@ -70,8 +70,6 @@ PAPER_TARGETS = {
         (5.0, "conventional", 4.107),
     ),
 }
-
-_BASELINE_MODE = "-"
 
 
 @dataclass(frozen=True)
@@ -157,26 +155,33 @@ def check_grid_span(start: float, stop: float, step: float) -> None:
         )
 
 
+def parse_grid(text: str) -> list[float]:
+    """Grid values of 'start:stop:step' or of a comma list.
+
+    A start:stop:step grid has floor((stop - start)/step + 1e-9) + 1
+    points, start + i*step each rounded to 12 decimals, so a fractional
+    step yields the decimals it names (0:1:0.1 gives 0.3, not
+    0.30000000000000004).  Raises ValueError on malformed text.
+    """
+    text = str(text).strip()
+    if ":" not in text:
+        return [float(p) for p in text.split(",") if p.strip()]
+    parts = [float(p) for p in text.split(":")]
+    if len(parts) != 3:
+        raise ValueError("need start:stop:step")
+    start, stop, step = parts
+    check_grid_span(start, stop, step)
+    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    return [round(start + i * step, 12) for i in range(n)]
+
+
 def _parse_rho_grid(spec, errors, line):
     """Accept 'start:stop:step', a comma list, or a JSON list."""
-    if isinstance(spec, (list, tuple)):
-        vals = [float(v) for v in spec]
-    else:
-        text = str(spec).strip()
-        try:
-            if ":" in text:
-                parts = [float(p) for p in text.split(":")]
-                if len(parts) != 3:
-                    raise ValueError("need start:stop:step")
-                start, stop, step = parts
-                check_grid_span(start, stop, step)
-                n = int(math.floor((stop - start) / step + 1e-9)) + 1
-                vals = [start + i * step for i in range(n)]
-            else:
-                vals = [float(p) for p in text.split(",") if p.strip()]
-        except ValueError as exc:
-            errors.append(f"{line}: rho_db: {exc}")
-            return ()
+    try:
+        vals = [float(v) for v in spec] if isinstance(spec, (list, tuple)) else parse_grid(spec)
+    except (TypeError, ValueError) as exc:
+        errors.append(f"{line}: rho_db: {exc}")
+        return ()
     if not vals:
         errors.append(f"{line}: rho_db: grid must be nonempty")
     elif any(b <= a for a, b in zip(vals, vals[1:])):
@@ -319,15 +324,15 @@ def config_from_mapping(data: dict, lines: dict | None = None) -> SweepConfig:
             continue
         try:
             links[name] = make_link(k_val, om_val)
-        except DomainError as exc:
-            errors.append(f"geometry.{name}: {exc}")
-        except Exception as exc:  # InvalidKFactor / InvalidPower
+        except (InvalidKFactor, InvalidPower) as exc:
             errors.append(f"geometry.{name}: {exc}")
 
     sw = merged["sweep"]
     rho_grid = _parse_rho_grid(sw["rho_db"], errors, where("sweep", "rho_db"))
-    schemes = _parse_tokens(sw["schemes"], SWEEP_SCHEMES, "schemes", errors, where("sweep", "schemes"))
-    modes = _parse_tokens(sw["modes"], ("paper", "exact"), "modes", errors, where("sweep", "modes"))
+    all_schemes = tuple(dict.fromkeys(scheme for scheme, _ in RATES.values()))
+    all_modes = tuple(mode for _, mode in RATES.values() if mode != "-")
+    schemes = _parse_tokens(sw["schemes"], all_schemes, "schemes", errors, where("sweep", "schemes"))
+    modes = _parse_tokens(sw["modes"], all_modes, "modes", errors, where("sweep", "modes"))
     estimators = _parse_tokens(sw["estimators"], ESTIMATORS, "estimators", errors,
                                where("sweep", "estimators"))
     trials = _coerce(sw["trials"], int, "sweep.trials", errors, where("sweep", "trials"))
@@ -348,7 +353,7 @@ def config_from_mapping(data: dict, lines: dict | None = None) -> SweepConfig:
     if a1 is not None and a2 is not None:
         try:
             split = PowerSplit(a1, a2)
-        except Exception as exc:
+        except InvalidSplit as exc:
             errors.append(f"split: {exc}")
 
     se = merged["series"]
@@ -392,93 +397,55 @@ def preset_config(preset: str, **overrides) -> SweepConfig:
 # sweep execution
 # ---------------------------------------------------------------------------
 
-def _series_rows(config: SweepConfig, rho_db: float, estimator: str) -> list[SweepRow]:
-    rho = db_to_linear(rho_db)
-    rep = ergodic_rate_series(
-        config.geometry, rho, config.truncation, literal=(estimator == "series_paper_literal")
-    )
-    c_s1 = rep.c_r_s1 + rep.c_d_s1
-    values = {
-        "c_relay_s1": rep.c_r_s1,
-        "c_direct_s1": rep.c_d_s1,
-        "c_s1": c_s1,
-        "c_s2": rep.c_d_s1,
-        "c_total": rep.c_total,
-    }
-    return [
-        SweepRow(rho_db, "crs_noma", "paper", estimator, q, values[q], None)
-        for q in QUANTITIES
-    ]
-
-
-def _quadrature_rows(config: SweepConfig, rho_db: float) -> list[SweepRow]:
-    rho = db_to_linear(rho_db)
-    rows = []
-    for scheme in config.schemes:
-        if scheme == "crs_noma":
-            for mode in config.modes:
-                q = ergodic_rate_quadrature_quantities(
-                    config.geometry, rho, f"crs_noma_{mode}", config.split
-                )
-                rows += [
-                    SweepRow(rho_db, scheme, mode, "quadrature_oracle", name, q[name], None)
-                    for name in QUANTITIES
-                ]
-        else:
-            q = ergodic_rate_quadrature_quantities(config.geometry, rho, scheme, config.split)
-            rows += [
-                SweepRow(rho_db, scheme, _BASELINE_MODE, "quadrature_oracle", name, q[name], None)
-                for name in QUANTITIES
-            ]
-    return rows
-
-
-def _monte_carlo_rows(config: SweepConfig, rho_db: float) -> list[SweepRow]:
-    rho = db_to_linear(rho_db)
-    rows = []
-    baselines = tuple(s for s in config.schemes if s != "crs_noma")
-    if "crs_noma" in config.schemes:
-        for mode in config.modes:
-            res = estimate_rates(
-                config.geometry, rho, ("crs_noma",), mode, config.split,
-                config.trials, config.seed, config.workers,
-            )
-            rows += [
-                SweepRow(rho_db, r.scheme, mode, "monte_carlo", r.quantity, r.mean, r.std_err)
-                for r in res
-            ]
-    if baselines:
-        res = estimate_rates(
-            config.geometry, rho, baselines, "paper", config.split,
-            config.trials, config.seed, config.workers,
-        )
-        rows += [
-            SweepRow(rho_db, r.scheme, _BASELINE_MODE, "monte_carlo", r.quantity, r.mean, r.std_err)
-            for r in res
-        ]
-    return rows
-
-
 def run_sweep(config: SweepConfig) -> SweepResult:
     """Evaluate every (grid point, scheme, estimator, quantity) cell.
 
     Deterministic in the config (the seed covers all stochastic parts).
-    The analytic series estimators model CRS-NOMA only and therefore
-    emit rows just for that scheme; Monte-Carlo and the quadrature
-    oracle cover every scheme, with CRS-NOMA expanded per mode.
+    Monte-Carlo and the quadrature oracle cover every (scheme, mode) of
+    :data:`~ratelab.rates.RATES` the config selects; the analytic series
+    model paper-mode CRS-NOMA only and emit rows just for it, whatever
+    the selected modes.
     """
+    if not set(config.estimators) <= set(ESTIMATORS):
+        raise DomainError(f"estimators must be among {ESTIMATORS}, got {config.estimators}")
+    # a baseline's single mode "-" is selected whatever the modes
+    selected = [
+        (token, scheme, mode)
+        for scheme in config.schemes
+        for token, (s, mode) in RATES.items()
+        if s == scheme and mode in (*config.modes, "-")
+    ]
+    series = [("crs_noma_paper", *RATES["crs_noma_paper"])] if "crs_noma" in config.schemes else []
+    # one Monte-Carlo call per mode label: each CRS-NOMA mode gets its
+    # own, and the baselines ("-") share one on common random numbers
+    mc_schemes: dict = {}
+    for _, scheme, mode in selected:
+        mc_schemes.setdefault(mode, []).append(scheme)
     rows: list[SweepRow] = []
     for rho_db in config.rho_grid_db:
+        rho = db_to_linear(rho_db)
         for estimator in config.estimators:
             if estimator == "monte_carlo":
-                rows += _monte_carlo_rows(config, rho_db)
-            elif estimator == "quadrature_oracle":
-                rows += _quadrature_rows(config, rho_db)
-            elif estimator in ("series_corrected", "series_paper_literal"):
-                if "crs_noma" in config.schemes:
-                    rows += _series_rows(config, rho_db, estimator)
-            else:  # pragma: no cover - blocked by config validation
-                raise DomainError(f"unknown estimator {estimator!r}")
+                mc = {}
+                for mode, schemes in mc_schemes.items():
+                    for r in estimate_rates(config.geometry, rho, tuple(schemes), mode, config.split,
+                                            config.trials, config.seed, config.workers):
+                        mc[(r.scheme, mode, r.quantity)] = (r.mean, r.std_err)
+            for token, scheme, mode in series if estimator.startswith("series_") else selected:
+                if estimator == "monte_carlo":
+                    cells = [mc[(scheme, mode, q)] for q in QUANTITIES]
+                else:
+                    if estimator == "quadrature_oracle":
+                        rate = ergodic_rate_quadrature_quantities(config.geometry, rho, token, config.split)
+                    else:
+                        rate = ergodic_rate_series(
+                            config.geometry, rho, config.truncation, estimator == "series_paper_literal"
+                        )
+                    cells = [(rate[q], None) for q in QUANTITIES]
+                rows += [
+                    SweepRow(rho_db, scheme, mode, estimator, q, value, std_err)
+                    for q, (value, std_err) in zip(QUANTITIES, cells)
+                ]
     for r in rows:
         if not math.isfinite(r.value):
             raise DomainError(f"non-finite value in sweep row {r}")
@@ -595,12 +562,8 @@ def discrepancy_report(
         lit = ergodic_rate_series(geometry, rho, trunc, literal=True)
         cor = ergodic_rate_series(geometry, rho, trunc, literal=False)
         ora = ergodic_rate_quadrature_quantities(geometry, rho, "crs_noma_paper")
-        for qname, lv, cv, ov in (
-            ("c_r_s1", lit.c_r_s1, cor.c_r_s1, ora["c_relay_s1"]),
-            ("c_d_s1", lit.c_d_s1, cor.c_d_s1, ora["c_direct_s1"]),
-            ("c_total", lit.c_total, cor.c_total, ora["c_total"]),
-        ):
-            rows.append((float(rho_db), qname, lv, cv, ov, abs(lv - cv)))
+        for qname, q in (("c_r_s1", "c_relay_s1"), ("c_d_s1", "c_direct_s1"), ("c_total", "c_total")):
+            rows.append((float(rho_db), qname, lit[q], cor[q], ora[q], abs(lit[q] - cor[q])))
     return tuple(rows)
 
 

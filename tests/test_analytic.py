@@ -15,7 +15,6 @@ from ratelab import (
     cdf_min_pair_series,
     cdf_single_link_series,
     crs_noma_rate,
-    ergodic_rate_quadrature,
     ergodic_rate_quadrature_quantities,
     ergodic_rate_series,
     estimate_rates,
@@ -197,12 +196,17 @@ def test_g_rho_pair_matches_h_rho():
 
 def test_ergodic_series_report_invariant_and_mapping():
     rep = ergodic_rate_series(FIG3, 100.0)
-    assert rep.c_total == rep.c_r_s1 + 2.0 * rep.c_d_s1
-    assert rep.method == "series_corrected"
-    assert rep.link_mapping == "H(S-R,R-D);G(S-D)"
+    assert rep.c_total == rep.c_relay_s1 + 2.0 * rep.c_direct_s1
+    assert rep.c_s1 == rep.c_relay_s1 + rep.c_direct_s1
+    assert rep.c_s2 == rep.c_direct_s1
+    to_bits = 2.0 * math.log(2.0)
+    # corrected: H over (S-R, R-D), G over the S-D link alone
+    assert rep.c_relay_s1 == h_rho(FIG3.sr, FIG3.rd, 100.0) / to_bits
+    assert rep.c_direct_s1 == g_rho(FIG3.sd, None, 100.0) / to_bits
+    # literal: H over (S-D, S-R), G over (R-D, S-R), as printed
     lit = ergodic_rate_series(FIG3, 100.0, literal=True)
-    assert lit.method == "series_paper_literal"
-    assert lit.link_mapping == "H(S-D,S-R);G(R-D,S-R)"
+    assert lit.c_relay_s1 == h_rho(FIG3.sd, FIG3.sr, 100.0) / to_bits
+    assert lit.c_direct_s1 == g_rho(FIG3.rd, FIG3.sr, 100.0) / to_bits
     # the two symbol mappings disagree; the gap is data for the report
     assert abs(lit.c_total - rep.c_total) > 0.02
 
@@ -290,10 +294,9 @@ def test_quadrature_monotone_in_rho():
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
-def test_quadrature_report_wrapper():
-    rep = ergodic_rate_quadrature(FIG3, 10.0, "crs_noma_paper")
-    assert rep.method == "quadrature_oracle"
-    assert rep.c_total == pytest.approx(rep.c_r_s1 + 2 * rep.c_d_s1, rel=1e-12)
+def test_quadrature_breakdown_invariants():
+    rep = ergodic_rate_quadrature_quantities(FIG3, 10.0, "crs_noma_paper")
+    assert rep.c_total == pytest.approx(rep.c_relay_s1 + 2 * rep.c_direct_s1, rel=1e-12)
 
 
 def test_quadrature_validates_inputs():

@@ -11,7 +11,6 @@ from ratelab import (
     power_gain_cdf,
     power_gain_pdf,
     power_gain_sf,
-    sample_power_gain,
     sample_power_gains,
     series_constants,
     split_stream,
@@ -69,9 +68,6 @@ def test_sample_variance_noncentral_moment():
 
 def test_sampling_is_deterministic():
     link = make_link(4, 2)
-    a = sample_power_gain(link, split_stream(99, 5))
-    b = sample_power_gain(link, split_stream(99, 5))
-    assert a == b
     xa = sample_power_gains(link, split_stream(99, 6), 64)
     xb = sample_power_gains(link, split_stream(99, 6), 64)
     assert np.array_equal(xa, xb)

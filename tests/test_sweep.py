@@ -1,18 +1,33 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from ratelab import parse_config, preset_config, run_sweep, render_csv, emit_plot_script
+import ratelab
+from ratelab import (
+    emit_plot_script,
+    ergodic_rate_quadrature_quantities,
+    ergodic_rate_series,
+    estimate_rates,
+    paired_gap,
+    parse_config,
+    preset_config,
+    render_csv,
+    run_sweep,
+)
 from ratelab.cli import _parse_grid, main
 from ratelab.errors import ParseError, ValidationError
+from ratelab.rates import QUANTITIES, RATES
 from ratelab.sweep import (
     MAX_GRID_POINTS,
     PAPER_TARGETS,
     calibrate_k,
     discrepancy_report,
+    parse_grid,
     render_discrepancy_csv,
 )
 
@@ -356,10 +371,74 @@ def test_console_entry_point(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(CLI_CONFIG)
     out = tmp_path / "cli.csv"
+    # the child imports the ratelab this process imported, installed or not
+    src = str(Path(ratelab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "ratelab.cli", "sweep", "--config", str(cfg), "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+@pytest.mark.parametrize("spec", ["0:1:0.3", "0:1:0.1", "0:30:1"])
+def test_cli_and_config_parse_a_grid_alike(spec):
+    config_grid = parse_config(MINIMAL + f"[sweep]\nrho_db = {spec}\n").rho_grid_db
+    assert _parse_grid(spec, "--rho-grid") == list(config_grid) == parse_grid(spec)
+
+
+def test_grid_points_are_the_decimals_the_step_names():
+    assert parse_grid("0:1:0.3") == [0.0, 0.3, 0.6, 0.9]
+    assert parse_grid("0:1:0.1")[3] == 0.3
+    # accumulating the step drifts on long grids (378.630000000001)
+    assert 378.63 in parse_grid("7.83:551.43:3.6")
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["discrepancy", "--preset", "fig3", "--k", "-1"], None),
+    (["discrepancy", "--preset", "fig3", "--k", "inf"], None),
+    (["calibrate", "--preset", "fig3", "--k-grid=-1,0", "--trials", "1000"], None),
+    (["sweep"], "[geometry]\nk = -1\n"),
+    (["sweep"], "[geometry]\nomega_sd = 0\n"),
+    (["sweep"], "[split]\na1 = 0.5\na2 = 0.5\n"),
+])
+def test_cli_invalid_k_power_or_split_exits_one(argv, config, tmp_path, capsys):
+    if config is not None:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("preset = fig3\n" + config)
+        argv = argv + ["--config", str(cfg), "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ratelab: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("token", sorted(RATES))
+def test_every_rate_token_is_accepted_by_every_estimator(token):
+    cfg = preset_config("fig3")
+    g, split, rho = cfg.geometry, cfg.split, 10.0
+    scheme, mode = RATES[token]
+    by_token = estimate_rates(g, rho, (token,), "paper", split, trials=2000, seed=1)
+    by_scheme = estimate_rates(g, rho, (scheme,), mode, split, trials=2000, seed=1)
+    assert [r.mean for r in by_token] == [r.mean for r in by_scheme]
+    gap = paired_gap(g, rho, token, scheme, mode, split, trials=2000, seed=1)
+    assert gap.mean == 0.0 and gap.std_err == 0.0
+    for result in (ergodic_rate_quadrature_quantities(g, rho, token, split), ergodic_rate_series(g, rho)):
+        for q in QUANTITIES:
+            assert result[q] == getattr(result, q)
+        with pytest.raises(KeyError):
+            result["c_r_s1"]
+
+
+def test_full_sweep_emits_exactly_the_rate_table_labels():
+    cfg = preset_config(
+        "fig3", rho_grid_db=(10.0,), schemes=("crs_noma", "conventional", "crs_oma"),
+        modes=("paper", "exact"), estimators=("monte_carlo", "quadrature_oracle"), trials=2000,
+    )
+    rows = run_sweep(cfg).rows
+    for estimator in cfg.estimators:
+        mine = [(r.scheme, r.mode) for r in rows if r.estimator == estimator]
+        assert sorted(set(mine)) == sorted(RATES.values())
+        assert len(mine) == len(RATES) * len(QUANTITIES)
