@@ -146,11 +146,19 @@ def _survival_series(link: RicianLink, gamma: float, n_max: int, tail_tol: float
     return float(w @ q), ok
 
 
-def _warn_truncation(op: str, trunc: SeriesTruncation):
+def _warn_truncation(op: str, trunc: SeriesTruncation, k_first: float, k_second: float | None = None):
+    """Warn that a series stopped at its caps, n_max over the first
+    link's Poisson(K) weights and k_max over the second's.  The
+    warning's ``tail`` is the weight beyond those caps."""
+    tail_a = special.gammainc(trunc.n_max + 1, k_first)  # P(N > n_max)
+    tail_b = 0.0 if k_second is None else special.gammainc(trunc.k_max + 1, k_second)
+    tail = float(tail_a + tail_b - tail_a * tail_b)
     warnings.warn(
-        f"{op}: series stopped at n_max={trunc.n_max}/k_max={trunc.k_max} while the "
-        f"tail still exceeded tail_tol={trunc.tail_tol}; increase n_max for large K",
-        TruncationWarning,
+        TruncationWarning(
+            f"{op}: series stopped at n_max={trunc.n_max}/k_max={trunc.k_max} with {tail:.3g} "
+            f"of its weight left, above tail_tol={trunc.tail_tol}; increase n_max for large K",
+            tail,
+        ),
         stacklevel=3,
     )
 
@@ -176,7 +184,7 @@ def cdf_min_pair_series(
     sa, ok_a = _survival_series(link_a, gamma, trunc.n_max, trunc.tail_tol)
     sb, ok_b = _survival_series(link_b, gamma, trunc.k_max, trunc.tail_tol)
     if not (ok_a and ok_b):
-        _warn_truncation("cdf_min_pair_series", trunc)
+        _warn_truncation("cdf_min_pair_series", trunc, link_a.k_factor, link_b.k_factor)
     return _clamp(1.0 - sa * sb, clamp_stats)
 
 
@@ -194,7 +202,7 @@ def cdf_single_link_series(
     gamma = _check_gamma(gamma)
     s, ok = _survival_series(link, gamma, trunc.n_max, trunc.tail_tol)
     if not ok:
-        _warn_truncation("cdf_single_link_series", trunc)
+        _warn_truncation("cdf_single_link_series", trunc, link.k_factor)
     return _clamp(1.0 - s, clamp_stats)
 
 
@@ -264,7 +272,7 @@ def cdf_min_pair_approx(
     fa, ok_a = one_link(link_a, trunc.n_max)
     fb, ok_b = one_link(link_b, trunc.k_max)
     if not (ok_a and ok_b):
-        _warn_truncation("cdf_min_pair_approx", trunc)
+        _warn_truncation("cdf_min_pair_approx", trunc, link_a.k_factor, link_b.k_factor)
     raw = 1.0 - fa * fb * math.exp(-gamma)
     if not clamp:
         return raw
@@ -328,7 +336,7 @@ def h_rho(
     wa, ok_a = _poisson_weights(link_a.k_factor, trunc.n_max, trunc.tail_tol)
     wb, ok_b = _poisson_weights(link_b.k_factor, trunc.k_max, trunc.tail_tol)
     if not (ok_a and ok_b):
-        _warn_truncation("h_rho", trunc)
+        _warn_truncation("h_rho", trunc, link_a.k_factor, link_b.k_factor)
     na, nb = len(wa), len(wb)
     g = _chebyshev_kernel(na + nb - 2, rho / alpha, trunc.quad_order)
     # W[i,j] = C(i+j, i) p^i q^j G[i+j]; a binomial pmf term, never large.
@@ -359,7 +367,7 @@ def g_rho(
     rho = _check_rho_pos(rho)
     w, ok = _poisson_weights(link_z.k_factor, trunc.n_max, trunc.tail_tol)
     if not ok:
-        _warn_truncation("g_rho", trunc)
+        _warn_truncation("g_rho", trunc, link_z.k_factor)
     g = _chebyshev_kernel(len(w) - 1, rho / link_z.inv_scale, trunc.quad_order)
     return float(w @ np.cumsum(g))
 

@@ -9,16 +9,18 @@
 
 Exit codes: 0 success, 1 configuration/validation error, 2 runtime or
 convergence error.  The environment variable RATELAB_SEED overrides the
-config-file seed; an explicit --seed flag beats both.
+config-file seed; an explicit --seed flag beats both.  Truncated-series
+warnings are summarized in one stderr line.
 """
 
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 from .errors import (ConvergenceError, DomainError, InvalidKFactor, InvalidPower, InvalidSplit,
-                     ParseError, RateLabError, ValidationError)
+                     ParseError, RateLabError, TruncationWarning, ValidationError)
 from .sweep import (
     PRESETS,
     calibrate_k,
@@ -42,7 +44,7 @@ def _parse_grid(text: str, what: str):
     try:
         return parse_grid(text)
     except ValueError as exc:
-        raise ValidationError(f"{what}: expected start:stop:step or a comma list ({exc})") from exc
+        raise ValidationError(f"{what}: {exc}") from exc
 
 
 def _resolve_seed(args, config_seed: int) -> int:
@@ -148,9 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args) -> int:
     try:
         return args.func(args)
     except (ParseError, ValidationError, DomainError, InvalidKFactor, InvalidPower, InvalidSplit,
@@ -160,6 +160,24 @@ def main(argv=None) -> int:
     except (ConvergenceError, OSError, RateLabError) as exc:
         print(f"ratelab: runtime error: {exc}", file=sys.stderr)
         return _EXIT_RUNTIME
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    # a grid over large K truncates the series at every point: summarize
+    # those warnings in one line, and pass any other warning on as is
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", TruncationWarning)
+        code = _run(args)
+    tails = [w.message.tail for w in caught if issubclass(w.category, TruncationWarning)]
+    for w in caught:
+        if not issubclass(w.category, TruncationWarning):
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    if tails:
+        print(f"ratelab: warning: {len(tails)} truncated series, largest tail left {max(tails):.3g}; "
+              "increase n_max/k_max for large K", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

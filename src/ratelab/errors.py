@@ -35,7 +35,12 @@ class ValidationError(RateLabError):
 
 class TruncationWarning(UserWarning):
     """A truncated series stopped while its tail still exceeded the
-    requested tolerance; the returned value may be less accurate."""
+    requested tolerance; the returned value may be less accurate.
+    ``tail`` is the series weight left beyond the truncation."""
+
+    def __init__(self, message: str, tail: float = float("nan")):
+        super().__init__(message)
+        self.tail = tail
 
 
 class ModelAssumptionWarning(UserWarning):

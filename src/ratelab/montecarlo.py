@@ -1,12 +1,14 @@
 """Seeded Monte-Carlo estimation of ergodic rates with standard errors.
 
-Trials are partitioned into fixed-size blocks.  Block b draws its gains
-from the sub-stream ``split_stream(seed, b)``, computes every requested
-scheme on the *same* three gain arrays (common random numbers), and
-reduces its sums with numpy's pairwise summation.  Block partials are
-then merged in block order through compensated (Kahan) summation, so
-the result is a pure function of (inputs, seed) and independent of how
-many workers executed the blocks.
+Trials are partitioned into fixed-size blocks.  Block b draws its three
+gain arrays once, from the sub-stream ``split_stream(seed, b)``, and
+evaluates every requested cell on them: a (rho, scheme) pair, or for
+:func:`paired_gap` the per-trial difference of two schemes (common
+random numbers throughout).  Each cell's block sums come from numpy's
+pairwise summation and are merged in block order through compensated
+(Kahan) summation.  A cell's result is therefore a pure function of
+(inputs, seed): it depends neither on how many workers executed the
+blocks nor on which other cells shared the call.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -36,7 +38,7 @@ BLOCK_SIZE = 1 << 17
 
 @dataclass(frozen=True)
 class EstimatorResult:
-    """Sample mean and standard error of one rate quantity."""
+    """Sample mean and standard error of one rate quantity at one rho."""
 
     scheme: str
     quantity: str
@@ -44,6 +46,7 @@ class EstimatorResult:
     std_err: float
     trials: int
     seed: int
+    rho: float
 
 
 class _Kahan:
@@ -80,48 +83,58 @@ def _token_rates(r: ChannelRealization, rho: float, token: str, split: PowerSpli
     return crs_noma_rate(r, rho, RATES[token][1])
 
 
-def _resolve(schemes, mode: str, split: PowerSplit | None, rho: float, trials: int) -> list[str]:
+def _resolve(schemes, mode: str, split: PowerSplit | None, rhos, trials: int, seed: int) -> list[str]:
     """Check the arguments both estimators share; return the RATES token
     of each requested scheme under ``mode``."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    if not rho >= 0.0:
-        raise DomainError(f"rho must be >= 0, got {rho}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    for rho in rhos:
+        if not rho >= 0.0:
+            raise DomainError(f"rho must be >= 0, got {rho}")
     tokens = [rate_token(s, mode) for s in schemes]
     if "conventional" in tokens and split is None:
         raise DomainError("conventional scheme requires a PowerSplit")
     return tokens
 
 
-def _blocks(trials: int):
-    """(block_index, block_length) partition of the trial count."""
+def _cell_sums(r: ChannelRealization, cell, split: PowerSplit | None, quantities) -> list:
+    """(sum, sum of squares) of each quantity of one cell on one block.
+
+    A cell is (rho, token, minus): the rates of ``token``, less those of
+    ``minus`` trial by trial unless it is None.  The rate arrays are
+    freed on return, before the next cell is evaluated.
+    """
+    rho, token, minus = cell
+    rates = _token_rates(r, rho, token, split)
+    values = [rates[q] for q in quantities]
+    del rates
+    if minus is not None:
+        other = _token_rates(r, rho, minus, split)
+        values = [v - other[q] for v, q in zip(values, quantities)]
+    return [(float(np.sum(v)), float(np.sum(v * v))) for v in values]
+
+
+def _run_blocks(block_fn, trials: int, workers: int) -> list:
+    """Evaluate block_fn(block_index, block_length) over the partition of
+    the trial count, returning the partials in block order."""
     full, rest = divmod(trials, BLOCK_SIZE)
-    out = [(b, BLOCK_SIZE) for b in range(full)]
-    if rest:
-        out.append((full, rest))
-    return out
-
-
-def _run_blocks(block_fn, trials: int, workers: int):
-    """Evaluate block_fn over the partition, reduce in index order."""
-    plan = _blocks(trials)
+    plan = [(b, BLOCK_SIZE) for b in range(full)] + ([(full, rest)] if rest else [])
     if workers > 1 and len(plan) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda p: block_fn(*p), plan))
-    else:
-        partials = [block_fn(b, n) for b, n in plan]
-    return partials
+            return list(pool.map(lambda p: block_fn(*p), plan))
+    return [block_fn(b, n) for b, n in plan]
 
 
-def _reduce_moments(partials, keys):
-    sums = {k: _Kahan() for k in keys}
-    sqs = {k: _Kahan() for k in keys}
+def _reduce_moments(partials) -> list:
+    """Position-wise Kahan totals of the block partials, in block order."""
+    sums = [(_Kahan(), _Kahan()) for _ in partials[0]]
     for part in partials:
-        for k in keys:
-            s, sq = part[k]
-            sums[k].add(s)
-            sqs[k].add(sq)
-    return {k: (sums[k].total, sqs[k].total) for k in keys}
+        for (s, sq), (ks, ksq) in zip(part, sums):
+            ks.add(s)
+            ksq.add(sq)
+    return [(ks.total, ksq.total) for ks, ksq in sums]
 
 
 def _mean_stderr(s: float, sq: float, n: int):
@@ -132,9 +145,21 @@ def _mean_stderr(s: float, sq: float, n: int):
     return mean, math.sqrt(var / n)
 
 
+def _estimate(geometry: NetworkGeometry, cells, split, trials: int, seed: int, workers: int,
+              quantities) -> list:
+    """The engine: (mean, std_err) of every quantity of every cell,
+    cell-major, with each block's gains drawn once for all cells."""
+
+    def block_fn(b, n):
+        r = _draw_block(geometry, seed, b, n)
+        return [m for cell in cells for m in _cell_sums(r, cell, split, quantities)]
+
+    return [_mean_stderr(s, sq, trials) for s, sq in _reduce_moments(_run_blocks(block_fn, trials, workers))]
+
+
 def estimate_rates(
     geometry: NetworkGeometry,
-    rho: float,
+    rho,
     schemes=("crs_noma", "conventional", "crs_oma"),
     mode: str = "paper",
     split: PowerSplit | None = None,
@@ -145,34 +170,31 @@ def estimate_rates(
     """Estimate every rate quantity of the requested schemes.
 
     One realization of (lambda_SR, lambda_RD, lambda_SD) is drawn per
-    trial and shared across schemes, so cross-scheme comparisons are
-    variance-coupled.  A scheme is a :data:`~ratelab.rates.RATES`
-    token or a plain ``crs_noma``, which ``mode`` resolves; the
-    baselines ignore ``mode``.  Deterministic in all inputs.
+    trial and shared across schemes and rho values, so cross-scheme
+    comparisons are variance-coupled.  A scheme is a
+    :data:`~ratelab.rates.RATES` token or a plain ``crs_noma``, which
+    ``mode`` resolves; the baselines ignore ``mode``.
+
+    ``rho`` is one transmit SNR or a sequence of them.  Every scheme is
+    evaluated at every rho, unless ``rho`` is a sequence and
+    ``schemes`` holds one sequence of schemes per rho.  Results come
+    rho by rho, then scheme by scheme in :data:`QUANTITIES` order, each
+    carrying its ``rho``.  Deterministic in all inputs; a (rho, scheme)
+    result is the same float whatever else the call evaluates.
     """
+    rhos = [rho] if np.ndim(rho) == 0 else list(rho)
     schemes = tuple(schemes)
-    tokens = _resolve(schemes, mode, split, rho, trials)
-    keys = [(s, q) for s in schemes for q in QUANTITIES]
-
-    def block_fn(b, n):
-        r = _draw_block(geometry, seed, b, n)
-        out = {}
-        for s, token in zip(schemes, tokens):
-            br = _token_rates(r, rho, token, split)
-            for q in QUANTITIES:
-                v = np.asarray(br[q], dtype=float)
-                out[(s, q)] = (float(np.sum(v)), float(np.sum(v * v)))
-        return out
-
-    moments = _reduce_moments(_run_blocks(block_fn, trials, workers), keys)
-    results = []
-    for s in schemes:
-        for q in QUANTITIES:
-            mean, se = _mean_stderr(*moments[(s, q)], trials)
-            results.append(
-                EstimatorResult(scheme=s, quantity=q, mean=mean, std_err=se, trials=trials, seed=seed)
-            )
-    return results
+    grouped = np.ndim(rho) and schemes and not isinstance(schemes[0], str)
+    groups = schemes if grouped else [schemes] * len(rhos)
+    names = [(x, s) for x, group in zip(rhos, groups, strict=True) for s in group]
+    tokens = _resolve([s for _, s in names], mode, split, rhos, trials, seed)
+    cells = [(x, token, None) for (x, _), token in zip(names, tokens)]
+    moments = iter(_estimate(geometry, cells, split, trials, seed, workers, QUANTITIES))
+    return [
+        EstimatorResult(s, q, *next(moments), trials=trials, seed=seed, rho=x)
+        for x, s in names
+        for q in QUANTITIES
+    ]
 
 
 def paired_gap(
@@ -192,24 +214,8 @@ def paired_gap(
     Differencing inside each trial cancels the shared channel noise, so
     the standard error is far below that of two independent runs.
     """
-    token_a, token_b = _resolve((scheme_a, scheme_b), mode, split, rho, trials)
+    token_a, token_b = _resolve((scheme_a, scheme_b), mode, split, [rho], trials, seed)
     if quantity not in QUANTITIES:
         raise DomainError(f"unknown quantity {quantity!r}")
-
-    def block_fn(b, n):
-        r = _draw_block(geometry, seed, b, n)
-        va = np.asarray(_token_rates(r, rho, token_a, split)[quantity], dtype=float)
-        vb = np.asarray(_token_rates(r, rho, token_b, split)[quantity], dtype=float)
-        d = va - vb
-        return {"gap": (float(np.sum(d)), float(np.sum(d * d)))}
-
-    (s, sq) = _reduce_moments(_run_blocks(block_fn, trials, workers), ["gap"])["gap"]
-    mean, se = _mean_stderr(s, sq, trials)
-    return EstimatorResult(
-        scheme=f"{scheme_a}-{scheme_b}",
-        quantity=quantity,
-        mean=mean,
-        std_err=se,
-        trials=trials,
-        seed=seed,
-    )
+    [(mean, se)] = _estimate(geometry, [(rho, token_a, token_b)], split, trials, seed, workers, (quantity,))
+    return EstimatorResult(f"{scheme_a}-{scheme_b}", quantity, mean, se, trials, seed, rho)

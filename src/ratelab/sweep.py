@@ -155,38 +155,41 @@ def check_grid_span(start: float, stop: float, step: float) -> None:
         )
 
 
-def parse_grid(text: str) -> list[float]:
-    """Grid values of 'start:stop:step' or of a comma list.
+def parse_grid(spec) -> list[float]:
+    """Grid values of 'start:stop:step', of a comma list or of a list of
+    numbers (a JSON config's form).
 
     A start:stop:step grid has floor((stop - start)/step + 1e-9) + 1
     points, start + i*step each rounded to 12 decimals, so a fractional
     step yields the decimals it names (0:1:0.1 gives 0.3, not
-    0.30000000000000004).  Raises ValueError on malformed text.
+    0.30000000000000004).  Raises ValueError on malformed text and on
+    a grid that is empty or not strictly increasing.
     """
-    text = str(text).strip()
-    if ":" not in text:
-        return [float(p) for p in text.split(",") if p.strip()]
-    parts = [float(p) for p in text.split(":")]
-    if len(parts) != 3:
-        raise ValueError("need start:stop:step")
-    start, stop, step = parts
-    check_grid_span(start, stop, step)
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [round(start + i * step, 12) for i in range(n)]
+    if isinstance(spec, (list, tuple)):
+        vals = [float(v) for v in spec]
+    elif ":" not in str(spec):
+        vals = [float(p) for p in str(spec).split(",") if p.strip()]
+    else:
+        parts = [float(p) for p in str(spec).split(":")]
+        if len(parts) != 3:
+            raise ValueError("need start:stop:step")
+        start, stop, step = parts
+        check_grid_span(start, stop, step)
+        n = int(math.floor((stop - start) / step + 1e-9)) + 1
+        vals = [round(start + i * step, 12) for i in range(n)]
+    if not vals:
+        raise ValueError("grid must be nonempty")
+    if any(b <= a for a, b in zip(vals, vals[1:])):
+        raise ValueError("grid must be strictly increasing")
+    return vals
 
 
 def _parse_rho_grid(spec, errors, line):
-    """Accept 'start:stop:step', a comma list, or a JSON list."""
     try:
-        vals = [float(v) for v in spec] if isinstance(spec, (list, tuple)) else parse_grid(spec)
+        return tuple(parse_grid(spec))
     except (TypeError, ValueError) as exc:
         errors.append(f"{line}: rho_db: {exc}")
         return ()
-    if not vals:
-        errors.append(f"{line}: rho_db: grid must be nonempty")
-    elif any(b <= a for a, b in zip(vals, vals[1:])):
-        errors.append(f"{line}: rho_db: grid must be strictly increasing")
-    return tuple(vals)
 
 
 def _parse_tokens(spec, allowed, fieldname, errors, line):
@@ -416,24 +419,18 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         if s == scheme and mode in (*config.modes, "-")
     ]
     series = [("crs_noma_paper", *RATES["crs_noma_paper"])] if "crs_noma" in config.schemes else []
-    # one Monte-Carlo call per mode label: each CRS-NOMA mode gets its
-    # own, and the baselines ("-") share one on common random numbers
-    mc_schemes: dict = {}
-    for _, scheme, mode in selected:
-        mc_schemes.setdefault(mode, []).append(scheme)
+    rhos = [db_to_linear(rho_db) for rho_db in config.rho_grid_db]
+    if "monte_carlo" in config.estimators:
+        # one call: each block is drawn once for every (rho, token) cell
+        mc = estimate_rates(config.geometry, rhos, [token for token, _, _ in selected], "paper",
+                            config.split, config.trials, config.seed, config.workers)
+        mc = {(r.rho, r.scheme, r.quantity): (r.mean, r.std_err) for r in mc}
     rows: list[SweepRow] = []
-    for rho_db in config.rho_grid_db:
-        rho = db_to_linear(rho_db)
+    for rho_db, rho in zip(config.rho_grid_db, rhos):
         for estimator in config.estimators:
-            if estimator == "monte_carlo":
-                mc = {}
-                for mode, schemes in mc_schemes.items():
-                    for r in estimate_rates(config.geometry, rho, tuple(schemes), mode, config.split,
-                                            config.trials, config.seed, config.workers):
-                        mc[(r.scheme, mode, r.quantity)] = (r.mean, r.std_err)
             for token, scheme, mode in series if estimator.startswith("series_") else selected:
                 if estimator == "monte_carlo":
-                    cells = [mc[(scheme, mode, q)] for q in QUANTITIES]
+                    cells = [mc[(rho, token, q)] for q in QUANTITIES]
                 else:
                     if estimator == "quadrature_oracle":
                         rate = ergodic_rate_quadrature_quantities(config.geometry, rho, token, config.split)
@@ -520,13 +517,13 @@ def calibrate_k(
             rd=make_link(k, omegas["omega_rd"]),
             sd=make_link(k, omegas["omega_sd"]),
         )
+        res = estimate_rates(
+            geometry, [db_to_linear(rho_db) for rho_db, _, _ in targets],
+            [(scheme,) for _, scheme, _ in targets], "paper", split, trials, seed, workers,
+        )
+        sims = [r.mean for r in res if r.quantity == "c_total"]
         sse = 0.0
-        for rho_db, scheme, target in targets:
-            res = estimate_rates(
-                geometry, db_to_linear(rho_db), (scheme,), "paper", split,
-                trials, seed, workers,
-            )
-            sim = next(r.mean for r in res if r.quantity == "c_total")
+        for (rho_db, scheme, target), sim in zip(targets, sims):
             residuals.append((k, rho_db, scheme, sim, float(target), sim - float(target)))
             sse += (sim - float(target)) ** 2
         sse_by_k.append((k, sse))

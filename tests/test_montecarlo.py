@@ -11,8 +11,11 @@ from ratelab import (
     make_link,
     paired_gap,
 )
+from ratelab import montecarlo
 from ratelab.errors import DomainError
 from ratelab.montecarlo import BLOCK_SIZE, QUANTITIES
+from ratelab.rates import RATES
+from ratelab.sweep import PAPER_TARGETS, calibrate_k, db_to_linear, preset_config, run_sweep
 
 SPLIT = PowerSplit(0.9, 0.1)
 
@@ -33,6 +36,12 @@ def test_validation():
         estimate_rates(g, 1.0, schemes=("conventional",), split=None, trials=10)
     with pytest.raises(DomainError):
         paired_gap(g, 1.0, "crs_noma", "crs_oma", quantity="nope", trials=10)
+    with pytest.raises(DomainError, match="seed must be >= 0"):
+        estimate_rates(g, 1.0, trials=10, seed=-1)
+    with pytest.raises(DomainError, match="seed must be >= 0"):
+        paired_gap(g, 1.0, "crs_noma", "crs_oma", trials=10, seed=-1)
+    with pytest.raises(DomainError):
+        estimate_rates(g, [1.0, float("nan")], ("crs_noma",), trials=10)
 
 
 def test_result_shape_and_fields():
@@ -93,6 +102,9 @@ def test_paired_gap_identical_schemes_is_exactly_zero():
     g = fig3_geometry()
     r = paired_gap(g, 10.0, "crs_noma", "crs_noma", "paper", SPLIT, trials=5000, seed=11)
     assert r.mean == 0.0 and r.std_err == 0.0
+    for token in RATES:
+        r = paired_gap(g, 10.0, token, token, "paper", SPLIT, trials=BLOCK_SIZE + 5000, seed=11)
+        assert (r.mean, r.std_err, r.rho) == (0.0, 0.0, 10.0)
 
 
 def test_paired_gap_mode_dominance():
@@ -129,3 +141,66 @@ def test_std_err_scaling_with_trials():
         ratios.append(sb / sa)
     mean_ratio = float(np.mean(ratios))
     assert 1 / math.sqrt(2) - 0.1 <= mean_ratio <= 1 / math.sqrt(2) + 0.1
+
+
+def _all_cells_sweep(trials):
+    return preset_config(
+        "fig3", rho_grid_db=(0.0, 10.0, 25.0), schemes=("crs_noma", "conventional", "crs_oma"),
+        modes=("paper", "exact"), estimators=("monte_carlo",), trials=trials, seed=17,
+    )
+
+
+def test_sweep_draws_each_block_once(monkeypatch):
+    streams = []
+    split_stream = montecarlo.split_stream
+
+    def counting_split_stream(seed, block):
+        streams.append((seed, block))
+        return split_stream(seed, block)
+
+    monkeypatch.setattr(montecarlo, "split_stream", counting_split_stream)
+    rows = run_sweep(_all_cells_sweep(BLOCK_SIZE + 1000)).rows
+    assert len(rows) == 3 * len(RATES) * len(QUANTITIES)
+    assert streams == [(17, 0), (17, 1)]
+
+
+def test_every_cell_equals_its_own_single_call():
+    # the single-rho, single-mode call is the reference: sharing a block's
+    # draw with other cells must not move a cell's floats
+    cfg = _all_cells_sweep(BLOCK_SIZE + 1000)
+    rows = {(r.rho_db, r.scheme, r.mode, r.quantity): (r.value, r.std_err) for r in run_sweep(cfg).rows}
+    for rho_db, scheme, mode in {key[:3] for key in rows}:
+        ref = estimate_rates(cfg.geometry, db_to_linear(rho_db), (scheme,),
+                             "paper" if mode == "-" else mode, cfg.split, cfg.trials, cfg.seed)
+        for r in ref:
+            assert rows[(rho_db, scheme, mode, r.quantity)] == (r.mean, r.std_err)
+    cal = calibrate_k("fig3", k_grid=[0.0, 2.0], trials=3000, seed=5)
+    for k, rho_db, scheme, sim, _, _ in cal.residuals:
+        g = fig3_geometry(k)
+        ref = estimate_rates(g, db_to_linear(rho_db), (scheme,), "paper", SPLIT, 3000, 5)
+        assert sim == next(r.mean for r in ref if r.quantity == "c_total")
+    assert len(cal.residuals) == 2 * len(PAPER_TARGETS["fig3"])
+
+
+def test_rho_sequence_results_do_not_depend_on_workers():
+    g = fig3_geometry(1.5)
+    rhos = [1.0, 10.0, 316.0]
+    trials = 3 * BLOCK_SIZE + 7
+    one = estimate_rates(g, rhos, ("crs_noma_exact", "conventional", "crs_oma"), "paper", SPLIT,
+                         trials, seed=9, workers=1)
+    three = estimate_rates(g, rhos, ("crs_noma_exact", "conventional", "crs_oma"), "paper", SPLIT,
+                           trials, seed=9, workers=3)
+    assert one == three
+    assert [r.rho for r in one] == [x for x in rhos for _ in range(3 * len(QUANTITIES))]
+
+
+def test_rho_sequence_with_one_scheme_group_per_rho():
+    g = fig3_geometry()
+    res = estimate_rates(g, [2.0, 20.0], [("crs_noma", "crs_oma"), ("conventional",)], "exact",
+                         SPLIT, trials=2000, seed=4)
+    assert [(r.rho, r.scheme) for r in res[::len(QUANTITIES)]] == [
+        (2.0, "crs_noma"), (2.0, "crs_oma"), (20.0, "conventional")]
+    alone = estimate_rates(g, 20.0, ("conventional",), "exact", SPLIT, trials=2000, seed=4)
+    assert res[-len(QUANTITIES):] == alone
+    with pytest.raises(ValueError):
+        estimate_rates(g, [2.0, 20.0], [("crs_noma",)], trials=10)

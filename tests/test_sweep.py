@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -19,8 +20,10 @@ from ratelab import (
     render_csv,
     run_sweep,
 )
+from ratelab.analytic import SeriesTruncation
+from ratelab.channel import NetworkGeometry, make_link
 from ratelab.cli import _parse_grid, main
-from ratelab.errors import ParseError, ValidationError
+from ratelab.errors import ParseError, TruncationWarning, ValidationError
 from ratelab.rates import QUANTITIES, RATES
 from ratelab.sweep import (
     MAX_GRID_POINTS,
@@ -442,3 +445,50 @@ def test_full_sweep_emits_exactly_the_rate_table_labels():
         mine = [(r.scheme, r.mode) for r in rows if r.estimator == estimator]
         assert sorted(set(mine)) == sorted(RATES.values())
         assert len(mine) == len(RATES) * len(QUANTITIES)
+
+
+def test_negative_seed_exits_one_on_every_cli_route(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "cfg.txt"
+    out = str(tmp_path / "out.csv")
+    cfg.write_text(CLI_CONFIG.replace("seed = 3", "seed = -1"))
+    monkeypatch.delenv("RATELAB_SEED", raising=False)
+    assert main(["sweep", "--config", str(cfg), "--out", out]) == 1
+    assert capsys.readouterr().err == "ratelab: error: seed must be >= 0, got -1\n"
+    cfg.write_text(CLI_CONFIG)
+    assert main(["sweep", "--config", str(cfg), "--out", out, "--seed=-1"]) == 1
+    assert capsys.readouterr().err == "ratelab: error: seed must be >= 0, got -1\n"
+    monkeypatch.setenv("RATELAB_SEED", "-3")
+    assert main(["calibrate", "--preset", "fig3", "--k-grid", "0", "--trials", "1000"]) == 1
+    assert capsys.readouterr().err == "ratelab: error: seed must be >= 0, got -3\n"
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("25,5,5", "grid must be strictly increasing"),
+    ("5:1:1", "grid must be nonempty"),
+    (",", "grid must be nonempty"),
+])
+def test_cli_and_config_reject_a_bad_grid_alike(spec, message, tmp_path, capsys):
+    with pytest.raises(ValidationError, match=f"rho_db: {message}"):
+        parse_config(MINIMAL + f"[sweep]\nrho_db = {spec}\n")
+    values = [float(v) for v in spec.split(",") if v] if ":" not in spec else []
+    with pytest.raises(ValidationError, match=f"rho_db: {message}"):
+        parse_config(json.dumps({"preset": "fig3", "rho_db": values}))
+    out = tmp_path / "d.csv"
+    assert main(["discrepancy", "--preset", "fig3", "--rho-grid", spec, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"ratelab: error: --rho-grid: {message}\n"
+    assert not out.exists()
+
+
+def test_cli_summarizes_truncation_warnings_in_one_line(tmp_path, capsys):
+    link = {name: make_link(3.0, omega) for name, omega in (("sr", 8), ("rd", 8), ("sd", 3))}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", TruncationWarning)
+        discrepancy_report(NetworkGeometry(**link), [5.0, 25.0])
+    tails = [w.message.tail for w in caught if issubclass(w.category, TruncationWarning)]
+    assert len(tails) > 1 and all(t > SeriesTruncation().tail_tol for t in tails)
+    argv = ["discrepancy", "--preset", "fig3", "--k", "3", "--rho-grid", "5,25"]
+    assert main(argv + ["--out", str(tmp_path / "d.csv")]) == 0
+    assert capsys.readouterr().err == (
+        f"ratelab: warning: {len(tails)} truncated series, largest tail left {max(tails):.3g}; "
+        "increase n_max/k_max for large K\n"
+    )
