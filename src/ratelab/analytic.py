@@ -11,7 +11,9 @@ Three kinds of objects live here:
   and their combination :func:`ergodic_rate_series`;
 * :func:`ergodic_rate_quadrature_quantities`, a deterministic
   numerical-integration oracle that shares nothing with the series path
-  beyond the single-link Marcum-Q survival.
+  beyond the single-link Marcum-Q survival: vectorised trapezoidal rules
+  in ln x over bounded spans, with fixed Gauss-Legendre inner rules
+  where a rate mixes two gains.
 
 Both return a :class:`ratelab.rates.RateBreakdown` of ergodic rates.
 
@@ -30,7 +32,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .channel import NetworkGeometry, RicianLink, power_gain_pdf, power_gain_sf
 from .errors import ConvergenceError, DomainError, TruncationWarning
@@ -51,6 +53,8 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
+MAX_SERIES_TERMS = 2_000
+MAX_QUAD_ORDER = 100_000
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,9 @@ class SeriesTruncation:
     ``n_max``/``k_max`` cap the outer/inner series over the two links;
     ``quad_order`` is the Chebyshev node count (decoupled from the
     series indices on purpose); ``tail_tol`` stops a series early once
-    the remaining weight drops below it.
+    the remaining weight drops below it.  The upper bounds keep every
+    table :func:`h_rho` builds small: its (n_max+1) x (k_max+1) matrix
+    stays under 32 MB.
     """
 
     n_max: int = 20
@@ -69,10 +75,10 @@ class SeriesTruncation:
     tail_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.n_max < 0 or self.k_max < 0:
-            raise DomainError("n_max and k_max must be >= 0")
-        if self.quad_order < 1:
-            raise DomainError("quad_order must be >= 1")
+        if not (0 <= self.n_max <= MAX_SERIES_TERMS and 0 <= self.k_max <= MAX_SERIES_TERMS):
+            raise DomainError(f"n_max and k_max must be in 0..{MAX_SERIES_TERMS}")
+        if not 1 <= self.quad_order <= MAX_QUAD_ORDER:
+            raise DomainError(f"quad_order must be in 1..{MAX_QUAD_ORDER}")
         if not self.tail_tol > 0.0:
             raise DomainError("tail_tol must be > 0")
 
@@ -309,8 +315,8 @@ def _chebyshev_kernel(m_max: int, rho_eff: float, order: int) -> np.ndarray:
 
 
 def _check_rho_pos(rho: float) -> float:
-    if not rho > 0.0:
-        raise DomainError(f"rho must be > 0, got {rho}")
+    if not (rho > 0.0 and math.isfinite(rho)):
+        raise DomainError(f"rho must be finite and > 0, got {rho}")
     return float(rho)
 
 
@@ -413,6 +419,20 @@ def ergodic_rate_series(
 _EXACT_INNER_NODES = 256
 _OMA_INNER_NODES = 64
 
+# The outer integrals run over [lo, hi] with lo = _CUT_MASS / max(rho, 1):
+# every integrand is at most max(rho, 1), so the mass cut below lo is under
+# 1e-18.  Past (sqrt(K) + _SF_REACH)^2 / a a link's survival is below 1e-20,
+# since Q1(alpha, beta) <= exp(-(beta - alpha)^2 / 2).
+_CUT_MASS = 1e-18
+_SF_REACH = 6.8
+# Refinement levels of the trapezoid in ln x; each halves the step.  The
+# fig3/fig4 spans take 105-120 first-rule steps, so level 7 evaluates
+# 64 x that many new nodes.  A level never evaluates more than
+# _MAX_LEVEL_NODES new nodes: times the 256 exact-mode inner points, one
+# survival call stays at or below 2.1 M points.
+MAX_QUAD_LEVELS = 7
+_MAX_LEVEL_NODES = 8192
+
 
 @functools.cache
 def _unit_gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -427,19 +447,47 @@ def _unit_gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _quad(f, lo, hi, budget: int) -> float:
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            val, _ = integrate.quad(f, lo, hi, limit=budget, epsabs=1e-10, epsrel=1e-9)
-        except integrate.IntegrationWarning as exc:
-            raise ConvergenceError(f"quadrature did not converge: {exc}") from exc
-    return val
+def _reach(link: RicianLink) -> float:
+    """Point past which the link's survival is below 1e-20."""
+    return (math.sqrt(link.k_factor) + _SF_REACH) ** 2 / link.inv_scale
 
 
-def _ergodic_log2(survival, rho: float, budget: int) -> float:
-    """E[log2(1 + rho*X)] = (1/ln2) int_0^inf rho*S(x)/(1+rho*x) dx."""
-    return _quad(lambda x: rho * survival(x) / (1.0 + rho * x), 0.0, np.inf, budget) / LN2
+def _quad(f, lo: float, hi: float, budget: int) -> float:
+    """int_lo^hi f(x) dx by the trapezoidal rule in t = ln x.
+
+    ``f`` maps an array of x to an array.  The first rule steps by at
+    most 0.5 in t; each of up to ``budget`` refinement levels halves the
+    step and evaluates ``f`` once, on the new midpoints.  Returns the
+    first level that agrees with the one before it to
+    max(1e-13, 1e-10*|T|).  Raises :class:`ConvergenceError` when no
+    level within ``budget`` does, or when the next level would evaluate
+    more than ``_MAX_LEVEL_NODES`` nodes, and :class:`DomainError` when
+    ln(lo) or ln(hi) is not finite.  A span with hi <= lo integrates
+    to 0.
+    """
+    if hi <= lo:
+        return 0.0
+    if not (lo > 0.0 and math.isfinite(hi)):
+        raise DomainError(f"integration span [{lo:.3g}, {hi:.3g}] is out of floating-point range")
+    t_lo = math.log(lo)
+    span = math.log(hi) - t_lo
+    n = math.ceil(2.0 * span)
+    h = span / n
+    x = np.exp(t_lo + h * np.arange(n + 1))
+    g = x * f(x)
+    total, gap = h * float(g.sum() - 0.5 * (g[0] + g[-1])), math.inf
+    for level in range(budget):
+        if n > _MAX_LEVEL_NODES:
+            raise ConvergenceError(f"quadrature stopped after {level} refinement level(s): the next "
+                                   f"needs {n} nodes, over {_MAX_LEVEL_NODES}; last gap between levels {gap:.3g}")
+        x = np.exp(t_lo + h * (np.arange(n) + 0.5))
+        prev, total = total, 0.5 * (total + h * float(np.sum(x * f(x))))
+        h, n = 0.5 * h, 2 * n
+        gap = abs(total - prev)
+        if gap <= max(1e-13, 1e-10 * abs(total)):
+            return total
+    raise ConvergenceError(f"quadrature did not converge within {budget} refinement level(s); "
+                           f"last gap between levels {gap:.3g}")
 
 
 def ergodic_rate_quadrature_quantities(
@@ -447,35 +495,50 @@ def ergodic_rate_quadrature_quantities(
     rho: float,
     scheme: str,
     split: PowerSplit | None = None,
-    budget: int = 200,
+    budget: int = MAX_QUAD_LEVELS,
 ) -> RateBreakdown:
     """All five ergodic rate quantities of one :data:`~ratelab.rates.RATES`
     token, by integration.
 
     Survivals are built from the Marcum-Q single-link survival; min
-    terms are survival products.  Every rate is an adaptive
-    one-dimensional integral over the survival of the limiting SNR.
+    terms are survival products.  Every rate is a one-dimensional
+    integral over the survival of the limiting SNR, taken by the
+    trapezoidal rule in ln x with step halving over a finite span: from
+    1e-18/max(rho, 1) up to the point where the survival of a bounding
+    link falls below 1e-20.  The first rule steps by at most 0.5 in ln x,
+    and each refinement level halves the step, making one vectorised
+    survival call per link on the new nodes.  ``budget`` is the number
+    of refinement levels allowed, from 1 to :data:`MAX_QUAD_LEVELS` (the
+    default).  A rate stops at the first level that agrees with the one
+    before it to 1e-10 relative (1e-13 absolute); when none within the
+    budget does, or a level would evaluate more than 8192 new nodes,
+    :class:`ConvergenceError` is raised.
+
     The exact-mode relay SNR and the CRS-OMA combined branch mix two
     independent gains; their survival at each outer node comes from a
     fixed Gauss-Legendre rule over the S-D gain (256 nodes on
     s = Omega_SD*u/(1-u) for exact mode, 64 nodes on [0, w] for the
-    CRS-OMA convolution), one vectorised survival evaluation per node.
-    That inner rule agrees with nested adaptive quadrature to about
-    1e-13 bit/s/Hz.  Raises :class:`ConvergenceError` when the outer
-    subdivision budget is exhausted.
+    CRS-OMA convolution).  That inner rule agrees with nested adaptive
+    quadrature to about 1e-13 bit/s/Hz.
     """
     rho = _check_rho_pos(rho)
     if scheme not in RATES:
         raise DomainError(f"scheme must be one of {tuple(RATES)}, got {scheme!r}")
+    if not (isinstance(budget, int) and 1 <= budget <= MAX_QUAD_LEVELS):
+        raise DomainError(f"budget must be an integer in 1..{MAX_QUAD_LEVELS}, got {budget!r}")
     sr, rd, sd = geometry.sr, geometry.rd, geometry.sd
     family, mode = RATES[scheme]
+    lo = _CUT_MASS / max(rho, 1.0)
+
+    def half_rate(survival, hi):
+        """0.5 E[log2(1 + rho*X)] = (0.5/ln2) int_0^inf rho*S(x)/(1+rho*x) dx."""
+        return 0.5 * _quad(lambda x: rho * survival(x) / (1.0 + rho * x), lo, hi, budget) / LN2
 
     if family == "crs_noma":
-        c_direct = 0.5 * _ergodic_log2(lambda x: power_gain_sf(sd, x), rho, budget)
+        c_direct = half_rate(lambda x: power_gain_sf(sd, x), _reach(sd))
         if mode == "paper":
-            c_relay = 0.5 * _ergodic_log2(
-                lambda x: power_gain_sf(sr, x) * power_gain_sf(rd, x), rho, budget
-            )
+            c_relay = half_rate(lambda x: power_gain_sf(sr, x) * power_gain_sf(rd, x),
+                                min(_reach(sr), _reach(rd)))
         else:
             # Y = min(lambda_SR, lambda_RD/(1 + rho*lambda_SD));
             # S_Y(y) = S_SR(y) * E over lambda_SD of S_RD(y*(1+rho*s)).
@@ -487,9 +550,9 @@ def ergodic_rate_quadrature_quantities(
             snr_scale = 1.0 + rho * s
 
             def s_y(y):
-                return power_gain_sf(sr, y) * float(ws @ power_gain_sf(rd, y * snr_scale))
+                return power_gain_sf(sr, y) * (power_gain_sf(rd, y[:, None] * snr_scale) @ ws)
 
-            c_relay = 0.5 * _ergodic_log2(s_y, rho, budget)
+            c_relay = half_rate(s_y, min(_reach(sr), _reach(rd)))
         c_s1 = c_relay + c_direct
         return RateBreakdown(c_relay, c_direct, c_s1, c_direct, c_s1 + c_direct)
 
@@ -501,23 +564,15 @@ def ergodic_rate_quadrature_quantities(
         # of W = min(lambda_SD, lambda_SR), which collapses the min of the
         # two decode rates to one integral:
         # c_s1 = (a1*rho/(2 ln2)) int S_SD S_SR / ((a2*rho*w+1)(rho*w+1)) dw
-        c_s1 = (
-            a1
-            * rho
-            / (2.0 * LN2)
-            * _quad(
-                lambda w: power_gain_sf(sd, w)
-                * power_gain_sf(sr, w)
-                / ((a2 * rho * w + 1.0) * (rho * w + 1.0)),
-                0.0,
-                np.inf,
-                budget,
-            )
+        c_s1 = a1 * rho / (2.0 * LN2) * _quad(
+            lambda w: power_gain_sf(sd, w) * power_gain_sf(sr, w) / ((a2 * rho * w + 1.0) * (rho * w + 1.0)),
+            lo,
+            min(_reach(sd), _reach(sr)),
+            budget,
         )
         # s2 is limited by min(a2*lambda_SR, lambda_RD) at full rho.
-        c_s2 = 0.5 * _ergodic_log2(
-            lambda v: power_gain_sf(sr, v / a2) * power_gain_sf(rd, v), rho, budget
-        )
+        c_s2 = half_rate(lambda v: power_gain_sf(sr, v / a2) * power_gain_sf(rd, v),
+                         min(a2 * _reach(sr), _reach(rd)))
         return RateBreakdown(c_s1, 0.0, c_s1, c_s2, c_s1 + c_s2)
 
     # crs_oma: W = min(lambda_SR, lambda_SD + lambda_RD); the branch sum
@@ -526,11 +581,9 @@ def ergodic_rate_quadrature_quantities(
     v, wv = _unit_gauss_legendre(_OMA_INNER_NODES)
 
     def s_sum(w):
-        if w <= 0.0:
-            return 1.0
-        inner = w * float(wv @ (power_gain_sf(rd, w * (1.0 - v)) * power_gain_pdf(sd, w * v)))
-        return min(power_gain_sf(sd, w) + inner, 1.0)
+        wc = w[:, None]
+        inner = w * ((power_gain_sf(rd, wc * (1.0 - v)) * power_gain_pdf(sd, wc * v)) @ wv)
+        return np.minimum(power_gain_sf(sd, w) + inner, 1.0)
 
-    c_total = 0.5 * _ergodic_log2(lambda w: power_gain_sf(sr, w) * s_sum(w), rho, budget)
+    c_total = half_rate(lambda w: power_gain_sf(sr, w) * s_sum(w), _reach(sr))
     return RateBreakdown(c_total, 0.0, c_total, 0.0, c_total)
-

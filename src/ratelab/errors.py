@@ -22,7 +22,8 @@ class InvalidSplit(RateLabError):
 
 
 class ConvergenceError(RateLabError):
-    """Adaptive quadrature exceeded its subdivision budget."""
+    """A quadrature rule used all of its refinement levels without two
+    successive levels agreeing to the requested tolerance."""
 
 
 class ParseError(RateLabError):

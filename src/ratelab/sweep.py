@@ -210,6 +210,11 @@ def _parse_tokens(spec, allowed, fieldname, errors, line):
 
 
 def _coerce(value, kind, fieldname, errors, line):
+    # int() would truncate a JSON 1.9 to 1 and read true as 1; an
+    # integral float such as 1e6 is still a whole number.
+    if kind is int and (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
+        errors.append(f"{line}: {fieldname}: expected an integer, got {value!r}")
+        return None
     try:
         return kind(value)
     except (TypeError, ValueError):

@@ -1,9 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
+import ratelab
+import ratelab.analytic as analytic
 from ratelab import (
     ChannelRealization,
     ClampStats,
@@ -28,6 +35,7 @@ from ratelab import (
     split_stream,
 )
 from ratelab.errors import ConvergenceError, DomainError, TruncationWarning
+from ratelab.rates import QUANTITIES, RATES, RateBreakdown
 
 FIG3 = NetworkGeometry(sr=make_link(0, 8), rd=make_link(0, 8), sd=make_link(0, 3))
 
@@ -40,10 +48,10 @@ def ln_rate_exponential(rho, omega):
 
 def test_truncation_validation():
     SeriesTruncation(0, 0, 1, 1e-9)
-    with pytest.raises(DomainError):
-        SeriesTruncation(n_max=-1)
-    with pytest.raises(DomainError):
-        SeriesTruncation(quad_order=0)
+    SeriesTruncation(2000, 2000, 100_000)
+    for bad in ({"n_max": -1}, {"n_max": 2001}, {"k_max": 2001}, {"quad_order": 0}, {"quad_order": 100_001}):
+        with pytest.raises(DomainError):
+            SeriesTruncation(**bad)
     with pytest.raises(DomainError):
         SeriesTruncation(tail_tol=0.0)
 
@@ -300,8 +308,9 @@ def test_quadrature_breakdown_invariants():
 
 
 def test_quadrature_validates_inputs():
-    with pytest.raises(DomainError):
-        ergodic_rate_quadrature_quantities(FIG3, 0.0, "crs_noma_paper")
+    for rho in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            ergodic_rate_quadrature_quantities(FIG3, rho, "crs_noma_paper")
     with pytest.raises(DomainError):
         ergodic_rate_quadrature_quantities(FIG3, 1.0, "nonsense")
     with pytest.raises(DomainError):
@@ -353,3 +362,136 @@ def test_quadrature_fixed_inner_rule_matches_nested_reference(scheme, k):
     ref = nested_quadrature_reference(g, rho, scheme)
     for name, value in ref.items():
         assert abs(fast[name] - value) <= 1e-10, name
+
+
+def quadpack_reference(g, rho, token, split):
+    """The oracle's five quantities with every outer integral taken by
+    adaptive QUADPACK over [0, inf) on scalar survivals; the inner
+    Gauss-Legendre rules are the oracle's own."""
+    sr, rd, sd = g.sr, g.rd, g.sd
+
+    def quad(f):
+        return integrate.quad(f, 0, np.inf, limit=200, epsabs=1e-13, epsrel=1e-11)[0]
+
+    def half_rate(survival):
+        return 0.5 * quad(lambda x: rho * survival(x) / (1 + rho * x)) / math.log(2)
+
+    family, mode = RATES[token]
+    if family == "crs_noma":
+        c_direct = half_rate(lambda x: power_gain_sf(sd, x))
+        if mode == "paper":
+            c_relay = half_rate(lambda x: power_gain_sf(sr, x) * power_gain_sf(rd, x))
+        else:
+            u, wu = analytic._unit_gauss_legendre(256)
+            s = sd.mean_power * u / (1 - u)
+            ws = wu * sd.mean_power / (1 - u) ** 2 * power_gain_pdf(sd, s)
+            c_relay = half_rate(lambda y: power_gain_sf(sr, y) * float(ws @ power_gain_sf(rd, y * (1 + rho * s))))
+        return RateBreakdown(c_relay, c_direct, c_relay + c_direct, c_direct, c_relay + 2 * c_direct)
+    if token == "conventional":
+        a1, a2 = split.a1, split.a2
+        c_s1 = a1 * rho / (2 * math.log(2)) * quad(
+            lambda w: power_gain_sf(sd, w) * power_gain_sf(sr, w) / ((a2 * rho * w + 1) * (rho * w + 1)))
+        c_s2 = half_rate(lambda v: power_gain_sf(sr, v / a2) * power_gain_sf(rd, v))
+        return RateBreakdown(c_s1, 0.0, c_s1, c_s2, c_s1 + c_s2)
+    v, wv = analytic._unit_gauss_legendre(64)
+
+    def s_sum(w):
+        inner = w * float(wv @ (power_gain_sf(rd, w * (1 - v)) * power_gain_pdf(sd, w * v)))
+        return min(power_gain_sf(sd, w) + inner, 1.0)
+
+    c = half_rate(lambda w: power_gain_sf(sr, w) * s_sum(w))
+    return RateBreakdown(c, 0.0, c, 0.0, c)
+
+
+def _links(k, omega_sr, omega_rd, omega_sd):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # some geometries break the relay placement assumption
+        return NetworkGeometry(sr=make_link(k, omega_sr), rd=make_link(k, omega_rd), sd=make_link(k, omega_sd))
+
+
+@pytest.mark.parametrize("k,omegas,db", [
+    *((k, (8, 8, 3), db) for k in (0, 3, 10) for db in (0, 15, 30)),
+    (30, (100, 0.5, 0.1), 40), (30, (0.01, 0.02, 0.005), 40), (30, (1e3, 5e2, 2e2), 40),
+])
+def test_quadrature_matches_quadpack_reference(k, omegas, db):
+    g, rho, split = _links(k, *omegas), 10 ** (db / 10), PowerSplit(0.9, 0.1)
+    for token in RATES:
+        fast = ergodic_rate_quadrature_quantities(g, rho, token, split)
+        ref = quadpack_reference(g, rho, token, split)
+        for name in QUANTITIES:
+            assert abs(fast[name] - ref[name]) <= 1e-10 * abs(ref[name]), (token, name)
+
+
+def test_quadrature_matches_split_interval_reference():
+    # adaptive QUADPACK over [0, inf) is 4e-9 off here at epsrel 1e-9
+    g, rho, split = _links(10, 12, 12, 3), 1e3, PowerSplit(0.9, 0.1)
+    edges = [0.0, *(10.0 ** e for e in range(-6, 3)), np.inf]
+
+    def quad(f):
+        return math.fsum(integrate.quad(f, lo, hi, limit=200, epsabs=0, epsrel=1e-13)[0]
+                         for lo, hi in zip(edges, edges[1:]))
+
+    c_s1 = 0.9 * rho / (2 * math.log(2)) * quad(
+        lambda w: power_gain_sf(g.sd, w) * power_gain_sf(g.sr, w) / ((0.1 * rho * w + 1) * (rho * w + 1)))
+    c_s2 = 0.5 / math.log(2) * quad(
+        lambda v: rho * power_gain_sf(g.sr, v / 0.1) * power_gain_sf(g.rd, v) / (1 + rho * v))
+    fast = ergodic_rate_quadrature_quantities(g, rho, "conventional", split)
+    assert abs(fast.c_s1 - c_s1) <= 1e-13
+    assert abs(fast.c_s2 - c_s2) <= 1e-13
+
+
+@pytest.mark.parametrize("token", sorted(RATES))
+def test_quadrature_makes_a_few_vectorised_survival_calls_per_level(token, monkeypatch):
+    # each level of each outer integral evaluates at most three survivals
+    # (CRS-OMA: S-R, S-D and the R-D inner rule), each on all new nodes
+    sizes = []
+    real_sf = analytic.power_gain_sf
+    monkeypatch.setattr(analytic, "power_gain_sf", lambda link, x: sizes.append(np.size(x)) or real_sf(link, x))
+    g = _links(3, 8, 8, 3)
+    ergodic_rate_quadrature_quantities(g, 10 ** 2.5, token, PowerSplit(0.9, 0.1))
+    integrals = 1 if token == "crs_oma" else 2
+    assert 0 < len(sizes) <= 3 * (1 + analytic.MAX_QUAD_LEVELS) * integrals
+    assert min(sizes) > 50
+
+
+@pytest.mark.parametrize("db", [-10, 0])
+def test_quadrature_converges_where_the_crs_oma_inner_rule_is_coarse(db):
+    # at K=300 the 64-node inner rule leaves ~4e-11 of noise in the
+    # survival of the branch sum; the outer rule must still stop
+    g, rho = _links(300, 100, 0.5, 0.1), 10 ** (db / 10)
+    fast = ergodic_rate_quadrature_quantities(g, rho, "crs_oma")
+    ref = quadpack_reference(g, rho, "crs_oma", None)
+    assert abs(fast.c_total - ref.c_total) <= 1e-10 * ref.c_total
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_quadrature_bounds_its_work_at_extreme_inputs(monkeypatch):
+    sizes = []
+    real_sf = analytic.power_gain_sf
+    monkeypatch.setattr(analytic, "power_gain_sf", lambda link, x: sizes.append(np.size(x)) or real_sf(link, x))
+    assert math.isfinite(ergodic_rate_quadrature_quantities(_links(3, 1e100, 1e100, 1e100), 10.0,
+                                                            "crs_noma_exact").c_total)
+    with pytest.raises(ConvergenceError, match="over 8192"):
+        ergodic_rate_quadrature_quantities(_links(3, 1e300, 1e300, 1e300), 10.0, "crs_noma_exact")
+    assert max(sizes) <= 8192 * 256
+    with pytest.raises(DomainError, match="out of floating-point range"):
+        ergodic_rate_quadrature_quantities(FIG3, 1e306, "crs_oma")
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    code = "import sys, ratelab; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(ratelab.__file__).parents[1]),
+                                                        os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_convergence_error_reports_the_levels_and_the_last_gap():
+    with pytest.raises(ConvergenceError, match=r"within 1 refinement level\(s\); last gap between levels \d"):
+        ergodic_rate_quadrature_quantities(FIG3, 1e4, "crs_noma_paper", budget=1)
+
+
+@pytest.mark.parametrize("budget", [0, analytic.MAX_QUAD_LEVELS + 1, 2.5])
+def test_quadrature_budget_outside_its_range_is_a_domain_error(budget):
+    with pytest.raises(DomainError, match="budget"):
+        ergodic_rate_quadrature_quantities(FIG3, 10.0, "crs_noma_paper", budget=budget)

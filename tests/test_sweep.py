@@ -492,3 +492,26 @@ def test_cli_summarizes_truncation_warnings_in_one_line(tmp_path, capsys):
         f"ratelab: warning: {len(tails)} truncated series, largest tail left {max(tails):.3g}; "
         "increase n_max/k_max for large K\n"
     )
+
+
+def test_series_controls_are_bounded_in_a_config(tmp_path, capsys):
+    with pytest.raises(ValidationError, match=r"series: quad_order must be in 1\.\.100000"):
+        parse_config(MINIMAL + "[series]\nquad_order = 100000000000\n")
+    with pytest.raises(ValidationError, match=r"series: n_max and k_max must be in 0\.\.2000"):
+        parse_config(json.dumps({"preset": "fig3", "series": {"k_max": 2001}}))
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("preset = fig3\n[series]\nquad_order = 100000000000\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == "ratelab: error: series: quad_order must be in 1..100000\n"
+
+
+def test_integer_fields_reject_fractions_and_booleans():
+    doc = {"preset": "fig3", "sweep": {"trials": 1.9, "seed": 2.7}, "series": {"n_max": 20.9, "quad_order": True}}
+    with pytest.raises(ValidationError) as err:
+        parse_config(json.dumps(doc))
+    for field, value in (("trials", "1.9"), ("seed", "2.7"), ("n_max", "20.9"), ("quad_order", "True")):
+        assert f"{field}: expected an integer, got {value}" in str(err.value)
+    with pytest.raises(ValidationError, match="cannot interpret '1.9'"):
+        parse_config(MINIMAL + "[sweep]\ntrials = 1.9\n")
+    cfg = parse_config(json.dumps({"preset": "fig3", "sweep": {"trials": 1e6, "seed": 7.0}}))
+    assert (cfg.trials, cfg.seed) == (10**6, 7)
