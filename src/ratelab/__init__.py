@@ -6,14 +6,12 @@ __version__ = "0.1.0"
 from .channel import (
     NetworkGeometry,
     RicianLink,
-    SeriesConstants,
     make_link,
     marcum_q1,
     power_gain_cdf,
     power_gain_pdf,
     power_gain_sf,
     sample_power_gains,
-    series_constants,
     split_stream,
 )
 from .rates import (
@@ -57,9 +55,9 @@ from . import errors
 
 __all__ = [
     "__version__",
-    "NetworkGeometry", "RicianLink", "SeriesConstants",
+    "NetworkGeometry", "RicianLink",
     "make_link", "marcum_q1", "power_gain_cdf", "power_gain_pdf", "power_gain_sf",
-    "sample_power_gains", "series_constants", "split_stream",
+    "sample_power_gains", "split_stream",
     "RATES", "ChannelRealization", "PowerSplit", "RateBreakdown", "SnrSet",
     "conventional_noma_rate", "crs_noma_rate", "crs_oma_rate", "instantaneous_snrs",
     "ClampStats", "SeriesTruncation",

@@ -10,12 +10,19 @@ Three kinds of objects live here:
 * the Chebyshev-node ergodic-rate series :func:`h_rho` / :func:`g_rho`
   and their combination :func:`ergodic_rate_series`;
 * :func:`ergodic_rate_quadrature_quantities`, a deterministic
-  numerical-integration oracle that shares nothing with the series path
-  beyond the single-link Marcum-Q survival: vectorised trapezoidal rules
-  in ln x over bounded spans, with fixed Gauss-Legendre inner rules
-  where a rate mixes two gains.
+  numerical-integration oracle: vectorised trapezoidal rules in ln x
+  over bounded spans, with fixed Gauss-Legendre inner rules where a
+  rate mixes two gains.
 
 Both return a :class:`ratelab.rates.RateBreakdown` of ergodic rates.
+What the oracle and the series share is one kernel,
+:func:`ratelab.channel.poisson_mixture`, the Poisson(K) mixture of
+gamma terms of the single-link power gain: the oracle takes its
+survivals and densities from it, and the series their truncated
+survivals, with Poisson(K) weights from its one weight source
+:func:`ratelab.channel.poisson_weights`.  Everything else, the
+integration rules on one side and the Chebyshev moment kernel on the
+other, is separate.
 
 The published analysis carries a link-label inconsistency (the
 min-pair CDF is printed with S-D/S-R constants although the variate is
@@ -32,9 +39,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-from .channel import NetworkGeometry, RicianLink, power_gain_pdf, power_gain_sf
+from .channel import (NetworkGeometry, RicianLink, poisson_mixture, poisson_weights, power_gain_pdf,
+                      power_gain_sf)
 from .errors import ConvergenceError, DomainError, TruncationWarning
 from .rates import RATES, PowerSplit, RateBreakdown
 
@@ -114,51 +121,15 @@ def _check_gamma(gamma: float) -> float:
     return float(gamma)
 
 
-def _poisson_weights(k_factor: float, n_max: int, tail_tol: float):
-    """Poisson(K) weights up to n_max with early stop.
-
-    These are exactly the series coefficients A * B~(n) * n!, evaluated
-    through the stable pmf recurrence.  Returns (weights, tail_ok);
-    tail_ok is False when n_max was hit while more than tail_tol of the
-    weight was still outstanding.
-    """
-    w = [math.exp(-k_factor)]
-    total = w[0]
-    n = 0
-    while total < 1.0 - tail_tol and n < n_max:
-        n += 1
-        w.append(w[-1] * k_factor / n)
-        total += w[-1]
-    return np.asarray(w), total >= 1.0 - tail_tol
-
-
-def _upper_gamma_q(y: float, n_terms: int) -> np.ndarray:
-    """Q(j+1, y) = e^-y sum_{m<=j} y^m/m! for j = 0..n_terms-1."""
-    t = math.exp(-y)
-    out = np.empty(n_terms)
-    q = t
-    out[0] = q
-    for j in range(1, n_terms):
-        t *= y / j
-        q += t
-        out[j] = q
-    return out
-
-
-def _survival_series(link: RicianLink, gamma: float, n_max: int, tail_tol: float):
-    """Truncated survival sum_n A B~(n) n! e^(-a*g) sum_i (a*g)^i/i!."""
-    w, ok = _poisson_weights(link.k_factor, n_max, tail_tol)
-    q = _upper_gamma_q(link.inv_scale * gamma, len(w))
-    return float(w @ q), ok
-
-
-def _warn_truncation(op: str, trunc: SeriesTruncation, k_first: float, k_second: float | None = None):
-    """Warn that a series stopped at its caps, n_max over the first
-    link's Poisson(K) weights and k_max over the second's.  The
-    warning's ``tail`` is the weight beyond those caps."""
-    tail_a = special.gammainc(trunc.n_max + 1, k_first)  # P(N > n_max)
-    tail_b = 0.0 if k_second is None else special.gammainc(trunc.k_max + 1, k_second)
-    tail = float(tail_a + tail_b - tail_a * tail_b)
+def _warn_truncation(op: str, trunc: SeriesTruncation, *covered: float):
+    """Warn when a series stopped at its caps, n_max over the first
+    link's Poisson(K) weights and k_max over the second's, while more
+    than ``tail_tol`` of a link's weight was left.  ``covered`` holds
+    the weight each link's series took in; the warning's ``tail`` is
+    the weight beyond them, 1 minus their product."""
+    if min(covered) >= 1.0 - trunc.tail_tol:
+        return
+    tail = 1.0 - math.prod(covered)
     warnings.warn(
         TruncationWarning(
             f"{op}: series stopped at n_max={trunc.n_max}/k_max={trunc.k_max} with {tail:.3g} "
@@ -187,11 +158,12 @@ def cdf_min_pair_series(
     K = 0 this collapses to 1 - e^(-(a_a+a_b)g).
     """
     gamma = _check_gamma(gamma)
-    sa, ok_a = _survival_series(link_a, gamma, trunc.n_max, trunc.tail_tol)
-    sb, ok_b = _survival_series(link_b, gamma, trunc.k_max, trunc.tail_tol)
-    if not (ok_a and ok_b):
-        _warn_truncation("cdf_min_pair_series", trunc, link_a.k_factor, link_b.k_factor)
-    return _clamp(1.0 - sa * sb, clamp_stats)
+    sa, _, covered_a, _ = poisson_mixture(link_a.k_factor, link_a.inv_scale * gamma, trunc.tail_tol,
+                                          trunc.n_max)
+    sb, _, covered_b, _ = poisson_mixture(link_b.k_factor, link_b.inv_scale * gamma, trunc.tail_tol,
+                                          trunc.k_max)
+    _warn_truncation("cdf_min_pair_series", trunc, covered_a, covered_b)
+    return _clamp(1.0 - float(sa * sb), clamp_stats)
 
 
 def cdf_single_link_series(
@@ -206,10 +178,10 @@ def cdf_single_link_series(
     tolerance; this is the corrected form for gamma_2 = lambda_SD.
     """
     gamma = _check_gamma(gamma)
-    s, ok = _survival_series(link, gamma, trunc.n_max, trunc.tail_tol)
-    if not ok:
-        _warn_truncation("cdf_single_link_series", trunc, link.k_factor)
-    return _clamp(1.0 - s, clamp_stats)
+    s, _, covered, _ = poisson_mixture(link.k_factor, link.inv_scale * gamma, trunc.tail_tol,
+                                       trunc.n_max)
+    _warn_truncation("cdf_single_link_series", trunc, covered)
+    return _clamp(1.0 - float(s), clamp_stats)
 
 
 def cdf_gamma2_paper(
@@ -266,19 +238,15 @@ def cdf_min_pair_approx(
         e_partial = _exp_partial_sum(gamma, cap + 1)
         w = math.exp(-link.k_factor)
         total = w * e_partial[0]
-        wsum = math.exp(-link.k_factor)  # Poisson(K) mass actually covered
-        pk = wsum
         for n in range(1, cap + 1):
             w *= ka / n
             total += w * e_partial[n]
-            pk *= link.k_factor / n
-            wsum += pk
-        return total, wsum >= 1.0 - trunc.tail_tol
+        # the Poisson(K) weight the same caps cover
+        return total, poisson_weights(link.k_factor, cap, trunc.tail_tol)[1]
 
-    fa, ok_a = one_link(link_a, trunc.n_max)
-    fb, ok_b = one_link(link_b, trunc.k_max)
-    if not (ok_a and ok_b):
-        _warn_truncation("cdf_min_pair_approx", trunc, link_a.k_factor, link_b.k_factor)
+    fa, covered_a = one_link(link_a, trunc.n_max)
+    fb, covered_b = one_link(link_b, trunc.k_max)
+    _warn_truncation("cdf_min_pair_approx", trunc, covered_a, covered_b)
     raw = 1.0 - fa * fb * math.exp(-gamma)
     if not clamp:
         return raw
@@ -339,16 +307,16 @@ def h_rho(
     rho = _check_rho_pos(rho)
     aa, ab = link_a.inv_scale, link_b.inv_scale
     alpha = aa + ab
-    wa, ok_a = _poisson_weights(link_a.k_factor, trunc.n_max, trunc.tail_tol)
-    wb, ok_b = _poisson_weights(link_b.k_factor, trunc.k_max, trunc.tail_tol)
-    if not (ok_a and ok_b):
-        _warn_truncation("h_rho", trunc, link_a.k_factor, link_b.k_factor)
+    wa, covered_a = poisson_weights(link_a.k_factor, trunc.n_max, trunc.tail_tol)
+    wb, covered_b = poisson_weights(link_b.k_factor, trunc.k_max, trunc.tail_tol)
+    _warn_truncation("h_rho", trunc, covered_a, covered_b)
     na, nb = len(wa), len(wb)
     g = _chebyshev_kernel(na + nb - 2, rho / alpha, trunc.quad_order)
     # W[i,j] = C(i+j, i) p^i q^j G[i+j]; a binomial pmf term, never large.
     i = np.arange(na)[:, None]
     j = np.arange(nb)[None, :]
-    log_binom = special.gammaln(i + j + 1.0) - special.gammaln(i + 1.0) - special.gammaln(j + 1.0)
+    log_fact = np.cumsum(np.log(np.maximum(np.arange(na + nb - 1), 1)))  # ln k!, k = 0..na+nb-2
+    log_binom = log_fact[i + j] - log_fact[i] - log_fact[j]
     w = np.exp(log_binom + i * math.log(aa / alpha) + j * math.log(ab / alpha)) * g[i + j]
     inner = np.cumsum(np.cumsum(w, axis=0), axis=1)
     return float(wa @ inner @ wb)
@@ -371,9 +339,8 @@ def g_rho(
     if link_y is not None:
         return h_rho(link_z, link_y, rho, trunc)
     rho = _check_rho_pos(rho)
-    w, ok = _poisson_weights(link_z.k_factor, trunc.n_max, trunc.tail_tol)
-    if not ok:
-        _warn_truncation("g_rho", trunc, link_z.k_factor)
+    w, covered = poisson_weights(link_z.k_factor, trunc.n_max, trunc.tail_tol)
+    _warn_truncation("g_rho", trunc, covered)
     g = _chebyshev_kernel(len(w) - 1, rho / link_z.inv_scale, trunc.quad_order)
     return float(w @ np.cumsum(g))
 
@@ -427,9 +394,9 @@ _CUT_MASS = 1e-18
 _SF_REACH = 6.8
 # Refinement levels of the trapezoid in ln x; each halves the step.  The
 # fig3/fig4 spans take 105-120 first-rule steps, so level 7 evaluates
-# 64 x that many new nodes.  A level never evaluates more than
-# _MAX_LEVEL_NODES new nodes: times the 256 exact-mode inner points, one
-# survival call stays at or below 2.1 M points.
+# 64 x that many new nodes.  _quad reads it on every call.  A level never
+# evaluates more than _MAX_LEVEL_NODES new nodes: times the 256 exact-mode
+# inner points, one survival call stays at or below 2.1 M points.
 MAX_QUAD_LEVELS = 7
 _MAX_LEVEL_NODES = 8192
 
@@ -440,7 +407,7 @@ def _unit_gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Built on first use, so importing the module computes no rule.
     """
-    x, w = special.roots_legendre(n)
+    x, w = np.polynomial.legendre.leggauss(n)
     nodes, weights = 0.5 * (x + 1.0), 0.5 * w
     nodes.flags.writeable = False
     weights.flags.writeable = False
@@ -452,18 +419,18 @@ def _reach(link: RicianLink) -> float:
     return (math.sqrt(link.k_factor) + _SF_REACH) ** 2 / link.inv_scale
 
 
-def _quad(f, lo: float, hi: float, budget: int) -> float:
+def _quad(f, lo: float, hi: float) -> float:
     """int_lo^hi f(x) dx by the trapezoidal rule in t = ln x.
 
     ``f`` maps an array of x to an array.  The first rule steps by at
-    most 0.5 in t; each of up to ``budget`` refinement levels halves the
-    step and evaluates ``f`` once, on the new midpoints.  Returns the
-    first level that agrees with the one before it to
-    max(1e-13, 1e-10*|T|).  Raises :class:`ConvergenceError` when no
-    level within ``budget`` does, or when the next level would evaluate
-    more than ``_MAX_LEVEL_NODES`` nodes, and :class:`DomainError` when
-    ln(lo) or ln(hi) is not finite.  A span with hi <= lo integrates
-    to 0.
+    most 0.5 in t; each of up to :data:`MAX_QUAD_LEVELS` refinement
+    levels halves the step and evaluates ``f`` once, on the new
+    midpoints.  Returns the first level that agrees with the one before
+    it to max(1e-13, 1e-10*|T|).  Raises :class:`ConvergenceError` when
+    no level within :data:`MAX_QUAD_LEVELS` does, or when the next level
+    would evaluate more than ``_MAX_LEVEL_NODES`` nodes, and
+    :class:`DomainError` when ln(lo) or ln(hi) is not finite.  A span
+    with hi <= lo integrates to 0.
     """
     if hi <= lo:
         return 0.0
@@ -476,7 +443,7 @@ def _quad(f, lo: float, hi: float, budget: int) -> float:
     x = np.exp(t_lo + h * np.arange(n + 1))
     g = x * f(x)
     total, gap = h * float(g.sum() - 0.5 * (g[0] + g[-1])), math.inf
-    for level in range(budget):
+    for level in range(MAX_QUAD_LEVELS):
         if n > _MAX_LEVEL_NODES:
             raise ConvergenceError(f"quadrature stopped after {level} refinement level(s): the next "
                                    f"needs {n} nodes, over {_MAX_LEVEL_NODES}; last gap between levels {gap:.3g}")
@@ -486,7 +453,7 @@ def _quad(f, lo: float, hi: float, budget: int) -> float:
         gap = abs(total - prev)
         if gap <= max(1e-13, 1e-10 * abs(total)):
             return total
-    raise ConvergenceError(f"quadrature did not converge within {budget} refinement level(s); "
+    raise ConvergenceError(f"quadrature did not converge within {MAX_QUAD_LEVELS} refinement level(s); "
                            f"last gap between levels {gap:.3g}")
 
 
@@ -495,7 +462,6 @@ def ergodic_rate_quadrature_quantities(
     rho: float,
     scheme: str,
     split: PowerSplit | None = None,
-    budget: int = MAX_QUAD_LEVELS,
 ) -> RateBreakdown:
     """All five ergodic rate quantities of one :data:`~ratelab.rates.RATES`
     token, by integration.
@@ -507,11 +473,10 @@ def ergodic_rate_quadrature_quantities(
     1e-18/max(rho, 1) up to the point where the survival of a bounding
     link falls below 1e-20.  The first rule steps by at most 0.5 in ln x,
     and each refinement level halves the step, making one vectorised
-    survival call per link on the new nodes.  ``budget`` is the number
-    of refinement levels allowed, from 1 to :data:`MAX_QUAD_LEVELS` (the
-    default).  A rate stops at the first level that agrees with the one
-    before it to 1e-10 relative (1e-13 absolute); when none within the
-    budget does, or a level would evaluate more than 8192 new nodes,
+    survival call per link on the new nodes.  A rate stops at the first
+    level that agrees with the one before it to 1e-10 relative (1e-13
+    absolute); when none of the :data:`MAX_QUAD_LEVELS` levels does, or a
+    level would evaluate more than 8192 new nodes,
     :class:`ConvergenceError` is raised.
 
     The exact-mode relay SNR and the CRS-OMA combined branch mix two
@@ -524,15 +489,13 @@ def ergodic_rate_quadrature_quantities(
     rho = _check_rho_pos(rho)
     if scheme not in RATES:
         raise DomainError(f"scheme must be one of {tuple(RATES)}, got {scheme!r}")
-    if not (isinstance(budget, int) and 1 <= budget <= MAX_QUAD_LEVELS):
-        raise DomainError(f"budget must be an integer in 1..{MAX_QUAD_LEVELS}, got {budget!r}")
     sr, rd, sd = geometry.sr, geometry.rd, geometry.sd
     family, mode = RATES[scheme]
     lo = _CUT_MASS / max(rho, 1.0)
 
     def half_rate(survival, hi):
         """0.5 E[log2(1 + rho*X)] = (0.5/ln2) int_0^inf rho*S(x)/(1+rho*x) dx."""
-        return 0.5 * _quad(lambda x: rho * survival(x) / (1.0 + rho * x), lo, hi, budget) / LN2
+        return 0.5 * _quad(lambda x: rho * survival(x) / (1.0 + rho * x), lo, hi) / LN2
 
     if family == "crs_noma":
         c_direct = half_rate(lambda x: power_gain_sf(sd, x), _reach(sd))
@@ -568,7 +531,6 @@ def ergodic_rate_quadrature_quantities(
             lambda w: power_gain_sf(sd, w) * power_gain_sf(sr, w) / ((a2 * rho * w + 1.0) * (rho * w + 1.0)),
             lo,
             min(_reach(sd), _reach(sr)),
-            budget,
         )
         # s2 is limited by min(a2*lambda_SR, lambda_RD) at full rho.
         c_s2 = half_rate(lambda v: power_gain_sf(sr, v / a2) * power_gain_sf(rd, v),

@@ -9,7 +9,12 @@ distribution function here is expressed through the convergent series
     f(x) = A * sum_n B(n) x^n e^(-a x),   a = (1+K)/Omega,  A = a e^(-K),
     B(n) = K^n (1+K)^n / (Omega^n (n!)^2),
 
-whose coefficients are exposed through :func:`series_constants`.
+that is, a Poisson(K) mixture of gamma(n+1) densities at a*x.  One
+kernel, :func:`poisson_mixture`, evaluates that mixture for the
+survival, the distribution function, the density and the Marcum Q
+function here, and for the truncated series of
+:mod:`ratelab.analytic`, which also takes its Poisson weights from
+:func:`poisson_weights`.
 """
 
 import math
@@ -17,13 +22,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, InvalidKFactor, InvalidPower, ModelAssumptionWarning
 
 __all__ = [
+    "MAX_NONCENTRALITY",
     "RicianLink",
-    "SeriesConstants",
     "NetworkGeometry",
     "make_link",
     "sample_power_gains",
@@ -31,13 +35,19 @@ __all__ = [
     "power_gain_cdf",
     "power_gain_sf",
     "marcum_q1",
-    "series_constants",
+    "poisson_mixture",
+    "poisson_weights",
     "split_stream",
 ]
 
 # Hard cap on the open-ended Poisson-mixture series; the loop normally
 # stops much earlier via the cumulative-weight criterion.
 _SERIES_CAP = 100_000
+# Largest Poisson mean K (half the chi-square noncentrality; a^2/2 for
+# Marcum Q1(a, b)) the kernel accepts.  Past it e^-K and e^-y head for
+# underflow: against the noncentral chi-square survival, the survival is
+# 1.6e-12 off at K = 500, 1.1e-10 at K = 520 and 0.12 at K = 700.
+MAX_NONCENTRALITY = 500.0
 
 
 @dataclass(frozen=True)
@@ -71,20 +81,6 @@ class RicianLink:
     def diffuse_var(self) -> float:
         """Per-component variance of the diffuse Gaussian part."""
         return self.mean_power / (2.0 * (self.k_factor + 1.0))
-
-
-@dataclass(frozen=True)
-class SeriesConstants:
-    """Coefficients of the power-gain density series for one link.
-
-    ``b[n]`` holds B(n), ``b_tilde[n]`` holds B(n)/a^(n+1); both arrays
-    run from n = 0 to n = n_max inclusive.
-    """
-
-    a: float
-    big_a: float
-    b: np.ndarray
-    b_tilde: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -143,90 +139,116 @@ def _check_nonneg(x):
     return x
 
 
-def power_gain_pdf(link: RicianLink, x):
-    """Density of the power gain at x (scalar or array).
+def poisson_weights(mean: float, cap: int, tail_tol: float) -> tuple[np.ndarray, float]:
+    """Poisson(mean) weights w_0..w_n and the weight they cover.
 
-    Closed Bessel form a*exp(-K - a*x)*I0(2*sqrt(K*a*x)), evaluated
-    through the exponentially-scaled I0 so large K*a*x cannot overflow.
+    These are the series coefficients A * B~(n) * n! of one link at
+    mean = K, by the pmf recurrence w_j = w_(j-1) * mean / j.  The
+    weights stop at the first n whose covered weight sum_j w_j reaches
+    1 - ``tail_tol``, at n = ``cap``, or where a weight no longer
+    changes the covered sum in floating point (a ``tail_tol`` below the
+    rounding of that sum); a caller sees a truncated series as a covered
+    weight short of 1 - ``tail_tol``.  Raises
+    :class:`DomainError` for a mean above :data:`MAX_NONCENTRALITY`.
     """
-    x = _check_nonneg(x)
-    a = link.inv_scale
-    z = 2.0 * np.sqrt(link.k_factor * a * x)
-    # -K - a*x + z = -(sqrt(K) - sqrt(a*x))^2 <= 0
-    out = a * np.exp(-link.k_factor - a * x + z) * special.i0e(z)
+    if not mean <= MAX_NONCENTRALITY:
+        raise DomainError(f"noncentrality K = {mean:.6g} is above {MAX_NONCENTRALITY:g}, "
+                          "where the Poisson-mixture series underflows")
+    w = math.exp(-mean)
+    weights = [w]
+    covered = w
+    j = 0
+    while covered < 1.0 - tail_tol and j < cap:
+        j += 1
+        w *= mean / j
+        if covered + w == covered:
+            break
+        covered += w
+        weights.append(w)
+    return np.asarray(weights), covered
+
+
+def poisson_mixture(mean: float, y, tol: float, cap: int = _SERIES_CAP, density: bool = False):
+    """One pass over the Poisson(mean) mixture of gamma(j+1) terms at y.
+
+    With the weights w_j of :func:`poisson_weights` and the terms
+    t_j = e^-y y^j / j!, returns ``(sf, pdf, covered, q)``:
+
+    * sf = sum_j w_j Q(j+1, y), Q the regularized upper incomplete
+      gamma, Q(j+1, y) = t_0 + ... + t_j;
+    * pdf = sum_j w_j t_j when ``density`` is true, else None;
+    * covered = sum_j w_j, the Poisson weight the pass took in;
+    * q, the last Q(j+1, y).
+
+    sf and pdf are the partial sums over the covered weight; all terms
+    are nonnegative, so there is no cancellation.  At mean = K and
+    y = a*x they are the survival and density (over a) of the link's
+    power gain, short of the outstanding mass 1 - covered.
+    """
+    w, covered = poisson_weights(mean, cap, tol)
+    y = np.asarray(y, dtype=float)
+    t = np.exp(-y)
+    q = t.copy()
+    sf = w[0] * q
+    pdf = w[0] * t if density else None
+    for j in range(1, len(w)):
+        t *= y / j
+        q += t
+        sf += w[j] * q
+        if density:
+            pdf += w[j] * t
+    return sf, pdf, covered, q
+
+
+def _settled_sf(mean: float, y, tol: float) -> np.ndarray:
+    """Survival sum_j Pois(j; mean) Q(j+1, y), to within ``tol``.
+
+    Q(j+1, y) increases toward 1 in j, so settling the outstanding
+    Poisson mass at the last Q bounds the truncation error by tol and
+    makes the y = 0 boundary (all Q = 1) exact.
+    """
+    sf, _, covered, q = poisson_mixture(mean, y, tol)
+    return np.clip(sf + (1.0 - covered) * q, 0.0, 1.0)
+
+
+def _as_result(out: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
-def _poisson_mixture_sf(half_nc: float, y, tol: float) -> np.ndarray:
-    """Survival of a unit-scale noncentral chi-square(2) at 2*y.
+def power_gain_pdf(link: RicianLink, x, tol: float = 1e-13):
+    """Density of the power gain at x (scalar or array).
 
-    sum_j Pois(j; half_nc) * Q(j+1, y) with Q the regularized upper
-    incomplete gamma, iterated until the remaining Poisson weight is
-    below ``tol``.  All terms are nonnegative, so no cancellation.
+    a times the Poisson(K) mixture of gamma(j+1) densities at a*x, the
+    series form of a*exp(-K - a*x)*I0(2*sqrt(K*a*x)).  Each gamma
+    density is at most 1, so the weight left out bounds the error by
+    a*``tol``.
     """
-    y = np.asarray(y, dtype=float)
-    pois = math.exp(-half_nc)
-    t = np.exp(-y)          # e^-y y^j / j!
-    q = t.copy()            # Q(j+1, y)
-    total = pois * q
-    wsum = pois
-    j = 0
-    while wsum < 1.0 - tol and j < _SERIES_CAP:
-        j += 1
-        pois *= half_nc / j
-        wsum += pois
-        t *= y / j
-        q += t
-        total += pois * q
-    # Q(j+1, y) increases toward 1 in j, so settling the outstanding
-    # Poisson mass at the last Q bounds the truncation error by tol and
-    # makes the y = 0 boundary (all Q = 1) exact.
-    total += (1.0 - wsum) * q
-    return np.clip(total, 0.0, 1.0)
+    x = _check_nonneg(x)
+    a = link.inv_scale
+    _, pdf, _, _ = poisson_mixture(link.k_factor, a * x, tol, density=True)
+    return _as_result(a * pdf)
 
 
 def marcum_q1(a: float, b, tol: float = 1e-13) -> float:
     """First-order Marcum Q function Q1(a, b).
 
-    Convergent Poisson-mixture series; the truncation tail is bounded
-    by ``tol`` (default well below 1e-12).
+    Convergent Poisson-mixture series at mean a^2/2 (at most
+    :data:`MAX_NONCENTRALITY`); the truncation tail is bounded by
+    ``tol`` (default well below 1e-12).
     """
     if a < 0.0:
         raise DomainError("marcum_q1 requires a >= 0")
     b = _check_nonneg(b)
-    out = _poisson_mixture_sf(0.5 * a * a, 0.5 * b * b, tol)
-    return float(out) if out.ndim == 0 else out
+    return _as_result(_settled_sf(0.5 * a * a, 0.5 * b * b, tol))
 
 
 def power_gain_sf(link: RicianLink, x, tol: float = 1e-13):
     """Survival P[gain > x] = Q1(sqrt(2K), sqrt(2*a*x))."""
     x = _check_nonneg(x)
-    out = _poisson_mixture_sf(link.k_factor, link.inv_scale * x, tol)
-    return float(out) if out.ndim == 0 else out
+    return _as_result(_settled_sf(link.k_factor, link.inv_scale * x, tol))
 
 
 def power_gain_cdf(link: RicianLink, x, tol: float = 1e-13):
     """Distribution function P[gain <= x], complement of :func:`power_gain_sf`."""
     x = _check_nonneg(x)
-    out = 1.0 - _poisson_mixture_sf(link.k_factor, link.inv_scale * x, tol)
-    return float(out) if out.ndim == 0 else out
-
-
-def series_constants(link: RicianLink, n_max: int) -> SeriesConstants:
-    """Coefficients B(0..n_max) and B~(0..n_max) for one link.
-
-    Per-term recurrences B(n) = B(n-1)*K*(1+K)/(Omega*n^2) and
-    B~(n) = B~(n-1)*K/n^2 avoid explicit factorials.
-    """
-    if n_max < 0:
-        raise DomainError("n_max must be >= 0")
-    k = link.k_factor
-    a = link.inv_scale
-    b = np.empty(n_max + 1)
-    bt = np.empty(n_max + 1)
-    b[0] = 1.0
-    bt[0] = 1.0 / a
-    for n in range(1, n_max + 1):
-        b[n] = b[n - 1] * k * a / (n * n)
-        bt[n] = bt[n - 1] * k / (n * n)
-    return SeriesConstants(a=a, big_a=a * math.exp(-k), b=b, b_tilde=bt)
+    return _as_result(1.0 - _settled_sf(link.k_factor, link.inv_scale * x, tol))

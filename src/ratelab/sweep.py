@@ -184,22 +184,22 @@ def parse_grid(spec) -> list[float]:
     return vals
 
 
-def _parse_rho_grid(spec, errors, line):
+def _parse_rho_grid(spec, errors, field):
     try:
         return tuple(parse_grid(spec))
     except (TypeError, ValueError) as exc:
-        errors.append(f"{line}: rho_db: {exc}")
+        errors.append(f"{field}: {exc}")
         return ()
 
 
-def _parse_tokens(spec, allowed, fieldname, errors, line):
+def _parse_tokens(spec, allowed, errors, field):
     if isinstance(spec, (list, tuple)):
         toks = [str(t).strip() for t in spec]
     else:
         toks = [t.strip() for t in str(spec).split(",") if t.strip()]
     for t in toks:
         if t not in allowed:
-            errors.append(f"{line}: {fieldname}: unknown value {t!r} (allowed: {', '.join(allowed)})")
+            errors.append(f"{field}: unknown value {t!r} (allowed: {', '.join(allowed)})")
     # stable de-dup preserving the declared order
     seen, out = set(), []
     for t in toks:
@@ -209,16 +209,16 @@ def _parse_tokens(spec, allowed, fieldname, errors, line):
     return tuple(out)
 
 
-def _coerce(value, kind, fieldname, errors, line):
+def _coerce(value, kind, errors, field):
     # int() would truncate a JSON 1.9 to 1 and read true as 1; an
     # integral float such as 1e6 is still a whole number.
     if kind is int and (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
-        errors.append(f"{line}: {fieldname}: expected an integer, got {value!r}")
+        errors.append(f"{field}: expected an integer, got {value!r}")
         return None
     try:
         return kind(value)
     except (TypeError, ValueError):
-        errors.append(f"{line}: {fieldname}: cannot interpret {value!r}")
+        errors.append(f"{field}: cannot interpret {value!r}")
         return None
 
 
@@ -274,7 +274,10 @@ def config_from_mapping(data: dict, lines: dict | None = None) -> SweepConfig:
     errors: list[str] = []
 
     def where(section, key):
-        return lines.get((section, key), f"field {section}.{key}" if section else f"field {key}")
+        """The field's name, once, after its line when the text form gave one."""
+        name = f"{section}.{key}" if section else key
+        line = lines.get((section, key))
+        return f"{line}: {name}" if line else f"field {name}"
 
     # normalize: lift top-level scalars, lowercase keys
     merged = {s: dict(v) for s, v in _DEFAULTS.items()}
@@ -293,7 +296,7 @@ def config_from_mapping(data: dict, lines: dict | None = None) -> SweepConfig:
                     sec, key = scalar_home[k]
                     merged[sec][key] = v
                 else:
-                    errors.append(f"{where('', k)}: unknown top-level key {k!r}")
+                    errors.append(f"{where('', k)}: unknown top-level key")
             continue
         if s not in merged:
             errors.append(f"unknown section [{s}]")
@@ -304,7 +307,7 @@ def config_from_mapping(data: dict, lines: dict | None = None) -> SweepConfig:
                 preset = str(v).strip().lower()
                 continue
             if k not in merged[s]:
-                errors.append(f"{where(s, k)}: unknown key {k!r} in section [{s}]")
+                errors.append(f"{where(s, k)}: unknown key")
                 continue
             merged[s][k] = v
 
@@ -317,17 +320,16 @@ def config_from_mapping(data: dict, lines: dict | None = None) -> SweepConfig:
                     merged["geometry"][k] = v
 
     geo = merged["geometry"]
-    k_all = _coerce(geo["k"], float, "geometry.k", errors, where("geometry", "k"))
+    k_all = _coerce(geo["k"], float, errors, where("geometry", "k"))
     links = {}
     for name in ("sr", "rd", "sd"):
         kv = geo[f"k_{name}"]
-        k_val = k_all if kv is None else _coerce(kv, float, f"geometry.k_{name}", errors,
-                                                 where("geometry", f"k_{name}"))
+        k_val = k_all if kv is None else _coerce(kv, float, errors, where("geometry", f"k_{name}"))
         om = geo[f"omega_{name}"]
         if om is None:
             errors.append(f"geometry.omega_{name}: required (set it or choose a preset)")
             continue
-        om_val = _coerce(om, float, f"geometry.omega_{name}", errors, where("geometry", f"omega_{name}"))
+        om_val = _coerce(om, float, errors, where("geometry", f"omega_{name}"))
         if k_val is None or om_val is None:
             continue
         try:
@@ -339,14 +341,13 @@ def config_from_mapping(data: dict, lines: dict | None = None) -> SweepConfig:
     rho_grid = _parse_rho_grid(sw["rho_db"], errors, where("sweep", "rho_db"))
     all_schemes = tuple(dict.fromkeys(scheme for scheme, _ in RATES.values()))
     all_modes = tuple(mode for _, mode in RATES.values() if mode != "-")
-    schemes = _parse_tokens(sw["schemes"], all_schemes, "schemes", errors, where("sweep", "schemes"))
-    modes = _parse_tokens(sw["modes"], all_modes, "modes", errors, where("sweep", "modes"))
-    estimators = _parse_tokens(sw["estimators"], ESTIMATORS, "estimators", errors,
-                               where("sweep", "estimators"))
-    trials = _coerce(sw["trials"], int, "sweep.trials", errors, where("sweep", "trials"))
-    seed = _coerce(sw["seed"], int, "sweep.seed", errors, where("sweep", "seed"))
+    schemes = _parse_tokens(sw["schemes"], all_schemes, errors, where("sweep", "schemes"))
+    modes = _parse_tokens(sw["modes"], all_modes, errors, where("sweep", "modes"))
+    estimators = _parse_tokens(sw["estimators"], ESTIMATORS, errors, where("sweep", "estimators"))
+    trials = _coerce(sw["trials"], int, errors, where("sweep", "trials"))
+    seed = _coerce(sw["seed"], int, errors, where("sweep", "seed"))
     if trials is not None and trials < 1:
-        errors.append(f"{where('sweep', 'trials')}: trials must be >= 1")
+        errors.append(f"{where('sweep', 'trials')}: must be >= 1")
     if not schemes:
         errors.append("schemes: at least one scheme required")
     if not modes:
@@ -355,8 +356,8 @@ def config_from_mapping(data: dict, lines: dict | None = None) -> SweepConfig:
         errors.append("estimators: at least one estimator required")
 
     sp = merged["split"]
-    a1 = _coerce(sp["a1"], float, "split.a1", errors, where("split", "a1"))
-    a2 = _coerce(sp["a2"], float, "split.a2", errors, where("split", "a2"))
+    a1 = _coerce(sp["a1"], float, errors, where("split", "a1"))
+    a2 = _coerce(sp["a2"], float, errors, where("split", "a2"))
     split = None
     if a1 is not None and a2 is not None:
         try:
@@ -365,11 +366,10 @@ def config_from_mapping(data: dict, lines: dict | None = None) -> SweepConfig:
             errors.append(f"split: {exc}")
 
     se = merged["series"]
-    n_max = _coerce(se["n_max"], int, "series.n_max", errors, where("series", "n_max"))
-    k_max = _coerce(se["k_max"], int, "series.k_max", errors, where("series", "k_max"))
-    quad_order = _coerce(se["quad_order"], int, "series.quad_order", errors,
-                         where("series", "quad_order"))
-    tail_tol = _coerce(se["tail_tol"], float, "series.tail_tol", errors, where("series", "tail_tol"))
+    n_max = _coerce(se["n_max"], int, errors, where("series", "n_max"))
+    k_max = _coerce(se["k_max"], int, errors, where("series", "k_max"))
+    quad_order = _coerce(se["quad_order"], int, errors, where("series", "quad_order"))
+    tail_tol = _coerce(se["tail_tol"], float, errors, where("series", "tail_tol"))
     truncation = None
     if None not in (n_max, k_max, quad_order, tail_tol):
         try:

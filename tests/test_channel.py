@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from ratelab import (
     NetworkGeometry,
@@ -12,9 +12,10 @@ from ratelab import (
     power_gain_pdf,
     power_gain_sf,
     sample_power_gains,
-    series_constants,
     split_stream,
 )
+from ratelab.analytic import _reach
+from ratelab.channel import MAX_NONCENTRALITY, poisson_weights
 from ratelab.errors import (
     DomainError,
     InvalidKFactor,
@@ -160,40 +161,55 @@ def test_marcum_q1_reference_values():
         marcum_q1(-1.0, 1.0)
 
 
-def test_series_constants_rayleigh_collapse():
-    sc = series_constants(make_link(0, 4), 6)
-    assert sc.a == pytest.approx(0.25)
-    assert sc.big_a == pytest.approx(0.25)
-    assert sc.b[0] == 1.0
-    assert np.all(sc.b[1:] == 0.0)
-
-
-def test_series_constants_direct_formula():
-    sc = series_constants(make_link(1, 1), 4)
-    assert sc.a == pytest.approx(2.0)
-    assert sc.big_a == pytest.approx(2 * math.exp(-1))
-    assert sc.b[:3] == pytest.approx([1.0, 2.0, 1.0])
-    # b_tilde(n) = b(n) / a^(n+1)
-    assert sc.b_tilde[:3] == pytest.approx([1 / 2, 2 / 4, 1 / 8])
+def bessel_pdf(link, x):
+    """The closed Bessel form a*exp(-K - a*x)*I0(2*sqrt(K*a*x)), scaled
+    so that large K*a*x cannot overflow."""
+    a = link.inv_scale
+    z = 2.0 * np.sqrt(link.k_factor * a * x)
+    return a * np.exp(-link.k_factor - a * x + z) * special.i0e(z)
 
 
 def test_series_reconstructs_pdf():
-    # A sum_n B(n) x^n e^(-a x) against the closed Bessel form
+    # the Poisson-mixture density against the closed Bessel form
     link = make_link(2, 1)
-    sc = series_constants(link, 40)
-    x = 2.0
-    recon = sc.big_a * np.sum(sc.b * x ** np.arange(41)) * math.exp(-sc.a * x)
-    assert recon == pytest.approx(power_gain_pdf(link, x), abs=1e-9)
+    assert power_gain_pdf(link, 2.0) == pytest.approx(float(bessel_pdf(link, 2.0)), abs=1e-15)
 
 
 def test_series_pdf_agreement_grid():
-    for k in (0, 1, 5, 10):
+    # up to the point where the survival falls below 1e-20; at K = 300
+    # that reaches K*a*x ~ 1.7e5, where I0 alone would overflow
+    for k in (0, 1, 10, 100, 300):
         link = make_link(k, 3)
-        sc = series_constants(link, 40)
-        xs = np.linspace(0, 10 * link.mean_power, 101)
-        powers = xs[:, None] ** np.arange(41)[None, :]
-        recon = sc.big_a * (powers @ sc.b) * np.exp(-sc.a * xs)
-        assert np.max(np.abs(recon - power_gain_pdf(link, xs))) < 1e-8
+        xs = np.linspace(0, _reach(link), 2001)
+        assert np.max(np.abs(power_gain_pdf(link, xs) - bessel_pdf(link, xs))) <= 3e-13, k
+
+
+def test_kernel_is_accurate_up_to_its_noncentrality_bound():
+    link = make_link(MAX_NONCENTRALITY, 1)
+    xs = np.linspace(0, 3, 3001)
+    ref = stats.ncx2.sf(2 * link.inv_scale * xs, df=2, nc=2 * MAX_NONCENTRALITY)
+    assert np.max(np.abs(power_gain_sf(link, xs) - ref)) <= 1e-11
+
+
+def test_kernel_stops_where_its_weights_no_longer_count():
+    # at K = 27.3 the covered weight rounds to 1 - 1.2e-15, so a tol of
+    # 1e-15 is never reached; the weights must stop anyway, not at the cap
+    assert len(poisson_weights(27.3, 100_000, 1e-15)[0]) < 100
+    link = make_link(27.3, 1)
+    xs = np.linspace(0, 5, 101)
+    ref = stats.ncx2.sf(2 * link.inv_scale * xs, df=2, nc=2 * 27.3)
+    assert np.max(np.abs(power_gain_sf(link, xs, tol=1e-15) - ref)) <= 1e-14
+
+
+def test_kernel_refuses_noncentrality_where_it_underflows():
+    # Q1(40, 40) is 0.505, but e^-800 underflows and the series summed to 0
+    with pytest.raises(DomainError, match="noncentrality"):
+        marcum_q1(40.0, 40.0)
+    for fn in (power_gain_sf, power_gain_cdf, power_gain_pdf):
+        with pytest.raises(DomainError, match="noncentrality"):
+            fn(make_link(700, 1), 1.0)
+    # sampling does not use the kernel
+    assert sample_power_gains(make_link(800, 1), split_stream(1, 0), 4).shape == (4,)
 
 
 def test_kolmogorov_smirnov_sample_against_cdf():

@@ -515,3 +515,25 @@ def test_integer_fields_reject_fractions_and_booleans():
         parse_config(MINIMAL + "[sweep]\ntrials = 1.9\n")
     cfg = parse_config(json.dumps({"preset": "fig3", "sweep": {"trials": 1e6, "seed": 7.0}}))
     assert (cfg.trials, cfg.seed) == (10**6, 7)
+
+
+def test_json_config_errors_name_the_field_once():
+    doc = {"preset": "fig3", "sweep": {"trials": 1.9, "estimators": "magic"}}
+    with pytest.raises(ValidationError) as err:
+        parse_config(json.dumps(doc))
+    message = str(err.value)
+    assert "field sweep.trials: expected an integer, got 1.9" in message
+    assert "field sweep.estimators: unknown value 'magic'" in message
+    assert message.count("trials") == 1 and message.count("estimators") == 1
+
+
+def test_cli_refuses_a_noncentrality_the_kernel_cannot_sum(tmp_path, capsys):
+    # e^-K underflows past the kernel's bound; Monte-Carlo has no such limit
+    cfg = tmp_path / "cfg.txt"
+    out = tmp_path / "out.csv"
+    cfg.write_text("preset = fig3\n[geometry]\nk = 800\n[sweep]\nrho_db = 5\nestimators = quadrature_oracle\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ratelab: error: noncentrality K = 800 is above 500") and err.count("\n") == 1
+    cfg.write_text(CLI_CONFIG.replace("preset = fig3", "preset = fig3\n[geometry]\nk = 800"))
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
