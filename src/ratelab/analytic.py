@@ -35,14 +35,13 @@ deviations between the two are data, not bugs; see
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import (NetworkGeometry, RicianLink, poisson_mixture, poisson_weights, power_gain_pdf,
                       power_gain_sf)
-from .errors import ConvergenceError, DomainError, TruncationWarning
+from .errors import ConvergenceError, DomainError
 from .rates import RATES, PowerSplit, RateBreakdown
 
 __all__ = [
@@ -60,34 +59,31 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
-MAX_SERIES_TERMS = 2_000
 MAX_QUAD_ORDER = 100_000
 
 
 @dataclass(frozen=True)
 class SeriesTruncation:
-    """Truncation and quadrature controls for the series machinery.
+    """Depth and quadrature controls for the series machinery.
 
-    ``n_max``/``k_max`` cap the outer/inner series over the two links;
-    ``quad_order`` is the Chebyshev node count (decoupled from the
-    series indices on purpose); ``tail_tol`` stops a series early once
-    the remaining weight drops below it.  The upper bounds keep every
-    table :func:`h_rho` builds small: its (n_max+1) x (k_max+1) matrix
-    stays under 32 MB.
+    ``tail_tol``, in (0, 1), sets the depth of each link's series: it
+    stops once the Poisson(K) weight left drops below ``tail_tol``, or
+    where a weight no longer changes the weight covered (see
+    :func:`ratelab.channel.poisson_weights`).  ``quad_order`` is the
+    Chebyshev node count, decoupled from the series depth on purpose.
+    The kernel refuses K above :data:`~ratelab.channel.MAX_NONCENTRALITY`,
+    and up to it a link's series has at most 694 terms, so each matrix
+    :func:`h_rho` builds stays under 4 MB.
     """
 
-    n_max: int = 20
-    k_max: int = 20
     quad_order: int = 50
     tail_tol: float = 1e-12
 
     def __post_init__(self):
-        if not (0 <= self.n_max <= MAX_SERIES_TERMS and 0 <= self.k_max <= MAX_SERIES_TERMS):
-            raise DomainError(f"n_max and k_max must be in 0..{MAX_SERIES_TERMS}")
         if not 1 <= self.quad_order <= MAX_QUAD_ORDER:
             raise DomainError(f"quad_order must be in 1..{MAX_QUAD_ORDER}")
-        if not self.tail_tol > 0.0:
-            raise DomainError("tail_tol must be > 0")
+        if not 0.0 < self.tail_tol < 1.0:
+            raise DomainError(f"tail_tol must be in (0, 1), got {self.tail_tol}")
 
 
 DEFAULT_TRUNCATION = SeriesTruncation()
@@ -121,25 +117,6 @@ def _check_gamma(gamma: float) -> float:
     return float(gamma)
 
 
-def _warn_truncation(op: str, trunc: SeriesTruncation, *covered: float):
-    """Warn when a series stopped at its caps, n_max over the first
-    link's Poisson(K) weights and k_max over the second's, while more
-    than ``tail_tol`` of a link's weight was left.  ``covered`` holds
-    the weight each link's series took in; the warning's ``tail`` is
-    the weight beyond them, 1 minus their product."""
-    if min(covered) >= 1.0 - trunc.tail_tol:
-        return
-    tail = 1.0 - math.prod(covered)
-    warnings.warn(
-        TruncationWarning(
-            f"{op}: series stopped at n_max={trunc.n_max}/k_max={trunc.k_max} with {tail:.3g} "
-            f"of its weight left, above tail_tol={trunc.tail_tol}; increase n_max for large K",
-            tail,
-        ),
-        stacklevel=3,
-    )
-
-
 def cdf_min_pair_series(
     link_a: RicianLink,
     link_b: RicianLink,
@@ -152,17 +129,15 @@ def cdf_min_pair_series(
     1 - A_a A_b sum_{n,k} B~_a(n) B~_b(k) n! k! e^(-(a_a+a_b)g)
         sum_{i<=n, j<=k} a_a^i a_b^j g^(i+j) / (i! j!)
 
-    The inner sums factorize per link, so the rectangular (n_max, k_max)
-    truncation is evaluated as the product of two single-link partial
-    sums; the value is identical term-for-term to the double sum.  At
-    K = 0 this collapses to 1 - e^(-(a_a+a_b)g).
+    The inner sums factorize per link, so the rectangular truncation,
+    each link's series to its ``tail_tol`` depth, is evaluated as the
+    product of two single-link partial sums; the value is identical
+    term-for-term to the double sum.  At K = 0 this collapses to
+    1 - e^(-(a_a+a_b)g).
     """
     gamma = _check_gamma(gamma)
-    sa, _, covered_a, _ = poisson_mixture(link_a.k_factor, link_a.inv_scale * gamma, trunc.tail_tol,
-                                          trunc.n_max)
-    sb, _, covered_b, _ = poisson_mixture(link_b.k_factor, link_b.inv_scale * gamma, trunc.tail_tol,
-                                          trunc.k_max)
-    _warn_truncation("cdf_min_pair_series", trunc, covered_a, covered_b)
+    sa = poisson_mixture(link_a.k_factor, link_a.inv_scale * gamma, trunc.tail_tol)[0]
+    sb = poisson_mixture(link_b.k_factor, link_b.inv_scale * gamma, trunc.tail_tol)[0]
     return _clamp(1.0 - float(sa * sb), clamp_stats)
 
 
@@ -178,9 +153,7 @@ def cdf_single_link_series(
     tolerance; this is the corrected form for gamma_2 = lambda_SD.
     """
     gamma = _check_gamma(gamma)
-    s, _, covered, _ = poisson_mixture(link.k_factor, link.inv_scale * gamma, trunc.tail_tol,
-                                       trunc.n_max)
-    _warn_truncation("cdf_single_link_series", trunc, covered)
+    s = poisson_mixture(link.k_factor, link.inv_scale * gamma, trunc.tail_tol)[0]
     return _clamp(1.0 - float(s), clamp_stats)
 
 
@@ -232,21 +205,20 @@ def cdf_min_pair_approx(
     """
     gamma = _check_gamma(gamma)
 
-    def one_link(link, cap):
-        # sum_n e^-K B(n) n! E_n(g) with B(n) n! = (K a)^n / n!
+    def one_link(link):
+        # sum_n e^-K B(n) n! E_n(g) with B(n) n! = (K a)^n / n!, over
+        # as many terms as the link's Poisson(K) weights
+        terms = len(poisson_weights(link.k_factor, trunc.tail_tol)[0])
         ka = link.k_factor * link.inv_scale
-        e_partial = _exp_partial_sum(gamma, cap + 1)
+        e_partial = _exp_partial_sum(gamma, terms)
         w = math.exp(-link.k_factor)
         total = w * e_partial[0]
-        for n in range(1, cap + 1):
+        for n in range(1, terms):
             w *= ka / n
             total += w * e_partial[n]
-        # the Poisson(K) weight the same caps cover
-        return total, poisson_weights(link.k_factor, cap, trunc.tail_tol)[1]
+        return total
 
-    fa, covered_a = one_link(link_a, trunc.n_max)
-    fb, covered_b = one_link(link_b, trunc.k_max)
-    _warn_truncation("cdf_min_pair_approx", trunc, covered_a, covered_b)
+    fa, fb = one_link(link_a), one_link(link_b)
     raw = 1.0 - fa * fb * math.exp(-gamma)
     if not clamp:
         return raw
@@ -307,9 +279,8 @@ def h_rho(
     rho = _check_rho_pos(rho)
     aa, ab = link_a.inv_scale, link_b.inv_scale
     alpha = aa + ab
-    wa, covered_a = poisson_weights(link_a.k_factor, trunc.n_max, trunc.tail_tol)
-    wb, covered_b = poisson_weights(link_b.k_factor, trunc.k_max, trunc.tail_tol)
-    _warn_truncation("h_rho", trunc, covered_a, covered_b)
+    wa = poisson_weights(link_a.k_factor, trunc.tail_tol)[0]
+    wb = poisson_weights(link_b.k_factor, trunc.tail_tol)[0]
     na, nb = len(wa), len(wb)
     g = _chebyshev_kernel(na + nb - 2, rho / alpha, trunc.quad_order)
     # W[i,j] = C(i+j, i) p^i q^j G[i+j]; a binomial pmf term, never large.
@@ -339,8 +310,7 @@ def g_rho(
     if link_y is not None:
         return h_rho(link_z, link_y, rho, trunc)
     rho = _check_rho_pos(rho)
-    w, covered = poisson_weights(link_z.k_factor, trunc.n_max, trunc.tail_tol)
-    _warn_truncation("g_rho", trunc, covered)
+    w = poisson_weights(link_z.k_factor, trunc.tail_tol)[0]
     g = _chebyshev_kernel(len(w) - 1, rho / link_z.inv_scale, trunc.quad_order)
     return float(w @ np.cumsum(g))
 

@@ -40,9 +40,6 @@ __all__ = [
     "split_stream",
 ]
 
-# Hard cap on the open-ended Poisson-mixture series; the loop normally
-# stops much earlier via the cumulative-weight criterion.
-_SERIES_CAP = 100_000
 # Largest Poisson mean K (half the chi-square noncentrality; a^2/2 for
 # Marcum Q1(a, b)) the kernel accepts.  Past it e^-K and e^-y head for
 # underflow: against the noncentral chi-square survival, the survival is
@@ -139,17 +136,18 @@ def _check_nonneg(x):
     return x
 
 
-def poisson_weights(mean: float, cap: int, tail_tol: float) -> tuple[np.ndarray, float]:
+def poisson_weights(mean: float, tail_tol: float) -> tuple[np.ndarray, float]:
     """Poisson(mean) weights w_0..w_n and the weight they cover.
 
     These are the series coefficients A * B~(n) * n! of one link at
     mean = K, by the pmf recurrence w_j = w_(j-1) * mean / j.  The
     weights stop at the first n whose covered weight sum_j w_j reaches
-    1 - ``tail_tol``, at n = ``cap``, or where a weight no longer
-    changes the covered sum in floating point (a ``tail_tol`` below the
-    rounding of that sum); a caller sees a truncated series as a covered
-    weight short of 1 - ``tail_tol``.  Raises
-    :class:`DomainError` for a mean above :data:`MAX_NONCENTRALITY`.
+    1 - ``tail_tol``, or where a weight no longer changes the covered
+    sum in floating point (a ``tail_tol`` below the rounding of that
+    sum).  Either comes within a few hundred terms: at the largest
+    mean, :data:`MAX_NONCENTRALITY`, there are 666 weights at
+    ``tail_tol`` 1e-12 and 694 at 1e-300.  Raises :class:`DomainError`
+    for a mean above :data:`MAX_NONCENTRALITY`.
     """
     if not mean <= MAX_NONCENTRALITY:
         raise DomainError(f"noncentrality K = {mean:.6g} is above {MAX_NONCENTRALITY:g}, "
@@ -158,7 +156,7 @@ def poisson_weights(mean: float, cap: int, tail_tol: float) -> tuple[np.ndarray,
     weights = [w]
     covered = w
     j = 0
-    while covered < 1.0 - tail_tol and j < cap:
+    while covered < 1.0 - tail_tol:
         j += 1
         w *= mean / j
         if covered + w == covered:
@@ -168,36 +166,39 @@ def poisson_weights(mean: float, cap: int, tail_tol: float) -> tuple[np.ndarray,
     return np.asarray(weights), covered
 
 
-def poisson_mixture(mean: float, y, tol: float, cap: int = _SERIES_CAP, density: bool = False):
+def poisson_mixture(mean: float, y, tol: float, density: bool = False):
     """One pass over the Poisson(mean) mixture of gamma(j+1) terms at y.
 
-    With the weights w_j of :func:`poisson_weights` and the terms
-    t_j = e^-y y^j / j!, returns ``(sf, pdf, covered, q)``:
+    With the weights w_j of :func:`poisson_weights` at ``tol`` and the
+    terms t_j = e^-y y^j / j!, returns ``(s, covered, q)``:
 
-    * sf = sum_j w_j Q(j+1, y), Q the regularized upper incomplete
-      gamma, Q(j+1, y) = t_0 + ... + t_j;
-    * pdf = sum_j w_j t_j when ``density`` is true, else None;
+    * s = sum_j w_j Q(j+1, y), Q the regularized upper incomplete
+      gamma, Q(j+1, y) = t_0 + ... + t_j; with ``density``,
+      s = sum_j w_j t_j instead, and no Q is accumulated;
     * covered = sum_j w_j, the Poisson weight the pass took in;
-    * q, the last Q(j+1, y).
+    * q, the last Q(j+1, y) (the last t_j with ``density``).
 
-    sf and pdf are the partial sums over the covered weight; all terms
-    are nonnegative, so there is no cancellation.  At mean = K and
-    y = a*x they are the survival and density (over a) of the link's
-    power gain, short of the outstanding mass 1 - covered.
+    s is the partial sum over the covered weight; all terms are
+    nonnegative, so there is no cancellation.  At mean = K and y = a*x
+    it is the survival, or the density over a, of the link's power
+    gain, short of the outstanding mass 1 - covered.
     """
-    w, covered = poisson_weights(mean, cap, tol)
+    w, covered = poisson_weights(mean, tol)
     y = np.asarray(y, dtype=float)
     t = np.exp(-y)
+    if density:
+        s = w[0] * t
+        for j in range(1, len(w)):
+            t *= y / j
+            s += w[j] * t
+        return s, covered, t
     q = t.copy()
-    sf = w[0] * q
-    pdf = w[0] * t if density else None
+    s = w[0] * q
     for j in range(1, len(w)):
         t *= y / j
         q += t
-        sf += w[j] * q
-        if density:
-            pdf += w[j] * t
-    return sf, pdf, covered, q
+        s += w[j] * q
+    return s, covered, q
 
 
 def _settled_sf(mean: float, y, tol: float) -> np.ndarray:
@@ -207,7 +208,7 @@ def _settled_sf(mean: float, y, tol: float) -> np.ndarray:
     Poisson mass at the last Q bounds the truncation error by tol and
     makes the y = 0 boundary (all Q = 1) exact.
     """
-    sf, _, covered, q = poisson_mixture(mean, y, tol)
+    sf, covered, q = poisson_mixture(mean, y, tol)
     return np.clip(sf + (1.0 - covered) * q, 0.0, 1.0)
 
 
@@ -225,7 +226,7 @@ def power_gain_pdf(link: RicianLink, x, tol: float = 1e-13):
     """
     x = _check_nonneg(x)
     a = link.inv_scale
-    _, pdf, _, _ = poisson_mixture(link.k_factor, a * x, tol, density=True)
+    pdf, _, _ = poisson_mixture(link.k_factor, a * x, tol, density=True)
     return _as_result(a * pdf)
 
 

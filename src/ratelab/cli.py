@@ -9,18 +9,16 @@
 
 Exit codes: 0 success, 1 configuration/validation error, 2 runtime or
 convergence error.  The environment variable RATELAB_SEED overrides the
-config-file seed; an explicit --seed flag beats both.  Truncated-series
-warnings are summarized in one stderr line.
+config-file seed; an explicit --seed flag beats both.
 """
 
 import argparse
 import os
 import sys
-import warnings
 from dataclasses import replace
 
 from .errors import (ConvergenceError, DomainError, InvalidKFactor, InvalidPower, InvalidSplit,
-                     ParseError, RateLabError, TruncationWarning, ValidationError)
+                     ParseError, RateLabError, ValidationError)
 from .sweep import (
     PRESETS,
     calibrate_k,
@@ -150,7 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args) -> int:
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, ValidationError, DomainError, InvalidKFactor, InvalidPower, InvalidSplit,
@@ -160,24 +159,6 @@ def _run(args) -> int:
     except (ConvergenceError, OSError, RateLabError) as exc:
         print(f"ratelab: runtime error: {exc}", file=sys.stderr)
         return _EXIT_RUNTIME
-
-
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # a grid over large K truncates the series at every point: summarize
-    # those warnings in one line, and pass any other warning on as is
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", TruncationWarning)
-        code = _run(args)
-    tails = [w.message.tail for w in caught if issubclass(w.category, TruncationWarning)]
-    for w in caught:
-        if not issubclass(w.category, TruncationWarning):
-            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-    if tails:
-        print(f"ratelab: warning: {len(tails)} truncated series, largest tail left {max(tails):.3g}; "
-              "increase n_max/k_max for large K", file=sys.stderr)
-    return code
 
 
 if __name__ == "__main__":

@@ -36,8 +36,10 @@ class ValidationError(RateLabError):
 
 class TruncationWarning(UserWarning):
     """A truncated series stopped while its tail still exceeded the
-    requested tolerance; the returned value may be less accurate.
-    ``tail`` is the series weight left beyond the truncation."""
+    requested tolerance.  The package no longer emits it: a series now
+    runs until its tail is below ``tail_tol``.  Kept only because the
+    benchmark still counts it.  ``tail`` is the series weight left
+    beyond the truncation."""
 
     def __init__(self, message: str, tail: float = float("nan")):
         super().__init__(message)

@@ -136,7 +136,7 @@ _DEFAULTS = {
         "seed": 42,
     },
     "split": {"a1": 0.9, "a2": 0.1},
-    "series": {"n_max": 20, "k_max": 20, "quad_order": 50, "tail_tol": 1e-12},
+    "series": {"quad_order": 50, "tail_tol": 1e-12},
     "output": {"path": "sweep.csv"},
 }
 
@@ -366,14 +366,12 @@ def config_from_mapping(data: dict, lines: dict | None = None) -> SweepConfig:
             errors.append(f"split: {exc}")
 
     se = merged["series"]
-    n_max = _coerce(se["n_max"], int, errors, where("series", "n_max"))
-    k_max = _coerce(se["k_max"], int, errors, where("series", "k_max"))
     quad_order = _coerce(se["quad_order"], int, errors, where("series", "quad_order"))
     tail_tol = _coerce(se["tail_tol"], float, errors, where("series", "tail_tol"))
     truncation = None
-    if None not in (n_max, k_max, quad_order, tail_tol):
+    if None not in (quad_order, tail_tol):
         try:
-            truncation = SeriesTruncation(n_max, k_max, quad_order, tail_tol)
+            truncation = SeriesTruncation(quad_order, tail_tol)
         except DomainError as exc:
             errors.append(f"series: {exc}")
 
@@ -465,7 +463,6 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         ("k_sr", g.sr.k_factor), ("k_rd", g.rd.k_factor), ("k_sd", g.sd.k_factor),
         ("omega_sr", g.sr.mean_power), ("omega_rd", g.rd.mean_power), ("omega_sd", g.sd.mean_power),
         ("a1", config.split.a1), ("a2", config.split.a2),
-        ("n_max", config.truncation.n_max), ("k_max", config.truncation.k_max),
         ("quad_order", config.truncation.quad_order), ("tail_tol", config.truncation.tail_tol),
         ("k_factor_note", "K values are artifact choices; the published experiments do not report K"),
     ]

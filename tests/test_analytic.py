@@ -34,7 +34,7 @@ from ratelab import (
     sample_power_gains,
     split_stream,
 )
-from ratelab.errors import ConvergenceError, DomainError, TruncationWarning
+from ratelab.errors import ConvergenceError, DomainError
 from ratelab.rates import QUANTITIES, RATES, RateBreakdown
 
 FIG3 = NetworkGeometry(sr=make_link(0, 8), rd=make_link(0, 8), sd=make_link(0, 3))
@@ -47,13 +47,41 @@ def ln_rate_exponential(rho, omega):
 
 
 def test_truncation_validation():
-    SeriesTruncation(0, 0, 1, 1e-9)
-    SeriesTruncation(2000, 2000, 100_000)
-    for bad in ({"n_max": -1}, {"n_max": 2001}, {"k_max": 2001}, {"quad_order": 0}, {"quad_order": 100_001}):
+    SeriesTruncation(1, 1e-9)
+    SeriesTruncation(100_000)
+    for bad in ({"quad_order": 0}, {"quad_order": 100_001}):
         with pytest.raises(DomainError):
             SeriesTruncation(**bad)
-    with pytest.raises(DomainError):
-        SeriesTruncation(tail_tol=0.0)
+    # a tail_tol of 1 or more keeps one Poisson weight: c_total 0.363
+    # against the oracle's 14.63 bit/s/Hz at fig3 K=3, 25 dB
+    for tail_tol in (0.0, -1e-3, 1.0, 2.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match=r"tail_tol must be in \(0, 1\)"):
+            SeriesTruncation(tail_tol=tail_tol)
+
+
+def test_default_series_emit_no_warning_up_to_the_kernel_bound():
+    for k in (3.0, 10.0, 30.0, 500.0):
+        geometry = NetworkGeometry(sr=make_link(k, 8), rd=make_link(k, 8), sd=make_link(k, 3))
+        a, b = geometry.sr, geometry.sd
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rho in (0.5, 316.0):
+                ergodic_rate_series(geometry, rho)
+                ergodic_rate_series(geometry, rho, literal=True)
+            for gamma in (0.5, 4.0):
+                cdf_min_pair_series(a, b, gamma)
+                cdf_single_link_series(a, gamma)
+
+
+def test_corrected_series_tracks_the_oracle_at_k10():
+    # 20 terms per link leave 1.6e-3 of each link's weight here: 0.0119
+    # and 0.0357 bit/s/Hz off
+    geometry = NetworkGeometry(sr=make_link(10, 8), rd=make_link(10, 8), sd=make_link(10, 3))
+    for rho_db in (5.0, 25.0):
+        rho = 10.0 ** (rho_db / 10.0)
+        series = ergodic_rate_series(geometry, rho)["c_total"]
+        oracle = ergodic_rate_quadrature_quantities(geometry, rho, "crs_noma_paper")["c_total"]
+        assert abs(series - oracle) < 0.005, rho_db
 
 
 def test_min_pair_rayleigh_median():
@@ -88,20 +116,13 @@ def test_min_pair_survival_product_identity_sweep():
         oa, ob = rng.uniform(0.5, 12, size=2)
         g = float(rng.exponential(4.0))
         a, b = make_link(ka, oa), make_link(kb, ob)
-        trunc = SeriesTruncation(n_max=60, k_max=60)
         want = power_gain_cdf(a, g) + power_gain_cdf(b, g) - power_gain_cdf(a, g) * power_gain_cdf(b, g)
-        assert cdf_min_pair_series(a, b, g, trunc) == pytest.approx(want, abs=1e-8)
+        assert cdf_min_pair_series(a, b, g) == pytest.approx(want, abs=1e-8)
 
 
 def test_min_pair_rejects_negative_gamma():
     with pytest.raises(DomainError):
         cdf_min_pair_series(make_link(0, 1), make_link(0, 1), -0.1)
-
-
-def test_min_pair_truncation_warning():
-    trunc = SeriesTruncation(n_max=3, k_max=3)
-    with pytest.warns(TruncationWarning):
-        cdf_min_pair_series(make_link(9, 4), make_link(9, 4), 1.0, trunc)
 
 
 def test_single_link_series_values():
@@ -115,8 +136,7 @@ def test_single_link_series_values():
 def test_single_link_series_tracks_marcum_grid():
     link = make_link(7, 5)
     xs = np.linspace(0.0, 40.0, 1000)
-    trunc = SeriesTruncation(n_max=60)
-    vals = np.array([cdf_single_link_series(link, float(x), trunc) for x in xs])
+    vals = np.array([cdf_single_link_series(link, float(x)) for x in xs])
     ref = power_gain_cdf(link, xs)
     assert np.max(np.abs(vals - ref)) < 1e-8
 

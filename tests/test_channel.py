@@ -193,8 +193,10 @@ def test_kernel_is_accurate_up_to_its_noncentrality_bound():
 
 def test_kernel_stops_where_its_weights_no_longer_count():
     # at K = 27.3 the covered weight rounds to 1 - 1.2e-15, so a tol of
-    # 1e-15 is never reached; the weights must stop anyway, not at the cap
-    assert len(poisson_weights(27.3, 100_000, 1e-15)[0]) < 100
+    # 1e-15 is never reached; the weights must stop anyway
+    assert len(poisson_weights(27.3, 1e-15)[0]) < 100
+    # the depth is bounded without a cap: 694 weights at the largest K
+    assert len(poisson_weights(MAX_NONCENTRALITY, 1e-300)[0]) <= 700
     link = make_link(27.3, 1)
     xs = np.linspace(0, 5, 101)
     ref = stats.ncx2.sf(2 * link.inv_scale * xs, df=2, nc=2 * 27.3)
