@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 MAX_QUAD_ORDER = 100_000
 
 
@@ -173,16 +174,13 @@ def cdf_gamma2_paper(
     return cdf_min_pair_series(link_z, link_y, gamma, trunc, clamp_stats)
 
 
-def _exp_partial_sum(gamma: float, n_terms: int) -> np.ndarray:
-    """sum_{i<=j} gamma^i/i! for j = 0..n_terms-1 (no e^-g damping)."""
-    out = np.empty(n_terms)
-    t = 1.0
-    s = 1.0
-    out[0] = s
-    for j in range(1, n_terms):
-        t *= gamma / j
-        s += t
-        out[j] = s
+def _log_powers(x: float, n_terms: int) -> np.ndarray:
+    """ln(x^j / j!) for j = 0..n_terms-1; -inf for j > 0 at x = 0."""
+    out = np.zeros(n_terms)
+    if x > 0.0:
+        out[1:] = np.cumsum(math.log(x) - np.log(np.arange(1, n_terms)))
+    else:
+        out[1:] = -math.inf
     return out
 
 
@@ -202,24 +200,24 @@ def cdf_min_pair_approx(
     value is 1 - e^(-g) regardless of the mean powers.  It is not a
     valid CDF in general; pass ``clamp=False`` to obtain the raw value,
     and a :class:`ClampStats` to count how often clamping bites.
+
+    Each link's sum and their product are taken in log space, so the
+    raw value is finite, or -inf where it lies below the float range
+    (from K of about 70 at the fig3 powers); it is never NaN.
     """
     gamma = _check_gamma(gamma)
+    terms = [len(poisson_weights(link.k_factor, trunc.tail_tol)[0]) for link in (link_a, link_b)]
+    # ln E_n(g), E_n(g) = sum_{i<=n} g^i/i!
+    log_e = np.logaddexp.accumulate(_log_powers(gamma, max(terms)))
 
-    def one_link(link):
-        # sum_n e^-K B(n) n! E_n(g) with B(n) n! = (K a)^n / n!, over
-        # as many terms as the link's Poisson(K) weights
-        terms = len(poisson_weights(link.k_factor, trunc.tail_tol)[0])
-        ka = link.k_factor * link.inv_scale
-        e_partial = _exp_partial_sum(gamma, terms)
-        w = math.exp(-link.k_factor)
-        total = w * e_partial[0]
-        for n in range(1, terms):
-            w *= ka / n
-            total += w * e_partial[n]
-        return total
+    def log_link_sum(link, n):
+        # ln sum_n e^-K B(n) n! E_n(g), with B(n) n! = (K a)^n / n!
+        x = _log_powers(link.k_factor * link.inv_scale, n) + log_e[:n]
+        top = x.max()
+        return top + math.log(np.sum(np.exp(x - top))) - link.k_factor
 
-    fa, fb = one_link(link_a), one_link(link_b)
-    raw = 1.0 - fa * fb * math.exp(-gamma)
+    log_p = log_link_sum(link_a, terms[0]) + log_link_sum(link_b, terms[1]) - gamma
+    raw = 1.0 - math.exp(log_p) if log_p < _LOG_FLOAT_MAX else -math.inf
     if not clamp:
         return raw
     return _clamp(raw, clamp_stats)
@@ -335,15 +333,8 @@ def ergodic_rate_series(
     else:
         h = h_rho(geometry.sr, geometry.rd, rho, trunc)
         g = g_rho(geometry.sd, None, rho, trunc)
-    c_r = h / (2.0 * LN2)
     c_d = g / (2.0 * LN2)
-    return RateBreakdown(
-        c_relay_s1=c_r,
-        c_direct_s1=c_d,
-        c_s1=c_r + c_d,
-        c_s2=c_d,
-        c_total=c_r + 2.0 * c_d,
-    )
+    return RateBreakdown(h / (2.0 * LN2), c_d, c_d)
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +477,7 @@ def ergodic_rate_quadrature_quantities(
                 return power_gain_sf(sr, y) * (power_gain_sf(rd, y[:, None] * snr_scale) @ ws)
 
             c_relay = half_rate(s_y, min(_reach(sr), _reach(rd)))
-        c_s1 = c_relay + c_direct
-        return RateBreakdown(c_relay, c_direct, c_s1, c_direct, c_s1 + c_direct)
+        return RateBreakdown(c_relay, c_direct, c_direct)
 
     if scheme == "conventional":
         if split is None:
@@ -505,7 +495,7 @@ def ergodic_rate_quadrature_quantities(
         # s2 is limited by min(a2*lambda_SR, lambda_RD) at full rho.
         c_s2 = half_rate(lambda v: power_gain_sf(sr, v / a2) * power_gain_sf(rd, v),
                          min(a2 * _reach(sr), _reach(rd)))
-        return RateBreakdown(c_s1, 0.0, c_s1, c_s2, c_s1 + c_s2)
+        return RateBreakdown(c_s1, 0.0, c_s2)
 
     # crs_oma: W = min(lambda_SR, lambda_SD + lambda_RD); the branch sum
     # needs one convolution level: P[SD+RD > w] = S_SD(w) + int_0^w
@@ -518,4 +508,4 @@ def ergodic_rate_quadrature_quantities(
         return np.minimum(power_gain_sf(sd, w) + inner, 1.0)
 
     c_total = half_rate(lambda w: power_gain_sf(sr, w) * s_sum(w), _reach(sr))
-    return RateBreakdown(c_total, 0.0, c_total, 0.0, c_total)
+    return RateBreakdown(c_total, 0.0, 0.0)

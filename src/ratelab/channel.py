@@ -27,6 +27,7 @@ from .errors import DomainError, InvalidKFactor, InvalidPower, ModelAssumptionWa
 
 __all__ = [
     "MAX_NONCENTRALITY",
+    "KERNEL_TOL",
     "RicianLink",
     "NetworkGeometry",
     "make_link",
@@ -45,6 +46,10 @@ __all__ = [
 # underflow: against the noncentral chi-square survival, the survival is
 # 1.6e-12 off at K = 500, 1.1e-10 at K = 520 and 0.12 at K = 700.
 MAX_NONCENTRALITY = 500.0
+
+# Poisson weight the survival, distribution function, density and Marcum
+# Q function may leave out; it bounds each one's truncation error.
+KERNEL_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -147,8 +152,11 @@ def poisson_weights(mean: float, tail_tol: float) -> tuple[np.ndarray, float]:
     sum).  Either comes within a few hundred terms: at the largest
     mean, :data:`MAX_NONCENTRALITY`, there are 666 weights at
     ``tail_tol`` 1e-12 and 694 at 1e-300.  Raises :class:`DomainError`
-    for a mean above :data:`MAX_NONCENTRALITY`.
+    for a mean above :data:`MAX_NONCENTRALITY` and for a ``tail_tol``
+    outside (0, 1), which would keep a single weight.
     """
+    if not 0.0 < tail_tol < 1.0:
+        raise DomainError(f"tail_tol must be in (0, 1), got {tail_tol}")
     if not mean <= MAX_NONCENTRALITY:
         raise DomainError(f"noncentrality K = {mean:.6g} is above {MAX_NONCENTRALITY:g}, "
                           "where the Poisson-mixture series underflows")
@@ -201,14 +209,14 @@ def poisson_mixture(mean: float, y, tol: float, density: bool = False):
     return s, covered, q
 
 
-def _settled_sf(mean: float, y, tol: float) -> np.ndarray:
-    """Survival sum_j Pois(j; mean) Q(j+1, y), to within ``tol``.
+def _settled_sf(mean: float, y) -> np.ndarray:
+    """Survival sum_j Pois(j; mean) Q(j+1, y), to within :data:`KERNEL_TOL`.
 
     Q(j+1, y) increases toward 1 in j, so settling the outstanding
-    Poisson mass at the last Q bounds the truncation error by tol and
-    makes the y = 0 boundary (all Q = 1) exact.
+    Poisson mass at the last Q bounds the truncation error by the
+    tolerance and makes the y = 0 boundary (all Q = 1) exact.
     """
-    sf, covered, q = poisson_mixture(mean, y, tol)
+    sf, covered, q = poisson_mixture(mean, y, KERNEL_TOL)
     return np.clip(sf + (1.0 - covered) * q, 0.0, 1.0)
 
 
@@ -216,40 +224,42 @@ def _as_result(out: np.ndarray):
     return float(out) if out.ndim == 0 else out
 
 
-def power_gain_pdf(link: RicianLink, x, tol: float = 1e-13):
+def power_gain_pdf(link: RicianLink, x):
     """Density of the power gain at x (scalar or array).
 
     a times the Poisson(K) mixture of gamma(j+1) densities at a*x, the
     series form of a*exp(-K - a*x)*I0(2*sqrt(K*a*x)).  Each gamma
     density is at most 1, so the weight left out bounds the error by
-    a*``tol``.
+    a * :data:`KERNEL_TOL`.
     """
     x = _check_nonneg(x)
     a = link.inv_scale
-    pdf, _, _ = poisson_mixture(link.k_factor, a * x, tol, density=True)
+    pdf, _, _ = poisson_mixture(link.k_factor, a * x, KERNEL_TOL, density=True)
     return _as_result(a * pdf)
 
 
-def marcum_q1(a: float, b, tol: float = 1e-13) -> float:
+def marcum_q1(a: float, b) -> float:
     """First-order Marcum Q function Q1(a, b).
 
     Convergent Poisson-mixture series at mean a^2/2 (at most
     :data:`MAX_NONCENTRALITY`); the truncation tail is bounded by
-    ``tol`` (default well below 1e-12).
+    :data:`KERNEL_TOL`.
     """
     if a < 0.0:
         raise DomainError("marcum_q1 requires a >= 0")
     b = _check_nonneg(b)
-    return _as_result(_settled_sf(0.5 * a * a, 0.5 * b * b, tol))
+    return _as_result(_settled_sf(0.5 * a * a, 0.5 * b * b))
 
 
-def power_gain_sf(link: RicianLink, x, tol: float = 1e-13):
-    """Survival P[gain > x] = Q1(sqrt(2K), sqrt(2*a*x))."""
+def power_gain_sf(link: RicianLink, x):
+    """Survival P[gain > x] = Q1(sqrt(2K), sqrt(2*a*x)), to within
+    :data:`KERNEL_TOL`."""
     x = _check_nonneg(x)
-    return _as_result(_settled_sf(link.k_factor, link.inv_scale * x, tol))
+    return _as_result(_settled_sf(link.k_factor, link.inv_scale * x))
 
 
-def power_gain_cdf(link: RicianLink, x, tol: float = 1e-13):
-    """Distribution function P[gain <= x], complement of :func:`power_gain_sf`."""
+def power_gain_cdf(link: RicianLink, x):
+    """Distribution function P[gain <= x], complement of
+    :func:`power_gain_sf`, to within :data:`KERNEL_TOL`."""
     x = _check_nonneg(x)
-    return _as_result(1.0 - _settled_sf(link.k_factor, link.inv_scale * x, tol))
+    return _as_result(1.0 - _settled_sf(link.k_factor, link.inv_scale * x))

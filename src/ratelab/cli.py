@@ -17,8 +17,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .errors import (ConvergenceError, DomainError, InvalidKFactor, InvalidPower, InvalidSplit,
-                     ParseError, RateLabError, ValidationError)
+from .errors import ConvergenceError, DomainError, ParseError, RateLabError, ValidationError
 from .sweep import (
     PRESETS,
     calibrate_k,
@@ -26,12 +25,12 @@ from .sweep import (
     emit_plot_script,
     parse_config,
     parse_grid,
+    preset_geometry,
     render_calibration_csv,
     render_csv,
     render_discrepancy_csv,
     run_sweep,
 )
-from .channel import NetworkGeometry, make_link
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 1
@@ -100,12 +99,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_discrepancy(args) -> int:
-    omegas = PRESETS[args.preset]
-    geometry = NetworkGeometry(
-        sr=make_link(args.k, omegas["omega_sr"]),
-        rd=make_link(args.k, omegas["omega_rd"]),
-        sd=make_link(args.k, omegas["omega_sd"]),
-    )
+    geometry = preset_geometry(args.preset, args.k)
     grid = _parse_grid(args.rho_grid, "--rho-grid") if args.rho_grid else list(range(0, 31, 5))
     rows = discrepancy_report(geometry, grid)
     _write(args.out, render_discrepancy_csv(rows, geometry))
@@ -152,8 +146,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, DomainError, InvalidKFactor, InvalidPower, InvalidSplit,
-            FileNotFoundError) as exc:
+    except (ParseError, ValidationError, DomainError, FileNotFoundError) as exc:
         print(f"ratelab: error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except (ConvergenceError, OSError, RateLabError) as exc:

@@ -2,22 +2,26 @@
 
 
 class RateLabError(Exception):
-    """Base class for all ratelab errors."""
-
-
-class InvalidKFactor(RateLabError):
-    """Rician K factor outside [0, inf)."""
-
-
-class InvalidPower(RateLabError):
-    """Mean channel power must be strictly positive."""
+    """Base class for all ratelab errors.  The CLI exits 2 on those not
+    named below as configuration errors."""
 
 
 class DomainError(RateLabError):
-    """Argument outside the mathematical domain of an operation."""
+    """Argument outside the mathematical domain of an operation.
+
+    The CLI exits 1 on it, and on its three subclasses below, like on a
+    configuration error."""
 
 
-class InvalidSplit(RateLabError):
+class InvalidKFactor(DomainError):
+    """Rician K factor outside [0, inf)."""
+
+
+class InvalidPower(DomainError):
+    """Mean channel power must be finite and strictly positive."""
+
+
+class InvalidSplit(DomainError):
     """Power-allocation split violates a1 + a2 = 1 with a1 > a2 > 0."""
 
 
@@ -27,11 +31,14 @@ class ConvergenceError(RateLabError):
 
 
 class ParseError(RateLabError):
-    """Malformed configuration document."""
+    """A configuration document that cannot be read at all: a line that
+    is not ``key = value`` or a section header, or malformed JSON."""
 
 
 class ValidationError(RateLabError):
-    """Config parsed but one or more fields are out of range."""
+    """A configuration that was read but holds bad fields.  The message
+    is one line: each bad field, named after its line in the text form,
+    with what is wrong with it, joined by "; "."""
 
 
 class TruncationWarning(UserWarning):

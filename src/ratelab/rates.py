@@ -95,19 +95,25 @@ class RateBreakdown:
     quadrature oracle and the series with ergodic floats; ``result[q]``
     reads quantity ``q`` of :data:`QUANTITIES` by name.
 
-    For CRS-NOMA, c_s1 = c_relay_s1 + c_direct_s1 and c_s2 equals
-    c_direct_s1.  The baselines have no relay/direct decomposition of
-    s1; they report c_relay_s1 = c_s1 and c_direct_s1 = 0 so that the
-    same five quantities exist for every scheme.  c_total = c_s1 + c_s2
-    holds exactly, except from the series, which sums
-    c_relay_s1 + 2*c_direct_s1 and agrees to rounding.
+    It stores three rates and derives the other two, so that
+    c_s1 = c_relay_s1 + c_direct_s1 and c_total = c_s1 + c_s2 hold
+    exactly for every scheme.  For CRS-NOMA c_s2 equals c_direct_s1.
+    The baselines have no relay/direct decomposition of s1; they store
+    c_s1 as c_relay_s1 and 0.0 as c_direct_s1, so that the same five
+    quantities exist for every scheme.
     """
 
     c_relay_s1: float
     c_direct_s1: float
-    c_s1: float
     c_s2: float
-    c_total: float
+
+    @property
+    def c_s1(self):
+        return self.c_relay_s1 + self.c_direct_s1
+
+    @property
+    def c_total(self):
+        return self.c_s1 + self.c_s2
 
     def __getitem__(self, quantity: str):
         if quantity not in QUANTITIES:
@@ -161,15 +167,7 @@ def crs_noma_rate(r: ChannelRealization, rho: float, mode: str = "exact") -> Rat
     s = instantaneous_snrs(r, rho, mode)
     c_relay = 0.5 * np.minimum(np.log2(1.0 + s.gamma_rd_s1), np.log2(1.0 + s.gamma_sr_s1))
     c_direct = 0.5 * np.log2(1.0 + s.gamma_sd_s1)
-    c_s1 = c_relay + c_direct
-    c_s2 = c_direct
-    return RateBreakdown(
-        c_relay_s1=c_relay,
-        c_direct_s1=c_direct,
-        c_s1=c_s1,
-        c_s2=c_s2,
-        c_total=c_s1 + c_s2,
-    )
+    return RateBreakdown(c_relay, c_direct, c_direct)
 
 
 def conventional_noma_rate(r: ChannelRealization, rho: float, split: PowerSplit) -> RateBreakdown:
@@ -192,13 +190,7 @@ def conventional_noma_rate(r: ChannelRealization, rho: float, split: PowerSplit)
         np.log2(1.0 + a1 * rho * lsr / (a2 * rho * lsr + 1.0)),
     )
     c_s2 = 0.5 * np.minimum(np.log2(1.0 + a2 * rho * lsr), np.log2(1.0 + rho * lrd))
-    return RateBreakdown(
-        c_relay_s1=c_s1,
-        c_direct_s1=np.zeros_like(c_s1) if c_s1.ndim else 0.0,
-        c_s1=c_s1,
-        c_s2=c_s2,
-        c_total=c_s1 + c_s2,
-    )
+    return RateBreakdown(c_s1, 0.0, c_s2)
 
 
 def crs_oma_rate(r: ChannelRealization, rho: float) -> RateBreakdown:
@@ -215,11 +207,4 @@ def crs_oma_rate(r: ChannelRealization, rho: float) -> RateBreakdown:
         np.log2(1.0 + rho * lsr),
         np.log2(1.0 + rho * lsd + rho * lrd),
     )
-    zero = np.zeros_like(c_total) if c_total.ndim else 0.0
-    return RateBreakdown(
-        c_relay_s1=c_total,
-        c_direct_s1=zero,
-        c_s1=c_total,
-        c_s2=zero,
-        c_total=c_total + zero,
-    )
+    return RateBreakdown(c_total, 0.0, 0.0)

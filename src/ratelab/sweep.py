@@ -26,7 +26,7 @@ from .analytic import (
     ergodic_rate_series,
 )
 from .channel import NetworkGeometry, make_link
-from .errors import DomainError, InvalidKFactor, InvalidPower, InvalidSplit, ParseError, ValidationError
+from .errors import DomainError, ParseError, ValidationError
 from .montecarlo import estimate_rates
 from .rates import QUANTITIES, RATES, PowerSplit
 
@@ -41,6 +41,7 @@ __all__ = [
     "parse_grid",
     "config_from_mapping",
     "preset_config",
+    "preset_geometry",
     "run_sweep",
     "calibrate_k",
     "render_csv",
@@ -124,35 +125,7 @@ def db_to_linear(rho_db: float) -> float:
 # configuration parsing
 # ---------------------------------------------------------------------------
 
-_DEFAULTS = {
-    "geometry": {"k": 0.0, "k_sr": None, "k_rd": None, "k_sd": None,
-                 "omega_sr": None, "omega_rd": None, "omega_sd": None},
-    "sweep": {
-        "rho_db": "0:30:1",
-        "schemes": "crs_noma, conventional",
-        "modes": "paper",
-        "estimators": "monte_carlo",
-        "trials": 1_000_000,
-        "seed": 42,
-    },
-    "split": {"a1": 0.9, "a2": 0.1},
-    "series": {"quad_order": 50, "tail_tol": 1e-12},
-    "output": {"path": "sweep.csv"},
-}
-
-
 MAX_GRID_POINTS = 100_000
-
-
-def check_grid_span(start: float, stop: float, step: float) -> None:
-    """Reject a start:stop:step grid with a nonpositive step or more than
-    :data:`MAX_GRID_POINTS` points, before any point is built."""
-    if step <= 0:
-        raise ValueError("step must be > 0")
-    if not (stop - start) / step <= MAX_GRID_POINTS - 1:
-        raise ValueError(
-            f"grid {start:g}:{stop:g}:{step:g} must be finite with at most {MAX_GRID_POINTS} points"
-        )
 
 
 def parse_grid(spec) -> list[float]:
@@ -162,8 +135,10 @@ def parse_grid(spec) -> list[float]:
     A start:stop:step grid has floor((stop - start)/step + 1e-9) + 1
     points, start + i*step each rounded to 12 decimals, so a fractional
     step yields the decimals it names (0:1:0.1 gives 0.3, not
-    0.30000000000000004).  Raises ValueError on malformed text and on
-    a grid that is empty or not strictly increasing.
+    0.30000000000000004).  Raises ValueError on malformed text, on a
+    start:stop:step grid with a nonpositive step or more than
+    :data:`MAX_GRID_POINTS` points (before any point is built) and on a
+    grid that is empty or not strictly increasing.
     """
     if isinstance(spec, (list, tuple)):
         vals = [float(v) for v in spec]
@@ -174,7 +149,12 @@ def parse_grid(spec) -> list[float]:
         if len(parts) != 3:
             raise ValueError("need start:stop:step")
         start, stop, step = parts
-        check_grid_span(start, stop, step)
+        if step <= 0:
+            raise ValueError("step must be > 0")
+        if not (stop - start) / step <= MAX_GRID_POINTS - 1:
+            raise ValueError(
+                f"grid {start:g}:{stop:g}:{step:g} must be finite with at most {MAX_GRID_POINTS} points"
+            )
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
         vals = [round(start + i * step, 12) for i in range(n)]
     if not vals:
@@ -184,42 +164,97 @@ def parse_grid(spec) -> list[float]:
     return vals
 
 
-def _parse_rho_grid(spec, errors, field):
+# Field parsers: each takes a raw value, text or JSON, and raises
+# ValueError saying what is wrong with it.  A boolean is never a number.
+
+def _number(raw) -> float:
+    if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
+        raise ValueError(f"expected a number, got {raw!r}")
     try:
-        return tuple(parse_grid(spec))
-    except (TypeError, ValueError) as exc:
-        errors.append(f"{field}: {exc}")
-        return ()
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"cannot interpret {raw!r}") from None
 
 
-def _parse_tokens(spec, allowed, errors, field):
-    if isinstance(spec, (list, tuple)):
-        toks = [str(t).strip() for t in spec]
-    else:
-        toks = [t.strip() for t in str(spec).split(",") if t.strip()]
-    for t in toks:
-        if t not in allowed:
-            errors.append(f"{field}: unknown value {t!r} (allowed: {', '.join(allowed)})")
-    # stable de-dup preserving the declared order
-    seen, out = set(), []
-    for t in toks:
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return tuple(out)
-
-
-def _coerce(value, kind, errors, field):
+def _integer(raw) -> int:
     # int() would truncate a JSON 1.9 to 1 and read true as 1; an
     # integral float such as 1e6 is still a whole number.
-    if kind is int and (isinstance(value, bool) or isinstance(value, float) and not value.is_integer()):
-        errors.append(f"{field}: expected an integer, got {value!r}")
-        return None
+    if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer():
+        raise ValueError(f"expected an integer, got {raw!r}")
     try:
-        return kind(value)
+        return int(raw)
     except (TypeError, ValueError):
-        errors.append(f"{field}: cannot interpret {value!r}")
-        return None
+        raise ValueError(f"cannot interpret {raw!r}") from None
+
+
+def _count(raw) -> int:
+    n = _integer(raw)
+    if n < 1:
+        raise ValueError("must be >= 1")
+    return n
+
+
+def _grid(raw) -> tuple:
+    if isinstance(raw, str):
+        return tuple(parse_grid(raw))
+    items = raw if isinstance(raw, (list, tuple)) else [raw]
+    return tuple(parse_grid([_number(v) for v in items]))
+
+
+def _one_of(allowed, name):
+    if name not in allowed:
+        raise ValueError(f"unknown value {name!r} (allowed: {', '.join(allowed)})")
+    return name
+
+
+def _preset(raw) -> str:
+    return _one_of(tuple(PRESETS), str(raw).strip().lower())
+
+
+def _names(allowed: tuple, what: str):
+    """Parser of a comma list, or a list, of names from ``allowed``; the
+    first occurrence of each name is kept, in the given order."""
+
+    def parse(raw) -> tuple:
+        names = raw.split(",") if isinstance(raw, str) else raw
+        if not isinstance(names, (list, tuple)):
+            raise ValueError(f"expected a comma list, got {raw!r}")
+        names = [n.strip() if isinstance(n, str) else n for n in names]
+        names = [_one_of(allowed, n) for n in names if n != ""]
+        if not names:
+            raise ValueError(f"at least one {what} required")
+        return tuple(dict.fromkeys(names))
+
+    return parse
+
+
+_LINKS = ("sr", "rd", "sd")
+
+# Every config field: section -> key -> (parser, default).  Defaults go
+# through the parser like given values.  A default of None leaves the
+# field unset: a preset's powers fill unset omega_*, k fills unset k_*.
+_FIELDS = {
+    "sweep": {
+        "preset": (_preset, None),
+        "rho_db": (_grid, "0:30:1"),
+        "schemes": (_names(tuple(dict.fromkeys(s for s, _ in RATES.values())), "scheme"),
+                    "crs_noma, conventional"),
+        "modes": (_names(tuple(m for _, m in RATES.values() if m != "-"), "mode"), "paper"),
+        "estimators": (_names(ESTIMATORS, "estimator"), "monte_carlo"),
+        "trials": (_count, 1_000_000),
+        "seed": (_integer, 42),
+    },
+    "geometry": {
+        "k": (_number, 0.0),
+        "k_sr": (_number, None), "k_rd": (_number, None), "k_sd": (_number, None),
+        "omega_sr": (_number, None), "omega_rd": (_number, None), "omega_sd": (_number, None),
+    },
+    "split": {"a1": (_number, 0.9), "a2": (_number, 0.1)},
+    "series": {"quad_order": (_integer, 50), "tail_tol": (_number, 1e-12)},
+    "output": {"path": (str, "sweep.csv")},
+}
+# The section of each key a document may also give at its top level.
+_TOP_LEVEL = {"preset": "sweep", "seed": "sweep", "trials": "sweep", "rho_db": "sweep", "path": "output"}
 
 
 def parse_config(text: str) -> SweepConfig:
@@ -267,136 +302,97 @@ def parse_config(text: str) -> SweepConfig:
 def config_from_mapping(data: dict, lines: dict | None = None) -> SweepConfig:
     """Build a validated SweepConfig from a nested mapping.
 
-    Top-level scalars (e.g. a bare ``preset`` or ``seed``) are folded
-    into their natural section.  Unknown sections or keys are errors.
+    Top-level scalars (``preset``, ``seed``, ``trials``, ``rho_db``,
+    ``path``) are folded into their section.  Unknown sections or keys
+    are errors, and so is a null (None) for any field.
     """
     lines = lines or {}
     errors: list[str] = []
 
-    def where(section, key):
+    def where(name, origin=None):
         """The field's name, once, after its line when the text form gave one."""
-        name = f"{section}.{key}" if section else key
-        line = lines.get((section, key))
+        line = lines.get(origin)
         return f"{line}: {name}" if line else f"field {name}"
 
-    # normalize: lift top-level scalars, lowercase keys
-    merged = {s: dict(v) for s, v in _DEFAULTS.items()}
-    preset = None
-    scalar_home = {"preset": None, "seed": ("sweep", "seed"), "trials": ("sweep", "trials"),
-                   "rho_db": ("sweep", "rho_db"), "path": ("output", "path")}
+    given = {}  # key -> (raw value, its (section, key) in the document)
     for section, content in data.items():
-        s = str(section).lower()
-        if s in ("", None) or not isinstance(content, dict):
-            items = content.items() if isinstance(content, dict) else [(s, content)]
-            for k, v in items:
-                k = str(k).lower()
-                if k == "preset":
-                    preset = str(v).strip().lower()
-                elif k in scalar_home and scalar_home[k]:
-                    sec, key = scalar_home[k]
-                    merged[sec][key] = v
-                else:
-                    errors.append(f"{where('', k)}: unknown top-level key")
+        section = str(section).lower()
+        if not isinstance(content, dict):
+            section, content = "", {section: content}
+        if section and section not in _FIELDS:
+            errors.append(f"unknown section [{section}]")
             continue
-        if s not in merged:
-            errors.append(f"unknown section [{s}]")
-            continue
-        for k, v in content.items():
-            k = str(k).lower()
-            if k == "preset" and s == "sweep":
-                preset = str(v).strip().lower()
-                continue
-            if k not in merged[s]:
-                errors.append(f"{where(s, k)}: unknown key")
-                continue
-            merged[s][k] = v
+        for key, raw in content.items():
+            key = str(key).lower()
+            home = section or _TOP_LEVEL.get(key)
+            if home is None:
+                errors.append(f"{where(key, (section, key))}: unknown top-level key")
+            elif key not in _FIELDS[home]:
+                errors.append(f"{where(f'{home}.{key}', (section, key))}: unknown key")
+            else:
+                given[key] = raw, (section, key)
 
-    if preset is not None:
-        if preset not in PRESETS:
-            errors.append(f"preset: unknown preset {preset!r} (allowed: fig3, fig4)")
-        else:
-            for k, v in PRESETS[preset].items():
-                if merged["geometry"][k] is None:
-                    merged["geometry"][k] = v
+    values = {}
+    for section, fields in _FIELDS.items():
+        for key, (parse, default) in fields.items():
+            if key in given:
+                raw, origin = given[key]
+            else:
+                raw, origin = PRESETS.get(values.get("preset"), {}).get(key, default), None
+                if raw is None:
+                    values[key] = None  # unset
+                    continue
+            try:
+                if raw is None:
+                    raise ValueError("null is not a value")
+                values[key] = parse(raw)
+            except ValueError as exc:
+                errors.append(f"{where(f'{section}.{key}', origin)}: {exc}")
+    if errors:
+        raise ValidationError("; ".join(errors))
 
-    geo = merged["geometry"]
-    k_all = _coerce(geo["k"], float, errors, where("geometry", "k"))
-    links = {}
-    for name in ("sr", "rd", "sd"):
-        kv = geo[f"k_{name}"]
-        k_val = k_all if kv is None else _coerce(kv, float, errors, where("geometry", f"k_{name}"))
-        om = geo[f"omega_{name}"]
-        if om is None:
-            errors.append(f"geometry.omega_{name}: required (set it or choose a preset)")
-            continue
-        om_val = _coerce(om, float, errors, where("geometry", f"omega_{name}"))
-        if k_val is None or om_val is None:
-            continue
+    def build(label, make, *args):
         try:
-            links[name] = make_link(k_val, om_val)
-        except (InvalidKFactor, InvalidPower) as exc:
-            errors.append(f"geometry.{name}: {exc}")
-
-    sw = merged["sweep"]
-    rho_grid = _parse_rho_grid(sw["rho_db"], errors, where("sweep", "rho_db"))
-    all_schemes = tuple(dict.fromkeys(scheme for scheme, _ in RATES.values()))
-    all_modes = tuple(mode for _, mode in RATES.values() if mode != "-")
-    schemes = _parse_tokens(sw["schemes"], all_schemes, errors, where("sweep", "schemes"))
-    modes = _parse_tokens(sw["modes"], all_modes, errors, where("sweep", "modes"))
-    estimators = _parse_tokens(sw["estimators"], ESTIMATORS, errors, where("sweep", "estimators"))
-    trials = _coerce(sw["trials"], int, errors, where("sweep", "trials"))
-    seed = _coerce(sw["seed"], int, errors, where("sweep", "seed"))
-    if trials is not None and trials < 1:
-        errors.append(f"{where('sweep', 'trials')}: must be >= 1")
-    if not schemes:
-        errors.append("schemes: at least one scheme required")
-    if not modes:
-        errors.append("modes: at least one mode required")
-    if not estimators:
-        errors.append("estimators: at least one estimator required")
-
-    sp = merged["split"]
-    a1 = _coerce(sp["a1"], float, errors, where("split", "a1"))
-    a2 = _coerce(sp["a2"], float, errors, where("split", "a2"))
-    split = None
-    if a1 is not None and a2 is not None:
-        try:
-            split = PowerSplit(a1, a2)
-        except InvalidSplit as exc:
-            errors.append(f"split: {exc}")
-
-    se = merged["series"]
-    quad_order = _coerce(se["quad_order"], int, errors, where("series", "quad_order"))
-    tail_tol = _coerce(se["tail_tol"], float, errors, where("series", "tail_tol"))
-    truncation = None
-    if None not in (quad_order, tail_tol):
-        try:
-            truncation = SeriesTruncation(quad_order, tail_tol)
+            return make(*args)
         except DomainError as exc:
-            errors.append(f"series: {exc}")
+            errors.append(f"{label}: {exc}")
 
+    links = {}
+    for name in _LINKS:
+        k, omega = values[f"k_{name}"], values[f"omega_{name}"]
+        if omega is None:
+            errors.append(f"{where(f'geometry.omega_{name}')}: required (set it or choose a preset)")
+        else:
+            links[name] = build(f"geometry.{name}", make_link, values["k"] if k is None else k, omega)
+    split = build("split", PowerSplit, values["a1"], values["a2"])
+    truncation = build("series", SeriesTruncation, values["quad_order"], values["tail_tol"])
     if errors:
         raise ValidationError("; ".join(errors))
 
     return SweepConfig(
-        rho_grid_db=rho_grid,
-        geometry=NetworkGeometry(sr=links["sr"], rd=links["rd"], sd=links["sd"]),
-        schemes=schemes,
-        modes=modes,
+        rho_grid_db=values["rho_db"],
+        geometry=NetworkGeometry(**links),
+        schemes=values["schemes"],
+        modes=values["modes"],
         split=split,
-        estimators=estimators,
-        trials=trials,
-        seed=seed,
+        estimators=values["estimators"],
+        trials=values["trials"],
+        seed=values["seed"],
         truncation=truncation,
-        output_path=str(merged["output"]["path"]),
-        preset=preset,
+        output_path=values["path"],
+        preset=values["preset"],
     )
 
 
 def preset_config(preset: str, **overrides) -> SweepConfig:
     """Convenience constructor: a preset with optional field overrides."""
-    cfg = config_from_mapping({"": {"preset": preset}})
+    cfg = config_from_mapping({"preset": preset})
     return replace(cfg, **overrides) if overrides else cfg
+
+
+def preset_geometry(preset: str, k: float) -> NetworkGeometry:
+    """The links of ``preset``, each with Rician factor ``k``."""
+    return NetworkGeometry(**{name: make_link(k, PRESETS[preset][f"omega_{name}"]) for name in _LINKS})
 
 
 # ---------------------------------------------------------------------------
@@ -509,18 +505,12 @@ def calibrate_k(
     if not k_grid:
         raise ValidationError("k_grid must be nonempty")
     split = PowerSplit(0.9, 0.1)
-    omegas = PRESETS[preset]
 
     residuals = []
     sse_by_k = []
     for k in k_grid:
-        geometry = NetworkGeometry(
-            sr=make_link(k, omegas["omega_sr"]),
-            rd=make_link(k, omegas["omega_rd"]),
-            sd=make_link(k, omegas["omega_sd"]),
-        )
         res = estimate_rates(
-            geometry, [db_to_linear(rho_db) for rho_db, _, _ in targets],
+            preset_geometry(preset, k), [db_to_linear(rho_db) for rho_db, _, _ in targets],
             [(scheme,) for _, scheme, _ in targets], "paper", split, trials, seed, workers,
         )
         sims = [r.mean for r in res if r.quantity == "c_total"]

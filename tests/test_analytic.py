@@ -177,6 +177,40 @@ def test_approx_deviation_from_exact_is_visible():
     assert dev > 1e-3
 
 
+def _approx_in_linear_space(link_a, link_b, gamma):
+    """The printed min-pair form summed term by term in linear floats,
+    the reference for the log-space sums; at gamma = 800 it overflows
+    from K of about 30."""
+    product = 1.0
+    for link in (link_a, link_b):
+        w, term, partial = math.exp(-link.k_factor), 1.0, 1.0
+        total = w
+        for j in range(1, len(analytic.poisson_weights(link.k_factor, 1e-12)[0])):
+            term *= gamma / j
+            partial += term
+            w *= link.k_factor * link.inv_scale / j
+            total += w * partial
+        product *= total
+    return 1.0 - product * math.exp(-gamma)
+
+
+def test_approx_form_is_never_nan_and_never_warns():
+    for k in (10, 30, 60, 80, 100):
+        a, b = make_link(k, 8), make_link(k, 3)
+        for gamma in (0.0, 1.0, 800.0):
+            stats = ClampStats()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                raw = cdf_min_pair_approx(a, b, gamma, clamp=False)
+                clamped = cdf_min_pair_approx(a, b, gamma, clamp_stats=stats)
+            assert math.isfinite(raw) or raw == -math.inf, (k, gamma, raw)
+            assert 0.0 <= clamped <= 1.0
+            assert stats.events == (clamped != raw)
+            reference = _approx_in_linear_space(a, b, gamma)
+            if math.isfinite(reference):
+                assert raw == pytest.approx(reference, rel=1e-12), (k, gamma)
+
+
 def test_clamp_stats_not_triggered_on_valid_series():
     stats = ClampStats()
     cdf_min_pair_series(make_link(1, 2), make_link(2, 3), 1.0, clamp_stats=stats)
@@ -407,13 +441,13 @@ def quadpack_reference(g, rho, token, split):
             s = sd.mean_power * u / (1 - u)
             ws = wu * sd.mean_power / (1 - u) ** 2 * power_gain_pdf(sd, s)
             c_relay = half_rate(lambda y: power_gain_sf(sr, y) * float(ws @ power_gain_sf(rd, y * (1 + rho * s))))
-        return RateBreakdown(c_relay, c_direct, c_relay + c_direct, c_direct, c_relay + 2 * c_direct)
+        return RateBreakdown(c_relay, c_direct, c_direct)
     if token == "conventional":
         a1, a2 = split.a1, split.a2
         c_s1 = a1 * rho / (2 * math.log(2)) * quad(
             lambda w: power_gain_sf(sd, w) * power_gain_sf(sr, w) / ((a2 * rho * w + 1) * (rho * w + 1)))
         c_s2 = half_rate(lambda v: power_gain_sf(sr, v / a2) * power_gain_sf(rd, v))
-        return RateBreakdown(c_s1, 0.0, c_s1, c_s2, c_s1 + c_s2)
+        return RateBreakdown(c_s1, 0.0, c_s2)
     v, wv = analytic._unit_gauss_legendre(64)
 
     def s_sum(w):
@@ -421,7 +455,7 @@ def quadpack_reference(g, rho, token, split):
         return min(power_gain_sf(sd, w) + inner, 1.0)
 
     c = half_rate(lambda w: power_gain_sf(sr, w) * s_sum(w))
-    return RateBreakdown(c, 0.0, c, 0.0, c)
+    return RateBreakdown(c, 0.0, 0.0)
 
 
 def _links(k, omega_sr, omega_rd, omega_sd):

@@ -200,7 +200,15 @@ def test_kernel_stops_where_its_weights_no_longer_count():
     link = make_link(27.3, 1)
     xs = np.linspace(0, 5, 101)
     ref = stats.ncx2.sf(2 * link.inv_scale * xs, df=2, nc=2 * 27.3)
-    assert np.max(np.abs(power_gain_sf(link, xs, tol=1e-15) - ref)) <= 1e-14
+    assert np.max(np.abs(power_gain_sf(link, xs) - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("tail_tol", [0.0, 1.0, 2.0, math.nan])
+def test_poisson_weights_refuse_a_tail_tol_outside_the_unit_interval(tail_tol):
+    # such a tail_tol would keep one weight and put the survival of
+    # make_link(3, 8) at 8 at 0.0183 instead of 0.4269
+    with pytest.raises(DomainError, match=r"tail_tol must be in \(0, 1\)"):
+        poisson_weights(3, tail_tol)
 
 
 def test_kernel_refuses_noncentrality_where_it_underflows():

@@ -522,6 +522,49 @@ def test_json_config_errors_name_the_field_once():
     assert message.count("trials") == 1 and message.count("estimators") == 1
 
 
+SCHEMES = "crs_noma, conventional, crs_oma"
+
+
+@pytest.mark.parametrize("doc, message", [
+    # a JSON null is never a value, whatever the field's kind
+    ({"geometry": {"k": None}}, "field geometry.k: null is not a value"),
+    ({"geometry": {"k_rd": None}}, "field geometry.k_rd: null is not a value"),
+    ({"geometry": {"omega_sd": None}}, "field geometry.omega_sd: null is not a value"),
+    ({"series": {"tail_tol": None}}, "field series.tail_tol: null is not a value"),
+    ({"sweep": {"rho_db": None}}, "field sweep.rho_db: null is not a value"),
+    ({"sweep": {"schemes": None}}, "field sweep.schemes: null is not a value"),
+    ({"sweep": {"trials": None}}, "field sweep.trials: null is not a value"),
+    ({"output": {"path": None}}, "field output.path: null is not a value"),
+    ({"preset": None}, "field sweep.preset: null is not a value"),
+    # a boolean is never a number
+    ({"geometry": {"k": True}}, "field geometry.k: expected a number, got True"),
+    ({"split": {"a2": False}}, "field split.a2: expected a number, got False"),
+    ({"sweep": {"rho_db": [5, True]}}, "field sweep.rho_db: expected a number, got True"),
+    # numbers in a token field, an object in a grid, empty token lists
+    ({"sweep": {"schemes": 5}}, "field sweep.schemes: expected a comma list, got 5"),
+    ({"sweep": {"schemes": ["crs_noma", 5]}}, f"field sweep.schemes: unknown value 5 (allowed: {SCHEMES})"),
+    ({"sweep": {"rho_db": {"start": 0}}}, "field sweep.rho_db: expected a number, got {'start': 0}"),
+    ({"sweep": {"modes": []}}, "field sweep.modes: at least one mode required"),
+    ({"sweep": {"estimators": ""}}, "field sweep.estimators: at least one estimator required"),
+])
+def test_a_bad_json_field_is_one_line_naming_it(doc, message, tmp_path, capsys):
+    text = json.dumps({"preset": "fig3", **doc})
+    with pytest.raises(ValidationError) as err:
+        parse_config(text)
+    assert str(err.value) == message
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == f"ratelab: error: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_readme_config_block_holds_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Config grammar", 1)[1].split("```")[1]
+    assert parse_config(block) == parse_config("preset = fig3\n")
+
+
 def test_cli_refuses_a_noncentrality_the_kernel_cannot_sum(tmp_path, capsys):
     # e^-K underflows past the kernel's bound; Monte-Carlo has no such limit
     cfg = tmp_path / "cfg.txt"
