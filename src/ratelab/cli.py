@@ -3,7 +3,7 @@
     ratelab sweep --config cfg.txt [--out sweep.csv] [--seed N]
                   [--trials N] [--workers N] [--emit-plot plot.gp]
     ratelab calibrate --preset fig3|fig4 [--k-grid a:b:step] [--trials N]
-                  [--seed N] [--out residuals.csv]
+                  [--seed N] [--workers N] [--out residuals.csv]
     ratelab discrepancy --preset fig3|fig4 [--k K] [--rho-grid a:b:step]
                   [--out table.csv]
 
@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.add_argument("--k-grid", help="K grid as start:stop:step or comma list (default 0:10:0.5)")
     p_cal.add_argument("--trials", type=int, default=10**6)
     p_cal.add_argument("--seed", type=int)
-    p_cal.add_argument("--workers", type=int)
+    p_cal.add_argument("--workers", type=int, help="Monte-Carlo worker threads (result-invariant)")
     p_cal.add_argument("--out", help="residual-table CSV path (default: stdout)")
     p_cal.set_defaults(func=_cmd_calibrate)
 

@@ -1,14 +1,22 @@
 """Seeded Monte-Carlo estimation of ergodic rates with standard errors.
 
-Trials are partitioned into fixed-size blocks.  Block b draws its three
-gain arrays once, from the sub-stream ``split_stream(seed, b)``, and
-evaluates every requested cell on them: a (rho, scheme) pair, or for
+Trials are partitioned into fixed-size blocks.  Block b draws its
+standard normals once, from the sub-stream ``split_stream(seed, b)`` in
+the fixed S-R, R-D, S-D order, and every geometry of the call builds
+its gains from those same normals, so one pass serves a whole grid of
+geometries (a K calibration, say).  Each geometry evaluates every
+requested cell on the block: a (rho, scheme) pair, or for
 :func:`paired_gap` the per-trial difference of two schemes (common
-random numbers throughout).  Each cell's block sums come from numpy's
-pairwise summation and are merged in block order through compensated
-(Kahan) summation.  A cell's result is therefore a pure function of
-(inputs, seed): it depends neither on how many workers executed the
-blocks nor on which other cells shared the call.
+random numbers throughout).
+
+Cells are evaluated on sub-blocks of at most ``SUB_BLOCK`` trials,
+which bounds the rate temporaries.  The sub-block sums are combined
+along numpy's own pairwise split, so each block sum is the float
+``np.sum`` over the whole block gives.  Block sums are merged in block
+order through compensated (Kahan) summation.  A cell's result is
+therefore a pure function of (geometry, inputs, seed): it depends
+neither on how many workers executed the blocks nor on which other
+cells or geometries shared the call.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -34,6 +42,7 @@ from .rates import (
 __all__ = ["EstimatorResult", "estimate_rates", "paired_gap", "QUANTITIES", "BLOCK_SIZE"]
 
 BLOCK_SIZE = 1 << 17
+SUB_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -49,30 +58,19 @@ class EstimatorResult:
     rho: float
 
 
-class _Kahan:
-    """Compensated accumulator; adding the same values in the same
-    order always reproduces the same float."""
+class _Replay:
+    """A block's normals standing in for its generator: each
+    ``standard_normal`` draw returns the next link's rows, so
+    :func:`sample_power_gains` builds the gains the generator itself
+    would have given."""
 
-    __slots__ = ("total", "carry")
+    __slots__ = ("_links",)
 
-    def __init__(self):
-        self.total = 0.0
-        self.carry = 0.0
+    def __init__(self, normals):
+        self._links = iter(normals)
 
-    def add(self, value: float):
-        y = value - self.carry
-        t = self.total + y
-        self.carry = (t - self.total) - y
-        self.total = t
-
-
-def _draw_block(geometry: NetworkGeometry, seed: int, block: int, n: int) -> ChannelRealization:
-    rng = split_stream(seed, block)
-    # fixed draw order: S-R, R-D, S-D
-    lsr = sample_power_gains(geometry.sr, rng, n)
-    lrd = sample_power_gains(geometry.rd, rng, n)
-    lsd = sample_power_gains(geometry.sd, rng, n)
-    return ChannelRealization(lsr, lrd, lsd)
+    def standard_normal(self, shape):
+        return next(self._links)
 
 
 def _token_rates(r: ChannelRealization, rho: float, token: str, split: PowerSplit | None) -> RateBreakdown:
@@ -100,7 +98,8 @@ def _resolve(schemes, mode: str, split: PowerSplit | None, rhos, trials: int, se
 
 
 def _cell_sums(r: ChannelRealization, cell, split: PowerSplit | None, quantities) -> list:
-    """(sum, sum of squares) of each quantity of one cell on one block.
+    """Sum and sum of squares of each quantity of one cell on one
+    sub-block, flat.
 
     A cell is (rho, token, minus): the rates of ``token``, less those of
     ``minus`` trial by trial unless it is None.  The rate arrays are
@@ -113,7 +112,38 @@ def _cell_sums(r: ChannelRealization, cell, split: PowerSplit | None, quantities
     if minus is not None:
         other = _token_rates(r, rho, minus, split)
         values = [v - other[q] for v, q in zip(values, quantities)]
-    return [(float(np.sum(v)), float(np.sum(v * v))) for v in values]
+    return [s for v in values for s in (np.sum(v), np.sum(v * v))]
+
+
+def _pairwise_sum(leaf, lo: int, hi: int):
+    """The sum of leaf(lo, hi) over [lo, hi), split as numpy's pairwise
+    summation splits a float64 array: in halves cut at a multiple of 8,
+    until a part fits in SUB_BLOCK and leaf sums it.  When leaf returns
+    ``np.sum`` of the slice, this is ``np.sum`` over the whole range,
+    float for float."""
+    n = hi - lo
+    if n <= SUB_BLOCK:
+        return leaf(lo, hi)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(leaf, lo, lo + half) + _pairwise_sum(leaf, lo + half, hi)
+
+
+def _block_sums(geometries, cells, split, quantities, seed: int, b: int, n: int) -> np.ndarray:
+    """Every geometry's cell sums on block b of n trials, geometry-major."""
+    # one draw for every geometry, in the fixed order S-R, R-D, S-D
+    normals = split_stream(seed, b).standard_normal((3, 2, n))
+
+    def leaf(lo, hi):
+        sums = []
+        for geometry in geometries:
+            source = _Replay(normals[..., lo:hi])
+            r = ChannelRealization(*(sample_power_gains(link, source, hi - lo)
+                                     for link in (geometry.sr, geometry.rd, geometry.sd)))
+            sums += [s for cell in cells for s in _cell_sums(r, cell, split, quantities)]
+        return np.array(sums)
+
+    return _pairwise_sum(leaf, 0, n)
 
 
 def _run_blocks(block_fn, trials: int, workers: int) -> list:
@@ -127,14 +157,16 @@ def _run_blocks(block_fn, trials: int, workers: int) -> list:
     return [block_fn(b, n) for b, n in plan]
 
 
-def _reduce_moments(partials) -> list:
-    """Position-wise Kahan totals of the block partials, in block order."""
-    sums = [(_Kahan(), _Kahan()) for _ in partials[0]]
+def _kahan(partials) -> np.ndarray:
+    """Position-wise compensated totals of the block partials, in block
+    order: at each position, the float a scalar Kahan loop gives."""
+    total = carry = np.zeros_like(partials[0])
     for part in partials:
-        for (s, sq), (ks, ksq) in zip(part, sums):
-            ks.add(s)
-            ksq.add(sq)
-    return [(ks.total, ksq.total) for ks, ksq in sums]
+        y = part - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+    return total
 
 
 def _mean_stderr(s: float, sq: float, n: int):
@@ -145,16 +177,36 @@ def _mean_stderr(s: float, sq: float, n: int):
     return mean, math.sqrt(var / n)
 
 
-def _estimate(geometry: NetworkGeometry, cells, split, trials: int, seed: int, workers: int,
-              quantities) -> list:
-    """The engine: (mean, std_err) of every quantity of every cell,
-    cell-major, with each block's gains drawn once for all cells."""
+def _estimate(geometries, cells, split, trials: int, seed: int, workers: int, quantities) -> list:
+    """The engine: per geometry, (mean, std_err) of every quantity of
+    every cell, cell-major.  Each block's normals are drawn once for all
+    geometries, and its gains once per geometry and sub-block for all
+    cells."""
+    partials = _run_blocks(
+        lambda b, n: _block_sums(geometries, cells, split, quantities, seed, b, n), trials, workers
+    )
+    totals = _kahan(partials).reshape(len(geometries), -1, 2).tolist()
+    return [[_mean_stderr(s, sq, trials) for s, sq in moments] for moments in totals]
 
-    def block_fn(b, n):
-        r = _draw_block(geometry, seed, b, n)
-        return [m for cell in cells for m in _cell_sums(r, cell, split, quantities)]
 
-    return [_mean_stderr(s, sq, trials) for s, sq in _reduce_moments(_run_blocks(block_fn, trials, workers))]
+def _estimate_geometries(geometries, rho, schemes, mode: str, split: PowerSplit | None, trials: int,
+                         seed: int, workers: int, quantities=QUANTITIES) -> list:
+    """:func:`estimate_rates` of each geometry, restricted to
+    ``quantities``, in one pass over the blocks.  Returns one result
+    list per geometry, each holding the floats estimate_rates gives for
+    that geometry alone."""
+    rhos = [rho] if np.ndim(rho) == 0 else list(rho)
+    schemes = tuple(schemes)
+    grouped = np.ndim(rho) and schemes and not isinstance(schemes[0], str)
+    groups = schemes if grouped else [schemes] * len(rhos)
+    names = [(x, s) for x, group in zip(rhos, groups, strict=True) for s in group]
+    tokens = _resolve([s for _, s in names], mode, split, rhos, trials, seed)
+    cells = [(x, token, None) for (x, _), token in zip(names, tokens)]
+    labels = [(x, s, q) for x, s in names for q in quantities]
+    return [
+        [EstimatorResult(s, q, mean, se, trials, seed, x) for (x, s, q), (mean, se) in zip(labels, moments)]
+        for moments in _estimate(geometries, cells, split, trials, seed, workers, quantities)
+    ]
 
 
 def estimate_rates(
@@ -182,19 +234,7 @@ def estimate_rates(
     carrying its ``rho``.  Deterministic in all inputs; a (rho, scheme)
     result is the same float whatever else the call evaluates.
     """
-    rhos = [rho] if np.ndim(rho) == 0 else list(rho)
-    schemes = tuple(schemes)
-    grouped = np.ndim(rho) and schemes and not isinstance(schemes[0], str)
-    groups = schemes if grouped else [schemes] * len(rhos)
-    names = [(x, s) for x, group in zip(rhos, groups, strict=True) for s in group]
-    tokens = _resolve([s for _, s in names], mode, split, rhos, trials, seed)
-    cells = [(x, token, None) for (x, _), token in zip(names, tokens)]
-    moments = iter(_estimate(geometry, cells, split, trials, seed, workers, QUANTITIES))
-    return [
-        EstimatorResult(s, q, *next(moments), trials=trials, seed=seed, rho=x)
-        for x, s in names
-        for q in QUANTITIES
-    ]
+    return _estimate_geometries([geometry], rho, schemes, mode, split, trials, seed, workers)[0]
 
 
 def paired_gap(
@@ -217,5 +257,5 @@ def paired_gap(
     token_a, token_b = _resolve((scheme_a, scheme_b), mode, split, [rho], trials, seed)
     if quantity not in QUANTITIES:
         raise DomainError(f"unknown quantity {quantity!r}")
-    [(mean, se)] = _estimate(geometry, [(rho, token_a, token_b)], split, trials, seed, workers, (quantity,))
+    [[(mean, se)]] = _estimate([geometry], [(rho, token_a, token_b)], split, trials, seed, workers, (quantity,))
     return EstimatorResult(f"{scheme_a}-{scheme_b}", quantity, mean, se, trials, seed, rho)

@@ -27,7 +27,7 @@ from .analytic import (
 )
 from .channel import NetworkGeometry, make_link
 from .errors import DomainError, ParseError, ValidationError
-from .montecarlo import estimate_rates
+from .montecarlo import _estimate_geometries, estimate_rates
 from .rates import QUANTITIES, RATES, PowerSplit
 
 __all__ = [
@@ -207,6 +207,12 @@ def _one_of(allowed, name):
     return name
 
 
+def _text(raw) -> str:
+    if not isinstance(raw, str):
+        raise ValueError(f"expected a string, got {raw!r}")
+    return raw
+
+
 def _preset(raw) -> str:
     return _one_of(tuple(PRESETS), str(raw).strip().lower())
 
@@ -251,7 +257,7 @@ _FIELDS = {
     },
     "split": {"a1": (_number, 0.9), "a2": (_number, 0.1)},
     "series": {"quad_order": (_integer, 50), "tail_tol": (_number, 1e-12)},
-    "output": {"path": (str, "sweep.csv")},
+    "output": {"path": (_text, "sweep.csv")},
 }
 # The section of each key a document may also give at its top level.
 _TOP_LEVEL = {"preset": "sweep", "seed": "sweep", "trials": "sweep", "rho_db": "sweep", "path": "output"}
@@ -491,7 +497,8 @@ def calibrate_k(
     For each K on the grid, the paper-mode CRS-NOMA and the
     conventional-NOMA sum rates are simulated at the target grid points
     and compared against the target values; the K minimizing the sum of
-    squared residuals wins.  The full residual table is returned so the
+    squared residuals wins.  Every K shares one Monte-Carlo pass, and
+    a K's values are those a grid holding only that K gives.  The full residual table is returned so the
     fit quality is inspectable either way.
     """
     if preset not in PRESETS:
@@ -506,16 +513,16 @@ def calibrate_k(
         raise ValidationError("k_grid must be nonempty")
     split = PowerSplit(0.9, 0.1)
 
+    # one pass for every K: each block's normals are drawn once
+    per_k = _estimate_geometries(
+        [preset_geometry(preset, k) for k in k_grid], [db_to_linear(rho_db) for rho_db, _, _ in targets],
+        [(scheme,) for _, scheme, _ in targets], "paper", split, trials, seed, workers, ("c_total",),
+    )
     residuals = []
     sse_by_k = []
-    for k in k_grid:
-        res = estimate_rates(
-            preset_geometry(preset, k), [db_to_linear(rho_db) for rho_db, _, _ in targets],
-            [(scheme,) for _, scheme, _ in targets], "paper", split, trials, seed, workers,
-        )
-        sims = [r.mean for r in res if r.quantity == "c_total"]
+    for k, res in zip(k_grid, per_k):
         sse = 0.0
-        for (rho_db, scheme, target), sim in zip(targets, sims):
+        for (rho_db, scheme, target), sim in zip(targets, (r.mean for r in res)):
             residuals.append((k, rho_db, scheme, sim, float(target), sim - float(target)))
             sse += (sim - float(target)) ** 2
         sse_by_k.append((k, sse))

@@ -12,10 +12,25 @@ from ratelab import (
     paired_gap,
 )
 from ratelab import montecarlo
+from ratelab.channel import sample_power_gains, split_stream
 from ratelab.errors import DomainError
 from ratelab.montecarlo import BLOCK_SIZE, QUANTITIES
-from ratelab.rates import RATES
-from ratelab.sweep import PAPER_TARGETS, calibrate_k, db_to_linear, preset_config, run_sweep
+from ratelab.rates import (
+    RATES,
+    ChannelRealization,
+    conventional_noma_rate,
+    crs_noma_rate,
+    crs_oma_rate,
+    rate_token,
+)
+from ratelab.sweep import (
+    PAPER_TARGETS,
+    calibrate_k,
+    db_to_linear,
+    preset_config,
+    preset_geometry,
+    run_sweep,
+)
 
 SPLIT = PowerSplit(0.9, 0.1)
 
@@ -204,3 +219,88 @@ def test_rho_sequence_with_one_scheme_group_per_rho():
     assert res[-len(QUANTITIES):] == alone
     with pytest.raises(ValueError):
         estimate_rates(g, [2.0, 20.0], [("crs_noma",)], trials=10)
+
+
+# a full block and a ragged one, both longer than a sub-block
+ENGINE_TRIALS = BLOCK_SIZE + 50_001
+
+
+def _kahan_sum(values):
+    total = carry = 0.0
+    for v in values:
+        y = v - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+    return total
+
+
+def _whole_block_reference(geometry, rho, token, trials, seed):
+    """(mean, std_err) of each quantity of one token, built without the
+    engine: each block drawn with split_stream and sample_power_gains,
+    the rate function applied to the whole block, np.sum per block and
+    the blocks merged by Kahan summation in block order."""
+    partials = []
+    for b, start in enumerate(range(0, trials, BLOCK_SIZE)):
+        n = min(BLOCK_SIZE, trials - start)
+        rng = split_stream(seed, b)
+        r = ChannelRealization(*(sample_power_gains(link, rng, n)
+                                 for link in (geometry.sr, geometry.rd, geometry.sd)))
+        if token == "conventional":
+            rates = conventional_noma_rate(r, rho, SPLIT)
+        elif token == "crs_oma":
+            rates = crs_oma_rate(r, rho)
+        else:
+            rates = crs_noma_rate(r, rho, RATES[token][1])
+        partials.append([(float(np.sum(rates[q])), float(np.sum(rates[q] * rates[q]))) for q in QUANTITIES])
+    moments = []
+    for i in range(len(QUANTITIES)):
+        s = _kahan_sum(p[i][0] for p in partials)
+        sq = _kahan_sum(p[i][1] for p in partials)
+        mean = s / trials
+        var = max(sq - trials * mean * mean, 0.0) / (trials - 1)
+        moments.append((mean, math.sqrt(var / trials)))
+    return moments
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_engine_equals_a_whole_block_reference(workers):
+    g = fig3_geometry(1.5)
+    rhos = [2.0, 300.0]
+    res = estimate_rates(g, rhos, tuple(RATES), "paper", SPLIT, ENGINE_TRIALS, seed=8, workers=workers)
+    got = {(r.rho, r.scheme, r.quantity): (r.mean, r.std_err) for r in res}
+    for rho in rhos:
+        for token in RATES:
+            ref = _whole_block_reference(g, rho, token, ENGINE_TRIALS, 8)
+            assert [got[(rho, token, q)] for q in QUANTITIES] == ref, (rho, token)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_calibration_equals_a_whole_block_reference(workers):
+    ks = [0.0, 2.5, 10.0]
+    cal = calibrate_k("fig3", k_grid=ks, trials=ENGINE_TRIALS, seed=6, workers=workers)
+    assert len(cal.residuals) == len(ks) * len(PAPER_TARGETS["fig3"])
+    for k, rho_db, scheme, sim, _, _ in cal.residuals:
+        ref = _whole_block_reference(preset_geometry("fig3", k), db_to_linear(rho_db),
+                                     rate_token(scheme, "paper"), ENGINE_TRIALS, 6)
+        assert sim == ref[QUANTITIES.index("c_total")][0], (k, rho_db, scheme)
+    # a K's residuals are the same floats alone and within the 21-point grid
+    grid = calibrate_k("fig3", trials=ENGINE_TRIALS, seed=6, workers=workers)
+    assert len(grid.sse_by_k) == 21
+    for k in ks:
+        alone = calibrate_k("fig3", k_grid=[k], trials=ENGINE_TRIALS, seed=6, workers=workers)
+        assert alone.residuals == tuple(r for r in grid.residuals if r[0] == k)
+        assert alone.residuals == tuple(r for r in cal.residuals if r[0] == k)
+
+
+def test_pairwise_sub_sums_equal_numpy_sum():
+    rng = np.random.default_rng(3)
+    sub = montecarlo.SUB_BLOCK
+    lengths = [1, 127, sub, sub + 1, 1 << 17, *rng.integers(2, 1 << 18, 40)]
+    for n in lengths:
+        # heavy-tailed values of mixed sign, so a different grouping rounds differently
+        x = rng.standard_normal(n) * rng.exponential(size=n) ** 4
+        total = montecarlo._pairwise_sum(lambda lo, hi: np.sum(x[lo:hi]), 0, n)
+        assert total == np.sum(x), n
+        lo = int(rng.integers(0, n))
+        assert montecarlo._pairwise_sum(lambda a, b: np.sum(x[a:b]), lo, n) == np.sum(x[lo:]), (n, lo)

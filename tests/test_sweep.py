@@ -305,6 +305,8 @@ def test_cli_uses_config_output_path(tmp_path, monkeypatch):
     cfg.write_text(CLI_CONFIG + "\n[output]\npath = from_config.csv\n")
     assert main(["sweep", "--config", str(cfg)]) == 0
     assert (tmp_path / "from_config.csv").exists()
+    # the text form reads every value as text, so a numeric path is a name
+    assert parse_config(MINIMAL + "[output]\npath = 5\n").output_path == "5"
 
 
 def test_cli_exit_codes(tmp_path):
@@ -546,6 +548,10 @@ SCHEMES = "crs_noma, conventional, crs_oma"
     ({"sweep": {"rho_db": {"start": 0}}}, "field sweep.rho_db: expected a number, got {'start': 0}"),
     ({"sweep": {"modes": []}}, "field sweep.modes: at least one mode required"),
     ({"sweep": {"estimators": ""}}, "field sweep.estimators: at least one estimator required"),
+    # a path is a JSON string, never a number, boolean or list
+    ({"output": {"path": True}}, "field output.path: expected a string, got True"),
+    ({"output": {"path": 5}}, "field output.path: expected a string, got 5"),
+    ({"path": [1]}, "field output.path: expected a string, got [1]"),
 ])
 def test_a_bad_json_field_is_one_line_naming_it(doc, message, tmp_path, capsys):
     text = json.dumps({"preset": "fig3", **doc})
