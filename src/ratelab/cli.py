@@ -7,9 +7,13 @@
     ratelab discrepancy --preset fig3|fig4 [--k K] [--rho-grid a:b:step]
                   [--out table.csv]
 
-Exit codes: 0 success, 1 configuration/validation error, 2 runtime or
-convergence error.  The environment variable RATELAB_SEED overrides the
-config-file seed; an explicit --seed flag beats both.
+A grid that starts below zero is written with '=', --rho-grid=-10:30:5,
+since a bare -10:30:5 reads as an option.
+
+Exit codes: 0 success, 1 configuration/validation error (usage errors
+included), 2 runtime or convergence error.  The environment variable
+RATELAB_SEED overrides the config-file seed; an explicit --seed flag
+beats both.
 """
 
 import argparse
@@ -18,6 +22,7 @@ import sys
 from dataclasses import replace
 
 from .errors import ConvergenceError, DomainError, ParseError, RateLabError, ValidationError
+from .montecarlo import MAX_TRIALS, MAX_WORKERS
 from .sweep import (
     PRESETS,
     calibrate_k,
@@ -56,9 +61,11 @@ def _resolve_seed(args, config_seed: int) -> int:
     return config_seed
 
 
-def _at_least_one(value: int | None, flag: str) -> int | None:
+def _count(value: int | None, flag: str, most: int) -> int | None:
     if value is not None and value < 1:
         raise ValidationError(f"{flag} must be >= 1")
+    if value is not None and value > most:
+        raise ValidationError(f"{flag} must be <= {most}")
     return value
 
 
@@ -75,9 +82,9 @@ def _cmd_sweep(args) -> int:
         config = parse_config(fh.read())
     config = replace(config, seed=_resolve_seed(args, config.seed))
     if args.trials is not None:
-        config = replace(config, trials=_at_least_one(args.trials, "--trials"))
+        config = replace(config, trials=_count(args.trials, "--trials", MAX_TRIALS))
     if args.workers is not None:
-        config = replace(config, workers=_at_least_one(args.workers, "--workers"))
+        config = replace(config, workers=_count(args.workers, "--workers", MAX_WORKERS))
     out_path = args.out or config.output_path
     result = run_sweep(config)
     _write(out_path, render_csv(result))
@@ -88,10 +95,10 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     seed = _resolve_seed(args, 42)
-    workers = _at_least_one(args.workers, "--workers") or 1
+    trials = _count(args.trials, "--trials", MAX_TRIALS)
+    workers = _count(args.workers, "--workers", MAX_WORKERS) or 1
     k_grid = _parse_grid(args.k_grid, "--k-grid") if args.k_grid else None
-    result = calibrate_k(args.preset, k_grid=k_grid, trials=args.trials, seed=seed,
-                         workers=workers)
+    result = calibrate_k(args.preset, k_grid=k_grid, trials=trials, seed=seed, workers=workers)
     _write(args.out, render_calibration_csv(result))
     if args.out not in (None, "-"):
         sys.stdout.write(f"best_k = {result.best_k}\n")
@@ -106,8 +113,16 @@ def _cmd_discrepancy(args) -> int:
     return _EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are configuration errors: one
+    line and exit 1, where argparse prints its usage and exits 2."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ratelab",
         description="Achievable-rate laboratory for cooperative NOMA relaying over Rician fading",
     )
@@ -136,15 +151,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_dis.add_argument("--preset", required=True, choices=sorted(PRESETS))
     p_dis.add_argument("--k", type=float, default=0.0, help="Rician K on all links (default 0)")
-    p_dis.add_argument("--rho-grid", help="dB grid as start:stop:step (default 0:30:5)")
+    p_dis.add_argument("--rho-grid", help="dB grid as start:stop:step (default 0:30:5); "
+                       "write a negative start as --rho-grid=-10:30:5")
     p_dis.add_argument("--out", help="output CSV path (default: stdout)")
     p_dis.set_defaults(func=_cmd_discrepancy)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ParseError, ValidationError, DomainError, FileNotFoundError) as exc:
         print(f"ratelab: error: {exc}", file=sys.stderr)

@@ -10,18 +10,24 @@ requested cell on the block: a (rho, scheme) pair, or for
 random numbers throughout).
 
 Cells are evaluated on sub-blocks of at most ``SUB_BLOCK`` trials,
-which bounds the rate temporaries.  The sub-block sums are combined
-along numpy's own pairwise split, so each block sum is the float
-``np.sum`` over the whole block gives.  Block sums are merged in block
+which bounds the rate temporaries.  On a sub-block, the cells of one rho
+are evaluated together on one :class:`~ratelab.rates.RateTerms`, so the
+logarithms several rates share are taken once per (sub-block, rho), and
+the terms are dropped before the next rho's.  One sum and one sum of
+squares is taken per distinct array: CRS-NOMA's c_s2 is its
+c_direct_s1, in both modes.  Sharing changes no float: each shared
+term is the expression every rate that reads it would compute.  The
+sub-block sums are combined along numpy's own pairwise split, so each
+block sum is the float ``np.sum`` over the whole block gives.  Block sums are merged in block
 order through compensated (Kahan) summation.  A cell's result is
 therefore a pure function of (geometry, inputs, seed): it depends
 neither on how many workers executed the blocks nor on which other
 cells or geometries shared the call.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 import math
+import weakref
 
 import numpy as np
 
@@ -33,16 +39,23 @@ from .rates import (
     ChannelRealization,
     PowerSplit,
     RateBreakdown,
+    RateTerms,
     conventional_noma_rate,
     crs_noma_rate,
     crs_oma_rate,
     rate_token,
 )
 
-__all__ = ["EstimatorResult", "estimate_rates", "paired_gap", "QUANTITIES", "BLOCK_SIZE"]
+__all__ = ["EstimatorResult", "estimate_rates", "paired_gap", "QUANTITIES", "BLOCK_SIZE", "MAX_TRIALS",
+           "MAX_WORKERS"]
 
 BLOCK_SIZE = 1 << 17
 SUB_BLOCK = 1 << 15
+# The block plan has one entry per BLOCK_SIZE trials, 76,294 at MAX_TRIALS.
+MAX_TRIALS = 10**10
+# A constant, unlike os.cpu_count(), so a config that runs on one machine
+# runs on every other.
+MAX_WORKERS = 64
 
 
 @dataclass(frozen=True)
@@ -73,7 +86,7 @@ class _Replay:
         return next(self._links)
 
 
-def _token_rates(r: ChannelRealization, rho: float, token: str, split: PowerSplit | None) -> RateBreakdown:
+def _token_rates(r: RateTerms, rho: float, token: str, split: PowerSplit | None) -> RateBreakdown:
     if token == "conventional":
         return conventional_noma_rate(r, rho, split)
     if token == "crs_oma":
@@ -81,11 +94,16 @@ def _token_rates(r: ChannelRealization, rho: float, token: str, split: PowerSpli
     return crs_noma_rate(r, rho, RATES[token][1])
 
 
-def _resolve(schemes, mode: str, split: PowerSplit | None, rhos, trials: int, seed: int) -> list[str]:
+def _resolve(schemes, mode: str, split: PowerSplit | None, rhos, trials: int, seed: int,
+             workers: int) -> list[str]:
     """Check the arguments both estimators share; return the RATES token
     of each requested scheme under ``mode``."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
+    if trials > MAX_TRIALS:
+        raise DomainError(f"trials must be <= {MAX_TRIALS}, got {trials}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise DomainError(f"workers must be between 1 and {MAX_WORKERS}, got {workers}")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     for rho in rhos:
@@ -97,22 +115,66 @@ def _resolve(schemes, mode: str, split: PowerSplit | None, rhos, trials: int, se
     return tokens
 
 
-def _cell_sums(r: ChannelRealization, cell, split: PowerSplit | None, quantities) -> list:
+class _Moments:
+    """np.sum(v) and np.sum(v*v) of the arrays of one block, once per
+    distinct array.
+
+    An array read by several quantities or cells (CRS-NOMA's c_s2 is its
+    c_direct_s1, in both modes) is summed once: its sums are kept under
+    id(v) beside a weak reference, so an array freed since cannot pass
+    its sums to a new one at the same address.  Squares go to one
+    scratch array of sub-block length, reused for every array.
+    """
+
+    def __init__(self, n: int):
+        self._square = np.empty(n)
+        self._seen: dict = {}
+
+    def __call__(self, v) -> tuple:
+        hit = self._seen.get(id(v))
+        if hit is not None and hit[0]() is v:
+            return hit[1]
+        if not isinstance(v, np.ndarray):
+            return np.sum(v), np.sum(v * v)
+        sums = np.sum(v), np.sum(np.multiply(v, v, out=self._square[:v.size]))
+        self._seen[id(v)] = weakref.ref(v), sums
+        return sums
+
+
+def _cell_sums(terms: RateTerms, cell, split: PowerSplit | None, quantities, moments: _Moments) -> list:
     """Sum and sum of squares of each quantity of one cell on one
     sub-block, flat.
 
     A cell is (rho, token, minus): the rates of ``token``, less those of
-    ``minus`` trial by trial unless it is None.  The rate arrays are
-    freed on return, before the next cell is evaluated.
+    ``minus`` trial by trial unless it is None, both read from the
+    shared ``terms`` at rho.  The cell's own arrays are freed on return,
+    before the next cell is evaluated; the shared ones live with
+    ``terms``.
     """
     rho, token, minus = cell
-    rates = _token_rates(r, rho, token, split)
+    rates = _token_rates(terms, rho, token, split)
     values = [rates[q] for q in quantities]
     del rates
     if minus is not None:
-        other = _token_rates(r, rho, minus, split)
+        other = _token_rates(terms, rho, minus, split)
         values = [v - other[q] for v, q in zip(values, quantities)]
-    return [s for v in values for s in (np.sum(v), np.sum(v * v))]
+    return [s for v in values for s in moments(v)]
+
+
+def _geometry_sums(r: ChannelRealization, cells, split: PowerSplit | None, quantities,
+                   moments: _Moments) -> list:
+    """Every cell's sums on one sub-block of one geometry, flat, in cell
+    order.  Cells at one rho are evaluated together, on one
+    :class:`RateTerms` that is dropped before the next rho's."""
+    by_rho: dict = {}
+    for i, cell in enumerate(cells):
+        by_rho.setdefault(cell[0], []).append(i)
+    sums = [None] * len(cells)
+    for rho, group in by_rho.items():
+        terms = RateTerms(r, rho)
+        for i in group:
+            sums[i] = _cell_sums(terms, cells[i], split, quantities, moments)
+    return [s for cell_sums in sums for s in cell_sums]
 
 
 def _pairwise_sum(leaf, lo: int, hi: int):
@@ -133,6 +195,7 @@ def _block_sums(geometries, cells, split, quantities, seed: int, b: int, n: int)
     """Every geometry's cell sums on block b of n trials, geometry-major."""
     # one draw for every geometry, in the fixed order S-R, R-D, S-D
     normals = split_stream(seed, b).standard_normal((3, 2, n))
+    moments = _Moments(min(n, SUB_BLOCK))
 
     def leaf(lo, hi):
         sums = []
@@ -140,7 +203,7 @@ def _block_sums(geometries, cells, split, quantities, seed: int, b: int, n: int)
             source = _Replay(normals[..., lo:hi])
             r = ChannelRealization(*(sample_power_gains(link, source, hi - lo)
                                      for link in (geometry.sr, geometry.rd, geometry.sd)))
-            sums += [s for cell in cells for s in _cell_sums(r, cell, split, quantities)]
+            sums += _geometry_sums(r, cells, split, quantities, moments)
         return np.array(sums)
 
     return _pairwise_sum(leaf, 0, n)
@@ -152,6 +215,9 @@ def _run_blocks(block_fn, trials: int, workers: int) -> list:
     full, rest = divmod(trials, BLOCK_SIZE)
     plan = [(b, BLOCK_SIZE) for b in range(full)] + ([(full, rest)] if rest else [])
     if workers > 1 and len(plan) > 1:
+        # imported here, so that importing ratelab does not pay for it
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(lambda p: block_fn(*p), plan))
     return [block_fn(b, n) for b, n in plan]
@@ -200,7 +266,7 @@ def _estimate_geometries(geometries, rho, schemes, mode: str, split: PowerSplit 
     grouped = np.ndim(rho) and schemes and not isinstance(schemes[0], str)
     groups = schemes if grouped else [schemes] * len(rhos)
     names = [(x, s) for x, group in zip(rhos, groups, strict=True) for s in group]
-    tokens = _resolve([s for _, s in names], mode, split, rhos, trials, seed)
+    tokens = _resolve([s for _, s in names], mode, split, rhos, trials, seed, workers)
     cells = [(x, token, None) for (x, _), token in zip(names, tokens)]
     labels = [(x, s, q) for x, s in names for q in quantities]
     return [
@@ -254,7 +320,7 @@ def paired_gap(
     Differencing inside each trial cancels the shared channel noise, so
     the standard error is far below that of two independent runs.
     """
-    token_a, token_b = _resolve((scheme_a, scheme_b), mode, split, [rho], trials, seed)
+    token_a, token_b = _resolve((scheme_a, scheme_b), mode, split, [rho], trials, seed, workers)
     if quantity not in QUANTITIES:
         raise DomainError(f"unknown quantity {quantity!r}")
     [[(mean, se)]] = _estimate([geometry], [(rho, token_a, token_b)], split, trials, seed, workers, (quantity,))

@@ -33,6 +33,7 @@ __all__ = [
     "SnrSet",
     "RateBreakdown",
     "PowerSplit",
+    "RateTerms",
     "instantaneous_snrs",
     "crs_noma_rate",
     "conventional_noma_rate",
@@ -141,21 +142,94 @@ def _check_rho(rho: float) -> float:
     return float(rho)
 
 
+class _held:
+    """A property computed on first read and then kept in the instance.
+
+    functools.cached_property does the same, but on Python 3.11 it holds
+    one lock, shared by every instance, while it computes: two threads
+    evaluating their own RateTerms would take their logarithms in turn.
+    """
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
+class RateTerms:
+    """The terms the rate functions share at one realization and rho.
+
+    Each logarithm is computed the first time a rate function reads it,
+    then kept for as long as the object lives, so several rates
+    evaluated on one object take each logarithm once, with the floats a
+    standalone call gives.  The SNRs rho*lambda cost one product and are
+    recomputed on each read rather than held.  The rate functions accept
+    a RateTerms in place of a :class:`ChannelRealization`, at its rho.
+    """
+
+    def __init__(self, r: ChannelRealization, rho: float):
+        self.rho = _check_rho(rho)
+        self.lambda_sr = np.asarray(r.lambda_sr, dtype=float)
+        self.lambda_rd = np.asarray(r.lambda_rd, dtype=float)
+        self.lambda_sd = np.asarray(r.lambda_sd, dtype=float)
+
+    @property
+    def gamma_sr(self):
+        return self.rho * self.lambda_sr
+
+    @property
+    def gamma_rd(self):
+        return self.rho * self.lambda_rd
+
+    @property
+    def gamma_sd(self):
+        return self.rho * self.lambda_sd
+
+    @_held
+    def log_sr(self):
+        """log2(1 + rho*lambda_SR)"""
+        return np.log2(1.0 + self.gamma_sr)
+
+    @_held
+    def log_rd(self):
+        """log2(1 + rho*lambda_RD)"""
+        return np.log2(1.0 + self.gamma_rd)
+
+    @_held
+    def half_log_sd(self):
+        """0.5*log2(1 + rho*lambda_SD), CRS-NOMA's direct-link rate"""
+        return 0.5 * np.log2(1.0 + self.gamma_sd)
+
+
+def _terms(r, rho: float) -> RateTerms:
+    """``r`` itself when it is the RateTerms of ``rho``, else fresh terms."""
+    if not isinstance(r, RateTerms):
+        return RateTerms(r, rho)
+    if _check_rho(rho) != r.rho:
+        raise DomainError(f"rate terms of rho {r.rho} used at rho {rho}")
+    return r
+
+
+def _gamma_rd_s1(t: RateTerms, mode: str):
+    """The relay-to-destination SNR of s1 under ``mode``."""
+    return t.gamma_rd / (t.gamma_sd + 1.0) if mode == "exact" else t.gamma_rd
+
+
 def instantaneous_snrs(r: ChannelRealization, rho: float, mode: str = "exact") -> SnrSet:
     """Received SNRs for one realization at transmit SNR rho."""
-    rho = _check_rho(rho)
+    t = _terms(r, rho)
     rate_token("crs_noma", mode)
-    gamma_sd = rho * np.asarray(r.lambda_sd, dtype=float)
-    if mode == "exact":
-        gamma_rd = rho * np.asarray(r.lambda_rd, dtype=float) / (gamma_sd + 1.0)
-    else:
-        gamma_rd = rho * np.asarray(r.lambda_rd, dtype=float)
-    return SnrSet(
-        gamma_sr_s1=rho * np.asarray(r.lambda_sr, dtype=float),
-        gamma_sd_s1=gamma_sd,
-        gamma_rd_s1=gamma_rd,
-        gamma_sd_s2=gamma_sd,
-    )
+    gamma_sd = t.gamma_sd
+    return SnrSet(gamma_sr_s1=t.gamma_sr, gamma_sd_s1=gamma_sd, gamma_rd_s1=_gamma_rd_s1(t, mode),
+                  gamma_sd_s2=gamma_sd)
 
 
 def crs_noma_rate(r: ChannelRealization, rho: float, mode: str = "exact") -> RateBreakdown:
@@ -164,10 +238,12 @@ def crs_noma_rate(r: ChannelRealization, rho: float, mode: str = "exact") -> Rat
     In paper mode the total reduces to
     0.5*log2(1 + rho*min(lambda_RD, lambda_SR)) + log2(1 + rho*lambda_SD).
     """
-    s = instantaneous_snrs(r, rho, mode)
-    c_relay = 0.5 * np.minimum(np.log2(1.0 + s.gamma_rd_s1), np.log2(1.0 + s.gamma_sr_s1))
-    c_direct = 0.5 * np.log2(1.0 + s.gamma_sd_s1)
-    return RateBreakdown(c_relay, c_direct, c_direct)
+    t = _terms(r, rho)
+    rate_token("crs_noma", mode)
+    # paper mode's gamma_RD is rho*lambda_RD, whose log the terms hold
+    log_rd = np.log2(1.0 + _gamma_rd_s1(t, mode)) if mode == "exact" else t.log_rd
+    c_relay = 0.5 * np.minimum(log_rd, t.log_sr)
+    return RateBreakdown(c_relay, t.half_log_sd, t.half_log_sd)
 
 
 def conventional_noma_rate(r: ChannelRealization, rho: float, split: PowerSplit) -> RateBreakdown:
@@ -178,18 +254,16 @@ def conventional_noma_rate(r: ChannelRealization, rho: float, split: PowerSplit)
     destination's and the relay's SIC-first decode, s2 by the relay's
     second decode and the relay-destination hop.
     """
-    rho = _check_rho(rho)
+    t = _terms(r, rho)
     if not isinstance(split, PowerSplit):
         raise InvalidSplit("split must be a PowerSplit")
-    lsr = np.asarray(r.lambda_sr, dtype=float)
-    lrd = np.asarray(r.lambda_rd, dtype=float)
-    lsd = np.asarray(r.lambda_sd, dtype=float)
+    rho, lsr, lsd = t.rho, t.lambda_sr, t.lambda_sd
     a1, a2 = split.a1, split.a2
     c_s1 = 0.5 * np.minimum(
         np.log2(1.0 + a1 * rho * lsd / (a2 * rho * lsd + 1.0)),
         np.log2(1.0 + a1 * rho * lsr / (a2 * rho * lsr + 1.0)),
     )
-    c_s2 = 0.5 * np.minimum(np.log2(1.0 + a2 * rho * lsr), np.log2(1.0 + rho * lrd))
+    c_s2 = 0.5 * np.minimum(np.log2(1.0 + a2 * rho * lsr), t.log_rd)
     return RateBreakdown(c_s1, 0.0, c_s2)
 
 
@@ -199,12 +273,6 @@ def crs_oma_rate(r: ChannelRealization, rho: float) -> RateBreakdown:
     Both slots carry the same symbol, so the total is half the min of
     the S-R decode rate and the combined S-D + R-D rate.
     """
-    rho = _check_rho(rho)
-    lsr = np.asarray(r.lambda_sr, dtype=float)
-    lrd = np.asarray(r.lambda_rd, dtype=float)
-    lsd = np.asarray(r.lambda_sd, dtype=float)
-    c_total = 0.5 * np.minimum(
-        np.log2(1.0 + rho * lsr),
-        np.log2(1.0 + rho * lsd + rho * lrd),
-    )
+    t = _terms(r, rho)
+    c_total = 0.5 * np.minimum(t.log_sr, np.log2(1.0 + t.gamma_sd + t.gamma_rd))
     return RateBreakdown(c_total, 0.0, 0.0)

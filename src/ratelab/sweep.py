@@ -27,7 +27,7 @@ from .analytic import (
 )
 from .channel import NetworkGeometry, make_link
 from .errors import DomainError, ParseError, ValidationError
-from .montecarlo import _estimate_geometries, estimate_rates
+from .montecarlo import MAX_TRIALS, _estimate_geometries, estimate_rates
 from .rates import QUANTITIES, RATES, PowerSplit
 
 __all__ = [
@@ -187,10 +187,12 @@ def _integer(raw) -> int:
         raise ValueError(f"cannot interpret {raw!r}") from None
 
 
-def _count(raw) -> int:
+def _trials(raw) -> int:
     n = _integer(raw)
     if n < 1:
         raise ValueError("must be >= 1")
+    if n > MAX_TRIALS:
+        raise ValueError(f"must be <= {MAX_TRIALS}")
     return n
 
 
@@ -247,7 +249,7 @@ _FIELDS = {
                     "crs_noma, conventional"),
         "modes": (_names(tuple(m for _, m in RATES.values() if m != "-"), "mode"), "paper"),
         "estimators": (_names(ESTIMATORS, "estimator"), "monte_carlo"),
-        "trials": (_count, 1_000_000),
+        "trials": (_trials, 1_000_000),
         "seed": (_integer, 42),
     },
     "geometry": {

@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from ratelab.montecarlo import BLOCK_SIZE, QUANTITIES
 from ratelab.rates import (
     RATES,
     ChannelRealization,
+    RateTerms,
     conventional_noma_rate,
     crs_noma_rate,
     crs_oma_rate,
@@ -29,6 +32,7 @@ from ratelab.sweep import (
     db_to_linear,
     preset_config,
     preset_geometry,
+    render_csv,
     run_sweep,
 )
 
@@ -304,3 +308,71 @@ def test_pairwise_sub_sums_equal_numpy_sum():
         assert total == np.sum(x), n
         lo = int(rng.integers(0, n))
         assert montecarlo._pairwise_sum(lambda a, b: np.sum(x[a:b]), lo, n) == np.sum(x[lo:]), (n, lo)
+
+
+def _same_floats(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0, 1e3])
+def test_shared_terms_give_the_standalone_arrays(rho):
+    rng = np.random.default_rng(12)
+    n = 4099
+    gains = [rng.exponential(size=n) * rng.choice([0.0, 1.0, 50.0], size=n) for _ in range(3)]
+    r = ChannelRealization(*gains)
+    assert all(np.any(g == 0.0) for g in gains)
+    # tokens in both orders, so each shared term is first computed for a different rate
+    for order in (list(RATES), list(RATES)[::-1]):
+        terms = RateTerms(r, rho)
+        shared = {token: montecarlo._token_rates(terms, rho, token, SPLIT) for token in order}
+        for token, rates in shared.items():
+            fresh = montecarlo._token_rates(ChannelRealization(*gains), rho, token, SPLIT)
+            for q in QUANTITIES:
+                assert _same_floats(rates[q], fresh[q]), (token, q)
+        # the arrays the engine sums once: CRS-NOMA's s2 rate in both modes
+        paper, exact = shared["crs_noma_paper"], shared["crs_noma_exact"]
+        assert paper.c_s2 is paper.c_direct_s1 is exact.c_s2 is exact.c_direct_s1
+    with pytest.raises(DomainError, match="rate terms of rho"):
+        crs_noma_rate(RateTerms(r, rho), rho + 1.0, "paper")
+
+
+def test_moments_are_taken_once_per_live_array():
+    n = 1000
+    moments = montecarlo._Moments(n)
+    rng = np.random.default_rng(2)
+    seen = set()
+    for _ in range(200):
+        # each array is freed once the next is drawn; later ones often take its id
+        v = rng.standard_normal(n)
+        seen.add(id(v))
+        sums = moments(v)
+        assert sums == (np.sum(v), np.sum(v * v))
+        # a second read of a live array returns the sums already taken
+        assert moments(v) is sums
+    assert len(seen) < 200
+    assert moments(0.0) == (0.0, 0.0)
+
+
+# Taken with the engine that evaluated each rate on its own, before the
+# rates of one rho shared their terms: the same floats must come out.
+GOLDEN_SWEEP_SHA256 = "b1b1d3156c275015a1a61a612ffacbe62836009dd10a4ef91a31a1515359a498"
+GOLDEN_GAP = ("EstimatorResult(scheme='crs_noma_exact-conventional', quantity='c_s1', "
+              "mean=1.924511157613972, std_err=0.0011261538703475258, trials=181073, seed=29, rho=10.0)")
+GOLDEN_RESIDUAL = "(4.0, 5.0, 'conventional', 1.935308976202007, 3.883, -1.947691023797993)"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_golden_monte_carlo_outputs(workers):
+    assert ENGINE_TRIALS == 181_073
+    cfg = preset_config(
+        "fig3", rho_grid_db=(0.0, 12.5, 30.0), schemes=("crs_noma", "conventional", "crs_oma"),
+        modes=("paper", "exact"), estimators=("monte_carlo",), trials=ENGINE_TRIALS, seed=23,
+    )
+    csv = render_csv(run_sweep(replace(cfg, workers=workers)))
+    assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN_SWEEP_SHA256
+    gap = paired_gap(preset_geometry("fig3", 1.5), 10.0, "crs_noma_exact", "conventional", "paper", SPLIT,
+                     ENGINE_TRIALS, 29, "c_s1", workers)
+    assert repr(gap) == GOLDEN_GAP
+    cal = calibrate_k("fig3", k_grid=[0.0, 4.0], trials=ENGINE_TRIALS, seed=31, workers=workers)
+    assert repr(cal.residuals[-1]) == GOLDEN_RESIDUAL

@@ -200,3 +200,36 @@ def test_paper_mode_scale_invariance():
         a = crs_noma_rate(ChannelRealization(*lam), rho, "paper")
         b = crs_noma_rate(ChannelRealization(*(lam / 2.0)), 2.0 * rho, "paper")
         assert a.c_total == b.c_total
+
+
+def _reference_rates(lsr, lrd, lsd, rho, token, a1=0.9, a2=0.1):
+    """(c_relay_s1, c_direct_s1, c_s2) written out as one expression per
+    rate, each product and sum in the order the rate functions take it."""
+    if token.startswith("crs_noma"):
+        gamma_rd = rho * lrd / (rho * lsd + 1.0) if token == "crs_noma_exact" else rho * lrd
+        direct = 0.5 * np.log2(1.0 + rho * lsd)
+        return 0.5 * np.minimum(np.log2(1.0 + gamma_rd), np.log2(1.0 + rho * lsr)), direct, direct
+    if token == "conventional":
+        c_s1 = 0.5 * np.minimum(np.log2(1.0 + a1 * rho * lsd / (a2 * rho * lsd + 1.0)),
+                                np.log2(1.0 + a1 * rho * lsr / (a2 * rho * lsr + 1.0)))
+        return c_s1, 0.0, 0.5 * np.minimum(np.log2(1.0 + a2 * rho * lsr), np.log2(1.0 + rho * lrd))
+    return 0.5 * np.minimum(np.log2(1.0 + rho * lsr), np.log2(1.0 + rho * lsd + rho * lrd)), 0.0, 0.0
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0, 10.0, 1e3])
+def test_rate_arrays_equal_their_written_out_expressions(rho):
+    # element by element: a regrouped product such as a1*(rho*lambda) moves
+    # single elements by an ulp, which a Monte-Carlo mean can hide
+    rng = np.random.default_rng(31)
+    n = 5000
+    gains = [rng.exponential(size=n) * rng.choice([0.0, 1.0, 50.0], size=n) for _ in range(3)]
+    r = ChannelRealization(*gains)
+    split = PowerSplit(0.9, 0.1)
+    for token, rates in (("crs_noma_paper", crs_noma_rate(r, rho, "paper")),
+                         ("crs_noma_exact", crs_noma_rate(r, rho, "exact")),
+                         ("conventional", conventional_noma_rate(r, rho, split)),
+                         ("crs_oma", crs_oma_rate(r, rho))):
+        ref = _reference_rates(*gains, rho, token)
+        got = (rates.c_relay_s1, rates.c_direct_s1, rates.c_s2)
+        for a, b in zip(got, ref):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), token

@@ -19,8 +19,10 @@ from ratelab import (
     render_csv,
     run_sweep,
 )
+from ratelab import montecarlo
 from ratelab.cli import _parse_grid, main
-from ratelab.errors import ParseError, ValidationError
+from ratelab.errors import DomainError, ParseError, ValidationError
+from ratelab.montecarlo import MAX_TRIALS, MAX_WORKERS
 from ratelab.rates import QUANTITIES, RATES
 from ratelab.sweep import (
     MAX_GRID_POINTS,
@@ -314,6 +316,60 @@ def test_cli_exit_codes(tmp_path):
     bad.write_text("[sweep]\nrho_db = 9, 1\n" + MINIMAL)
     assert main(["sweep", "--config", str(bad)]) == 1
     assert main(["sweep", "--config", str(tmp_path / "missing.txt")]) == 1
+
+
+def test_usage_errors_exit_one_with_one_line(tmp_path, capsys):
+    # a negative start reads as an option unless it is joined with '='
+    argv = ["discrepancy", "--preset", "fig3", "--rho-grid", "-10:30:5"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "ratelab: error: argument --rho-grid: expected one argument\n"
+    for argv in (["bogus"], [], ["calibrate"], ["sweep", "--config", "c.txt", "--trials", "many"]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("ratelab: error: ") and err.count("\n") == 1, argv
+    out = tmp_path / "d.csv"
+    assert main(["discrepancy", "--preset", "fig3", "--rho-grid=-10:30:5", "--out", str(out)]) == 0
+    rows = [l for l in out.read_text().splitlines() if not l.startswith(("#", "rho_db"))]
+    assert rows[0].startswith("-10,") and len(rows) == 9 * 3
+
+
+def test_trials_and_workers_are_bounded_everywhere(tmp_path, monkeypatch, capsys):
+    def no_blocks(*args):
+        raise AssertionError("blocks run past a bad bound")
+
+    monkeypatch.setattr(montecarlo, "_run_blocks", no_blocks)
+    huge = MAX_TRIALS + 1
+    with pytest.raises(ValidationError, match=f"field sweep.trials: must be <= {MAX_TRIALS}"):
+        parse_config(json.dumps({"preset": "fig3", "trials": huge}))
+    assert parse_config(f"preset = fig3\ntrials = {MAX_TRIALS}\n").trials == MAX_TRIALS
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(CLI_CONFIG)
+    for flag, bad, most in (("--trials", huge, MAX_TRIALS), ("--workers", MAX_WORKERS + 1, MAX_WORKERS)):
+        for argv in (["sweep", "--config", str(cfg)], ["calibrate", "--preset", "fig3", "--k-grid", "0"]):
+            assert main(argv + [flag, str(bad)]) == 1
+            assert capsys.readouterr().err == f"ratelab: error: {flag} must be <= {most}\n"
+    # the case that used to build a block plan of 7.6e9 entries
+    assert main(["calibrate", "--preset", "fig3", "--k-grid", "0", "--trials", str(10**15)]) == 1
+    geometry = preset_config("fig3").geometry
+    with pytest.raises(DomainError, match=f"trials must be <= {MAX_TRIALS}, got {huge}"):
+        estimate_rates(geometry, 1.0, ("crs_noma",), trials=huge)
+    for workers in (0, MAX_WORKERS + 1):
+        message = f"workers must be between 1 and {MAX_WORKERS}, got {workers}"
+        with pytest.raises(DomainError, match=message):
+            estimate_rates(geometry, 1.0, ("crs_noma",), trials=10, workers=workers)
+        with pytest.raises(DomainError, match=message):
+            paired_gap(geometry, 1.0, "crs_noma", "crs_oma", trials=10, workers=workers)
+        with pytest.raises(DomainError, match=message):
+            calibrate_k("fig3", k_grid=[0.0], trials=10, workers=workers)
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    # the pool is imported by the first threaded run, not by import ratelab
+    src = str(Path(ratelab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, ratelab; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_cli_discrepancy(tmp_path):
