@@ -1,33 +1,35 @@
 """Seeded Monte-Carlo estimation of ergodic rates with standard errors.
 
+The engine evaluates one flat list of cells.  A cell is (geometry, rho,
+token, minus): the rates of one :data:`~ratelab.rates.RATES` token of
+one geometry at one rho, less those of ``minus`` trial by trial (common
+random numbers) unless it is None.  :func:`estimate_rates`,
+:func:`paired_gap` and :func:`ratelab.sweep.calibrate_k` each build
+their own cells.
+
 Trials are partitioned into fixed-size blocks.  Block b draws its
 standard normals once, from the sub-stream ``split_stream(seed, b)`` in
 the fixed S-R, R-D, S-D order, and every geometry of the call builds
-its gains from those same normals, so one pass serves a whole grid of
-geometries (a K calibration, say).  Each geometry evaluates every
-requested cell on the block: a (rho, scheme) pair, or for
-:func:`paired_gap` the per-trial difference of two schemes (common
-random numbers throughout).
-
-Cells are evaluated on sub-blocks of at most ``SUB_BLOCK`` trials,
-which bounds the rate temporaries.  On a sub-block, the cells of one rho
-are evaluated together on one :class:`~ratelab.rates.RateTerms`, so the
-logarithms several rates share are taken once per (sub-block, rho), and
-the terms are dropped before the next rho's.  One sum and one sum of
-squares is taken per distinct array: CRS-NOMA's c_s2 is its
-c_direct_s1, in both modes.  Sharing changes no float: each shared
+its gains from those same normals.  Cells are evaluated on sub-blocks
+of at most ``SUB_BLOCK`` trials, which bounds the temporaries.  On a
+sub-block the cells are taken geometry by geometry, then rho by rho:
+each geometry's gains are built once, the cells of one (geometry, rho)
+share one :class:`~ratelab.rates.RateTerms`, so the logarithms several
+rates share are taken once, and the terms are dropped before the next
+geometry's gains are built.  Within a cell an array read by several
+quantities is summed once: CRS-NOMA's c_s2 is its c_direct_s1, a
+baseline's c_s1 its c_relay_s1.  Sharing changes no float: each shared
 term is the expression every rate that reads it would compute.  The
 sub-block sums are combined along numpy's own pairwise split, so each
-block sum is the float ``np.sum`` over the whole block gives.  Block sums are merged in block
-order through compensated (Kahan) summation.  A cell's result is
-therefore a pure function of (geometry, inputs, seed): it depends
-neither on how many workers executed the blocks nor on which other
-cells or geometries shared the call.
+block sum is the float ``np.sum`` over the whole block gives, and block
+sums are merged in block order through compensated (Kahan) summation.
+A cell's result is therefore a pure function of (cell, split, seed,
+trials): it depends neither on how many workers executed the blocks nor
+on which other cells shared the call.
 """
 
 from dataclasses import dataclass
 import math
-import weakref
 
 import numpy as np
 
@@ -96,8 +98,8 @@ def _token_rates(r: RateTerms, rho: float, token: str, split: PowerSplit | None)
 
 def _resolve(schemes, mode: str, split: PowerSplit | None, rhos, trials: int, seed: int,
              workers: int) -> list[str]:
-    """Check the arguments both estimators share; return the RATES token
-    of each requested scheme under ``mode``."""
+    """Check the arguments every caller of the engine shares; return the
+    RATES token of each requested scheme under ``mode``."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
     if trials > MAX_TRIALS:
@@ -107,74 +109,36 @@ def _resolve(schemes, mode: str, split: PowerSplit | None, rhos, trials: int, se
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     for rho in rhos:
-        if not rho >= 0.0:
-            raise DomainError(f"rho must be >= 0, got {rho}")
+        if not 0.0 <= rho < math.inf:
+            raise DomainError(f"rho must be finite and >= 0, got {rho}")
     tokens = [rate_token(s, mode) for s in schemes]
     if "conventional" in tokens and split is None:
         raise DomainError("conventional scheme requires a PowerSplit")
     return tokens
 
 
-class _Moments:
-    """np.sum(v) and np.sum(v*v) of the arrays of one block, once per
-    distinct array.
-
-    An array read by several quantities or cells (CRS-NOMA's c_s2 is its
-    c_direct_s1, in both modes) is summed once: its sums are kept under
-    id(v) beside a weak reference, so an array freed since cannot pass
-    its sums to a new one at the same address.  Squares go to one
-    scratch array of sub-block length, reused for every array.
-    """
-
-    def __init__(self, n: int):
-        self._square = np.empty(n)
-        self._seen: dict = {}
-
-    def __call__(self, v) -> tuple:
-        hit = self._seen.get(id(v))
-        if hit is not None and hit[0]() is v:
-            return hit[1]
-        if not isinstance(v, np.ndarray):
-            return np.sum(v), np.sum(v * v)
-        sums = np.sum(v), np.sum(np.multiply(v, v, out=self._square[:v.size]))
-        self._seen[id(v)] = weakref.ref(v), sums
-        return sums
-
-
-def _cell_sums(terms: RateTerms, cell, split: PowerSplit | None, quantities, moments: _Moments) -> list:
+def _cell_sums(terms: RateTerms, cell, split: PowerSplit | None, quantities, square: np.ndarray) -> list:
     """Sum and sum of squares of each quantity of one cell on one
     sub-block, flat.
 
-    A cell is (rho, token, minus): the rates of ``token``, less those of
-    ``minus`` trial by trial unless it is None, both read from the
-    shared ``terms`` at rho.  The cell's own arrays are freed on return,
-    before the next cell is evaluated; the shared ones live with
-    ``terms``.
+    Both rates of the cell are read from ``terms``, the shared terms of
+    its geometry and rho.  An array several quantities read is summed
+    once, matched by identity while ``values`` keeps every array alive;
+    squares go to ``square``, one scratch buffer per block.  The cell's
+    own arrays are freed on return, before the next cell is evaluated.
     """
-    rho, token, minus = cell
+    _, rho, token, minus = cell
     rates = _token_rates(terms, rho, token, split)
     values = [rates[q] for q in quantities]
     del rates
     if minus is not None:
         other = _token_rates(terms, rho, minus, split)
         values = [v - other[q] for v, q in zip(values, quantities)]
-    return [s for v in values for s in moments(v)]
-
-
-def _geometry_sums(r: ChannelRealization, cells, split: PowerSplit | None, quantities,
-                   moments: _Moments) -> list:
-    """Every cell's sums on one sub-block of one geometry, flat, in cell
-    order.  Cells at one rho are evaluated together, on one
-    :class:`RateTerms` that is dropped before the next rho's."""
-    by_rho: dict = {}
-    for i, cell in enumerate(cells):
-        by_rho.setdefault(cell[0], []).append(i)
-    sums = [None] * len(cells)
-    for rho, group in by_rho.items():
-        terms = RateTerms(r, rho)
-        for i in group:
-            sums[i] = _cell_sums(terms, cells[i], split, quantities, moments)
-    return [s for cell_sums in sums for s in cell_sums]
+    sums: dict = {}
+    for v in values:
+        if id(v) not in sums:
+            sums[id(v)] = np.sum(v), np.sum(np.multiply(v, v, out=square[:np.size(v)]))
+    return [s for v in values for s in sums[id(v)]]
 
 
 def _pairwise_sum(leaf, lo: int, hi: int):
@@ -191,20 +155,29 @@ def _pairwise_sum(leaf, lo: int, hi: int):
     return _pairwise_sum(leaf, lo, lo + half) + _pairwise_sum(leaf, lo + half, hi)
 
 
-def _block_sums(geometries, cells, split, quantities, seed: int, b: int, n: int) -> np.ndarray:
-    """Every geometry's cell sums on block b of n trials, geometry-major."""
+def _block_sums(cells, split, quantities, seed: int, b: int, n: int) -> np.ndarray:
+    """Every cell's sums on block b of n trials, flat, in cell order."""
     # one draw for every geometry, in the fixed order S-R, R-D, S-D
     normals = split_stream(seed, b).standard_normal((3, 2, n))
-    moments = _Moments(min(n, SUB_BLOCK))
+    square = np.empty(min(n, SUB_BLOCK))
+    groups: dict = {}  # geometry -> rho -> indices of its cells
+    for i, (geometry, rho, _, _) in enumerate(cells):
+        groups.setdefault(geometry, {}).setdefault(rho, []).append(i)
 
     def leaf(lo, hi):
-        sums = []
-        for geometry in geometries:
+        sums = [None] * len(cells)
+        for geometry, by_rho in groups.items():
             source = _Replay(normals[..., lo:hi])
             r = ChannelRealization(*(sample_power_gains(link, source, hi - lo)
                                      for link in (geometry.sr, geometry.rd, geometry.sd)))
-            sums += _geometry_sums(r, cells, split, quantities, moments)
-        return np.array(sums)
+            for rho, indices in by_rho.items():
+                terms = RateTerms(r, rho)
+                for i in indices:
+                    sums[i] = _cell_sums(terms, cells[i], split, quantities, square)
+            # freed before the next geometry's gains are built; freeing the
+            # gains as well only lets the heap shrink and fault back in
+            del terms
+        return np.array([s for cell_sums in sums for s in cell_sums])
 
     return _pairwise_sum(leaf, 0, n)
 
@@ -243,36 +216,11 @@ def _mean_stderr(s: float, sq: float, n: int):
     return mean, math.sqrt(var / n)
 
 
-def _estimate(geometries, cells, split, trials: int, seed: int, workers: int, quantities) -> list:
-    """The engine: per geometry, (mean, std_err) of every quantity of
-    every cell, cell-major.  Each block's normals are drawn once for all
-    geometries, and its gains once per geometry and sub-block for all
-    cells."""
-    partials = _run_blocks(
-        lambda b, n: _block_sums(geometries, cells, split, quantities, seed, b, n), trials, workers
-    )
-    totals = _kahan(partials).reshape(len(geometries), -1, 2).tolist()
-    return [[_mean_stderr(s, sq, trials) for s, sq in moments] for moments in totals]
-
-
-def _estimate_geometries(geometries, rho, schemes, mode: str, split: PowerSplit | None, trials: int,
-                         seed: int, workers: int, quantities=QUANTITIES) -> list:
-    """:func:`estimate_rates` of each geometry, restricted to
-    ``quantities``, in one pass over the blocks.  Returns one result
-    list per geometry, each holding the floats estimate_rates gives for
-    that geometry alone."""
-    rhos = [rho] if np.ndim(rho) == 0 else list(rho)
-    schemes = tuple(schemes)
-    grouped = np.ndim(rho) and schemes and not isinstance(schemes[0], str)
-    groups = schemes if grouped else [schemes] * len(rhos)
-    names = [(x, s) for x, group in zip(rhos, groups, strict=True) for s in group]
-    tokens = _resolve([s for _, s in names], mode, split, rhos, trials, seed, workers)
-    cells = [(x, token, None) for (x, _), token in zip(names, tokens)]
-    labels = [(x, s, q) for x, s in names for q in quantities]
-    return [
-        [EstimatorResult(s, q, mean, se, trials, seed, x) for (x, s, q), (mean, se) in zip(labels, moments)]
-        for moments in _estimate(geometries, cells, split, trials, seed, workers, quantities)
-    ]
+def _estimate(cells, split, trials: int, seed: int, workers: int, quantities) -> list:
+    """The engine: (mean, std_err) of every quantity of every cell, flat,
+    cell by cell."""
+    partials = _run_blocks(lambda b, n: _block_sums(cells, split, quantities, seed, b, n), trials, workers)
+    return [_mean_stderr(s, sq, trials) for s, sq in _kahan(partials).reshape(-1, 2).tolist()]
 
 
 def estimate_rates(
@@ -293,14 +241,20 @@ def estimate_rates(
     :data:`~ratelab.rates.RATES` token or a plain ``crs_noma``, which
     ``mode`` resolves; the baselines ignore ``mode``.
 
-    ``rho`` is one transmit SNR or a sequence of them.  Every scheme is
-    evaluated at every rho, unless ``rho`` is a sequence and
-    ``schemes`` holds one sequence of schemes per rho.  Results come
-    rho by rho, then scheme by scheme in :data:`QUANTITIES` order, each
-    carrying its ``rho``.  Deterministic in all inputs; a (rho, scheme)
-    result is the same float whatever else the call evaluates.
+    ``rho`` is one transmit SNR or a sequence of them, and every scheme
+    is evaluated at every rho.  Results come rho by rho, then scheme by
+    scheme in :data:`QUANTITIES` order, each carrying its ``rho``.
+    Deterministic in all inputs; a (rho, scheme) result is the same
+    float whatever else the call evaluates.
     """
-    return _estimate_geometries([geometry], rho, schemes, mode, split, trials, seed, workers)[0]
+    rhos = [rho] if np.ndim(rho) == 0 else list(rho)
+    schemes = tuple(schemes)
+    tokens = _resolve(schemes, mode, split, rhos, trials, seed, workers)
+    cells = [(geometry, x, token, None) for x in rhos for token in tokens]
+    labels = [(x, s, q) for x in rhos for s in schemes for q in QUANTITIES]
+    moments = _estimate(cells, split, trials, seed, workers, QUANTITIES)
+    return [EstimatorResult(s, q, mean, se, trials, seed, x)
+            for (x, s, q), (mean, se) in zip(labels, moments)]
 
 
 def paired_gap(
@@ -323,5 +277,5 @@ def paired_gap(
     token_a, token_b = _resolve((scheme_a, scheme_b), mode, split, [rho], trials, seed, workers)
     if quantity not in QUANTITIES:
         raise DomainError(f"unknown quantity {quantity!r}")
-    [[(mean, se)]] = _estimate([geometry], [(rho, token_a, token_b)], split, trials, seed, workers, (quantity,))
+    [(mean, se)] = _estimate([(geometry, rho, token_a, token_b)], split, trials, seed, workers, (quantity,))
     return EstimatorResult(f"{scheme_a}-{scheme_b}", quantity, mean, se, trials, seed, rho)

@@ -88,6 +88,11 @@ class SnrSet:
     gamma_sd_s2: float
 
 
+def _plus(a, b):
+    """a + b, or ``a`` itself when ``b`` is the float 0.0."""
+    return a if isinstance(b, float) and b == 0.0 else a + b
+
+
 @dataclass(frozen=True)
 class RateBreakdown:
     """The five rate quantities of one scheme in bit/s/Hz.
@@ -101,7 +106,9 @@ class RateBreakdown:
     exactly for every scheme.  For CRS-NOMA c_s2 equals c_direct_s1.
     The baselines have no relay/direct decomposition of s1; they store
     c_s1 as c_relay_s1 and 0.0 as c_direct_s1, so that the same five
-    quantities exist for every scheme.
+    quantities exist for every scheme.  A sum whose second term is that
+    0.0 is its first term itself, not a copy: no rate is -0.0, so the
+    copy would hold the same floats.
     """
 
     c_relay_s1: float
@@ -110,11 +117,11 @@ class RateBreakdown:
 
     @property
     def c_s1(self):
-        return self.c_relay_s1 + self.c_direct_s1
+        return _plus(self.c_relay_s1, self.c_direct_s1)
 
     @property
     def c_total(self):
-        return self.c_s1 + self.c_s2
+        return _plus(self.c_s1, self.c_s2)
 
     def __getitem__(self, quantity: str):
         if quantity not in QUANTITIES:

@@ -27,7 +27,7 @@ from .analytic import (
 )
 from .channel import NetworkGeometry, make_link
 from .errors import DomainError, ParseError, ValidationError
-from .montecarlo import MAX_TRIALS, _estimate_geometries, estimate_rates
+from .montecarlo import MAX_TRIALS, _estimate, _resolve, estimate_rates
 from .rates import QUANTITIES, RATES, PowerSplit
 
 __all__ = [
@@ -118,7 +118,14 @@ class CalibrationResult:
 
 
 def db_to_linear(rho_db: float) -> float:
-    return 10.0 ** (rho_db / 10.0)
+    """10^(rho_db/10); raises DomainError where that is not a finite float."""
+    try:
+        rho = 10.0 ** (rho_db / 10.0)
+    except OverflowError:
+        rho = math.inf
+    if not math.isfinite(rho):
+        raise DomainError(f"rho_db = {rho_db:g}: 10^(rho_db/10) is not a finite float")
+    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +145,8 @@ def parse_grid(spec) -> list[float]:
     0.30000000000000004).  Raises ValueError on malformed text, on a
     start:stop:step grid with a nonpositive step or more than
     :data:`MAX_GRID_POINTS` points (before any point is built) and on a
-    grid that is empty or not strictly increasing.
+    grid that holds a non-finite point, is empty or is not strictly
+    increasing.
     """
     if isinstance(spec, (list, tuple)):
         vals = [float(v) for v in spec]
@@ -157,6 +165,9 @@ def parse_grid(spec) -> list[float]:
             )
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
         vals = [round(start + i * step, 12) for i in range(n)]
+    for v in vals:
+        if not math.isfinite(v):
+            raise ValueError(f"grid points must be finite, got {v}")
     if not vals:
         raise ValueError("grid must be nonempty")
     if any(b <= a for a, b in zip(vals, vals[1:])):
@@ -500,8 +511,9 @@ def calibrate_k(
     conventional-NOMA sum rates are simulated at the target grid points
     and compared against the target values; the K minimizing the sum of
     squared residuals wins.  Every K shares one Monte-Carlo pass, and
-    a K's values are those a grid holding only that K gives.  The full residual table is returned so the
-    fit quality is inspectable either way.
+    a K's values are those a grid holding only that K gives.  The full
+    residual table is returned so the fit quality is inspectable either
+    way.
     """
     if preset not in PRESETS:
         raise ValidationError(f"unknown preset {preset!r}")
@@ -515,16 +527,17 @@ def calibrate_k(
         raise ValidationError("k_grid must be nonempty")
     split = PowerSplit(0.9, 0.1)
 
+    geometries = [preset_geometry(preset, k) for k in k_grid]
+    rhos = [db_to_linear(rho_db) for rho_db, _, _ in targets]
+    tokens = _resolve([scheme for _, scheme, _ in targets], "paper", split, rhos, trials, seed, workers)
+    cells = [(g, rho, token, None) for g in geometries for rho, token in zip(rhos, tokens)]
     # one pass for every K: each block's normals are drawn once
-    per_k = _estimate_geometries(
-        [preset_geometry(preset, k) for k in k_grid], [db_to_linear(rho_db) for rho_db, _, _ in targets],
-        [(scheme,) for _, scheme, _ in targets], "paper", split, trials, seed, workers, ("c_total",),
-    )
+    sims = [mean for mean, _ in _estimate(cells, split, trials, seed, workers, ("c_total",))]
     residuals = []
     sse_by_k = []
-    for k, res in zip(k_grid, per_k):
+    for i, k in enumerate(k_grid):
         sse = 0.0
-        for (rho_db, scheme, target), sim in zip(targets, (r.mean for r in res)):
+        for (rho_db, scheme, target), sim in zip(targets, sims[i * len(targets):]):
             residuals.append((k, rho_db, scheme, sim, float(target), sim - float(target)))
             sse += (sim - float(target)) ** 2
         sse_by_k.append((k, sse))

@@ -61,6 +61,10 @@ def test_validation():
         paired_gap(g, 1.0, "crs_noma", "crs_oma", trials=10, seed=-1)
     with pytest.raises(DomainError):
         estimate_rates(g, [1.0, float("nan")], ("crs_noma",), trials=10)
+    with pytest.raises(DomainError, match="rho must be finite and >= 0, got inf"):
+        estimate_rates(g, float("inf"), ("crs_noma",), trials=10)
+    with pytest.raises(DomainError, match="rho must be finite"):
+        paired_gap(g, float("inf"), "crs_noma", "crs_oma", trials=10)
 
 
 def test_result_shape_and_fields():
@@ -213,16 +217,22 @@ def test_rho_sequence_results_do_not_depend_on_workers():
     assert [r.rho for r in one] == [x for x in rhos for _ in range(3 * len(QUANTITIES))]
 
 
-def test_rho_sequence_with_one_scheme_group_per_rho():
+def test_repeated_rho_and_k_keep_their_positions():
+    # the engine groups cells by geometry and rho; equal ones must still
+    # each give their own results, in input order
     g = fig3_geometry()
-    res = estimate_rates(g, [2.0, 20.0], [("crs_noma", "crs_oma"), ("conventional",)], "exact",
-                         SPLIT, trials=2000, seed=4)
-    assert [(r.rho, r.scheme) for r in res[::len(QUANTITIES)]] == [
-        (2.0, "crs_noma"), (2.0, "crs_oma"), (20.0, "conventional")]
-    alone = estimate_rates(g, 20.0, ("conventional",), "exact", SPLIT, trials=2000, seed=4)
-    assert res[-len(QUANTITIES):] == alone
-    with pytest.raises(ValueError):
-        estimate_rates(g, [2.0, 20.0], [("crs_noma",)], trials=10)
+    res = estimate_rates(g, [10.0, 1.0, 10.0], ("crs_noma", "conventional"), "paper", SPLIT,
+                         trials=BLOCK_SIZE + 3000, seed=4)
+    n = 2 * len(QUANTITIES)
+    assert [r.rho for r in res] == [x for x in (10.0, 1.0, 10.0) for _ in range(n)]
+    assert res[:n] == res[2 * n:]
+    assert res[n:2 * n] == estimate_rates(g, 1.0, ("crs_noma", "conventional"), "paper", SPLIT,
+                                          trials=BLOCK_SIZE + 3000, seed=4)
+    cal = calibrate_k("fig3", k_grid=[2.0, 2.0], trials=3000, seed=5)
+    per_k = len(PAPER_TARGETS["fig3"])
+    assert cal.residuals[:per_k] == cal.residuals[per_k:]
+    assert cal.residuals[:per_k] == calibrate_k("fig3", k_grid=[2.0], trials=3000, seed=5).residuals
+    assert cal.sse_by_k[0] == cal.sse_by_k[1]
 
 
 # a full block and a ragged one, both longer than a sub-block
@@ -333,25 +343,17 @@ def test_shared_terms_give_the_standalone_arrays(rho):
         # the arrays the engine sums once: CRS-NOMA's s2 rate in both modes
         paper, exact = shared["crs_noma_paper"], shared["crs_noma_exact"]
         assert paper.c_s2 is paper.c_direct_s1 is exact.c_s2 is exact.c_direct_s1
+        # and a baseline's c_s1, CRS-OMA's c_total: no rate is -0.0, so
+        # the first term stands for its sum with the stored 0.0
+        for token in ("conventional", "crs_oma"):
+            rates = shared[token]
+            assert not any(np.any(np.signbit(rates[q])) for q in QUANTITIES), token
+            assert rates.c_s1 is rates.c_relay_s1
+            assert _same_floats(rates.c_s1, rates.c_relay_s1 + rates.c_direct_s1)
+            assert _same_floats(rates.c_total, rates.c_s1 + rates.c_s2)
+        assert shared["crs_oma"].c_total is shared["crs_oma"].c_relay_s1
     with pytest.raises(DomainError, match="rate terms of rho"):
         crs_noma_rate(RateTerms(r, rho), rho + 1.0, "paper")
-
-
-def test_moments_are_taken_once_per_live_array():
-    n = 1000
-    moments = montecarlo._Moments(n)
-    rng = np.random.default_rng(2)
-    seen = set()
-    for _ in range(200):
-        # each array is freed once the next is drawn; later ones often take its id
-        v = rng.standard_normal(n)
-        seen.add(id(v))
-        sums = moments(v)
-        assert sums == (np.sum(v), np.sum(v * v))
-        # a second read of a live array returns the sums already taken
-        assert moments(v) is sums
-    assert len(seen) < 200
-    assert moments(0.0) == (0.0, 0.0)
 
 
 # Taken with the engine that evaluated each rate on its own, before the

@@ -534,6 +534,33 @@ def test_cli_and_config_reject_a_bad_grid_alike(spec, message, tmp_path, capsys)
     assert not out.exists()
 
 
+OVERFLOW = "rho_db = 4000: 10^(rho_db/10) is not a finite float"
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["sweep"], "4000", OVERFLOW),
+    (["sweep"], "inf", "line 3: sweep.rho_db: grid points must be finite, got inf"),
+    (["sweep"], "nan, 1", "line 3: sweep.rho_db: grid points must be finite, got nan"),
+    (["discrepancy", "--preset", "fig3", "--rho-grid", "4000"], None, OVERFLOW),
+    (["calibrate", "--preset", "fig3", "--k-grid", "0,inf"], None,
+     "--k-grid: grid points must be finite, got inf"),
+])
+def test_a_grid_without_a_finite_snr_exits_one_before_any_block(argv, config, message, tmp_path, monkeypatch,
+                                                                 capsys):
+    def no_blocks(*args):
+        raise AssertionError("a block was drawn for a bad grid")
+
+    monkeypatch.setattr(montecarlo, "split_stream", no_blocks)
+    out = tmp_path / "out.csv"
+    if config is not None:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"preset = fig3\n[sweep]\nrho_db = {config}\ntrials = 1000\n")
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"ratelab: error: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_discrepancy_at_large_k_is_silent(tmp_path):
     cmd = [sys.executable, "-m", "ratelab.cli", "discrepancy", "--preset", "fig3", "--k", "10",
            "--out", str(tmp_path / "d.csv")]
