@@ -487,11 +487,18 @@ def ergodic_rate_quadrature_quantities(
         # of W = min(lambda_SD, lambda_SR), which collapses the min of the
         # two decode rates to one integral:
         # c_s1 = (a1*rho/(2 ln2)) int S_SD S_SR / ((a2*rho*w+1)(rho*w+1)) dw
-        c_s1 = a1 * rho / (2.0 * LN2) * _quad(
-            lambda w: power_gain_sf(sd, w) * power_gain_sf(sr, w) / ((a2 * rho * w + 1.0) * (rho * w + 1.0)),
-            lo,
-            min(_reach(sd), _reach(sr)),
-        )
+        def s1_integrand(w):
+            # At a huge rho the denominator can overflow to inf, making the
+            # integrand 0, which is its limit: up to a factor 4 the
+            # denominator is a2*(rho*w)^2, so it overflows only where
+            # rho*w > sqrt(DBL_MAX/a2)/2, and there a node adds less than
+            # a1/(ln2*sqrt(a2*DBL_MAX)) per unit of ln w to c_s1, below
+            # 1e-140 bit/s/Hz for any a2 >= 1e-20.
+            with np.errstate(over="ignore"):
+                denominator = (a2 * rho * w + 1.0) * (rho * w + 1.0)
+            return power_gain_sf(sd, w) * power_gain_sf(sr, w) / denominator
+
+        c_s1 = a1 * rho / (2.0 * LN2) * _quad(s1_integrand, lo, min(_reach(sd), _reach(sr)))
         # s2 is limited by min(a2*lambda_SR, lambda_RD) at full rho.
         c_s2 = half_rate(lambda v: power_gain_sf(sr, v / a2) * power_gain_sf(rd, v),
                          min(a2 * _reach(sr), _reach(rd)))

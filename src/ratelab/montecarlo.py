@@ -11,12 +11,12 @@ Trials are partitioned into fixed-size blocks.  Block b draws its
 standard normals once, from the sub-stream ``split_stream(seed, b)`` in
 the fixed S-R, R-D, S-D order, and every geometry of the call builds
 its gains from those same normals.  Cells are evaluated on sub-blocks
-of at most ``SUB_BLOCK`` trials, which bounds the temporaries.  On a
+of at most ``SUB_BLOCK`` trials, the length of a workspace row.  On a
 sub-block the cells are taken geometry by geometry, then rho by rho:
 each geometry's gains are built once, the cells of one (geometry, rho)
 share one :class:`~ratelab.rates.RateTerms`, so the logarithms several
-rates share are taken once, and the terms are dropped before the next
-geometry's gains are built.  Within a cell an array read by several
+rates share are taken once, and the next geometry's gains reuse the
+rows of the one before.  Within a cell an array read by several
 quantities is summed once: CRS-NOMA's c_s2 is its c_direct_s1, a
 baseline's c_s1 its c_relay_s1.  Sharing changes no float: each shared
 term is the expression every rate that reads it would compute.  The
@@ -26,6 +26,11 @@ sums are merged in block order through compensated (Kahan) summation.
 A cell's result is therefore a pure function of (cell, split, seed,
 trials): it depends neither on how many workers executed the blocks nor
 on which other cells shared the call.
+
+Every per-trial array of a block is written with ufunc ``out=`` to the
+rows of one :class:`_Workspace`, allocated once per block call: in a
+fresh process, which every CLI run is, a temporary per ufunc call costs
+page faults as the allocator maps, frees and faults it in again.
 """
 
 from dataclasses import dataclass
@@ -42,6 +47,7 @@ from .rates import (
     PowerSplit,
     RateBreakdown,
     RateTerms,
+    _check_rho,
     conventional_noma_rate,
     crs_noma_rate,
     crs_oma_rate,
@@ -88,6 +94,36 @@ class _Replay:
         return next(self._links)
 
 
+class _Workspace:
+    """Every per-trial array of one block call, in rows allocated once.
+
+    ``take`` hands out the next free row, cut to the current sub-block
+    length; a row is allocated the first time it is needed and reused
+    for every later sub-block, geometry, rho and cell of the block.
+    ``taken`` counts the rows taken, and setting it lower gives back
+    the rows taken since.  ``scratch`` is one more row, for
+    intermediates that no call keeps: whoever writes it next overwrites
+    it.  The workspace belongs to one block call, so threads share
+    nothing.
+    """
+
+    def __init__(self, width: int):
+        self._rows: list = []
+        self._scratch = np.empty(width)
+        self.start(width)
+
+    def start(self, n: int):
+        """Begin a sub-block of n trials, with every row free."""
+        self._n, self.taken = n, 0
+        self.scratch = self._scratch[:n]
+
+    def take(self) -> np.ndarray:
+        if self.taken == len(self._rows):
+            self._rows.append(np.empty_like(self._scratch))
+        self.taken += 1
+        return self._rows[self.taken - 1][:self._n]
+
+
 def _token_rates(r: RateTerms, rho: float, token: str, split: PowerSplit | None) -> RateBreakdown:
     if token == "conventional":
         return conventional_noma_rate(r, rho, split)
@@ -109,35 +145,33 @@ def _resolve(schemes, mode: str, split: PowerSplit | None, rhos, trials: int, se
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     for rho in rhos:
-        if not 0.0 <= rho < math.inf:
-            raise DomainError(f"rho must be finite and >= 0, got {rho}")
+        _check_rho(rho)
     tokens = [rate_token(s, mode) for s in schemes]
     if "conventional" in tokens and split is None:
         raise DomainError("conventional scheme requires a PowerSplit")
     return tokens
 
 
-def _cell_sums(terms: RateTerms, cell, split: PowerSplit | None, quantities, square: np.ndarray) -> list:
+def _cell_sums(terms: RateTerms, cell, split: PowerSplit | None, quantities, work: _Workspace) -> list:
     """Sum and sum of squares of each quantity of one cell on one
     sub-block, flat.
 
     Both rates of the cell are read from ``terms``, the shared terms of
     its geometry and rho.  An array several quantities read is summed
-    once, matched by identity while ``values`` keeps every array alive;
-    squares go to ``square``, one scratch buffer per block.  The cell's
-    own arrays are freed on return, before the next cell is evaluated.
+    once, matched by identity: every array lives in its own row of
+    ``work`` until the caller releases the cell's rows.  Squares go to
+    the workspace's scratch row.
     """
     _, rho, token, minus = cell
     rates = _token_rates(terms, rho, token, split)
     values = [rates[q] for q in quantities]
-    del rates
     if minus is not None:
         other = _token_rates(terms, rho, minus, split)
-        values = [v - other[q] for v, q in zip(values, quantities)]
+        values = [np.subtract(v, other[q], out=work.take()) for v, q in zip(values, quantities)]
     sums: dict = {}
     for v in values:
         if id(v) not in sums:
-            sums[id(v)] = np.sum(v), np.sum(np.multiply(v, v, out=square[:np.size(v)]))
+            sums[id(v)] = np.sum(v), np.sum(np.multiply(v, v, out=work.scratch[:np.size(v)]))
     return [s for v in values for s in sums[id(v)]]
 
 
@@ -159,7 +193,7 @@ def _block_sums(cells, split, quantities, seed: int, b: int, n: int) -> np.ndarr
     """Every cell's sums on block b of n trials, flat, in cell order."""
     # one draw for every geometry, in the fixed order S-R, R-D, S-D
     normals = split_stream(seed, b).standard_normal((3, 2, n))
-    square = np.empty(min(n, SUB_BLOCK))
+    work = _Workspace(min(n, SUB_BLOCK))
     groups: dict = {}  # geometry -> rho -> indices of its cells
     for i, (geometry, rho, _, _) in enumerate(cells):
         groups.setdefault(geometry, {}).setdefault(rho, []).append(i)
@@ -167,16 +201,18 @@ def _block_sums(cells, split, quantities, seed: int, b: int, n: int) -> np.ndarr
     def leaf(lo, hi):
         sums = [None] * len(cells)
         for geometry, by_rho in groups.items():
+            work.start(hi - lo)
             source = _Replay(normals[..., lo:hi])
-            r = ChannelRealization(*(sample_power_gains(link, source, hi - lo)
+            r = ChannelRealization(*(sample_power_gains(link, source, hi - lo, work=work)
                                      for link in (geometry.sr, geometry.rd, geometry.sd)))
+            gains = work.taken
             for rho, indices in by_rho.items():
-                terms = RateTerms(r, rho)
+                work.taken = gains  # the rows of the rho before are free again
+                terms = RateTerms(r, rho, work=work)
+                shared = work.taken
                 for i in indices:
-                    sums[i] = _cell_sums(terms, cells[i], split, quantities, square)
-            # freed before the next geometry's gains are built; freeing the
-            # gains as well only lets the heap shrink and fault back in
-            del terms
+                    work.taken = shared  # and those of the cell before
+                    sums[i] = _cell_sums(terms, cells[i], split, quantities, work)
         return np.array([s for cell_sums in sums for s in cell_sums])
 
     return _pairwise_sum(leaf, 0, n)

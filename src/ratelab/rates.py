@@ -23,8 +23,10 @@ formulas are documented in the README since the comparison literature
 states the schemes only by description.
 """
 
+import math
+from dataclasses import dataclass, field
+
 import numpy as np
-from dataclasses import dataclass
 
 from .errors import DomainError, InvalidSplit
 
@@ -88,9 +90,12 @@ class SnrSet:
     gamma_sd_s2: float
 
 
-def _plus(a, b):
-    """a + b, or ``a`` itself when ``b`` is the float 0.0."""
-    return a if isinstance(b, float) and b == 0.0 else a + b
+def _plus(a, b, work=None):
+    """a + b, written to a row of ``work`` when given, or ``a`` itself
+    when ``b`` is the float 0.0."""
+    if isinstance(b, float) and b == 0.0:
+        return a
+    return a + b if work is None else np.add(a, b, out=work.take())
 
 
 @dataclass(frozen=True)
@@ -108,20 +113,22 @@ class RateBreakdown:
     c_s1 as c_relay_s1 and 0.0 as c_direct_s1, so that the same five
     quantities exist for every scheme.  A sum whose second term is that
     0.0 is its first term itself, not a copy: no rate is -0.0, so the
-    copy would hold the same floats.
+    copy would hold the same floats.  When ``work`` is given, a derived
+    sum is written to a row of it.
     """
 
     c_relay_s1: float
     c_direct_s1: float
     c_s2: float
+    work: object = field(default=None, repr=False, compare=False)
 
     @property
     def c_s1(self):
-        return _plus(self.c_relay_s1, self.c_direct_s1)
+        return _plus(self.c_relay_s1, self.c_direct_s1, self.work)
 
     @property
     def c_total(self):
-        return _plus(self.c_s1, self.c_s2)
+        return _plus(self.c_s1, self.c_s2, self.work)
 
     def __getitem__(self, quantity: str):
         if quantity not in QUANTITIES:
@@ -144,8 +151,9 @@ class PowerSplit:
 
 
 def _check_rho(rho: float) -> float:
-    if not rho >= 0.0:
-        raise DomainError(f"rho must be >= 0, got {rho}")
+    """``rho`` as a float; a negative, infinite or NaN SNR is refused."""
+    if not 0.0 <= rho < math.inf:
+        raise DomainError(f"rho must be finite and >= 0, got {rho}")
     return float(rho)
 
 
@@ -180,40 +188,53 @@ class RateTerms:
     standalone call gives.  The SNRs rho*lambda cost one product and are
     recomputed on each read rather than held.  The rate functions accept
     a RateTerms in place of a :class:`ChannelRealization`, at its rho.
+
+    With ``work``, a block workspace (see :mod:`ratelab.montecarlo`),
+    the rate functions write every array to its rows, with the same
+    floats; the logarithms' rows are taken now, to outlive the rates.
     """
 
-    def __init__(self, r: ChannelRealization, rho: float):
+    def __init__(self, r: ChannelRealization, rho: float, *, work=None):
         self.rho = _check_rho(rho)
         self.lambda_sr = np.asarray(r.lambda_sr, dtype=float)
         self.lambda_rd = np.asarray(r.lambda_rd, dtype=float)
         self.lambda_sd = np.asarray(r.lambda_sd, dtype=float)
+        self.work = work
+        self._log_rows = [] if work is None else [work.take() for _ in range(3)]
 
-    @property
-    def gamma_sr(self):
-        return self.rho * self.lambda_sr
+    def new(self):
+        """A row for a rate, or None: numpy allocates."""
+        return None if self.work is None else self.work.take()
 
-    @property
-    def gamma_rd(self):
-        return self.rho * self.lambda_rd
+    def scratch(self):
+        """A row for an intermediate no call keeps, or None."""
+        return None if self.work is None else self.work.scratch
 
-    @property
-    def gamma_sd(self):
-        return self.rho * self.lambda_sd
+    def snr(self, gain, out=None):
+        """rho*gain, the received SNR of a link of power gain ``gain``."""
+        return np.multiply(self.rho, gain, out=out)
+
+    def _log2_1p_snr(self, gain, out):
+        return np.log2(np.add(1.0, self.snr(gain, out), out=out), out=out)
+
+    def _log_row(self):
+        return self._log_rows.pop() if self._log_rows else None
 
     @_held
     def log_sr(self):
         """log2(1 + rho*lambda_SR)"""
-        return np.log2(1.0 + self.gamma_sr)
+        return self._log2_1p_snr(self.lambda_sr, self._log_row())
 
     @_held
     def log_rd(self):
         """log2(1 + rho*lambda_RD)"""
-        return np.log2(1.0 + self.gamma_rd)
+        return self._log2_1p_snr(self.lambda_rd, self._log_row())
 
     @_held
     def half_log_sd(self):
         """0.5*log2(1 + rho*lambda_SD), CRS-NOMA's direct-link rate"""
-        return 0.5 * np.log2(1.0 + self.gamma_sd)
+        out = self._log_row()
+        return np.multiply(0.5, self._log2_1p_snr(self.lambda_sd, out), out=out)
 
 
 def _terms(r, rho: float) -> RateTerms:
@@ -225,17 +246,21 @@ def _terms(r, rho: float) -> RateTerms:
     return r
 
 
-def _gamma_rd_s1(t: RateTerms, mode: str):
+def _gamma_rd_s1(t: RateTerms, mode: str, out=None):
     """The relay-to-destination SNR of s1 under ``mode``."""
-    return t.gamma_rd / (t.gamma_sd + 1.0) if mode == "exact" else t.gamma_rd
+    gamma_rd = t.snr(t.lambda_rd, out)
+    if mode != "exact":
+        return gamma_rd
+    s = t.scratch()
+    return np.divide(gamma_rd, np.add(t.snr(t.lambda_sd, s), 1.0, out=s), out=out)
 
 
 def instantaneous_snrs(r: ChannelRealization, rho: float, mode: str = "exact") -> SnrSet:
     """Received SNRs for one realization at transmit SNR rho."""
     t = _terms(r, rho)
     rate_token("crs_noma", mode)
-    gamma_sd = t.gamma_sd
-    return SnrSet(gamma_sr_s1=t.gamma_sr, gamma_sd_s1=gamma_sd, gamma_rd_s1=_gamma_rd_s1(t, mode),
+    gamma_sd = t.snr(t.lambda_sd)
+    return SnrSet(gamma_sr_s1=t.snr(t.lambda_sr), gamma_sd_s1=gamma_sd, gamma_rd_s1=_gamma_rd_s1(t, mode),
                   gamma_sd_s2=gamma_sd)
 
 
@@ -247,10 +272,14 @@ def crs_noma_rate(r: ChannelRealization, rho: float, mode: str = "exact") -> Rat
     """
     t = _terms(r, rho)
     rate_token("crs_noma", mode)
+    out = t.new()
     # paper mode's gamma_RD is rho*lambda_RD, whose log the terms hold
-    log_rd = np.log2(1.0 + _gamma_rd_s1(t, mode)) if mode == "exact" else t.log_rd
-    c_relay = 0.5 * np.minimum(log_rd, t.log_sr)
-    return RateBreakdown(c_relay, t.half_log_sd, t.half_log_sd)
+    if mode == "exact":
+        log_rd = np.log2(np.add(1.0, _gamma_rd_s1(t, mode, out), out=out), out=out)
+    else:
+        log_rd = t.log_rd
+    c_relay = np.multiply(0.5, np.minimum(log_rd, t.log_sr, out=out), out=out)
+    return RateBreakdown(c_relay, t.half_log_sd, t.half_log_sd, t.work)
 
 
 def conventional_noma_rate(r: ChannelRealization, rho: float, split: PowerSplit) -> RateBreakdown:
@@ -266,12 +295,18 @@ def conventional_noma_rate(r: ChannelRealization, rho: float, split: PowerSplit)
         raise InvalidSplit("split must be a PowerSplit")
     rho, lsr, lsd = t.rho, t.lambda_sr, t.lambda_sd
     a1, a2 = split.a1, split.a2
-    c_s1 = 0.5 * np.minimum(
-        np.log2(1.0 + a1 * rho * lsd / (a2 * rho * lsd + 1.0)),
-        np.log2(1.0 + a1 * rho * lsr / (a2 * rho * lsr + 1.0)),
-    )
-    c_s2 = 0.5 * np.minimum(np.log2(1.0 + a2 * rho * lsr), t.log_rd)
-    return RateBreakdown(c_s1, 0.0, c_s2)
+    s, out_s1, out_s2 = t.scratch(), t.new(), t.new()
+
+    def decode_s1(gain, out):
+        """log2(1 + a1*rho*gain / (a2*rho*gain + 1)), s2 interfering"""
+        sinr = np.divide(np.multiply(a1 * rho, gain, out=out),
+                         np.add(np.multiply(a2 * rho, gain, out=s), 1.0, out=s), out=out)
+        return np.log2(np.add(1.0, sinr, out=out), out=out)
+
+    c_s1 = np.multiply(0.5, np.minimum(decode_s1(lsd, out_s1), decode_s1(lsr, out_s2), out=out_s1), out=out_s1)
+    decode_s2 = np.log2(np.add(1.0, np.multiply(a2 * rho, lsr, out=out_s2), out=out_s2), out=out_s2)
+    c_s2 = np.multiply(0.5, np.minimum(decode_s2, t.log_rd, out=out_s2), out=out_s2)
+    return RateBreakdown(c_s1, 0.0, c_s2, t.work)
 
 
 def crs_oma_rate(r: ChannelRealization, rho: float) -> RateBreakdown:
@@ -281,5 +316,7 @@ def crs_oma_rate(r: ChannelRealization, rho: float) -> RateBreakdown:
     the S-R decode rate and the combined S-D + R-D rate.
     """
     t = _terms(r, rho)
-    c_total = 0.5 * np.minimum(t.log_sr, np.log2(1.0 + t.gamma_sd + t.gamma_rd))
-    return RateBreakdown(c_total, 0.0, 0.0)
+    out, s = t.new(), t.scratch()
+    combined = np.add(np.add(1.0, t.snr(t.lambda_sd, out), out=out), t.snr(t.lambda_rd, s), out=out)
+    c_total = np.multiply(0.5, np.minimum(t.log_sr, np.log2(combined, out=out), out=out), out=out)
+    return RateBreakdown(c_total, 0.0, 0.0, t.work)

@@ -36,6 +36,7 @@ from ratelab import (
 )
 from ratelab.errors import ConvergenceError, DomainError
 from ratelab.rates import QUANTITIES, RATES, RateBreakdown
+from ratelab.sweep import preset_config, run_sweep
 
 FIG3 = NetworkGeometry(sr=make_link(0, 8), rd=make_link(0, 8), sd=make_link(0, 3))
 
@@ -563,3 +564,18 @@ def test_convergence_error_reports_the_levels_and_the_last_gap(monkeypatch):
     monkeypatch.setattr(analytic, "MAX_QUAD_LEVELS", 1)
     with pytest.raises(ConvergenceError, match=r"within 1 refinement level\(s\); last gap between levels \d"):
         ergodic_rate_quadrature_quantities(FIG3, 1e4, "crs_noma_paper")
+
+
+def test_oracle_at_3000_db_gives_finite_rows_without_a_warning():
+    # rho = 1e300: the conventional s1 integrand's denominator overflows,
+    # and the integrand takes its limit 0 without a RuntimeWarning
+    cfg = preset_config("fig3", rho_grid_db=(3000.0,), schemes=("crs_noma", "conventional", "crs_oma"),
+                        modes=("paper", "exact"), estimators=("quadrature_oracle",))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = run_sweep(cfg).rows
+    assert len(rows) == 4 * len(QUANTITIES)
+    assert all(math.isfinite(r.value) for r in rows)
+    # as rho grows the s1 SINR tends to a1/a2 on both links
+    c_s1 = next(r.value for r in rows if (r.scheme, r.quantity) == ("conventional", "c_s1"))
+    assert c_s1 == pytest.approx(0.5 * math.log2(1.0 + 0.9 / 0.1), abs=1e-9)

@@ -1,6 +1,10 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from ratelab import (
     make_link,
     paired_gap,
 )
+import ratelab
 from ratelab import montecarlo
 from ratelab.channel import sample_power_gains, split_stream
 from ratelab.errors import DomainError
@@ -354,6 +359,70 @@ def test_shared_terms_give_the_standalone_arrays(rho):
         assert shared["crs_oma"].c_total is shared["crs_oma"].c_relay_s1
     with pytest.raises(DomainError, match="rate terms of rho"):
         crs_noma_rate(RateTerms(r, rho), rho + 1.0, "paper")
+
+
+@pytest.mark.parametrize("rho", [0.0, 1.0, 1e3])
+def test_workspace_gives_the_allocating_floats(rho):
+    n = 4099
+    # wider than the sub-block, as for a block's short last leaf
+    work = montecarlo._Workspace(n + 13)
+    work.start(n)
+    normals = split_stream(5, 0).standard_normal((3, 2, n))
+    link = make_link(1.5, 8)
+    gains = sample_power_gains(link, montecarlo._Replay(normals), n, work=work)
+    assert _same_floats(gains, sample_power_gains(link, montecarlo._Replay(normals), n))
+    rng = np.random.default_rng(12)
+    gains = [rng.exponential(size=n) * rng.choice([0.0, 1.0, 50.0], size=n) for _ in range(3)]
+    r = ChannelRealization(*gains)
+    terms = RateTerms(r, rho, work=work)
+    # every token's arrays held at once, so that a row handed out twice shows
+    held = {token: montecarlo._token_rates(terms, rho, token, SPLIT) for token in RATES}
+    values = {(token, q): rates[q] for token, rates in held.items() for q in QUANTITIES}
+    for (token, q), v in values.items():
+        fresh = montecarlo._token_rates(ChannelRealization(*gains), rho, token, SPLIT)
+        assert _same_floats(v, fresh[q]), (token, q)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cells_sharing_a_workspace_give_the_floats_they_give_alone(workers):
+    # a paired cell, two single ones and a second geometry's cell, on one
+    # full block and a short one
+    g, g2, rho = fig3_geometry(), fig3_geometry(2.0), 10.0
+    cells = [(g, rho, "crs_noma_exact", "conventional"), (g, rho, "conventional", None),
+             (g, rho, "crs_noma_paper", None), (g2, rho, "crs_oma", None)]
+    trials = 140_000
+    assert BLOCK_SIZE < trials < 2 * BLOCK_SIZE
+    together = montecarlo._estimate(cells, SPLIT, trials, 3, workers, QUANTITIES)
+    n = len(QUANTITIES)
+    for i, cell in enumerate(cells):
+        alone = montecarlo._estimate([cell], SPLIT, trials, 3, workers, QUANTITIES)
+        assert together[i * n:(i + 1) * n] == alone, cell[2:]
+
+
+# One cold Monte-Carlo call at the benchmark's mc_sweep size, in a fresh
+# interpreter: the minor page faults it takes.
+COLD_CALL_FAULTS = """
+import resource
+from ratelab.montecarlo import estimate_rates
+from ratelab.rates import RATES, PowerSplit
+from ratelab.sweep import preset_geometry
+
+g = preset_geometry("fig3", 0.0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+estimate_rates(g, [1.0, 10.0, 100.0, 1000.0], tuple(RATES), "paper", PowerSplit(0.9, 0.1), 1 << 18, 1, 1)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
+def test_a_cold_monte_carlo_call_takes_few_page_faults():
+    # a temporary allocated per ufunc call is mapped, freed and faulted
+    # back in; with the block workspace that went from ~9,600 to ~2,200
+    src = str(Path(ratelab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", COLD_CALL_FAULTS], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 4000
 
 
 # Taken with the engine that evaluated each rate on its own, before the

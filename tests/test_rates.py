@@ -12,6 +12,7 @@ from ratelab import (
     instantaneous_snrs,
 )
 from ratelab.errors import DomainError, InvalidSplit
+from ratelab.rates import RateTerms
 
 
 R1 = ChannelRealization(lambda_sr=2.0, lambda_rd=3.0, lambda_sd=1.0)
@@ -60,6 +61,18 @@ def test_snrs_rejects_negative_rho_and_bad_mode():
         instantaneous_snrs(R1, -1.0, "paper")
     with pytest.raises(DomainError):
         instantaneous_snrs(R1, 1.0, "bogus")
+
+
+@pytest.mark.parametrize("rho", [math.inf, math.nan])
+def test_every_rate_entry_point_refuses_a_non_finite_rho(rho):
+    # at rho = inf a zero gain makes inf*0, a NaN rate
+    r = ChannelRealization([0.0, 1.0], [1.0, 2.0], [0.0, 3.0])
+    calls = (lambda: RateTerms(r, rho), lambda: instantaneous_snrs(r, rho),
+             lambda: crs_noma_rate(r, rho, "exact"), lambda: crs_noma_rate(r, rho, "paper"),
+             lambda: conventional_noma_rate(r, rho, PowerSplit(0.9, 0.1)), lambda: crs_oma_rate(r, rho))
+    for call in calls:
+        with pytest.raises(DomainError, match="rho must be finite and >= 0"):
+            call()
 
 
 def test_crs_noma_paper_powers_of_two():
