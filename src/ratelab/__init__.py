@@ -27,7 +27,6 @@ from .rates import (
 )
 from .analytic import (
     ClampStats,
-    SeriesTruncation,
     cdf_gamma2_paper,
     cdf_min_pair_approx,
     cdf_min_pair_series,
@@ -60,7 +59,7 @@ __all__ = [
     "sample_power_gains", "split_stream",
     "RATES", "ChannelRealization", "PowerSplit", "RateBreakdown", "SnrSet",
     "conventional_noma_rate", "crs_noma_rate", "crs_oma_rate", "instantaneous_snrs",
-    "ClampStats", "SeriesTruncation",
+    "ClampStats",
     "cdf_gamma2_paper", "cdf_min_pair_approx", "cdf_min_pair_series",
     "cdf_single_link_series", "ergodic_rate_quadrature_quantities",
     "ergodic_rate_series", "g_rho", "h_rho",

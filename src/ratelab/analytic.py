@@ -24,6 +24,10 @@ survivals, with Poisson(K) weights from its one weight source
 integration rules on one side and the Chebyshev moment kernel on the
 other, is separate.
 
+The series have one setting, ``quad_order``, the Chebyshev node count
+(1..:data:`MAX_QUAD_ORDER`, default 50); their depth is the constant
+:data:`SERIES_TAIL_TOL`.
+
 The published analysis carries a link-label inconsistency (the
 min-pair CDF is printed with S-D/S-R constants although the variate is
 min over R-D/S-R, and the single-variate gamma_2 gets a two-link
@@ -35,6 +39,7 @@ deviations between the two are data, not bugs; see
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +50,8 @@ from .errors import ConvergenceError, DomainError
 from .rates import RATES, PowerSplit, RateBreakdown
 
 __all__ = [
-    "SeriesTruncation",
+    "SERIES_TAIL_TOL",
     "ClampStats",
-    "DEFAULT_TRUNCATION",
     "cdf_min_pair_series",
     "cdf_min_pair_approx",
     "cdf_single_link_series",
@@ -61,33 +65,12 @@ __all__ = [
 LN2 = math.log(2.0)
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 MAX_QUAD_ORDER = 100_000
-
-
-@dataclass(frozen=True)
-class SeriesTruncation:
-    """Depth and quadrature controls for the series machinery.
-
-    ``tail_tol``, in (0, 1), sets the depth of each link's series: it
-    stops once the Poisson(K) weight left drops below ``tail_tol``, or
-    where a weight no longer changes the weight covered (see
-    :func:`ratelab.channel.poisson_weights`).  ``quad_order`` is the
-    Chebyshev node count, decoupled from the series depth on purpose.
-    The kernel refuses K above :data:`~ratelab.channel.MAX_NONCENTRALITY`,
-    and up to it a link's series has at most 694 terms, so each matrix
-    :func:`h_rho` builds stays under 4 MB.
-    """
-
-    quad_order: int = 50
-    tail_tol: float = 1e-12
-
-    def __post_init__(self):
-        if not 1 <= self.quad_order <= MAX_QUAD_ORDER:
-            raise DomainError(f"quad_order must be in 1..{MAX_QUAD_ORDER}")
-        if not 0.0 < self.tail_tol < 1.0:
-            raise DomainError(f"tail_tol must be in (0, 1), got {self.tail_tol}")
-
-
-DEFAULT_TRUNCATION = SeriesTruncation()
+# Poisson(K) weight each link's series may leave out (see
+# :func:`ratelab.channel.poisson_weights`).  Every value at or below 1e-9
+# gives the same six-digit sweep rows at K = 3, 10 and 30.  Up to
+# K = MAX_NONCENTRALITY a link's series then has at most 666 terms, so
+# each matrix :func:`h_rho` builds stays under 4 MB.
+SERIES_TAIL_TOL = 1e-12
 
 
 @dataclass
@@ -122,7 +105,6 @@ def cdf_min_pair_series(
     link_a: RicianLink,
     link_b: RicianLink,
     gamma: float,
-    trunc: SeriesTruncation = DEFAULT_TRUNCATION,
     clamp_stats: ClampStats | None = None,
 ) -> float:
     """CDF of min(X_a, X_b) for independent link gains, by double series.
@@ -131,21 +113,20 @@ def cdf_min_pair_series(
         sum_{i<=n, j<=k} a_a^i a_b^j g^(i+j) / (i! j!)
 
     The inner sums factorize per link, so the rectangular truncation,
-    each link's series to its ``tail_tol`` depth, is evaluated as the
-    product of two single-link partial sums; the value is identical
-    term-for-term to the double sum.  At K = 0 this collapses to
-    1 - e^(-(a_a+a_b)g).
+    each link's series to the :data:`SERIES_TAIL_TOL` depth, is
+    evaluated as the product of two single-link partial sums; the value
+    is identical term-for-term to the double sum.  At K = 0 this
+    collapses to 1 - e^(-(a_a+a_b)g).
     """
     gamma = _check_gamma(gamma)
-    sa = poisson_mixture(link_a.k_factor, link_a.inv_scale * gamma, trunc.tail_tol)[0]
-    sb = poisson_mixture(link_b.k_factor, link_b.inv_scale * gamma, trunc.tail_tol)[0]
+    sa = poisson_mixture(link_a.k_factor, link_a.inv_scale * gamma, SERIES_TAIL_TOL)[0]
+    sb = poisson_mixture(link_b.k_factor, link_b.inv_scale * gamma, SERIES_TAIL_TOL)[0]
     return _clamp(1.0 - float(sa * sb), clamp_stats)
 
 
 def cdf_single_link_series(
     link: RicianLink,
     gamma: float,
-    trunc: SeriesTruncation = DEFAULT_TRUNCATION,
     clamp_stats: ClampStats | None = None,
 ) -> float:
     """Single-link gain CDF by the same series machinery.
@@ -154,7 +135,7 @@ def cdf_single_link_series(
     tolerance; this is the corrected form for gamma_2 = lambda_SD.
     """
     gamma = _check_gamma(gamma)
-    s = poisson_mixture(link.k_factor, link.inv_scale * gamma, trunc.tail_tol)[0]
+    s = poisson_mixture(link.k_factor, link.inv_scale * gamma, SERIES_TAIL_TOL)[0]
     return _clamp(1.0 - float(s), clamp_stats)
 
 
@@ -162,7 +143,6 @@ def cdf_gamma2_paper(
     link_y: RicianLink,
     link_z: RicianLink,
     gamma: float,
-    trunc: SeriesTruncation = DEFAULT_TRUNCATION,
     clamp_stats: ClampStats | None = None,
 ) -> float:
     """As-published two-link form of the gamma_2 CDF, constants (z, y).
@@ -171,7 +151,7 @@ def cdf_gamma2_paper(
     carries R-D and S-R constants; this evaluates that printed form so
     it can be diffed against :func:`cdf_single_link_series`.
     """
-    return cdf_min_pair_series(link_z, link_y, gamma, trunc, clamp_stats)
+    return cdf_min_pair_series(link_z, link_y, gamma, clamp_stats)
 
 
 def _log_powers(x: float, n_terms: int) -> np.ndarray:
@@ -188,7 +168,6 @@ def cdf_min_pair_approx(
     link_a: RicianLink,
     link_b: RicianLink,
     gamma: float,
-    trunc: SeriesTruncation = DEFAULT_TRUNCATION,
     clamp_stats: ClampStats | None = None,
     clamp: bool = True,
 ) -> float:
@@ -206,7 +185,7 @@ def cdf_min_pair_approx(
     (from K of about 70 at the fig3 powers); it is never NaN.
     """
     gamma = _check_gamma(gamma)
-    terms = [len(poisson_weights(link.k_factor, trunc.tail_tol)[0]) for link in (link_a, link_b)]
+    terms = [len(poisson_weights(link.k_factor, SERIES_TAIL_TOL)[0]) for link in (link_a, link_b)]
     # ln E_n(g), E_n(g) = sum_{i<=n} g^i/i!
     log_e = np.logaddexp.accumulate(_log_powers(gamma, max(terms)))
 
@@ -237,8 +216,12 @@ def _chebyshev_kernel(m_max: int, rho_eff: float, order: int) -> np.ndarray:
     int_0^inf g^m e^-g * r/(1+r*g) dg at r = rho_eff, which for m = 0
     tends to ln(r) - euler_gamma as r grows.  Everything is evaluated in
     log space so that the (1+c)^(m-1) kernel is safe at nodes hugging
-    c = -1 and the e^(1/r) prefactor cannot overflow at small r.
+    c = -1 and the e^(1/r) prefactor cannot overflow at small r.  An
+    ``order`` that is not an integer in 1..:data:`MAX_QUAD_ORDER` raises
+    :class:`DomainError`; a fractional one would give NaN.
     """
+    if not (isinstance(order, numbers.Integral) and 1 <= order <= MAX_QUAD_ORDER):
+        raise DomainError(f"quad_order must be an integer in 1..{MAX_QUAD_ORDER}, got {order!r}")
     theta = (2.0 * np.arange(1, order + 1) - 1.0) * math.pi / (2.0 * order)
     c = np.cos(theta)
     s = np.abs(np.sin(theta))
@@ -262,7 +245,7 @@ def h_rho(
     link_a: RicianLink,
     link_b: RicianLink,
     rho: float,
-    trunc: SeriesTruncation = DEFAULT_TRUNCATION,
+    quad_order: int = 50,
 ) -> float:
     """Series approximation of E[ln(1 + rho*min(X_a, X_b))] (nats).
 
@@ -277,10 +260,10 @@ def h_rho(
     rho = _check_rho_pos(rho)
     aa, ab = link_a.inv_scale, link_b.inv_scale
     alpha = aa + ab
-    wa = poisson_weights(link_a.k_factor, trunc.tail_tol)[0]
-    wb = poisson_weights(link_b.k_factor, trunc.tail_tol)[0]
+    wa = poisson_weights(link_a.k_factor, SERIES_TAIL_TOL)[0]
+    wb = poisson_weights(link_b.k_factor, SERIES_TAIL_TOL)[0]
     na, nb = len(wa), len(wb)
-    g = _chebyshev_kernel(na + nb - 2, rho / alpha, trunc.quad_order)
+    g = _chebyshev_kernel(na + nb - 2, rho / alpha, quad_order)
     # W[i,j] = C(i+j, i) p^i q^j G[i+j]; a binomial pmf term, never large.
     i = np.arange(na)[:, None]
     j = np.arange(nb)[None, :]
@@ -295,7 +278,7 @@ def g_rho(
     link_z: RicianLink,
     link_y: RicianLink | None,
     rho: float,
-    trunc: SeriesTruncation = DEFAULT_TRUNCATION,
+    quad_order: int = 50,
 ) -> float:
     """Series approximation of the direct-symbol log-rate term (nats).
 
@@ -306,17 +289,17 @@ def g_rho(
     S-D link that way since gamma_2 is one link, not a pair.
     """
     if link_y is not None:
-        return h_rho(link_z, link_y, rho, trunc)
+        return h_rho(link_z, link_y, rho, quad_order)
     rho = _check_rho_pos(rho)
-    w = poisson_weights(link_z.k_factor, trunc.tail_tol)[0]
-    g = _chebyshev_kernel(len(w) - 1, rho / link_z.inv_scale, trunc.quad_order)
+    w = poisson_weights(link_z.k_factor, SERIES_TAIL_TOL)[0]
+    g = _chebyshev_kernel(len(w) - 1, rho / link_z.inv_scale, quad_order)
     return float(w @ np.cumsum(g))
 
 
 def ergodic_rate_series(
     geometry: NetworkGeometry,
     rho: float,
-    trunc: SeriesTruncation = DEFAULT_TRUNCATION,
+    quad_order: int = 50,
     literal: bool = False,
 ) -> RateBreakdown:
     """Paper-mode CRS-NOMA ergodic rates from the series; the total is
@@ -328,11 +311,11 @@ def ergodic_rate_series(
     as the symbols appear in the published expressions.
     """
     if literal:
-        h = h_rho(geometry.sd, geometry.sr, rho, trunc)
-        g = g_rho(geometry.rd, geometry.sr, rho, trunc)
+        h = h_rho(geometry.sd, geometry.sr, rho, quad_order)
+        g = g_rho(geometry.rd, geometry.sr, rho, quad_order)
     else:
-        h = h_rho(geometry.sr, geometry.rd, rho, trunc)
-        g = g_rho(geometry.sd, None, rho, trunc)
+        h = h_rho(geometry.sr, geometry.rd, rho, quad_order)
+        g = g_rho(geometry.sd, None, rho, quad_order)
     c_d = g / (2.0 * LN2)
     return RateBreakdown(h / (2.0 * LN2), c_d, c_d)
 

@@ -99,7 +99,7 @@ class NetworkGeometry:
                 "S-R mean power does not exceed S-D mean power; the relay "
                 "placement assumption of the scheme is violated",
                 ModelAssumptionWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass-generated __init__, to its caller
             )
 
 

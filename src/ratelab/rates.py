@@ -98,6 +98,28 @@ def _plus(a, b, work=None):
     return a + b if work is None else np.add(a, b, out=work.take())
 
 
+class _held:
+    """A property computed on first read and then kept in the instance.
+
+    functools.cached_property does the same, but on Python 3.11 it holds
+    one lock, shared by every instance, while it computes: two threads
+    evaluating their own RateTerms would take their logarithms in turn.
+    """
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class RateBreakdown:
     """The five rate quantities of one scheme in bit/s/Hz.
@@ -114,7 +136,8 @@ class RateBreakdown:
     quantities exist for every scheme.  A sum whose second term is that
     0.0 is its first term itself, not a copy: no rate is -0.0, so the
     copy would hold the same floats.  When ``work`` is given, a derived
-    sum is written to a row of it.
+    sum is written to a row of it.  c_s1 is summed on its first read and
+    then held, so c_total adds to that array rather than a second sum.
     """
 
     c_relay_s1: float
@@ -122,7 +145,7 @@ class RateBreakdown:
     c_s2: float
     work: object = field(default=None, repr=False, compare=False)
 
-    @property
+    @_held
     def c_s1(self):
         return _plus(self.c_relay_s1, self.c_direct_s1, self.work)
 
@@ -151,32 +174,14 @@ class PowerSplit:
 
 
 def _check_rho(rho: float) -> float:
-    """``rho`` as a float; a negative, infinite or NaN SNR is refused."""
+    """``rho`` as a float; a negative, infinite or NaN SNR is refused, and
+    so is an integer above the float range."""
     if not 0.0 <= rho < math.inf:
         raise DomainError(f"rho must be finite and >= 0, got {rho}")
-    return float(rho)
-
-
-class _held:
-    """A property computed on first read and then kept in the instance.
-
-    functools.cached_property does the same, but on Python 3.11 it holds
-    one lock, shared by every instance, while it computes: two threads
-    evaluating their own RateTerms would take their logarithms in turn.
-    """
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.__doc__ = compute.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.compute(obj)
-        return value
+    try:
+        return float(rho)
+    except OverflowError:
+        raise DomainError("rho must be finite and >= 0, got an integer above the float range") from None
 
 
 class RateTerms:
@@ -298,13 +303,17 @@ def conventional_noma_rate(r: ChannelRealization, rho: float, split: PowerSplit)
     s, out_s1, out_s2 = t.scratch(), t.new(), t.new()
 
     def decode_s1(gain, out):
-        """log2(1 + a1*rho*gain / (a2*rho*gain + 1)), s2 interfering"""
-        sinr = np.divide(np.multiply(a1 * rho, gain, out=out),
-                         np.add(np.multiply(a2 * rho, gain, out=s), 1.0, out=s), out=out)
-        return np.log2(np.add(1.0, sinr, out=out), out=out)
+        """log2(1 + a1*rho*gain / (a2*rho*gain + 1)), s2 interfering, and
+        its denominator, s2 plus noise"""
+        s2_plus_noise = np.add(np.multiply(a2 * rho, gain, out=s), 1.0, out=s)
+        sinr = np.divide(np.multiply(a1 * rho, gain, out=out), s2_plus_noise, out=out)
+        return np.log2(np.add(1.0, sinr, out=out), out=out), s2_plus_noise
 
-    c_s1 = np.multiply(0.5, np.minimum(decode_s1(lsd, out_s1), decode_s1(lsr, out_s2), out=out_s1), out=out_s1)
-    decode_s2 = np.log2(np.add(1.0, np.multiply(a2 * rho, lsr, out=out_s2), out=out_s2), out=out_s2)
+    s1_sd, _ = decode_s1(lsd, out_s1)
+    s1_sr, s2_plus_noise = decode_s1(lsr, out_s2)
+    c_s1 = np.multiply(0.5, np.minimum(s1_sd, s1_sr, out=out_s1), out=out_s1)
+    # the relay's s2 decode, log2(1 + a2*rho*lambda_SR), is the log of that denominator
+    decode_s2 = np.log2(s2_plus_noise, out=out_s2)
     c_s2 = np.multiply(0.5, np.minimum(decode_s2, t.log_rd, out=out_s2), out=out_s2)
     return RateBreakdown(c_s1, 0.0, c_s2, t.work)
 

@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 
 from . import __version__
 from .analytic import (
-    SeriesTruncation,
+    MAX_QUAD_ORDER,
+    SERIES_TAIL_TOL,
     ergodic_rate_quadrature_quantities,
     ergodic_rate_series,
 )
@@ -85,7 +86,7 @@ class SweepConfig:
     estimators: tuple
     trials: int
     seed: int
-    truncation: SeriesTruncation
+    quad_order: int
     output_path: str
     preset: str | None = None
     workers: int = 1
@@ -207,6 +208,13 @@ def _trials(raw) -> int:
     return n
 
 
+def _quad_order(raw) -> int:
+    n = _integer(raw)
+    if not 1 <= n <= MAX_QUAD_ORDER:
+        raise ValueError(f"must be in 1..{MAX_QUAD_ORDER}")
+    return n
+
+
 def _grid(raw) -> tuple:
     if isinstance(raw, str):
         return tuple(parse_grid(raw))
@@ -269,7 +277,7 @@ _FIELDS = {
         "omega_sr": (_number, None), "omega_rd": (_number, None), "omega_sd": (_number, None),
     },
     "split": {"a1": (_number, 0.9), "a2": (_number, 0.1)},
-    "series": {"quad_order": (_integer, 50), "tail_tol": (_number, 1e-12)},
+    "series": {"quad_order": (_quad_order, 50)},
     "output": {"path": (_text, "sweep.csv")},
 }
 # The section of each key a document may also give at its top level.
@@ -384,7 +392,6 @@ def config_from_mapping(data: dict, lines: dict | None = None) -> SweepConfig:
         else:
             links[name] = build(f"geometry.{name}", make_link, values["k"] if k is None else k, omega)
     split = build("split", PowerSplit, values["a1"], values["a2"])
-    truncation = build("series", SeriesTruncation, values["quad_order"], values["tail_tol"])
     if errors:
         raise ValidationError("; ".join(errors))
 
@@ -397,7 +404,7 @@ def config_from_mapping(data: dict, lines: dict | None = None) -> SweepConfig:
         estimators=values["estimators"],
         trials=values["trials"],
         seed=values["seed"],
-        truncation=truncation,
+        quad_order=values["quad_order"],
         output_path=values["path"],
         preset=values["preset"],
     )
@@ -454,7 +461,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                         rate = ergodic_rate_quadrature_quantities(config.geometry, rho, token, config.split)
                     else:
                         rate = ergodic_rate_series(
-                            config.geometry, rho, config.truncation, estimator == "series_paper_literal"
+                            config.geometry, rho, config.quad_order, estimator == "series_paper_literal"
                         )
                     cells = [(rate[q], None) for q in QUANTITIES]
                 rows += [
@@ -478,7 +485,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         ("k_sr", g.sr.k_factor), ("k_rd", g.rd.k_factor), ("k_sd", g.sd.k_factor),
         ("omega_sr", g.sr.mean_power), ("omega_rd", g.rd.mean_power), ("omega_sd", g.sd.mean_power),
         ("a1", config.split.a1), ("a2", config.split.a2),
-        ("quad_order", config.truncation.quad_order), ("tail_tol", config.truncation.tail_tol),
+        ("quad_order", config.quad_order), ("tail_tol", SERIES_TAIL_TOL),
         ("k_factor_note", "K values are artifact choices; the published experiments do not report K"),
     ]
     both_series = {"series_corrected", "series_paper_literal"} <= set(config.estimators)
@@ -555,23 +562,18 @@ def calibrate_k(
 # discrepancy report
 # ---------------------------------------------------------------------------
 
-def discrepancy_report(
-    geometry: NetworkGeometry,
-    rho_grid_db,
-    trunc: SeriesTruncation | None = None,
-) -> tuple:
+def discrepancy_report(geometry: NetworkGeometry, rho_grid_db) -> tuple:
     """Literal vs corrected analytic rates, with the oracle alongside.
 
     Rows are (rho_db, quantity, paper_literal, corrected, oracle,
     abs_gap) for the three CRS-NOMA rate quantities; abs_gap is the
     absolute literal-corrected difference.
     """
-    trunc = trunc or SeriesTruncation()
     rows = []
     for rho_db in rho_grid_db:
         rho = db_to_linear(rho_db)
-        lit = ergodic_rate_series(geometry, rho, trunc, literal=True)
-        cor = ergodic_rate_series(geometry, rho, trunc, literal=False)
+        lit = ergodic_rate_series(geometry, rho, literal=True)
+        cor = ergodic_rate_series(geometry, rho, literal=False)
         ora = ergodic_rate_quadrature_quantities(geometry, rho, "crs_noma_paper")
         for qname, q in (("c_r_s1", "c_relay_s1"), ("c_d_s1", "c_direct_s1"), ("c_total", "c_total")):
             rows.append((float(rho_db), qname, lit[q], cor[q], ora[q], abs(lit[q] - cor[q])))

@@ -16,7 +16,6 @@ from ratelab import (
     ClampStats,
     NetworkGeometry,
     PowerSplit,
-    SeriesTruncation,
     cdf_gamma2_paper,
     cdf_min_pair_approx,
     cdf_min_pair_series,
@@ -48,16 +47,14 @@ def ln_rate_exponential(rho, omega):
 
 
 def test_truncation_validation():
-    SeriesTruncation(1, 1e-9)
-    SeriesTruncation(100_000)
-    for bad in ({"quad_order": 0}, {"quad_order": 100_001}):
-        with pytest.raises(DomainError):
-            SeriesTruncation(**bad)
-    # a tail_tol of 1 or more keeps one Poisson weight: c_total 0.363
-    # against the oracle's 14.63 bit/s/Hz at fig3 K=3, 25 dB
-    for tail_tol in (0.0, -1e-3, 1.0, 2.0, math.inf, math.nan):
-        with pytest.raises(DomainError, match=r"tail_tol must be in \(0, 1\)"):
-            SeriesTruncation(tail_tol=tail_tol)
+    for quad_order in (1, 100_000):
+        assert math.isfinite(h_rho(FIG3.sr, FIG3.rd, 10.0, quad_order))
+    # a fractional node count would give NaN
+    for bad in (0, 100_001, 50.5):
+        for call in (lambda: h_rho(FIG3.sr, FIG3.rd, 10.0, bad), lambda: g_rho(FIG3.sd, None, 10.0, bad),
+                     lambda: ergodic_rate_series(FIG3, 10.0, bad)):
+            with pytest.raises(DomainError, match=r"quad_order must be an integer in 1\.\.100000"):
+                call()
 
 
 def test_default_series_emit_no_warning_up_to_the_kernel_bound():
@@ -228,12 +225,12 @@ def test_h_rho_rayleigh_high_snr_against_oracle():
     got = h_rho(a, b, rho)
     assert got == pytest.approx(want, rel=0.05)
     # finer quadrature converges much closer
-    got200 = h_rho(a, b, rho, SeriesTruncation(quad_order=200))
+    got200 = h_rho(a, b, rho, quad_order=200)
     assert got200 == pytest.approx(want, rel=2e-3)
 
 
 def test_h_rho_quad_order_one_is_finite():
-    v = h_rho(make_link(1, 2), make_link(0, 3), 10.0, SeriesTruncation(quad_order=1))
+    v = h_rho(make_link(1, 2), make_link(0, 3), 10.0, quad_order=1)
     assert math.isfinite(v) and v >= 0
 
 
@@ -534,16 +531,19 @@ def test_quadrature_bounds_its_work_at_extreme_inputs(monkeypatch):
         ergodic_rate_quadrature_quantities(FIG3, 1e306, "crs_oma")
 
 
-def test_import_leaves_scipy_integrate_unloaded():
+def test_import_leaves_scipy_integrate_unloaded(tmp_path):
     # with SciPy made unimportable, the whole runtime still works on the
     # fig3 powers at K = 3: the oracle for every token, both series, the
-    # density and Marcum Q; the None entry is the only scipy module
+    # density and Marcum Q; and so do the three commands, the sweep over
+    # two Monte-Carlo blocks on the thread pool; the None entry is the
+    # only scipy module
     code = """
-import sys
+import contextlib, io, os, sys
 sys.modules["scipy"] = None  # any scipy import now raises ImportError
 import ratelab
 from ratelab import (NetworkGeometry, PowerSplit, RATES, ergodic_rate_quadrature_quantities,
                      ergodic_rate_series, make_link, marcum_q1, power_gain_pdf)
+from ratelab.cli import main
 fig3 = NetworkGeometry(sr=make_link(3, 8), rd=make_link(3, 8), sd=make_link(3, 3))
 for token in RATES:
     ergodic_rate_quadrature_quantities(fig3, 10.0, token, PowerSplit(0.9, 0.1))
@@ -551,11 +551,21 @@ ergodic_rate_series(fig3, 10.0, literal=True)
 ergodic_rate_series(fig3, 10.0)
 power_gain_pdf(fig3.sd, [0.0, 1.0])
 marcum_q1(1.0, 2.0)
+tmp = sys.argv[1]
+cfg = os.path.join(tmp, "mc.txt")
+with open(cfg, "w") as fh:
+    fh.write("preset = fig3\\n[sweep]\\nrho_db = 5\\ntrials = 140000\\n")
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["sweep", "--config", cfg, "--workers", "2", "--out", os.path.join(tmp, "mc.csv")]) == 0
+    assert "concurrent.futures.thread" in sys.modules
+    assert main(["calibrate", "--preset", "fig3", "--k-grid", "0,5", "--trials", "1000",
+                 "--out", os.path.join(tmp, "cal.csv")]) == 0
+    assert main(["discrepancy", "--preset", "fig3", "--out", os.path.join(tmp, "dis.csv")]) == 0
 print(sorted(name for name in sys.modules if name.startswith("scipy")))
 """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(ratelab.__file__).parents[1]),
                                                         os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "['scipy']"
 

@@ -38,8 +38,10 @@ def test_make_link_validation():
 
 
 def test_geometry_warns_when_relay_link_is_not_stronger():
-    with pytest.warns(ModelAssumptionWarning):
+    with pytest.warns(ModelAssumptionWarning) as record:
         NetworkGeometry(sr=make_link(0, 2), rd=make_link(0, 8), sd=make_link(0, 3))
+    # attributed to the caller, not to the dataclass-generated __init__
+    assert [w.filename for w in record] == [__file__]
     # fig3-style geometry is fine
     NetworkGeometry(sr=make_link(0, 8), rd=make_link(0, 8), sd=make_link(0, 3))
 

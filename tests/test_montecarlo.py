@@ -35,9 +35,12 @@ from ratelab.sweep import (
     PAPER_TARGETS,
     calibrate_k,
     db_to_linear,
+    discrepancy_report,
+    parse_config,
     preset_config,
     preset_geometry,
     render_csv,
+    render_discrepancy_csv,
     run_sweep,
 )
 
@@ -447,3 +450,26 @@ def test_golden_monte_carlo_outputs(workers):
     assert repr(gap) == GOLDEN_GAP
     cal = calibrate_k("fig3", k_grid=[0.0, 4.0], trials=ENGINE_TRIALS, seed=31, workers=workers)
     assert repr(cal.residuals[-1]) == GOLDEN_RESIDUAL
+
+
+# Taken with the series depth set by the [series] tail_tol key, before it
+# became the constant SERIES_TAIL_TOL: the same bytes must come out.
+GOLDEN_SERIES_SWEEP_SHA256 = "277b82d568162b4e47f663b230322377778fe792ee73cc813620f6fef857e145"
+GOLDEN_DISCREPANCY_SHA256 = "ab715f409108e7113fa1f970e4ae828c96c771d65e51a63a52e2b6a59c0304a5"
+
+
+def test_golden_series_sweep():
+    # both link readings at a non-default quad_order, and the tail_tol line
+    doc = ("preset = fig3\n[geometry]\nk = 3\n[sweep]\nrho_db = -10:30:5\n"
+           "schemes = crs_noma, conventional, crs_oma\nmodes = paper, exact\n"
+           "estimators = quadrature_oracle, series_corrected, series_paper_literal\n"
+           "[series]\nquad_order = 80\n")
+    csv = render_csv(run_sweep(parse_config(doc)))
+    assert "# quad_order = 80\n# tail_tol = 1e-12\n" in csv
+    assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN_SERIES_SWEEP_SHA256
+
+
+def test_golden_discrepancy_table():
+    geometry = preset_geometry("fig4", 30)
+    table = render_discrepancy_csv(discrepancy_report(geometry, range(0, 31, 5)), geometry)
+    assert hashlib.sha256(table.encode()).hexdigest() == GOLDEN_DISCREPANCY_SHA256

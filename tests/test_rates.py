@@ -5,11 +5,14 @@ import pytest
 
 from ratelab import (
     ChannelRealization,
+    NetworkGeometry,
     PowerSplit,
     conventional_noma_rate,
     crs_noma_rate,
     crs_oma_rate,
+    estimate_rates,
     instantaneous_snrs,
+    make_link,
 )
 from ratelab.errors import DomainError, InvalidSplit
 from ratelab.rates import RateTerms
@@ -63,13 +66,16 @@ def test_snrs_rejects_negative_rho_and_bad_mode():
         instantaneous_snrs(R1, 1.0, "bogus")
 
 
-@pytest.mark.parametrize("rho", [math.inf, math.nan])
+@pytest.mark.parametrize("rho", [math.inf, math.nan, pytest.param(10**400, id="10**400")])
 def test_every_rate_entry_point_refuses_a_non_finite_rho(rho):
-    # at rho = inf a zero gain makes inf*0, a NaN rate
+    # at rho = inf a zero gain makes inf*0, a NaN rate; an int above the
+    # float range compares as finite but has no float
     r = ChannelRealization([0.0, 1.0], [1.0, 2.0], [0.0, 3.0])
+    geometry = NetworkGeometry(sr=make_link(0, 8), rd=make_link(0, 8), sd=make_link(0, 3))
     calls = (lambda: RateTerms(r, rho), lambda: instantaneous_snrs(r, rho),
              lambda: crs_noma_rate(r, rho, "exact"), lambda: crs_noma_rate(r, rho, "paper"),
-             lambda: conventional_noma_rate(r, rho, PowerSplit(0.9, 0.1)), lambda: crs_oma_rate(r, rho))
+             lambda: conventional_noma_rate(r, rho, PowerSplit(0.9, 0.1)), lambda: crs_oma_rate(r, rho),
+             lambda: estimate_rates(geometry, rho, ("crs_noma",), trials=10))
     for call in calls:
         with pytest.raises(DomainError, match="rho must be finite and >= 0"):
             call()
@@ -193,6 +199,15 @@ def test_decomposition_identity():
             assert b.c_total == b.c_s1 + b.c_s2
         b = crs_noma_rate(r, rho, "exact")
         assert b.c_s1 == b.c_relay_s1 + b.c_direct_s1
+
+
+def test_a_breakdown_sums_its_c_s1_once():
+    # c_total adds c_s2 to the held c_s1 rather than to a second sum
+    r = ChannelRealization([0.5, 2.0], [1.0, 3.0], [0.2, 4.0])
+    for mode in ("paper", "exact"):
+        b = crs_noma_rate(r, 10.0, mode)
+        assert b.c_s1 is b.c_s1
+        assert b.c_total.tobytes() == (b.c_relay_s1 + b.c_direct_s1 + b.c_s2).tobytes()
 
 
 def test_zero_channel_zero_rates():

@@ -57,8 +57,7 @@ def test_minimal_document_gets_documented_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.trials == 10**6
     assert cfg.seed == 42
-    assert cfg.truncation.tail_tol == 1e-12
-    assert cfg.truncation.quad_order == 50
+    assert cfg.quad_order == 50
     assert cfg.rho_grid_db[0] == 0.0 and cfg.rho_grid_db[-1] == 30.0
     assert len(cfg.rho_grid_db) == 31
     assert cfg.geometry.sd.mean_power == 3.0
@@ -571,14 +570,13 @@ def test_cli_discrepancy_at_large_k_is_silent(tmp_path):
 
 
 def test_series_controls_are_bounded_in_a_config(tmp_path, capsys):
-    with pytest.raises(ValidationError, match=r"series: quad_order must be in 1\.\.100000"):
+    with pytest.raises(ValidationError, match=r"series\.quad_order: must be in 1\.\.100000"):
         parse_config(MINIMAL + "[series]\nquad_order = 100000000000\n")
     with pytest.raises(ValidationError, match=r"field series\.n_max: unknown key"):
         parse_config(json.dumps({"preset": "fig3", "series": {"n_max": 20}}))
     cfg = tmp_path / "cfg.txt"
-    # a tail_tol of 1 or more keeps one Poisson weight per link
-    for line, message in (("quad_order = 100000000000", "series: quad_order must be in 1..100000"),
-                          ("tail_tol = inf", "series: tail_tol must be in (0, 1), got inf"),
+    for line, message in (("quad_order = 100000000000", "line 3: series.quad_order: must be in 1..100000"),
+                          ("tail_tol = inf", "line 3: series.tail_tol: unknown key"),
                           ("n_max = 20", "line 3: series.n_max: unknown key")):
         cfg.write_text(f"preset = fig3\n[series]\n{line}\n")
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 1
@@ -615,7 +613,7 @@ SCHEMES = "crs_noma, conventional, crs_oma"
     ({"geometry": {"k": None}}, "field geometry.k: null is not a value"),
     ({"geometry": {"k_rd": None}}, "field geometry.k_rd: null is not a value"),
     ({"geometry": {"omega_sd": None}}, "field geometry.omega_sd: null is not a value"),
-    ({"series": {"tail_tol": None}}, "field series.tail_tol: null is not a value"),
+    ({"series": {"tail_tol": None}}, "field series.tail_tol: unknown key"),
     ({"sweep": {"rho_db": None}}, "field sweep.rho_db: null is not a value"),
     ({"sweep": {"schemes": None}}, "field sweep.schemes: null is not a value"),
     ({"sweep": {"trials": None}}, "field sweep.trials: null is not a value"),
