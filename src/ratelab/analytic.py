@@ -44,10 +44,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (NetworkGeometry, RicianLink, poisson_mixture, poisson_weights, power_gain_pdf,
-                      power_gain_sf)
+from .channel import (NetworkGeometry, RicianLink, _check_nonneg, poisson_mixture, poisson_weights,
+                      power_gain_pdf, power_gain_sf)
 from .errors import ConvergenceError, DomainError
-from .rates import RATES, PowerSplit, RateBreakdown
+from .rates import RATES, PowerSplit, RateBreakdown, _check_rho, _check_split
 
 __all__ = [
     "SERIES_TAIL_TOL",
@@ -95,12 +95,6 @@ def _clamp(raw: float, stats: ClampStats | None) -> float:
     return min(max(raw, 0.0), 1.0)
 
 
-def _check_gamma(gamma: float) -> float:
-    if not gamma >= 0.0:
-        raise DomainError(f"gamma must be >= 0, got {gamma}")
-    return float(gamma)
-
-
 def cdf_min_pair_series(
     link_a: RicianLink,
     link_b: RicianLink,
@@ -118,7 +112,7 @@ def cdf_min_pair_series(
     is identical term-for-term to the double sum.  At K = 0 this
     collapses to 1 - e^(-(a_a+a_b)g).
     """
-    gamma = _check_gamma(gamma)
+    gamma = float(_check_nonneg(gamma, "gamma"))
     sa = poisson_mixture(link_a.k_factor, link_a.inv_scale * gamma, SERIES_TAIL_TOL)[0]
     sb = poisson_mixture(link_b.k_factor, link_b.inv_scale * gamma, SERIES_TAIL_TOL)[0]
     return _clamp(1.0 - float(sa * sb), clamp_stats)
@@ -134,7 +128,7 @@ def cdf_single_link_series(
     Agrees with :func:`ratelab.channel.power_gain_cdf` within the series
     tolerance; this is the corrected form for gamma_2 = lambda_SD.
     """
-    gamma = _check_gamma(gamma)
+    gamma = float(_check_nonneg(gamma, "gamma"))
     s = poisson_mixture(link.k_factor, link.inv_scale * gamma, SERIES_TAIL_TOL)[0]
     return _clamp(1.0 - float(s), clamp_stats)
 
@@ -184,7 +178,7 @@ def cdf_min_pair_approx(
     raw value is finite, or -inf where it lies below the float range
     (from K of about 70 at the fig3 powers); it is never NaN.
     """
-    gamma = _check_gamma(gamma)
+    gamma = float(_check_nonneg(gamma, "gamma"))
     terms = [len(poisson_weights(link.k_factor, SERIES_TAIL_TOL)[0]) for link in (link_a, link_b)]
     # ln E_n(g), E_n(g) = sum_{i<=n} g^i/i!
     log_e = np.logaddexp.accumulate(_log_powers(gamma, max(terms)))
@@ -236,8 +230,10 @@ def _chebyshev_kernel(m_max: int, rho_eff: float, order: int) -> np.ndarray:
 
 
 def _check_rho_pos(rho: float) -> float:
-    if not (rho > 0.0 and math.isfinite(rho)):
-        raise DomainError(f"rho must be finite and > 0, got {rho}")
+    """:func:`ratelab.rates._check_rho`, and rho > 0, which the series and
+    the oracle need and the rate functions do not."""
+    if _check_rho(rho) == 0.0:
+        raise DomainError("rho must be > 0 for the series and the oracle, got 0")
     return float(rho)
 
 
@@ -463,8 +459,7 @@ def ergodic_rate_quadrature_quantities(
         return RateBreakdown(c_relay, c_direct, c_direct)
 
     if scheme == "conventional":
-        if split is None:
-            raise DomainError("conventional scheme requires a PowerSplit")
+        _check_split(split)
         a1, a2 = split.a1, split.a2
         # s1 passes through the increasing map g(w) = a1*rho*w/(a2*rho*w+1)
         # of W = min(lambda_SD, lambda_SR), which collapses the min of the

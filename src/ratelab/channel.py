@@ -57,7 +57,8 @@ class RicianLink:
     """One fading link: Rician factor K and mean power gain Omega.
 
     ``k_factor`` is dimensionless, >= 0 (0 is Rayleigh fading); the
-    sampled power gain has mean ``mean_power``.
+    sampled power gain has mean ``mean_power``, refused where the
+    inverse scale (1 + K)/Omega overflows.
     """
 
     k_factor: float
@@ -66,8 +67,8 @@ class RicianLink:
     def __post_init__(self):
         if not (self.k_factor >= 0.0) or not math.isfinite(self.k_factor):
             raise InvalidKFactor(f"k_factor must be finite and >= 0, got {self.k_factor}")
-        if not (self.mean_power > 0.0) or not math.isfinite(self.mean_power):
-            raise InvalidPower(f"mean_power must be finite and > 0, got {self.mean_power}")
+        if not (0.0 < self.mean_power < math.inf and self.inv_scale < math.inf):
+            raise InvalidPower(f"mean_power and (1 + K)/mean_power must be finite and > 0, got {self.mean_power}")
 
     @property
     def inv_scale(self) -> float:
@@ -137,10 +138,11 @@ def sample_power_gains(link: RicianLink, rng: np.random.Generator, n: int, *, wo
     return np.add(np.multiply(re, re, out=out), np.multiply(im, im, out=s), out=out)
 
 
-def _check_nonneg(x):
+def _check_nonneg(x, name: str = "power gain argument") -> np.ndarray:
+    """``x`` as a float array; one pass refuses a negative or NaN element, +inf passes."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise DomainError("power gain argument must be >= 0")
+    if not (x >= 0.0).all():
+        raise DomainError(f"{name} must be >= 0 and not NaN")
     return x
 
 
@@ -248,9 +250,8 @@ def marcum_q1(a: float, b) -> float:
     :data:`MAX_NONCENTRALITY`); the truncation tail is bounded by
     :data:`KERNEL_TOL`.
     """
-    if a < 0.0:
-        raise DomainError("marcum_q1 requires a >= 0")
-    b = _check_nonneg(b)
+    a = float(_check_nonneg(a, "marcum_q1 argument a"))
+    b = _check_nonneg(b, "marcum_q1 argument b")
     return _as_result(_settled_sf(0.5 * a * a, 0.5 * b * b))
 
 

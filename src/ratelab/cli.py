@@ -11,14 +11,16 @@ A grid that starts below zero is written with '=', --rho-grid=-10:30:5,
 since a bare -10:30:5 reads as an option.
 
 Exit codes: 0 success, 1 configuration/validation error (usage errors
-included), 2 runtime or convergence error.  The environment variable
-RATELAB_SEED overrides the config-file seed; an explicit --seed flag
-beats both.
+included), 2 runtime or convergence error.  A warning prints as one
+``ratelab: warning: ...`` line and leaves the exit code alone.  The
+environment variable RATELAB_SEED overrides the config-file seed; an
+explicit --seed flag beats both.
 """
 
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import replace
 
 from .errors import ConvergenceError, DomainError, ParseError, RateLabError, ValidationError
@@ -160,8 +162,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        # one line per shown warning; a filter that makes it an error still raises
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(f"ratelab: warning: {message}", file=sys.stderr)
+            args = build_parser().parse_args(argv)
+            return args.func(args)
     except (ParseError, ValidationError, DomainError, FileNotFoundError) as exc:
         print(f"ratelab: error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG

@@ -18,7 +18,7 @@ class InvalidKFactor(DomainError):
 
 
 class InvalidPower(DomainError):
-    """Mean channel power must be finite and strictly positive."""
+    """Mean channel power must be finite, > 0 and leave (1 + K)/Omega finite."""
 
 
 class InvalidSplit(DomainError):

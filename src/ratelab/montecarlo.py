@@ -48,6 +48,7 @@ from .rates import (
     RateBreakdown,
     RateTerms,
     _check_rho,
+    _check_split,
     conventional_noma_rate,
     crs_noma_rate,
     crs_oma_rate,
@@ -147,8 +148,8 @@ def _resolve(schemes, mode: str, split: PowerSplit | None, rhos, trials: int, se
     for rho in rhos:
         _check_rho(rho)
     tokens = [rate_token(s, mode) for s in schemes]
-    if "conventional" in tokens and split is None:
-        raise DomainError("conventional scheme requires a PowerSplit")
+    if "conventional" in tokens:
+        _check_split(split)
     return tokens
 
 

@@ -173,6 +173,12 @@ class PowerSplit:
             raise InvalidSplit(f"need a1 > a2 > 0, got ({self.a1}, {self.a2})")
 
 
+def _check_split(split):
+    """Refuse a split that is not a :class:`PowerSplit`, which checks its values."""
+    if not isinstance(split, PowerSplit):
+        raise InvalidSplit(f"the conventional scheme needs a PowerSplit, got {split!r}")
+
+
 def _check_rho(rho: float) -> float:
     """``rho`` as a float; a negative, infinite or NaN SNR is refused, and
     so is an integer above the float range."""
@@ -296,8 +302,7 @@ def conventional_noma_rate(r: ChannelRealization, rho: float, split: PowerSplit)
     second decode and the relay-destination hop.
     """
     t = _terms(r, rho)
-    if not isinstance(split, PowerSplit):
-        raise InvalidSplit("split must be a PowerSplit")
+    _check_split(split)
     rho, lsr, lsd = t.rho, t.lambda_sr, t.lambda_sd
     a1, a2 = split.a1, split.a2
     s, out_s1, out_s2 = t.scratch(), t.new(), t.new()

@@ -524,7 +524,7 @@ def calibrate_k(
     """
     if preset not in PRESETS:
         raise ValidationError(f"unknown preset {preset!r}")
-    targets = tuple(targets) if targets else PAPER_TARGETS[preset]
+    targets = PAPER_TARGETS[preset] if targets is None else tuple(targets)
     if not targets:
         raise ValidationError("targets must be nonempty")
     if k_grid is None:
@@ -585,9 +585,20 @@ def discrepancy_report(geometry: NetworkGeometry, rho_grid_db) -> tuple:
 # ---------------------------------------------------------------------------
 
 def _fmt(v) -> str:
+    if v is None:
+        return ""
     if isinstance(v, float):
         return f"{v:.6g}"
     return str(v)
+
+
+def _table(meta, header: str, rows) -> str:
+    """'#' metadata lines, the header and one line per row, each value
+    through :func:`_fmt`; LF line endings."""
+    out = [f"# {k} = {v}" for k, v in meta]
+    out.append(header)
+    out += [",".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(out) + "\n"
 
 
 def render_csv(result: SweepResult) -> str:
@@ -596,43 +607,24 @@ def render_csv(result: SweepResult) -> str:
     Six significant digits, '.' decimal separator, LF line endings;
     byte-identical output for identical inputs.
     """
-    out = [f"# {k} = {v}" for k, v in result.metadata]
-    out.append("rho_db,scheme,mode,estimator,quantity,value,std_err")
     rows = sorted(result.rows, key=lambda r: (r.rho_db, r.scheme, r.estimator, r.quantity, r.mode))
-    for r in rows:
-        se = "" if r.std_err is None else _fmt(float(r.std_err))
-        out.append(
-            f"{_fmt(float(r.rho_db))},{r.scheme},{r.mode},{r.estimator},{r.quantity},"
-            f"{_fmt(float(r.value))},{se}"
-        )
-    return "\n".join(out) + "\n"
+    return _table(result.metadata, "rho_db,scheme,mode,estimator,quantity,value,std_err",
+                  [(r.rho_db, r.scheme, r.mode, r.estimator, r.quantity, r.value, r.std_err) for r in rows])
 
 
 def render_calibration_csv(result: CalibrationResult) -> str:
-    out = [
-        f"# tool = ratelab",
-        f"# version = {__version__}",
-        f"# preset = {result.preset}",
-        f"# best_k = {_fmt(result.best_k)}",
-        "# note = single K shared by all links; published experiments do not report K",
-        "k,rho_db,scheme,simulated,target,residual",
-    ]
-    for k, rho_db, scheme, sim, tgt, res in result.residuals:
-        out.append(f"{_fmt(k)},{_fmt(rho_db)},{scheme},{_fmt(sim)},{_fmt(tgt)},{_fmt(res)}")
-    return "\n".join(out) + "\n"
+    meta = [("tool", "ratelab"), ("version", __version__), ("preset", result.preset),
+            ("best_k", _fmt(result.best_k)),
+            ("note", "single K shared by all links; published experiments do not report K")]
+    return _table(meta, "k,rho_db,scheme,simulated,target,residual", result.residuals)
 
 
 def render_discrepancy_csv(rows, geometry: NetworkGeometry) -> str:
-    out = [
-        f"# tool = ratelab",
-        f"# version = {__version__}",
-        f"# k = {_fmt(geometry.sr.k_factor)},{_fmt(geometry.rd.k_factor)},{_fmt(geometry.sd.k_factor)}",
-        f"# omega = {_fmt(geometry.sr.mean_power)},{_fmt(geometry.rd.mean_power)},{_fmt(geometry.sd.mean_power)}",
-        "rho_db,quantity,paper_literal,corrected,oracle,abs_gap",
-    ]
-    for rho_db, q, lv, cv, ov, gap in rows:
-        out.append(f"{_fmt(rho_db)},{q},{_fmt(lv)},{_fmt(cv)},{_fmt(ov)},{_fmt(gap)}")
-    return "\n".join(out) + "\n"
+    links = (geometry.sr, geometry.rd, geometry.sd)
+    meta = [("tool", "ratelab"), ("version", __version__),
+            ("k", ",".join(_fmt(link.k_factor) for link in links)),
+            ("omega", ",".join(_fmt(link.mean_power) for link in links))]
+    return _table(meta, "rho_db,quantity,paper_literal,corrected,oracle,abs_gap", rows)
 
 
 def emit_plot_script(result: SweepResult, csv_path: str | None = None) -> str:

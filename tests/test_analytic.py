@@ -369,6 +369,12 @@ def test_quadrature_validates_inputs():
         ergodic_rate_quadrature_quantities(FIG3, 1.0, "conventional", split=None)
 
 
+def test_oracle_integrates_an_empty_span_to_zero():
+    # at Omega_SD = 1e-30 the S-D survival is below 1e-20 before the span starts
+    rates = ergodic_rate_quadrature_quantities(_links(0, 8, 8, 1e-30), 10 ** 0.5, "crs_noma_paper")
+    assert rates.c_direct_s1 == 0.0 and rates.c_relay_s1 > 0.0
+
+
 def test_quadrature_budget_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(analytic, "MAX_QUAD_LEVELS", 1)
     with pytest.raises(ConvergenceError):

@@ -35,6 +35,12 @@ def test_make_link_validation():
         make_link(3, -2)
     with pytest.raises(InvalidKFactor):
         make_link(float("nan"), 1)
+    # a subnormal mean power whose inverse scale (1 + K)/Omega overflows
+    assert math.isfinite(make_link(0, 1e-300).inv_scale)
+    with pytest.raises(InvalidPower, match=r"\(1 \+ K\)/mean_power must be finite and > 0, got 1e-320"):
+        make_link(0, 1e-320)
+    with pytest.raises(InvalidPower):
+        make_link(3, 1e-308)
 
 
 def test_geometry_warns_when_relay_link_is_not_stronger():
@@ -90,6 +96,25 @@ def test_pdf_rejects_negative_argument():
         power_gain_pdf(make_link(1, 1), -0.5)
     with pytest.raises(DomainError):
         power_gain_cdf(make_link(1, 1), -0.5)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda x: power_gain_sf(make_link(2, 8), x), "power gain argument"),
+    (lambda x: power_gain_cdf(make_link(2, 8), x), "power gain argument"),
+    (lambda x: power_gain_pdf(make_link(2, 8), x), "power gain argument"),
+    (lambda x: marcum_q1(1.0, x), "marcum_q1 argument b"),
+    (lambda x: marcum_q1(x, 1.0), "marcum_q1 argument a"),
+], ids=["sf", "cdf", "pdf", "marcum_q1_b", "marcum_q1_a"])
+def test_every_gain_argument_refuses_negatives_and_nan(call, name):
+    for x in (math.nan, [1.0, math.nan], -1.0):
+        with pytest.raises(DomainError, match=f"^{name} must be >= 0 and not NaN$"):
+            call(x)
+
+
+def test_an_infinite_gain_argument_passes():
+    link = make_link(0, 8)
+    assert (power_gain_sf(link, math.inf), power_gain_cdf(link, math.inf), power_gain_pdf(link, math.inf),
+            marcum_q1(0.0, math.inf)) == (0.0, 1.0, 0.0, 0.0)
 
 
 def test_pdf_matches_histogram_oracle():

@@ -20,7 +20,7 @@ from ratelab import (
 import ratelab
 from ratelab import montecarlo
 from ratelab.channel import sample_power_gains, split_stream
-from ratelab.errors import DomainError
+from ratelab.errors import DomainError, InvalidSplit
 from ratelab.montecarlo import BLOCK_SIZE, QUANTITIES
 from ratelab.rates import (
     RATES,
@@ -73,6 +73,27 @@ def test_validation():
         estimate_rates(g, float("inf"), ("crs_noma",), trials=10)
     with pytest.raises(DomainError, match="rho must be finite"):
         paired_gap(g, float("inf"), "crs_noma", "crs_oma", trials=10)
+
+
+def test_every_conventional_entry_point_takes_one_split_rule(monkeypatch):
+    def no_blocks(*args):
+        raise AssertionError("a block ran before the split was checked")
+
+    monkeypatch.setattr(montecarlo, "_run_blocks", no_blocks)
+    g = fig3_geometry()
+    calls = (lambda: estimate_rates(g, 1.0, ("conventional",), split=(0.9, 0.1), trials=10),
+             lambda: paired_gap(g, 1.0, "crs_noma", "conventional", split=(0.9, 0.1), trials=10),
+             lambda: conventional_noma_rate(ChannelRealization(1.0, 1.0, 1.0), 1.0, (0.9, 0.1)),
+             lambda: ergodic_rate_quadrature_quantities(g, 1.0, "conventional", (0.9, 0.1)))
+    for call in calls:
+        with pytest.raises(InvalidSplit, match=r"^the conventional scheme needs a PowerSplit, got \(0\.9, 0\.1\)$"):
+            call()
+
+
+def test_a_single_trial_has_a_zero_standard_error():
+    res = estimate_rates(fig3_geometry(), 1.0, ("crs_noma", "conventional", "crs_oma"), split=SPLIT, trials=1)
+    assert len(res) == 3 * len(QUANTITIES)
+    assert all(r.std_err == 0.0 and math.isfinite(r.mean) for r in res)
 
 
 def test_result_shape_and_fields():

@@ -10,7 +10,11 @@ from ratelab import (
     conventional_noma_rate,
     crs_noma_rate,
     crs_oma_rate,
+    ergodic_rate_quadrature_quantities,
+    ergodic_rate_series,
     estimate_rates,
+    g_rho,
+    h_rho,
     instantaneous_snrs,
     make_link,
 )
@@ -75,7 +79,11 @@ def test_every_rate_entry_point_refuses_a_non_finite_rho(rho):
     calls = (lambda: RateTerms(r, rho), lambda: instantaneous_snrs(r, rho),
              lambda: crs_noma_rate(r, rho, "exact"), lambda: crs_noma_rate(r, rho, "paper"),
              lambda: conventional_noma_rate(r, rho, PowerSplit(0.9, 0.1)), lambda: crs_oma_rate(r, rho),
-             lambda: estimate_rates(geometry, rho, ("crs_noma",), trials=10))
+             lambda: estimate_rates(geometry, rho, ("crs_noma",), trials=10),
+             # the series and the oracle take the same rule, then also refuse rho = 0
+             lambda: h_rho(geometry.sr, geometry.rd, rho), lambda: g_rho(geometry.sd, None, rho),
+             lambda: ergodic_rate_series(geometry, rho),
+             lambda: ergodic_rate_quadrature_quantities(geometry, rho, "crs_oma"))
     for call in calls:
         with pytest.raises(DomainError, match="rho must be finite and >= 0"):
             call()

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,11 +26,13 @@ from ratelab.errors import DomainError, ParseError, ValidationError
 from ratelab.montecarlo import MAX_TRIALS, MAX_WORKERS
 from ratelab.rates import QUANTITIES, RATES
 from ratelab.sweep import (
+    ESTIMATORS,
     MAX_GRID_POINTS,
     PAPER_TARGETS,
     calibrate_k,
     discrepancy_report,
     parse_grid,
+    preset_geometry,
     render_discrepancy_csv,
 )
 
@@ -662,3 +665,81 @@ def test_cli_refuses_a_noncentrality_the_kernel_cannot_sum(tmp_path, capsys):
     assert err.startswith("ratelab: error: noncentrality K = 800 is above 500") and err.count("\n") == 1
     cfg.write_text(CLI_CONFIG.replace("preset = fig3", "preset = fig3\n[geometry]\nk = 800"))
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+
+
+def test_a_warning_is_one_line(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    out = tmp_path / "out.csv"
+    cfg.write_text(CLI_CONFIG + "[geometry]\nomega_sr = 1\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ("ratelab: warning: S-R mean power does not exceed S-D mean power; "
+                                       "the relay placement assumption of the scheme is violated\n")
+    assert out.read_text().startswith("# tool = ratelab\n")
+
+
+def test_a_mean_power_whose_inverse_scale_overflows_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "cfg.txt"
+    out = tmp_path / "out.csv"
+    cfg.write_text("preset = fig3\n[geometry]\nomega_sd = 1e-320\n[sweep]\nrho_db = 5\n"
+                   "estimators = quadrature_oracle, series_corrected\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("ratelab: error: geometry.sd: mean_power and (1 + K)/mean_power must be "
+                                       "finite and > 0, got 1e-320\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["discrepancy", "--preset", "fig3", "--rho-grid", "0:10"], None, "--rho-grid: need start:stop:step"),
+    (["discrepancy", "--preset", "fig3", "--rho-grid", "0:10:0"], None, "--rho-grid: step must be > 0"),
+    (["sweep"], "[geometry]\nk = abc\n", "line 3: geometry.k: cannot interpret 'abc'"),
+    (["sweep"], "[sweep]\ntrials = 0\n", "line 3: sweep.trials: must be >= 1"),
+    (["sweep"], "= 5\n", "line 2: empty key"),
+    (["sweep"], "[bogus]\n", "unknown section [bogus]"),
+    (["sweep"], "bogus = 1\n", "line 2: bogus: unknown top-level key"),
+])
+def test_each_refused_config_or_grid_is_one_line(argv, config, message, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    if config is not None:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("preset = fig3\n" + config)
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"ratelab: error: {message}\n"
+    assert not out.exists()
+
+
+def test_run_sweep_and_calibrate_k_refuse_bad_arguments(monkeypatch):
+    def no_blocks(*args):
+        raise AssertionError("a block ran past a refused argument")
+
+    monkeypatch.setattr(montecarlo, "_run_blocks", no_blocks)
+    with pytest.raises(DomainError, match=re.escape(f"estimators must be among {ESTIMATORS}, got ('magic',)")):
+        run_sweep(preset_config("fig3", estimators=("magic",)))
+    with pytest.raises(ValidationError, match="^unknown preset 'fig5'$"):
+        calibrate_k("fig5")
+    with pytest.raises(ValidationError, match="^k_grid must be nonempty$"):
+        calibrate_k("fig3", k_grid=[])
+
+
+def test_calibrate_k_refuses_an_empty_target_list(monkeypatch):
+    # an empty list is given targets, not the paper's
+    monkeypatch.setattr(montecarlo, "_run_blocks", lambda *args: pytest.fail("a block ran"))
+    with pytest.raises(ValidationError, match="^targets must be nonempty$"):
+        calibrate_k("fig3", targets=[], k_grid=[0.0], trials=10)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_a_non_finite_sweep_row_is_refused():
+    # at rho = 1e300 and Omega = 1e300, rho*lambda overflows and the Monte-Carlo mean is inf
+    cfg = parse_config("[geometry]\nomega_sr = 1e300\nomega_rd = 1e300\nomega_sd = 1e299\n"
+                       "[sweep]\nrho_db = 3000\nschemes = crs_oma\ntrials = 10\n")
+    with pytest.raises(DomainError, match=r"^non-finite value in sweep row SweepRow\(rho_db=3000\.0, "
+                                          r"scheme='crs_oma', mode='-', estimator='monte_carlo', quantity='c_s1', "
+                                          r"value=inf"):
+        run_sweep(cfg)
+
+
+def test_out_dash_writes_the_table_to_stdout(capsys):
+    assert main(["discrepancy", "--preset", "fig3", "--rho-grid", "5", "--out", "-"]) == 0
+    geometry = preset_geometry("fig3", 0.0)
+    assert capsys.readouterr() == (render_discrepancy_csv(discrepancy_report(geometry, [5.0]), geometry), "")
