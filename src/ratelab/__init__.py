@@ -19,14 +19,11 @@ from .rates import (
     ChannelRealization,
     PowerSplit,
     RateBreakdown,
-    SnrSet,
     conventional_noma_rate,
     crs_noma_rate,
     crs_oma_rate,
-    instantaneous_snrs,
 )
 from .analytic import (
-    ClampStats,
     cdf_gamma2_paper,
     cdf_min_pair_approx,
     cdf_min_pair_series,
@@ -57,9 +54,8 @@ __all__ = [
     "NetworkGeometry", "RicianLink",
     "make_link", "marcum_q1", "power_gain_cdf", "power_gain_pdf", "power_gain_sf",
     "sample_power_gains", "split_stream",
-    "RATES", "ChannelRealization", "PowerSplit", "RateBreakdown", "SnrSet",
-    "conventional_noma_rate", "crs_noma_rate", "crs_oma_rate", "instantaneous_snrs",
-    "ClampStats",
+    "RATES", "ChannelRealization", "PowerSplit", "RateBreakdown",
+    "conventional_noma_rate", "crs_noma_rate", "crs_oma_rate",
     "cdf_gamma2_paper", "cdf_min_pair_approx", "cdf_min_pair_series",
     "cdf_single_link_series", "ergodic_rate_quadrature_quantities",
     "ergodic_rate_series", "g_rho", "h_rho",

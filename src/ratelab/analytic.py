@@ -40,7 +40,6 @@ deviations between the two are data, not bugs; see
 import functools
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +50,6 @@ from .rates import RATES, PowerSplit, RateBreakdown, _check_rho, _check_split
 
 __all__ = [
     "SERIES_TAIL_TOL",
-    "ClampStats",
     "cdf_min_pair_series",
     "cdf_min_pair_approx",
     "cdf_single_link_series",
@@ -73,34 +71,11 @@ MAX_QUAD_ORDER = 100_000
 SERIES_TAIL_TOL = 1e-12
 
 
-@dataclass
-class ClampStats:
-    """Caller-owned counter of CDF values clamped back into [0, 1]."""
-
-    events: int = 0
-    max_excess: float = 0.0
-
-    def record(self, raw: float) -> float:
-        clamped = min(max(raw, 0.0), 1.0)
-        if clamped != raw:
-            self.events += 1
-            excess = abs(raw - clamped) if math.isfinite(raw) else math.inf
-            self.max_excess = max(self.max_excess, excess)
-        return clamped
-
-
-def _clamp(raw: float, stats: ClampStats | None) -> float:
-    if stats is not None:
-        return stats.record(raw)
+def _clamp(raw: float) -> float:
     return min(max(raw, 0.0), 1.0)
 
 
-def cdf_min_pair_series(
-    link_a: RicianLink,
-    link_b: RicianLink,
-    gamma: float,
-    clamp_stats: ClampStats | None = None,
-) -> float:
+def cdf_min_pair_series(link_a: RicianLink, link_b: RicianLink, gamma: float) -> float:
     """CDF of min(X_a, X_b) for independent link gains, by double series.
 
     1 - A_a A_b sum_{n,k} B~_a(n) B~_b(k) n! k! e^(-(a_a+a_b)g)
@@ -115,14 +90,10 @@ def cdf_min_pair_series(
     gamma = float(_check_nonneg(gamma, "gamma"))
     sa = poisson_mixture(link_a.k_factor, link_a.inv_scale * gamma, SERIES_TAIL_TOL)[0]
     sb = poisson_mixture(link_b.k_factor, link_b.inv_scale * gamma, SERIES_TAIL_TOL)[0]
-    return _clamp(1.0 - float(sa * sb), clamp_stats)
+    return _clamp(1.0 - float(sa * sb))
 
 
-def cdf_single_link_series(
-    link: RicianLink,
-    gamma: float,
-    clamp_stats: ClampStats | None = None,
-) -> float:
+def cdf_single_link_series(link: RicianLink, gamma: float) -> float:
     """Single-link gain CDF by the same series machinery.
 
     Agrees with :func:`ratelab.channel.power_gain_cdf` within the series
@@ -130,22 +101,17 @@ def cdf_single_link_series(
     """
     gamma = float(_check_nonneg(gamma, "gamma"))
     s = poisson_mixture(link.k_factor, link.inv_scale * gamma, SERIES_TAIL_TOL)[0]
-    return _clamp(1.0 - float(s), clamp_stats)
+    return _clamp(1.0 - float(s))
 
 
-def cdf_gamma2_paper(
-    link_y: RicianLink,
-    link_z: RicianLink,
-    gamma: float,
-    clamp_stats: ClampStats | None = None,
-) -> float:
+def cdf_gamma2_paper(link_y: RicianLink, link_z: RicianLink, gamma: float) -> float:
     """As-published two-link form of the gamma_2 CDF, constants (z, y).
 
     The variate gamma_2 = lambda_SD is one link, yet the published CDF
     carries R-D and S-R constants; this evaluates that printed form so
     it can be diffed against :func:`cdf_single_link_series`.
     """
-    return cdf_min_pair_series(link_z, link_y, gamma, clamp_stats)
+    return cdf_min_pair_series(link_z, link_y, gamma)
 
 
 def _log_powers(x: float, n_terms: int) -> np.ndarray:
@@ -162,7 +128,6 @@ def cdf_min_pair_approx(
     link_a: RicianLink,
     link_b: RicianLink,
     gamma: float,
-    clamp_stats: ClampStats | None = None,
     clamp: bool = True,
 ) -> float:
     """The simplified as-published min-pair CDF.
@@ -171,8 +136,8 @@ def cdf_min_pair_approx(
     replaces A_x by e^(-K_x), B~ by B, drops the a^i a^j inner powers,
     and damps with e^(-g) instead of e^(-(a_a+a_b)g).  At K = 0 the raw
     value is 1 - e^(-g) regardless of the mean powers.  It is not a
-    valid CDF in general; pass ``clamp=False`` to obtain the raw value,
-    and a :class:`ClampStats` to count how often clamping bites.
+    valid CDF in general: the value is clamped to [0, 1], and
+    ``clamp=False`` returns the raw value.
 
     Each link's sum and their product are taken in log space, so the
     raw value is finite, or -inf where it lies below the float range
@@ -191,9 +156,7 @@ def cdf_min_pair_approx(
 
     log_p = log_link_sum(link_a, terms[0]) + log_link_sum(link_b, terms[1]) - gamma
     raw = 1.0 - math.exp(log_p) if log_p < _LOG_FLOAT_MAX else -math.inf
-    if not clamp:
-        return raw
-    return _clamp(raw, clamp_stats)
+    return _clamp(raw) if clamp else raw
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidKFactor, InvalidPower, ModelAssumptionWarning
+from .errors import DomainError, InvalidKFactor, InvalidPower, ModelAssumptionWarning, _to_float
 
 __all__ = [
     "MAX_NONCENTRALITY",
@@ -106,7 +106,8 @@ class NetworkGeometry:
 
 def make_link(k_factor: float, mean_power: float) -> RicianLink:
     """Validated constructor for :class:`RicianLink`."""
-    return RicianLink(float(k_factor), float(mean_power))
+    return RicianLink(_to_float(k_factor, InvalidKFactor, "k_factor must be finite and >= 0"),
+                      _to_float(mean_power, InvalidPower, "mean_power must be finite and > 0"))
 
 
 def split_stream(seed: int, stream_index: int) -> np.random.Generator:
@@ -139,8 +140,9 @@ def sample_power_gains(link: RicianLink, rng: np.random.Generator, n: int, *, wo
 
 
 def _check_nonneg(x, name: str = "power gain argument") -> np.ndarray:
-    """``x`` as a float array; one pass refuses a negative or NaN element, +inf passes."""
-    x = np.asarray(x, dtype=float)
+    """``x`` as a float array; one pass refuses a negative or NaN element,
+    +inf passes; an integer above the float range is refused."""
+    x = _to_float(x, DomainError, f"{name} must fit in a float", lambda v: np.asarray(v, dtype=float))
     if not (x >= 0.0).all():
         raise DomainError(f"{name} must be >= 0 and not NaN")
     return x

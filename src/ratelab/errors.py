@@ -1,4 +1,5 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the one
+int-to-float conversion that raises them."""
 
 
 class RateLabError(Exception):
@@ -56,3 +57,13 @@ class TruncationWarning(UserWarning):
 class ModelAssumptionWarning(UserWarning):
     """Geometry violates the relay placement assumption (S-R link is
     expected to carry more mean power than S-D)."""
+
+
+def _to_float(x, error, rule: str, convert=float):
+    """``convert(x)``, by default ``float(x)``.  Where ``x`` holds an
+    integer above the float range, raises ``error`` naming ``rule`` in
+    place of OverflowError, without repeating the integer's digits."""
+    try:
+        return convert(x)
+    except OverflowError:
+        raise error(f"{rule}, got an integer above the float range") from None

@@ -1,4 +1,4 @@
-"""Instantaneous SNRs and achievable rates for one channel realization.
+"""Achievable rates for one channel realization.
 
 The CRS-NOMA scheme comes in two evaluation modes which differ only in
 the relay-to-destination SNR of the first symbol:
@@ -28,15 +28,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InvalidSplit
+from .errors import DomainError, InvalidSplit, _to_float
 
 __all__ = [
     "ChannelRealization",
-    "SnrSet",
     "RateBreakdown",
     "PowerSplit",
     "RateTerms",
-    "instantaneous_snrs",
     "crs_noma_rate",
     "conventional_noma_rate",
     "crs_oma_rate",
@@ -78,16 +76,6 @@ class ChannelRealization:
             v = np.asarray(getattr(self, name))
             if not np.all(np.isfinite(v)) or np.any(v < 0.0):
                 raise DomainError(f"{name} must be finite and >= 0")
-
-
-@dataclass(frozen=True)
-class SnrSet:
-    """Received SNRs of both symbols under P_S = P_R = P, sigma^2 = 1."""
-
-    gamma_sr_s1: float
-    gamma_sd_s1: float
-    gamma_rd_s1: float
-    gamma_sd_s2: float
 
 
 def _plus(a, b, work=None):
@@ -184,10 +172,7 @@ def _check_rho(rho: float) -> float:
     so is an integer above the float range."""
     if not 0.0 <= rho < math.inf:
         raise DomainError(f"rho must be finite and >= 0, got {rho}")
-    try:
-        return float(rho)
-    except OverflowError:
-        raise DomainError("rho must be finite and >= 0, got an integer above the float range") from None
+    return _to_float(rho, DomainError, "rho must be finite and >= 0")
 
 
 class RateTerms:
@@ -257,24 +242,6 @@ def _terms(r, rho: float) -> RateTerms:
     return r
 
 
-def _gamma_rd_s1(t: RateTerms, mode: str, out=None):
-    """The relay-to-destination SNR of s1 under ``mode``."""
-    gamma_rd = t.snr(t.lambda_rd, out)
-    if mode != "exact":
-        return gamma_rd
-    s = t.scratch()
-    return np.divide(gamma_rd, np.add(t.snr(t.lambda_sd, s), 1.0, out=s), out=out)
-
-
-def instantaneous_snrs(r: ChannelRealization, rho: float, mode: str = "exact") -> SnrSet:
-    """Received SNRs for one realization at transmit SNR rho."""
-    t = _terms(r, rho)
-    rate_token("crs_noma", mode)
-    gamma_sd = t.snr(t.lambda_sd)
-    return SnrSet(gamma_sr_s1=t.snr(t.lambda_sr), gamma_sd_s1=gamma_sd, gamma_rd_s1=_gamma_rd_s1(t, mode),
-                  gamma_sd_s2=gamma_sd)
-
-
 def crs_noma_rate(r: ChannelRealization, rho: float, mode: str = "exact") -> RateBreakdown:
     """CRS-NOMA rates: relayed s1 (decode-and-forward min), direct s1, s2.
 
@@ -286,7 +253,9 @@ def crs_noma_rate(r: ChannelRealization, rho: float, mode: str = "exact") -> Rat
     out = t.new()
     # paper mode's gamma_RD is rho*lambda_RD, whose log the terms hold
     if mode == "exact":
-        log_rd = np.log2(np.add(1.0, _gamma_rd_s1(t, mode, out), out=out), out=out)
+        s = t.scratch()
+        gamma_rd = np.divide(t.snr(t.lambda_rd, out), np.add(t.snr(t.lambda_sd, s), 1.0, out=s), out=out)
+        log_rd = np.log2(np.add(1.0, gamma_rd, out=out), out=out)
     else:
         log_rd = t.log_rd
     c_relay = np.multiply(0.5, np.minimum(log_rd, t.log_sr, out=out), out=out)

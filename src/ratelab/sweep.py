@@ -27,7 +27,7 @@ from .analytic import (
     ergodic_rate_series,
 )
 from .channel import NetworkGeometry, make_link
-from .errors import DomainError, ParseError, ValidationError
+from .errors import DomainError, ParseError, ValidationError, _to_float
 from .montecarlo import MAX_TRIALS, _estimate, _resolve, estimate_rates
 from .rates import QUANTITIES, RATES, PowerSplit
 
@@ -182,6 +182,8 @@ def parse_grid(spec) -> list[float]:
 def _number(raw) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
         raise ValueError(f"expected a number, got {raw!r}")
+    if not isinstance(raw, str):
+        return _to_float(raw, ValueError, "expected a number")
     try:
         return float(raw)
     except ValueError:

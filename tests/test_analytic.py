@@ -13,7 +13,6 @@ import ratelab
 import ratelab.analytic as analytic
 from ratelab import (
     ChannelRealization,
-    ClampStats,
     NetworkGeometry,
     PowerSplit,
     cdf_gamma2_paper,
@@ -157,15 +156,12 @@ def test_approx_form_rayleigh_is_omega_blind():
         assert raw == pytest.approx(1 - math.exp(-1.7), abs=1e-12)
 
 
-def test_approx_form_boundary_and_clamp_counting():
+def test_approx_form_boundary_and_clamping():
     a = make_link(3, 1)  # inv_scale 4 > 1 drives the raw value negative at 0
     b = make_link(3, 1)
-    stats = ClampStats()
-    assert cdf_min_pair_approx(a, b, 0.0, clamp_stats=stats) == 0.0
-    assert stats.events == 1
-    assert stats.max_excess > 0
     raw = cdf_min_pair_approx(a, b, 0.0, clamp=False)
     assert raw < 0.0
+    assert cdf_min_pair_approx(a, b, 0.0) == min(max(raw, 0.0), 1.0) == 0.0
 
 
 def test_approx_deviation_from_exact_is_visible():
@@ -196,24 +192,26 @@ def test_approx_form_is_never_nan_and_never_warns():
     for k in (10, 30, 60, 80, 100):
         a, b = make_link(k, 8), make_link(k, 3)
         for gamma in (0.0, 1.0, 800.0):
-            stats = ClampStats()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 raw = cdf_min_pair_approx(a, b, gamma, clamp=False)
-                clamped = cdf_min_pair_approx(a, b, gamma, clamp_stats=stats)
+                clamped = cdf_min_pair_approx(a, b, gamma)
             assert math.isfinite(raw) or raw == -math.inf, (k, gamma, raw)
-            assert 0.0 <= clamped <= 1.0
-            assert stats.events == (clamped != raw)
+            assert clamped == min(max(raw, 0.0), 1.0)
             reference = _approx_in_linear_space(a, b, gamma)
             if math.isfinite(reference):
                 assert raw == pytest.approx(reference, rel=1e-12), (k, gamma)
 
 
-def test_clamp_stats_not_triggered_on_valid_series():
-    stats = ClampStats()
-    cdf_min_pair_series(make_link(1, 2), make_link(2, 3), 1.0, clamp_stats=stats)
-    cdf_single_link_series(make_link(1, 2), 1.0, clamp_stats=stats)
-    assert stats.events == 0
+def test_valid_series_cdfs_need_no_clamping():
+    # 1 - (product of the survivals), strictly inside (0, 1): clamping
+    # cannot have moved either value
+    a, b = make_link(1, 2), make_link(2, 3)
+    pair = cdf_min_pair_series(a, b, 1.0)
+    single = cdf_single_link_series(a, 1.0)
+    assert pair == pytest.approx(1.0 - power_gain_sf(a, 1.0) * power_gain_sf(b, 1.0), abs=1e-12)
+    assert single == pytest.approx(1.0 - power_gain_sf(a, 1.0), abs=1e-12)
+    assert 0.0 < single < pair < 1.0
 
 
 def test_h_rho_rayleigh_high_snr_against_oracle():

@@ -41,6 +41,12 @@ def test_make_link_validation():
         make_link(0, 1e-320)
     with pytest.raises(InvalidPower):
         make_link(3, 1e-308)
+    # an integer above the float range, refused without its digits
+    above = ", got an integer above the float range$"
+    with pytest.raises(InvalidPower, match="^mean_power must be finite and > 0" + above):
+        make_link(0, 10**400)
+    with pytest.raises(InvalidKFactor, match="^k_factor must be finite and >= 0" + above):
+        make_link(10**400, 1)
 
 
 def test_geometry_warns_when_relay_link_is_not_stronger():
@@ -109,6 +115,8 @@ def test_every_gain_argument_refuses_negatives_and_nan(call, name):
     for x in (math.nan, [1.0, math.nan], -1.0):
         with pytest.raises(DomainError, match=f"^{name} must be >= 0 and not NaN$"):
             call(x)
+    with pytest.raises(DomainError, match=f"^{name} must fit in a float, got an integer above the float range$"):
+        call([10**400])
 
 
 def test_an_infinite_gain_argument_passes():

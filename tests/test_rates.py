@@ -15,7 +15,6 @@ from ratelab import (
     estimate_rates,
     g_rho,
     h_rho,
-    instantaneous_snrs,
     make_link,
 )
 from ratelab.errors import DomainError, InvalidSplit
@@ -43,31 +42,36 @@ def test_power_split_validation():
 
 
 def test_snrs_exact_mode_hand_value():
-    s = instantaneous_snrs(R1, 10.0, "exact")
-    assert s.gamma_sr_s1 == pytest.approx(20.0)
-    assert s.gamma_sd_s1 == pytest.approx(10.0)
-    assert s.gamma_rd_s1 == pytest.approx(30.0 / 11.0)
-    assert s.gamma_rd_s1 == pytest.approx(2.72727, abs=1e-5)
-    assert s.gamma_sd_s2 == s.gamma_sd_s1
+    # gamma_SR = 20, gamma_SD = 10 and exact-mode gamma_RD = 30/11, the
+    # min's binding argument; paper mode's gamma_RD = 30 leaves gamma_SR
+    exact = crs_noma_rate(R1, 10.0, "exact")
+    assert exact.c_relay_s1 == pytest.approx(0.5 * math.log2(1.0 + min(20.0, 30.0 / 11.0)))
+    assert crs_noma_rate(R1, 10.0, "paper").c_relay_s1 == pytest.approx(0.5 * math.log2(1.0 + 20.0))
+    assert exact.c_direct_s1 == pytest.approx(0.5 * math.log2(1.0 + 10.0))
+    assert exact.c_s2 == exact.c_direct_s1
 
 
 def test_snrs_modes_coincide_without_direct_link():
-    r = ChannelRealization(2.0, 3.0, 0.0)
-    for mode in ("exact", "paper"):
-        s = instantaneous_snrs(r, 7.0, mode)
-        assert s.gamma_rd_s1 == pytest.approx(21.0)
+    # without an S-D gain gamma_RD = rho*lambda_RD in both modes; in the
+    # second realization it is the min's binding argument
+    for r in (ChannelRealization(2.0, 3.0, 0.0), ChannelRealization(3.0, 2.0, 0.0)):
+        exact, paper = crs_noma_rate(r, 7.0, "exact"), crs_noma_rate(r, 7.0, "paper")
+        assert exact.c_relay_s1 == paper.c_relay_s1
+        assert exact.c_relay_s1 == pytest.approx(0.5 * math.log2(1.0 + 7.0 * min(r.lambda_sr, r.lambda_rd)))
+        assert (exact.c_direct_s1, exact.c_s2) == (paper.c_direct_s1, paper.c_s2) == (0.0, 0.0)
 
 
 def test_snrs_zero_rho():
-    s = instantaneous_snrs(R1, 0.0, "paper")
-    assert (s.gamma_sr_s1, s.gamma_sd_s1, s.gamma_rd_s1, s.gamma_sd_s2) == (0, 0, 0, 0)
+    for mode in ("paper", "exact"):
+        b = crs_noma_rate(R1, 0.0, mode)
+        assert (b.c_relay_s1, b.c_direct_s1, b.c_s2, b.c_s1, b.c_total) == (0, 0, 0, 0, 0)
 
 
 def test_snrs_rejects_negative_rho_and_bad_mode():
     with pytest.raises(DomainError):
-        instantaneous_snrs(R1, -1.0, "paper")
+        crs_noma_rate(R1, -1.0, "paper")
     with pytest.raises(DomainError):
-        instantaneous_snrs(R1, 1.0, "bogus")
+        crs_noma_rate(R1, 1.0, "bogus")
 
 
 @pytest.mark.parametrize("rho", [math.inf, math.nan, pytest.param(10**400, id="10**400")])
@@ -76,7 +80,7 @@ def test_every_rate_entry_point_refuses_a_non_finite_rho(rho):
     # float range compares as finite but has no float
     r = ChannelRealization([0.0, 1.0], [1.0, 2.0], [0.0, 3.0])
     geometry = NetworkGeometry(sr=make_link(0, 8), rd=make_link(0, 8), sd=make_link(0, 3))
-    calls = (lambda: RateTerms(r, rho), lambda: instantaneous_snrs(r, rho),
+    calls = (lambda: RateTerms(r, rho),
              lambda: crs_noma_rate(r, rho, "exact"), lambda: crs_noma_rate(r, rho, "paper"),
              lambda: conventional_noma_rate(r, rho, PowerSplit(0.9, 0.1)), lambda: crs_oma_rate(r, rho),
              lambda: estimate_rates(geometry, rho, ("crs_noma",), trials=10),

@@ -636,6 +636,13 @@ SCHEMES = "crs_noma, conventional, crs_oma"
     ({"output": {"path": True}}, "field output.path: expected a string, got True"),
     ({"output": {"path": 5}}, "field output.path: expected a string, got 5"),
     ({"path": [1]}, "field output.path: expected a string, got [1]"),
+    # an integer above the float range is refused without its 401 digits
+    ({"geometry": {"omega_sd": 10**400}},
+     "field geometry.omega_sd: expected a number, got an integer above the float range"),
+    ({"geometry": {"k": 10**400}}, "field geometry.k: expected a number, got an integer above the float range"),
+    ({"split": {"a1": 10**400}}, "field split.a1: expected a number, got an integer above the float range"),
+    ({"sweep": {"rho_db": [5, 10**400]}},
+     "field sweep.rho_db: expected a number, got an integer above the float range"),
 ])
 def test_a_bad_json_field_is_one_line_naming_it(doc, message, tmp_path, capsys):
     text = json.dumps({"preset": "fig3", **doc})
