@@ -71,6 +71,13 @@ MAX_QUAD_ORDER = 100_000
 SERIES_TAIL_TOL = 1e-12
 
 
+def _check_quad_order(order: int) -> int:
+    """The rule of ``quad_order``; a fractional node count would give NaN."""
+    if not (isinstance(order, numbers.Integral) and 1 <= order <= MAX_QUAD_ORDER):
+        raise DomainError(f"quad_order must be an integer in 1..{MAX_QUAD_ORDER}")
+    return order
+
+
 def _clamp(raw: float) -> float:
     return min(max(raw, 0.0), 1.0)
 
@@ -173,12 +180,9 @@ def _chebyshev_kernel(m_max: int, rho_eff: float, order: int) -> np.ndarray:
     int_0^inf g^m e^-g * r/(1+r*g) dg at r = rho_eff, which for m = 0
     tends to ln(r) - euler_gamma as r grows.  Everything is evaluated in
     log space so that the (1+c)^(m-1) kernel is safe at nodes hugging
-    c = -1 and the e^(1/r) prefactor cannot overflow at small r.  An
-    ``order`` that is not an integer in 1..:data:`MAX_QUAD_ORDER` raises
-    :class:`DomainError`; a fractional one would give NaN.
+    c = -1 and the e^(1/r) prefactor cannot overflow at small r.
     """
-    if not (isinstance(order, numbers.Integral) and 1 <= order <= MAX_QUAD_ORDER):
-        raise DomainError(f"quad_order must be an integer in 1..{MAX_QUAD_ORDER}, got {order!r}")
+    _check_quad_order(order)
     theta = (2.0 * np.arange(1, order + 1) - 1.0) * math.pi / (2.0 * order)
     c = np.cos(theta)
     s = np.abs(np.sin(theta))
@@ -416,7 +420,11 @@ def ergodic_rate_quadrature_quantities(
             snr_scale = 1.0 + rho * s
 
             def s_y(y):
-                return power_gain_sf(sr, y) * (power_gain_sf(rd, y[:, None] * snr_scale) @ ws)
+                # at huge mean powers this overflows to inf, the right
+                # limit: the kernel gives S_RD(inf) = 0
+                with np.errstate(over="ignore"):
+                    scaled = y[:, None] * snr_scale
+                return power_gain_sf(sr, y) * (power_gain_sf(rd, scaled) @ ws)
 
             c_relay = half_rate(s_y, min(_reach(sr), _reach(rd)))
         return RateBreakdown(c_relay, c_direct, c_direct)

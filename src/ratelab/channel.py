@@ -50,6 +50,7 @@ MAX_NONCENTRALITY = 500.0
 # Poisson weight the survival, distribution function, density and Marcum
 # Q function may leave out; it bounds each one's truncation error.
 KERNEL_TOL = 1e-13
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -58,13 +59,16 @@ class RicianLink:
 
     ``k_factor`` is dimensionless, >= 0 (0 is Rayleigh fading); the
     sampled power gain has mean ``mean_power``, refused where the
-    inverse scale (1 + K)/Omega overflows.
+    inverse scale (1 + K)/Omega overflows.  Both are stored as floats.
     """
 
     k_factor: float
     mean_power: float
 
     def __post_init__(self):
+        for name, error, rule in (("k_factor", InvalidKFactor, "k_factor must be finite and >= 0"),
+                                  ("mean_power", InvalidPower, "mean_power must be finite and > 0")):
+            object.__setattr__(self, name, _to_float(getattr(self, name), error, rule))  # frozen
         if not (self.k_factor >= 0.0) or not math.isfinite(self.k_factor):
             raise InvalidKFactor(f"k_factor must be finite and >= 0, got {self.k_factor}")
         if not (0.0 < self.mean_power < math.inf and self.inv_scale < math.inf):
@@ -106,8 +110,7 @@ class NetworkGeometry:
 
 def make_link(k_factor: float, mean_power: float) -> RicianLink:
     """Validated constructor for :class:`RicianLink`."""
-    return RicianLink(_to_float(k_factor, InvalidKFactor, "k_factor must be finite and >= 0"),
-                      _to_float(mean_power, InvalidPower, "mean_power must be finite and > 0"))
+    return RicianLink(k_factor, mean_power)
 
 
 def split_stream(seed: int, stream_index: int) -> np.random.Generator:
@@ -200,6 +203,9 @@ def poisson_mixture(mean: float, y, tol: float, density: bool = False):
     """
     w, covered = poisson_weights(mean, tol)
     y = np.asarray(y, dtype=float)
+    if y.max(initial=0.0) > _FLOAT_MAX:
+        # at +inf a term would be inf * 0; at the largest float every term is 0, its limit
+        y = np.minimum(y, _FLOAT_MAX)
     t = np.exp(-y)
     if density:
         s = w[0] * t

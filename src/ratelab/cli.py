@@ -12,19 +12,17 @@ since a bare -10:30:5 reads as an option.
 
 Exit codes: 0 success, 1 configuration/validation error (usage errors
 included), 2 runtime or convergence error.  A warning prints as one
-``ratelab: warning: ...`` line and leaves the exit code alone.  The
-environment variable RATELAB_SEED overrides the config-file seed; an
-explicit --seed flag beats both.
+``ratelab: warning: ...`` line and leaves the exit code alone.  --seed,
+--trials and --workers override the config, under the config's rules.
 """
 
 import argparse
-import os
 import sys
 import warnings
 from dataclasses import replace
 
 from .errors import ConvergenceError, DomainError, ParseError, RateLabError, ValidationError
-from .montecarlo import MAX_TRIALS, MAX_WORKERS
+from .montecarlo import _check_seed, _check_trials, _check_workers
 from .sweep import (
     PRESETS,
     calibrate_k,
@@ -51,24 +49,16 @@ def _parse_grid(text: str, what: str):
         raise ValidationError(f"{what}: {exc}") from exc
 
 
-def _resolve_seed(args, config_seed: int) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("RATELAB_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValidationError(f"RATELAB_SEED must be an integer, got {env!r}") from exc
-    return config_seed
-
-
-def _count(value: int | None, flag: str, most: int) -> int | None:
-    if value is not None and value < 1:
-        raise ValidationError(f"{flag} must be >= 1")
-    if value is not None and value > most:
-        raise ValidationError(f"{flag} must be <= {most}")
-    return value
+def _settings(args) -> dict:
+    """The run settings given as flags, each through its rule."""
+    given = {}
+    for name, rule in (("seed", _check_seed), ("trials", _check_trials), ("workers", _check_workers)):
+        if getattr(args, name) is not None:
+            try:
+                given[name] = rule(getattr(args, name))
+            except DomainError as exc:
+                raise ValidationError(f"--{name}: {exc}") from None
+    return given
 
 
 def _write(path: str | None, text: str):
@@ -80,13 +70,9 @@ def _write(path: str | None, text: str):
 
 
 def _cmd_sweep(args) -> int:
+    settings = _settings(args)
     with open(args.config) as fh:
-        config = parse_config(fh.read())
-    config = replace(config, seed=_resolve_seed(args, config.seed))
-    if args.trials is not None:
-        config = replace(config, trials=_count(args.trials, "--trials", MAX_TRIALS))
-    if args.workers is not None:
-        config = replace(config, workers=_count(args.workers, "--workers", MAX_WORKERS))
+        config = replace(parse_config(fh.read()), **settings)
     out_path = args.out or config.output_path
     result = run_sweep(config)
     _write(out_path, render_csv(result))
@@ -96,11 +82,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    seed = _resolve_seed(args, 42)
-    trials = _count(args.trials, "--trials", MAX_TRIALS)
-    workers = _count(args.workers, "--workers", MAX_WORKERS) or 1
+    settings = _settings(args)
     k_grid = _parse_grid(args.k_grid, "--k-grid") if args.k_grid else None
-    result = calibrate_k(args.preset, k_grid=k_grid, trials=trials, seed=seed, workers=workers)
+    result = calibrate_k(args.preset, k_grid=k_grid, **settings)
     _write(args.out, render_calibration_csv(result))
     if args.out not in (None, "-"):
         sys.stdout.write(f"best_k = {result.best_k}\n")
@@ -142,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal = sub.add_parser("calibrate", help="fit the unreported Rician K to published rates")
     p_cal.add_argument("--preset", required=True, choices=sorted(PRESETS))
     p_cal.add_argument("--k-grid", help="K grid as start:stop:step or comma list (default 0:10:0.5)")
-    p_cal.add_argument("--trials", type=int, default=10**6)
+    p_cal.add_argument("--trials", type=int)
     p_cal.add_argument("--seed", type=int)
     p_cal.add_argument("--workers", type=int, help="Monte-Carlo worker threads (result-invariant)")
     p_cal.add_argument("--out", help="residual-table CSV path (default: stdout)")

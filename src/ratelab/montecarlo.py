@@ -67,6 +67,25 @@ MAX_TRIALS = 10**10
 MAX_WORKERS = 64
 
 
+# The rule of each run setting, applied wherever it enters; each returns the value.
+def _check_trials(trials: int) -> int:
+    if not 1 <= trials <= MAX_TRIALS:
+        raise DomainError(f"trials must be between 1 and {MAX_TRIALS}")
+    return trials
+
+
+def _check_workers(workers: int) -> int:
+    if not 1 <= workers <= MAX_WORKERS:
+        raise DomainError(f"workers must be between 1 and {MAX_WORKERS}")
+    return workers
+
+
+def _check_seed(seed: int) -> int:
+    if seed < 0:
+        raise DomainError("seed must be >= 0")
+    return seed
+
+
 @dataclass(frozen=True)
 class EstimatorResult:
     """Sample mean and standard error of one rate quantity at one rho."""
@@ -137,14 +156,9 @@ def _resolve(schemes, mode: str, split: PowerSplit | None, rhos, trials: int, se
              workers: int) -> list[str]:
     """Check the arguments every caller of the engine shares; return the
     RATES token of each requested scheme under ``mode``."""
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
-    if trials > MAX_TRIALS:
-        raise DomainError(f"trials must be <= {MAX_TRIALS}, got {trials}")
-    if not 1 <= workers <= MAX_WORKERS:
-        raise DomainError(f"workers must be between 1 and {MAX_WORKERS}, got {workers}")
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    _check_trials(trials)
+    _check_workers(workers)
+    _check_seed(seed)
     for rho in rhos:
         _check_rho(rho)
     tokens = [rate_token(s, mode) for s in schemes]

@@ -21,14 +21,14 @@ from dataclasses import dataclass, replace
 
 from . import __version__
 from .analytic import (
-    MAX_QUAD_ORDER,
     SERIES_TAIL_TOL,
+    _check_quad_order,
     ergodic_rate_quadrature_quantities,
     ergodic_rate_series,
 )
 from .channel import NetworkGeometry, make_link
 from .errors import DomainError, ParseError, ValidationError, _to_float
-from .montecarlo import MAX_TRIALS, _estimate, _resolve, estimate_rates
+from .montecarlo import _check_seed, _check_trials, _estimate, _resolve, estimate_rates
 from .rates import QUANTITIES, RATES, PowerSplit
 
 __all__ = [
@@ -150,7 +150,7 @@ def parse_grid(spec) -> list[float]:
     increasing.
     """
     if isinstance(spec, (list, tuple)):
-        vals = [float(v) for v in spec]
+        vals = [_to_float(v, ValueError, "grid points must be finite") for v in spec]
     elif ":" not in str(spec):
         vals = [float(p) for p in str(spec).split(",") if p.strip()]
     else:
@@ -177,7 +177,8 @@ def parse_grid(spec) -> list[float]:
 
 
 # Field parsers: each takes a raw value, text or JSON, and raises
-# ValueError saying what is wrong with it.  A boolean is never a number.
+# ValueError, or the DomainError of the setting's rule, saying what is
+# wrong with it.  A boolean is never a number.
 
 def _number(raw) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
@@ -199,22 +200,6 @@ def _integer(raw) -> int:
         return int(raw)
     except (TypeError, ValueError):
         raise ValueError(f"cannot interpret {raw!r}") from None
-
-
-def _trials(raw) -> int:
-    n = _integer(raw)
-    if n < 1:
-        raise ValueError("must be >= 1")
-    if n > MAX_TRIALS:
-        raise ValueError(f"must be <= {MAX_TRIALS}")
-    return n
-
-
-def _quad_order(raw) -> int:
-    n = _integer(raw)
-    if not 1 <= n <= MAX_QUAD_ORDER:
-        raise ValueError(f"must be in 1..{MAX_QUAD_ORDER}")
-    return n
 
 
 def _grid(raw) -> tuple:
@@ -270,8 +255,8 @@ _FIELDS = {
                     "crs_noma, conventional"),
         "modes": (_names(tuple(m for _, m in RATES.values() if m != "-"), "mode"), "paper"),
         "estimators": (_names(ESTIMATORS, "estimator"), "monte_carlo"),
-        "trials": (_trials, 1_000_000),
-        "seed": (_integer, 42),
+        "trials": (lambda raw: _check_trials(_integer(raw)), 1_000_000),
+        "seed": (lambda raw: _check_seed(_integer(raw)), 42),
     },
     "geometry": {
         "k": (_number, 0.0),
@@ -279,7 +264,7 @@ _FIELDS = {
         "omega_sr": (_number, None), "omega_rd": (_number, None), "omega_sd": (_number, None),
     },
     "split": {"a1": (_number, 0.9), "a2": (_number, 0.1)},
-    "series": {"quad_order": (_quad_order, 50)},
+    "series": {"quad_order": (lambda raw: _check_quad_order(_integer(raw)), 50)},
     "output": {"path": (_text, "sweep.csv")},
 }
 # The section of each key a document may also give at its top level.
@@ -375,7 +360,7 @@ def config_from_mapping(data: dict, lines: dict | None = None) -> SweepConfig:
                 if raw is None:
                     raise ValueError("null is not a value")
                 values[key] = parse(raw)
-            except ValueError as exc:
+            except (ValueError, DomainError) as exc:
                 errors.append(f"{where(f'{section}.{key}', origin)}: {exc}")
     if errors:
         raise ValidationError("; ".join(errors))
@@ -531,12 +516,11 @@ def calibrate_k(
         raise ValidationError("targets must be nonempty")
     if k_grid is None:
         k_grid = [i * 0.5 for i in range(21)]
-    k_grid = [float(k) for k in k_grid]
-    if not k_grid:
+    geometries = [preset_geometry(preset, k) for k in k_grid]
+    if not geometries:
         raise ValidationError("k_grid must be nonempty")
     split = PowerSplit(0.9, 0.1)
 
-    geometries = [preset_geometry(preset, k) for k in k_grid]
     rhos = [db_to_linear(rho_db) for rho_db, _, _ in targets]
     tokens = _resolve([scheme for _, scheme, _ in targets], "paper", split, rhos, trials, seed, workers)
     cells = [(g, rho, token, None) for g in geometries for rho, token in zip(rhos, tokens)]
@@ -544,7 +528,7 @@ def calibrate_k(
     sims = [mean for mean, _ in _estimate(cells, split, trials, seed, workers, ("c_total",))]
     residuals = []
     sse_by_k = []
-    for i, k in enumerate(k_grid):
+    for i, k in enumerate(g.sr.k_factor for g in geometries):  # each K as its links' float
         sse = 0.0
         for (rho_db, scheme, target), sim in zip(targets, sims[i * len(targets):]):
             residuals.append((k, rho_db, scheme, sim, float(target), sim - float(target)))

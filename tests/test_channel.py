@@ -6,6 +6,7 @@ from scipy import integrate, special, stats
 
 from ratelab import (
     NetworkGeometry,
+    RicianLink,
     make_link,
     marcum_q1,
     power_gain_cdf,
@@ -47,6 +48,10 @@ def test_make_link_validation():
         make_link(0, 10**400)
     with pytest.raises(InvalidKFactor, match="^k_factor must be finite and >= 0" + above):
         make_link(10**400, 1)
+    with pytest.raises(InvalidKFactor, match="^k_factor must be finite and >= 0" + above):
+        RicianLink(10**400, 1.0)
+    with pytest.raises(InvalidPower, match="^mean_power must be finite and > 0" + above):
+        RicianLink(0.0, 10**400)
 
 
 def test_geometry_warns_when_relay_link_is_not_stronger():
@@ -119,10 +124,11 @@ def test_every_gain_argument_refuses_negatives_and_nan(call, name):
         call([10**400])
 
 
-def test_an_infinite_gain_argument_passes():
-    link = make_link(0, 8)
+@pytest.mark.parametrize("k", [0, 2, 500])
+def test_an_infinite_gain_argument_passes(k):
+    link = make_link(k, 8)
     assert (power_gain_sf(link, math.inf), power_gain_cdf(link, math.inf), power_gain_pdf(link, math.inf),
-            marcum_q1(0.0, math.inf)) == (0.0, 1.0, 0.0, 0.0)
+            marcum_q1(math.sqrt(2 * k), math.inf)) == (0.0, 1.0, 0.0, 0.0)
 
 
 def test_pdf_matches_histogram_oracle():

@@ -21,8 +21,9 @@ from ratelab import (
     run_sweep,
 )
 from ratelab import montecarlo
-from ratelab.cli import _parse_grid, main
-from ratelab.errors import DomainError, ParseError, ValidationError
+from ratelab.analytic import MAX_QUAD_ORDER, g_rho, h_rho
+from ratelab.cli import _parse_grid, _settings, build_parser, main
+from ratelab.errors import DomainError, InvalidKFactor, ParseError, ValidationError
 from ratelab.montecarlo import MAX_TRIALS, MAX_WORKERS
 from ratelab.rates import QUANTITIES, RATES
 from ratelab.sweep import (
@@ -280,14 +281,16 @@ def test_cli_sweep_and_seed_precedence(tmp_path, monkeypatch):
     base = out.read_text()
     assert "# seed = 3" in base
 
-    # env var overrides the config seed
+    # the environment is no seed source: the config alone fixes the bytes
     monkeypatch.setenv("RATELAB_SEED", "99")
     out_env = tmp_path / "b.csv"
     assert main(["sweep", "--config", str(cfg), "--out", str(out_env)]) == 0
-    assert "# seed = 99" in out_env.read_text()
+    assert out_env.read_bytes() == out.read_bytes()
 
-    # explicit flag beats the env var
+    # the flag overrides the config seed
     out_flag = tmp_path / "c.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out_flag), "--seed", "99"]) == 0
+    assert "# seed = 99" in out_flag.read_text()
     assert main(["sweep", "--config", str(cfg), "--out", str(out_flag), "--seed", "3"]) == 0
     assert out_flag.read_text() == base
 
@@ -340,29 +343,76 @@ def test_trials_and_workers_are_bounded_everywhere(tmp_path, monkeypatch, capsys
         raise AssertionError("blocks run past a bad bound")
 
     monkeypatch.setattr(montecarlo, "_run_blocks", no_blocks)
-    huge = MAX_TRIALS + 1
-    with pytest.raises(ValidationError, match=f"field sweep.trials: must be <= {MAX_TRIALS}"):
-        parse_config(json.dumps({"preset": "fig3", "trials": huge}))
+    # each bound is inclusive: the config and the flags take it
     assert parse_config(f"preset = fig3\ntrials = {MAX_TRIALS}\n").trials == MAX_TRIALS
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text(CLI_CONFIG)
-    for flag, bad, most in (("--trials", huge, MAX_TRIALS), ("--workers", MAX_WORKERS + 1, MAX_WORKERS)):
-        for argv in (["sweep", "--config", str(cfg)], ["calibrate", "--preset", "fig3", "--k-grid", "0"]):
-            assert main(argv + [flag, str(bad)]) == 1
-            assert capsys.readouterr().err == f"ratelab: error: {flag} must be <= {most}\n"
+    args = build_parser().parse_args(["calibrate", "--preset", "fig3", "--trials", str(MAX_TRIALS),
+                                      "--workers", str(MAX_WORKERS)])
+    assert _settings(args) == {"trials": MAX_TRIALS, "workers": MAX_WORKERS}
     # the case that used to build a block plan of 7.6e9 entries
     assert main(["calibrate", "--preset", "fig3", "--k-grid", "0", "--trials", str(10**15)]) == 1
-    geometry = preset_config("fig3").geometry
-    with pytest.raises(DomainError, match=f"trials must be <= {MAX_TRIALS}, got {huge}"):
-        estimate_rates(geometry, 1.0, ("crs_noma",), trials=huge)
-    for workers in (0, MAX_WORKERS + 1):
-        message = f"workers must be between 1 and {MAX_WORKERS}, got {workers}"
-        with pytest.raises(DomainError, match=message):
-            estimate_rates(geometry, 1.0, ("crs_noma",), trials=10, workers=workers)
-        with pytest.raises(DomainError, match=message):
-            paired_gap(geometry, 1.0, "crs_noma", "crs_oma", trials=10, workers=workers)
-        with pytest.raises(DomainError, match=message):
-            calibrate_k("fig3", k_grid=[0.0], trials=10, workers=workers)
+    assert capsys.readouterr().err == f"ratelab: error: --trials: {RULES['trials']}\n"
+
+
+# The text of each run setting's rule, and where each setting enters: a
+# config key (text and JSON), a flag of sweep and calibrate, and library
+# calls.  workers has no config key and quad_order no flag.
+RULES = {
+    "trials": f"trials must be between 1 and {MAX_TRIALS}",
+    "workers": f"workers must be between 1 and {MAX_WORKERS}",
+    "seed": "seed must be >= 0",
+    "quad_order": f"quad_order must be an integer in 1..{MAX_QUAD_ORDER}",
+}
+CONFIG_KEYS = {"trials": "sweep", "seed": "sweep", "quad_order": "series"}
+FLAGS = ("trials", "workers", "seed")
+
+
+def _library_calls(setting, bad):
+    geometry = preset_geometry("fig3", 0.0)
+    if setting == "quad_order":
+        return [lambda: ergodic_rate_series(geometry, 10.0, bad),
+                lambda: h_rho(geometry.sd, geometry.sr, 10.0, bad),
+                lambda: g_rho(geometry.sd, None, 10.0, bad)]
+    given = {"trials": 10, setting: bad}
+    return [lambda: estimate_rates(geometry, 1.0, ("crs_noma",), **given),
+            lambda: paired_gap(geometry, 1.0, "crs_noma", "crs_oma", **given),
+            lambda: calibrate_k("fig3", k_grid=[0.0], **given)]
+
+
+@pytest.mark.parametrize("setting, bad", [
+    ("trials", 0), ("trials", MAX_TRIALS + 1), ("trials", 10**400),
+    ("workers", 0), ("workers", -3), ("workers", MAX_WORKERS + 1),
+    ("seed", -1),
+    ("quad_order", 0), ("quad_order", MAX_QUAD_ORDER + 1),
+], ids=lambda v: "10**400" if v == 10**400 else None)
+def test_a_run_setting_has_one_rule_at_every_entry_point(setting, bad, tmp_path, monkeypatch, capsys):
+    def no_blocks(*args):
+        raise AssertionError("blocks run past a bad bound")
+
+    monkeypatch.setattr(montecarlo, "_run_blocks", no_blocks)
+    rule = RULES[setting]
+    out = tmp_path / "out.csv"
+    lines = []
+    if setting in CONFIG_KEYS:
+        section = CONFIG_KEYS[setting]
+        text, doc = tmp_path / "cfg.txt", tmp_path / "cfg.json"
+        text.write_text(f"preset = fig3\n[{section}]\n{setting} = {bad}\n")
+        doc.write_text(json.dumps({"preset": "fig3", section: {setting: bad}}))
+        for cfg, where in ((text, "line 3:"), (doc, "field")):
+            assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+            lines.append((capsys.readouterr().err, f"{where} {section}.{setting}: {rule}"))
+    if setting in FLAGS:
+        cfg = tmp_path / "good.txt"
+        cfg.write_text(CLI_CONFIG)
+        for argv in (["sweep", "--config", str(cfg)], ["calibrate", "--preset", "fig3", "--k-grid", "0"]):
+            assert main(argv + [f"--{setting}={bad}", "--out", str(out)]) == 1
+            lines.append((capsys.readouterr().err, f"--{setting}: {rule}"))
+    assert len(lines) >= 2
+    for err, message in lines:
+        assert err == f"ratelab: error: {message}\n"
+    assert not out.exists()
+    for call in _library_calls(setting, bad):
+        with pytest.raises(DomainError, match=f"^{re.escape(rule)}$"):
+            call()
 
 
 def test_import_leaves_the_thread_pool_unloaded():
@@ -394,14 +444,18 @@ def test_cli_calibrate(tmp_path):
 
 
 def test_cli_calibrate_rejects_bad_seed_and_workers(monkeypatch, capsys):
-    args = ["calibrate", "--preset", "fig3", "--k-grid", "0", "--trials", "1000"]
+    args = ["calibrate", "--preset", "fig3", "--k-grid", "0", "--trials", "1000", "--out", "-"]
+    assert main(args) == 0
+    default = capsys.readouterr()
+    # the environment is no seed source; calibrate_k's default seed holds
     monkeypatch.setenv("RATELAB_SEED", "abc")
-    assert main(args) == 1
-    assert capsys.readouterr().err == "ratelab: error: RATELAB_SEED must be an integer, got 'abc'\n"
-    monkeypatch.delenv("RATELAB_SEED")
-    for workers in ("0", "-3"):
-        assert main(args + ["--workers", workers]) == 1
-        assert capsys.readouterr().err == "ratelab: error: --workers must be >= 1\n"
+    assert main(args) == 0
+    assert capsys.readouterr() == default
+    assert main(args + ["--seed", "42"]) == 0
+    assert capsys.readouterr() == default
+    # a bad flag gives its rule's text, as at every other entry point
+    assert main(args + ["--workers=-3"]) == 1
+    assert capsys.readouterr().err == f"ratelab: error: --workers: {RULES['workers']}\n"
 
 
 def test_grid_length_is_bounded_before_the_grid_is_built(tmp_path, capsys):
@@ -504,19 +558,22 @@ def test_full_sweep_emits_exactly_the_rate_table_labels():
         assert len(mine) == len(RATES) * len(QUANTITIES)
 
 
-def test_negative_seed_exits_one_on_every_cli_route(tmp_path, monkeypatch, capsys):
+def test_negative_seed_exits_one_on_every_cli_route(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
-    out = str(tmp_path / "out.csv")
+    out = tmp_path / "out.csv"
     cfg.write_text(CLI_CONFIG.replace("seed = 3", "seed = -1"))
-    monkeypatch.delenv("RATELAB_SEED", raising=False)
-    assert main(["sweep", "--config", str(cfg), "--out", out]) == 1
-    assert capsys.readouterr().err == "ratelab: error: seed must be >= 0, got -1\n"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "ratelab: error: line 9: sweep.seed: seed must be >= 0\n"
+    # refused where it enters, though no estimator draws from it
+    cfg.write_text(CLI_CONFIG.replace("seed = 3", "seed = -1").replace("monte_carlo", "quadrature_oracle"))
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "ratelab: error: line 9: sweep.seed: seed must be >= 0\n"
     cfg.write_text(CLI_CONFIG)
-    assert main(["sweep", "--config", str(cfg), "--out", out, "--seed=-1"]) == 1
-    assert capsys.readouterr().err == "ratelab: error: seed must be >= 0, got -1\n"
-    monkeypatch.setenv("RATELAB_SEED", "-3")
-    assert main(["calibrate", "--preset", "fig3", "--k-grid", "0", "--trials", "1000"]) == 1
-    assert capsys.readouterr().err == "ratelab: error: seed must be >= 0, got -3\n"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out), "--seed=-1"]) == 1
+    assert capsys.readouterr().err == "ratelab: error: --seed: seed must be >= 0\n"
+    assert main(["calibrate", "--preset", "fig3", "--k-grid", "0", "--trials", "1000", "--seed=-3"]) == 1
+    assert capsys.readouterr().err == "ratelab: error: --seed: seed must be >= 0\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("spec, message", [
@@ -573,12 +630,13 @@ def test_cli_discrepancy_at_large_k_is_silent(tmp_path):
 
 
 def test_series_controls_are_bounded_in_a_config(tmp_path, capsys):
-    with pytest.raises(ValidationError, match=r"series\.quad_order: must be in 1\.\.100000"):
+    with pytest.raises(ValidationError, match=r"series\.quad_order: quad_order must be an integer in 1\.\.100000"):
         parse_config(MINIMAL + "[series]\nquad_order = 100000000000\n")
     with pytest.raises(ValidationError, match=r"field series\.n_max: unknown key"):
         parse_config(json.dumps({"preset": "fig3", "series": {"n_max": 20}}))
     cfg = tmp_path / "cfg.txt"
-    for line, message in (("quad_order = 100000000000", "line 3: series.quad_order: must be in 1..100000"),
+    for line, message in (("quad_order = 100000000000",
+                           "line 3: series.quad_order: quad_order must be an integer in 1..100000"),
                           ("tail_tol = inf", "line 3: series.tail_tol: unknown key"),
                           ("n_max = 20", "line 3: series.n_max: unknown key")):
         cfg.write_text(f"preset = fig3\n[series]\n{line}\n")
@@ -656,6 +714,16 @@ def test_a_bad_json_field_is_one_line_naming_it(doc, message, tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: parse_grid([5, 10**400]), ValueError, "grid points must be finite"),
+    (lambda: calibrate_k("fig3", k_grid=[0, 10**400], trials=10), InvalidKFactor, "k_factor must be finite and >= 0"),
+], ids=["parse_grid", "calibrate_k"])
+def test_a_library_integer_above_the_float_range_is_one_error(call, error, message, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_run_blocks", lambda *args: pytest.fail("a block ran"))
+    with pytest.raises(error, match=f"^{message}, got an integer above the float range$"):
+        call()
+
+
 def test_readme_config_block_holds_the_defaults():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Config grammar", 1)[1].split("```")[1]
@@ -699,7 +767,7 @@ def test_a_mean_power_whose_inverse_scale_overflows_exits_one(tmp_path, capsys):
     (["discrepancy", "--preset", "fig3", "--rho-grid", "0:10"], None, "--rho-grid: need start:stop:step"),
     (["discrepancy", "--preset", "fig3", "--rho-grid", "0:10:0"], None, "--rho-grid: step must be > 0"),
     (["sweep"], "[geometry]\nk = abc\n", "line 3: geometry.k: cannot interpret 'abc'"),
-    (["sweep"], "[sweep]\ntrials = 0\n", "line 3: sweep.trials: must be >= 1"),
+    (["sweep"], "[sweep]\ntrials = 0\n", f"line 3: sweep.trials: trials must be between 1 and {MAX_TRIALS}"),
     (["sweep"], "= 5\n", "line 2: empty key"),
     (["sweep"], "[bogus]\n", "unknown section [bogus]"),
     (["sweep"], "bogus = 1\n", "line 2: bogus: unknown top-level key"),
