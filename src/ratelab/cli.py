@@ -13,7 +13,8 @@ since a bare -10:30:5 reads as an option.
 Exit codes: 0 success, 1 configuration/validation error (usage errors
 included), 2 runtime or convergence error.  A warning prints as one
 ``ratelab: warning: ...`` line and leaves the exit code alone.  --seed,
---trials and --workers override the config, under the config's rules.
+--trials and --workers override the config, read and checked as its
+integer fields are.
 """
 
 import argparse
@@ -25,6 +26,7 @@ from .errors import ConvergenceError, DomainError, ParseError, RateLabError, Val
 from .montecarlo import _check_seed, _check_trials, _check_workers
 from .sweep import (
     PRESETS,
+    _integer,
     calibrate_k,
     discrepancy_report,
     emit_plot_script,
@@ -50,13 +52,14 @@ def _parse_grid(text: str, what: str):
 
 
 def _settings(args) -> dict:
-    """The run settings given as flags, each through its rule."""
+    """The run settings given as flags, each read as a config integer
+    and put through its rule."""
     given = {}
     for name, rule in (("seed", _check_seed), ("trials", _check_trials), ("workers", _check_workers)):
         if getattr(args, name) is not None:
             try:
-                given[name] = rule(getattr(args, name))
-            except DomainError as exc:
+                given[name] = rule(_integer(getattr(args, name)))
+            except (ValueError, DomainError) as exc:
                 raise ValidationError(f"--{name}: {exc}") from None
     return given
 
@@ -117,18 +120,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run an SNR sweep from a config document")
     p_sweep.add_argument("--config", required=True, help="path to the config document")
     p_sweep.add_argument("--out", help="output CSV path (default: config output path)")
-    p_sweep.add_argument("--seed", type=int, help="override the config seed")
-    p_sweep.add_argument("--trials", type=int, help="override the Monte-Carlo trial count")
-    p_sweep.add_argument("--workers", type=int, help="Monte-Carlo worker threads (result-invariant)")
+    p_sweep.add_argument("--seed", help="override the config seed")
+    p_sweep.add_argument("--trials", help="override the Monte-Carlo trial count")
+    p_sweep.add_argument("--workers", help="Monte-Carlo worker threads (result-invariant)")
     p_sweep.add_argument("--emit-plot", metavar="PATH", help="also write a gnuplot script")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_cal = sub.add_parser("calibrate", help="fit the unreported Rician K to published rates")
     p_cal.add_argument("--preset", required=True, choices=sorted(PRESETS))
     p_cal.add_argument("--k-grid", help="K grid as start:stop:step or comma list (default 0:10:0.5)")
-    p_cal.add_argument("--trials", type=int)
-    p_cal.add_argument("--seed", type=int)
-    p_cal.add_argument("--workers", type=int, help="Monte-Carlo worker threads (result-invariant)")
+    p_cal.add_argument("--trials")
+    p_cal.add_argument("--seed")
+    p_cal.add_argument("--workers", help="Monte-Carlo worker threads (result-invariant)")
     p_cal.add_argument("--out", help="residual-table CSV path (default: stdout)")
     p_cal.set_defaults(func=_cmd_calibrate)
 

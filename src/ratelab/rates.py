@@ -24,7 +24,7 @@ states the schemes only by description.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -78,34 +78,12 @@ class ChannelRealization:
                 raise DomainError(f"{name} must be finite and >= 0")
 
 
-def _plus(a, b, work=None):
+def _plus(a, b, work):
     """a + b, written to a row of ``work`` when given, or ``a`` itself
     when ``b`` is the float 0.0."""
     if isinstance(b, float) and b == 0.0:
         return a
     return a + b if work is None else np.add(a, b, out=work.take())
-
-
-class _held:
-    """A property computed on first read and then kept in the instance.
-
-    functools.cached_property does the same, but on Python 3.11 it holds
-    one lock, shared by every instance, while it computes: two threads
-    evaluating their own RateTerms would take their logarithms in turn.
-    """
-
-    def __init__(self, compute):
-        self.compute = compute
-        self.__doc__ = compute.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.compute(obj)
-        return value
 
 
 @dataclass(frozen=True)
@@ -123,23 +101,22 @@ class RateBreakdown:
     c_s1 as c_relay_s1 and 0.0 as c_direct_s1, so that the same five
     quantities exist for every scheme.  A sum whose second term is that
     0.0 is its first term itself, not a copy: no rate is -0.0, so the
-    copy would hold the same floats.  When ``work`` is given, a derived
-    sum is written to a row of it.  c_s1 is summed on its first read and
-    then held, so c_total adds to that array rather than a second sum.
+    copy would hold the same floats.  Both sums are taken when the
+    breakdown is built, each written to a row of ``work`` when it is
+    given; c_total adds c_s2 to the c_s1 held.
     """
 
     c_relay_s1: float
     c_direct_s1: float
     c_s2: float
-    work: object = field(default=None, repr=False, compare=False)
+    work: InitVar[object] = None
+    c_s1: float = field(init=False, repr=False, compare=False)
+    c_total: float = field(init=False, repr=False, compare=False)
 
-    @_held
-    def c_s1(self):
-        return _plus(self.c_relay_s1, self.c_direct_s1, self.work)
-
-    @property
-    def c_total(self):
-        return _plus(self.c_s1, self.c_s2, self.work)
+    def __post_init__(self, work):
+        c_s1 = _plus(self.c_relay_s1, self.c_direct_s1, work)
+        object.__setattr__(self, "c_s1", c_s1)  # frozen
+        object.__setattr__(self, "c_total", _plus(c_s1, self.c_s2, work))
 
     def __getitem__(self, quantity: str):
         if quantity not in QUANTITIES:
@@ -178,16 +155,18 @@ def _check_rho(rho: float) -> float:
 class RateTerms:
     """The terms the rate functions share at one realization and rho.
 
-    Each logarithm is computed the first time a rate function reads it,
-    then kept for as long as the object lives, so several rates
-    evaluated on one object take each logarithm once, with the floats a
-    standalone call gives.  The SNRs rho*lambda cost one product and are
-    recomputed on each read rather than held.  The rate functions accept
-    a RateTerms in place of a :class:`ChannelRealization`, at its rho.
+    Its three logarithms, ``log_sr`` = log2(1 + rho*lambda_SR),
+    ``log_rd`` = log2(1 + rho*lambda_RD) and CRS-NOMA's direct-link rate
+    ``half_log_sd`` = 0.5*log2(1 + rho*lambda_SD), are computed when the
+    terms are built, so several rates evaluated on one object take each
+    logarithm once, with the floats a standalone call gives.  The SNRs
+    rho*lambda cost one product and are recomputed on each read rather
+    than held.  The rate functions accept a RateTerms in place of a
+    :class:`ChannelRealization`, at its rho.
 
     With ``work``, a block workspace (see :mod:`ratelab.montecarlo`),
-    the rate functions write every array to its rows, with the same
-    floats; the logarithms' rows are taken now, to outlive the rates.
+    the logarithms and the rate functions write every array to its rows,
+    with the same floats.
     """
 
     def __init__(self, r: ChannelRealization, rho: float, *, work=None):
@@ -196,7 +175,10 @@ class RateTerms:
         self.lambda_rd = np.asarray(r.lambda_rd, dtype=float)
         self.lambda_sd = np.asarray(r.lambda_sd, dtype=float)
         self.work = work
-        self._log_rows = [] if work is None else [work.take() for _ in range(3)]
+        self.log_sr = self._log2_1p_snr(self.lambda_sr, self.new())
+        self.log_rd = self._log2_1p_snr(self.lambda_rd, self.new())
+        out = self.new()
+        self.half_log_sd = np.multiply(0.5, self._log2_1p_snr(self.lambda_sd, out), out=out)
 
     def new(self):
         """A row for a rate, or None: numpy allocates."""
@@ -212,25 +194,6 @@ class RateTerms:
 
     def _log2_1p_snr(self, gain, out):
         return np.log2(np.add(1.0, self.snr(gain, out), out=out), out=out)
-
-    def _log_row(self):
-        return self._log_rows.pop() if self._log_rows else None
-
-    @_held
-    def log_sr(self):
-        """log2(1 + rho*lambda_SR)"""
-        return self._log2_1p_snr(self.lambda_sr, self._log_row())
-
-    @_held
-    def log_rd(self):
-        """log2(1 + rho*lambda_RD)"""
-        return self._log2_1p_snr(self.lambda_rd, self._log_row())
-
-    @_held
-    def half_log_sd(self):
-        """0.5*log2(1 + rho*lambda_SD), CRS-NOMA's direct-link rate"""
-        out = self._log_row()
-        return np.multiply(0.5, self._log2_1p_snr(self.lambda_sd, out), out=out)
 
 
 def _terms(r, rho: float) -> RateTerms:

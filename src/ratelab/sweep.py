@@ -17,6 +17,7 @@ choices, never as ground truth.
 import io
 import json
 import math
+import reprlib
 from dataclasses import dataclass, replace
 
 from . import __version__
@@ -178,28 +179,30 @@ def parse_grid(spec) -> list[float]:
 
 # Field parsers: each takes a raw value, text or JSON, and raises
 # ValueError, or the DomainError of the setting's rule, saying what is
-# wrong with it.  A boolean is never a number.
+# wrong with it.  A value they echo is cut short by reprlib, so a value
+# of thousands of digits still gives a short line.  A boolean is never
+# a number.
 
 def _number(raw) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
-        raise ValueError(f"expected a number, got {raw!r}")
+        raise ValueError(f"expected a number, got {reprlib.repr(raw)}")
     if not isinstance(raw, str):
         return _to_float(raw, ValueError, "expected a number")
     try:
         return float(raw)
     except ValueError:
-        raise ValueError(f"cannot interpret {raw!r}") from None
+        raise ValueError(f"cannot interpret {reprlib.repr(raw)}") from None
 
 
 def _integer(raw) -> int:
     # int() would truncate a JSON 1.9 to 1 and read true as 1; an
     # integral float such as 1e6 is still a whole number.
     if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer():
-        raise ValueError(f"expected an integer, got {raw!r}")
+        raise ValueError(f"expected an integer, got {reprlib.repr(raw)}")
     try:
         return int(raw)
     except (TypeError, ValueError):
-        raise ValueError(f"cannot interpret {raw!r}") from None
+        raise ValueError(f"cannot interpret {reprlib.repr(raw)}") from None
 
 
 def _grid(raw) -> tuple:
@@ -211,13 +214,13 @@ def _grid(raw) -> tuple:
 
 def _one_of(allowed, name):
     if name not in allowed:
-        raise ValueError(f"unknown value {name!r} (allowed: {', '.join(allowed)})")
+        raise ValueError(f"unknown value {reprlib.repr(name)} (allowed: {', '.join(allowed)})")
     return name
 
 
 def _text(raw) -> str:
     if not isinstance(raw, str):
-        raise ValueError(f"expected a string, got {raw!r}")
+        raise ValueError(f"expected a string, got {reprlib.repr(raw)}")
     return raw
 
 
@@ -232,7 +235,7 @@ def _names(allowed: tuple, what: str):
     def parse(raw) -> tuple:
         names = raw.split(",") if isinstance(raw, str) else raw
         if not isinstance(names, (list, tuple)):
-            raise ValueError(f"expected a comma list, got {raw!r}")
+            raise ValueError(f"expected a comma list, got {reprlib.repr(raw)}")
         names = [n.strip() if isinstance(n, str) else n for n in names]
         names = [_one_of(allowed, n) for n in names if n != ""]
         if not names:
@@ -282,7 +285,7 @@ def parse_config(text: str) -> SweepConfig:
     if stripped.startswith("{"):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
             raise ParseError(f"invalid JSON config: {exc}") from exc
         if not isinstance(data, dict):
             raise ParseError("JSON config must be an object")

@@ -361,7 +361,7 @@ def test_shared_terms_give_the_standalone_arrays(rho):
     gains = [rng.exponential(size=n) * rng.choice([0.0, 1.0, 50.0], size=n) for _ in range(3)]
     r = ChannelRealization(*gains)
     assert all(np.any(g == 0.0) for g in gains)
-    # tokens in both orders, so each shared term is first computed for a different rate
+    # tokens in both orders, so no rate's arrays depend on the rates evaluated on the terms before it
     for order in (list(RATES), list(RATES)[::-1]):
         terms = RateTerms(r, rho)
         shared = {token: montecarlo._token_rates(terms, rho, token, SPLIT) for token in order}

@@ -771,15 +771,26 @@ def test_a_mean_power_whose_inverse_scale_overflows_exits_one(tmp_path, capsys):
     (["sweep"], "= 5\n", "line 2: empty key"),
     (["sweep"], "[bogus]\n", "unknown section [bogus]"),
     (["sweep"], "bogus = 1\n", "line 2: bogus: unknown top-level key"),
+    # an integer of 5001 digits, in a JSON config, a text config and a flag: one short line
+    pytest.param(["sweep"], '{"preset": "fig3", "geometry": {"omega_sd": 1' + "0" * 5000 + "}}",
+                 "invalid JSON config: Exceeds the limit (4300 digits) for integer string conversion: "
+                 "value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit",
+                 id="json-5001-digits"),
+    pytest.param(["sweep"], "[sweep]\ntrials = 1" + "0" * 5000 + "\n",
+                 "line 3: sweep.trials: cannot interpret '100000000000...0000000000000'", id="text-5001-digits"),
+    pytest.param(["sweep", "--trials", "1" + "0" * 5000], "",
+                 "--trials: cannot interpret '100000000000...0000000000000'", id="flag-5001-digits"),
+    (["sweep", "--trials", "abc"], "", "--trials: cannot interpret 'abc'"),
 ])
 def test_each_refused_config_or_grid_is_one_line(argv, config, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
     if config is not None:
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("preset = fig3\n" + config)
+        cfg.write_text(config if config.startswith("{") else "preset = fig3\n" + config)
         argv = argv + ["--config", str(cfg)]
     assert main(argv + ["--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"ratelab: error: {message}\n"
+    err = capsys.readouterr().err
+    assert err == f"ratelab: error: {message}\n" and len(err.encode()) < 200
     assert not out.exists()
 
 
