@@ -7,8 +7,8 @@ Three kinds of objects live here:
   (:func:`cdf_min_pair_series`, :func:`cdf_single_link_series`), plus
   the two as-published forms that deviate from them
   (:func:`cdf_min_pair_approx`, :func:`cdf_gamma2_paper`);
-* the Chebyshev-node ergodic-rate series :func:`h_rho` / :func:`g_rho`
-  and their combination :func:`ergodic_rate_series`;
+* the ergodic-rate series :func:`h_rho` / :func:`g_rho`, over an exact
+  moment kernel, and their combination :func:`ergodic_rate_series`;
 * :func:`ergodic_rate_quadrature_quantities`, a deterministic
   numerical-integration oracle: vectorised trapezoidal rules in ln x
   over bounded spans, with fixed Gauss-Legendre inner rules where a
@@ -21,12 +21,11 @@ gamma terms of the single-link power gain: the oracle takes its
 survivals and densities from it, and the series their truncated
 survivals, with Poisson(K) weights from its one weight source
 :func:`ratelab.channel.poisson_weights`.  Everything else, the
-integration rules on one side and the Chebyshev moment kernel on the
-other, is separate.
+integration rules on one side and the moment kernel on the other, is
+separate.
 
-The series have one setting, ``quad_order``, the Chebyshev node count
-(1..:data:`MAX_QUAD_ORDER`, default 50); their depth is the constant
-:data:`SERIES_TAIL_TOL`.
+The series have no setting: their depth is the constant
+:data:`SERIES_TAIL_TOL`, and their moment kernel is exact.
 
 The published analysis carries a link-label inconsistency (the
 min-pair CDF is printed with S-D/S-R constants although the variate is
@@ -39,7 +38,6 @@ deviations between the two are data, not bugs; see
 
 import functools
 import math
-import numbers
 
 import numpy as np
 
@@ -62,20 +60,12 @@ __all__ = [
 
 LN2 = math.log(2.0)
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
-MAX_QUAD_ORDER = 100_000
 # Poisson(K) weight each link's series may leave out (see
 # :func:`ratelab.channel.poisson_weights`).  Every value at or below 1e-9
 # gives the same six-digit sweep rows at K = 3, 10 and 30.  Up to
 # K = MAX_NONCENTRALITY a link's series then has at most 666 terms, so
 # each matrix :func:`h_rho` builds stays under 4 MB.
 SERIES_TAIL_TOL = 1e-12
-
-
-def _check_quad_order(order: int) -> int:
-    """The rule of ``quad_order``; a fractional node count would give NaN."""
-    if not (isinstance(order, numbers.Integral) and 1 <= order <= MAX_QUAD_ORDER):
-        raise DomainError(f"quad_order must be an integer in 1..{MAX_QUAD_ORDER}")
-    return order
 
 
 def _clamp(raw: float) -> float:
@@ -167,32 +157,63 @@ def cdf_min_pair_approx(
 
 
 # ---------------------------------------------------------------------------
-# Chebyshev-node ergodic-rate series
+# Ergodic-rate series
 # ---------------------------------------------------------------------------
 
-def _chebyshev_kernel(m_max: int, rho_eff: float, order: int) -> np.ndarray:
-    """G[m] for m = 0..m_max with nodes c_t = cos((2t-1)pi/(2*order)).
+# Steps the moment kernel's continued fraction may take; over c in
+# (1, 1e300] and orders up to 1331 it needed at most 90.
+_MAX_FRACTION_TERMS = 500
 
-    G[m] = e^(1/r) (pi/N) sum_t ((1+c)/2)^m (1+c)^-1
-           e^(-(2/r)/(1+c)) |sin theta_t|
 
-    m! G[m] equals the moment integral
-    int_0^inf g^m e^-g * r/(1+r*g) dg at r = rho_eff, which for m = 0
-    tends to ln(r) - euler_gamma as r grows.  Everything is evaluated in
-    log space so that the (1+c)^(m-1) kernel is safe at nodes hugging
-    c = -1 and the e^(1/r) prefactor cannot overflow at small r.
+def _moment_kernel(m_max: int, c: float) -> np.ndarray:
+    """G[m] = e^c E_(m+1)(c) (DLMF 8.19) for m = 0..m_max, exact to rounding.
+
+    m! G[m] = int_0^inf t^m e^-t / (t + c) dt is the moment integral of
+    the series at c = alpha/rho.  Orders are linked by
+    m G[m] + c G[m-1] = 1, which is stable run forward where m >= c and
+    backward where m <= c.  So G starts at m0 = 0 when c <= 1, from the
+    power series of e^c E_1(c) (DLMF 6.6.2), and otherwise at
+    m0 = min(ceil(c), m_max), from the continued fraction of e^c E_n(c)
+    (Numerical Recipes, 3rd ed., 6.3) by the modified Lentz method; it
+    recurs backward below m0 and forward above it.  At c = inf every
+    G[m] is 0, its limit; c = 0, where G[0] diverges, raises
+    :class:`DomainError`.
     """
-    _check_quad_order(order)
-    theta = (2.0 * np.arange(1, order + 1) - 1.0) * math.pi / (2.0 * order)
-    c = np.cos(theta)
-    s = np.abs(np.sin(theta))
-    # exponent of e^(1/r) * e^(-(2/r)/(1+c)) combined: (1/r)*(c-1)/(1+c) <= 0
-    damp = (c - 1.0) / (1.0 + c) / rho_eff
-    log_half = np.log1p(c) - LN2
-    base = np.exp(damp) * s / (1.0 + c)
+    if not c > 0.0:
+        raise DomainError(f"the series need alpha/rho > 0, got {c}")
     out = np.empty(m_max + 1)
-    for m in range(m_max + 1):
-        out[m] = (math.pi / order) * float(np.sum(np.exp(m * log_half) * base))
+    if c <= 1.0:
+        m0 = 0
+        tail = sum((-c) ** k / (k * math.factorial(k)) for k in range(1, 20))  # last term < 5e-19
+        out[0] = math.exp(c) * (-np.euler_gamma - math.log(c) - tail)
+    else:
+        # c e^c E_n(c), each partial denominator divided by c and each
+        # numerator by c^2, so that every quantity stays near 1 also where
+        # 1/c is subnormal
+        m0 = m_max if c > m_max else math.ceil(c)
+        n = m0 + 1
+        b = 1.0 + n / c
+        d = value = 1.0 / b
+        e = math.inf  # Lentz's C: its first step gives C = b
+        for i in range(1, _MAX_FRACTION_TERMS + 1):
+            a = -i * (n - 1 + i) / c / c
+            b = 1.0 + (n + 2 * i) / c
+            d = 1.0 / (a * d + b)
+            e = b + a / e
+            delta = e * d
+            value *= delta
+            # at c = 1e300, b + 2 == b and |delta - 1| can stay at one
+            # rounding of 1, so a test against a bound below eps never stops
+            if abs(delta - 1.0) <= np.finfo(float).eps:
+                break
+        else:
+            raise ConvergenceError(f"continued fraction for E_{n}({c:g}) did not converge "
+                                   f"within {_MAX_FRACTION_TERMS} terms")
+        out[m0] = value / c
+    for m in range(m0, 0, -1):
+        out[m - 1] = (1.0 - m * out[m]) / c
+    for m in range(m0 + 1, m_max + 1):
+        out[m] = (1.0 - c * out[m - 1]) / m
     return out
 
 
@@ -204,21 +225,13 @@ def _check_rho_pos(rho: float) -> float:
     return float(rho)
 
 
-def h_rho(
-    link_a: RicianLink,
-    link_b: RicianLink,
-    rho: float,
-    quad_order: int = 50,
-) -> float:
-    """Series approximation of E[ln(1 + rho*min(X_a, X_b))] (nats).
+def h_rho(link_a: RicianLink, link_b: RicianLink, rho: float) -> float:
+    """Series for E[ln(1 + rho*min(X_a, X_b))] (nats).
 
-    Double series over the two links' coefficients with the
-    Chebyshev-node moment kernel; (1/(2 ln 2)) * h_rho approximates the
-    relayed-symbol ergodic rate.  At a fixed ``quad_order`` the error
-    grows with transmit SNR: the kernel's e^(-(2/r)/(1+c)) factor
-    sharpens toward c = -1 as r = rho/alpha grows, and a fixed node set
-    resolves it ever worse (at K = 0 and 50 nodes, about 2e-4 bit/s/Hz
-    at 5 dB but 0.27 at 25 dB).  Raising ``quad_order`` reduces it.
+    Double series over the two links' coefficients with the exact moment
+    kernel at c = (a_a + a_b)/rho; (1/(2 ln 2)) * h_rho is the
+    relayed-symbol ergodic rate.  Its only error is the Poisson(K) weight
+    each link's series leaves out, :data:`SERIES_TAIL_TOL`.
     """
     rho = _check_rho_pos(rho)
     aa, ab = link_a.inv_scale, link_b.inv_scale
@@ -226,7 +239,7 @@ def h_rho(
     wa = poisson_weights(link_a.k_factor, SERIES_TAIL_TOL)[0]
     wb = poisson_weights(link_b.k_factor, SERIES_TAIL_TOL)[0]
     na, nb = len(wa), len(wb)
-    g = _chebyshev_kernel(na + nb - 2, rho / alpha, quad_order)
+    g = _moment_kernel(na + nb - 2, alpha / rho)
     # W[i,j] = C(i+j, i) p^i q^j G[i+j]; a binomial pmf term, never large.
     i = np.arange(na)[:, None]
     j = np.arange(nb)[None, :]
@@ -237,34 +250,24 @@ def h_rho(
     return float(wa @ inner @ wb)
 
 
-def g_rho(
-    link_z: RicianLink,
-    link_y: RicianLink | None,
-    rho: float,
-    quad_order: int = 50,
-) -> float:
-    """Series approximation of the direct-symbol log-rate term (nats).
+def g_rho(link_z: RicianLink, link_y: RicianLink | None, rho: float) -> float:
+    """Series for the direct-symbol log-rate term (nats).
 
-    With two links this is the same kernel as :func:`h_rho` over the
-    (z, y) constants, matching the printed form.  Passing
-    ``link_y=None`` evaluates the single-link variant over ``link_z``
-    alone, i.e. E[ln(1 + rho*X_z)]; the corrected pipeline feeds the
-    S-D link that way since gamma_2 is one link, not a pair.
+    With two links this is :func:`h_rho` over the (z, y) constants,
+    matching the printed form.  Passing ``link_y=None`` evaluates the
+    single-link variant over ``link_z`` alone, E[ln(1 + rho*X_z)], with
+    the same moment kernel at c = a_z/rho; the corrected pipeline feeds
+    the S-D link that way since gamma_2 is one link, not a pair.
     """
     if link_y is not None:
-        return h_rho(link_z, link_y, rho, quad_order)
+        return h_rho(link_z, link_y, rho)
     rho = _check_rho_pos(rho)
     w = poisson_weights(link_z.k_factor, SERIES_TAIL_TOL)[0]
-    g = _chebyshev_kernel(len(w) - 1, rho / link_z.inv_scale, quad_order)
+    g = _moment_kernel(len(w) - 1, link_z.inv_scale / rho)
     return float(w @ np.cumsum(g))
 
 
-def ergodic_rate_series(
-    geometry: NetworkGeometry,
-    rho: float,
-    quad_order: int = 50,
-    literal: bool = False,
-) -> RateBreakdown:
+def ergodic_rate_series(geometry: NetworkGeometry, rho: float, *, literal: bool = False) -> RateBreakdown:
     """Paper-mode CRS-NOMA ergodic rates from the series; the total is
     (h + 2g)/(2 ln 2).
 
@@ -274,11 +277,11 @@ def ergodic_rate_series(
     as the symbols appear in the published expressions.
     """
     if literal:
-        h = h_rho(geometry.sd, geometry.sr, rho, quad_order)
-        g = g_rho(geometry.rd, geometry.sr, rho, quad_order)
+        h = h_rho(geometry.sd, geometry.sr, rho)
+        g = g_rho(geometry.rd, geometry.sr, rho)
     else:
-        h = h_rho(geometry.sr, geometry.rd, rho, quad_order)
-        g = g_rho(geometry.sd, None, rho, quad_order)
+        h = h_rho(geometry.sr, geometry.rd, rho)
+        g = g_rho(geometry.sd, None, rho)
     c_d = g / (2.0 * LN2)
     return RateBreakdown(h / (2.0 * LN2), c_d, c_d)
 

@@ -27,8 +27,8 @@ class InvalidSplit(DomainError):
 
 
 class ConvergenceError(RateLabError):
-    """A quadrature rule used all of its refinement levels without two
-    successive levels agreeing to the requested tolerance."""
+    """A quadrature rule, or the series' continued fraction, used all of
+    its steps without converging to the requested tolerance."""
 
 
 class ParseError(RateLabError):

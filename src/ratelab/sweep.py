@@ -21,12 +21,7 @@ import reprlib
 from dataclasses import dataclass, replace
 
 from . import __version__
-from .analytic import (
-    SERIES_TAIL_TOL,
-    _check_quad_order,
-    ergodic_rate_quadrature_quantities,
-    ergodic_rate_series,
-)
+from .analytic import SERIES_TAIL_TOL, ergodic_rate_quadrature_quantities, ergodic_rate_series
 from .channel import NetworkGeometry, make_link
 from .errors import DomainError, ParseError, ValidationError, _to_float
 from .montecarlo import _check_seed, _check_trials, _estimate, _resolve, estimate_rates
@@ -87,7 +82,6 @@ class SweepConfig:
     estimators: tuple
     trials: int
     seed: int
-    quad_order: int
     output_path: str
     preset: str | None = None
     workers: int = 1
@@ -153,9 +147,9 @@ def parse_grid(spec) -> list[float]:
     if isinstance(spec, (list, tuple)):
         vals = [_to_float(v, ValueError, "grid points must be finite") for v in spec]
     elif ":" not in str(spec):
-        vals = [float(p) for p in str(spec).split(",") if p.strip()]
+        vals = [_number(p) for p in str(spec).split(",") if p.strip()]
     else:
-        parts = [float(p) for p in str(spec).split(":")]
+        parts = [_number(p) for p in str(spec).split(":")]
         if len(parts) != 3:
             raise ValueError("need start:stop:step")
         start, stop, step = parts
@@ -267,7 +261,6 @@ _FIELDS = {
         "omega_sr": (_number, None), "omega_rd": (_number, None), "omega_sd": (_number, None),
     },
     "split": {"a1": (_number, 0.9), "a2": (_number, 0.1)},
-    "series": {"quad_order": (lambda raw: _check_quad_order(_integer(raw)), 50)},
     "output": {"path": (_text, "sweep.csv")},
 }
 # The section of each key a document may also give at its top level.
@@ -287,12 +280,14 @@ def parse_config(text: str) -> SweepConfig:
             data = json.loads(text)
         except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
             raise ParseError(f"invalid JSON config: {exc}") from exc
+        except RecursionError:
+            raise ParseError("invalid JSON config: nested too deeply") from None
         if not isinstance(data, dict):
             raise ParseError("JSON config must be an object")
         return config_from_mapping(data)
 
     sections: dict = {"": {}}
-    lines: dict = {}
+    lines: dict = {}  # (section, key) -> "line N"; key None for the section's header
     current = ""
     for lineno, raw in enumerate(io.StringIO(text), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -301,9 +296,10 @@ def parse_config(text: str) -> SweepConfig:
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
             sections.setdefault(current, {})
+            lines.setdefault((current, None), f"line {lineno}")
             continue
         if "=" not in line:
-            raise ParseError(f"line {lineno}: expected 'key = value', got {line!r}")
+            raise ParseError(f"line {lineno}: expected 'key = value', got {reprlib.repr(line)}")
         key, _, value = line.partition("=")
         key = key.strip().lower()
         if not key:
@@ -337,7 +333,8 @@ def config_from_mapping(data: dict, lines: dict | None = None) -> SweepConfig:
         if not isinstance(content, dict):
             section, content = "", {section: content}
         if section and section not in _FIELDS:
-            errors.append(f"unknown section [{section}]")
+            line = lines.get((section, None))
+            errors.append(f"{line}: unknown section [{section}]" if line else f"unknown section [{section}]")
             continue
         for key, raw in content.items():
             key = str(key).lower()
@@ -394,7 +391,6 @@ def config_from_mapping(data: dict, lines: dict | None = None) -> SweepConfig:
         estimators=values["estimators"],
         trials=values["trials"],
         seed=values["seed"],
-        quad_order=values["quad_order"],
         output_path=values["path"],
         preset=values["preset"],
     )
@@ -450,9 +446,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                     if estimator == "quadrature_oracle":
                         rate = ergodic_rate_quadrature_quantities(config.geometry, rho, token, config.split)
                     else:
-                        rate = ergodic_rate_series(
-                            config.geometry, rho, config.quad_order, estimator == "series_paper_literal"
-                        )
+                        rate = ergodic_rate_series(config.geometry, rho, literal=estimator == "series_paper_literal")
                     cells = [(rate[q], None) for q in QUANTITIES]
                 rows += [
                     SweepRow(rho_db, scheme, mode, estimator, q, value, std_err)
@@ -475,7 +469,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         ("k_sr", g.sr.k_factor), ("k_rd", g.rd.k_factor), ("k_sd", g.sd.k_factor),
         ("omega_sr", g.sr.mean_power), ("omega_rd", g.rd.mean_power), ("omega_sd", g.sd.mean_power),
         ("a1", config.split.a1), ("a2", config.split.a2),
-        ("quad_order", config.quad_order), ("tail_tol", SERIES_TAIL_TOL),
+        ("tail_tol", SERIES_TAIL_TOL),
         ("k_factor_note", "K values are artifact choices; the published experiments do not report K"),
     ]
     both_series = {"series_corrected", "series_paper_literal"} <= set(config.estimators)

@@ -45,17 +45,6 @@ def ln_rate_exponential(rho, omega):
     return math.exp(z) * special.exp1(z)
 
 
-def test_truncation_validation():
-    for quad_order in (1, 100_000):
-        assert math.isfinite(h_rho(FIG3.sr, FIG3.rd, 10.0, quad_order))
-    # a fractional node count would give NaN
-    for bad in (0, 100_001, 50.5):
-        for call in (lambda: h_rho(FIG3.sr, FIG3.rd, 10.0, bad), lambda: g_rho(FIG3.sd, None, 10.0, bad),
-                     lambda: ergodic_rate_series(FIG3, 10.0, bad)):
-            with pytest.raises(DomainError, match=r"quad_order must be an integer in 1\.\.100000"):
-                call()
-
-
 def test_default_series_emit_no_warning_up_to_the_kernel_bound():
     for k in (3.0, 10.0, 30.0, 500.0):
         geometry = NetworkGeometry(sr=make_link(k, 8), rd=make_link(k, 8), sd=make_link(k, 3))
@@ -71,14 +60,12 @@ def test_default_series_emit_no_warning_up_to_the_kernel_bound():
 
 
 def test_corrected_series_tracks_the_oracle_at_k10():
-    # 20 terms per link leave 1.6e-3 of each link's weight here: 0.0119
-    # and 0.0357 bit/s/Hz off
     geometry = NetworkGeometry(sr=make_link(10, 8), rd=make_link(10, 8), sd=make_link(10, 3))
     for rho_db in (5.0, 25.0):
         rho = 10.0 ** (rho_db / 10.0)
         series = ergodic_rate_series(geometry, rho)["c_total"]
         oracle = ergodic_rate_quadrature_quantities(geometry, rho, "crs_noma_paper")["c_total"]
-        assert abs(series - oracle) < 0.005, rho_db
+        assert abs(series - oracle) < 1e-8, rho_db
 
 
 def test_min_pair_rayleigh_median():
@@ -220,16 +207,61 @@ def test_h_rho_rayleigh_high_snr_against_oracle():
     b = make_link(0, 8)
     rho = 1e3
     want = ln_rate_exponential(rho, 4.0)  # min of two exp(8) is exp(4)
-    got = h_rho(a, b, rho)
-    assert got == pytest.approx(want, rel=0.05)
-    # finer quadrature converges much closer
-    got200 = h_rho(a, b, rho, quad_order=200)
-    assert got200 == pytest.approx(want, rel=2e-3)
+    assert h_rho(a, b, rho) == pytest.approx(want, rel=1e-12)
 
 
-def test_h_rho_quad_order_one_is_finite():
-    v = h_rho(make_link(1, 2), make_link(0, 3), 10.0, quad_order=1)
-    assert math.isfinite(v) and v >= 0
+def _moment_by_quadrature(m, c):
+    """G[m] = E[1/(T + c)] for T ~ gamma(m + 1), by quadrature in u = ln T.
+
+    The density is taken relative to its value at the mode and divided by
+    its own integral, so it neither overflows at m = 1330 nor carries the
+    rounding of ln m!.
+    """
+    mode = math.log(m + 1)
+
+    def density(u):
+        return math.exp((m + 1) * (u - mode) - math.exp(u) + m + 1)
+
+    lo = math.log(1e-20 * min(c, 1.0)) if m == 0 else mode - 60 / math.sqrt(m + 1) - 3
+    hi = math.log(m + 80 + 12 * math.sqrt(m + 1))
+    points = sorted({mode, *([math.log(c)] if lo < math.log(c) < hi else [])})
+    rule = dict(epsabs=0.0, epsrel=1e-13, limit=1000, points=points)
+    top = integrate.quad(lambda u: density(u) / (math.exp(u) + c), lo, hi, **rule)[0]
+    return top / integrate.quad(density, lo, hi, **rule)[0]
+
+
+def test_moment_kernel_is_exact():
+    # G[m] = e^c E_(m+1)(c): power series and forward recurrence for c <= 1,
+    # continued fraction at min(ceil(c), m_max) and both recurrences above
+    orders = (0, 1, 2, 5, 41, 200, 1330)
+    for c in (1e-30, 1e-12, 1e-3, 0.5, 1.0, math.nextafter(1.0, 2.0), 1.0 + 1e-9, 1.5, 2.0, 10.0, 150.0,
+              1e3, 1e5, 1e10, 1e100, 1e300):
+        g = analytic._moment_kernel(1330, c)
+        for m in orders:
+            assert g[m] == pytest.approx(_moment_by_quadrature(m, c), rel=1e-13), (c, m)
+        m = np.arange(1, 1331)
+        assert np.abs(m * g[1:] + c * g[:-1] - 1.0).max() <= 4 * np.finfo(float).eps, c
+        assert analytic._moment_kernel(0, c)[0] == pytest.approx(g[0], rel=1e-15), c
+    # both series at the ends of the SNR range
+    geometry = NetworkGeometry(sr=make_link(3, 8), rd=make_link(3, 8), sd=make_link(3, 3))
+    for rho in (1e-300, 1e300):
+        for literal in (False, True):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rates = ergodic_rate_series(geometry, rho, literal=literal)
+            assert all(math.isfinite(rates[q]) and rates[q] >= 0.0 for q in QUANTITIES), (rho, literal)
+
+
+def test_moment_kernel_limits_and_stop_bound(monkeypatch):
+    # G[m] ~ 1/c: 0 at c = inf; c = 0 (alpha/rho below the float range) has G[0] = inf
+    assert not analytic._moment_kernel(3, math.inf).any()
+    with pytest.raises(DomainError, match=r"^the series need alpha/rho > 0, got 0\.0$"):
+        analytic._moment_kernel(3, 0.0)
+    with pytest.raises(DomainError, match="alpha/rho > 0"):
+        h_rho(make_link(0, 1e300), make_link(0, 1e300), 1e300)
+    monkeypatch.setattr(analytic, "_MAX_FRACTION_TERMS", 1)
+    with pytest.raises(ConvergenceError, match=r"^continued fraction for E_4\(2\.5\) did not converge within 1 terms$"):
+        analytic._moment_kernel(5, 2.5)
 
 
 def test_h_rho_rejects_nonpositive_rho():

@@ -450,8 +450,9 @@ def test_a_cold_monte_carlo_call_takes_few_page_faults():
 
 
 # Taken with the engine that evaluated each rate on its own, before the
-# rates of one rho shared their terms: the same floats must come out.
-GOLDEN_SWEEP_SHA256 = "b1b1d3156c275015a1a61a612ffacbe62836009dd10a4ef91a31a1515359a498"
+# rates of one rho shared their terms: the same floats must come out.  The
+# sweep's bytes were re-taken when its '# quad_order' metadata line went.
+GOLDEN_SWEEP_SHA256 = "d82e9ae4705f48ebcc70251836088c715388faa8e16ce34ff2c86488a357995b"
 GOLDEN_GAP = ("EstimatorResult(scheme='crs_noma_exact-conventional', quantity='c_s1', "
               "mean=1.924511157613972, std_err=0.0011261538703475258, trials=181073, seed=29, rho=10.0)")
 GOLDEN_RESIDUAL = "(4.0, 5.0, 'conventional', 1.935308976202007, 3.883, -1.947691023797993)"
@@ -473,20 +474,19 @@ def test_golden_monte_carlo_outputs(workers):
     assert repr(cal.residuals[-1]) == GOLDEN_RESIDUAL
 
 
-# Taken with the series depth set by the [series] tail_tol key, before it
-# became the constant SERIES_TAIL_TOL: the same bytes must come out.
-GOLDEN_SERIES_SWEEP_SHA256 = "277b82d568162b4e47f663b230322377778fe792ee73cc813620f6fef857e145"
-GOLDEN_DISCREPANCY_SHA256 = "ab715f409108e7113fa1f970e4ae828c96c771d65e51a63a52e2b6a59c0304a5"
+# Taken with the exact moment kernel; the oracle rows are those of the
+# Gauss-Chebyshev kernel it replaced.
+GOLDEN_SERIES_SWEEP_SHA256 = "b6c90cd07f7e420c795c7f71903ed5ccf914e5a082afb39656219e56c688e17c"
+GOLDEN_DISCREPANCY_SHA256 = "e2dc41f0d26e25bee5d9530005beaeb931f04afa100fa461f29a9828cf25c7e0"
 
 
 def test_golden_series_sweep():
-    # both link readings at a non-default quad_order, and the tail_tol line
+    # both link readings, and the tail_tol line
     doc = ("preset = fig3\n[geometry]\nk = 3\n[sweep]\nrho_db = -10:30:5\n"
            "schemes = crs_noma, conventional, crs_oma\nmodes = paper, exact\n"
-           "estimators = quadrature_oracle, series_corrected, series_paper_literal\n"
-           "[series]\nquad_order = 80\n")
+           "estimators = quadrature_oracle, series_corrected, series_paper_literal\n")
     csv = render_csv(run_sweep(parse_config(doc)))
-    assert "# quad_order = 80\n# tail_tol = 1e-12\n" in csv
+    assert "# a2 = 0.1\n# tail_tol = 1e-12\n" in csv
     assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN_SERIES_SWEEP_SHA256
 
 

@@ -21,7 +21,6 @@ from ratelab import (
     run_sweep,
 )
 from ratelab import montecarlo
-from ratelab.analytic import MAX_QUAD_ORDER, g_rho, h_rho
 from ratelab.cli import _parse_grid, _settings, build_parser, main
 from ratelab.errors import DomainError, InvalidKFactor, ParseError, ValidationError
 from ratelab.montecarlo import MAX_TRIALS, MAX_WORKERS
@@ -61,7 +60,6 @@ def test_minimal_document_gets_documented_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg.trials == 10**6
     assert cfg.seed == 42
-    assert cfg.quad_order == 50
     assert cfg.rho_grid_db[0] == 0.0 and cfg.rho_grid_db[-1] == 30.0
     assert len(cfg.rho_grid_db) == 31
     assert cfg.geometry.sd.mean_power == 3.0
@@ -355,23 +353,18 @@ def test_trials_and_workers_are_bounded_everywhere(tmp_path, monkeypatch, capsys
 
 # The text of each run setting's rule, and where each setting enters: a
 # config key (text and JSON), a flag of sweep and calibrate, and library
-# calls.  workers has no config key and quad_order no flag.
+# calls.  workers has no config key.
 RULES = {
     "trials": f"trials must be between 1 and {MAX_TRIALS}",
     "workers": f"workers must be between 1 and {MAX_WORKERS}",
     "seed": "seed must be >= 0",
-    "quad_order": f"quad_order must be an integer in 1..{MAX_QUAD_ORDER}",
 }
-CONFIG_KEYS = {"trials": "sweep", "seed": "sweep", "quad_order": "series"}
+CONFIG_KEYS = {"trials": "sweep", "seed": "sweep"}
 FLAGS = ("trials", "workers", "seed")
 
 
 def _library_calls(setting, bad):
     geometry = preset_geometry("fig3", 0.0)
-    if setting == "quad_order":
-        return [lambda: ergodic_rate_series(geometry, 10.0, bad),
-                lambda: h_rho(geometry.sd, geometry.sr, 10.0, bad),
-                lambda: g_rho(geometry.sd, None, 10.0, bad)]
     given = {"trials": 10, setting: bad}
     return [lambda: estimate_rates(geometry, 1.0, ("crs_noma",), **given),
             lambda: paired_gap(geometry, 1.0, "crs_noma", "crs_oma", **given),
@@ -382,7 +375,6 @@ def _library_calls(setting, bad):
     ("trials", 0), ("trials", MAX_TRIALS + 1), ("trials", 10**400),
     ("workers", 0), ("workers", -3), ("workers", MAX_WORKERS + 1),
     ("seed", -1),
-    ("quad_order", 0), ("quad_order", MAX_QUAD_ORDER + 1),
 ], ids=lambda v: "10**400" if v == 10**400 else None)
 def test_a_run_setting_has_one_rule_at_every_entry_point(setting, bad, tmp_path, monkeypatch, capsys):
     def no_blocks(*args):
@@ -630,25 +622,24 @@ def test_cli_discrepancy_at_large_k_is_silent(tmp_path):
 
 
 def test_series_controls_are_bounded_in_a_config(tmp_path, capsys):
-    with pytest.raises(ValidationError, match=r"series\.quad_order: quad_order must be an integer in 1\.\.100000"):
-        parse_config(MINIMAL + "[series]\nquad_order = 100000000000\n")
-    with pytest.raises(ValidationError, match=r"field series\.n_max: unknown key"):
-        parse_config(json.dumps({"preset": "fig3", "series": {"n_max": 20}}))
+    # the series have no setting: a [series] section is refused, whatever it holds
+    with pytest.raises(ValidationError, match=r"^unknown section \[series\]$"):
+        parse_config(json.dumps({"preset": "fig3", "series": {"quad_order": 50}}))
     cfg = tmp_path / "cfg.txt"
-    for line, message in (("quad_order = 100000000000",
-                           "line 3: series.quad_order: quad_order must be an integer in 1..100000"),
-                          ("tail_tol = inf", "line 3: series.tail_tol: unknown key"),
-                          ("n_max = 20", "line 3: series.n_max: unknown key")):
+    for line in ("quad_order = 50", "tail_tol = 1e-9", "n_max = 20"):
         cfg.write_text(f"preset = fig3\n[series]\n{line}\n")
+        with pytest.raises(ValidationError, match=r"^line 2: unknown section \[series\]$"):
+            parse_config(cfg.read_text())
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 1
-        assert capsys.readouterr().err == f"ratelab: error: {message}\n"
+        assert capsys.readouterr().err == "ratelab: error: line 2: unknown section [series]\n"
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_integer_fields_reject_fractions_and_booleans():
-    doc = {"preset": "fig3", "sweep": {"trials": 1.9, "seed": 2.7}, "series": {"quad_order": True}}
+    doc = {"preset": "fig3", "sweep": {"trials": 1.9, "seed": 2.7}}
     with pytest.raises(ValidationError) as err:
         parse_config(json.dumps(doc))
-    for field, value in (("trials", "1.9"), ("seed", "2.7"), ("quad_order", "True")):
+    for field, value in (("trials", "1.9"), ("seed", "2.7")):
         assert f"{field}: expected an integer, got {value}" in str(err.value)
     with pytest.raises(ValidationError, match="cannot interpret '1.9'"):
         parse_config(MINIMAL + "[sweep]\ntrials = 1.9\n")
@@ -674,7 +665,7 @@ SCHEMES = "crs_noma, conventional, crs_oma"
     ({"geometry": {"k": None}}, "field geometry.k: null is not a value"),
     ({"geometry": {"k_rd": None}}, "field geometry.k_rd: null is not a value"),
     ({"geometry": {"omega_sd": None}}, "field geometry.omega_sd: null is not a value"),
-    ({"series": {"tail_tol": None}}, "field series.tail_tol: unknown key"),
+    ({"series": {"tail_tol": None}}, "unknown section [series]"),
     ({"sweep": {"rho_db": None}}, "field sweep.rho_db: null is not a value"),
     ({"sweep": {"schemes": None}}, "field sweep.schemes: null is not a value"),
     ({"sweep": {"trials": None}}, "field sweep.trials: null is not a value"),
@@ -769,7 +760,7 @@ def test_a_mean_power_whose_inverse_scale_overflows_exits_one(tmp_path, capsys):
     (["sweep"], "[geometry]\nk = abc\n", "line 3: geometry.k: cannot interpret 'abc'"),
     (["sweep"], "[sweep]\ntrials = 0\n", f"line 3: sweep.trials: trials must be between 1 and {MAX_TRIALS}"),
     (["sweep"], "= 5\n", "line 2: empty key"),
-    (["sweep"], "[bogus]\n", "unknown section [bogus]"),
+    (["sweep"], "[bogus]\n", "line 2: unknown section [bogus]"),
     (["sweep"], "bogus = 1\n", "line 2: bogus: unknown top-level key"),
     # an integer of 5001 digits, in a JSON config, a text config and a flag: one short line
     pytest.param(["sweep"], '{"preset": "fig3", "geometry": {"omega_sd": 1' + "0" * 5000 + "}}",
@@ -781,6 +772,17 @@ def test_a_mean_power_whose_inverse_scale_overflows_exits_one(tmp_path, capsys):
     pytest.param(["sweep", "--trials", "1" + "0" * 5000], "",
                  "--trials: cannot interpret '100000000000...0000000000000'", id="flag-5001-digits"),
     (["sweep", "--trials", "abc"], "", "--trials: cannot interpret 'abc'"),
+    # JSON nested past the parser's recursion limit, and long text values, each echoed cut short
+    pytest.param(["sweep"], '{"preset": "fig3", "sweep": {"rho_db": ' + "[" * 100000 + "]" * 100000 + "}}",
+                 "invalid JSON config: nested too deeply", id="json-nested-100000"),
+    pytest.param(["sweep"], "rho_db = " + "x" * 5000 + "\n",
+                 "line 2: sweep.rho_db: cannot interpret 'xxxxxxxxxxxx...xxxxxxxxxxxxx'", id="text-long-grid"),
+    pytest.param(["sweep"], "y" * 5000 + "\n",
+                 "line 2: expected 'key = value', got 'yyyyyyyyyyyy...yyyyyyyyyyyyy'", id="text-long-line"),
+    pytest.param(["discrepancy", "--preset", "fig3", "--rho-grid", "z" * 5000], None,
+                 "--rho-grid: cannot interpret 'zzzzzzzzzzzz...zzzzzzzzzzzzz'", id="flag-long-rho-grid"),
+    pytest.param(["calibrate", "--preset", "fig3", "--k-grid", "1:2:" + "z" * 5000], None,
+                 "--k-grid: cannot interpret 'zzzzzzzzzzzz...zzzzzzzzzzzzz'", id="flag-long-k-grid"),
 ])
 def test_each_refused_config_or_grid_is_one_line(argv, config, message, tmp_path, capsys):
     out = tmp_path / "out.csv"
