@@ -15,17 +15,16 @@ Three kinds of objects live here:
   rate mixes two gains.
 
 Both return a :class:`ratelab.rates.RateBreakdown` of ergodic rates.
-What the oracle and the series share is one kernel,
-:func:`ratelab.channel.poisson_mixture`, the Poisson(K) mixture of
-gamma terms of the single-link power gain: the oracle takes its
-survivals and densities from it, and the series their truncated
-survivals, with Poisson(K) weights from its one weight source
+What the oracle and the series share is the Poisson(K) mixture of the
+single-link power gain in :mod:`ratelab.channel`: the oracle and the
+series CDFs take their survivals and densities from it, and the rate
+series their weights, from its one truncation
 :func:`ratelab.channel.poisson_weights`.  Everything else, the
 integration rules on one side and the moment kernel on the other, is
 separate.
 
 The series have no setting: their depth is the constant
-:data:`SERIES_TAIL_TOL`, and their moment kernel is exact.
+:data:`ratelab.channel.KERNEL_TOL`, and their moment kernel is exact.
 
 The published analysis carries a link-label inconsistency (the
 min-pair CDF is printed with S-D/S-R constants although the variate is
@@ -41,13 +40,12 @@ import math
 
 import numpy as np
 
-from .channel import (NetworkGeometry, RicianLink, _check_nonneg, poisson_mixture, poisson_weights,
+from .channel import (NetworkGeometry, RicianLink, _check_nonneg, poisson_weights, power_gain_cdf,
                       power_gain_pdf, power_gain_sf)
 from .errors import ConvergenceError, DomainError
 from .rates import RATES, PowerSplit, RateBreakdown, _check_rho, _check_split
 
 __all__ = [
-    "SERIES_TAIL_TOL",
     "cdf_min_pair_series",
     "cdf_min_pair_approx",
     "cdf_single_link_series",
@@ -60,16 +58,6 @@ __all__ = [
 
 LN2 = math.log(2.0)
 _LOG_FLOAT_MAX = math.log(np.finfo(float).max)
-# Poisson(K) weight each link's series may leave out (see
-# :func:`ratelab.channel.poisson_weights`).  Every value at or below 1e-9
-# gives the same six-digit sweep rows at K = 3, 10 and 30.  Up to
-# K = MAX_NONCENTRALITY a link's series then has at most 666 terms, so
-# each matrix :func:`h_rho` builds stays under 4 MB.
-SERIES_TAIL_TOL = 1e-12
-
-
-def _clamp(raw: float) -> float:
-    return min(max(raw, 0.0), 1.0)
 
 
 def cdf_min_pair_series(link_a: RicianLink, link_b: RicianLink, gamma: float) -> float:
@@ -78,27 +66,19 @@ def cdf_min_pair_series(link_a: RicianLink, link_b: RicianLink, gamma: float) ->
     1 - A_a A_b sum_{n,k} B~_a(n) B~_b(k) n! k! e^(-(a_a+a_b)g)
         sum_{i<=n, j<=k} a_a^i a_b^j g^(i+j) / (i! j!)
 
-    The inner sums factorize per link, so the rectangular truncation,
-    each link's series to the :data:`SERIES_TAIL_TOL` depth, is
-    evaluated as the product of two single-link partial sums; the value
-    is identical term-for-term to the double sum.  At K = 0 this
-    collapses to 1 - e^(-(a_a+a_b)g).
+    The inner sums factorize per link, so the double sum is the product
+    of the two links' survivals, 1 - S_a(g) S_b(g), each from
+    :func:`ratelab.channel.power_gain_sf`.  At K = 0 this collapses to
+    1 - e^(-(a_a+a_b)g).
     """
     gamma = float(_check_nonneg(gamma, "gamma"))
-    sa = poisson_mixture(link_a.k_factor, link_a.inv_scale * gamma, SERIES_TAIL_TOL)[0]
-    sb = poisson_mixture(link_b.k_factor, link_b.inv_scale * gamma, SERIES_TAIL_TOL)[0]
-    return _clamp(1.0 - float(sa * sb))
+    return 1.0 - power_gain_sf(link_a, gamma) * power_gain_sf(link_b, gamma)
 
 
 def cdf_single_link_series(link: RicianLink, gamma: float) -> float:
-    """Single-link gain CDF by the same series machinery.
-
-    Agrees with :func:`ratelab.channel.power_gain_cdf` within the series
-    tolerance; this is the corrected form for gamma_2 = lambda_SD.
-    """
-    gamma = float(_check_nonneg(gamma, "gamma"))
-    s = poisson_mixture(link.k_factor, link.inv_scale * gamma, SERIES_TAIL_TOL)[0]
-    return _clamp(1.0 - float(s))
+    """Single-link gain CDF, :func:`ratelab.channel.power_gain_cdf`; the
+    corrected form for gamma_2 = lambda_SD."""
+    return power_gain_cdf(link, float(_check_nonneg(gamma, "gamma")))
 
 
 def cdf_gamma2_paper(link_y: RicianLink, link_z: RicianLink, gamma: float) -> float:
@@ -141,7 +121,7 @@ def cdf_min_pair_approx(
     (from K of about 70 at the fig3 powers); it is never NaN.
     """
     gamma = float(_check_nonneg(gamma, "gamma"))
-    terms = [len(poisson_weights(link.k_factor, SERIES_TAIL_TOL)[0]) for link in (link_a, link_b)]
+    terms = [len(poisson_weights(link.k_factor)) for link in (link_a, link_b)]
     # ln E_n(g), E_n(g) = sum_{i<=n} g^i/i!
     log_e = np.logaddexp.accumulate(_log_powers(gamma, max(terms)))
 
@@ -153,7 +133,7 @@ def cdf_min_pair_approx(
 
     log_p = log_link_sum(link_a, terms[0]) + log_link_sum(link_b, terms[1]) - gamma
     raw = 1.0 - math.exp(log_p) if log_p < _LOG_FLOAT_MAX else -math.inf
-    return _clamp(raw) if clamp else raw
+    return min(max(raw, 0.0), 1.0) if clamp else raw
 
 
 # ---------------------------------------------------------------------------
@@ -225,27 +205,39 @@ def _check_rho_pos(rho: float) -> float:
     return float(rho)
 
 
+def _log_power(log_base: float, k: np.ndarray) -> np.ndarray:
+    """k * log_base, the log of base^k; the power k = 0 is 1 also where
+    the base underflows to 0 (log_base = -inf)."""
+    if log_base > -math.inf:
+        return k * log_base
+    return np.where(k == 0, 0.0, -math.inf)
+
+
 def h_rho(link_a: RicianLink, link_b: RicianLink, rho: float) -> float:
     """Series for E[ln(1 + rho*min(X_a, X_b))] (nats).
 
     Double series over the two links' coefficients with the exact moment
     kernel at c = (a_a + a_b)/rho; (1/(2 ln 2)) * h_rho is the
     relayed-symbol ergodic rate.  Its only error is the Poisson(K) weight
-    each link's series leaves out, :data:`SERIES_TAIL_TOL`.
+    each link's series leaves out, :data:`ratelab.channel.KERNEL_TOL`.
+    Up to K = :data:`ratelab.channel.MAX_NONCENTRALITY` a link's series
+    has at most 674 terms, so the matrix built here stays under 4 MB.
     """
     rho = _check_rho_pos(rho)
     aa, ab = link_a.inv_scale, link_b.inv_scale
-    alpha = aa + ab
-    wa = poisson_weights(link_a.k_factor, SERIES_TAIL_TOL)[0]
-    wb = poisson_weights(link_b.k_factor, SERIES_TAIL_TOL)[0]
+    wa = poisson_weights(link_a.k_factor)
+    wb = poisson_weights(link_b.k_factor)
     na, nb = len(wa), len(wb)
-    g = _moment_kernel(na + nb - 2, alpha / rho)
+    # c = a_a/rho + a_b/rho, as a_a + a_b may overflow; an infinite c gives G = 0
+    g = _moment_kernel(na + nb - 2, aa / rho + ab / rho)
     # W[i,j] = C(i+j, i) p^i q^j G[i+j]; a binomial pmf term, never large.
+    # ln p and ln q stay defined where one inverse scale dwarfs the other.
     i = np.arange(na)[:, None]
     j = np.arange(nb)[None, :]
     log_fact = np.cumsum(np.log(np.maximum(np.arange(na + nb - 1), 1)))  # ln k!, k = 0..na+nb-2
     log_binom = log_fact[i + j] - log_fact[i] - log_fact[j]
-    w = np.exp(log_binom + i * math.log(aa / alpha) + j * math.log(ab / alpha)) * g[i + j]
+    log_pq = _log_power(-math.log1p(ab / aa), i) + _log_power(-math.log1p(aa / ab), j)
+    w = np.exp(log_binom + log_pq) * g[i + j]
     inner = np.cumsum(np.cumsum(w, axis=0), axis=1)
     return float(wa @ inner @ wb)
 
@@ -262,7 +254,7 @@ def g_rho(link_z: RicianLink, link_y: RicianLink | None, rho: float) -> float:
     if link_y is not None:
         return h_rho(link_z, link_y, rho)
     rho = _check_rho_pos(rho)
-    w = poisson_weights(link_z.k_factor, SERIES_TAIL_TOL)[0]
+    w = poisson_weights(link_z.k_factor)
     g = _moment_kernel(len(w) - 1, link_z.inv_scale / rho)
     return float(w @ np.cumsum(g))
 

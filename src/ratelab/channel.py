@@ -9,12 +9,12 @@ distribution function here is expressed through the convergent series
     f(x) = A * sum_n B(n) x^n e^(-a x),   a = (1+K)/Omega,  A = a e^(-K),
     B(n) = K^n (1+K)^n / (Omega^n (n!)^2),
 
-that is, a Poisson(K) mixture of gamma(n+1) densities at a*x.  One
-kernel, :func:`poisson_mixture`, evaluates that mixture for the
-survival, the distribution function, the density and the Marcum Q
-function here, and for the truncated series of
-:mod:`ratelab.analytic`, which also takes its Poisson weights from
-:func:`poisson_weights`.
+that is, a Poisson(K) mixture of gamma(n+1) densities at a*x.  The
+mixture is truncated in one place, :func:`poisson_weights`, at one
+tolerance, :data:`KERNEL_TOL`, and summed in one pass over its terms
+for the survival, the distribution function, the density and the
+Marcum Q function.  The series of :mod:`ratelab.analytic` take the
+same weights and these survivals.
 """
 
 import math
@@ -36,7 +36,6 @@ __all__ = [
     "power_gain_cdf",
     "power_gain_sf",
     "marcum_q1",
-    "poisson_mixture",
     "poisson_weights",
     "split_stream",
 ]
@@ -47,8 +46,9 @@ __all__ = [
 # 1.6e-12 off at K = 500, 1.1e-10 at K = 520 and 0.12 at K = 700.
 MAX_NONCENTRALITY = 500.0
 
-# Poisson weight the survival, distribution function, density and Marcum
-# Q function may leave out; it bounds each one's truncation error.
+# Poisson weight every truncated series may leave out: it bounds the
+# truncation error of the survival, distribution function, density and
+# Marcum Q function, and sets the depth of the series of ratelab.analytic.
 KERNEL_TOL = 1e-13
 _FLOAT_MAX = float(np.finfo(float).max)
 
@@ -151,22 +151,18 @@ def _check_nonneg(x, name: str = "power gain argument") -> np.ndarray:
     return x
 
 
-def poisson_weights(mean: float, tail_tol: float) -> tuple[np.ndarray, float]:
-    """Poisson(mean) weights w_0..w_n and the weight they cover.
+def poisson_weights(mean: float) -> np.ndarray:
+    """Poisson(mean) weights w_0..w_n, the weights every series of the
+    package sums; the weight they cover is their sum.
 
-    These are the series coefficients A * B~(n) * n! of one link at
-    mean = K, by the pmf recurrence w_j = w_(j-1) * mean / j.  The
-    weights stop at the first n whose covered weight sum_j w_j reaches
-    1 - ``tail_tol``, or where a weight no longer changes the covered
-    sum in floating point (a ``tail_tol`` below the rounding of that
-    sum).  Either comes within a few hundred terms: at the largest
-    mean, :data:`MAX_NONCENTRALITY`, there are 666 weights at
-    ``tail_tol`` 1e-12 and 694 at 1e-300.  Raises :class:`DomainError`
-    for a mean above :data:`MAX_NONCENTRALITY` and for a ``tail_tol``
-    outside (0, 1), which would keep a single weight.
+    At mean = K these are the series coefficients A * B~(n) * n! of one
+    link, by the pmf recurrence w_j = w_(j-1) * mean / j.  The weights
+    stop at the first n whose covered weight reaches 1 -
+    :data:`KERNEL_TOL`, or where a weight no longer changes the covered
+    sum in floating point.  At the largest mean,
+    :data:`MAX_NONCENTRALITY`, that is 674 weights.  Raises
+    :class:`DomainError` for a mean above :data:`MAX_NONCENTRALITY`.
     """
-    if not 0.0 < tail_tol < 1.0:
-        raise DomainError(f"tail_tol must be in (0, 1), got {tail_tol}")
     if not mean <= MAX_NONCENTRALITY:
         raise DomainError(f"noncentrality K = {mean:.6g} is above {MAX_NONCENTRALITY:g}, "
                           "where the Poisson-mixture series underflows")
@@ -174,63 +170,47 @@ def poisson_weights(mean: float, tail_tol: float) -> tuple[np.ndarray, float]:
     weights = [w]
     covered = w
     j = 0
-    while covered < 1.0 - tail_tol:
+    while covered < 1.0 - KERNEL_TOL:
         j += 1
         w *= mean / j
         if covered + w == covered:
             break
         covered += w
         weights.append(w)
-    return np.asarray(weights), covered
+    return np.asarray(weights)
 
 
-def poisson_mixture(mean: float, y, tol: float, density: bool = False):
-    """One pass over the Poisson(mean) mixture of gamma(j+1) terms at y.
+def _mixture(coeffs: np.ndarray, y) -> np.ndarray:
+    """sum_j c_j t_j at y, with t_j = e^-y y^j / j! the gamma(j+1) terms.
 
-    With the weights w_j of :func:`poisson_weights` at ``tol`` and the
-    terms t_j = e^-y y^j / j!, returns ``(s, covered, q)``:
-
-    * s = sum_j w_j Q(j+1, y), Q the regularized upper incomplete
-      gamma, Q(j+1, y) = t_0 + ... + t_j; with ``density``,
-      s = sum_j w_j t_j instead, and no Q is accumulated;
-    * covered = sum_j w_j, the Poisson weight the pass took in;
-    * q, the last Q(j+1, y) (the last t_j with ``density``).
-
-    s is the partial sum over the covered weight; all terms are
-    nonnegative, so there is no cancellation.  At mean = K and y = a*x
-    it is the survival, or the density over a, of the link's power
-    gain, short of the outstanding mass 1 - covered.
+    All terms are nonnegative, so there is no cancellation.  With c the
+    Poisson weights this is the density over a of the power gain at
+    y = a*x; with c the Poisson upper tails P[N >= j], the survival,
+    since by parts sum_j w_j Q(j+1, y) = sum_i P[N >= i] t_i, Q the
+    regularized upper incomplete gamma.
     """
-    w, covered = poisson_weights(mean, tol)
     y = np.asarray(y, dtype=float)
     if y.max(initial=0.0) > _FLOAT_MAX:
         # at +inf a term would be inf * 0; at the largest float every term is 0, its limit
         y = np.minimum(y, _FLOAT_MAX)
     t = np.exp(-y)
-    if density:
-        s = w[0] * t
-        for j in range(1, len(w)):
-            t *= y / j
-            s += w[j] * t
-        return s, covered, t
-    q = t.copy()
-    s = w[0] * q
-    for j in range(1, len(w)):
+    s = coeffs[0] * t
+    for j in range(1, len(coeffs)):
         t *= y / j
-        q += t
-        s += w[j] * q
-    return s, covered, q
+        s += coeffs[j] * t
+    return s
 
 
-def _settled_sf(mean: float, y) -> np.ndarray:
+def _survival(mean: float, y) -> np.ndarray:
     """Survival sum_j Pois(j; mean) Q(j+1, y), to within :data:`KERNEL_TOL`.
 
-    Q(j+1, y) increases toward 1 in j, so settling the outstanding
-    Poisson mass at the last Q bounds the truncation error by the
-    tolerance and makes the y = 0 boundary (all Q = 1) exact.
+    The weight left out is added to every upper tail, which puts it on
+    the last Q(n+1, y): Q increases toward 1 in j, so the truncation
+    error stays below the tolerance, and the first tail is exactly 1,
+    so the survival at y = 0 is exactly 1.
     """
-    sf, covered, q = poisson_mixture(mean, y, KERNEL_TOL)
-    return np.clip(sf + (1.0 - covered) * q, 0.0, 1.0)
+    tails = np.cumsum(poisson_weights(mean)[::-1])[::-1]
+    return np.minimum(_mixture(tails + (1.0 - tails[0]), y), 1.0)
 
 
 def _as_result(out: np.ndarray):
@@ -247,8 +227,7 @@ def power_gain_pdf(link: RicianLink, x):
     """
     x = _check_nonneg(x)
     a = link.inv_scale
-    pdf, _, _ = poisson_mixture(link.k_factor, a * x, KERNEL_TOL, density=True)
-    return _as_result(a * pdf)
+    return _as_result(a * _mixture(poisson_weights(link.k_factor), a * x))
 
 
 def marcum_q1(a: float, b) -> float:
@@ -260,18 +239,18 @@ def marcum_q1(a: float, b) -> float:
     """
     a = float(_check_nonneg(a, "marcum_q1 argument a"))
     b = _check_nonneg(b, "marcum_q1 argument b")
-    return _as_result(_settled_sf(0.5 * a * a, 0.5 * b * b))
+    return _as_result(_survival(0.5 * a * a, 0.5 * b * b))
 
 
 def power_gain_sf(link: RicianLink, x):
     """Survival P[gain > x] = Q1(sqrt(2K), sqrt(2*a*x)), to within
     :data:`KERNEL_TOL`."""
     x = _check_nonneg(x)
-    return _as_result(_settled_sf(link.k_factor, link.inv_scale * x))
+    return _as_result(_survival(link.k_factor, link.inv_scale * x))
 
 
 def power_gain_cdf(link: RicianLink, x):
     """Distribution function P[gain <= x], complement of
     :func:`power_gain_sf`, to within :data:`KERNEL_TOL`."""
     x = _check_nonneg(x)
-    return _as_result(1.0 - _settled_sf(link.k_factor, link.inv_scale * x))
+    return _as_result(1.0 - _survival(link.k_factor, link.inv_scale * x))

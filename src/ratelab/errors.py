@@ -45,9 +45,9 @@ class ValidationError(RateLabError):
 class TruncationWarning(UserWarning):
     """A truncated series stopped while its tail still exceeded the
     requested tolerance.  The package no longer emits it: a series now
-    runs until its tail is below ``SERIES_TAIL_TOL``.  Kept only because
-    the benchmark still counts it.  ``tail`` is the series weight left
-    beyond the truncation."""
+    runs until its tail is below ``ratelab.channel.KERNEL_TOL``.  Kept
+    only because the benchmark still counts it.  ``tail`` is the series
+    weight left beyond the truncation."""
 
     def __init__(self, message: str, tail: float = float("nan")):
         super().__init__(message)

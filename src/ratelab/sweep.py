@@ -15,14 +15,13 @@ choices, never as ground truth.
 """
 
 import io
-import json
 import math
 import reprlib
 from dataclasses import dataclass, replace
 
 from . import __version__
-from .analytic import SERIES_TAIL_TOL, ergodic_rate_quadrature_quantities, ergodic_rate_series
-from .channel import NetworkGeometry, make_link
+from .analytic import ergodic_rate_quadrature_quantities, ergodic_rate_series
+from .channel import KERNEL_TOL, NetworkGeometry, make_link
 from .errors import DomainError, ParseError, ValidationError, _to_float
 from .montecarlo import _check_seed, _check_trials, _estimate, _resolve, estimate_rates
 from .rates import QUANTITIES, RATES, PowerSplit
@@ -276,6 +275,8 @@ def parse_config(text: str) -> SweepConfig:
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
+        import json  # imported here, as text configs never need it
+
         try:
             data = json.loads(text)
         except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
@@ -469,7 +470,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         ("k_sr", g.sr.k_factor), ("k_rd", g.rd.k_factor), ("k_sd", g.sd.k_factor),
         ("omega_sr", g.sr.mean_power), ("omega_rd", g.rd.mean_power), ("omega_sd", g.sd.mean_power),
         ("a1", config.split.a1), ("a2", config.split.a2),
-        ("tail_tol", SERIES_TAIL_TOL),
+        ("tail_tol", KERNEL_TOL),
         ("k_factor_note", "K values are artifact choices; the published experiments do not report K"),
     ]
     both_series = {"series_corrected", "series_paper_literal"} <= set(config.estimators)

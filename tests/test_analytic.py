@@ -32,7 +32,7 @@ from ratelab import (
     sample_power_gains,
     split_stream,
 )
-from ratelab.errors import ConvergenceError, DomainError
+from ratelab.errors import ConvergenceError, DomainError, ModelAssumptionWarning
 from ratelab.rates import QUANTITIES, RATES, RateBreakdown
 from ratelab.sweep import preset_config, run_sweep
 
@@ -166,7 +166,7 @@ def _approx_in_linear_space(link_a, link_b, gamma):
     for link in (link_a, link_b):
         w, term, partial = math.exp(-link.k_factor), 1.0, 1.0
         total = w
-        for j in range(1, len(analytic.poisson_weights(link.k_factor, 1e-12)[0])):
+        for j in range(1, len(analytic.poisson_weights(link.k_factor))):
             term *= gamma / j
             partial += term
             w *= link.k_factor * link.inv_scale / j
@@ -199,6 +199,33 @@ def test_valid_series_cdfs_need_no_clamping():
     assert pair == pytest.approx(1.0 - power_gain_sf(a, 1.0) * power_gain_sf(b, 1.0), abs=1e-12)
     assert single == pytest.approx(1.0 - power_gain_sf(a, 1.0), abs=1e-12)
     assert 0.0 < single < pair < 1.0
+
+
+def test_series_cdfs_are_the_kernel_survivals():
+    for ka, kb in ((0, 0), (0.5, 3), (30, 10), (500, 3)):
+        a, b = make_link(ka, 2), make_link(kb, 7)
+        for gamma in (0.0, 0.3, 4.0, 60.0):
+            assert cdf_min_pair_series(a, b, gamma) == 1.0 - power_gain_sf(a, gamma) * power_gain_sf(b, gamma)
+            assert cdf_single_link_series(a, gamma) == power_gain_cdf(a, gamma)
+
+
+# Inverse-scale pairs where a_a + a_b overflows, or where one is below
+# 1e-308 times the other, so that a_a/(a_a + a_b) underflows to 0.
+_EXTREME_SCALES = [(1e308, 1e308), (1e300, 1e-300), (1e308, 1e-20)]
+
+
+@pytest.mark.parametrize("k", [0, 3])
+@pytest.mark.parametrize("scales", _EXTREME_SCALES + [pair[::-1] for pair in _EXTREME_SCALES[1:]])
+def test_h_rho_is_finite_at_extreme_inverse_scale_ratios(scales, k):
+    # the links are built at mean power (1 + K)/a, so each has inverse scale a
+    a, b = (make_link(k, (1 + k) / scale) for scale in scales)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModelAssumptionWarning)
+        geometry = NetworkGeometry(sr=a, rd=b, sd=make_link(k, 1))
+    for rho in (10 ** 0.5, 10 ** 1.5):
+        h = h_rho(a, b, rho)
+        oracle = ergodic_rate_quadrature_quantities(geometry, rho, "crs_noma_paper")["c_relay_s1"]
+        assert math.isfinite(h) and abs(h - 2 * math.log(2) * oracle) <= 1e-8, (scales, k, rho)
 
 
 def test_h_rho_rayleigh_high_snr_against_oracle():

@@ -16,6 +16,7 @@ from ratelab import (
     split_stream,
 )
 from ratelab.analytic import _reach
+from ratelab import channel
 from ratelab.channel import MAX_NONCENTRALITY, poisson_weights
 from ratelab.errors import (
     DomainError,
@@ -232,24 +233,41 @@ def test_kernel_is_accurate_up_to_its_noncentrality_bound():
     assert np.max(np.abs(power_gain_sf(link, xs) - ref)) <= 1e-11
 
 
-def test_kernel_stops_where_its_weights_no_longer_count():
-    # at K = 27.3 the covered weight rounds to 1 - 1.2e-15, so a tol of
-    # 1e-15 is never reached; the weights must stop anyway
-    assert len(poisson_weights(27.3, 1e-15)[0]) < 100
+def test_kernel_stops_where_its_weights_no_longer_count(monkeypatch):
+    # a tolerance below the rounding of the covered weight is never
+    # reached; the weights must stop anyway, where one no longer counts
+    monkeypatch.setattr(channel, "KERNEL_TOL", 1e-300)
+    assert len(poisson_weights(27.3)) < 100
     # the depth is bounded without a cap: 694 weights at the largest K
-    assert len(poisson_weights(MAX_NONCENTRALITY, 1e-300)[0]) <= 700
+    assert len(poisson_weights(MAX_NONCENTRALITY)) <= 700
     link = make_link(27.3, 1)
     xs = np.linspace(0, 5, 101)
     ref = stats.ncx2.sf(2 * link.inv_scale * xs, df=2, nc=2 * 27.3)
     assert np.max(np.abs(power_gain_sf(link, xs) - ref)) <= 1e-14
 
 
-@pytest.mark.parametrize("tail_tol", [0.0, 1.0, 2.0, math.nan])
-def test_poisson_weights_refuse_a_tail_tol_outside_the_unit_interval(tail_tol):
-    # such a tail_tol would keep one weight and put the survival of
-    # make_link(3, 8) at 8 at 0.0183 instead of 0.4269
-    with pytest.raises(DomainError, match=r"tail_tol must be in \(0, 1\)"):
-        poisson_weights(3, tail_tol)
+@pytest.mark.parametrize("k", [0, 0.5, 3, 30, 500])
+def test_survival_is_exactly_one_at_zero(k):
+    # the weight left out is settled so that the first upper tail is 1
+    link = make_link(k, 2)
+    assert power_gain_sf(link, 0.0) == 1.0
+    assert power_gain_cdf(link, 0.0) == 0.0
+    assert power_gain_sf(link, np.zeros(3)).tolist() == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("k", [0, 0.5, 1, 3, 10, 30])
+def test_survival_and_density_match_noncentral_chi2(k):
+    # a*gain is half a noncentral chi-square with df 2 and nc 2K; the
+    # density is compared in y = a*x, where the kernel sums it.  SciPy
+    # puts the density at y = 0 at 0; there it is e^-K.
+    link = make_link(k, 1.5)
+    a = link.inv_scale
+    xs = np.linspace(0, 40, 4001)[1:]
+    sf = stats.ncx2.sf(2 * a * xs, df=2, nc=2 * k)
+    pdf = 2 * stats.ncx2.pdf(2 * a * xs, df=2, nc=2 * k)
+    assert np.max(np.abs(power_gain_sf(link, xs) - sf)) <= 1e-13
+    assert np.max(np.abs(power_gain_pdf(link, xs) / a - pdf)) <= 1e-13
+    assert power_gain_pdf(link, 0.0) / a == pytest.approx(math.exp(-k), rel=1e-15)
 
 
 def test_kernel_refuses_noncentrality_where_it_underflows():

@@ -451,8 +451,9 @@ def test_a_cold_monte_carlo_call_takes_few_page_faults():
 
 # Taken with the engine that evaluated each rate on its own, before the
 # rates of one rho shared their terms: the same floats must come out.  The
-# sweep's bytes were re-taken when its '# quad_order' metadata line went.
-GOLDEN_SWEEP_SHA256 = "d82e9ae4705f48ebcc70251836088c715388faa8e16ce34ff2c86488a357995b"
+# sweep's bytes were re-taken when its '# quad_order' metadata line went,
+# and when its '# tail_tol' line became 1e-13, the one kernel tolerance.
+GOLDEN_SWEEP_SHA256 = "a8c1b257553f83ed1933c986805edc6b77714ee9d8e7d37f6b93e5d1bd4d0ce4"
 GOLDEN_GAP = ("EstimatorResult(scheme='crs_noma_exact-conventional', quantity='c_s1', "
               "mean=1.924511157613972, std_err=0.0011261538703475258, trials=181073, seed=29, rho=10.0)")
 GOLDEN_RESIDUAL = "(4.0, 5.0, 'conventional', 1.935308976202007, 3.883, -1.947691023797993)"
@@ -475,8 +476,9 @@ def test_golden_monte_carlo_outputs(workers):
 
 
 # Taken with the exact moment kernel; the oracle rows are those of the
-# Gauss-Chebyshev kernel it replaced.
-GOLDEN_SERIES_SWEEP_SHA256 = "b6c90cd07f7e420c795c7f71903ed5ccf914e5a082afb39656219e56c688e17c"
+# Gauss-Chebyshev kernel it replaced.  Re-taken when the '# tail_tol' line
+# became 1e-13; no data row changed.
+GOLDEN_SERIES_SWEEP_SHA256 = "a2ad75ab0ed237dc3d3ff6e06838f0989fb86ea73eb99d5d852e176db2a537bb"
 GOLDEN_DISCREPANCY_SHA256 = "e2dc41f0d26e25bee5d9530005beaeb931f04afa100fa461f29a9828cf25c7e0"
 
 
@@ -486,7 +488,7 @@ def test_golden_series_sweep():
            "schemes = crs_noma, conventional, crs_oma\nmodes = paper, exact\n"
            "estimators = quadrature_oracle, series_corrected, series_paper_literal\n")
     csv = render_csv(run_sweep(parse_config(doc)))
-    assert "# a2 = 0.1\n# tail_tol = 1e-12\n" in csv
+    assert "# a2 = 0.1\n# tail_tol = 1e-13\n" in csv
     assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN_SERIES_SWEEP_SHA256
 
 

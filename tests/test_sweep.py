@@ -416,6 +416,16 @@ def test_import_leaves_the_thread_pool_unloaded():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
+def test_import_leaves_json_unloaded():
+    # only a JSON config needs the json module; parse_config imports it then
+    src = str(Path(ratelab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, ratelab; print('json' in sys.modules, end=' '); "
+            "ratelab.parse_config('{\"preset\": \"fig3\"}'); print('json' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False True\n", "")
+
+
 def test_cli_discrepancy(tmp_path):
     out = tmp_path / "d.csv"
     assert main(["discrepancy", "--preset", "fig3", "--rho-grid", "5:25:10", "--out", str(out)]) == 0
