@@ -307,13 +307,45 @@ _MAX_LEVEL_NODES = 8192
 def _unit_gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only n-point Gauss-Legendre nodes and weights on (0, 1).
 
+    The roots x of P_n in [0, 1) come from Newton's method on the
+    three-term recurrence, started from Tricomi's estimates (the plain
+    Newton form of Hale & Townsend, SIAM J. Sci. Comput. 35, 2013); the
+    other roots are their mirror images.  Newton stops at the first
+    pass whose step is below 1e-12 at every root, and that last step is
+    taken to first order: the distance 1 - x to the end of [-1, 1] and
+    the weight 2/((1 - x^2) P_n'(x)^2) are formed at x - step, so the
+    nodes near 0 and every weight keep their relative accuracy.  A
+    (0, 1) node is (1 +- x)/2 and its weight half the [-1, 1] one.
     Built on first use, so importing the module computes no rule.
     """
-    x, w = np.polynomial.legendre.leggauss(n)
-    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    theta = math.pi / (4 * n + 2) * (4.0 * np.arange((n + 1) // 2) + 3.0)
+    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(theta)
+    while True:
+        p, dp = _legendre(n, x)
+        step = p / dp
+        if np.abs(step).max() <= 1e-12:
+            break
+        x -= step
+    half_gap = 0.5 * ((1.0 - x) + step)  # (1 - root)/2, increasing as x decreases
+    w = 1.0 / (dp * dp * ((1.0 - x) * (1.0 + x) - 2.0 * x * step))
+    nodes = np.concatenate((half_gap, (1.0 - half_gap)[::-1][n % 2:]))
+    weights = np.concatenate((w, w[::-1][n % 2:]))
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
+
+
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) for x in (-1, 1), by the three-term recurrence
+    j P_j = (2j - 1) x P_(j-1) - (j - 1) P_(j-2)."""
+    p0, p1, p2 = np.ones_like(x), x.copy(), np.empty_like(x)
+    for j in range(2, n + 1):
+        np.multiply(x, p1, out=p2)
+        p2 *= (2 * j - 1) / j
+        p0 *= (j - 1) / j
+        p2 -= p0
+        p0, p1, p2 = p1, p2, p0
+    return p1, n * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
 
 
 def _reach(link: RicianLink) -> float:

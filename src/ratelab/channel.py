@@ -11,9 +11,12 @@ distribution function here is expressed through the convergent series
 
 that is, a Poisson(K) mixture of gamma(n+1) densities at a*x.  The
 mixture is truncated in one place, :func:`poisson_weights`, at one
-tolerance, :data:`KERNEL_TOL`, and summed in one pass over its terms
-for the survival, the distribution function, the density and the
-Marcum Q function.  The series of :mod:`ratelab.analytic` take the
+tolerance, :data:`KERNEL_TOL`, and summed in one Horner pass over its
+terms for the survival, the distribution function, the density and the
+Marcum Q function.  The pass runs from whichever end keeps it in
+floating-point range: from the last term down while e^-(a*x) is still
+a normal float, from the first term up beyond that, where e^-(a*x)
+alone would underflow.  The series of :mod:`ratelab.analytic` take the
 same weights and these survivals.
 """
 
@@ -41,9 +44,12 @@ __all__ = [
 ]
 
 # Largest Poisson mean K (half the chi-square noncentrality; a^2/2 for
-# Marcum Q1(a, b)) the kernel accepts.  Past it e^-K and e^-y head for
-# underflow: against the noncentral chi-square survival, the survival is
-# 1.6e-12 off at K = 500, 1.1e-10 at K = 520 and 0.12 at K = 700.
+# Marcum Q1(a, b)) the kernel accepts.  Up to it there are at most 674
+# weights, so their last index stays under _HORNER_SPLIT, as the upward
+# Horner pass needs, and e^-K is far from underflow.  Against the
+# noncentral chi-square on y = a*x in [0, 3(1 + K)], the survival is
+# 5.9e-15 off at K = 500, 7.0e-15 at K = 520, 7.2e-13 at K = 700 (904
+# weights, past the split) and 0.21 at K = 745, where e^-K underflows.
 MAX_NONCENTRALITY = 500.0
 
 # Poisson weight every truncated series may leave out: it bounds the
@@ -51,6 +57,11 @@ MAX_NONCENTRALITY = 500.0
 # Marcum Q function, and sets the depth of the series of ratelab.analytic.
 KERNEL_TOL = 1e-13
 _FLOAT_MAX = float(np.finfo(float).max)
+# Where the mixture sum changes ends.  Summed from the last term down,
+# every partial sum stays below e^y and e^-y stays a normal float for
+# y <= 708; summed from the first term up, every ratio j/y stays below 1
+# while y exceeds the last index, at most 673 (see poisson_weights).
+_HORNER_SPLIT = 700.0
 
 
 @dataclass(frozen=True)
@@ -180,29 +191,66 @@ def poisson_weights(mean: float) -> np.ndarray:
     return np.asarray(weights)
 
 
-def _mixture(coeffs: np.ndarray, y) -> np.ndarray:
-    """sum_j c_j t_j at y, with t_j = e^-y y^j / j! the gamma(j+1) terms.
+def _mixture(coeffs: np.ndarray, scale: float, x: np.ndarray) -> np.ndarray:
+    """sum_j c_j t_j at y = scale*x, with t_j = e^-y y^j / j! the gamma(j+1) terms.
 
     All terms are nonnegative, so there is no cancellation.  With c the
     Poisson weights this is the density over a of the power gain at
     y = a*x; with c the Poisson upper tails P[N >= j], the survival,
     since by parts sum_j w_j Q(j+1, y) = sum_i P[N >= i] t_i, Q the
     regularized upper incomplete gamma.
+
+    The sum is taken by Horner's rule, three in-place passes a term,
+    from whichever end keeps it in range.  Up to :data:`_HORNER_SPLIT`
+    it runs from the last term down: the partial sums stay below
+    sum_j y^j/j! = e^y, and the factor e^-y is applied once at the end.
+    Above it, where e^-y heads for underflow, it runs from the first
+    term up, with every ratio j/y below 1, and ends with the Poisson(y)
+    probability of the last index.  A product scale*x past the float
+    range is +inf, where every term has the limit 0.
     """
-    y = np.asarray(y, dtype=float)
-    if y.max(initial=0.0) > _FLOAT_MAX:
-        # at +inf a term would be inf * 0; at the largest float every term is 0, its limit
-        y = np.minimum(y, _FLOAT_MAX)
-    t = np.exp(-y)
-    s = coeffs[0] * t
-    for j in range(1, len(coeffs)):
-        t *= y / j
-        s += coeffs[j] * t
+    with np.errstate(over="ignore"):
+        y = scale * x
+    if y.max(initial=0.0) <= _HORNER_SPLIT:
+        return _horner_down(coeffs, y)
+    low = y <= _HORNER_SPLIT
+    high = ~low
+    s = np.empty_like(y)
+    s[low] = _horner_down(coeffs, y[low])
+    # at +inf a term would be inf * 0; at the largest float every term is 0, its limit
+    s[high] = _horner_up(coeffs, np.minimum(y[high], _FLOAT_MAX))
     return s
 
 
-def _survival(mean: float, y) -> np.ndarray:
-    """Survival sum_j Pois(j; mean) Q(j+1, y), to within :data:`KERNEL_TOL`.
+def _horner_down(coeffs: np.ndarray, y) -> np.ndarray:
+    """:func:`_mixture` for y <= :data:`_HORNER_SPLIT`, from the last term down."""
+    c = coeffs.tolist()
+    s = c[-1]
+    for j in range(len(c) - 1, 0, -1):
+        s *= y  # the first pass makes s an array shaped like y
+        s *= 1.0 / j
+        s += c[j - 1]
+    s *= np.exp(-y)
+    return s
+
+
+def _horner_up(coeffs: np.ndarray, y) -> np.ndarray:
+    """:func:`_mixture` for y > :data:`_HORNER_SPLIT`, from the first term up."""
+    c = coeffs.tolist()
+    n = len(c) - 1
+    inv_y = 1.0 / y
+    s = c[0]
+    for j in range(1, n + 1):
+        s *= inv_y  # the first pass makes s an array shaped like y
+        s *= j
+        s += c[j]
+    s *= np.exp(n * np.log(y) - y - math.lgamma(n + 1))
+    return s
+
+
+def _survival(mean: float, scale: float, x: np.ndarray) -> np.ndarray:
+    """Survival sum_j Pois(j; mean) Q(j+1, y) at y = scale*x, to within
+    :data:`KERNEL_TOL`.
 
     The weight left out is added to every upper tail, which puts it on
     the last Q(n+1, y): Q increases toward 1 in j, so the truncation
@@ -210,7 +258,7 @@ def _survival(mean: float, y) -> np.ndarray:
     so the survival at y = 0 is exactly 1.
     """
     tails = np.cumsum(poisson_weights(mean)[::-1])[::-1]
-    return np.minimum(_mixture(tails + (1.0 - tails[0]), y), 1.0)
+    return np.minimum(_mixture(tails + (1.0 - tails[0]), scale, x), 1.0)
 
 
 def _as_result(out: np.ndarray):
@@ -227,7 +275,7 @@ def power_gain_pdf(link: RicianLink, x):
     """
     x = _check_nonneg(x)
     a = link.inv_scale
-    return _as_result(a * _mixture(poisson_weights(link.k_factor), a * x))
+    return _as_result(a * _mixture(poisson_weights(link.k_factor), a, x))
 
 
 def marcum_q1(a: float, b) -> float:
@@ -239,18 +287,18 @@ def marcum_q1(a: float, b) -> float:
     """
     a = float(_check_nonneg(a, "marcum_q1 argument a"))
     b = _check_nonneg(b, "marcum_q1 argument b")
-    return _as_result(_survival(0.5 * a * a, 0.5 * b * b))
+    return _as_result(_survival(0.5 * a * a, 0.5 * b, b))
 
 
 def power_gain_sf(link: RicianLink, x):
     """Survival P[gain > x] = Q1(sqrt(2K), sqrt(2*a*x)), to within
     :data:`KERNEL_TOL`."""
     x = _check_nonneg(x)
-    return _as_result(_survival(link.k_factor, link.inv_scale * x))
+    return _as_result(_survival(link.k_factor, link.inv_scale, x))
 
 
 def power_gain_cdf(link: RicianLink, x):
     """Distribution function P[gain <= x], complement of
     :func:`power_gain_sf`, to within :data:`KERNEL_TOL`."""
     x = _check_nonneg(x)
-    return _as_result(1.0 - _survival(link.k_factor, link.inv_scale * x))
+    return _as_result(1.0 - _survival(link.k_factor, link.inv_scale, x))

@@ -635,6 +635,32 @@ print(sorted(name for name in sys.modules if name.startswith("scipy")))
     assert out.stdout.strip() == "['scipy']"
 
 
+@pytest.mark.parametrize("n", [64, 256])
+def test_gauss_legendre_rule_is_exact_up_to_degree_2n_minus_1(n):
+    u, w = analytic._unit_gauss_legendre(n)
+    assert np.all(np.diff(u) > 0) and 0.0 < u[0] and u[-1] < 1.0
+    assert np.all(w > 0) and abs(w.sum() - 1.0) <= 1e-15
+    # int_0^1 u^k du = 1/(k + 1)
+    for k in range(2 * n):
+        assert abs(float(w @ u**k) * (k + 1) - 1.0) <= 1e-14, k
+
+
+def test_oracle_builds_its_inner_rules_without_numpy_polynomial():
+    code = """
+import sys
+from ratelab import NetworkGeometry, ergodic_rate_quadrature_quantities, make_link
+fig3 = NetworkGeometry(sr=make_link(3, 8), rd=make_link(3, 8), sd=make_link(3, 3))
+ergodic_rate_quadrature_quantities(fig3, 10.0, "crs_noma_exact")
+ergodic_rate_quadrature_quantities(fig3, 10.0, "crs_oma")
+print("numpy.polynomial" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(Path(ratelab.__file__).parents[1]),
+                                                        os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_convergence_error_reports_the_levels_and_the_last_gap(monkeypatch):
     monkeypatch.setattr(analytic, "MAX_QUAD_LEVELS", 1)
     with pytest.raises(ConvergenceError, match=r"within 1 refinement level\(s\); last gap between levels \d"):

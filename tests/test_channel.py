@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -228,9 +229,44 @@ def test_series_pdf_agreement_grid():
 
 def test_kernel_is_accurate_up_to_its_noncentrality_bound():
     link = make_link(MAX_NONCENTRALITY, 1)
+    a = link.inv_scale
     xs = np.linspace(0, 3, 3001)
-    ref = stats.ncx2.sf(2 * link.inv_scale * xs, df=2, nc=2 * MAX_NONCENTRALITY)
-    assert np.max(np.abs(power_gain_sf(link, xs) - ref)) <= 1e-11
+    ref = stats.ncx2.sf(2 * a * xs, df=2, nc=2 * MAX_NONCENTRALITY)
+    pdf = 2 * stats.ncx2.pdf(2 * a * xs, df=2, nc=2 * MAX_NONCENTRALITY)
+    assert np.max(np.abs(power_gain_sf(link, xs) - ref)) <= 1e-13
+    assert np.max(np.abs(power_gain_pdf(link, xs) / a - pdf)) <= 1e-13
+
+
+@pytest.mark.parametrize("k", [0, 3, 30, 100, 300, 500])
+def test_kernel_is_accurate_on_both_sides_of_its_horner_split(k):
+    # the mixture is summed from its last term down up to y* and from its
+    # first term up above it; with mean power 1 + K the inverse scale is
+    # 1, so the argument is y itself
+    link = make_link(k, 1 + k)
+    assert link.inv_scale == 1.0
+    ys = np.linspace(0, 1500, 15001)
+    sf = stats.ncx2.sf(2 * ys, df=2, nc=2 * k)
+    pdf = 2 * stats.ncx2.pdf(2 * ys, df=2, nc=2 * k)
+    assert np.max(np.abs(power_gain_sf(link, ys) - sf)) <= 1e-13
+    assert np.max(np.abs(power_gain_pdf(link, ys)[1:] - pdf[1:])) <= 1e-13
+    # the two ends meet: y* alone is summed downward, its next float upward
+    y_star = channel._HORNER_SPLIT
+    for fn in (power_gain_sf, power_gain_pdf):
+        assert abs(fn(link, y_star) - fn(link, np.nextafter(y_star, math.inf))) <= 1e-15
+    far = [1e4, 1e300, np.finfo(float).max, math.inf]
+    assert power_gain_sf(link, far).tolist() == [0.0] * 4
+    assert power_gain_pdf(link, far).tolist() == [0.0] * 4
+
+
+@pytest.mark.parametrize("k", [0, 3, 500])
+def test_an_argument_whose_scaled_value_overflows_gives_the_limits_without_a_warning(k):
+    # a*x and b*b/2 overflow to +inf, where the kernel takes its limits
+    link = make_link(k, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in (1e300, 1.7e308):
+            assert (power_gain_sf(link, x), power_gain_cdf(link, x), power_gain_pdf(link, x)) == (0.0, 1.0, 0.0)
+        assert marcum_q1(1.0, 1e160) == 0.0
 
 
 def test_kernel_stops_where_its_weights_no_longer_count(monkeypatch):
