@@ -41,7 +41,6 @@ from .sweep import (
     SweepRow,
     calibrate_k,
     discrepancy_report,
-    emit_plot_script,
     parse_config,
     preset_config,
     render_csv,
@@ -61,7 +60,7 @@ __all__ = [
     "ergodic_rate_series", "g_rho", "h_rho",
     "EstimatorResult", "estimate_rates", "paired_gap",
     "CalibrationResult", "SweepConfig", "SweepResult", "SweepRow",
-    "calibrate_k", "discrepancy_report", "emit_plot_script", "parse_config",
-    "preset_config", "render_csv", "run_sweep",
+    "calibrate_k", "discrepancy_report", "parse_config", "preset_config",
+    "render_csv", "run_sweep",
     "errors",
 ]

@@ -92,8 +92,10 @@ class RicianLink:
 
     @property
     def los_power(self) -> float:
-        """Power of the deterministic line-of-sight component."""
-        return self.k_factor * self.mean_power / (self.k_factor + 1.0)
+        """Power of the deterministic line-of-sight component,
+        K*Omega/(K + 1); as Omega/(1 + 1/K) where K*Omega overflows."""
+        los = self.k_factor * self.mean_power
+        return los / (self.k_factor + 1.0) if los < math.inf else self.mean_power / (1.0 + 1.0 / self.k_factor)
 
     @property
     def diffuse_var(self) -> float:

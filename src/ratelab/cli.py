@@ -1,14 +1,16 @@
 """Command-line front end.
 
     ratelab sweep --config cfg.txt [--out sweep.csv] [--seed N]
-                  [--trials N] [--workers N] [--emit-plot plot.gp]
+                  [--trials N] [--workers N]
     ratelab calibrate --preset fig3|fig4 [--k-grid a:b:step] [--trials N]
                   [--seed N] [--workers N] [--out residuals.csv]
     ratelab discrepancy --preset fig3|fig4 [--k K] [--rho-grid a:b:step]
                   [--out table.csv]
 
-A grid that starts below zero is written with '=', --rho-grid=-10:30:5,
-since a bare -10:30:5 reads as an option.
+The three commands write the three tables: sweep, calibration and
+discrepancy; the discrepancy table is read from the rows of a sweep of
+both series and the oracle.  A grid that starts below zero is written
+with '=', --rho-grid=-10:30:5, since a bare -10:30:5 reads as an option.
 
 Exit codes: 0 success, 1 configuration/validation error (usage errors
 included), 2 runtime or convergence error.  A warning prints as one
@@ -29,7 +31,6 @@ from .sweep import (
     _integer,
     calibrate_k,
     discrepancy_report,
-    emit_plot_script,
     parse_config,
     parse_grid,
     preset_geometry,
@@ -76,11 +77,7 @@ def _cmd_sweep(args) -> int:
     settings = _settings(args)
     with open(args.config) as fh:
         config = replace(parse_config(fh.read()), **settings)
-    out_path = args.out or config.output_path
-    result = run_sweep(config)
-    _write(out_path, render_csv(result))
-    if args.emit_plot:
-        _write(args.emit_plot, emit_plot_script(result, csv_path=out_path))
+    _write(args.out or config.output_path, render_csv(run_sweep(config)))
     return _EXIT_OK
 
 
@@ -123,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", help="override the config seed")
     p_sweep.add_argument("--trials", help="override the Monte-Carlo trial count")
     p_sweep.add_argument("--workers", help="Monte-Carlo worker threads (result-invariant)")
-    p_sweep.add_argument("--emit-plot", metavar="PATH", help="also write a gnuplot script")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_cal = sub.add_parser("calibrate", help="fit the unreported Rician K to published rates")

@@ -43,7 +43,6 @@ __all__ = [
     "render_csv",
     "render_calibration_csv",
     "render_discrepancy_csv",
-    "emit_plot_script",
     "discrepancy_report",
 ]
 
@@ -473,15 +472,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         ("tail_tol", KERNEL_TOL),
         ("k_factor_note", "K values are artifact choices; the published experiments do not report K"),
     ]
-    both_series = {"series_corrected", "series_paper_literal"} <= set(config.estimators)
-    if both_series and "crs_noma" in config.schemes:
-        gap = 0.0
-        lit = {(r.rho_db, r.quantity): r.value for r in rows if r.estimator == "series_paper_literal"}
-        cor = {(r.rho_db, r.quantity): r.value for r in rows if r.estimator == "series_corrected"}
-        for key, v in lit.items():
-            if key[1] == "c_total" and key in cor:
-                gap = max(gap, abs(v - cor[key]))
-        meta.append(("discrepancy_max_abs_gap_c_total", _fmt(gap)))
+    gaps = [gap for _, quantity, *_, gap in _discrepancy_rows(rows) if quantity == "c_total"]
+    if gaps:
+        meta.append(("discrepancy_max_abs_gap_c_total", _fmt(max(gaps))))
     return SweepResult(rows=tuple(rows), metadata=tuple(meta))
 
 
@@ -546,22 +539,47 @@ def calibrate_k(
 # discrepancy report
 # ---------------------------------------------------------------------------
 
+# The discrepancy table's quantities: its name for each and the rate
+# quantity it reads.
+_DISCREPANCY = (("c_r_s1", "c_relay_s1"), ("c_d_s1", "c_direct_s1"), ("c_total", "c_total"))
+
+
+def _discrepancy_rows(rows) -> tuple:
+    """The discrepancy table of a sweep's rows.
+
+    Rows are (rho_db, quantity, paper_literal, corrected, oracle,
+    abs_gap) for each grid point, in the sweep's order, and each
+    quantity of :data:`_DISCREPANCY`, read from the paper-mode CRS-NOMA
+    rows; abs_gap is the absolute literal-corrected difference, and
+    oracle is None where the sweep has no such oracle row.  A grid
+    point without both series rows gives none.
+    """
+    value = {(r.rho_db, r.estimator, r.quantity): r.value
+             for r in rows if (r.scheme, r.mode) == ("crs_noma", "paper")}
+    table = []
+    for rho_db in dict.fromkeys(r.rho_db for r in rows):
+        for name, q in _DISCREPANCY:
+            lit = value.get((rho_db, "series_paper_literal", q))
+            cor = value.get((rho_db, "series_corrected", q))
+            if lit is not None and cor is not None:
+                oracle = value.get((rho_db, "quadrature_oracle", q))
+                table.append((float(rho_db), name, lit, cor, oracle, abs(lit - cor)))
+    return tuple(table)
+
+
 def discrepancy_report(geometry: NetworkGeometry, rho_grid_db) -> tuple:
     """Literal vs corrected analytic rates, with the oracle alongside.
 
-    Rows are (rho_db, quantity, paper_literal, corrected, oracle,
-    abs_gap) for the three CRS-NOMA rate quantities; abs_gap is the
-    absolute literal-corrected difference.
+    The :func:`_discrepancy_rows` of a paper-mode CRS-NOMA sweep by both
+    series and the oracle over ``rho_grid_db``, taken in the order given.
     """
-    rows = []
-    for rho_db in rho_grid_db:
-        rho = db_to_linear(rho_db)
-        lit = ergodic_rate_series(geometry, rho, literal=True)
-        cor = ergodic_rate_series(geometry, rho, literal=False)
-        ora = ergodic_rate_quadrature_quantities(geometry, rho, "crs_noma_paper")
-        for qname, q in (("c_r_s1", "c_relay_s1"), ("c_d_s1", "c_direct_s1"), ("c_total", "c_total")):
-            rows.append((float(rho_db), qname, lit[q], cor[q], ora[q], abs(lit[q] - cor[q])))
-    return tuple(rows)
+    # paper-mode CRS-NOMA reads no power split, and neither the series
+    # nor the oracle reads the trials, the seed or the output path
+    config = SweepConfig(rho_grid_db=tuple(rho_grid_db), geometry=geometry, schemes=("crs_noma",),
+                         modes=("paper",), split=PowerSplit(0.9, 0.1),
+                         estimators=("series_paper_literal", "series_corrected", "quadrature_oracle"),
+                         trials=1, seed=0, output_path="-")
+    return _discrepancy_rows(run_sweep(config).rows)
 
 
 # ---------------------------------------------------------------------------
@@ -609,42 +627,3 @@ def render_discrepancy_csv(rows, geometry: NetworkGeometry) -> str:
             ("k", ",".join(_fmt(link.k_factor) for link in links)),
             ("omega", ",".join(_fmt(link.mean_power) for link in links))]
     return _table(meta, "rho_db,quantity,paper_literal,corrected,oracle,abs_gap", rows)
-
-
-def emit_plot_script(result: SweepResult, csv_path: str | None = None) -> str:
-    """A gnuplot script charting c_total against rho_db per scheme.
-
-    References only the columns of the CSV schema; one plot clause per
-    scheme, using the first available estimator in preference order.
-    """
-    path = csv_path or "sweep.csv"
-    prefer = ("monte_carlo", "quadrature_oracle", "series_corrected", "series_paper_literal")
-    per_scheme = {}
-    for r in result.rows:
-        if r.quantity != "c_total":
-            continue
-        cur = per_scheme.get(r.scheme)
-        if cur is None or prefer.index(r.estimator) < prefer.index(cur):
-            per_scheme[r.scheme] = r.estimator
-    clauses = []
-    for scheme in sorted(per_scheme):
-        est = per_scheme[scheme]
-        cond = (
-            f"strcol(2) eq '{scheme}' && strcol(4) eq '{est}' && strcol(5) eq 'c_total'"
-        )
-        clauses.append(
-            f"  '{path}' using ({cond} ? column(1) : NaN):(column(6)) "
-            f"with linespoints title '{scheme} ({est})'"
-        )
-    lines = [
-        "# gnuplot script; run: gnuplot -persist <this file>",
-        "set datafile separator ','",
-        "set datafile commentschars '#'",
-        "set xlabel 'transmit SNR [dB]'",
-        "set ylabel 'ergodic sum rate [bit/s/Hz]'",
-        "set key top left",
-        "set grid",
-        "plot \\",
-        ", \\\n".join(clauses),
-    ]
-    return "\n".join(lines) + "\n"

@@ -96,6 +96,19 @@ def test_a_single_trial_has_a_zero_standard_error():
     assert all(r.std_err == 0.0 and math.isfinite(r.mean) for r in res)
 
 
+@pytest.mark.parametrize("k", [1e300, 3e307, 1e308])
+def test_a_huge_k_gives_the_deterministic_channel_rate(k):
+    # from about K = 2.2e307, K*Omega overflows at these powers; the
+    # line-of-sight power still tends to Omega, and the gains to their means
+    g = preset_geometry("fig3", k)
+    assert all(link.los_power <= link.mean_power for link in (g.sr, g.rd, g.sd))
+    rho = 10.0
+    res = estimate_rates(g, rho, ("crs_noma",), "paper", trials=1000, seed=5)
+    c_total = next(r.mean for r in res if r.quantity == "c_total")
+    want = 0.5 * math.log2(1.0 + rho * min(g.sr.mean_power, g.rd.mean_power)) + math.log2(1.0 + rho * g.sd.mean_power)
+    assert c_total == pytest.approx(want, abs=1e-9)
+
+
 def test_result_shape_and_fields():
     g = fig3_geometry()
     res = estimate_rates(g, 3.16, ("crs_noma", "crs_oma"), "paper", SPLIT, trials=5000, seed=3)

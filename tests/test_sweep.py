@@ -10,7 +10,6 @@ import pytest
 
 import ratelab
 from ratelab import (
-    emit_plot_script,
     ergodic_rate_quadrature_quantities,
     ergodic_rate_series,
     estimate_rates,
@@ -220,17 +219,6 @@ def test_worker_count_leaves_csv_bytes_unchanged():
     assert a == b
 
 
-def test_emit_plot_script_declares_one_series_per_scheme():
-    result = run_sweep(parse_config(SMALL_SWEEP))
-    script = emit_plot_script(result, csv_path="out.csv")
-    assert script.count("'out.csv' using") == 2
-    assert "strcol(5) eq 'c_total'" in script
-    # only schema columns 1..7 are referenced
-    for n in range(1, 8):
-        pass
-    assert "column(6)" in script and "column(8)" not in script
-
-
 def test_calibration_roundtrip_recovers_known_k():
     # synthesize targets from a known K=4 run, then fit over a 0..10 grid
     true_k = 4.0
@@ -257,6 +245,29 @@ def test_discrepancy_report_columns():
     text = render_discrepancy_csv(rows, cfg.geometry)
     header = next(l for l in text.splitlines() if not l.startswith("#"))
     assert header == "rho_db,quantity,paper_literal,corrected,oracle,abs_gap"
+
+
+def test_discrepancy_table_reads_the_rows_of_a_sweep():
+    geometry = preset_geometry("fig3", 3.0)
+    grid = parse_grid("-10:30:5")
+    result = run_sweep(preset_config("fig3", geometry=geometry, rho_grid_db=tuple(grid), schemes=("crs_noma",),
+                                     estimators=("series_paper_literal", "series_corrected", "quadrature_oracle")))
+    table = discrepancy_report(geometry, grid)
+    assert [r[:2] for r in table] == [(x, q) for x in grid for q in ("c_r_s1", "c_d_s1", "c_total")]
+    # the sweep's metadata line and the table give the same largest gap
+    gap = max(r[5] for r in table if r[1] == "c_total")
+    assert dict(result.metadata)["discrepancy_max_abs_gap_c_total"] == f"{gap:.6g}"
+    # each table value is the float of the sweep's row
+    value = {(r.rho_db, r.estimator, r.quantity): r.value for r in result.rows}
+    read = {"c_r_s1": "c_relay_s1", "c_d_s1": "c_direct_s1", "c_total": "c_total"}
+    for rho_db, name, lit, cor, oracle, abs_gap in table:
+        q = read[name]
+        assert (lit, cor, oracle) == (value[(rho_db, "series_paper_literal", q)],
+                                      value[(rho_db, "series_corrected", q)],
+                                      value[(rho_db, "quadrature_oracle", q)])
+        assert abs_gap == abs(lit - cor)
+    # a programmatic grid keeps its order, increasing or not
+    assert [r[0] for r in discrepancy_report(geometry, [25, 5])] == [25.0] * 3 + [5.0] * 3
 
 
 CLI_CONFIG = """
@@ -293,15 +304,13 @@ def test_cli_sweep_and_seed_precedence(tmp_path, monkeypatch):
     assert out_flag.read_text() == base
 
 
-def test_cli_emit_plot_and_determinism(tmp_path):
+def test_cli_sweep_bytes_do_not_depend_on_workers(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text(CLI_CONFIG)
     out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
-    plot = tmp_path / "plot.gp"
-    assert main(["sweep", "--config", str(cfg), "--out", str(out1), "--emit-plot", str(plot)]) == 0
+    assert main(["sweep", "--config", str(cfg), "--out", str(out1)]) == 0
     assert main(["sweep", "--config", str(cfg), "--out", str(out2), "--workers", "4"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
-    assert "gnuplot" in plot.read_text()
 
 
 def test_cli_uses_config_output_path(tmp_path, monkeypatch):
@@ -326,7 +335,8 @@ def test_usage_errors_exit_one_with_one_line(tmp_path, capsys):
     argv = ["discrepancy", "--preset", "fig3", "--rho-grid", "-10:30:5"]
     assert main(argv) == 1
     assert capsys.readouterr().err == "ratelab: error: argument --rho-grid: expected one argument\n"
-    for argv in (["bogus"], [], ["calibrate"], ["sweep", "--config", "c.txt", "--trials", "many"]):
+    for argv in (["bogus"], [], ["calibrate"], ["sweep", "--config", "c.txt", "--trials", "many"],
+                 ["sweep", "--config", "c.txt", "--emit-plot", "p.gp"]):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("ratelab: error: ") and err.count("\n") == 1, argv
