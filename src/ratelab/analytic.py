@@ -11,8 +11,8 @@ Three kinds of objects live here:
   moment kernel, and their combination :func:`ergodic_rate_series`;
 * :func:`ergodic_rate_quadrature_quantities`, a deterministic
   numerical-integration oracle: vectorised trapezoidal rules in ln x
-  over bounded spans, with fixed Gauss-Legendre inner rules where a
-  rate mixes two gains.
+  over bounded spans, with one Gauss-Legendre inner rule over the S-D
+  gain where a rate mixes two gains.
 
 Both return a :class:`ratelab.rates.RateBreakdown` of ergodic rates.
 What the oracle and the series share is the Poisson(K) mixture of the
@@ -282,11 +282,9 @@ def ergodic_rate_series(geometry: NetworkGeometry, rho: float, *, literal: bool 
 # Deterministic quadrature oracle
 # ---------------------------------------------------------------------------
 
-# Node counts of the fixed inner rules of the two schemes that mix two
-# gains; at K in {0, 3, 10} and 5-25 dB they match nested adaptive
-# quadrature to about 1e-13 bit/s/Hz.
-_EXACT_INNER_NODES = 256
-_OMA_INNER_NODES = 64
+# Nodes of the one inner rule over the S-D gain; from -10 to 80 dB and at K
+# up to 500 they match 1024 nodes to 7e-13 bit/s/Hz.
+_INNER_NODES = 64
 
 # The outer integrals run over [lo, hi] with lo = _CUT_MASS / max(rho, 1):
 # every integrand is at most max(rho, 1), so the mass cut below lo is under
@@ -297,8 +295,8 @@ _SF_REACH = 6.8
 # Refinement levels of the trapezoid in ln x; each halves the step.  The
 # fig3/fig4 spans take 105-120 first-rule steps, so level 7 evaluates
 # 64 x that many new nodes.  _quad reads it on every call.  A level never
-# evaluates more than _MAX_LEVEL_NODES new nodes: times the 256 exact-mode
-# inner points, one survival call stays at or below 2.1 M points.
+# evaluates more than _MAX_LEVEL_NODES new nodes: times the 64 inner nodes,
+# one survival call stays at or below 0.5 M points.
 MAX_QUAD_LEVELS = 7
 _MAX_LEVEL_NODES = 8192
 
@@ -351,6 +349,16 @@ def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _reach(link: RicianLink) -> float:
     """Point past which the link's survival is below 1e-20."""
     return (math.sqrt(link.k_factor) + _SF_REACH) ** 2 / link.inv_scale
+
+
+def _sd_integral(sd: RicianLink, top: np.ndarray, g) -> np.ndarray:
+    """int_0^top f_SD(s) g(s) ds at each outer node, by one Gauss-Legendre
+    rule on s = top*u, each span ``top`` clipped at the S-D reach; ``g`` maps
+    the (nodes x :data:`_INNER_NODES`) matrix of s to an array of its shape."""
+    u, wu = _unit_gauss_legendre(_INNER_NODES)
+    top = np.minimum(top, _reach(sd))
+    s = top[:, None] * u
+    return top * ((power_gain_pdf(sd, s) * g(s)) @ wu)
 
 
 def _quad(f, lo: float, hi: float) -> float:
@@ -414,11 +422,11 @@ def ergodic_rate_quadrature_quantities(
     :class:`ConvergenceError` is raised.
 
     The exact-mode relay SNR and the CRS-OMA combined branch mix two
-    independent gains; their survival at each outer node comes from a
-    fixed Gauss-Legendre rule over the S-D gain (256 nodes on
-    s = Omega_SD*u/(1-u) for exact mode, 64 nodes on [0, w] for the
-    CRS-OMA convolution).  That inner rule agrees with nested adaptive
-    quadrature to about 1e-13 bit/s/Hz.
+    independent gains; their survival at each outer node comes from one
+    64-node Gauss-Legendre rule over the S-D gain s on [0, top], top
+    clipped at the S-D reach: reach_RD/(rho*y) for exact mode, past which
+    S_RD(y*(1 + rho*s)) is below 1e-20, and w for the CRS-OMA convolution.
+    It agrees with nested adaptive quadrature to about 1e-13 bit/s/Hz.
     """
     rho = _check_rho_pos(rho)
     if scheme not in RATES:
@@ -437,21 +445,15 @@ def ergodic_rate_quadrature_quantities(
             c_relay = half_rate(lambda x: power_gain_sf(sr, x) * power_gain_sf(rd, x),
                                 min(_reach(sr), _reach(rd)))
         else:
-            # Y = min(lambda_SR, lambda_RD/(1 + rho*lambda_SD));
-            # S_Y(y) = S_SR(y) * E over lambda_SD of S_RD(y*(1+rho*s)).
-            # The expectation maps s = Omega_SD*u/(1-u) onto u in (0, 1);
-            # its weights carry the Jacobian and the S-D density.
-            u, wu = _unit_gauss_legendre(_EXACT_INNER_NODES)
-            s = sd.mean_power * u / (1.0 - u)
-            ws = wu * sd.mean_power / (1.0 - u) ** 2 * power_gain_pdf(sd, s)
-            snr_scale = 1.0 + rho * s
-
+            # Y = min(lambda_SR, lambda_RD/(1 + rho*lambda_SD)); S_Y(y) =
+            # S_SR(y) * E over lambda_SD of S_RD(y*(1+rho*s)), below 1e-20
+            # past s = reach_RD/(rho*y).  That span may overflow (and is then
+            # clipped) or underflow to 0, and rho*s may overflow: S_RD(inf) = 0.
             def s_y(y):
-                # at huge mean powers this overflows to inf, the right
-                # limit: the kernel gives S_RD(inf) = 0
                 with np.errstate(over="ignore"):
-                    scaled = y[:, None] * snr_scale
-                return power_gain_sf(sr, y) * (power_gain_sf(rd, scaled) @ ws)
+                    inner = _sd_integral(sd, _reach(rd) / rho / y,
+                                         lambda s: power_gain_sf(rd, y[:, None] * (1.0 + rho * s)))
+                return power_gain_sf(sr, y) * inner
 
             c_relay = half_rate(s_y, min(_reach(sr), _reach(rd)))
         return RateBreakdown(c_relay, c_direct, c_direct)
@@ -480,14 +482,10 @@ def ergodic_rate_quadrature_quantities(
                          min(a2 * _reach(sr), _reach(rd)))
         return RateBreakdown(c_s1, 0.0, c_s2)
 
-    # crs_oma: W = min(lambda_SR, lambda_SD + lambda_RD); the branch sum
-    # needs one convolution level: P[SD+RD > w] = S_SD(w) + int_0^w
-    # S_RD(w-s) f_SD(s) ds, taken on s = w*v with v in (0, 1).
-    v, wv = _unit_gauss_legendre(_OMA_INNER_NODES)
-
+    # crs_oma: W = min(lambda_SR, lambda_SD + lambda_RD), and the branch sum
+    # has P[SD+RD > w] = S_SD(w) + int_0^w S_RD(w-s) f_SD(s) ds.
     def s_sum(w):
-        wc = w[:, None]
-        inner = w * ((power_gain_sf(rd, wc * (1.0 - v)) * power_gain_pdf(sd, wc * v)) @ wv)
+        inner = _sd_integral(sd, w, lambda s: power_gain_sf(rd, w[:, None] - s))
         return np.minimum(power_gain_sf(sd, w) + inner, 1.0)
 
     c_total = half_rate(lambda w: power_gain_sf(sr, w) * s_sum(w), _reach(sr))

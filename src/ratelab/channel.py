@@ -20,6 +20,7 @@ alone would underflow.  The series of :mod:`ratelab.analytic` take the
 same weights and these survivals.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -164,9 +165,10 @@ def _check_nonneg(x, name: str = "power gain argument") -> np.ndarray:
     return x
 
 
+@functools.lru_cache(maxsize=128)
 def poisson_weights(mean: float) -> np.ndarray:
-    """Poisson(mean) weights w_0..w_n, the weights every series of the
-    package sums; the weight they cover is their sum.
+    """Read-only Poisson(mean) weights w_0..w_n, the weights every series
+    of the package sums; the weight they cover is their sum.
 
     At mean = K these are the series coefficients A * B~(n) * n! of one
     link, by the pmf recurrence w_j = w_(j-1) * mean / j.  The weights
@@ -190,7 +192,9 @@ def poisson_weights(mean: float) -> np.ndarray:
             break
         covered += w
         weights.append(w)
-    return np.asarray(weights)
+    weights = np.asarray(weights)
+    weights.flags.writeable = False
+    return weights
 
 
 def _mixture(coeffs: np.ndarray, scale: float, x: np.ndarray) -> np.ndarray:

@@ -386,11 +386,7 @@ def test_oracle_matches_rayleigh_closed_forms(preset, token):
 
 
 @pytest.mark.parametrize("preset", ["fig3", "fig4"])
-@pytest.mark.parametrize("db", [
-    db if db <= 30 else pytest.param(db, marks=pytest.mark.xfail(
-        strict=True, reason="the exact-mode inner rule misses the S-D span from about 35 dB (ROADMAP item 9)"))
-    for db in _RAYLEIGH_DB
-])
+@pytest.mark.parametrize("db", _RAYLEIGH_DB)
 def test_exact_mode_oracle_matches_the_kim_lee_closed_form(preset, db):
     _assert_oracle_matches_rayleigh_closed_forms(preset, "crs_noma_exact", [db])
 
@@ -531,7 +527,7 @@ def test_quadrature_fixed_inner_rule_matches_nested_reference(scheme, k):
 def quadpack_reference(g, rho, token, split):
     """The oracle's five quantities with every outer integral taken by
     adaptive QUADPACK over [0, inf) on scalar survivals; the inner
-    Gauss-Legendre rules are the oracle's own."""
+    integral over the S-D gain is the oracle's own rule."""
     sr, rd, sd = g.sr, g.rd, g.sd
 
     def quad(f):
@@ -546,10 +542,12 @@ def quadpack_reference(g, rho, token, split):
         if mode == "paper":
             c_relay = half_rate(lambda x: power_gain_sf(sr, x) * power_gain_sf(rd, x))
         else:
-            u, wu = analytic._unit_gauss_legendre(256)
-            s = sd.mean_power * u / (1 - u)
-            ws = wu * sd.mean_power / (1 - u) ** 2 * power_gain_pdf(sd, s)
-            c_relay = half_rate(lambda y: power_gain_sf(sr, y) * float(ws @ power_gain_sf(rd, y * (1 + rho * s))))
+            def s_relay(y):
+                inner = analytic._sd_integral(sd, np.array([analytic._reach(rd) / (rho * y)]),
+                                              lambda s: power_gain_sf(rd, y * (1 + rho * s)))
+                return power_gain_sf(sr, y) * float(inner[0])
+
+            c_relay = half_rate(s_relay)
         return RateBreakdown(c_relay, c_direct, c_direct)
     if token == "conventional":
         a1, a2 = split.a1, split.a2
@@ -557,11 +555,9 @@ def quadpack_reference(g, rho, token, split):
             lambda w: power_gain_sf(sd, w) * power_gain_sf(sr, w) / ((a2 * rho * w + 1) * (rho * w + 1)))
         c_s2 = half_rate(lambda v: power_gain_sf(sr, v / a2) * power_gain_sf(rd, v))
         return RateBreakdown(c_s1, 0.0, c_s2)
-    v, wv = analytic._unit_gauss_legendre(64)
-
     def s_sum(w):
-        inner = w * float(wv @ (power_gain_sf(rd, w * (1 - v)) * power_gain_pdf(sd, w * v)))
-        return min(power_gain_sf(sd, w) + inner, 1.0)
+        inner = analytic._sd_integral(sd, np.array([w]), lambda s: power_gain_sf(rd, w - s))
+        return min(power_gain_sf(sd, w) + float(inner[0]), 1.0)
 
     c = half_rate(lambda w: power_gain_sf(sr, w) * s_sum(w))
     return RateBreakdown(c, 0.0, 0.0)
@@ -619,13 +615,30 @@ def test_quadrature_makes_a_few_vectorised_survival_calls_per_level(token, monke
 
 
 @pytest.mark.parametrize("db", [-10, 0])
-def test_quadrature_converges_where_the_crs_oma_inner_rule_is_coarse(db):
-    # at K=300 the 64-node inner rule leaves ~4e-11 of noise in the
-    # survival of the branch sum; the outer rule must still stop
+def test_quadrature_converges_where_the_crs_oma_s_d_density_is_narrow(db):
+    # at K=300 the S-D density is a narrow peak near Omega_SD = 0.1, far
+    # inside the S-R span; the inner rule spans at most the S-D reach, so
+    # the outer rule stops at QUADPACK's value
     g, rho = _links(300, 100, 0.5, 0.1), 10 ** (db / 10)
     fast = ergodic_rate_quadrature_quantities(g, rho, "crs_oma")
     ref = quadpack_reference(g, rho, "crs_oma", None)
     assert abs(fast.c_total - ref.c_total) <= 1e-10 * ref.c_total
+
+
+@pytest.mark.parametrize("token,k,omegas,db", [
+    ("crs_noma_exact", 3, (8, 8, 3), 50), ("crs_noma_exact", 3, (8, 8, 3), 80),
+    ("crs_oma", 500, (100, 0.5, 0.1), 5),
+])
+def test_oracle_inner_rule_matches_four_times_the_nodes(token, k, omegas, db, monkeypatch):
+    # exact mode at high SNR, where S_RD(y(1 + rho*s)) is gone a short way
+    # into the S-D span, and CRS-OMA at K = 500, where the S-D density is a
+    # narrow peak inside [0, w]
+    g, rho = _links(k, *omegas), 10 ** (db / 10)
+    rates = ergodic_rate_quadrature_quantities(g, rho, token)
+    monkeypatch.setattr(analytic, "_INNER_NODES", 256)
+    finer = ergodic_rate_quadrature_quantities(g, rho, token)
+    for name in QUANTITIES:
+        assert abs(rates[name] - finer[name]) <= 1e-12, name
 
 
 def test_quadrature_bounds_its_work_at_extreme_inputs(monkeypatch):
@@ -639,7 +652,7 @@ def test_quadrature_bounds_its_work_at_extreme_inputs(monkeypatch):
     huge = ergodic_rate_quadrature_quantities(_links(3, 1e300, 1e300, 1e300), 10.0, "crs_noma_exact").c_total
     scaled = ergodic_rate_quadrature_quantities(_links(3, 1.0, 1.0, 1.0), 1e301, "crs_noma_exact").c_total
     assert huge == pytest.approx(scaled, rel=1e-12)
-    assert max(sizes) <= 8192 * 256
+    assert max(sizes) <= 8192 * 64
     with pytest.raises(DomainError, match="out of floating-point range"):
         ergodic_rate_quadrature_quantities(FIG3, 1e306, "crs_oma")
 
@@ -728,3 +741,12 @@ def test_oracle_at_3000_db_gives_finite_rows_without_a_warning():
     # as rho grows the s1 SINR tends to a1/a2 on both links
     c_s1 = next(r.value for r in rows if (r.scheme, r.quantity) == ("conventional", "c_s1"))
     assert c_s1 == pytest.approx(0.5 * math.log2(1.0 + 0.9 / 0.1), abs=1e-9)
+
+
+def test_exact_mode_oracle_at_rho_1e305_gives_finite_rates_without_a_warning():
+    # rho*s and y*(1 + rho*s) can pass the float range here; the oracle
+    # takes their limits without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rates = ergodic_rate_quadrature_quantities(FIG3, 1e305, "crs_noma_exact")
+    assert all(math.isfinite(rates[name]) for name in QUANTITIES)
