@@ -20,7 +20,6 @@ alone would underflow.  The series of :mod:`ratelab.analytic` take the
 same weights and these survivals.
 """
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -165,10 +164,9 @@ def _check_nonneg(x, name: str = "power gain argument") -> np.ndarray:
     return x
 
 
-@functools.lru_cache(maxsize=128)
 def poisson_weights(mean: float) -> np.ndarray:
-    """Read-only Poisson(mean) weights w_0..w_n, the weights every series
-    of the package sums; the weight they cover is their sum.
+    """Poisson(mean) weights w_0..w_n, the weights every series of the
+    package sums; the weight they cover is their sum.
 
     At mean = K these are the series coefficients A * B~(n) * n! of one
     link, by the pmf recurrence w_j = w_(j-1) * mean / j.  The weights
@@ -192,9 +190,7 @@ def poisson_weights(mean: float) -> np.ndarray:
             break
         covered += w
         weights.append(w)
-    weights = np.asarray(weights)
-    weights.flags.writeable = False
-    return weights
+    return np.asarray(weights)
 
 
 def _mixture(coeffs: np.ndarray, scale: float, x: np.ndarray) -> np.ndarray:

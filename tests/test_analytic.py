@@ -482,10 +482,25 @@ def test_quadrature_budget_exhaustion_raises(monkeypatch):
         ergodic_rate_quadrature_quantities(FIG3, 1e4, "crs_noma_paper")
 
 
+def _rician_sf(link, x):
+    """P[lambda > x] of one link as SciPy's Marcum Q, not the package kernel."""
+    return 1.0 - special.chndtr(2.0 * link.inv_scale * x, 2.0, 2.0 * link.k_factor)
+
+
+def _rician_pdf(link, x):
+    """Density of one link's power gain in its Bessel closed form."""
+    a, k = link.inv_scale, link.k_factor
+    z = 2.0 * math.sqrt(k * a * x)
+    return a * special.i0e(z) * math.exp(z - k - a * x)
+
+
 def nested_quadrature_reference(g, rho, scheme):
     """The five quantities of exact-mode CRS-NOMA or CRS-OMA with the
-    inner integral over the S-D gain done by adaptive quadrature too."""
+    inner integral over the S-D gain done by adaptive quadrature too, on
+    the links' SciPy closed forms: it shares neither the oracle's rules
+    nor its kernel."""
     sr, rd, sd = g.sr, g.rd, g.sd
+    sf, pdf = _rician_sf, _rician_pdf
 
     def quad(f, lo, hi, epsabs, epsrel):
         return integrate.quad(f, lo, hi, limit=200, epsabs=epsabs, epsrel=epsrel)[0]
@@ -496,28 +511,35 @@ def nested_quadrature_reference(g, rho, scheme):
 
     if scheme == "crs_noma_exact":
         def s_relay(y):
-            inner = quad(lambda s: power_gain_sf(rd, y * (1 + rho * s)) * power_gain_pdf(sd, s),
-                         0, np.inf, 1e-11, 1e-10)
-            return power_gain_sf(sr, y) * inner
+            # in t = c*s with c = max(1, rho*y) neither factor is narrower
+            # than its own link's scale, so QUADPACK's map of [0, inf)
+            # resolves both
+            c = max(1.0, rho * y)
+            inner = quad(lambda t: sf(rd, y + rho * y * t / c) * pdf(sd, t / c) / c, 0, np.inf, 1e-11, 1e-10)
+            return sf(sr, y) * inner
 
         c_relay = half_rate(s_relay)
-        c_direct = half_rate(lambda x: power_gain_sf(sd, x))
+        c_direct = half_rate(lambda x: sf(sd, x))
         return {"c_relay_s1": c_relay, "c_direct_s1": c_direct, "c_s1": c_relay + c_direct,
                 "c_s2": c_direct, "c_total": c_relay + 2 * c_direct}
 
     def s_branch_sum(w):  # P[lambda_SD + lambda_RD > w]
-        inner = quad(lambda s: power_gain_sf(rd, w - s) * power_gain_pdf(sd, s), 0, w, 1e-11, 1e-10)
-        return min(power_gain_sf(sd, w) + inner, 1.0)
+        inner = quad(lambda s: sf(rd, w - s) * pdf(sd, s), 0, w, 1e-11, 1e-10)
+        return min(sf(sd, w) + inner, 1.0)
 
-    c = half_rate(lambda w: power_gain_sf(sr, w) * s_branch_sum(w))
+    c = half_rate(lambda w: sf(sr, w) * s_branch_sum(w))
     return {"c_relay_s1": c, "c_direct_s1": 0.0, "c_s1": c, "c_s2": 0.0, "c_total": c}
 
 
-@pytest.mark.parametrize("scheme,k", [("crs_noma_exact", 0), ("crs_noma_exact", 3),
-                                      ("crs_oma", 0), ("crs_oma", 10)])
-def test_quadrature_fixed_inner_rule_matches_nested_reference(scheme, k):
-    g = NetworkGeometry(sr=make_link(k, 8), rd=make_link(k, 8), sd=make_link(k, 3))
-    rho = 10 ** 0.5
+@pytest.mark.parametrize("scheme,k,omegas,db", [
+    ("crs_noma_exact", 0, (8, 8, 3), 5), ("crs_noma_exact", 3, (8, 8, 3), 5),
+    ("crs_oma", 0, (8, 8, 3), 5), ("crs_oma", 10, (8, 8, 3), 5),
+    # a narrow S-D density inside the S-R span, and a high SNR where the
+    # R-D survival is gone a short way into the S-D span
+    ("crs_oma", 300, (100, 0.5, 0.1), 5), ("crs_noma_exact", 3, (8, 8, 3), 50),
+], ids=["crs_noma_exact-0", "crs_noma_exact-3", "crs_oma-0", "crs_oma-10", "crs_oma-300-narrow", "crs_noma_exact-3-50db"])
+def test_quadrature_fixed_inner_rule_matches_nested_reference(scheme, k, omegas, db):
+    g, rho = _links(k, *omegas), 10 ** (db / 10)
     fast = ergodic_rate_quadrature_quantities(g, rho, scheme)
     ref = nested_quadrature_reference(g, rho, scheme)
     for name, value in ref.items():
@@ -730,23 +752,16 @@ def test_convergence_error_reports_the_levels_and_the_last_gap(monkeypatch):
 
 def test_oracle_at_3000_db_gives_finite_rows_without_a_warning():
     # rho = 1e300: the conventional s1 integrand's denominator overflows,
-    # and the integrand takes its limit 0 without a RuntimeWarning
-    cfg = preset_config("fig3", rho_grid_db=(3000.0,), schemes=("crs_noma", "conventional", "crs_oma"),
+    # and the integrand takes its limit 0 without a RuntimeWarning; at
+    # rho = 1e305 exact mode's rho*s and y*(1 + rho*s) can pass the float
+    # range too
+    cfg = preset_config("fig3", rho_grid_db=(3000.0, 3050.0), schemes=("crs_noma", "conventional", "crs_oma"),
                         modes=("paper", "exact"), estimators=("quadrature_oracle",))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rows = run_sweep(cfg).rows
-    assert len(rows) == 4 * len(QUANTITIES)
+    assert len(rows) == 2 * 4 * len(QUANTITIES)
     assert all(math.isfinite(r.value) for r in rows)
     # as rho grows the s1 SINR tends to a1/a2 on both links
-    c_s1 = next(r.value for r in rows if (r.scheme, r.quantity) == ("conventional", "c_s1"))
-    assert c_s1 == pytest.approx(0.5 * math.log2(1.0 + 0.9 / 0.1), abs=1e-9)
-
-
-def test_exact_mode_oracle_at_rho_1e305_gives_finite_rates_without_a_warning():
-    # rho*s and y*(1 + rho*s) can pass the float range here; the oracle
-    # takes their limits without a RuntimeWarning
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        rates = ergodic_rate_quadrature_quantities(FIG3, 1e305, "crs_noma_exact")
-    assert all(math.isfinite(rates[name]) for name in QUANTITIES)
+    c_s1 = [r.value for r in rows if (r.scheme, r.quantity) == ("conventional", "c_s1")]
+    assert c_s1 == pytest.approx([0.5 * math.log2(1.0 + 0.9 / 0.1)] * 2, abs=1e-9)
