@@ -7,8 +7,9 @@ Three kinds of objects live here:
   (:func:`cdf_min_pair_series`, :func:`cdf_single_link_series`), plus
   the two as-published forms that deviate from them
   (:func:`cdf_min_pair_approx`, :func:`cdf_gamma2_paper`);
-* the ergodic-rate series :func:`h_rho` / :func:`g_rho`, over an exact
-  moment kernel, and their combination :func:`ergodic_rate_series`;
+* the ergodic-rate series :func:`h_rho` / :func:`g_rho`, each a
+  coefficient vector times an exact moment kernel, and their
+  combination :func:`ergodic_rate_series`;
 * :func:`ergodic_rate_quadrature_quantities`, a deterministic
   numerical-integration oracle: vectorised trapezoidal rules in ln x
   over bounded spans, with one Gauss-Legendre inner rule over the S-D
@@ -18,7 +19,7 @@ Both return a :class:`ratelab.rates.RateBreakdown` of ergodic rates.
 What the oracle and the series share is the Poisson(K) mixture of the
 single-link power gain in :mod:`ratelab.channel`: the oracle and the
 series CDFs take their survivals and densities from it, and the rate
-series their weights, from its one truncation
+series their coefficients, from the upper tails of its one truncation
 :func:`ratelab.channel.poisson_weights`.  Everything else, the
 integration rules on one side and the moment kernel on the other, is
 separate.
@@ -40,8 +41,8 @@ import math
 
 import numpy as np
 
-from .channel import (NetworkGeometry, RicianLink, _check_nonneg, poisson_weights, power_gain_cdf,
-                      power_gain_pdf, power_gain_sf)
+from .channel import (NetworkGeometry, RicianLink, _check_nonneg, _poisson_tails, poisson_weights,
+                      power_gain_cdf, power_gain_pdf, power_gain_sf)
 from .errors import ConvergenceError, DomainError
 from .rates import RATES, PowerSplit, RateBreakdown, _check_rho, _check_split
 
@@ -205,41 +206,34 @@ def _check_rho_pos(rho: float) -> float:
     return float(rho)
 
 
-def _log_power(log_base: float, k: np.ndarray) -> np.ndarray:
-    """k * log_base, the log of base^k; the power k = 0 is 1 also where
-    the base underflows to 0 (log_base = -inf)."""
-    if log_base > -math.inf:
-        return k * log_base
-    return np.where(k == 0, 0.0, -math.inf)
+def _series(coeffs: np.ndarray, c: float) -> float:
+    """sum_m coeffs[m] G[m], G the moment kernel at c; every rate series."""
+    return float(coeffs @ _moment_kernel(len(coeffs) - 1, c))
 
 
 def h_rho(link_a: RicianLink, link_b: RicianLink, rho: float) -> float:
     """Series for E[ln(1 + rho*min(X_a, X_b))] (nats).
 
-    Double series over the two links' coefficients with the exact moment
-    kernel at c = (a_a + a_b)/rho; (1/(2 ln 2)) * h_rho is the
-    relayed-symbol ergodic rate.  Its only error is the Poisson(K) weight
-    each link's series leaves out, :data:`ratelab.channel.KERNEL_TOL`.
-    Up to K = :data:`ratelab.channel.MAX_NONCENTRALITY` a link's series
-    has at most 674 terms, so the matrix built here stays under 4 MB.
+    sum_m D[m] G[m], G the exact moment kernel at c = (a_a + a_b)/rho and
+    D[m] = sum_(i+j=m) C(m, i) p^i q^j Ta[i] Tb[j], p = a_a/(a_a + a_b),
+    q = 1 - p and Ta, Tb the links' Poisson(K) upper tails;
+    (1/(2 ln 2)) * h_rho is the relayed-symbol ergodic rate.  Its only
+    error is the Poisson(K) weight each link's series leaves out,
+    :data:`ratelab.channel.KERNEL_TOL`.
     """
     rho = _check_rho_pos(rho)
     aa, ab = link_a.inv_scale, link_b.inv_scale
-    wa = poisson_weights(link_a.k_factor)
-    wb = poisson_weights(link_b.k_factor)
-    na, nb = len(wa), len(wb)
+    ta, tb = _poisson_tails(link_a.k_factor), _poisson_tails(link_b.k_factor)
+    # W[i, j] = C(i+j, i) p^i q^j, a binomial pmf term, is the running product
+    # of its ratios q(i+j)/j from p^i: good to a few roundings, where ln m! (up
+    # to 8000) carries 1e-12.  p and q stay defined at any inverse-scale ratio.
+    p, q = 1.0 / (1.0 + ab / aa), 1.0 / (1.0 + aa / ab)
+    i = np.arange(len(ta))[:, None]
+    j = np.arange(len(tb))
+    w = np.cumprod(np.hstack((p ** i, q * (i + j[1:]) / j[1:])), axis=1)
+    d = np.bincount((i + j).ravel(), (w * np.outer(ta, tb)).ravel())
     # c = a_a/rho + a_b/rho, as a_a + a_b may overflow; an infinite c gives G = 0
-    g = _moment_kernel(na + nb - 2, aa / rho + ab / rho)
-    # W[i,j] = C(i+j, i) p^i q^j G[i+j]; a binomial pmf term, never large.
-    # ln p and ln q stay defined where one inverse scale dwarfs the other.
-    i = np.arange(na)[:, None]
-    j = np.arange(nb)[None, :]
-    log_fact = np.cumsum(np.log(np.maximum(np.arange(na + nb - 1), 1)))  # ln k!, k = 0..na+nb-2
-    log_binom = log_fact[i + j] - log_fact[i] - log_fact[j]
-    log_pq = _log_power(-math.log1p(ab / aa), i) + _log_power(-math.log1p(aa / ab), j)
-    w = np.exp(log_binom + log_pq) * g[i + j]
-    inner = np.cumsum(np.cumsum(w, axis=0), axis=1)
-    return float(wa @ inner @ wb)
+    return _series(d, aa / rho + ab / rho)
 
 
 def g_rho(link_z: RicianLink, link_y: RicianLink | None, rho: float) -> float:
@@ -247,16 +241,15 @@ def g_rho(link_z: RicianLink, link_y: RicianLink | None, rho: float) -> float:
 
     With two links this is :func:`h_rho` over the (z, y) constants,
     matching the printed form.  Passing ``link_y=None`` evaluates the
-    single-link variant over ``link_z`` alone, E[ln(1 + rho*X_z)], with
-    the same moment kernel at c = a_z/rho; the corrected pipeline feeds
-    the S-D link that way since gamma_2 is one link, not a pair.
+    single-link variant over ``link_z`` alone, E[ln(1 + rho*X_z)], as
+    sum_m T[m] G[m] over the link's Poisson(K) upper tails T, with the
+    moment kernel at c = a_z/rho; the corrected pipeline feeds the S-D
+    link that way since gamma_2 is one link, not a pair.
     """
     if link_y is not None:
         return h_rho(link_z, link_y, rho)
     rho = _check_rho_pos(rho)
-    w = poisson_weights(link_z.k_factor)
-    g = _moment_kernel(len(w) - 1, link_z.inv_scale / rho)
-    return float(w @ np.cumsum(g))
+    return _series(_poisson_tails(link_z.k_factor), link_z.inv_scale / rho)
 
 
 def ergodic_rate_series(geometry: NetworkGeometry, rho: float, *, literal: bool = False) -> RateBreakdown:

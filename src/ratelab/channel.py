@@ -16,8 +16,8 @@ terms for the survival, the distribution function, the density and the
 Marcum Q function.  The pass runs from whichever end keeps it in
 floating-point range: from the last term down while e^-(a*x) is still
 a normal float, from the first term up beyond that, where e^-(a*x)
-alone would underflow.  The series of :mod:`ratelab.analytic` take the
-same weights and these survivals.
+alone would underflow.  The series of :mod:`ratelab.analytic` take
+these survivals, and their coefficients from the same upper tails.
 """
 
 import math
@@ -250,6 +250,11 @@ def _horner_up(coeffs: np.ndarray, y) -> np.ndarray:
     return s
 
 
+def _poisson_tails(mean: float) -> np.ndarray:
+    """Upper tails P[N >= j] of the :func:`poisson_weights` at ``mean``."""
+    return np.cumsum(poisson_weights(mean)[::-1])[::-1]
+
+
 def _survival(mean: float, scale: float, x: np.ndarray) -> np.ndarray:
     """Survival sum_j Pois(j; mean) Q(j+1, y) at y = scale*x, to within
     :data:`KERNEL_TOL`.
@@ -259,7 +264,7 @@ def _survival(mean: float, scale: float, x: np.ndarray) -> np.ndarray:
     error stays below the tolerance, and the first tail is exactly 1,
     so the survival at y = 0 is exactly 1.
     """
-    tails = np.cumsum(poisson_weights(mean)[::-1])[::-1]
+    tails = _poisson_tails(mean)
     return np.minimum(_mixture(tails + (1.0 - tails[0]), scale, x), 1.0)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import integrate, special, stats
 
 import ratelab
 import ratelab.analytic as analytic
@@ -299,11 +299,34 @@ def test_h_rho_rejects_nonpositive_rho():
 
 
 def test_g_rho_single_link_against_oracle():
-    # corrected mode: the S-D link alone
-    rho = 1e3
-    want = ln_rate_exponential(rho, 3.0)
-    got = g_rho(make_link(0, 3), None, rho)
-    assert got == pytest.approx(want, rel=0.05)
+    # corrected mode: the S-D link alone, at K = 0 the closed form e^z E1(z)
+    for rho in (1e-2, 1.0, 1e3, 1e8):
+        assert g_rho(make_link(0, 3), None, rho) == pytest.approx(ln_rate_exponential(rho, 3.0), rel=1e-13)
+
+
+def double_cumsum_h_rho(link_a, link_b, rhos):
+    """h_rho at each rho as wa @ cumsum(cumsum(W, 0), 1) @ wb, over the links'
+    Poisson weights, with W[i, j] = C(i+j, i) p^i q^j G[i+j] and its binomial
+    terms from SciPy's pmf."""
+    wa, wb = analytic.poisson_weights(link_a.k_factor), analytic.poisson_weights(link_b.k_factor)
+    aa, ab = link_a.inv_scale, link_b.inv_scale
+    i, j = np.ogrid[:len(wa), :len(wb)]
+    pmf = stats.binom.pmf(i, i + j, aa / (aa + ab))
+    moments = (analytic._moment_kernel(len(wa) + len(wb) - 2, (aa + ab) / rho) for rho in rhos)
+    return [float(wa @ np.cumsum(np.cumsum(pmf * g[i + j], axis=0), axis=1) @ wb) for g in moments]
+
+
+@pytest.mark.parametrize("k", [0, 3, 10, 100, 500])
+def test_h_rho_matches_the_double_cumsum_reference(k):
+    # at K = 500, binomial terms from logs of m! (up to 8000) are 7e-13 off
+    rhos = [10 ** (rho_db / 10) for rho_db in range(-20, 101, 20)]
+    for omegas in ((8, 8, 3), (100, 0.5, 0.1)):
+        sr, rd, sd = (make_link(k, omega) for omega in omegas)
+        for a, b in ((sr, rd), (sd, sr)):
+            for rho, want in zip(rhos, double_cumsum_h_rho(a, b, rhos)):
+                h = h_rho(a, b, rho)
+                assert h == pytest.approx(want, rel=1e-13), (omegas, a, b, rho)
+                assert h == pytest.approx(h_rho(b, a, rho), rel=1e-14), (omegas, a, b, rho)
 
 
 def test_g_rho_pair_matches_h_rho():
