@@ -137,22 +137,24 @@ def split_stream(seed: int, stream_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(stream_index)]))
 
 
-def sample_power_gains(link: RicianLink, rng: np.random.Generator, n: int, *, work=None) -> np.ndarray:
+def _power_gains(link: RicianLink, z: np.ndarray, out=None, s=None) -> np.ndarray:
+    """:func:`sample_power_gains` on its (2, n) normals z; with rows ``out``
+    and ``s``, the same floats, written to ``out`` with ``s`` as scratch."""
+    mu = math.sqrt(link.los_power)
+    sd = math.sqrt(link.diffuse_var)
+    re = np.add(mu, np.multiply(sd, z[0], out=out), out=out)
+    im = np.multiply(sd, z[1], out=s)
+    return np.add(np.multiply(re, re, out=out), np.multiply(im, im, out=s), out=out)
+
+
+def sample_power_gains(link: RicianLink, rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw n instantaneous power gains |h|^2.
 
     h = mu + g with mu = sqrt(K*Omega/(K+1)) and g circularly-symmetric
     complex Gaussian whose real/imaginary parts each have variance
     Omega/(2(K+1)).  Exact construction, no inverse-CDF approximation.
-    With ``work``, a block workspace (see :mod:`ratelab.montecarlo`),
-    the gains are written to its rows, with the same floats.
     """
-    mu = math.sqrt(link.los_power)
-    sd = math.sqrt(link.diffuse_var)
-    z = rng.standard_normal((2, n))
-    out, s = (None, None) if work is None else (work.take(), work.scratch)
-    re = np.add(mu, np.multiply(sd, z[0], out=out), out=out)
-    im = np.multiply(sd, z[1], out=s)
-    return np.add(np.multiply(re, re, out=out), np.multiply(im, im, out=s), out=out)
+    return _power_gains(link, rng.standard_normal((2, n)))
 
 
 def _check_nonneg(x, name: str = "power gain argument") -> np.ndarray:

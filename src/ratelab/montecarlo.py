@@ -10,13 +10,17 @@ their own cells.
 Trials are partitioned into fixed-size blocks.  Block b draws its
 standard normals once, from the sub-stream ``split_stream(seed, b)`` in
 the fixed S-R, R-D, S-D order, and every geometry of the call builds
-its gains from those same normals.  Cells are evaluated on sub-blocks
-of at most ``SUB_BLOCK`` trials, the length of a workspace row.  On a
-sub-block the cells are taken geometry by geometry, then rho by rho:
-each geometry's gains are built once, the cells of one (geometry, rho)
-share one :class:`~ratelab.rates.RateTerms`, so the logarithms several
-rates share are taken once, and the next geometry's gains reuse the
-rows of the one before.  Within a cell an array read by several
+its gains from those same normals, the floats ``sample_power_gains``
+gives on that stream.  A gain, a sum of squares of finite floats, fails
+only by overflow, which one maximum a gain row refuses; no overflow in
+the engine warns, as callers refuse a non-finite mean.  Cells are
+evaluated on sub-blocks of at most ``SUB_BLOCK`` trials, the length of
+a workspace row.  On a sub-block the cells are taken geometry by
+geometry, then rho by rho: each geometry's gains are built once, the
+cells of one (geometry, rho) share one
+:class:`~ratelab.rates.RateTerms`, so the logarithms several rates
+share are taken once, and the next geometry's gains reuse the rows of
+the one before.  Within a cell an array read by several
 quantities is summed once: CRS-NOMA's c_s2 is its c_direct_s1, a
 baseline's c_s1 its c_relay_s1.  Sharing changes no float: each shared
 term is the expression every rate that reads it would compute.  The
@@ -38,12 +42,12 @@ import math
 
 import numpy as np
 
-from .channel import NetworkGeometry, sample_power_gains, split_stream
+# sample_power_gains is not called here; bench/tracer.py wraps this binding
+from .channel import NetworkGeometry, _power_gains, sample_power_gains, split_stream
 from .errors import DomainError
 from .rates import (
     QUANTITIES,
     RATES,
-    ChannelRealization,
     PowerSplit,
     RateBreakdown,
     RateTerms,
@@ -97,21 +101,6 @@ class EstimatorResult:
     trials: int
     seed: int
     rho: float
-
-
-class _Replay:
-    """A block's normals standing in for its generator: each
-    ``standard_normal`` draw returns the next link's rows, so
-    :func:`sample_power_gains` builds the gains the generator itself
-    would have given."""
-
-    __slots__ = ("_links",)
-
-    def __init__(self, normals):
-        self._links = iter(normals)
-
-    def standard_normal(self, shape):
-        return next(self._links)
 
 
 class _Workspace:
@@ -217,20 +206,23 @@ def _block_sums(cells, split, quantities, seed: int, b: int, n: int) -> np.ndarr
         sums = [None] * len(cells)
         for geometry, by_rho in groups.items():
             work.start(hi - lo)
-            source = _Replay(normals[..., lo:hi])
-            r = ChannelRealization(*(sample_power_gains(link, source, hi - lo, work=work)
-                                     for link in (geometry.sr, geometry.rd, geometry.sd)))
-            gains = work.taken
+            gains = [_power_gains(getattr(geometry, link), z, work.take(), work.scratch)
+                     for link, z in zip(("sr", "rd", "sd"), normals[..., lo:hi])]
+            for link, g in zip(("sr", "rd", "sd"), gains):
+                if not g.max() < math.inf:
+                    raise DomainError(f"lambda_{link} must be finite and >= 0")
+            taken = work.taken
             for rho, indices in by_rho.items():
-                work.taken = gains  # the rows of the rho before are free again
-                terms = RateTerms(r, rho, work=work)
+                work.taken = taken  # the rows of the rho before are free again
+                terms = RateTerms(gains, rho, work=work)
                 shared = work.taken
                 for i in indices:
                     work.taken = shared  # and those of the cell before
                     sums[i] = _cell_sums(terms, cells[i], split, quantities, work)
         return np.array([s for cell_sums in sums for s in cell_sums])
 
-    return _pairwise_sum(leaf, 0, n)
+    with np.errstate(over="ignore", invalid="ignore"):  # per thread, so set here
+        return _pairwise_sum(leaf, 0, n)
 
 
 def _run_blocks(block_fn, trials: int, workers: int) -> list:
@@ -251,11 +243,12 @@ def _kahan(partials) -> np.ndarray:
     """Position-wise compensated totals of the block partials, in block
     order: at each position, the float a scalar Kahan loop gives."""
     total = carry = np.zeros_like(partials[0])
-    for part in partials:
-        y = part - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf sum is refused as a non-finite mean
+        for part in partials:
+            y = part - carry
+            t = total + y
+            carry = (t - total) - y
+            total = t
     return total
 
 

@@ -65,7 +65,7 @@ def rate_token(scheme: str, mode: str) -> str:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One draw of the three instantaneous power gains."""
+    """One draw of the three instantaneous power gains, which it unpacks to."""
 
     lambda_sr: float
     lambda_rd: float
@@ -76,6 +76,9 @@ class ChannelRealization:
             v = np.asarray(getattr(self, name))
             if not np.all(np.isfinite(v)) or np.any(v < 0.0):
                 raise DomainError(f"{name} must be finite and >= 0")
+
+    def __iter__(self):
+        return iter((self.lambda_sr, self.lambda_rd, self.lambda_sd))
 
 
 def _plus(a, b, work):
@@ -161,19 +164,18 @@ class RateTerms:
     terms are built, so several rates evaluated on one object take each
     logarithm once, with the floats a standalone call gives.  The SNRs
     rho*lambda cost one product and are recomputed on each read rather
-    than held.  The rate functions accept a RateTerms in place of a
-    :class:`ChannelRealization`, at its rho.
+    than held.  ``r`` is a :class:`ChannelRealization` or any three gain
+    arrays in its order.  The rate functions accept a RateTerms in place
+    of a realization, at its rho.
 
     With ``work``, a block workspace (see :mod:`ratelab.montecarlo`),
     the logarithms and the rate functions write every array to its rows,
     with the same floats.
     """
 
-    def __init__(self, r: ChannelRealization, rho: float, *, work=None):
+    def __init__(self, r, rho: float, *, work=None):
         self.rho = _check_rho(rho)
-        self.lambda_sr = np.asarray(r.lambda_sr, dtype=float)
-        self.lambda_rd = np.asarray(r.lambda_rd, dtype=float)
-        self.lambda_sd = np.asarray(r.lambda_sd, dtype=float)
+        self.lambda_sr, self.lambda_rd, self.lambda_sd = (np.asarray(g, dtype=float) for g in r)
         self.work = work
         self.log_sr = self._log2_1p_snr(self.lambda_sr, self.new())
         self.log_rd = self._log2_1p_snr(self.lambda_rd, self.new())

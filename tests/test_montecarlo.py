@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from ratelab import (
 import ratelab
 from ratelab import montecarlo
 from ratelab.channel import sample_power_gains, split_stream
-from ratelab.errors import DomainError, InvalidSplit
+from ratelab.errors import DomainError, InvalidSplit, ModelAssumptionWarning
 from ratelab.montecarlo import BLOCK_SIZE, QUANTITIES
 from ratelab.rates import (
     RATES,
@@ -399,25 +400,52 @@ def test_shared_terms_give_the_standalone_arrays(rho):
 
 
 @pytest.mark.parametrize("rho", [0.0, 1.0, 1e3])
-def test_workspace_gives_the_allocating_floats(rho):
+def test_workspace_gives_the_allocating_floats(rho, monkeypatch):
+    # the engine's gain rows, caught where it hands them to its rate terms,
+    # on a block of two leaves, each shorter than its workspace rows
+    g, n_block = fig3_geometry(1.5), montecarlo.SUB_BLOCK + 4099
+    leaves = []
+
+    def spy(gains, at, *, work):
+        assert all(any(np.shares_memory(x, row) for row in work._rows) for x in gains)
+        leaves.append([np.array(x) for x in gains])
+        return RateTerms(gains, at, work=work)
+
+    monkeypatch.setattr(montecarlo, "RateTerms", spy)
+    montecarlo._block_sums([(g, rho, "crs_oma", None)], SPLIT, QUANTITIES, 5, 0, n_block)
+    assert len(leaves) == 2
+    rng = split_stream(5, 0)
+    for i, link in enumerate((g.sr, g.rd, g.sd)):
+        rows = np.concatenate([gains[i] for gains in leaves])
+        assert _same_floats(rows, sample_power_gains(link, rng, n_block))
     n = 4099
     # wider than the sub-block, as for a block's short last leaf
     work = montecarlo._Workspace(n + 13)
     work.start(n)
-    normals = split_stream(5, 0).standard_normal((3, 2, n))
-    link = make_link(1.5, 8)
-    gains = sample_power_gains(link, montecarlo._Replay(normals), n, work=work)
-    assert _same_floats(gains, sample_power_gains(link, montecarlo._Replay(normals), n))
     rng = np.random.default_rng(12)
     gains = [rng.exponential(size=n) * rng.choice([0.0, 1.0, 50.0], size=n) for _ in range(3)]
-    r = ChannelRealization(*gains)
-    terms = RateTerms(r, rho, work=work)
+    # three arrays, as the engine passes them
+    terms = RateTerms(gains, rho, work=work)
     # every token's arrays held at once, so that a row handed out twice shows
     held = {token: montecarlo._token_rates(terms, rho, token, SPLIT) for token in RATES}
     values = {(token, q): rates[q] for token, rates in held.items() for q in QUANTITIES}
     for (token, q), v in values.items():
         fresh = montecarlo._token_rates(ChannelRealization(*gains), rho, token, SPLIT)
         assert _same_floats(v, fresh[q]), (token, q)
+
+
+@pytest.mark.parametrize("link", ["sr", "rd", "sd"])
+def test_an_overflowing_gain_is_refused_without_a_warning(link):
+    # at Omega = 1e308 the squared gains overflow to inf, the one way a sum
+    # of squares of finite floats fails; the suite makes a RuntimeWarning an error
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModelAssumptionWarning)  # an S-D link above the S-R one
+        g = replace(fig3_geometry(), **{link: make_link(0.0, 1e308)})
+    with pytest.raises(DomainError, match=f"^lambda_{link} must be finite and >= 0$"):
+        estimate_rates(g, 3.16, split=SPLIT, trials=1000, seed=5)
+    with pytest.raises(DomainError, match=f"^lambda_{link} must be finite and >= 0$"):
+        # two blocks on two threads: each sets its own error state
+        paired_gap(g, 3.16, "crs_noma", "crs_oma", trials=BLOCK_SIZE + 1000, seed=5, workers=2)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -836,7 +836,6 @@ def test_calibrate_k_refuses_an_empty_target_list(monkeypatch):
         calibrate_k("fig3", targets=[], k_grid=[0.0], trials=10)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_a_non_finite_sweep_row_is_refused():
     # at rho = 1e300 and Omega = 1e300, rho*lambda overflows and the Monte-Carlo mean is inf
     cfg = parse_config("[geometry]\nomega_sr = 1e300\nomega_rd = 1e300\nomega_sd = 1e299\n"
@@ -845,6 +844,24 @@ def test_a_non_finite_sweep_row_is_refused():
                                           r"scheme='crs_oma', mode='-', estimator='monte_carlo', quantity='c_s1', "
                                           r"value=inf"):
         run_sweep(cfg)
+
+
+@pytest.mark.parametrize("config, message", [
+    # the S-R gains overflow
+    ("preset = fig3\n[geometry]\nomega_sr = 1e308\n[sweep]\nrho_db = 5\ntrials = 1000\n",
+     "lambda_sr must be finite and >= 0\n"),
+    # rho*lambda overflows, and the mean is inf
+    ("preset = fig3\n[geometry]\nomega_sr = 1e300\nomega_rd = 1e300\nomega_sd = 1e299\n"
+     "[sweep]\nrho_db = 3000\nschemes = crs_oma\ntrials = 10\n", "non-finite value in sweep row "),
+], ids=["gain", "rate"])
+def test_overflow_in_the_engine_exits_one_with_one_line(config, message, tmp_path, capsys):
+    # the suite makes a RuntimeWarning an error, so a numpy warning would raise
+    cfg, out = tmp_path / "cfg.txt", tmp_path / "out.csv"
+    cfg.write_text(config)
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"ratelab: error: {message}") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_out_dash_writes_the_table_to_stdout(capsys):
