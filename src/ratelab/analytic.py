@@ -41,8 +41,8 @@ import math
 
 import numpy as np
 
-from .channel import (NetworkGeometry, RicianLink, _check_nonneg, _poisson_tails, poisson_weights,
-                      power_gain_cdf, power_gain_pdf, power_gain_sf)
+from .channel import (NetworkGeometry, RicianLink, _check_nonneg, poisson_weights, power_gain_cdf,
+                      power_gain_pdf, power_gain_sf)
 from .errors import ConvergenceError, DomainError
 from .rates import RATES, PowerSplit, RateBreakdown, _check_rho, _check_split
 
@@ -211,6 +211,32 @@ def _series(coeffs: np.ndarray, c: float) -> float:
     return float(coeffs @ _moment_kernel(len(coeffs) - 1, c))
 
 
+def _rhos(rho) -> list[float]:
+    """One rho or a sequence, as a list through :func:`_check_rho_pos`."""
+    return [_check_rho_pos(r) for r in ([rho] if np.ndim(rho) == 0 else rho)]
+
+
+def _rate_series(links: tuple, rhos: list) -> list[float]:
+    """E[ln(1 + rho*X)] (nats) at each rho, X one link's gain or a pair's
+    min: :func:`_series` at c = sum of a/rho over the links, with the
+    coefficients (:func:`g_rho`'s T, :func:`h_rho`'s D) built once."""
+    if len(links) == 1:
+        coeffs = links[0]._tails
+    else:
+        ta, tb = links[0]._tails, links[1]._tails
+        aa, ab = links[0].inv_scale, links[1].inv_scale
+        # W[i, j] = C(i+j, i) p^i q^j, a binomial pmf term, is the running product
+        # of its ratios q(i+j)/j from p^i: good to a few roundings, where ln m! (up
+        # to 8000) carries 1e-12.  p and q stay defined at any inverse-scale ratio.
+        p, q = 1.0 / (1.0 + ab / aa), 1.0 / (1.0 + aa / ab)
+        i = np.arange(len(ta))[:, None]
+        j = np.arange(len(tb))
+        w = np.cumprod(np.hstack((p ** i, q * (i + j[1:]) / j[1:])), axis=1)
+        coeffs = np.bincount((i + j).ravel(), (w * np.outer(ta, tb)).ravel())
+    # c = a_a/rho + a_b/rho, as a_a + a_b may overflow; an infinite c gives G = 0
+    return [_series(coeffs, sum(link.inv_scale / rho for link in links)) for rho in rhos]
+
+
 def h_rho(link_a: RicianLink, link_b: RicianLink, rho: float) -> float:
     """Series for E[ln(1 + rho*min(X_a, X_b))] (nats).
 
@@ -221,19 +247,7 @@ def h_rho(link_a: RicianLink, link_b: RicianLink, rho: float) -> float:
     error is the Poisson(K) weight each link's series leaves out,
     :data:`ratelab.channel.KERNEL_TOL`.
     """
-    rho = _check_rho_pos(rho)
-    aa, ab = link_a.inv_scale, link_b.inv_scale
-    ta, tb = _poisson_tails(link_a.k_factor), _poisson_tails(link_b.k_factor)
-    # W[i, j] = C(i+j, i) p^i q^j, a binomial pmf term, is the running product
-    # of its ratios q(i+j)/j from p^i: good to a few roundings, where ln m! (up
-    # to 8000) carries 1e-12.  p and q stay defined at any inverse-scale ratio.
-    p, q = 1.0 / (1.0 + ab / aa), 1.0 / (1.0 + aa / ab)
-    i = np.arange(len(ta))[:, None]
-    j = np.arange(len(tb))
-    w = np.cumprod(np.hstack((p ** i, q * (i + j[1:]) / j[1:])), axis=1)
-    d = np.bincount((i + j).ravel(), (w * np.outer(ta, tb)).ravel())
-    # c = a_a/rho + a_b/rho, as a_a + a_b may overflow; an infinite c gives G = 0
-    return _series(d, aa / rho + ab / rho)
+    return _rate_series((link_a, link_b), [_check_rho_pos(rho)])[0]
 
 
 def g_rho(link_z: RicianLink, link_y: RicianLink | None, rho: float) -> float:
@@ -246,13 +260,11 @@ def g_rho(link_z: RicianLink, link_y: RicianLink | None, rho: float) -> float:
     moment kernel at c = a_z/rho; the corrected pipeline feeds the S-D
     link that way since gamma_2 is one link, not a pair.
     """
-    if link_y is not None:
-        return h_rho(link_z, link_y, rho)
-    rho = _check_rho_pos(rho)
-    return _series(_poisson_tails(link_z.k_factor), link_z.inv_scale / rho)
+    return _rate_series((link_z,) if link_y is None else (link_z, link_y), [_check_rho_pos(rho)])[0]
 
 
-def ergodic_rate_series(geometry: NetworkGeometry, rho: float, *, literal: bool = False) -> RateBreakdown:
+def ergodic_rate_series(geometry: NetworkGeometry, rho, *,
+                        literal: bool = False) -> RateBreakdown | list[RateBreakdown]:
     """Paper-mode CRS-NOMA ergodic rates from the series; the total is
     (h + 2g)/(2 ln 2).
 
@@ -260,15 +272,19 @@ def ergodic_rate_series(geometry: NetworkGeometry, rho: float, *, literal: bool 
     link alone, matching the variates gamma_1 and gamma_2.
     ``literal=True``: H over (S-D, S-R) and G over (R-D, S-R), exactly
     as the symbols appear in the published expressions.
+
+    ``rho`` is one SNR, or a sequence giving a list in its order; the
+    coefficients are built once a call, and a rho's floats do not depend
+    on the others.
     """
-    if literal:
-        h = h_rho(geometry.sd, geometry.sr, rho)
-        g = g_rho(geometry.rd, geometry.sr, rho)
-    else:
-        h = h_rho(geometry.sr, geometry.rd, rho)
-        g = g_rho(geometry.sd, None, rho)
-    c_d = g / (2.0 * LN2)
-    return RateBreakdown(h / (2.0 * LN2), c_d, c_d)
+    rhos = _rhos(rho)
+    sr, rd, sd = geometry.sr, geometry.rd, geometry.sd
+    h_links, g_links = ((sd, sr), (rd, sr)) if literal else ((sr, rd), (sd,))
+    rates = []
+    for h, g in zip(_rate_series(h_links, rhos), _rate_series(g_links, rhos)):
+        c_d = g / (2.0 * LN2)
+        rates.append(RateBreakdown(h / (2.0 * LN2), c_d, c_d))
+    return rates if np.ndim(rho) else rates[0]
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +301,14 @@ _INNER_NODES = 64
 # since Q1(alpha, beta) <= exp(-(beta - alpha)^2 / 2).
 _CUT_MASS = 1e-18
 _SF_REACH = 6.8
-# Refinement levels of the trapezoid in ln x; each halves the step.  The
-# fig3/fig4 spans take 105-120 first-rule steps, so level 7 evaluates
-# 64 x that many new nodes.  _quad reads it on every call.  A level never
-# evaluates more than _MAX_LEVEL_NODES new nodes: times the 64 inner nodes,
-# one survival call stays at or below 0.5 M points.
+# The outer rules' nodes lie on one lattice in t = ln x, t = j*h with
+# h = _LATTICE_STEP * 2^-level, and every span is widened outward to it.
+# Refinement levels of the trapezoid; each halves the step.  The fig3/fig4
+# spans take 105-120 first-rule steps, so level 7 evaluates 64 x that many
+# new nodes.  _quad reads it on every call.  A level never evaluates more
+# than _MAX_LEVEL_NODES new nodes per rho: times the 64 inner nodes, one
+# survival call stays at or below 0.5 M points.
+_LATTICE_STEP = 0.5
 MAX_QUAD_LEVELS = 7
 _MAX_LEVEL_NODES = 8192
 
@@ -351,68 +370,106 @@ def _sd_integral(sd: RicianLink, top: np.ndarray, g) -> np.ndarray:
     u, wu = _unit_gauss_legendre(_INNER_NODES)
     top = np.minimum(top, _reach(sd))
     s = top[:, None] * u
-    return top * ((power_gain_pdf(sd, s) * g(s)) @ wu)
+    # einsum sums each row alike wherever it sits; a BLAS product rounds a
+    # row by its position, and the oracle's nodes are slices of a shared set
+    return top * np.einsum("ij,j->i", power_gain_pdf(sd, s) * g(s), wu)
 
 
-def _quad(f, lo: float, hi: float) -> float:
-    """int_lo^hi f(x) dx by the trapezoidal rule in t = ln x.
+def _quad(rhos: list, hi: float, shared, integrand) -> list[float]:
+    """int_lo^hi integrand(rho, x, shared(x)) dx at each rho, by the
+    trapezoidal rule in t = ln x, lo = 1e-18/max(rho, 1).
 
-    ``f`` maps an array of x to an array.  The first rule steps by at
-    most 0.5 in t; each of up to :data:`MAX_QUAD_LEVELS` refinement
-    levels halves the step and evaluates ``f`` once, on the new
-    midpoints.  Returns the first level that agrees with the one before
-    it to max(1e-13, 1e-10*|T|).  Raises :class:`ConvergenceError` when
-    no level within :data:`MAX_QUAD_LEVELS` does, or when the next level
-    would evaluate more than ``_MAX_LEVEL_NODES`` nodes, and
-    :class:`DomainError` when ln(lo) or ln(hi) is not finite.  A span
-    with hi <= lo integrates to 0.
+    Each span is widened outward to the lattice t = j*h, h = 0.5, which
+    the first rule steps by; each of up to :data:`MAX_QUAD_LEVELS` levels
+    halves h and evaluates the new midpoints.  The spans share their upper
+    end, so every rho's new nodes are a tail of one set, on which the
+    rho-independent ``shared`` is evaluated once for all rhos still
+    refining.  A rho stops at its first level within max(1e-13,
+    1e-10*|T|) of the one before; it fails with :class:`ConvergenceError`
+    when none of the levels is, or its next level would evaluate over
+    ``_MAX_LEVEL_NODES`` nodes, and with :class:`DomainError` when ln(lo)
+    or ln(hi) is not finite.  A span with hi <= lo integrates to 0.  Value
+    and error depend on the rho's own nodes only; a sequence raises the
+    error of its first rho that fails.
     """
-    if hi <= lo:
-        return 0.0
-    if not (lo > 0.0 and math.isfinite(hi)):
-        raise DomainError(f"integration span [{lo:.3g}, {hi:.3g}] is out of floating-point range")
-    t_lo = math.log(lo)
-    span = math.log(hi) - t_lo
-    n = math.ceil(2.0 * span)
-    h = span / n
-    x = np.exp(t_lo + h * np.arange(n + 1))
-    g = x * f(x)
-    total, gap = h * float(g.sum() - 0.5 * (g[0] + g[-1])), math.inf
-    for level in range(MAX_QUAD_LEVELS):
-        if n > _MAX_LEVEL_NODES:
-            raise ConvergenceError(f"quadrature stopped after {level} refinement level(s): the next "
-                                   f"needs {n} nodes, over {_MAX_LEVEL_NODES}; last gap between levels {gap:.3g}")
-        x = np.exp(t_lo + h * (np.arange(n) + 0.5))
-        prev, total = total, 0.5 * (total + h * float(np.sum(x * f(x))))
-        h, n = 0.5 * h, 2 * n
-        gap = abs(total - prev)
-        if gap <= max(1e-13, 1e-10 * abs(total)):
-            return total
-    raise ConvergenceError(f"quadrature did not converge within {MAX_QUAD_LEVELS} refinement level(s); "
-                           f"last gap between levels {gap:.3g}")
+    out, start = [], {}  # value or error by rho; lattice index of each open span's first node
+    for i, rho in enumerate(rhos):
+        lo = _CUT_MASS / max(rho, 1.0)
+        if hi <= lo:
+            out.append(0.0)
+        elif not (lo > 0.0 and math.isfinite(hi)):
+            out.append(DomainError(f"integration span [{lo:.3g}, {hi:.3g}] is out of floating-point range"))
+        else:
+            out.append(None)
+            start[i] = math.floor(math.log(lo) / _LATTICE_STEP)
+    if start:
+        end = math.ceil(math.log(hi) / _LATTICE_STEP)
+        h = _LATTICE_STEP
+        first = min(start.values())
+        x = np.exp(h * np.arange(first, end + 1))
+        s = shared(x)
+        total, gap = {}, dict.fromkeys(start, math.inf)
+        for i, j in start.items():
+            xi = x[j - first:]
+            g = xi * integrand(rhos[i], xi, s[j - first:])
+            total[i] = h * float(g.sum() - 0.5 * (g[0] + g[-1]))
+        for level in range(MAX_QUAD_LEVELS):
+            for i in list(start):
+                n = (end - start[i]) << level
+                if n > _MAX_LEVEL_NODES:
+                    out[i] = ConvergenceError(f"quadrature stopped after {level} refinement level(s): the next "
+                                              f"needs {n} nodes, over {_MAX_LEVEL_NODES}; last gap between levels "
+                                              f"{gap[i]:.3g}")
+                    del start[i]
+            if not start:
+                break
+            first = min(start.values()) << level
+            x = np.exp(h * (np.arange(first, end << level) + 0.5))
+            s = shared(x)
+            for i, j in list(start.items()):
+                k = (j << level) - first
+                xi = x[k:]
+                prev = total[i]
+                total[i] = 0.5 * (prev + h * float(np.sum(xi * integrand(rhos[i], xi, s[k:]))))
+                gap[i] = abs(total[i] - prev)
+                if gap[i] <= max(1e-13, 1e-10 * abs(total[i])):
+                    out[i] = total[i]
+                    del start[i]
+            h *= 0.5
+        for i in start:
+            out[i] = ConvergenceError(f"quadrature did not converge within {MAX_QUAD_LEVELS} refinement level(s); "
+                                      f"last gap between levels {gap[i]:.3g}")
+    for value in out:
+        if isinstance(value, Exception):
+            raise value
+    return out
 
 
 def ergodic_rate_quadrature_quantities(
     geometry: NetworkGeometry,
-    rho: float,
+    rho,
     scheme: str,
     split: PowerSplit | None = None,
-) -> RateBreakdown:
+) -> RateBreakdown | list[RateBreakdown]:
     """All five ergodic rate quantities of one :data:`~ratelab.rates.RATES`
     token, by integration.
+
+    ``rho`` is one SNR, or a sequence giving a list in its order, which
+    evaluates each rho-independent survival once for all; a rho's floats
+    do not depend on the others.
 
     Survivals are built from the Marcum-Q single-link survival; min
     terms are survival products.  Every rate is a one-dimensional
     integral over the survival of the limiting SNR, taken by the
     trapezoidal rule in ln x with step halving over a finite span: from
     1e-18/max(rho, 1) up to the point where the survival of a bounding
-    link falls below 1e-20.  The first rule steps by at most 0.5 in ln x,
-    and each refinement level halves the step, making one vectorised
-    survival call per link on the new nodes.  A rate stops at the first
-    level that agrees with the one before it to 1e-10 relative (1e-13
-    absolute); when none of the :data:`MAX_QUAD_LEVELS` levels does, or a
-    level would evaluate more than 8192 new nodes,
-    :class:`ConvergenceError` is raised.
+    link falls below 1e-20, each end widened outward to a lattice of step
+    0.5 in ln x, which the first rule steps by.  Each refinement level
+    halves the step, making one vectorised survival call per link on the
+    new nodes.  A rate stops at the first level that agrees with the one
+    before it to 1e-10 relative (1e-13 absolute); when none of the
+    :data:`MAX_QUAD_LEVELS` levels does, or a level would evaluate more
+    than 8192 new nodes, :class:`ConvergenceError` is raised.
 
     The exact-mode relay SNR and the CRS-OMA combined branch mix two
     independent gains; their survival at each outer node comes from one
@@ -420,45 +477,46 @@ def ergodic_rate_quadrature_quantities(
     clipped at the S-D reach: reach_RD/(rho*y) for exact mode, past which
     S_RD(y*(1 + rho*s)) is below 1e-20, and w for the CRS-OMA convolution.
     It agrees with nested adaptive quadrature to about 1e-13 bit/s/Hz.
+    Only the exact-mode inner rule depends on rho.
     """
-    rho = _check_rho_pos(rho)
+    rhos = _rhos(rho)
     if scheme not in RATES:
         raise DomainError(f"scheme must be one of {tuple(RATES)}, got {scheme!r}")
     sr, rd, sd = geometry.sr, geometry.rd, geometry.sd
     family, mode = RATES[scheme]
-    lo = _CUT_MASS / max(rho, 1.0)
 
-    def half_rate(survival, hi):
-        """0.5 E[log2(1 + rho*X)] = (0.5/ln2) int_0^inf rho*S(x)/(1+rho*x) dx."""
-        return 0.5 * _quad(lambda x: rho * survival(x) / (1.0 + rho * x), lo, hi) / LN2
+    def half_rate(hi, shared, survival=lambda rho, x, s: s):
+        """0.5 E[log2(1 + rho*X)] = (0.5/ln2) int_0^inf rho*S(x)/(1+rho*x) dx
+        at each rho, S(x) = survival(rho, x, shared(x))."""
+        values = _quad(rhos, hi, shared, lambda rho, x, s: rho * survival(rho, x, s) / (1.0 + rho * x))
+        return [0.5 * v / LN2 for v in values]
 
     if family == "crs_noma":
-        c_direct = half_rate(lambda x: power_gain_sf(sd, x), _reach(sd))
+        c_direct = half_rate(_reach(sd), lambda x: power_gain_sf(sd, x))
         if mode == "paper":
-            c_relay = half_rate(lambda x: power_gain_sf(sr, x) * power_gain_sf(rd, x),
-                                min(_reach(sr), _reach(rd)))
+            c_relay = half_rate(min(_reach(sr), _reach(rd)), lambda x: power_gain_sf(sr, x) * power_gain_sf(rd, x))
         else:
             # Y = min(lambda_SR, lambda_RD/(1 + rho*lambda_SD)); S_Y(y) =
             # S_SR(y) * E over lambda_SD of S_RD(y*(1+rho*s)), below 1e-20
             # past s = reach_RD/(rho*y).  That span may overflow (and is then
             # clipped) or underflow to 0, and rho*s may overflow: S_RD(inf) = 0.
-            def s_y(y):
+            def s_y(rho, y, s_sr):
                 with np.errstate(over="ignore"):
                     inner = _sd_integral(sd, _reach(rd) / rho / y,
                                          lambda s: power_gain_sf(rd, y[:, None] * (1.0 + rho * s)))
-                return power_gain_sf(sr, y) * inner
+                return s_sr * inner
 
-            c_relay = half_rate(s_y, min(_reach(sr), _reach(rd)))
-        return RateBreakdown(c_relay, c_direct, c_direct)
+            c_relay = half_rate(min(_reach(sr), _reach(rd)), lambda y: power_gain_sf(sr, y), s_y)
+        rates = [RateBreakdown(r, d, d) for r, d in zip(c_relay, c_direct)]
 
-    if scheme == "conventional":
+    elif scheme == "conventional":
         _check_split(split)
         a1, a2 = split.a1, split.a2
         # s1 passes through the increasing map g(w) = a1*rho*w/(a2*rho*w+1)
         # of W = min(lambda_SD, lambda_SR), which collapses the min of the
         # two decode rates to one integral:
         # c_s1 = (a1*rho/(2 ln2)) int S_SD S_SR / ((a2*rho*w+1)(rho*w+1)) dw
-        def s1_integrand(w):
+        def s1_integrand(rho, w, s):
             # At a huge rho the denominator can overflow to inf, making the
             # integrand 0, which is its limit: up to a factor 4 the
             # denominator is a2*(rho*w)^2, so it overflows only where
@@ -467,19 +525,20 @@ def ergodic_rate_quadrature_quantities(
             # 1e-140 bit/s/Hz for any a2 >= 1e-20.
             with np.errstate(over="ignore"):
                 denominator = (a2 * rho * w + 1.0) * (rho * w + 1.0)
-            return power_gain_sf(sd, w) * power_gain_sf(sr, w) / denominator
+            return s / denominator
 
-        c_s1 = a1 * rho / (2.0 * LN2) * _quad(s1_integrand, lo, min(_reach(sd), _reach(sr)))
+        s1 = _quad(rhos, min(_reach(sd), _reach(sr)), lambda w: power_gain_sf(sd, w) * power_gain_sf(sr, w),
+                   s1_integrand)
         # s2 is limited by min(a2*lambda_SR, lambda_RD) at full rho.
-        c_s2 = half_rate(lambda v: power_gain_sf(sr, v / a2) * power_gain_sf(rd, v),
-                         min(a2 * _reach(sr), _reach(rd)))
-        return RateBreakdown(c_s1, 0.0, c_s2)
+        c_s2 = half_rate(min(a2 * _reach(sr), _reach(rd)), lambda v: power_gain_sf(sr, v / a2) * power_gain_sf(rd, v))
+        rates = [RateBreakdown(a1 * rho / (2.0 * LN2) * v, 0.0, c) for rho, v, c in zip(rhos, s1, c_s2)]
 
-    # crs_oma: W = min(lambda_SR, lambda_SD + lambda_RD), and the branch sum
-    # has P[SD+RD > w] = S_SD(w) + int_0^w S_RD(w-s) f_SD(s) ds.
-    def s_sum(w):
-        inner = _sd_integral(sd, w, lambda s: power_gain_sf(rd, w[:, None] - s))
-        return np.minimum(power_gain_sf(sd, w) + inner, 1.0)
+    else:
+        # crs_oma: W = min(lambda_SR, lambda_SD + lambda_RD), and the branch sum
+        # has P[SD+RD > w] = S_SD(w) + int_0^w S_RD(w-s) f_SD(s) ds.
+        def s_w(w):
+            inner = _sd_integral(sd, w, lambda s: power_gain_sf(rd, w[:, None] - s))
+            return power_gain_sf(sr, w) * np.minimum(power_gain_sf(sd, w) + inner, 1.0)
 
-    c_total = half_rate(lambda w: power_gain_sf(sr, w) * s_sum(w), _reach(sr))
-    return RateBreakdown(c_total, 0.0, 0.0)
+        rates = [RateBreakdown(c, 0.0, 0.0) for c in half_rate(_reach(sr), s_w)]
+    return rates if np.ndim(rho) else rates[0]

@@ -20,6 +20,7 @@ alone would underflow.  The series of :mod:`ratelab.analytic` take
 these survivals, and their coefficients from the same upper tails.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -71,6 +72,8 @@ class RicianLink:
     ``k_factor`` is dimensionless, >= 0 (0 is Rayleigh fading); the
     sampled power gain has mean ``mean_power``, refused where the
     inverse scale (1 + K)/Omega overflows.  Both are stored as floats.
+    Its Poisson(K) weights and tails are built once, on first kernel use,
+    so a K above :data:`MAX_NONCENTRALITY` samples and raises there.
     """
 
     k_factor: float
@@ -101,6 +104,17 @@ class RicianLink:
     def diffuse_var(self) -> float:
         """Per-component variance of the diffuse Gaussian part."""
         return self.mean_power / (2.0 * (self.k_factor + 1.0))
+
+    # cached_property writes __dict__, past the frozen __setattr__
+    @functools.cached_property
+    def _weights(self) -> np.ndarray:
+        """:func:`poisson_weights` at K, read-only."""
+        return _read_only(poisson_weights(self.k_factor))
+
+    @functools.cached_property
+    def _tails(self) -> np.ndarray:
+        """Upper tails P[N >= j] of :attr:`_weights`, read-only."""
+        return _read_only(_upper_tails(self._weights))
 
 
 @dataclass(frozen=True)
@@ -252,21 +266,25 @@ def _horner_up(coeffs: np.ndarray, y) -> np.ndarray:
     return s
 
 
-def _poisson_tails(mean: float) -> np.ndarray:
-    """Upper tails P[N >= j] of the :func:`poisson_weights` at ``mean``."""
-    return np.cumsum(poisson_weights(mean)[::-1])[::-1]
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
-def _survival(mean: float, scale: float, x: np.ndarray) -> np.ndarray:
-    """Survival sum_j Pois(j; mean) Q(j+1, y) at y = scale*x, to within
-    :data:`KERNEL_TOL`.
+def _upper_tails(weights: np.ndarray) -> np.ndarray:
+    """Upper tails P[N >= j] of Poisson ``weights``."""
+    return np.cumsum(weights[::-1])[::-1]
+
+
+def _survival(tails: np.ndarray, scale: float, x: np.ndarray) -> np.ndarray:
+    """Survival sum_j Pois(j; mean) Q(j+1, y) at y = scale*x from the
+    Poisson upper ``tails`` at the mean, to within :data:`KERNEL_TOL`.
 
     The weight left out is added to every upper tail, which puts it on
     the last Q(n+1, y): Q increases toward 1 in j, so the truncation
     error stays below the tolerance, and the first tail is exactly 1,
     so the survival at y = 0 is exactly 1.
     """
-    tails = _poisson_tails(mean)
     return np.minimum(_mixture(tails + (1.0 - tails[0]), scale, x), 1.0)
 
 
@@ -284,7 +302,7 @@ def power_gain_pdf(link: RicianLink, x):
     """
     x = _check_nonneg(x)
     a = link.inv_scale
-    return _as_result(a * _mixture(poisson_weights(link.k_factor), a, x))
+    return _as_result(a * _mixture(link._weights, a, x))
 
 
 def marcum_q1(a: float, b) -> float:
@@ -296,18 +314,18 @@ def marcum_q1(a: float, b) -> float:
     """
     a = float(_check_nonneg(a, "marcum_q1 argument a"))
     b = _check_nonneg(b, "marcum_q1 argument b")
-    return _as_result(_survival(0.5 * a * a, 0.5 * b, b))
+    return _as_result(_survival(_upper_tails(poisson_weights(0.5 * a * a)), 0.5 * b, b))
 
 
 def power_gain_sf(link: RicianLink, x):
     """Survival P[gain > x] = Q1(sqrt(2K), sqrt(2*a*x)), to within
     :data:`KERNEL_TOL`."""
     x = _check_nonneg(x)
-    return _as_result(_survival(link.k_factor, link.inv_scale, x))
+    return _as_result(_survival(link._tails, link.inv_scale, x))
 
 
 def power_gain_cdf(link: RicianLink, x):
     """Distribution function P[gain <= x], complement of
     :func:`power_gain_sf`, to within :data:`KERNEL_TOL`."""
     x = _check_nonneg(x)
-    return _as_result(1.0 - _survival(link.k_factor, link.inv_scale, x))
+    return _as_result(1.0 - _survival(link._tails, link.inv_scale, x))

@@ -418,7 +418,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     Monte-Carlo and the quadrature oracle cover every (scheme, mode) of
     :data:`~ratelab.rates.RATES` the config selects; the analytic series
     model paper-mode CRS-NOMA only and emit rows just for it, whatever
-    the selected modes.
+    the selected modes.  Each estimator takes the whole grid in one call
+    (the oracle one per token), and a grid point's values are the floats
+    a one-point grid gives.
     """
     if not set(config.estimators) <= set(ESTIMATORS):
         raise DomainError(f"estimators must be among {ESTIMATORS}, got {config.estimators}")
@@ -436,18 +438,22 @@ def run_sweep(config: SweepConfig) -> SweepResult:
         mc = estimate_rates(config.geometry, rhos, [token for token, _, _ in selected], "paper",
                             config.split, config.trials, config.seed, config.workers)
         mc = {(r.rho, r.scheme, r.quantity): (r.mean, r.std_err) for r in mc}
+    rates = {}  # (estimator, token) -> a RateBreakdown per grid point
+    for estimator in config.estimators:
+        if estimator == "quadrature_oracle":
+            for token, _, _ in selected:
+                rates[estimator, token] = ergodic_rate_quadrature_quantities(config.geometry, rhos, token, config.split)
+        elif estimator != "monte_carlo" and series:
+            rates[estimator, "crs_noma_paper"] = ergodic_rate_series(config.geometry, rhos,
+                                                                     literal=estimator == "series_paper_literal")
     rows: list[SweepRow] = []
-    for rho_db, rho in zip(config.rho_grid_db, rhos):
+    for i, (rho_db, rho) in enumerate(zip(config.rho_grid_db, rhos)):
         for estimator in config.estimators:
             for token, scheme, mode in series if estimator.startswith("series_") else selected:
                 if estimator == "monte_carlo":
                     cells = [mc[(rho, token, q)] for q in QUANTITIES]
                 else:
-                    if estimator == "quadrature_oracle":
-                        rate = ergodic_rate_quadrature_quantities(config.geometry, rho, token, config.split)
-                    else:
-                        rate = ergodic_rate_series(config.geometry, rho, literal=estimator == "series_paper_literal")
-                    cells = [(rate[q], None) for q in QUANTITIES]
+                    cells = [(rates[estimator, token][i][q], None) for q in QUANTITIES]
                 rows += [
                     SweepRow(rho_db, scheme, mode, estimator, q, value, std_err)
                     for q, (value, std_err) in zip(QUANTITIES, cells)

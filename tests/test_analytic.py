@@ -788,3 +788,87 @@ def test_oracle_at_3000_db_gives_finite_rows_without_a_warning():
     # as rho grows the s1 SINR tends to a1/a2 on both links
     c_s1 = [r.value for r in rows if (r.scheme, r.quantity) == ("conventional", "c_s1")]
     assert c_s1 == pytest.approx([0.5 * math.log2(1.0 + 0.9 / 0.1)] * 2, abs=1e-9)
+
+
+# Their spans start on lattice nodes at odd distances apart, so the rows of
+# the shared node set a rho reads sit at odd offsets at the first levels.
+SEQUENCE_DB = (-10, 5, 7, 15, 47)
+
+
+@pytest.mark.parametrize("k", [0, 3, 100])
+@pytest.mark.parametrize("token", sorted(RATES))
+def test_the_oracle_over_a_sequence_of_rho_gives_the_floats_of_single_calls(token, k):
+    # each rho's nodes are a slice of one shared set, and its value depends
+    # on its own nodes alone
+    g, split = preset_geometry("fig3", k), PowerSplit(0.9, 0.1)
+    rhos = [10 ** (db / 10) for db in SEQUENCE_DB]
+    many = ergodic_rate_quadrature_quantities(g, rhos, token, split)
+    for rho, rates in zip(rhos, many, strict=True):
+        single = ergodic_rate_quadrature_quantities(g, rho, token, split)
+        assert [rates[q] for q in QUANTITIES] == [single[q] for q in QUANTITIES], rho
+
+
+@pytest.mark.parametrize("k", [0, 3, 100])
+@pytest.mark.parametrize("literal", [False, True])
+def test_the_series_over_a_sequence_of_rho_give_the_floats_of_single_calls(literal, k):
+    g = preset_geometry("fig3", k)
+    rhos = [10 ** (db / 10) for db in SEQUENCE_DB]
+    many = ergodic_rate_series(g, rhos, literal=literal)
+    for rho, rates in zip(rhos, many, strict=True):
+        single = ergodic_rate_series(g, rho, literal=literal)
+        assert [rates[q] for q in QUANTITIES] == [single[q] for q in QUANTITIES], rho
+
+
+def test_a_sequence_of_rho_evaluates_each_shared_survival_once(monkeypatch):
+    sizes = []
+    real_sf = analytic.power_gain_sf
+    monkeypatch.setattr(analytic, "power_gain_sf", lambda link, x: sizes.append(np.size(x)) or real_sf(link, x))
+    g, rhos = preset_geometry("fig3", 3), [10 ** 0.5, 10 ** 1.5, 10 ** 2.5]
+    singles = []
+    for rho in rhos:
+        sizes.clear()
+        ergodic_rate_quadrature_quantities(g, rho, "crs_oma")
+        singles.append(sum(sizes))
+    sizes.clear()
+    ergodic_rate_quadrature_quantities(g, rhos, "crs_oma")
+    assert sum(sizes) <= 1.2 * max(singles)
+    # the shared set is at most the largest span's nodes, so a long grid
+    # keeps every survival call within one level's budget
+    grid = [10 ** (db / 10) for db in range(-20, 101)]
+    for token in RATES:
+        sizes.clear()
+        ergodic_rate_quadrature_quantities(g, grid, token, PowerSplit(0.9, 0.1))
+        assert 0 < max(sizes) <= analytic._MAX_LEVEL_NODES * analytic._INNER_NODES, token
+
+
+def test_each_rho_of_a_sequence_keeps_its_own_budget_and_errors(monkeypatch):
+    # at 200 nodes a level, paper mode converges at 0 dB and runs out of
+    # nodes at 100 dB, whose span is longer; a sequence raises the error
+    # of the rho that fails, as a single call gives it
+    monkeypatch.setattr(analytic, "_MAX_LEVEL_NODES", 200)
+    g, low, high = preset_geometry("fig3", 3), 1.0, 1e10
+    ergodic_rate_quadrature_quantities(g, low, "crs_noma_paper")
+    with pytest.raises(ConvergenceError) as single:
+        ergodic_rate_quadrature_quantities(g, high, "crs_noma_paper")
+    assert "the next needs 274 nodes, over 200" in str(single.value)
+    for rhos in ([low, high], [high, low]):
+        with pytest.raises(ConvergenceError) as many:
+            ergodic_rate_quadrature_quantities(g, rhos, "crs_noma_paper")
+        assert str(many.value) == str(single.value)
+    with pytest.raises(DomainError, match="out of floating-point range"):
+        ergodic_rate_quadrature_quantities(FIG3, [10.0, 1e306], "crs_oma")
+
+
+def test_the_inner_rule_gives_a_node_the_same_float_in_any_slice():
+    # CRS-OMA evaluates its inner rule once on the shared node set, and
+    # each rho reads a slice of it; a BLAS product rounds a row by its
+    # position in the matrix
+    g = preset_geometry("fig3", 3)
+    w = np.exp(np.linspace(-40.0, 3.0, 2048))
+
+    def inner(top):
+        return analytic._sd_integral(g.sd, top, lambda s: power_gain_sf(g.rd, top[:, None] - s))
+
+    full = inner(w)
+    for k in (1, 3, 7, 1001):
+        assert np.array_equal(inner(w[k:]), full[k:]), k

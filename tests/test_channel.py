@@ -19,6 +19,7 @@ from ratelab import (
 from ratelab.analytic import _reach
 from ratelab import channel
 from ratelab.channel import MAX_NONCENTRALITY, poisson_weights
+from ratelab.sweep import preset_config, preset_geometry, run_sweep
 from ratelab.errors import (
     DomainError,
     InvalidKFactor,
@@ -328,3 +329,30 @@ def test_kolmogorov_smirnov_sample_against_cdf():
     d_minus = np.max(f - np.arange(0, n) / n)
     crit = stats.kstwobign.isf(0.01) / math.sqrt(n)
     assert max(d_plus, d_minus) < crit
+
+
+def test_a_link_builds_its_poisson_tails_once_on_first_kernel_use(monkeypatch):
+    # far above the kernel's bound, a link still builds and samples; the
+    # kernel refuses it on first use
+    huge = make_link(1e308, 1.0)
+    assert np.all(np.isfinite(sample_power_gains(huge, split_stream(1, 0), 8)))
+    with pytest.raises(DomainError, match=r"noncentrality K = 1e\+308 is above 500"):
+        power_gain_sf(huge, 1.0)
+    # the depth is read when the tails are built, so a link built after a
+    # change of tolerance has the new depth
+    shallow = len(poisson_weights(27.3))
+    monkeypatch.setattr(channel, "KERNEL_TOL", 1e-300)
+    deep = make_link(27.3, 1)
+    power_gain_sf(deep, 1.0)
+    assert len(deep._tails) == len(poisson_weights(27.3)) > shallow
+
+
+def test_a_sweep_builds_each_links_poisson_weights_once(monkeypatch):
+    calls = []
+    real = channel.poisson_weights
+    monkeypatch.setattr(channel, "poisson_weights", lambda mean: calls.append(mean) or real(mean))
+    cfg = preset_config("fig3", geometry=preset_geometry("fig3", 3), rho_grid_db=(5.0, 15.0, 25.0),
+                        schemes=("crs_noma", "conventional", "crs_oma"), modes=("paper", "exact"),
+                        estimators=("quadrature_oracle", "series_corrected", "series_paper_literal"))
+    run_sweep(cfg)
+    assert calls == [3.0, 3.0, 3.0]

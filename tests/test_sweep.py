@@ -558,6 +558,31 @@ def test_every_rate_token_is_accepted_by_every_estimator(token):
             result["c_r_s1"]
 
 
+@pytest.mark.parametrize("k", [0, 3, 100])
+def test_sweep_oracle_and_series_rows_are_the_floats_of_single_calls(k):
+    # run_sweep takes the whole grid in one call per token and estimator;
+    # each row is still the float of a call at its rho alone
+    cfg = preset_config(
+        "fig3", geometry=preset_geometry("fig3", k), rho_grid_db=(-10.0, 5.0, 7.0, 15.0, 47.0),
+        schemes=("crs_noma", "conventional", "crs_oma"), modes=("paper", "exact"),
+        estimators=("quadrature_oracle", "series_corrected", "series_paper_literal"),
+    )
+    token = {scheme_mode: token for token, scheme_mode in RATES.items()}
+    singles = {}
+    for rho_db in cfg.rho_grid_db:
+        rho = 10.0 ** (rho_db / 10.0)
+        for t in RATES:
+            singles[rho_db, "quadrature_oracle", t] = ergodic_rate_quadrature_quantities(
+                cfg.geometry, rho, t, cfg.split)
+        for estimator in ("series_corrected", "series_paper_literal"):
+            singles[rho_db, estimator, "crs_noma_paper"] = ergodic_rate_series(
+                cfg.geometry, rho, literal=estimator == "series_paper_literal")
+    rows = run_sweep(cfg).rows
+    assert len(rows) == len(singles) * len(QUANTITIES)
+    for r in rows:
+        assert r.value == singles[r.rho_db, r.estimator, token[r.scheme, r.mode]][r.quantity], r
+
+
 def test_full_sweep_emits_exactly_the_rate_table_labels():
     cfg = preset_config(
         "fig3", rho_grid_db=(10.0,), schemes=("crs_noma", "conventional", "crs_oma"),
