@@ -37,6 +37,7 @@ deviations between the two are data, not bugs; see
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -266,7 +267,9 @@ def g_rho(link_z: RicianLink, link_y: RicianLink | None, rho: float) -> float:
 def ergodic_rate_series(geometry: NetworkGeometry, rho, *,
                         literal: bool = False) -> RateBreakdown | list[RateBreakdown]:
     """Paper-mode CRS-NOMA ergodic rates from the series; the total is
-    (h + 2g)/(2 ln 2).
+    (h + 2g)/(2 ln 2).  The series cover that one rate token, so
+    :data:`ratelab.sweep.ESTIMATORS` gives both series ``crs_noma_paper``
+    alone, and a sweep writes series rows only where it selects it.
 
     ``literal=False`` (corrected): H over (S-R, R-D) and G over the S-D
     link alone, matching the variates gamma_1 and gamma_2.
@@ -303,13 +306,12 @@ _CUT_MASS = 1e-18
 _SF_REACH = 6.8
 # The outer rules' nodes lie on one lattice in t = ln x, t = j*h with
 # h = _LATTICE_STEP * 2^-level, and every span is widened outward to it.
-# Refinement levels of the trapezoid; each halves the step.  The fig3/fig4
-# spans take 105-120 first-rule steps, so level 7 evaluates 64 x that many
-# new nodes.  _quad reads it on every call.  A level never evaluates more
-# than _MAX_LEVEL_NODES new nodes per rho: times the 64 inner nodes, one
-# survival call stays at or below 0.5 M points.
+# Each refinement level of the trapezoid halves the step, and none
+# evaluates more than _MAX_LEVEL_NODES new nodes per rho: times the 64 inner
+# nodes, one survival call stays at or below 0.5 M points.  From -20 to
+# 100 dB at K up to 500 the fig3/fig4 spans take 84-142 first-rule steps,
+# so they refine at most 7 levels.  _quad reads the budget on every call.
 _LATTICE_STEP = 0.5
-MAX_QUAD_LEVELS = 7
 _MAX_LEVEL_NODES = 8192
 
 
@@ -380,15 +382,14 @@ def _quad(rhos: list, hi: float, shared, integrand) -> list[float]:
     trapezoidal rule in t = ln x, lo = 1e-18/max(rho, 1).
 
     Each span is widened outward to the lattice t = j*h, h = 0.5, which
-    the first rule steps by; each of up to :data:`MAX_QUAD_LEVELS` levels
-    halves h and evaluates the new midpoints.  The spans share their upper
-    end, so every rho's new nodes are a tail of one set, on which the
-    rho-independent ``shared`` is evaluated once for all rhos still
-    refining.  A rho stops at its first level within max(1e-13,
-    1e-10*|T|) of the one before; it fails with :class:`ConvergenceError`
-    when none of the levels is, or its next level would evaluate over
-    ``_MAX_LEVEL_NODES`` nodes, and with :class:`DomainError` when ln(lo)
-    or ln(hi) is not finite.  A span with hi <= lo integrates to 0.  Value
+    the first rule steps by; each refinement level halves h and evaluates
+    the new midpoints.  The spans share their upper end, so every rho's
+    new nodes are a tail of one set, on which the rho-independent
+    ``shared`` is evaluated once for all rhos still refining.  A rho stops
+    at its first level within max(1e-13, 1e-10*|T|) of the one before; it
+    fails with :class:`ConvergenceError` when its next level would
+    evaluate over ``_MAX_LEVEL_NODES`` nodes, and with :class:`DomainError`
+    when ln(lo) or ln(hi) is not finite.  A span with hi <= lo integrates to 0.  Value
     and error depend on the rho's own nodes only; a sequence raises the
     error of its first rho that fails.
     """
@@ -413,7 +414,7 @@ def _quad(rhos: list, hi: float, shared, integrand) -> list[float]:
             xi = x[j - first:]
             g = xi * integrand(rhos[i], xi, s[j - first:])
             total[i] = h * float(g.sum() - 0.5 * (g[0] + g[-1]))
-        for level in range(MAX_QUAD_LEVELS):
+        for level in itertools.count():
             for i in list(start):
                 n = (end - start[i]) << level
                 if n > _MAX_LEVEL_NODES:
@@ -436,9 +437,6 @@ def _quad(rhos: list, hi: float, shared, integrand) -> list[float]:
                     out[i] = total[i]
                     del start[i]
             h *= 0.5
-        for i in start:
-            out[i] = ConvergenceError(f"quadrature did not converge within {MAX_QUAD_LEVELS} refinement level(s); "
-                                      f"last gap between levels {gap[i]:.3g}")
     for value in out:
         if isinstance(value, Exception):
             raise value
@@ -467,9 +465,9 @@ def ergodic_rate_quadrature_quantities(
     0.5 in ln x, which the first rule steps by.  Each refinement level
     halves the step, making one vectorised survival call per link on the
     new nodes.  A rate stops at the first level that agrees with the one
-    before it to 1e-10 relative (1e-13 absolute); when none of the
-    :data:`MAX_QUAD_LEVELS` levels does, or a level would evaluate more
-    than 8192 new nodes, :class:`ConvergenceError` is raised.
+    before it to 1e-10 relative (1e-13 absolute); when none does before a
+    level would evaluate more than 8192 new nodes, :class:`ConvergenceError`
+    is raised.
 
     The exact-mode relay SNR and the CRS-OMA combined branch mix two
     independent gains; their survival at each outer node comes from one

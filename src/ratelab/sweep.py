@@ -46,7 +46,10 @@ __all__ = [
     "discrepancy_report",
 ]
 
-ESTIMATORS = ("monte_carlo", "series_paper_literal", "series_corrected", "quadrature_oracle")
+# Each estimator and the rates.RATES tokens it evaluates; the paper's
+# series exist for paper-mode CRS-NOMA only.
+ESTIMATORS = {"monte_carlo": tuple(RATES), "series_paper_literal": ("crs_noma_paper",),
+              "series_corrected": ("crs_noma_paper",), "quadrature_oracle": tuple(RATES)}
 
 # Published channel-power presets and the rate values quoted for them
 # (sum rates in bit/s/Hz at 5 and 25 dB; conventional at 5 dB).
@@ -249,7 +252,7 @@ _FIELDS = {
         "schemes": (_names(tuple(dict.fromkeys(s for s, _ in RATES.values())), "scheme"),
                     "crs_noma, conventional"),
         "modes": (_names(tuple(m for _, m in RATES.values() if m != "-"), "mode"), "paper"),
-        "estimators": (_names(ESTIMATORS, "estimator"), "monte_carlo"),
+        "estimators": (_names(tuple(ESTIMATORS), "estimator"), "monte_carlo"),
         "trials": (lambda raw: _check_trials(_integer(raw)), 1_000_000),
         "seed": (lambda raw: _check_seed(_integer(raw)), 42),
     },
@@ -415,49 +418,44 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     """Evaluate every (grid point, scheme, estimator, quantity) cell.
 
     Deterministic in the config (the seed covers all stochastic parts).
-    Monte-Carlo and the quadrature oracle cover every (scheme, mode) of
-    :data:`~ratelab.rates.RATES` the config selects; the analytic series
-    model paper-mode CRS-NOMA only and emit rows just for it, whatever
-    the selected modes.  Each estimator takes the whole grid in one call
-    (the oracle one per token), and a grid point's values are the floats
-    a one-point grid gives.
+    Each estimator evaluates the selected :data:`~ratelab.rates.RATES`
+    tokens that :data:`ESTIMATORS` lists for it (the series paper-mode
+    CRS-NOMA only); a sweep in which none does, or with no grid point,
+    raises :class:`DomainError`.  Each estimator takes the whole grid in one call (the oracle one per
+    token), and a grid point's values are the floats a one-point grid
+    gives.
     """
     if not set(config.estimators) <= set(ESTIMATORS):
-        raise DomainError(f"estimators must be among {ESTIMATORS}, got {config.estimators}")
+        raise DomainError(f"estimators must be among {tuple(ESTIMATORS)}, got {config.estimators}")
     # a baseline's single mode "-" is selected whatever the modes
-    selected = [
-        (token, scheme, mode)
-        for scheme in config.schemes
-        for token, (s, mode) in RATES.items()
-        if s == scheme and mode in (*config.modes, "-")
-    ]
-    series = [("crs_noma_paper", *RATES["crs_noma_paper"])] if "crs_noma" in config.schemes else []
+    selected = [token for scheme in config.schemes for token, (s, mode) in RATES.items()
+                if s == scheme and mode in (*config.modes, "-")]
+    covered = {e: tokens for e in config.estimators if (tokens := [t for t in selected if t in ESTIMATORS[e]])}
+    if not (covered and config.rho_grid_db):
+        raise DomainError(f"empty sweep: no rows for schemes {config.schemes}, modes {config.modes} and "
+                          f"estimators {config.estimators} over {len(config.rho_grid_db)} grid point(s)")
     rhos = [db_to_linear(rho_db) for rho_db in config.rho_grid_db]
-    if "monte_carlo" in config.estimators:
-        # one call: each block is drawn once for every (rho, token) cell
-        mc = estimate_rates(config.geometry, rhos, [token for token, _, _ in selected], "paper",
-                            config.split, config.trials, config.seed, config.workers)
-        mc = {(r.rho, r.scheme, r.quantity): (r.mean, r.std_err) for r in mc}
-    rates = {}  # (estimator, token) -> a RateBreakdown per grid point
-    for estimator in config.estimators:
-        if estimator == "quadrature_oracle":
-            for token, _, _ in selected:
-                rates[estimator, token] = ergodic_rate_quadrature_quantities(config.geometry, rhos, token, config.split)
-        elif estimator != "monte_carlo" and series:
-            rates[estimator, "crs_noma_paper"] = ergodic_rate_series(config.geometry, rhos,
-                                                                     literal=estimator == "series_paper_literal")
-    rows: list[SweepRow] = []
-    for i, (rho_db, rho) in enumerate(zip(config.rho_grid_db, rhos)):
-        for estimator in config.estimators:
-            for token, scheme, mode in series if estimator.startswith("series_") else selected:
-                if estimator == "monte_carlo":
-                    cells = [mc[(rho, token, q)] for q in QUANTITIES]
-                else:
-                    cells = [(rates[estimator, token][i][q], None) for q in QUANTITIES]
-                rows += [
-                    SweepRow(rho_db, scheme, mode, estimator, q, value, std_err)
-                    for q, (value, std_err) in zip(QUANTITIES, cells)
-                ]
+    cells = {}  # (estimator, token) -> one {quantity: (value, std_err)} per grid point
+    for estimator, tokens in covered.items():
+        if estimator == "monte_carlo":
+            # one call: each block is drawn once for every (rho, token) cell
+            mc = {(r.rho, r.scheme, r.quantity): (r.mean, r.std_err)
+                  for r in estimate_rates(config.geometry, rhos, tokens, "paper", config.split,
+                                          config.trials, config.seed, config.workers)}
+            for token in tokens:
+                cells[estimator, token] = [{q: mc[rho, token, q] for q in QUANTITIES} for rho in rhos]
+            continue
+        for token in tokens:
+            if estimator == "quadrature_oracle":
+                rates = ergodic_rate_quadrature_quantities(config.geometry, rhos, token, config.split)
+            else:  # a series, whose one token is paper-mode CRS-NOMA
+                rates = ergodic_rate_series(config.geometry, rhos, literal=estimator == "series_paper_literal")
+            cells[estimator, token] = [{q: (r[q], None) for q in QUANTITIES} for r in rates]
+    rows = [SweepRow(rho_db, *RATES[token], estimator, q, value, std_err)
+            for i, rho_db in enumerate(config.rho_grid_db)
+            for estimator, tokens in covered.items()
+            for token in tokens
+            for q, (value, std_err) in cells[estimator, token][i].items()]
     for r in rows:
         if not math.isfinite(r.value):
             raise DomainError(f"non-finite value in sweep row {r}")

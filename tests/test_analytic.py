@@ -500,7 +500,9 @@ def test_oracle_integrates_an_empty_span_to_zero():
 
 
 def test_quadrature_budget_exhaustion_raises(monkeypatch):
-    monkeypatch.setattr(analytic, "MAX_QUAD_LEVELS", 1)
+    # the FIG3 spans at 40 dB take 112 and 114 first-rule steps, so the
+    # second refinement level would need more than 150 nodes
+    monkeypatch.setattr(analytic, "_MAX_LEVEL_NODES", 150)
     with pytest.raises(ConvergenceError):
         ergodic_rate_quadrature_quantities(FIG3, 1e4, "crs_noma_paper")
 
@@ -655,7 +657,9 @@ def test_quadrature_makes_a_few_vectorised_survival_calls_per_level(token, monke
     g = _links(3, 8, 8, 3)
     ergodic_rate_quadrature_quantities(g, 10 ** 2.5, token, PowerSplit(0.9, 0.1))
     integrals = 1 if token == "crs_oma" else 2
-    assert 0 < len(sizes) <= 3 * (1 + analytic.MAX_QUAD_LEVELS) * integrals
+    # the first rule and at most 7 refinement levels: these spans take
+    # over 64 first-rule steps, and a level evaluates at most 8192 nodes
+    assert 0 < len(sizes) <= 3 * 8 * integrals
     assert min(sizes) > 50
 
 
@@ -768,8 +772,9 @@ print("numpy.polynomial" in sys.modules)
 
 
 def test_convergence_error_reports_the_levels_and_the_last_gap(monkeypatch):
-    monkeypatch.setattr(analytic, "MAX_QUAD_LEVELS", 1)
-    with pytest.raises(ConvergenceError, match=r"within 1 refinement level\(s\); last gap between levels \d"):
+    monkeypatch.setattr(analytic, "_MAX_LEVEL_NODES", 150)
+    with pytest.raises(ConvergenceError, match=r"after 1 refinement level\(s\): the next needs 224 nodes, over 150; "
+                                               r"last gap between levels \d"):
         ergodic_rate_quadrature_quantities(FIG3, 1e4, "crs_noma_paper")
 
 

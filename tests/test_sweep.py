@@ -177,13 +177,6 @@ def test_sweep_totals_nondecreasing_in_rho():
         assert all(b[1] >= a[1] for a, b in zip(series, series[1:]))
 
 
-def test_series_rows_only_for_crs_noma():
-    doc = SMALL_SWEEP.replace("monte_carlo, quadrature_oracle", "series_corrected")
-    result = run_sweep(parse_config(doc))
-    assert {r.scheme for r in result.rows} == {"crs_noma"}
-    assert all(r.estimator == "series_corrected" for r in result.rows)
-
-
 def test_render_csv_shape_and_determinism():
     cfg = parse_config(SMALL_SWEEP)
     text_a = render_csv(run_sweep(cfg))
@@ -583,16 +576,37 @@ def test_sweep_oracle_and_series_rows_are_the_floats_of_single_calls(k):
         assert r.value == singles[r.rho_db, r.estimator, token[r.scheme, r.mode]][r.quantity], r
 
 
-def test_full_sweep_emits_exactly_the_rate_table_labels():
-    cfg = preset_config(
-        "fig3", rho_grid_db=(10.0,), schemes=("crs_noma", "conventional", "crs_oma"),
-        modes=("paper", "exact"), estimators=("monte_carlo", "quadrature_oracle"), trials=2000,
-    )
-    rows = run_sweep(cfg).rows
-    for estimator in cfg.estimators:
-        mine = [(r.scheme, r.mode) for r in rows if r.estimator == estimator]
-        assert sorted(set(mine)) == sorted(RATES.values())
-        assert len(mine) == len(RATES) * len(QUANTITIES)
+@pytest.mark.parametrize("estimators", [(e,) for e in ESTIMATORS] + [tuple(ESTIMATORS)], ids="+".join)
+@pytest.mark.parametrize("modes", [("paper",), ("exact",), ("paper", "exact")], ids="+".join)
+@pytest.mark.parametrize("schemes", [("crs_noma",), ("conventional",), ("crs_oma",),
+                                     ("crs_noma", "conventional", "crs_oma")], ids="+".join)
+def test_each_estimator_gives_rows_for_the_selected_tokens_it_covers(schemes, modes, estimators):
+    cfg = preset_config("fig3", rho_grid_db=(5.0, 25.0), schemes=schemes, modes=modes, estimators=estimators,
+                        trials=1000)
+    expected = {(e, *RATES[t]) for e in estimators for t in ESTIMATORS[e]
+                if RATES[t][0] in schemes and RATES[t][1] in (*modes, "-")}
+    if not expected:
+        with pytest.raises(DomainError, match="^empty sweep: no rows for schemes "):
+            run_sweep(cfg)
+        return
+    rows = [(r.estimator, r.scheme, r.mode) for r in run_sweep(cfg).rows]
+    assert set(rows) == expected
+    assert len(rows) == len(cfg.rho_grid_db) * len(expected) * len(QUANTITIES)
+    # the series cover paper-mode CRS-NOMA only
+    assert all((scheme, mode) == ("crs_noma", "paper") for e, scheme, mode in rows if e.startswith("series_"))
+
+
+def test_an_empty_sweep_exits_one_with_one_line_and_no_file(tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.txt", tmp_path / "out.csv"
+    cfg.write_text("preset = fig3\n[sweep]\nrho_db = 5, 25\nschemes = conventional\nestimators = series_corrected\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("ratelab: error: empty sweep: no rows for schemes ('conventional',), modes "
+                                       "('paper',) and estimators ('series_corrected',) over 2 grid point(s)\n")
+    assert not out.exists()
+    # an empty scheme list or grid reaches run_sweep only from the library
+    for overrides in ({"schemes": ()}, {"rho_grid_db": ()}, {"estimators": ()}):
+        with pytest.raises(DomainError, match="^empty sweep: "):
+            run_sweep(preset_config("fig3", **overrides))
 
 
 def test_negative_seed_exits_one_on_every_cli_route(tmp_path, capsys):
@@ -846,7 +860,7 @@ def test_run_sweep_and_calibrate_k_refuse_bad_arguments(monkeypatch):
         raise AssertionError("a block ran past a refused argument")
 
     monkeypatch.setattr(montecarlo, "_run_blocks", no_blocks)
-    with pytest.raises(DomainError, match=re.escape(f"estimators must be among {ESTIMATORS}, got ('magic',)")):
+    with pytest.raises(DomainError, match=re.escape(f"estimators must be among {tuple(ESTIMATORS)}, got ('magic',)")):
         run_sweep(preset_config("fig3", estimators=("magic",)))
     with pytest.raises(ValidationError, match="^unknown preset 'fig5'$"):
         calibrate_k("fig5")
