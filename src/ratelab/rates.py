@@ -24,6 +24,7 @@ states the schemes only by description.
 """
 
 import math
+import reprlib
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -148,8 +149,11 @@ def _check_split(split):
 
 
 def _check_rho(rho: float) -> float:
-    """``rho`` as a float; a negative, infinite or NaN SNR is refused, and
-    so is an integer above the float range."""
+    """``rho`` as a float; a sequence or array, a negative, infinite or NaN
+    SNR is refused, and so is an integer above the float range."""
+    # a float needs no np.ndim, which costs a microsecond on each engine cell
+    if not isinstance(rho, float) and np.ndim(rho) != 0:
+        raise DomainError(f"rho must be one number, got {reprlib.repr(rho)}")
     if not 0.0 <= rho < math.inf:
         raise DomainError(f"rho must be finite and >= 0, got {rho}")
     return _to_float(rho, DomainError, "rho must be finite and >= 0")
@@ -165,8 +169,8 @@ class RateTerms:
     logarithm once, with the floats a standalone call gives.  The SNRs
     rho*lambda cost one product and are recomputed on each read rather
     than held.  ``r`` is a :class:`ChannelRealization` or any three gain
-    arrays in its order.  The rate functions accept a RateTerms in place
-    of a realization, at its rho.
+    arrays in its order, taken unchecked.  The rate functions accept a
+    RateTerms in place of a realization, at its rho.
 
     With ``work``, a block workspace (see :mod:`ratelab.montecarlo`),
     the logarithms and the rate functions write every array to its rows,
@@ -199,9 +203,10 @@ class RateTerms:
 
 
 def _terms(r, rho: float) -> RateTerms:
-    """``r`` itself when it is the RateTerms of ``rho``, else fresh terms."""
+    """``r`` itself when it is the RateTerms of ``rho``, else fresh terms
+    of ``r`` checked as a :class:`ChannelRealization`."""
     if not isinstance(r, RateTerms):
-        return RateTerms(r, rho)
+        return RateTerms(r if isinstance(r, ChannelRealization) else ChannelRealization(*r), rho)
     if _check_rho(rho) != r.rho:
         raise DomainError(f"rate terms of rho {r.rho} used at rho {rho}")
     return r

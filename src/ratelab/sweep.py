@@ -142,10 +142,13 @@ def parse_grid(spec) -> list[float]:
     0.30000000000000004).  Raises ValueError on malformed text, on a
     start:stop:step grid with a nonpositive step or more than
     :data:`MAX_GRID_POINTS` points (before any point is built) and on a
-    grid that holds a non-finite point, is empty or is not strictly
-    increasing.
+    grid that holds a boolean or a non-finite point, is empty or is not
+    strictly increasing.
     """
     if isinstance(spec, (list, tuple)):
+        for v in spec:
+            if isinstance(v, bool):
+                raise ValueError(f"expected a number, got {v}")
         vals = [_to_float(v, ValueError, "grid points must be finite") for v in spec]
     elif ":" not in str(spec):
         vals = [_number(p) for p in str(spec).split(",") if p.strip()]

@@ -16,12 +16,14 @@ from ratelab import (
     g_rho,
     h_rho,
     make_link,
+    paired_gap,
 )
 from ratelab.errors import DomainError, InvalidSplit
 from ratelab.rates import RateTerms
 
 
 R1 = ChannelRealization(lambda_sr=2.0, lambda_rd=3.0, lambda_sd=1.0)
+FIG3 = NetworkGeometry(sr=make_link(0, 8), rd=make_link(0, 8), sd=make_link(0, 3))
 
 
 def test_realization_rejects_bad_gains():
@@ -29,6 +31,13 @@ def test_realization_rejects_bad_gains():
         ChannelRealization(-1.0, 0.0, 0.0)
     with pytest.raises(DomainError):
         ChannelRealization(1.0, float("inf"), 0.0)
+    # a rate function checks a bare triple of gains as a realization
+    for rate in (lambda r: crs_noma_rate(r, 10.0, "paper"), lambda r: crs_noma_rate(r, 10.0, "exact"),
+                 lambda r: conventional_noma_rate(r, 10.0, PowerSplit(0.9, 0.1)), lambda r: crs_oma_rate(r, 10.0)):
+        with pytest.raises(DomainError, match="^lambda_sr must be finite and >= 0$"):
+            rate((-1.0, math.nan, 3.0))
+        with pytest.raises(DomainError, match="^lambda_sd must be finite and >= 0$"):
+            rate((np.ones(2), np.ones(2), np.array([1.0, -1.0])))
 
 
 def test_power_split_validation():
@@ -79,7 +88,7 @@ def test_every_rate_entry_point_refuses_a_non_finite_rho(rho):
     # at rho = inf a zero gain makes inf*0, a NaN rate; an int above the
     # float range compares as finite but has no float
     r = ChannelRealization([0.0, 1.0], [1.0, 2.0], [0.0, 3.0])
-    geometry = NetworkGeometry(sr=make_link(0, 8), rd=make_link(0, 8), sd=make_link(0, 3))
+    geometry = FIG3
     calls = (lambda: RateTerms(r, rho),
              lambda: crs_noma_rate(r, rho, "exact"), lambda: crs_noma_rate(r, rho, "paper"),
              lambda: conventional_noma_rate(r, rho, PowerSplit(0.9, 0.1)), lambda: crs_oma_rate(r, rho),
@@ -91,6 +100,18 @@ def test_every_rate_entry_point_refuses_a_non_finite_rho(rho):
     for call in calls:
         with pytest.raises(DomainError, match="rho must be finite and >= 0"):
             call()
+
+
+@pytest.mark.parametrize("rho", [[1.0, 2.0], [1.0], np.array([1.0, 2.0])], ids=["list", "one-element-list", "array"])
+@pytest.mark.parametrize("call", [
+    lambda rho: h_rho(FIG3.sr, FIG3.rd, rho),
+    lambda rho: g_rho(FIG3.sd, None, rho),
+    lambda rho: crs_noma_rate(R1, rho),
+    lambda rho: paired_gap(FIG3, rho, "crs_noma", "crs_oma", trials=10),
+], ids=["h_rho", "g_rho", "crs_noma_rate", "paired_gap"])
+def test_a_one_rho_entry_refuses_a_sequence_of_rho(call, rho):
+    with pytest.raises(DomainError, match=r"^rho must be one number, got "):
+        call(rho)
 
 
 def test_crs_noma_paper_powers_of_two():

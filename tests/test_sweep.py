@@ -671,13 +671,40 @@ def test_a_grid_without_a_finite_snr_exits_one_before_any_block(argv, config, me
     assert not out.exists()
 
 
-def test_cli_discrepancy_at_large_k_is_silent(tmp_path):
-    cmd = [sys.executable, "-m", "ratelab.cli", "discrepancy", "--preset", "fig3", "--k", "10",
-           "--out", str(tmp_path / "d.csv")]
-    src = str(Path(ratelab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(cmd, capture_output=True, text=True, env=env)
-    assert (done.returncode, done.stderr) == (0, "")
+WEAK_RELAY = ("ratelab: warning: S-R mean power does not exceed S-D mean power; "
+              "the relay placement assumption of the scheme is violated\n")
+EVERY_TOKEN = "schemes = crs_noma, conventional, crs_oma\nmodes = paper, exact\n"
+ORACLE_AND_SERIES = "estimators = quadrature_oracle, series_corrected, series_paper_literal\n"
+
+
+@pytest.mark.parametrize("argv, config, stderr", [
+    pytest.param(["discrepancy", "--preset", "fig3", "--k", "10"], None, "", id="k10-discrepancy"),
+    # the deepest series (674 terms a link) through both branches of the moment kernel
+    pytest.param(["discrepancy", "--preset", "fig3", "--k", "500", "--rho-grid=-20:100:20"], None, "",
+                 id="k500-discrepancy"),
+    # the kernel's upward Horner pass (a*x above 700), for every token
+    pytest.param(["sweep"], "[geometry]\nk = 500\n[sweep]\nrho_db = 5, 40\n" + EVERY_TOKEN + ORACLE_AND_SERIES, "",
+                 id="k500-every-token"),
+    # exact mode, where the series give no rows
+    pytest.param(["sweep"], "[sweep]\nrho_db = 5, 25\nmodes = exact\n"
+                 "estimators = quadrature_oracle, series_corrected\n", "", id="exact-mode-series"),
+    # inverse scales 1e600 apart: the relay placement warning, nothing more
+    pytest.param(["sweep"], "[geometry]\nomega_sr = 1e-300\nomega_rd = 1e300\n[sweep]\nrho_db = 5\n"
+                 "schemes = crs_noma\n" + ORACLE_AND_SERIES, WEAK_RELAY, id="extreme-scales"),
+    # K*Omega overflows; Monte-Carlo has no bound on K
+    pytest.param(["sweep"], "[geometry]\nk = 1e308\n[sweep]\nrho_db = 5, 25\ntrials = 1000\n", "",
+                 id="k1e308-monte-carlo"),
+])
+def test_a_valid_extreme_cli_run_prints_only_its_expected_stderr(argv, config, stderr, tmp_path, capfd):
+    # the suite makes a RuntimeWarning an error, so a numpy warning would raise
+    out = tmp_path / "out.csv"
+    if config is not None:
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("preset = fig3\n" + config)
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capfd.readouterr().err == stderr
+    assert out.exists()
 
 
 def test_series_controls_are_bounded_in_a_config(tmp_path, capsys):
@@ -765,12 +792,15 @@ def test_a_bad_json_field_is_one_line_naming_it(doc, message, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: parse_grid([5, 10**400]), ValueError, "grid points must be finite"),
-    (lambda: calibrate_k("fig3", k_grid=[0, 10**400], trials=10), InvalidKFactor, "k_factor must be finite and >= 0"),
-], ids=["parse_grid", "calibrate_k"])
-def test_a_library_integer_above_the_float_range_is_one_error(call, error, message, monkeypatch):
+    (lambda: parse_grid([5, 10**400]), ValueError, "grid points must be finite, got an integer above the float range"),
+    (lambda: calibrate_k("fig3", k_grid=[0, 10**400], trials=10), InvalidKFactor,
+     "k_factor must be finite and >= 0, got an integer above the float range"),
+    # a boolean is never a number, in a library grid as in a config
+    (lambda: parse_grid([True, 2]), ValueError, "expected a number, got True"),
+], ids=["parse_grid", "calibrate_k", "parse_grid-boolean"])
+def test_a_library_grid_point_that_is_no_float_is_one_error(call, error, message, monkeypatch):
     monkeypatch.setattr(montecarlo, "_run_blocks", lambda *args: pytest.fail("a block ran"))
-    with pytest.raises(error, match=f"^{message}, got an integer above the float range$"):
+    with pytest.raises(error, match=f"^{message}$"):
         call()
 
 
@@ -797,8 +827,7 @@ def test_a_warning_is_one_line(tmp_path, capsys):
     out = tmp_path / "out.csv"
     cfg.write_text(CLI_CONFIG + "[geometry]\nomega_sr = 1\n")
     assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
-    assert capsys.readouterr().err == ("ratelab: warning: S-R mean power does not exceed S-D mean power; "
-                                       "the relay placement assumption of the scheme is violated\n")
+    assert capsys.readouterr().err == WEAK_RELAY
     assert out.read_text().startswith("# tool = ratelab\n")
 
 
