@@ -11,9 +11,10 @@ Three kinds of objects live here:
   coefficient vector times an exact moment kernel, and their
   combination :func:`ergodic_rate_series`;
 * :func:`ergodic_rate_quadrature_quantities`, a deterministic
-  numerical-integration oracle: vectorised trapezoidal rules in ln x
-  over bounded spans, with one Gauss-Legendre inner rule over the S-D
-  gain where a rate mixes two gains.
+  numerical-integration oracle: every rate one half-rate integral of a
+  survival, by a vectorised trapezoidal rule in ln x over a bounded
+  span, with one Gauss-Legendre inner rule over the S-D gain where a
+  rate mixes two gains.
 
 Both return a :class:`ratelab.rates.RateBreakdown` of ergodic rates.
 What the oracle and the series share is the Poisson(K) mixture of the
@@ -377,21 +378,23 @@ def _sd_integral(sd: RicianLink, top: np.ndarray, g) -> np.ndarray:
     return top * np.einsum("ij,j->i", power_gain_pdf(sd, s) * g(s), wu)
 
 
-def _quad(rhos: list, hi: float, shared, integrand) -> list[float]:
-    """int_lo^hi integrand(rho, x, shared(x)) dx at each rho, by the
-    trapezoidal rule in t = ln x, lo = 1e-18/max(rho, 1).
+def _quad(rhos: list, hi: float, shared, survival=lambda rho, x, s: s) -> list[float]:
+    """The half rate 0.5 E[log2(1 + rho*X)] = (0.5/ln2) int rho*S(x)/(1 + rho*x) dx
+    in bit/s/Hz at each rho, S(x) = survival(rho, x, shared(x)), by the
+    trapezoidal rule in t = ln x over [lo, hi], lo = 1e-18/max(rho, 1).
 
+    In t the integrand is S*x/(x + 1/rho), which no step can overflow.
     Each span is widened outward to the lattice t = j*h, h = 0.5, which
     the first rule steps by; each refinement level halves h and evaluates
     the new midpoints.  The spans share their upper end, so every rho's
     new nodes are a tail of one set, on which the rho-independent
     ``shared`` is evaluated once for all rhos still refining.  A rho stops
-    at its first level within max(1e-13, 1e-10*|T|) of the one before; it
-    fails with :class:`ConvergenceError` when its next level would
-    evaluate over ``_MAX_LEVEL_NODES`` nodes, and with :class:`DomainError`
-    when ln(lo) or ln(hi) is not finite.  A span with hi <= lo integrates to 0.  Value
-    and error depend on the rho's own nodes only; a sequence raises the
-    error of its first rho that fails.
+    at its first level within max(1e-13, 1e-10*|T|) bit/s/Hz of the one
+    before; it fails with :class:`ConvergenceError` when its next level
+    would evaluate over ``_MAX_LEVEL_NODES`` nodes, and with
+    :class:`DomainError` when ln(lo) or ln(hi) is not finite.  A span with
+    hi <= lo integrates to 0.  Value and error depend on the rho's own
+    nodes only; a sequence raises the error of its first rho that fails.
     """
     out, start = [], {}  # value or error by rho; lattice index of each open span's first node
     for i, rho in enumerate(rhos):
@@ -403,6 +406,10 @@ def _quad(rhos: list, hi: float, shared, integrand) -> list[float]:
         else:
             out.append(None)
             start[i] = math.floor(math.log(lo) / _LATTICE_STEP)
+
+    def per_ln_x(rho, x, s):  # the integrand in t = ln x
+        return survival(rho, x, s) * x / (x + 1.0 / rho)
+
     if start:
         end = math.ceil(math.log(hi) / _LATTICE_STEP)
         h = _LATTICE_STEP
@@ -411,9 +418,8 @@ def _quad(rhos: list, hi: float, shared, integrand) -> list[float]:
         s = shared(x)
         total, gap = {}, dict.fromkeys(start, math.inf)
         for i, j in start.items():
-            xi = x[j - first:]
-            g = xi * integrand(rhos[i], xi, s[j - first:])
-            total[i] = h * float(g.sum() - 0.5 * (g[0] + g[-1]))
+            g = per_ln_x(rhos[i], x[j - first:], s[j - first:])
+            total[i] = h / (2.0 * LN2) * float(g.sum() - 0.5 * (g[0] + g[-1]))
         for level in itertools.count():
             for i in list(start):
                 n = (end - start[i]) << level
@@ -429,9 +435,8 @@ def _quad(rhos: list, hi: float, shared, integrand) -> list[float]:
             s = shared(x)
             for i, j in list(start.items()):
                 k = (j << level) - first
-                xi = x[k:]
                 prev = total[i]
-                total[i] = 0.5 * (prev + h * float(np.sum(xi * integrand(rhos[i], xi, s[k:]))))
+                total[i] = 0.5 * (prev + h / (2.0 * LN2) * float(np.sum(per_ln_x(rhos[i], x[k:], s[k:]))))
                 gap[i] = abs(total[i] - prev)
                 if gap[i] <= max(1e-13, 1e-10 * abs(total[i])):
                     out[i] = total[i]
@@ -457,17 +462,19 @@ def ergodic_rate_quadrature_quantities(
     do not depend on the others.
 
     Survivals are built from the Marcum-Q single-link survival; min
-    terms are survival products.  Every rate is a one-dimensional
-    integral over the survival of the limiting SNR, taken by the
-    trapezoidal rule in ln x with step halving over a finite span: from
-    1e-18/max(rho, 1) up to the point where the survival of a bounding
-    link falls below 1e-20, each end widened outward to a lattice of step
-    0.5 in ln x, which the first rule steps by.  Each refinement level
-    halves the step, making one vectorised survival call per link on the
-    new nodes.  A rate stops at the first level that agrees with the one
-    before it to 1e-10 relative (1e-13 absolute); when none does before a
-    level would evaluate more than 8192 new nodes, :class:`ConvergenceError`
-    is raised.
+    terms are survival products.  Every rate is one half rate,
+    (rho/(2 ln2)) int S(x)/(1 + rho*x) dx, of the survival S of its
+    limiting SNR; for conventional c_s1, S is the survival of
+    W = min(lambda_SD, lambda_SR) weighted by a1/(a2*rho*w + 1).  Each
+    is taken by the trapezoidal rule in ln x with step halving over a
+    finite span: from 1e-18/max(rho, 1) up to the point where the
+    survival of a bounding link falls below 1e-20, each end widened
+    outward to a lattice of step 0.5 in ln x, which the first rule steps
+    by.  Each refinement level halves the step, making one vectorised
+    survival call per link on the new nodes.  A rate stops at the first
+    level that agrees with the one before it to 1e-10 relative (1e-13
+    bit/s/Hz absolute); when none does before a level would evaluate
+    more than 8192 new nodes, :class:`ConvergenceError` is raised.
 
     The exact-mode relay SNR and the CRS-OMA combined branch mix two
     independent gains; their survival at each outer node comes from one
@@ -483,16 +490,10 @@ def ergodic_rate_quadrature_quantities(
     sr, rd, sd = geometry.sr, geometry.rd, geometry.sd
     family, mode = RATES[scheme]
 
-    def half_rate(hi, shared, survival=lambda rho, x, s: s):
-        """0.5 E[log2(1 + rho*X)] = (0.5/ln2) int_0^inf rho*S(x)/(1+rho*x) dx
-        at each rho, S(x) = survival(rho, x, shared(x))."""
-        values = _quad(rhos, hi, shared, lambda rho, x, s: rho * survival(rho, x, s) / (1.0 + rho * x))
-        return [0.5 * v / LN2 for v in values]
-
     if family == "crs_noma":
-        c_direct = half_rate(_reach(sd), lambda x: power_gain_sf(sd, x))
+        c_direct = _quad(rhos, _reach(sd), lambda x: power_gain_sf(sd, x))
         if mode == "paper":
-            c_relay = half_rate(min(_reach(sr), _reach(rd)), lambda x: power_gain_sf(sr, x) * power_gain_sf(rd, x))
+            c_relay = _quad(rhos, min(_reach(sr), _reach(rd)), lambda x: power_gain_sf(sr, x) * power_gain_sf(rd, x))
         else:
             # Y = min(lambda_SR, lambda_RD/(1 + rho*lambda_SD)); S_Y(y) =
             # S_SR(y) * E over lambda_SD of S_RD(y*(1+rho*s)), below 1e-20
@@ -504,32 +505,26 @@ def ergodic_rate_quadrature_quantities(
                                          lambda s: power_gain_sf(rd, y[:, None] * (1.0 + rho * s)))
                 return s_sr * inner
 
-            c_relay = half_rate(min(_reach(sr), _reach(rd)), lambda y: power_gain_sf(sr, y), s_y)
+            c_relay = _quad(rhos, min(_reach(sr), _reach(rd)), lambda y: power_gain_sf(sr, y), s_y)
         rates = [RateBreakdown(r, d, d) for r, d in zip(c_relay, c_direct)]
 
     elif scheme == "conventional":
         _check_split(split)
         a1, a2 = split.a1, split.a2
-        # s1 passes through the increasing map g(w) = a1*rho*w/(a2*rho*w+1)
+        # s1 passes through the increasing SINR map g(w) = a1*rho*w/(a2*rho*w+1)
         # of W = min(lambda_SD, lambda_SR), which collapses the min of the
-        # two decode rates to one integral:
-        # c_s1 = (a1*rho/(2 ln2)) int S_SD S_SR / ((a2*rho*w+1)(rho*w+1)) dw
-        def s1_integrand(rho, w, s):
-            # At a huge rho the denominator can overflow to inf, making the
-            # integrand 0, which is its limit: up to a factor 4 the
-            # denominator is a2*(rho*w)^2, so it overflows only where
-            # rho*w > sqrt(DBL_MAX/a2)/2, and there a node adds less than
-            # a1/(ln2*sqrt(a2*DBL_MAX)) per unit of ln w to c_s1, below
-            # 1e-140 bit/s/Hz for any a2 >= 1e-20.
+        # two decode rates to one half rate: g'/(1 + g) = rho/(rho*w+1) times
+        # the weight a1/(a2*rho*w+1), whose denominator may overflow, giving
+        # the weight its limit 0.
+        def weighted(rho, w, s):
             with np.errstate(over="ignore"):
-                denominator = (a2 * rho * w + 1.0) * (rho * w + 1.0)
-            return s / denominator
+                return s * (a1 / (a2 * rho * w + 1.0))
 
-        s1 = _quad(rhos, min(_reach(sd), _reach(sr)), lambda w: power_gain_sf(sd, w) * power_gain_sf(sr, w),
-                   s1_integrand)
+        c_s1 = _quad(rhos, min(_reach(sd), _reach(sr)), lambda w: power_gain_sf(sd, w) * power_gain_sf(sr, w),
+                     weighted)
         # s2 is limited by min(a2*lambda_SR, lambda_RD) at full rho.
-        c_s2 = half_rate(min(a2 * _reach(sr), _reach(rd)), lambda v: power_gain_sf(sr, v / a2) * power_gain_sf(rd, v))
-        rates = [RateBreakdown(a1 * rho / (2.0 * LN2) * v, 0.0, c) for rho, v, c in zip(rhos, s1, c_s2)]
+        c_s2 = _quad(rhos, min(a2 * _reach(sr), _reach(rd)), lambda v: power_gain_sf(sr, v / a2) * power_gain_sf(rd, v))
+        rates = [RateBreakdown(s1, 0.0, s2) for s1, s2 in zip(c_s1, c_s2)]
 
     else:
         # crs_oma: W = min(lambda_SR, lambda_SD + lambda_RD), and the branch sum
@@ -538,5 +533,5 @@ def ergodic_rate_quadrature_quantities(
             inner = _sd_integral(sd, w, lambda s: power_gain_sf(rd, w[:, None] - s))
             return power_gain_sf(sr, w) * np.minimum(power_gain_sf(sd, w) + inner, 1.0)
 
-        rates = [RateBreakdown(c, 0.0, 0.0) for c in half_rate(_reach(sr), s_w)]
+        rates = [RateBreakdown(c, 0.0, 0.0) for c in _quad(rhos, _reach(sr), s_w)]
     return rates if np.ndim(rho) else rates[0]

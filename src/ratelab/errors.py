@@ -46,12 +46,8 @@ class TruncationWarning(UserWarning):
     """A truncated series stopped while its tail still exceeded the
     requested tolerance.  The package no longer emits it: a series now
     runs until its tail is below ``ratelab.channel.KERNEL_TOL``.  Kept
-    only because the benchmark still counts it.  ``tail`` is the series
-    weight left beyond the truncation."""
-
-    def __init__(self, message: str, tail: float = float("nan")):
-        super().__init__(message)
-        self.tail = tail
+    only because the benchmark worker imports it to count it and
+    ``pyproject.toml`` makes it an error in the tests."""
 
 
 class ModelAssumptionWarning(UserWarning):

@@ -288,8 +288,7 @@ def parse_config(text: str) -> SweepConfig:
             raise ParseError(f"invalid JSON config: {exc}") from exc
         except RecursionError:
             raise ParseError("invalid JSON config: nested too deeply") from None
-        if not isinstance(data, dict):
-            raise ParseError("JSON config must be an object")
+        # text whose first non-blank character is "{" that json accepts is an object
         return config_from_mapping(data)
 
     sections: dict = {"": {}}

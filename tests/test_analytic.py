@@ -393,8 +393,7 @@ def _rayleigh_closed_forms(token, geometry, rho, a2=0.1):
 _RAYLEIGH_DB = range(-20, 101, 5)
 
 
-def _assert_oracle_matches_rayleigh_closed_forms(preset, token, grid_db):
-    geometry = preset_geometry(preset, 0.0)
+def _assert_oracle_matches_rayleigh_closed_forms(geometry, token, grid_db):
     for db in grid_db:
         rho = 10.0 ** (db / 10.0)
         got = ergodic_rate_quadrature_quantities(geometry, rho, token, PowerSplit(0.9, 0.1))
@@ -405,13 +404,23 @@ def _assert_oracle_matches_rayleigh_closed_forms(preset, token, grid_db):
 @pytest.mark.parametrize("preset", ["fig3", "fig4"])
 @pytest.mark.parametrize("token", ["crs_noma_paper", "conventional", "crs_oma"])
 def test_oracle_matches_rayleigh_closed_forms(preset, token):
-    _assert_oracle_matches_rayleigh_closed_forms(preset, token, _RAYLEIGH_DB)
+    _assert_oracle_matches_rayleigh_closed_forms(preset_geometry(preset, 0.0), token, _RAYLEIGH_DB)
 
 
 @pytest.mark.parametrize("preset", ["fig3", "fig4"])
 @pytest.mark.parametrize("db", _RAYLEIGH_DB)
 def test_exact_mode_oracle_matches_the_kim_lee_closed_form(preset, db):
-    _assert_oracle_matches_rayleigh_closed_forms(preset, "crs_noma_exact", [db])
+    _assert_oracle_matches_rayleigh_closed_forms(preset_geometry(preset, 0.0), "crs_noma_exact", [db])
+
+
+# At rho = 1e304 and beyond, rho*x passes the float range over most of a span.
+# Exact mode is 6e-9 off at 3050 dB, so it stops at 3040 dB.
+@pytest.mark.parametrize("token,db", [
+    *((token, db) for token in sorted(RATES) for db in (3000, 3020, 3030, 3040)),
+    *((token, 3050) for token in ("crs_noma_paper", "conventional", "crs_oma")),
+])
+def test_oracle_matches_rayleigh_closed_forms_where_rho_x_overflows(token, db):
+    _assert_oracle_matches_rayleigh_closed_forms(_links(0, 1000, 1000, 100), token, [db])
 
 
 def test_quadrature_degenerate_direct_link():
@@ -629,19 +638,25 @@ def test_quadrature_matches_quadpack_reference(k, omegas, db):
             assert abs(fast[name] - ref[name]) <= 1e-10 * abs(ref[name]), (token, name)
 
 
-def test_quadrature_matches_split_interval_reference():
-    # adaptive QUADPACK over [0, inf) is 4e-9 off here at epsrel 1e-9
-    g, rho, split = _links(10, 12, 12, 3), 1e3, PowerSplit(0.9, 0.1)
+@pytest.mark.parametrize("k,omegas,db,a2", [
+    (10, (12, 12, 3), 30, 0.1),
+    # at high SNR c_s1 is a1*rho/(2 ln2) times an integral that shrinks as
+    # 1/rho, so a stop test on that integral would be loose in bit/s/Hz
+    (500, (8, 8, 3), 65, 0.1), (500, (8, 8, 3), 90, 1e-6),
+])
+def test_quadrature_matches_split_interval_reference(k, omegas, db, a2):
+    # adaptive QUADPACK over [0, inf) is 4e-9 off at the first case at epsrel 1e-9
+    g, rho, split = _links(k, *omegas), 10 ** (db / 10), PowerSplit(1 - a2, a2)
     edges = [0.0, *(10.0 ** e for e in range(-6, 3)), np.inf]
 
     def quad(f):
         return math.fsum(integrate.quad(f, lo, hi, limit=200, epsabs=0, epsrel=1e-13)[0]
                          for lo, hi in zip(edges, edges[1:]))
 
-    c_s1 = 0.9 * rho / (2 * math.log(2)) * quad(
-        lambda w: power_gain_sf(g.sd, w) * power_gain_sf(g.sr, w) / ((0.1 * rho * w + 1) * (rho * w + 1)))
+    c_s1 = split.a1 * rho / (2 * math.log(2)) * quad(
+        lambda w: power_gain_sf(g.sd, w) * power_gain_sf(g.sr, w) / ((a2 * rho * w + 1) * (rho * w + 1)))
     c_s2 = 0.5 / math.log(2) * quad(
-        lambda v: rho * power_gain_sf(g.sr, v / 0.1) * power_gain_sf(g.rd, v) / (1 + rho * v))
+        lambda v: rho * power_gain_sf(g.sr, v / a2) * power_gain_sf(g.rd, v) / (1 + rho * v))
     fast = ergodic_rate_quadrature_quantities(g, rho, "conventional", split)
     assert abs(fast.c_s1 - c_s1) <= 1e-13
     assert abs(fast.c_s2 - c_s2) <= 1e-13
@@ -779,10 +794,10 @@ def test_convergence_error_reports_the_levels_and_the_last_gap(monkeypatch):
 
 
 def test_oracle_at_3000_db_gives_finite_rows_without_a_warning():
-    # rho = 1e300: the conventional s1 integrand's denominator overflows,
-    # and the integrand takes its limit 0 without a RuntimeWarning; at
-    # rho = 1e305 exact mode's rho*s and y*(1 + rho*s) can pass the float
-    # range too
+    # rho = 1e300: the weight a1/(a2*rho*w + 1) of the conventional s1
+    # half rate overflows its denominator and takes its limit 0 without a
+    # RuntimeWarning; at rho = 1e305 exact mode's rho*s and y*(1 + rho*s)
+    # can pass the float range too
     cfg = preset_config("fig3", rho_grid_db=(3000.0, 3050.0), schemes=("crs_noma", "conventional", "crs_oma"),
                         modes=("paper", "exact"), estimators=("quadrature_oracle",))
     with warnings.catch_warnings():

@@ -19,7 +19,7 @@ from ratelab import (
     render_csv,
     run_sweep,
 )
-from ratelab import montecarlo
+from ratelab import analytic, montecarlo
 from ratelab.cli import _parse_grid, _settings, build_parser, main
 from ratelab.errors import DomainError, InvalidKFactor, ParseError, ValidationError
 from ratelab.montecarlo import MAX_TRIALS, MAX_WORKERS
@@ -321,6 +321,20 @@ def test_cli_exit_codes(tmp_path):
     bad.write_text("[sweep]\nrho_db = 9, 1\n" + MINIMAL)
     assert main(["sweep", "--config", str(bad)]) == 1
     assert main(["sweep", "--config", str(tmp_path / "missing.txt")]) == 1
+
+
+def test_cli_runtime_error_exits_two_with_one_line(tmp_path, monkeypatch, capsys):
+    # the fig3 paper-mode spans at 40 dB need more than 150 nodes at their
+    # second refinement level
+    monkeypatch.setattr(analytic, "_MAX_LEVEL_NODES", 150)
+    cfg, out = tmp_path / "cfg.txt", tmp_path / "out.csv"
+    cfg.write_text("preset = fig3\n[sweep]\nrho_db = 40\nschemes = crs_noma\nmodes = paper\n"
+                   "estimators = quadrature_oracle\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ratelab: runtime error: quadrature stopped after 1 refinement level(s)")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_usage_errors_exit_one_with_one_line(tmp_path, capsys):
