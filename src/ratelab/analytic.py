@@ -496,13 +496,15 @@ def ergodic_rate_quadrature_quantities(
             c_relay = _quad(rhos, min(_reach(sr), _reach(rd)), lambda x: power_gain_sf(sr, x) * power_gain_sf(rd, x))
         else:
             # Y = min(lambda_SR, lambda_RD/(1 + rho*lambda_SD)); S_Y(y) =
-            # S_SR(y) * E over lambda_SD of S_RD(y*(1+rho*s)), below 1e-20
+            # S_SR(y) * E over lambda_SD of S_RD(y + rho*y*s), below 1e-20
             # past s = reach_RD/(rho*y).  That span may overflow (and is then
-            # clipped) or underflow to 0, and rho*s may overflow: S_RD(inf) = 0.
+            # clipped) or underflow to 0.  Over the span y + rho*y*s is at most
+            # y + reach_RD, where 1 + rho*s would overflow once rho > ~1e304;
+            # only rho*y itself may overflow: S_RD(inf) = 0.
             def s_y(rho, y, s_sr):
                 with np.errstate(over="ignore"):
                     inner = _sd_integral(sd, _reach(rd) / rho / y,
-                                         lambda s: power_gain_sf(rd, y[:, None] * (1.0 + rho * s)))
+                                         lambda s: power_gain_sf(rd, y[:, None] + (rho * y)[:, None] * s))
                 return s_sr * inner
 
             c_relay = _quad(rhos, min(_reach(sr), _reach(rd)), lambda y: power_gain_sf(sr, y), s_y)

@@ -33,7 +33,7 @@ class ConvergenceError(RateLabError):
 
 class ParseError(RateLabError):
     """A configuration document that cannot be read at all: a line that
-    is not ``key = value`` or a section header, or malformed JSON."""
+    is not ``key = value`` or a section header, or one with an empty key."""
 
 
 class ValidationError(RateLabError):

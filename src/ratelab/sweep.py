@@ -1,8 +1,7 @@
 """SNR-grid sweeps, K-factor calibration and report emission.
 
 The sweep configuration is a flat key = value document with section
-headers (grammar documented in the README); a JSON object with the
-same structure is accepted as an alternative encoding.  Presets
+headers (grammar documented in the README).  Presets
 ``fig3`` and ``fig4`` install the two published channel-power setups:
 
     fig3: Omega_SD = 3, Omega_SR = Omega_RD = 8,  split (0.9, 0.1)
@@ -22,7 +21,7 @@ from dataclasses import dataclass, replace
 from . import __version__
 from .analytic import ergodic_rate_quadrature_quantities, ergodic_rate_series
 from .channel import KERNEL_TOL, NetworkGeometry, make_link
-from .errors import DomainError, ParseError, ValidationError, _to_float
+from .errors import DomainError, ParseError, ValidationError
 from .montecarlo import _check_seed, _check_trials, _estimate, _resolve, estimate_rates
 from .rates import QUANTITIES, RATES, PowerSplit
 
@@ -35,7 +34,6 @@ __all__ = [
     "PAPER_TARGETS",
     "parse_config",
     "parse_grid",
-    "config_from_mapping",
     "preset_config",
     "preset_geometry",
     "run_sweep",
@@ -132,9 +130,8 @@ def db_to_linear(rho_db: float) -> float:
 MAX_GRID_POINTS = 100_000
 
 
-def parse_grid(spec) -> list[float]:
-    """Grid values of 'start:stop:step', of a comma list or of a list of
-    numbers (a JSON config's form).
+def parse_grid(spec: str) -> list[float]:
+    """Grid values of 'start:stop:step' or of a comma list.
 
     A start:stop:step grid has floor((stop - start)/step + 1e-9) + 1
     points, start + i*step each rounded to 12 decimals, so a fractional
@@ -142,18 +139,13 @@ def parse_grid(spec) -> list[float]:
     0.30000000000000004).  Raises ValueError on malformed text, on a
     start:stop:step grid with a nonpositive step or more than
     :data:`MAX_GRID_POINTS` points (before any point is built) and on a
-    grid that holds a boolean or a non-finite point, is empty or is not
-    strictly increasing.
+    grid that holds a non-finite point, is empty or is not strictly
+    increasing.
     """
-    if isinstance(spec, (list, tuple)):
-        for v in spec:
-            if isinstance(v, bool):
-                raise ValueError(f"expected a number, got {v}")
-        vals = [_to_float(v, ValueError, "grid points must be finite") for v in spec]
-    elif ":" not in str(spec):
-        vals = [_number(p) for p in str(spec).split(",") if p.strip()]
+    if ":" not in spec:
+        vals = [_number(p) for p in spec.split(",") if p.strip()]
     else:
-        parts = [_number(p) for p in str(spec).split(":")]
+        parts = [_number(p) for p in spec.split(":")]
         if len(parts) != 3:
             raise ValueError("need start:stop:step")
         start, stop, step = parts
@@ -175,39 +167,23 @@ def parse_grid(spec) -> list[float]:
     return vals
 
 
-# Field parsers: each takes a raw value, text or JSON, and raises
-# ValueError, or the DomainError of the setting's rule, saying what is
-# wrong with it.  A value they echo is cut short by reprlib, so a value
-# of thousands of digits still gives a short line.  A boolean is never
-# a number.
+# Field parsers: each takes the text of a value and raises ValueError, or
+# the DomainError of the setting's rule, saying what is wrong with it.  A
+# value they echo is cut short by reprlib, so a value of thousands of
+# digits still gives a short line.
 
-def _number(raw) -> float:
-    if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
-        raise ValueError(f"expected a number, got {reprlib.repr(raw)}")
-    if not isinstance(raw, str):
-        return _to_float(raw, ValueError, "expected a number")
+def _number(raw: str) -> float:
     try:
         return float(raw)
     except ValueError:
         raise ValueError(f"cannot interpret {reprlib.repr(raw)}") from None
 
 
-def _integer(raw) -> int:
-    # int() would truncate a JSON 1.9 to 1 and read true as 1; an
-    # integral float such as 1e6 is still a whole number.
-    if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer():
-        raise ValueError(f"expected an integer, got {reprlib.repr(raw)}")
+def _integer(raw: str) -> int:
     try:
         return int(raw)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ValueError(f"cannot interpret {reprlib.repr(raw)}") from None
-
-
-def _grid(raw) -> tuple:
-    if isinstance(raw, str):
-        return tuple(parse_grid(raw))
-    items = raw if isinstance(raw, (list, tuple)) else [raw]
-    return tuple(parse_grid([_number(v) for v in items]))
 
 
 def _one_of(allowed, name):
@@ -216,26 +192,16 @@ def _one_of(allowed, name):
     return name
 
 
-def _text(raw) -> str:
-    if not isinstance(raw, str):
-        raise ValueError(f"expected a string, got {reprlib.repr(raw)}")
-    return raw
-
-
-def _preset(raw) -> str:
-    return _one_of(tuple(PRESETS), str(raw).strip().lower())
+def _preset(raw: str) -> str:
+    return _one_of(tuple(PRESETS), raw.strip().lower())
 
 
 def _names(allowed: tuple, what: str):
-    """Parser of a comma list, or a list, of names from ``allowed``; the
-    first occurrence of each name is kept, in the given order."""
+    """Parser of a comma list of names from ``allowed``; the first
+    occurrence of each name is kept, in the given order."""
 
-    def parse(raw) -> tuple:
-        names = raw.split(",") if isinstance(raw, str) else raw
-        if not isinstance(names, (list, tuple)):
-            raise ValueError(f"expected a comma list, got {reprlib.repr(raw)}")
-        names = [n.strip() if isinstance(n, str) else n for n in names]
-        names = [_one_of(allowed, n) for n in names if n != ""]
+    def parse(raw: str) -> tuple:
+        names = [_one_of(allowed, n.strip()) for n in raw.split(",") if n.strip()]
         if not names:
             raise ValueError(f"at least one {what} required")
         return tuple(dict.fromkeys(names))
@@ -245,27 +211,27 @@ def _names(allowed: tuple, what: str):
 
 _LINKS = ("sr", "rd", "sd")
 
-# Every config field: section -> key -> (parser, default).  Defaults go
-# through the parser like given values.  A default of None leaves the
+# Every config field: section -> key -> (parser, default text).  Defaults
+# go through the parser like given values.  A default of None leaves the
 # field unset: a preset's powers fill unset omega_*, k fills unset k_*.
 _FIELDS = {
     "sweep": {
         "preset": (_preset, None),
-        "rho_db": (_grid, "0:30:1"),
+        "rho_db": (lambda raw: tuple(parse_grid(raw)), "0:30:1"),
         "schemes": (_names(tuple(dict.fromkeys(s for s, _ in RATES.values())), "scheme"),
                     "crs_noma, conventional"),
         "modes": (_names(tuple(m for _, m in RATES.values() if m != "-"), "mode"), "paper"),
         "estimators": (_names(tuple(ESTIMATORS), "estimator"), "monte_carlo"),
-        "trials": (lambda raw: _check_trials(_integer(raw)), 1_000_000),
-        "seed": (lambda raw: _check_seed(_integer(raw)), 42),
+        "trials": (lambda raw: _check_trials(_integer(raw)), "1000000"),
+        "seed": (lambda raw: _check_seed(_integer(raw)), "42"),
     },
     "geometry": {
-        "k": (_number, 0.0),
+        "k": (_number, "0"),
         "k_sr": (_number, None), "k_rd": (_number, None), "k_sd": (_number, None),
         "omega_sr": (_number, None), "omega_rd": (_number, None), "omega_sd": (_number, None),
     },
-    "split": {"a1": (_number, 0.9), "a2": (_number, 0.1)},
-    "output": {"path": (_text, "sweep.csv")},
+    "split": {"a1": (_number, "0.9"), "a2": (_number, "0.1")},
+    "output": {"path": (str, "sweep.csv")},
 }
 # The section of each key a document may also give at its top level.
 _TOP_LEVEL = {"preset": "sweep", "seed": "sweep", "trials": "sweep", "rho_db": "sweep", "path": "output"}
@@ -278,19 +244,6 @@ def parse_config(text: str) -> SweepConfig:
     and :class:`ValidationError` carrying one line-referenced message
     per bad field otherwise.
     """
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        import json  # imported here, as text configs never need it
-
-        try:
-            data = json.loads(text)
-        except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
-            raise ParseError(f"invalid JSON config: {exc}") from exc
-        except RecursionError:
-            raise ParseError("invalid JSON config: nested too deeply") from None
-        # text whose first non-blank character is "{" that json accepts is an object
-        return config_from_mapping(data)
-
     sections: dict = {"": {}}
     lines: dict = {}  # (section, key) -> "line N"; key None for the section's header
     current = ""
@@ -314,35 +267,29 @@ def parse_config(text: str) -> SweepConfig:
             value = value[1:-1]
         sections[current][key] = value
         lines[(current, key)] = f"line {lineno}"
-    return config_from_mapping(sections, lines)
+    return _config_from_mapping(sections, lines)
 
 
-def config_from_mapping(data: dict, lines: dict | None = None) -> SweepConfig:
-    """Build a validated SweepConfig from a nested mapping.
-
-    Top-level scalars (``preset``, ``seed``, ``trials``, ``rho_db``,
-    ``path``) are folded into their section.  Unknown sections or keys
-    are errors, and so is a null (None) for any field.
+def _config_from_mapping(sections: dict, lines: dict) -> SweepConfig:
+    """Build a validated SweepConfig from the text of each value, by
+    section ("" for the top level, whose keys are folded into their
+    section) and key, with the "line N" of each (section, key) and of
+    each section's header (key None).  Unknown sections or keys are
+    errors.
     """
-    lines = lines or {}
     errors: list[str] = []
 
     def where(name, origin=None):
-        """The field's name, once, after its line when the text form gave one."""
+        """The field's name, once, after its line when the document gave one."""
         line = lines.get(origin)
         return f"{line}: {name}" if line else f"field {name}"
 
-    given = {}  # key -> (raw value, its (section, key) in the document)
-    for section, content in data.items():
-        section = str(section).lower()
-        if not isinstance(content, dict):
-            section, content = "", {section: content}
+    given = {}  # key -> (raw text, its (section, key) in the document)
+    for section, content in sections.items():
         if section and section not in _FIELDS:
-            line = lines.get((section, None))
-            errors.append(f"{line}: unknown section [{section}]" if line else f"unknown section [{section}]")
+            errors.append(f"{lines[section, None]}: unknown section [{section}]")
             continue
         for key, raw in content.items():
-            key = str(key).lower()
             home = section or _TOP_LEVEL.get(key)
             if home is None:
                 errors.append(f"{where(key, (section, key))}: unknown top-level key")
@@ -357,13 +304,12 @@ def config_from_mapping(data: dict, lines: dict | None = None) -> SweepConfig:
             if key in given:
                 raw, origin = given[key]
             else:
-                raw, origin = PRESETS.get(values.get("preset"), {}).get(key, default), None
+                power = PRESETS.get(values.get("preset"), {}).get(key)
+                raw, origin = default if power is None else str(power), None
                 if raw is None:
                     values[key] = None  # unset
                     continue
             try:
-                if raw is None:
-                    raise ValueError("null is not a value")
                 values[key] = parse(raw)
             except (ValueError, DomainError) as exc:
                 errors.append(f"{where(f'{section}.{key}', origin)}: {exc}")
@@ -403,7 +349,7 @@ def config_from_mapping(data: dict, lines: dict | None = None) -> SweepConfig:
 
 def preset_config(preset: str, **overrides) -> SweepConfig:
     """Convenience constructor: a preset with optional field overrides."""
-    cfg = config_from_mapping({"preset": preset})
+    cfg = _config_from_mapping({"": {"preset": preset}}, {})
     return replace(cfg, **overrides) if overrides else cfg
 
 

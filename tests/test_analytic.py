@@ -414,11 +414,7 @@ def test_exact_mode_oracle_matches_the_kim_lee_closed_form(preset, db):
 
 
 # At rho = 1e304 and beyond, rho*x passes the float range over most of a span.
-# Exact mode is 6e-9 off at 3050 dB, so it stops at 3040 dB.
-@pytest.mark.parametrize("token,db", [
-    *((token, db) for token in sorted(RATES) for db in (3000, 3020, 3030, 3040)),
-    *((token, 3050) for token in ("crs_noma_paper", "conventional", "crs_oma")),
-])
+@pytest.mark.parametrize("token,db", [(token, db) for token in sorted(RATES) for db in (3000, 3020, 3030, 3040, 3050)])
 def test_oracle_matches_rayleigh_closed_forms_where_rho_x_overflows(token, db):
     _assert_oracle_matches_rayleigh_closed_forms(_links(0, 1000, 1000, 100), token, [db])
 
@@ -600,7 +596,7 @@ def quadpack_reference(g, rho, token, split):
         else:
             def s_relay(y):
                 inner = analytic._sd_integral(sd, np.array([analytic._reach(rd) / (rho * y)]),
-                                              lambda s: power_gain_sf(rd, y * (1 + rho * s)))
+                                              lambda s: power_gain_sf(rd, y + rho * y * s))
                 return power_gain_sf(sr, y) * float(inner[0])
 
             c_relay = half_rate(s_relay)
@@ -645,13 +641,16 @@ def test_quadrature_matches_quadpack_reference(k, omegas, db):
     (500, (8, 8, 3), 65, 0.1), (500, (8, 8, 3), 90, 1e-6),
 ])
 def test_quadrature_matches_split_interval_reference(k, omegas, db, a2):
-    # adaptive QUADPACK over [0, inf) is 4e-9 off at the first case at epsrel 1e-9
+    # adaptive QUADPACK over [0, inf) is 4e-9 off at the first case at epsrel
+    # 1e-9; here tanh-sinh takes every piece of [0, 1e3], split at each decade
+    # from 1e-6, in one vectorised call (every survival is below 1e-20 by 1e3)
     g, rho, split = _links(k, *omegas), 10 ** (db / 10), PowerSplit(1 - a2, a2)
-    edges = [0.0, *(10.0 ** e for e in range(-6, 3)), np.inf]
+    edges = np.array([0.0, *(10.0 ** e for e in range(-6, 4))])
 
     def quad(f):
-        return math.fsum(integrate.quad(f, lo, hi, limit=200, epsabs=0, epsrel=1e-13)[0]
-                         for lo, hi in zip(edges, edges[1:]))
+        res = integrate.tanhsinh(f, edges[:-1], edges[1:], rtol=1e-14, atol=1e-25)
+        assert res.success.all()
+        return math.fsum(res.integral)
 
     c_s1 = split.a1 * rho / (2 * math.log(2)) * quad(
         lambda w: power_gain_sf(g.sd, w) * power_gain_sf(g.sr, w) / ((a2 * rho * w + 1) * (rho * w + 1)))

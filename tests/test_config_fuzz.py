@@ -1,15 +1,13 @@
-"""Seeded config fuzzer: one valid text document and one valid JSON
-document, each mutated in one or two fields per case, run through the
-command line in-process.  Whatever the values, a run exits 0, 1 or 2;
-a refused run prints one short error line, no traceback, and writes no
-output file; and no case takes long."""
+"""Seeded config fuzzer: one valid config document, mutated in one or
+two fields per case, run through the command line in-process.  Whatever
+the values, a run exits 0, 1 or 2; a refused run prints one short error
+line, no traceback, and writes no output file; and no case takes long."""
 
 import json
 import math
 import time
 
 import numpy as np
-import pytest
 
 from ratelab.cli import main
 
@@ -34,19 +32,12 @@ FIELDS = [(None, "preset")] + [
 ]
 
 
-class Digits:
-    """An integer of n + 1 digits, too long for json.dumps; both forms
-    write its bare digits."""
-
-    def __init__(self, n: int):
-        self.text = "1" + "0" * n
-
-
-# Every value a field may be set to.  The only integers are far above the
-# float range, so the trial counts drawn here are all refused.
-MENU = ["", math.nan, math.inf, -math.inf, 1e308, 1e-308, 5e-324, Digits(400), Digits(5000),
+# Every value a field may be set to.  3000 is a valid extreme SNR, count,
+# seed and power; the integers of 401 and 5001 digits are far above the
+# float range, so the trial counts they give are refused.
+MENU = ["", math.nan, math.inf, -math.inf, 1e308, 1e-308, 5e-324, 3000, "1" + "0" * 400, "1" + "0" * 5000,
         [[1.0, 2.0], [3.0]], [[[]]], True, False, None]
-CASES = 300  # per document form
+CASES = 300
 SECONDS_PER_CASE = 5.0
 
 
@@ -68,19 +59,11 @@ def mutate(rng) -> dict:
     return doc
 
 
-def as_json(doc: dict) -> str:
-    text = json.dumps(doc, default=lambda digits: f"@{digits.text}@")
-    for digits in MENU:
-        if isinstance(digits, Digits):
-            text = text.replace(f'"@{digits.text}@"', digits.text)
-    return text
-
-
 def as_text(doc: dict) -> str:
     def value(v):
         if isinstance(v, list) and all(not isinstance(x, list) for x in v):
             return ", ".join(map(str, v))
-        return v.text if isinstance(v, Digits) else v if isinstance(v, str) else json.dumps(v)
+        return v if isinstance(v, str) else json.dumps(v)
 
     lines = [f"{k} = {value(v)}" for k, v in doc.items() if not isinstance(v, dict)]
     for section, content in doc.items():
@@ -89,15 +72,14 @@ def as_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("form, render", [("text", as_text), ("json", as_json)])
-def test_mutated_configs_exit_cleanly(form, render, tmp_path, capsys):
+def test_mutated_configs_exit_cleanly(tmp_path, capsys):
     rng = np.random.default_rng(2024)
     config = tmp_path / "config"
     codes = []
     for case in range(CASES):
-        text = render(mutate(rng))
+        text = as_text(mutate(rng))
         config.write_text(text)
-        out = tmp_path / f"{form}{case}.csv"
+        out = tmp_path / f"{case}.csv"
         start = time.perf_counter()
         code = main(["sweep", "--config", str(config), "--out", str(out)])
         elapsed = time.perf_counter() - start
