@@ -417,6 +417,19 @@ def test_import_leaves_the_thread_pool_unloaded():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
+def test_import_leaves_json_unloaded():
+    # no config path needs the json module: a text config parses and a JSON
+    # document is refused without it
+    src = str(Path(ratelab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, ratelab; print('json' in sys.modules, end=' '); ratelab.parse_config('preset = fig3'); "
+            "print('json' in sys.modules, end=' ')\n"
+            "try:\n    ratelab.parse_config('{\"preset\": \"fig3\"}')\n"
+            "except ratelab.errors.ParseError:\n    print('json' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False False False\n", "")
+
+
 def test_cli_discrepancy(tmp_path):
     out = tmp_path / "d.csv"
     assert main(["discrepancy", "--preset", "fig3", "--rho-grid", "5:25:10", "--out", str(out)]) == 0
@@ -711,10 +724,73 @@ def test_integer_fields_reject_fractions_and_booleans():
         parse_config(MINIMAL + "[sweep]\nseed = true\n")
 
 
+def test_config_errors_name_the_field_once():
+    with pytest.raises(ValidationError) as err:
+        parse_config("preset = fig3\n[sweep]\ntrials = 1.9\nestimators = magic\n")
+    message = str(err.value)
+    assert "line 3: sweep.trials: cannot interpret '1.9'" in message
+    assert "line 4: sweep.estimators: unknown value 'magic'" in message
+    assert message.count("trials") == 1 and message.count("estimators") == 1
+
+
+SCHEMES = "crs_noma, conventional, crs_oma"
+ESTIMATOR_NAMES = ", ".join(ESTIMATORS)
+BIG = "1" + "0" * 400  # an integer above the float range
+
+
+@pytest.mark.parametrize("config, message", [
+    # an empty value is never a value, whatever the field's kind
+    ("[geometry]\nk =\n", "line 3: geometry.k: cannot interpret ''"),
+    ("[geometry]\nk_rd =\n", "line 3: geometry.k_rd: cannot interpret ''"),
+    ("[geometry]\nomega_sd =\n", "line 3: geometry.omega_sd: cannot interpret ''"),
+    ("[series]\ntail_tol =\n", "line 2: unknown section [series]"),
+    ("[sweep]\nrho_db =\n", "line 3: sweep.rho_db: grid must be nonempty"),
+    ("[sweep]\nschemes =\n", "line 3: sweep.schemes: at least one scheme required"),
+    ("[sweep]\ntrials =\n", "line 3: sweep.trials: cannot interpret ''"),
+    ("[sweep]\nseed = null\n", "line 3: sweep.seed: cannot interpret 'null'"),
+    ("preset =\n", "line 2: sweep.preset: unknown value '' (allowed: fig3, fig4)"),
+    # a boolean word is never a number
+    ("[geometry]\nk = true\n", "line 3: geometry.k: cannot interpret 'true'"),
+    ("[split]\na2 = false\n", "line 3: split.a2: cannot interpret 'false'"),
+    ("[sweep]\nrho_db = 5, true\n", "line 3: sweep.rho_db: cannot interpret ' true'"),
+    # numbers in a token field, a two-part range, empty token lists
+    ("[sweep]\nschemes = 5\n", f"line 3: sweep.schemes: unknown value '5' (allowed: {SCHEMES})"),
+    ("[sweep]\nschemes = crs_noma, 5\n", f"line 3: sweep.schemes: unknown value '5' (allowed: {SCHEMES})"),
+    ("[sweep]\nestimators = monte_carlo, magic\n",
+     f"line 3: sweep.estimators: unknown value 'magic' (allowed: {ESTIMATOR_NAMES})"),
+    ("[sweep]\nrho_db = 0:10\n", "line 3: sweep.rho_db: need start:stop:step"),
+    ("[sweep]\nmodes =\n", "line 3: sweep.modes: at least one mode required"),
+    ("[sweep]\nestimators =\n", "line 3: sweep.estimators: at least one estimator required"),
+    # an integer field takes integer digits only
+    ("[sweep]\ntrials = 1e6\n", "line 3: sweep.trials: cannot interpret '1e6'"),
+    ("[sweep]\nseed = 7.0\n", "line 3: sweep.seed: cannot interpret '7.0'"),
+    # an integer above the float range reads as inf, and each rule refuses it
+    (f"[geometry]\nomega_sd = {BIG}\n",
+     "geometry.sd: mean_power and (1 + K)/mean_power must be finite and > 0, got inf"),
+    (f"[geometry]\nk = {BIG}\n", "; ".join(f"geometry.{link}: k_factor must be finite and >= 0, got inf"
+                                          for link in ("sr", "rd", "sd"))),
+    (f"[split]\na1 = {BIG}\n", "split: a1 + a2 must equal 1, got inf"),
+    (f"[sweep]\nrho_db = 5, {BIG}\n", "line 3: sweep.rho_db: grid points must be finite, got inf"),
+])
+def test_a_bad_text_field_is_one_line_naming_it(config, message, tmp_path, capsys):
+    text = "preset = fig3\n" + config
+    with pytest.raises(ValidationError) as err:
+        parse_config(text)
+    assert str(err.value) == message
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(text)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 1
+    assert capsys.readouterr().err == f"ratelab: error: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.mark.parametrize("call, error, message", [
+    (lambda: parse_grid("5, 1" + "0" * 400), ValueError, "grid points must be finite, got inf"),
     (lambda: calibrate_k("fig3", k_grid=[0, 10**400], trials=10), InvalidKFactor,
      "k_factor must be finite and >= 0, got an integer above the float range"),
-], ids=["calibrate_k"])
+    # a boolean word is never a number, in a library grid as in a config
+    (lambda: parse_grid("true, 2"), ValueError, "cannot interpret 'true'"),
+], ids=["parse_grid", "calibrate_k", "parse_grid-boolean"])
 def test_a_library_grid_point_that_is_no_float_is_one_error(call, error, message, monkeypatch):
     monkeypatch.setattr(montecarlo, "_run_blocks", lambda *args: pytest.fail("a block ran"))
     with pytest.raises(error, match=f"^{message}$"):
@@ -770,6 +846,11 @@ def test_a_mean_power_whose_inverse_scale_overflows_exits_one(tmp_path, capsys):
     # a JSON document is refused at its first line, like any line without "="
     pytest.param(["sweep"], '{"preset": "fig3", "geometry": {"k": 3}}',
                  """line 1: expected 'key = value', got '{"preset": "...y": {"k": 3}}'""", id="json-document"),
+    # a JSON document of 5001 digits or nested 100000 deep is still one short line
+    pytest.param(["sweep"], '{"preset": "fig3", "geometry": {"omega_sd": 1' + "0" * 5000 + "}}",
+                 """line 1: expected 'key = value', got '{"preset": "...00000000000}}'""", id="json-5001-digits"),
+    pytest.param(["sweep"], '{"preset": "fig3", "sweep": {"rho_db": ' + "[" * 100000 + "]" * 100000 + "}}",
+                 """line 1: expected 'key = value', got '{"preset": "...]]]]]]]]]]]}}'""", id="json-nested-100000"),
     # an integer of 5001 digits, in a text config and a flag: one short line
     pytest.param(["sweep"], "[sweep]\ntrials = 1" + "0" * 5000 + "\n",
                  "line 3: sweep.trials: cannot interpret '100000000000...0000000000000'", id="text-5001-digits"),
