@@ -7,7 +7,6 @@ from .channel import (
     NetworkGeometry,
     RicianLink,
     make_link,
-    marcum_q1,
     power_gain_cdf,
     power_gain_pdf,
     power_gain_sf,
@@ -42,7 +41,6 @@ from .sweep import (
     calibrate_k,
     discrepancy_report,
     parse_config,
-    preset_config,
     render_csv,
     run_sweep,
 )
@@ -51,7 +49,7 @@ from . import errors
 __all__ = [
     "__version__",
     "NetworkGeometry", "RicianLink",
-    "make_link", "marcum_q1", "power_gain_cdf", "power_gain_pdf", "power_gain_sf",
+    "make_link", "power_gain_cdf", "power_gain_pdf", "power_gain_sf",
     "sample_power_gains", "split_stream",
     "RATES", "ChannelRealization", "PowerSplit", "RateBreakdown",
     "conventional_noma_rate", "crs_noma_rate", "crs_oma_rate",
@@ -60,7 +58,6 @@ __all__ = [
     "ergodic_rate_series", "g_rho", "h_rho",
     "EstimatorResult", "estimate_rates", "paired_gap",
     "CalibrationResult", "SweepConfig", "SweepResult", "SweepRow",
-    "calibrate_k", "discrepancy_report", "parse_config", "preset_config",
-    "render_csv", "run_sweep",
+    "calibrate_k", "discrepancy_report", "parse_config", "render_csv", "run_sweep",
     "errors",
 ]

@@ -12,11 +12,10 @@ distribution function here is expressed through the convergent series
 that is, a Poisson(K) mixture of gamma(n+1) densities at a*x.  The
 mixture is truncated in one place, :func:`poisson_weights`, at one
 tolerance, :data:`KERNEL_TOL`, and summed in one Horner pass over its
-terms for the survival, the distribution function, the density and the
-Marcum Q function.  The pass runs from whichever end keeps it in
-floating-point range: from the last term down while e^-(a*x) is still
-a normal float, from the first term up beyond that, where e^-(a*x)
-alone would underflow.  The series of :mod:`ratelab.analytic` take
+terms for the survival, the distribution function and the density.
+The pass runs from whichever end keeps it in floating-point range:
+from the last term down while e^-(a*x) is still a normal float, from
+the first term up beyond that, where e^-(a*x) alone would underflow.  The series of :mod:`ratelab.analytic` take
 these survivals, and their coefficients from the same upper tails.
 """
 
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidKFactor, InvalidPower, ModelAssumptionWarning, _to_float
+from .errors import DomainError, ModelAssumptionWarning, _to_float
 
 __all__ = [
     "MAX_NONCENTRALITY",
@@ -39,23 +38,22 @@ __all__ = [
     "power_gain_pdf",
     "power_gain_cdf",
     "power_gain_sf",
-    "marcum_q1",
     "poisson_weights",
     "split_stream",
 ]
 
-# Largest Poisson mean K (half the chi-square noncentrality; a^2/2 for
-# Marcum Q1(a, b)) the kernel accepts.  Up to it there are at most 674
-# weights, so their last index stays under _HORNER_SPLIT, as the upward
-# Horner pass needs, and e^-K is far from underflow.  Against the
-# noncentral chi-square on y = a*x in [0, 3(1 + K)], the survival is
-# 5.9e-15 off at K = 500, 7.0e-15 at K = 520, 7.2e-13 at K = 700 (904
-# weights, past the split) and 0.21 at K = 745, where e^-K underflows.
+# Largest Poisson mean K (half the chi-square noncentrality) the kernel
+# accepts.  Up to it there are at most 674 weights, so their last index
+# stays under _HORNER_SPLIT, as the upward Horner pass needs, and e^-K is
+# far from underflow.  Against the noncentral chi-square on y = a*x in
+# [0, 3(1 + K)], the survival is 5.9e-15 off at K = 500, 7.0e-15 at
+# K = 520, 7.2e-13 at K = 700 (904 weights, past the split) and 0.21 at
+# K = 745, where e^-K underflows.
 MAX_NONCENTRALITY = 500.0
 
 # Poisson weight every truncated series may leave out: it bounds the
-# truncation error of the survival, distribution function, density and
-# Marcum Q function, and sets the depth of the series of ratelab.analytic.
+# truncation error of the survival, distribution function and density,
+# and sets the depth of the series of ratelab.analytic.
 KERNEL_TOL = 1e-13
 _FLOAT_MAX = float(np.finfo(float).max)
 # Where the mixture sum changes ends.  Summed from the last term down,
@@ -80,13 +78,13 @@ class RicianLink:
     mean_power: float
 
     def __post_init__(self):
-        for name, error, rule in (("k_factor", InvalidKFactor, "k_factor must be finite and >= 0"),
-                                  ("mean_power", InvalidPower, "mean_power must be finite and > 0")):
-            object.__setattr__(self, name, _to_float(getattr(self, name), error, rule))  # frozen
+        for name, rule in (("k_factor", "k_factor must be finite and >= 0"),
+                           ("mean_power", "mean_power must be finite and > 0")):
+            object.__setattr__(self, name, _to_float(getattr(self, name), rule))  # frozen
         if not (self.k_factor >= 0.0) or not math.isfinite(self.k_factor):
-            raise InvalidKFactor(f"k_factor must be finite and >= 0, got {self.k_factor}")
+            raise DomainError(f"k_factor must be finite and >= 0, got {self.k_factor}")
         if not (0.0 < self.mean_power < math.inf and self.inv_scale < math.inf):
-            raise InvalidPower(f"mean_power and (1 + K)/mean_power must be finite and > 0, got {self.mean_power}")
+            raise DomainError(f"mean_power and (1 + K)/mean_power must be finite and > 0, got {self.mean_power}")
 
     @property
     def inv_scale(self) -> float:
@@ -174,7 +172,7 @@ def sample_power_gains(link: RicianLink, rng: np.random.Generator, n: int) -> np
 def _check_nonneg(x, name: str = "power gain argument") -> np.ndarray:
     """``x`` as a float array; one pass refuses a negative or NaN element,
     +inf passes; an integer above the float range is refused."""
-    x = _to_float(x, DomainError, f"{name} must fit in a float", lambda v: np.asarray(v, dtype=float))
+    x = _to_float(x, f"{name} must fit in a float", lambda v: np.asarray(v, dtype=float))
     if not (x >= 0.0).all():
         raise DomainError(f"{name} must be >= 0 and not NaN")
     return x
@@ -303,18 +301,6 @@ def power_gain_pdf(link: RicianLink, x):
     x = _check_nonneg(x)
     a = link.inv_scale
     return _as_result(a * _mixture(link._weights, a, x))
-
-
-def marcum_q1(a: float, b) -> float:
-    """First-order Marcum Q function Q1(a, b).
-
-    Convergent Poisson-mixture series at mean a^2/2 (at most
-    :data:`MAX_NONCENTRALITY`); the truncation tail is bounded by
-    :data:`KERNEL_TOL`.
-    """
-    a = float(_check_nonneg(a, "marcum_q1 argument a"))
-    b = _check_nonneg(b, "marcum_q1 argument b")
-    return _as_result(_survival(_upper_tails(poisson_weights(0.5 * a * a)), 0.5 * b, b))
 
 
 def power_gain_sf(link: RicianLink, x):

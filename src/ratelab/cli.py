@@ -24,7 +24,7 @@ import sys
 import warnings
 from dataclasses import replace
 
-from .errors import ConvergenceError, DomainError, ParseError, RateLabError, ValidationError
+from .errors import ConvergenceError, DomainError, RateLabError, ValidationError
 from .montecarlo import _check_seed, _check_trials, _check_workers
 from .sweep import (
     PRESETS,
@@ -150,7 +150,7 @@ def main(argv=None) -> int:
             warnings.showwarning = lambda message, *_: print(f"ratelab: warning: {message}", file=sys.stderr)
             args = build_parser().parse_args(argv)
             return args.func(args)
-    except (ParseError, ValidationError, DomainError, FileNotFoundError) as exc:
+    except (ValidationError, DomainError, FileNotFoundError) as exc:
         print(f"ratelab: error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except (ConvergenceError, OSError, RateLabError) as exc:

@@ -1,5 +1,6 @@
-"""Exception and warning types shared across the package, and the one
-int-to-float conversion that raises them."""
+"""Exception and warning types shared across the package, one error
+class per kind of failure, and the one int-to-float conversion that
+raises them."""
 
 
 class RateLabError(Exception):
@@ -8,22 +9,9 @@ class RateLabError(Exception):
 
 
 class DomainError(RateLabError):
-    """Argument outside the mathematical domain of an operation.
-
-    The CLI exits 1 on it, and on its three subclasses below, like on a
+    """Argument outside the mathematical domain of an operation; the
+    message names the bad input.  The CLI exits 1 on it, like on a
     configuration error."""
-
-
-class InvalidKFactor(DomainError):
-    """Rician K factor outside [0, inf)."""
-
-
-class InvalidPower(DomainError):
-    """Mean channel power must be finite, > 0 and leave (1 + K)/Omega finite."""
-
-
-class InvalidSplit(DomainError):
-    """Power-allocation split violates a1 + a2 = 1 with a1 > a2 > 0."""
 
 
 class ConvergenceError(RateLabError):
@@ -31,15 +19,12 @@ class ConvergenceError(RateLabError):
     its steps without converging to the requested tolerance."""
 
 
-class ParseError(RateLabError):
-    """A configuration document that cannot be read at all: a line that
-    is not ``key = value`` or a section header, or one with an empty key."""
-
-
 class ValidationError(RateLabError):
-    """A configuration that was read but holds bad fields.  The message
-    is one line: each bad field, named after its line in the text form,
-    with what is wrong with it, joined by "; "."""
+    """A configuration that cannot be used.  The message is one line:
+    either the first line that cannot be read at all (not ``key = value``
+    or a section header, or one with an empty key), or each bad field,
+    named after its line in the text form, with what is wrong with it,
+    joined by "; "."""
 
 
 class TruncationWarning(UserWarning):
@@ -55,11 +40,12 @@ class ModelAssumptionWarning(UserWarning):
     expected to carry more mean power than S-D)."""
 
 
-def _to_float(x, error, rule: str, convert=float):
+def _to_float(x, rule: str, convert=float):
     """``convert(x)``, by default ``float(x)``.  Where ``x`` holds an
-    integer above the float range, raises ``error`` naming ``rule`` in
-    place of OverflowError, without repeating the integer's digits."""
+    integer above the float range, raises :class:`DomainError` naming
+    ``rule`` in place of OverflowError, without repeating the integer's
+    digits."""
     try:
         return convert(x)
     except OverflowError:
-        raise error(f"{rule}, got an integer above the float range") from None
+        raise DomainError(f"{rule}, got an integer above the float range") from None

@@ -29,7 +29,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InvalidSplit, _to_float
+from .errors import DomainError, _to_float
 
 __all__ = [
     "ChannelRealization",
@@ -137,15 +137,15 @@ class PowerSplit:
 
     def __post_init__(self):
         if abs(self.a1 + self.a2 - 1.0) > 1e-12:
-            raise InvalidSplit(f"a1 + a2 must equal 1, got {self.a1 + self.a2}")
+            raise DomainError(f"a1 + a2 must equal 1, got {self.a1 + self.a2}")
         if not (self.a1 > self.a2 > 0.0):
-            raise InvalidSplit(f"need a1 > a2 > 0, got ({self.a1}, {self.a2})")
+            raise DomainError(f"need a1 > a2 > 0, got ({self.a1}, {self.a2})")
 
 
 def _check_split(split):
     """Refuse a split that is not a :class:`PowerSplit`, which checks its values."""
     if not isinstance(split, PowerSplit):
-        raise InvalidSplit(f"the conventional scheme needs a PowerSplit, got {split!r}")
+        raise DomainError(f"the conventional scheme needs a PowerSplit, got {split!r}")
 
 
 def _check_rho(rho: float) -> float:
@@ -156,7 +156,7 @@ def _check_rho(rho: float) -> float:
         raise DomainError(f"rho must be one number, got {reprlib.repr(rho)}")
     if not 0.0 <= rho < math.inf:
         raise DomainError(f"rho must be finite and >= 0, got {rho}")
-    return _to_float(rho, DomainError, "rho must be finite and >= 0")
+    return _to_float(rho, "rho must be finite and >= 0")
 
 
 class RateTerms:

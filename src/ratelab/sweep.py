@@ -16,12 +16,12 @@ choices, never as ground truth.
 import io
 import math
 import reprlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import __version__
 from .analytic import ergodic_rate_quadrature_quantities, ergodic_rate_series
 from .channel import KERNEL_TOL, NetworkGeometry, make_link
-from .errors import DomainError, ParseError, ValidationError
+from .errors import DomainError, ValidationError
 from .montecarlo import _check_seed, _check_trials, _estimate, _resolve, estimate_rates
 from .rates import QUANTITIES, RATES, PowerSplit
 
@@ -34,7 +34,6 @@ __all__ = [
     "PAPER_TARGETS",
     "parse_config",
     "parse_grid",
-    "preset_config",
     "preset_geometry",
     "run_sweep",
     "calibrate_k",
@@ -192,6 +191,12 @@ def _one_of(allowed, name):
     return name
 
 
+def _path(raw: str) -> str:
+    if not raw:
+        raise ValueError("must not be empty")
+    return raw
+
+
 def _preset(raw: str) -> str:
     return _one_of(tuple(PRESETS), raw.strip().lower())
 
@@ -231,18 +236,19 @@ _FIELDS = {
         "omega_sr": (_number, None), "omega_rd": (_number, None), "omega_sd": (_number, None),
     },
     "split": {"a1": (_number, "0.9"), "a2": (_number, "0.1")},
-    "output": {"path": (str, "sweep.csv")},
+    "output": {"path": (_path, "sweep.csv")},
 }
 # The section of each key a document may also give at its top level.
 _TOP_LEVEL = {"preset": "sweep", "seed": "sweep", "trials": "sweep", "rho_db": "sweep", "path": "output"}
 
 
 def parse_config(text: str) -> SweepConfig:
-    """Parse a sweep configuration document.
+    """Parse a sweep configuration document into a validated SweepConfig.
 
-    Raises :class:`ParseError` for documents that cannot be read at all
-    and :class:`ValidationError` carrying one line-referenced message
-    per bad field otherwise.
+    Keys at the top level are folded into their section; unknown
+    sections or keys are errors.  Raises :class:`ValidationError`: for
+    the first line that cannot be read at all, or with one
+    line-referenced message per bad field.
     """
     sections: dict = {"": {}}
     lines: dict = {}  # (section, key) -> "line N"; key None for the section's header
@@ -257,26 +263,17 @@ def parse_config(text: str) -> SweepConfig:
             lines.setdefault((current, None), f"line {lineno}")
             continue
         if "=" not in line:
-            raise ParseError(f"line {lineno}: expected 'key = value', got {reprlib.repr(line)}")
+            raise ValidationError(f"line {lineno}: expected 'key = value', got {reprlib.repr(line)}")
         key, _, value = line.partition("=")
         key = key.strip().lower()
         if not key:
-            raise ParseError(f"line {lineno}: empty key")
+            raise ValidationError(f"line {lineno}: empty key")
         value = value.strip()
         if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
             value = value[1:-1]
         sections[current][key] = value
         lines[(current, key)] = f"line {lineno}"
-    return _config_from_mapping(sections, lines)
 
-
-def _config_from_mapping(sections: dict, lines: dict) -> SweepConfig:
-    """Build a validated SweepConfig from the text of each value, by
-    section ("" for the top level, whose keys are folded into their
-    section) and key, with the "line N" of each (section, key) and of
-    each section's header (key None).  Unknown sections or keys are
-    errors.
-    """
     errors: list[str] = []
 
     def where(name, origin=None):
@@ -345,12 +342,6 @@ def _config_from_mapping(sections: dict, lines: dict) -> SweepConfig:
         output_path=values["path"],
         preset=values["preset"],
     )
-
-
-def preset_config(preset: str, **overrides) -> SweepConfig:
-    """Convenience constructor: a preset with optional field overrides."""
-    cfg = _config_from_mapping({"": {"preset": preset}}, {})
-    return replace(cfg, **overrides) if overrides else cfg
 
 
 def preset_geometry(preset: str, k: float) -> NetworkGeometry:

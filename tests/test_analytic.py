@@ -34,7 +34,7 @@ from ratelab import (
 )
 from ratelab.errors import ConvergenceError, DomainError, ModelAssumptionWarning
 from ratelab.rates import QUANTITIES, RATES, RateBreakdown
-from ratelab.sweep import preset_config, preset_geometry, run_sweep
+from ratelab.sweep import parse_config, preset_geometry, run_sweep
 
 FIG3 = NetworkGeometry(sr=make_link(0, 8), rd=make_link(0, 8), sd=make_link(0, 3))
 
@@ -615,6 +615,16 @@ def quadpack_reference(g, rho, token, split):
     return RateBreakdown(c, 0.0, 0.0)
 
 
+def tanhsinh_reference(f):
+    """int_0^1e3 f(x) dx by tanh-sinh on [0, 1e-6] and on each decade up to
+    1e3, every piece in one vectorised call; ``f`` maps an array of nodes
+    to an array of its shape."""
+    edges = np.array([0.0, *(10.0 ** e for e in range(-6, 4))])
+    res = integrate.tanhsinh(f, edges[:-1], edges[1:], rtol=1e-14, atol=1e-25)
+    assert res.success.all()
+    return math.fsum(res.integral)
+
+
 def _links(k, omega_sr, omega_rd, omega_sd):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # some geometries break the relay placement assumption
@@ -642,19 +652,11 @@ def test_quadrature_matches_quadpack_reference(k, omegas, db):
 ])
 def test_quadrature_matches_split_interval_reference(k, omegas, db, a2):
     # adaptive QUADPACK over [0, inf) is 4e-9 off at the first case at epsrel
-    # 1e-9; here tanh-sinh takes every piece of [0, 1e3], split at each decade
-    # from 1e-6, in one vectorised call (every survival is below 1e-20 by 1e3)
+    # 1e-9; tanh-sinh on [0, 1e3] is not (every survival is below 1e-20 by 1e3)
     g, rho, split = _links(k, *omegas), 10 ** (db / 10), PowerSplit(1 - a2, a2)
-    edges = np.array([0.0, *(10.0 ** e for e in range(-6, 4))])
-
-    def quad(f):
-        res = integrate.tanhsinh(f, edges[:-1], edges[1:], rtol=1e-14, atol=1e-25)
-        assert res.success.all()
-        return math.fsum(res.integral)
-
-    c_s1 = split.a1 * rho / (2 * math.log(2)) * quad(
+    c_s1 = split.a1 * rho / (2 * math.log(2)) * tanhsinh_reference(
         lambda w: power_gain_sf(g.sd, w) * power_gain_sf(g.sr, w) / ((a2 * rho * w + 1) * (rho * w + 1)))
-    c_s2 = 0.5 / math.log(2) * quad(
+    c_s2 = 0.5 / math.log(2) * tanhsinh_reference(
         lambda v: rho * power_gain_sf(g.sr, v / a2) * power_gain_sf(g.rd, v) / (1 + rho * v))
     fast = ergodic_rate_quadrature_quantities(g, rho, "conventional", split)
     assert abs(fast.c_s1 - c_s1) <= 1e-13
@@ -681,11 +683,20 @@ def test_quadrature_makes_a_few_vectorised_survival_calls_per_level(token, monke
 def test_quadrature_converges_where_the_crs_oma_s_d_density_is_narrow(db):
     # at K=300 the S-D density is a narrow peak near Omega_SD = 0.1, far
     # inside the S-R span; the inner rule spans at most the S-D reach, so
-    # the outer rule stops at QUADPACK's value
+    # the outer rule stops at the reference's value.  The reference is
+    # quadpack_reference's, its outer integral by tanh-sinh over [0, 1e3],
+    # past the S-R reach of 193
     g, rho = _links(300, 100, 0.5, 0.1), 10 ** (db / 10)
+
+    def s_sum(w):
+        flat = w.ravel()
+        inner = analytic._sd_integral(g.sd, flat, lambda s: power_gain_sf(g.rd, flat[:, None] - s))
+        return np.minimum(power_gain_sf(g.sd, flat) + inner, 1.0).reshape(w.shape)
+
+    ref = 0.5 / math.log(2) * tanhsinh_reference(
+        lambda w: rho * power_gain_sf(g.sr, w) * s_sum(w) / (1 + rho * w))
     fast = ergodic_rate_quadrature_quantities(g, rho, "crs_oma")
-    ref = quadpack_reference(g, rho, "crs_oma", None)
-    assert abs(fast.c_total - ref.c_total) <= 1e-10 * ref.c_total
+    assert abs(fast.c_total - ref) <= 1e-10 * ref
 
 
 @pytest.mark.parametrize("token,k,omegas,db", [
@@ -723,7 +734,7 @@ def test_quadrature_bounds_its_work_at_extreme_inputs(monkeypatch):
 def test_import_leaves_scipy_integrate_unloaded(tmp_path):
     # with SciPy made unimportable, the whole runtime still works on the
     # fig3 powers at K = 3: the oracle for every token, both series, the
-    # density and Marcum Q; and so do the three commands, the sweep over
+    # density and the survival; and so do the three commands, the sweep over
     # two Monte-Carlo blocks on the thread pool; the None entry is the
     # only scipy module
     code = """
@@ -731,7 +742,7 @@ import contextlib, io, os, sys
 sys.modules["scipy"] = None  # any scipy import now raises ImportError
 import ratelab
 from ratelab import (NetworkGeometry, PowerSplit, RATES, ergodic_rate_quadrature_quantities,
-                     ergodic_rate_series, make_link, marcum_q1, power_gain_pdf)
+                     ergodic_rate_series, make_link, power_gain_pdf, power_gain_sf)
 from ratelab.cli import main
 fig3 = NetworkGeometry(sr=make_link(3, 8), rd=make_link(3, 8), sd=make_link(3, 3))
 for token in RATES:
@@ -739,7 +750,7 @@ for token in RATES:
 ergodic_rate_series(fig3, 10.0, literal=True)
 ergodic_rate_series(fig3, 10.0)
 power_gain_pdf(fig3.sd, [0.0, 1.0])
-marcum_q1(1.0, 2.0)
+power_gain_sf(fig3.sr, [0.0, 1.0])
 tmp = sys.argv[1]
 cfg = os.path.join(tmp, "mc.txt")
 with open(cfg, "w") as fh:
@@ -797,8 +808,8 @@ def test_oracle_at_3000_db_gives_finite_rows_without_a_warning():
     # half rate overflows its denominator and takes its limit 0 without a
     # RuntimeWarning; at rho = 1e305 exact mode's rho*s and y*(1 + rho*s)
     # can pass the float range too
-    cfg = preset_config("fig3", rho_grid_db=(3000.0, 3050.0), schemes=("crs_noma", "conventional", "crs_oma"),
-                        modes=("paper", "exact"), estimators=("quadrature_oracle",))
+    cfg = parse_config("preset = fig3\nrho_db = 3000, 3050\n[sweep]\nschemes = crs_noma, conventional, crs_oma\n"
+                       "modes = paper, exact\nestimators = quadrature_oracle\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rows = run_sweep(cfg).rows

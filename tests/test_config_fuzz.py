@@ -3,8 +3,7 @@ two fields per case, run through the command line in-process.  Whatever
 the values, a run exits 0, 1 or 2; a refused run prints one short error
 line, no traceback, and writes no output file; and no case takes long."""
 
-import json
-import math
+import copy
 import time
 
 import numpy as np
@@ -13,16 +12,16 @@ from ratelab.cli import main
 
 BASE = {
     "preset": "fig3",
-    "geometry": {"k": 3},
+    "geometry": {"k": "3"},
     "sweep": {
-        "rho_db": [5, 15],
-        "schemes": ["crs_noma", "conventional", "crs_oma"],
-        "modes": ["paper", "exact"],
-        "estimators": ["monte_carlo", "series_paper_literal", "series_corrected", "quadrature_oracle"],
-        "trials": 2000,
-        "seed": 7,
+        "rho_db": "5, 15",
+        "schemes": "crs_noma, conventional, crs_oma",
+        "modes": "paper, exact",
+        "estimators": "monte_carlo, series_paper_literal, series_corrected, quadrature_oracle",
+        "trials": "2000",
+        "seed": "7",
     },
-    "split": {"a1": 0.9, "a2": 0.1},
+    "split": {"a1": "0.9", "a2": "0.1"},
 }
 FIELDS = [(None, "preset")] + [
     (section, key)
@@ -33,25 +32,26 @@ FIELDS = [(None, "preset")] + [
 
 
 # Every value a field may be set to.  3000 is a valid extreme SNR, count,
-# seed and power; the integers of 401 and 5001 digits are far above the
+# seed and power; 500 is a valid count, seed and power, and a valid K at
+# the kernel bound; the integers of 401 and 5001 digits are far above the
 # float range, so the trial counts they give are refused.
-MENU = ["", math.nan, math.inf, -math.inf, 1e308, 1e-308, 5e-324, 3000, "1" + "0" * 400, "1" + "0" * 5000,
-        [[1.0, 2.0], [3.0]], [[[]]], True, False, None]
+MENU = ["", "NaN", "Infinity", "-Infinity", "1e+308", "1e-308", "5e-324", "3000", "500", "1" + "0" * 400,
+        "1" + "0" * 5000, "[[1.0, 2.0], [3.0]]", "[[[]]]", "true", "false", "null"]
 CASES = 300
 SECONDS_PER_CASE = 5.0
 
 
 def mutate(rng) -> dict:
-    doc = json.loads(json.dumps(BASE))
+    doc = copy.deepcopy(BASE)
     for _ in range(rng.integers(1, 3)):
         op = rng.integers(10)
         if op == 0:  # a Rician factor past the kernel bound
-            section, key, value = "geometry", ["k", "k_sr", "k_rd", "k_sd"][rng.integers(4)], 501
+            section, key, value = "geometry", ["k", "k_sr", "k_rd", "k_sd"][rng.integers(4)], "501"
         elif op == 1:
-            section, key, value = "sweep", "rho_db", [15, 5]
+            section, key, value = "sweep", "rho_db", "15, 5"
         elif op == 2:
             section = [None, "geometry", "sweep", "split", "extra"][rng.integers(5)]
-            key, value = "bogus", 1
+            key, value = "bogus", "1"
         else:
             section, key = FIELDS[rng.integers(len(FIELDS))]
             value = MENU[rng.integers(len(MENU))]
@@ -60,15 +60,10 @@ def mutate(rng) -> dict:
 
 
 def as_text(doc: dict) -> str:
-    def value(v):
-        if isinstance(v, list) and all(not isinstance(x, list) for x in v):
-            return ", ".join(map(str, v))
-        return v if isinstance(v, str) else json.dumps(v)
-
-    lines = [f"{k} = {value(v)}" for k, v in doc.items() if not isinstance(v, dict)]
+    lines = [f"{k} = {v}" for k, v in doc.items() if isinstance(v, str)]
     for section, content in doc.items():
         if isinstance(content, dict):
-            lines += [f"[{section}]"] + [f"{k} = {value(v)}" for k, v in content.items()]
+            lines += [f"[{section}]"] + [f"{k} = {v}" for k, v in content.items()]
     return "\n".join(lines) + "\n"
 
 

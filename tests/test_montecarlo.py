@@ -21,7 +21,7 @@ from ratelab import (
 import ratelab
 from ratelab import montecarlo
 from ratelab.channel import sample_power_gains, split_stream
-from ratelab.errors import DomainError, InvalidSplit, ModelAssumptionWarning
+from ratelab.errors import DomainError, ModelAssumptionWarning
 from ratelab.montecarlo import BLOCK_SIZE, QUANTITIES
 from ratelab.rates import (
     RATES,
@@ -38,7 +38,6 @@ from ratelab.sweep import (
     db_to_linear,
     discrepancy_report,
     parse_config,
-    preset_config,
     preset_geometry,
     render_csv,
     render_discrepancy_csv,
@@ -87,7 +86,7 @@ def test_every_conventional_entry_point_takes_one_split_rule(monkeypatch):
              lambda: conventional_noma_rate(ChannelRealization(1.0, 1.0, 1.0), 1.0, (0.9, 0.1)),
              lambda: ergodic_rate_quadrature_quantities(g, 1.0, "conventional", (0.9, 0.1)))
     for call in calls:
-        with pytest.raises(InvalidSplit, match=r"^the conventional scheme needs a PowerSplit, got \(0\.9, 0\.1\)$"):
+        with pytest.raises(DomainError, match=r"^the conventional scheme needs a PowerSplit, got \(0\.9, 0\.1\)$"):
             call()
 
 
@@ -210,9 +209,10 @@ def test_std_err_scaling_with_trials():
 
 
 def _all_cells_sweep(trials):
-    return preset_config(
-        "fig3", rho_grid_db=(0.0, 10.0, 25.0), schemes=("crs_noma", "conventional", "crs_oma"),
-        modes=("paper", "exact"), estimators=("monte_carlo",), trials=trials, seed=17,
+    return replace(
+        parse_config("preset = fig3\n"), rho_grid_db=(0.0, 10.0, 25.0),
+        schemes=("crs_noma", "conventional", "crs_oma"), modes=("paper", "exact"),
+        estimators=("monte_carlo",), trials=trials, seed=17,
     )
 
 
@@ -503,9 +503,10 @@ GOLDEN_RESIDUAL = "(4.0, 5.0, 'conventional', 1.935308976202007, 3.883, -1.94769
 @pytest.mark.parametrize("workers", [1, 2])
 def test_golden_monte_carlo_outputs(workers):
     assert ENGINE_TRIALS == 181_073
-    cfg = preset_config(
-        "fig3", rho_grid_db=(0.0, 12.5, 30.0), schemes=("crs_noma", "conventional", "crs_oma"),
-        modes=("paper", "exact"), estimators=("monte_carlo",), trials=ENGINE_TRIALS, seed=23,
+    cfg = replace(
+        parse_config("preset = fig3\n"), rho_grid_db=(0.0, 12.5, 30.0),
+        schemes=("crs_noma", "conventional", "crs_oma"), modes=("paper", "exact"),
+        estimators=("monte_carlo",), trials=ENGINE_TRIALS, seed=23,
     )
     csv = render_csv(run_sweep(replace(cfg, workers=workers)))
     assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN_SWEEP_SHA256

@@ -18,7 +18,7 @@ from ratelab import (
     make_link,
     paired_gap,
 )
-from ratelab.errors import DomainError, InvalidSplit
+from ratelab.errors import DomainError
 from ratelab.rates import RateTerms
 
 
@@ -42,11 +42,11 @@ def test_realization_rejects_bad_gains():
 
 def test_power_split_validation():
     PowerSplit(0.9, 0.1)
-    with pytest.raises(InvalidSplit):
+    with pytest.raises(DomainError):
         PowerSplit(0.5, 0.5)  # a1 > a2 required
-    with pytest.raises(InvalidSplit):
+    with pytest.raises(DomainError):
         PowerSplit(0.9, 0.2)  # does not sum to 1
-    with pytest.raises(InvalidSplit):
+    with pytest.raises(DomainError):
         PowerSplit(1.2, -0.2)
 
 

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,13 +15,12 @@ from ratelab import (
     estimate_rates,
     paired_gap,
     parse_config,
-    preset_config,
     render_csv,
     run_sweep,
 )
 from ratelab import analytic, montecarlo
 from ratelab.cli import _parse_grid, _settings, build_parser, main
-from ratelab.errors import DomainError, InvalidKFactor, ParseError, ValidationError
+from ratelab.errors import DomainError, ValidationError
 from ratelab.montecarlo import MAX_TRIALS, MAX_WORKERS
 from ratelab.rates import QUANTITIES, RATES
 from ratelab.sweep import (
@@ -90,9 +90,9 @@ def test_explicit_keys_override_preset():
 
 
 def test_parse_errors_and_field_errors():
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError):
         parse_config("this is not a key value line\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError):
         parse_config("{not json")
     with pytest.raises(ValidationError, match="line 2"):
         parse_config("[sweep]\ntrials = many\n" + MINIMAL)
@@ -191,8 +191,6 @@ def test_render_csv_shape_and_determinism():
 
 def test_worker_count_leaves_csv_bytes_unchanged():
     base = parse_config(SMALL_SWEEP)
-    from dataclasses import replace
-
     a = render_csv(run_sweep(replace(base, workers=1)))
     b = render_csv(run_sweep(replace(base, workers=3)))
     assert a == b
@@ -214,7 +212,7 @@ def test_calibration_roundtrip_recovers_known_k():
 
 
 def test_discrepancy_report_columns():
-    cfg = preset_config("fig3")
+    cfg = parse_config("preset = fig3\n")
     rows = discrepancy_report(cfg.geometry, [5.0, 25.0])
     assert len(rows) == 2 * 3
     quantities = {r[1] for r in rows}
@@ -229,8 +227,9 @@ def test_discrepancy_report_columns():
 def test_discrepancy_table_reads_the_rows_of_a_sweep():
     geometry = preset_geometry("fig3", 3.0)
     grid = parse_grid("-10:30:5")
-    result = run_sweep(preset_config("fig3", geometry=geometry, rho_grid_db=tuple(grid), schemes=("crs_noma",),
-                                     estimators=("series_paper_literal", "series_corrected", "quadrature_oracle")))
+    result = run_sweep(replace(parse_config("preset = fig3\n"), geometry=geometry, rho_grid_db=tuple(grid),
+                               schemes=("crs_noma",),
+                               estimators=("series_paper_literal", "series_corrected", "quadrature_oracle")))
     table = discrepancy_report(geometry, grid)
     assert [r[:2] for r in table] == [(x, q) for x in grid for q in ("c_r_s1", "c_d_s1", "c_total")]
     # the sweep's metadata line and the table give the same largest gap
@@ -425,7 +424,7 @@ def test_import_leaves_json_unloaded():
     code = ("import sys, ratelab; print('json' in sys.modules, end=' '); ratelab.parse_config('preset = fig3'); "
             "print('json' in sys.modules, end=' ')\n"
             "try:\n    ratelab.parse_config('{\"preset\": \"fig3\"}')\n"
-            "except ratelab.errors.ParseError:\n    print('json' in sys.modules)")
+            "except ratelab.errors.ValidationError:\n    print('json' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False False False\n", "")
 
@@ -537,7 +536,7 @@ def test_cli_invalid_k_power_or_split_exits_one(argv, config, tmp_path, capsys):
 
 @pytest.mark.parametrize("token", sorted(RATES))
 def test_every_rate_token_is_accepted_by_every_estimator(token):
-    cfg = preset_config("fig3")
+    cfg = parse_config("preset = fig3\n")
     g, split, rho = cfg.geometry, cfg.split, 10.0
     scheme, mode = RATES[token]
     by_token = estimate_rates(g, rho, (token,), "paper", split, trials=2000, seed=1)
@@ -556,8 +555,8 @@ def test_every_rate_token_is_accepted_by_every_estimator(token):
 def test_sweep_oracle_and_series_rows_are_the_floats_of_single_calls(k):
     # run_sweep takes the whole grid in one call per token and estimator;
     # each row is still the float of a call at its rho alone
-    cfg = preset_config(
-        "fig3", geometry=preset_geometry("fig3", k), rho_grid_db=(-10.0, 5.0, 7.0, 15.0, 47.0),
+    cfg = replace(
+        parse_config("preset = fig3\n"), geometry=preset_geometry("fig3", k), rho_grid_db=(-10.0, 5.0, 7.0, 15.0, 47.0),
         schemes=("crs_noma", "conventional", "crs_oma"), modes=("paper", "exact"),
         estimators=("quadrature_oracle", "series_corrected", "series_paper_literal"),
     )
@@ -582,8 +581,8 @@ def test_sweep_oracle_and_series_rows_are_the_floats_of_single_calls(k):
 @pytest.mark.parametrize("schemes", [("crs_noma",), ("conventional",), ("crs_oma",),
                                      ("crs_noma", "conventional", "crs_oma")], ids="+".join)
 def test_each_estimator_gives_rows_for_the_selected_tokens_it_covers(schemes, modes, estimators):
-    cfg = preset_config("fig3", rho_grid_db=(5.0, 25.0), schemes=schemes, modes=modes, estimators=estimators,
-                        trials=1000)
+    cfg = replace(parse_config("preset = fig3\n"), rho_grid_db=(5.0, 25.0), schemes=schemes, modes=modes,
+                  estimators=estimators, trials=1000)
     expected = {(e, *RATES[t]) for e in estimators for t in ESTIMATORS[e]
                 if RATES[t][0] in schemes and RATES[t][1] in (*modes, "-")}
     if not expected:
@@ -607,7 +606,7 @@ def test_an_empty_sweep_exits_one_with_one_line_and_no_file(tmp_path, capsys):
     # an empty scheme list or grid reaches run_sweep only from the library
     for overrides in ({"schemes": ()}, {"rho_grid_db": ()}, {"estimators": ()}):
         with pytest.raises(DomainError, match="^empty sweep: "):
-            run_sweep(preset_config("fig3", **overrides))
+            run_sweep(replace(parse_config("preset = fig3\n"), **overrides))
 
 
 def test_negative_seed_exits_one_on_every_cli_route(tmp_path, capsys):
@@ -749,6 +748,7 @@ BIG = "1" + "0" * 400  # an integer above the float range
     ("[sweep]\ntrials =\n", "line 3: sweep.trials: cannot interpret ''"),
     ("[sweep]\nseed = null\n", "line 3: sweep.seed: cannot interpret 'null'"),
     ("preset =\n", "line 2: sweep.preset: unknown value '' (allowed: fig3, fig4)"),
+    ("[output]\npath =\n", "line 3: output.path: must not be empty"),
     # a boolean word is never a number
     ("[geometry]\nk = true\n", "line 3: geometry.k: cannot interpret 'true'"),
     ("[split]\na2 = false\n", "line 3: split.a2: cannot interpret 'false'"),
@@ -772,7 +772,9 @@ BIG = "1" + "0" * 400  # an integer above the float range
     (f"[split]\na1 = {BIG}\n", "split: a1 + a2 must equal 1, got inf"),
     (f"[sweep]\nrho_db = 5, {BIG}\n", "line 3: sweep.rho_db: grid points must be finite, got inf"),
 ])
-def test_a_bad_text_field_is_one_line_naming_it(config, message, tmp_path, capsys):
+def test_a_bad_text_field_is_one_line_naming_it(config, message, tmp_path, capsys, monkeypatch):
+    # every field is refused when the config is parsed, before any block runs
+    monkeypatch.setattr(montecarlo, "_run_blocks", lambda *args: pytest.fail("a block ran"))
     text = "preset = fig3\n" + config
     with pytest.raises(ValidationError) as err:
         parse_config(text)
@@ -786,7 +788,7 @@ def test_a_bad_text_field_is_one_line_naming_it(config, message, tmp_path, capsy
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: parse_grid("5, 1" + "0" * 400), ValueError, "grid points must be finite, got inf"),
-    (lambda: calibrate_k("fig3", k_grid=[0, 10**400], trials=10), InvalidKFactor,
+    (lambda: calibrate_k("fig3", k_grid=[0, 10**400], trials=10), DomainError,
      "k_factor must be finite and >= 0, got an integer above the float range"),
     # a boolean word is never a number, in a library grid as in a config
     (lambda: parse_grid("true, 2"), ValueError, "cannot interpret 'true'"),
@@ -801,6 +803,15 @@ def test_readme_config_block_holds_the_defaults():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Config grammar", 1)[1].split("```")[1]
     assert parse_config(block) == parse_config("preset = fig3\n")
+
+
+def test_readme_library_block_runs(capsys):
+    # the block runs as written, so a README that names a removed function fails
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library use", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    values = capsys.readouterr().out.split()
+    assert len(values) == 3 and all(math.isfinite(float(v)) for v in values)
 
 
 def test_cli_refuses_a_noncentrality_the_kernel_cannot_sum(tmp_path, capsys):
@@ -885,7 +896,7 @@ def test_run_sweep_and_calibrate_k_refuse_bad_arguments(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_run_blocks", no_blocks)
     with pytest.raises(DomainError, match=re.escape(f"estimators must be among {tuple(ESTIMATORS)}, got ('magic',)")):
-        run_sweep(preset_config("fig3", estimators=("magic",)))
+        run_sweep(replace(parse_config("preset = fig3\n"), estimators=("magic",)))
     with pytest.raises(ValidationError, match="^unknown preset 'fig5'$"):
         calibrate_k("fig5")
     with pytest.raises(ValidationError, match="^k_grid must be nonempty$"):
