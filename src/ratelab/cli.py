@@ -14,19 +14,21 @@ with '=', --rho-grid=-10:30:5, since a bare -10:30:5 reads as an option.
 
 Exit codes: 0 success, 1 configuration/validation error (usage errors
 included), 2 runtime or convergence error.  A warning prints as one
-``ratelab: warning: ...`` line and leaves the exit code alone.  --seed,
---trials and --workers override the config, read and checked as its
-integer fields are.
+``ratelab: warning: ...`` line and leaves the exit code alone.  Each
+value flag is read by the rule of the setting it names before any
+command runs, so an empty value is refused, not taken as absent.
 """
 
 import argparse
+import reprlib
 import sys
 import warnings
 from dataclasses import replace
 
-from .errors import ConvergenceError, DomainError, RateLabError, ValidationError
-from .montecarlo import _check_seed, _check_trials, _check_workers
+from .errors import DomainError, RateLabError, ValidationError
+from .montecarlo import _check_workers
 from .sweep import (
+    _FIELDS,
     PRESETS,
     _integer,
     calibrate_k,
@@ -45,58 +47,51 @@ _EXIT_CONFIG = 1
 _EXIT_RUNTIME = 2
 
 
-def _parse_grid(text: str, what: str):
-    try:
-        return parse_grid(text)
-    except ValueError as exc:
-        raise ValidationError(f"{what}: {exc}") from exc
+# Each value flag and the rule of the setting it names, the config's where it has one
+_FLAGS = {
+    "seed": _FIELDS["sweep"]["seed"][0], "trials": _FIELDS["sweep"]["trials"][0],
+    "workers": lambda raw: _check_workers(_integer(raw)),
+    "out": _FIELDS["output"]["path"][0], "k": _FIELDS["geometry"]["k"][0],
+    "k_grid": parse_grid, "rho_grid": parse_grid,
+}
 
 
-def _settings(args) -> dict:
-    """The run settings given as flags, each read as a config integer
-    and put through its rule."""
-    given = {}
-    for name, rule in (("seed", _check_seed), ("trials", _check_trials), ("workers", _check_workers)):
-        if getattr(args, name) is not None:
+def _read_flags(args) -> dict:
+    """The value flags given, each read by its rule."""
+    flags = {}
+    for name, rule in _FLAGS.items():
+        if getattr(args, name, None) is not None:
             try:
-                given[name] = rule(_integer(getattr(args, name)))
+                flags[name] = rule(getattr(args, name))
             except (ValueError, DomainError) as exc:
-                raise ValidationError(f"--{name}: {exc}") from None
-    return given
+                raise ValidationError(f"--{name.replace('_', '-')}: {exc}") from None
+    return flags
 
 
-def _write(path: str | None, text: str):
-    if path is None or path == "-":
+def _write(path: str, text: str):
+    if path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", newline="") as fh:
             fh.write(text)
 
 
-def _cmd_sweep(args) -> int:
-    settings = _settings(args)
+def _cmd_sweep(args, out=None, **settings):
     with open(args.config) as fh:
         config = replace(parse_config(fh.read()), **settings)
-    _write(args.out or config.output_path, render_csv(run_sweep(config)))
-    return _EXIT_OK
+    _write(config.output_path if out is None else out, render_csv(run_sweep(config)))
 
 
-def _cmd_calibrate(args) -> int:
-    settings = _settings(args)
-    k_grid = _parse_grid(args.k_grid, "--k-grid") if args.k_grid else None
-    result = calibrate_k(args.preset, k_grid=k_grid, **settings)
-    _write(args.out, render_calibration_csv(result))
-    if args.out not in (None, "-"):
+def _cmd_calibrate(args, out="-", **settings):
+    result = calibrate_k(args.preset, **settings)
+    _write(out, render_calibration_csv(result))
+    if out != "-":
         sys.stdout.write(f"best_k = {result.best_k}\n")
-    return _EXIT_OK
 
 
-def _cmd_discrepancy(args) -> int:
-    geometry = preset_geometry(args.preset, args.k)
-    grid = _parse_grid(args.rho_grid, "--rho-grid") if args.rho_grid else list(range(0, 31, 5))
-    rows = discrepancy_report(geometry, grid)
-    _write(args.out, render_discrepancy_csv(rows, geometry))
-    return _EXIT_OK
+def _cmd_discrepancy(args, k=0.0, rho_grid=tuple(range(0, 31, 5)), out="-"):
+    geometry = preset_geometry(args.preset, k)
+    _write(out, render_discrepancy_csv(discrepancy_report(geometry, rho_grid), geometry))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         "discrepancy", help="literal vs corrected analytic rate table with the oracle"
     )
     p_dis.add_argument("--preset", required=True, choices=sorted(PRESETS))
-    p_dis.add_argument("--k", type=float, default=0.0, help="Rician K on all links (default 0)")
+    p_dis.add_argument("--k", help="Rician K on all links (default 0)")
     p_dis.add_argument("--rho-grid", help="dB grid as start:stop:step (default 0:30:5); "
                        "write a negative start as --rho-grid=-10:30:5")
     p_dis.add_argument("--out", help="output CSV path (default: stdout)")
@@ -149,13 +144,14 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = lambda message, *_: print(f"ratelab: warning: {message}", file=sys.stderr)
             args = build_parser().parse_args(argv)
-            return args.func(args)
-    except (ValidationError, DomainError, FileNotFoundError) as exc:
-        print(f"ratelab: error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
-    except (ConvergenceError, OSError, RateLabError) as exc:
-        print(f"ratelab: runtime error: {exc}", file=sys.stderr)
-        return _EXIT_RUNTIME
+            args.func(args, **_read_flags(args))  # every flag is read before the command runs
+        return _EXIT_OK
+    except (RateLabError, OSError) as exc:
+        config = isinstance(exc, (ValidationError, DomainError, FileNotFoundError))
+        if isinstance(exc, OSError) and exc.filename is not None:  # a path of any length, cut short
+            exc = f"[Errno {exc.errno}] {exc.strerror}: {reprlib.repr(exc.filename)}"
+        print(f"ratelab: {'error' if config else 'runtime error'}: {exc}", file=sys.stderr)
+        return _EXIT_CONFIG if config else _EXIT_RUNTIME
 
 
 if __name__ == "__main__":

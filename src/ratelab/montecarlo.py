@@ -289,10 +289,13 @@ def estimate_rates(
     is evaluated at every rho.  Results come rho by rho, then scheme by
     scheme in :data:`QUANTITIES` order, each carrying its ``rho``.
     Deterministic in all inputs; a (rho, scheme) result is the same
-    float whatever else the call evaluates.
+    float whatever else the call evaluates.  An empty ``rho`` sequence or
+    ``schemes`` raises :class:`DomainError` before any block is drawn.
     """
     rhos = [rho] if np.ndim(rho) == 0 else list(rho)
     schemes = tuple(schemes)
+    if not (rhos and schemes):
+        raise DomainError(f"rho and schemes must be nonempty, got {len(rhos)} rho(s), {len(schemes)} scheme(s)")
     tokens = _resolve(schemes, mode, split, rhos, trials, seed, workers)
     cells = [(geometry, x, token, None) for x in rhos for token in tokens]
     labels = [(x, s, q) for x in rhos for s in schemes for q in QUANTITIES]

@@ -1,9 +1,11 @@
-"""Seeded config fuzzer: one valid config document, mutated in one or
-two fields per case, run through the command line in-process.  Whatever
-the values, a run exits 0, 1 or 2; a refused run prints one short error
-line, no traceback, and writes no output file; and no case takes long."""
+"""Seeded config and flag fuzzer: one valid config document, or one valid
+command line, mutated in one or two fields or flags per case, run through
+the command line in-process.  Whatever the values, a run exits 0, 1 or 2;
+a refused run prints one short error line, no traceback, and writes no
+output file; and no case takes long."""
 
 import copy
+import os
 import time
 
 import numpy as np
@@ -37,8 +39,27 @@ FIELDS = [(None, "preset")] + [
 # float range, so the trial counts they give are refused.
 MENU = ["", "NaN", "Infinity", "-Infinity", "1e+308", "1e-308", "5e-324", "3000", "500", "1" + "0" * 400,
         "1" + "0" * 5000, "[[1.0, 2.0], [3.0]]", "[[[]]]", "true", "false", "null"]
+# Valid values of each field and flag besides its base value, drawn in
+# half of the mutations: a grid with a negative point, a single Monte-Carlo
+# trial, another spelling of the split, workers at their bound, stdout.
+K = ("0", "0.5", "10")
+OMEGA = ("1", "20", "0.5")
+GRID = ("0:30:10", "-5, 25")
+VALID = {
+    "preset": ("fig4",), "k": K, "k_sr": K, "k_rd": K, "k_sd": K,
+    "omega_sr": OMEGA, "omega_rd": OMEGA, "omega_sd": OMEGA,
+    "rho_db": GRID, "schemes": ("crs_oma", "conventional, crs_noma"), "modes": ("exact", "paper"),
+    "estimators": ("quadrature_oracle", "monte_carlo, series_corrected"),
+    "trials": ("1", "500"), "seed": ("0", "12345"), "a1": ("9e-1", "0.90"), "a2": ("1e-1", "0.100"),
+    "--seed": ("0", "12345"), "--trials": ("1", "500"), "--workers": ("1", "2", "64"), "--out": ("-", "t.csv"),
+    "--k-grid": ("0:10:5", "0.5, 3"), "--rho-grid": GRID, "--k": K,
+}
 CASES = 300
 SECONDS_PER_CASE = 5.0
+
+
+def value_for(rng, name) -> str:
+    return VALID[name][rng.integers(len(VALID[name]))] if rng.integers(2) else MENU[rng.integers(len(MENU))]
 
 
 def mutate(rng) -> dict:
@@ -54,7 +75,7 @@ def mutate(rng) -> dict:
             key, value = "bogus", "1"
         else:
             section, key = FIELDS[rng.integers(len(FIELDS))]
-            value = MENU[rng.integers(len(MENU))]
+            value = value_for(rng, key)
         (doc if section is None else doc.setdefault(section, {}))[key] = value
     return doc
 
@@ -67,29 +88,66 @@ def as_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_mutated_configs_exit_cleanly(tmp_path, capsys):
+def check_run(argv, out, what, capsys):
+    """Run argv in the current directory, which starts empty, and check
+    its exit; ``out`` is the file a successful run writes, None for stdout."""
+    start = time.perf_counter()
+    code = main(argv)
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if not line.startswith("ratelab: warning: ")]
+    assert code in (0, 1, 2), what
+    assert "Traceback" not in err, what
+    assert elapsed < SECONDS_PER_CASE, what
+    if code == 0:
+        assert lines == [] and os.listdir() == ([] if out is None else [out]), what
+    else:
+        assert len(lines) == 1 and len(lines[0].encode()) < 300, (what, err[:600])
+        assert lines[0].startswith(("ratelab: error: ", "ratelab: runtime error: ")), what
+        assert os.listdir() == [], what
+    return code
+
+
+def test_mutated_configs_exit_cleanly(tmp_path, monkeypatch, capsys):
     rng = np.random.default_rng(2024)
     config = tmp_path / "config"
     codes = []
     for case in range(CASES):
         text = as_text(mutate(rng))
         config.write_text(text)
-        out = tmp_path / f"{case}.csv"
-        start = time.perf_counter()
-        code = main(["sweep", "--config", str(config), "--out", str(out)])
-        elapsed = time.perf_counter() - start
-        err = capsys.readouterr().err
-        what = f"case {case}: {text[:300]!r}"
-        lines = [line for line in err.splitlines() if not line.startswith("ratelab: warning: ")]
-        assert code in (0, 1, 2), what
-        assert "Traceback" not in err, what
-        assert elapsed < SECONDS_PER_CASE, what
-        if code == 0:
-            assert lines == [] and out.exists(), what
-        else:
-            assert len(lines) == 1 and len(lines[0].encode()) < 300, (what, err[:600])
-            assert lines[0].startswith(("ratelab: error: ", "ratelab: runtime error: ")), what
-            assert not out.exists(), what
-        codes.append(code)
+        run = tmp_path / str(case)
+        run.mkdir()
+        monkeypatch.chdir(run)
+        codes.append(check_run(["sweep", "--config", str(config), "--out", "out.csv"], "out.csv",
+                               f"case {case}: {text[:300]!r}", capsys))
     # the mutations both run and get refused
+    assert 0 in codes and 1 in codes
+
+
+# Each command, its valid arguments and the value flags the flag route
+# mutates; a flag given twice takes its last value.
+COMMANDS = (
+    (["sweep", "--config", "{config}", "--out=out.csv"], ("--seed", "--trials", "--workers", "--out")),
+    (["calibrate", "--preset", "fig3", "--k-grid=0,5", "--trials=2000", "--out=out.csv"],
+     ("--k-grid", "--seed", "--trials", "--workers", "--out")),
+    (["discrepancy", "--preset", "fig3", "--k=3", "--rho-grid=5,15", "--out=out.csv"], ("--k", "--rho-grid", "--out")),
+)
+
+
+def test_mutated_flags_exit_cleanly(tmp_path, monkeypatch, capsys):
+    rng = np.random.default_rng(2025)
+    config = tmp_path / "config"
+    config.write_text(as_text(BASE))
+    codes = []
+    for case in range(CASES):
+        base, flags = COMMANDS[rng.integers(len(COMMANDS))]
+        argv = [arg.format(config=config) for arg in base]
+        for _ in range(rng.integers(1, 3)):
+            flag = flags[rng.integers(len(flags))]
+            argv.append(f"{flag}={value_for(rng, flag)}")  # joined, so a value may start with '-'
+        out = [arg for arg in argv if arg.startswith("--out=")][-1][len("--out="):]
+        run = tmp_path / str(case)
+        run.mkdir()
+        monkeypatch.chdir(run)
+        codes.append(check_run(argv, None if out == "-" else out, f"case {case}: {argv!r:.300}", capsys))
     assert 0 in codes and 1 in codes

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -88,6 +89,15 @@ def test_every_conventional_entry_point_takes_one_split_rule(monkeypatch):
     for call in calls:
         with pytest.raises(DomainError, match=r"^the conventional scheme needs a PowerSplit, got \(0\.9, 0\.1\)$"):
             call()
+
+
+@pytest.mark.parametrize("rho, schemes, counts", [([], ("crs_noma",), "0 rho(s), 1 scheme(s)"),
+                                                   (1.0, (), "1 rho(s), 0 scheme(s)")], ids=["no-rho", "no-scheme"])
+def test_an_empty_rho_or_scheme_list_is_refused_before_any_block(rho, schemes, counts, monkeypatch):
+    # it used to draw every block and return []
+    monkeypatch.setattr(montecarlo, "_run_blocks", lambda *args: pytest.fail("a block ran"))
+    with pytest.raises(DomainError, match=f"^rho and schemes must be nonempty, got {re.escape(counts)}$"):
+        estimate_rates(fig3_geometry(), rho, schemes, trials=10**7)
 
 
 def test_a_single_trial_has_a_zero_standard_error():

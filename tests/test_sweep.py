@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import re
@@ -18,8 +19,8 @@ from ratelab import (
     render_csv,
     run_sweep,
 )
-from ratelab import analytic, montecarlo
-from ratelab.cli import _parse_grid, _settings, build_parser, main
+from ratelab import analytic, montecarlo, sweep
+from ratelab.cli import main
 from ratelab.errors import DomainError, ValidationError
 from ratelab.montecarlo import MAX_TRIALS, MAX_WORKERS
 from ratelab.rates import QUANTITIES, RATES
@@ -339,15 +340,15 @@ def test_usage_errors_exit_one_with_one_line(tmp_path, capsys):
 
 
 def test_trials_and_workers_are_bounded_everywhere(tmp_path, monkeypatch, capsys):
-    def no_blocks(*args):
-        raise AssertionError("blocks run past a bad bound")
+    def no_blocks(block_fn, trials, workers):
+        raise AssertionError(f"blocks run for {trials} trials on {workers} workers")
 
     monkeypatch.setattr(montecarlo, "_run_blocks", no_blocks)
-    # each bound is inclusive: the config and the flags take it
+    # each bound is inclusive: the config and the flags take it, and the flags pass it on
     assert parse_config(f"preset = fig3\ntrials = {MAX_TRIALS}\n").trials == MAX_TRIALS
-    args = build_parser().parse_args(["calibrate", "--preset", "fig3", "--trials", str(MAX_TRIALS),
-                                      "--workers", str(MAX_WORKERS)])
-    assert _settings(args) == {"trials": MAX_TRIALS, "workers": MAX_WORKERS}
+    with pytest.raises(AssertionError, match=f"^blocks run for {MAX_TRIALS} trials on {MAX_WORKERS} workers$"):
+        main(["calibrate", "--preset", "fig3", "--k-grid", "0", "--trials", str(MAX_TRIALS),
+              "--workers", str(MAX_WORKERS)])
     # the case that used to build a block plan of 7.6e9 entries
     assert main(["calibrate", "--preset", "fig3", "--k-grid", "0", "--trials", str(10**15)]) == 1
     assert capsys.readouterr().err == f"ratelab: error: --trials: {RULES['trials']}\n"
@@ -467,20 +468,22 @@ def test_grid_length_is_bounded_before_the_grid_is_built(tmp_path, capsys):
     # one point past the bound: a parser that skipped the check would build
     # only that many points, so a regression fails here instead of hanging
     too_long = f"0:{MAX_GRID_POINTS}:1"
-    assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}:1", "--k-grid")) == MAX_GRID_POINTS
+    # the flag takes a grid at the bound: its last point, 3083 dB, is the
+    # first whose linear SNR overflows
+    assert main(["discrepancy", "--preset", "fig3", f"--rho-grid={3084 - MAX_GRID_POINTS}:3083:1"]) == 1
+    assert capsys.readouterr().err == "ratelab: error: rho_db = 3083: 10^(rho_db/10) is not a finite float\n"
     assert len(parse_config(MINIMAL + f"[sweep]\nrho_db = 0:{MAX_GRID_POINTS - 1}:1\n").rho_grid_db) \
         == MAX_GRID_POINTS
-    for spec in (too_long, "0:nan:1"):
-        with pytest.raises(ValidationError, match="at most"):
-            _parse_grid(spec, "--k-grid")
     for spec in (too_long, "0:inf:1", "0:nan:1"):
         with pytest.raises(ValidationError, match="rho_db: grid .* at most"):
             parse_config(MINIMAL + f"[sweep]\nrho_db = {spec}\n")
     for argv in (["discrepancy", "--preset", "fig3", "--rho-grid", too_long],
-                 ["calibrate", "--preset", "fig3", "--k-grid", too_long]):
+                 ["calibrate", "--preset", "fig3", "--k-grid", too_long],
+                 ["calibrate", "--preset", "fig3", "--k-grid", "0:nan:1"]):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("ratelab: error: ") and err.count("\n") == 1
+        assert re.match(r"ratelab: error: --(k|rho)-grid: grid .* at most", err), err
     cfg = tmp_path / "long.txt"
     cfg.write_text(MINIMAL + f"[sweep]\nrho_db = {too_long}\n")
     assert main(["sweep", "--config", str(cfg)]) == 1
@@ -504,9 +507,13 @@ def test_console_entry_point(tmp_path):
 
 
 @pytest.mark.parametrize("spec", ["0:1:0.3", "0:1:0.1", "0:30:1"])
-def test_cli_and_config_parse_a_grid_alike(spec):
+def test_cli_and_config_parse_a_grid_alike(spec, monkeypatch):
     config_grid = parse_config(MINIMAL + f"[sweep]\nrho_db = {spec}\n").rho_grid_db
-    assert _parse_grid(spec, "--rho-grid") == list(config_grid) == parse_grid(spec)
+    flag_grids = []
+    run = sweep.run_sweep
+    monkeypatch.setattr(sweep, "run_sweep", lambda config: flag_grids.append(config.rho_grid_db) or run(config))
+    assert main(["discrepancy", "--preset", "fig3", "--rho-grid", spec, "--out", "-"]) == 0
+    assert flag_grids == [config_grid] and list(config_grid) == parse_grid(spec)
 
 
 def test_grid_points_are_the_decimals_the_step_names():
@@ -877,8 +884,15 @@ def test_a_mean_power_whose_inverse_scale_overflows_exits_one(tmp_path, capsys):
                  "--rho-grid: cannot interpret 'zzzzzzzzzzzz...zzzzzzzzzzzzz'", id="flag-long-rho-grid"),
     pytest.param(["calibrate", "--preset", "fig3", "--k-grid", "1:2:" + "z" * 5000], None,
                  "--k-grid: cannot interpret 'zzzzzzzzzzzz...zzzzzzzzzzzzz'", id="flag-long-k-grid"),
+    # an empty grid flag is refused, not read as the default grid
+    pytest.param(["calibrate", "--preset", "fig3", "--k-grid", ""], None, "--k-grid: grid must be nonempty",
+                 id="flag-empty-k-grid"),
+    pytest.param(["discrepancy", "--preset", "fig3", "--rho-grid", ""], None, "--rho-grid: grid must be nonempty",
+                 id="flag-empty-rho-grid"),
 ])
-def test_each_refused_config_or_grid_is_one_line(argv, config, message, tmp_path, capsys):
+def test_each_refused_config_or_grid_is_one_line(argv, config, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(montecarlo, "_run_blocks", lambda *args: pytest.fail("a block ran"))
+    monkeypatch.setattr(analytic, "_quad", lambda *args, **kwargs: pytest.fail("a quadrature ran"))
     out = tmp_path / "out.csv"
     if config is not None:
         cfg = tmp_path / "cfg.txt"
@@ -888,6 +902,30 @@ def test_each_refused_config_or_grid_is_one_line(argv, config, message, tmp_path
     err = capsys.readouterr().err
     assert err == f"ratelab: error: {message}\n" and len(err.encode()) < 200
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--config", "cfg.txt"], ["calibrate", "--preset", "fig3"],
+                                  ["discrepancy", "--preset", "fig3"]], ids=lambda argv: argv[0])
+def test_an_empty_out_is_refused_before_any_work(argv, tmp_path, monkeypatch, capsys):
+    # an empty --out is not absent: sweep does not fall back to the config's path
+    monkeypatch.setattr(montecarlo, "_run_blocks", lambda *args: pytest.fail("a block ran"))
+    monkeypatch.setattr(analytic, "_quad", lambda *args, **kwargs: pytest.fail("a quadrature ran"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.txt").write_text(CLI_CONFIG)
+    assert main(argv + ["--out", ""]) == 1
+    assert capsys.readouterr() == ("", "ratelab: error: --out: must not be empty\n")
+    assert os.listdir(tmp_path) == ["cfg.txt"]
+
+
+def test_a_path_of_any_length_is_echoed_cut_short(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    name = "1" + "0" * 5000
+    line = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: '100000000000...0000000000000'"
+    assert main(["sweep", "--config", name]) == 2
+    assert capsys.readouterr().err == f"ratelab: runtime error: {line}\n"
+    assert main(["discrepancy", "--preset", "fig3", "--rho-grid", "5", "--out", name]) == 2
+    assert capsys.readouterr() == ("", f"ratelab: runtime error: {line}\n")
+    assert os.listdir(tmp_path) == []
 
 
 def test_run_sweep_and_calibrate_k_refuse_bad_arguments(monkeypatch):
