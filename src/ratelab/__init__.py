@@ -29,8 +29,6 @@ from .analytic import (
     cdf_single_link_series,
     ergodic_rate_quadrature_quantities,
     ergodic_rate_series,
-    g_rho,
-    h_rho,
 )
 from .montecarlo import EstimatorResult, estimate_rates, paired_gap
 from .sweep import (
@@ -55,7 +53,7 @@ __all__ = [
     "conventional_noma_rate", "crs_noma_rate", "crs_oma_rate",
     "cdf_gamma2_paper", "cdf_min_pair_approx", "cdf_min_pair_series",
     "cdf_single_link_series", "ergodic_rate_quadrature_quantities",
-    "ergodic_rate_series", "g_rho", "h_rho",
+    "ergodic_rate_series",
     "EstimatorResult", "estimate_rates", "paired_gap",
     "CalibrationResult", "SweepConfig", "SweepResult", "SweepRow",
     "calibrate_k", "discrepancy_report", "parse_config", "render_csv", "run_sweep",

@@ -7,9 +7,9 @@ Three kinds of objects live here:
   (:func:`cdf_min_pair_series`, :func:`cdf_single_link_series`), plus
   the two as-published forms that deviate from them
   (:func:`cdf_min_pair_approx`, :func:`cdf_gamma2_paper`);
-* the ergodic-rate series :func:`h_rho` / :func:`g_rho`, each a
-  coefficient vector times an exact moment kernel, and their
-  combination :func:`ergodic_rate_series`;
+* the ergodic-rate series :func:`ergodic_rate_series`, whose two log-rate
+  terms, H over a link pair and G over one link or a pair, are each a
+  coefficient vector times an exact moment kernel;
 * :func:`ergodic_rate_quadrature_quantities`, a deterministic
   numerical-integration oracle: every rate one half-rate integral of a
   survival, by a vectorised trapezoidal rule in ln x over a bounded
@@ -53,8 +53,6 @@ __all__ = [
     "cdf_min_pair_approx",
     "cdf_single_link_series",
     "cdf_gamma2_paper",
-    "h_rho",
-    "g_rho",
     "ergodic_rate_series",
     "ergodic_rate_quadrature_quantities",
 ]
@@ -200,28 +198,28 @@ def _moment_kernel(m_max: int, c: float) -> np.ndarray:
     return out
 
 
-def _check_rho_pos(rho: float) -> float:
-    """:func:`ratelab.rates._check_rho`, and rho > 0, which the series and
-    the oracle need and the rate functions do not."""
-    if _check_rho(rho) == 0.0:
-        raise DomainError("rho must be > 0 for the series and the oracle, got 0")
-    return float(rho)
-
-
-def _series(coeffs: np.ndarray, c: float) -> float:
-    """sum_m coeffs[m] G[m], G the moment kernel at c; every rate series."""
-    return float(coeffs @ _moment_kernel(len(coeffs) - 1, c))
-
-
 def _rhos(rho) -> list[float]:
-    """One rho or a sequence, as a list through :func:`_check_rho_pos`."""
-    return [_check_rho_pos(r) for r in ([rho] if np.ndim(rho) == 0 else rho)]
+    """One rho or a sequence, as a list of floats; each rho in order
+    through :func:`ratelab.rates._check_rho`, then refused at 0, which
+    the series and the oracle need and the rate functions do not."""
+    rhos = []
+    for r in [rho] if np.ndim(rho) == 0 else rho:
+        rhos.append(_check_rho(r))
+        if rhos[-1] == 0.0:
+            raise DomainError("rho must be > 0 for the series and the oracle, got 0")
+    return rhos
 
 
 def _rate_series(links: tuple, rhos: list) -> list[float]:
     """E[ln(1 + rho*X)] (nats) at each rho, X one link's gain or a pair's
-    min: :func:`_series` at c = sum of a/rho over the links, with the
-    coefficients (:func:`g_rho`'s T, :func:`h_rho`'s D) built once."""
+    min, as sum_m C[m] G[m], G the exact moment kernel at c = sum of a/rho
+    over the links and the coefficients C built once.
+
+    One link: C[m] = T[m] = P[N >= m], the link's Poisson(K) upper tails.
+    A pair: C[m] = D[m] = sum_(i+j=m) C(m, i) p^i q^j Ta[i] Tb[j],
+    p = a_a/(a_a + a_b) and q = 1 - p.  The only error is the Poisson(K)
+    weight each link's series leaves out, :data:`ratelab.channel.KERNEL_TOL`.
+    """
     if len(links) == 1:
         coeffs = links[0]._tails
     else:
@@ -236,41 +234,17 @@ def _rate_series(links: tuple, rhos: list) -> list[float]:
         w = np.cumprod(np.hstack((p ** i, q * (i + j[1:]) / j[1:])), axis=1)
         coeffs = np.bincount((i + j).ravel(), (w * np.outer(ta, tb)).ravel())
     # c = a_a/rho + a_b/rho, as a_a + a_b may overflow; an infinite c gives G = 0
-    return [_series(coeffs, sum(link.inv_scale / rho for link in links)) for rho in rhos]
-
-
-def h_rho(link_a: RicianLink, link_b: RicianLink, rho: float) -> float:
-    """Series for E[ln(1 + rho*min(X_a, X_b))] (nats).
-
-    sum_m D[m] G[m], G the exact moment kernel at c = (a_a + a_b)/rho and
-    D[m] = sum_(i+j=m) C(m, i) p^i q^j Ta[i] Tb[j], p = a_a/(a_a + a_b),
-    q = 1 - p and Ta, Tb the links' Poisson(K) upper tails;
-    (1/(2 ln 2)) * h_rho is the relayed-symbol ergodic rate.  Its only
-    error is the Poisson(K) weight each link's series leaves out,
-    :data:`ratelab.channel.KERNEL_TOL`.
-    """
-    return _rate_series((link_a, link_b), [_check_rho_pos(rho)])[0]
-
-
-def g_rho(link_z: RicianLink, link_y: RicianLink | None, rho: float) -> float:
-    """Series for the direct-symbol log-rate term (nats).
-
-    With two links this is :func:`h_rho` over the (z, y) constants,
-    matching the printed form.  Passing ``link_y=None`` evaluates the
-    single-link variant over ``link_z`` alone, E[ln(1 + rho*X_z)], as
-    sum_m T[m] G[m] over the link's Poisson(K) upper tails T, with the
-    moment kernel at c = a_z/rho; the corrected pipeline feeds the S-D
-    link that way since gamma_2 is one link, not a pair.
-    """
-    return _rate_series((link_z,) if link_y is None else (link_z, link_y), [_check_rho_pos(rho)])[0]
+    cs = [sum(link.inv_scale / rho for link in links) for rho in rhos]
+    return [float(coeffs @ _moment_kernel(len(coeffs) - 1, c)) for c in cs]
 
 
 def ergodic_rate_series(geometry: NetworkGeometry, rho, *,
                         literal: bool = False) -> RateBreakdown | list[RateBreakdown]:
     """Paper-mode CRS-NOMA ergodic rates from the series; the total is
-    (h + 2g)/(2 ln 2).  The series cover that one rate token, so
-    :data:`ratelab.sweep.ESTIMATORS` gives both series ``crs_noma_paper``
-    alone, and a sweep writes series rows only where it selects it.
+    (H + 2G)/(2 ln 2), H and G each a :func:`_rate_series`.  The series
+    cover that one rate token, so :data:`ratelab.sweep.ESTIMATORS` gives
+    both series ``crs_noma_paper`` alone, and a sweep writes series rows
+    only where it selects it.
 
     ``literal=False`` (corrected): H over (S-R, R-D) and G over the S-D
     link alone, matching the variates gamma_1 and gamma_2.

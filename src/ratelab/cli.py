@@ -13,13 +13,16 @@ both series and the oracle.  A grid that starts below zero is written
 with '=', --rho-grid=-10:30:5, since a bare -10:30:5 reads as an option.
 
 Exit codes: 0 success, 1 configuration/validation error (usage errors
-included), 2 runtime or convergence error.  A warning prints as one
+and any error the system gives for a named path included), 2 runtime or
+convergence error.  A warning prints as one
 ``ratelab: warning: ...`` line and leaves the exit code alone.  Each
 value flag is read by the rule of the setting it names before any
 command runs, so an empty value is refused, not taken as absent.
 """
 
 import argparse
+import errno
+import os
 import reprlib
 import sys
 import warnings
@@ -68,6 +71,17 @@ def _read_flags(args) -> dict:
     return flags
 
 
+def _writable(path: str) -> str:
+    """``path``, refused where it names a directory or lies in one that is
+    missing, so that no estimator runs for a table that cannot be written;
+    "-" is stdout."""
+    if path != "-":
+        os.stat(os.path.join(os.path.dirname(path), "") or ".")  # a missing parent, or a file, raises
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    return path
+
+
 def _write(path: str, text: str):
     if path == "-":
         sys.stdout.write(text)
@@ -79,10 +93,12 @@ def _write(path: str, text: str):
 def _cmd_sweep(args, out=None, **settings):
     with open(args.config) as fh:
         config = replace(parse_config(fh.read()), **settings)
-    _write(config.output_path if out is None else out, render_csv(run_sweep(config)))
+    out = _writable(config.output_path if out is None else out)
+    _write(out, render_csv(run_sweep(config)))
 
 
 def _cmd_calibrate(args, out="-", **settings):
+    _writable(out)
     result = calibrate_k(args.preset, **settings)
     _write(out, render_calibration_csv(result))
     if out != "-":
@@ -91,6 +107,7 @@ def _cmd_calibrate(args, out="-", **settings):
 
 def _cmd_discrepancy(args, k=0.0, rho_grid=tuple(range(0, 31, 5)), out="-"):
     geometry = preset_geometry(args.preset, k)
+    _writable(out)
     _write(out, render_discrepancy_csv(discrepancy_report(geometry, rho_grid), geometry))
 
 
@@ -147,7 +164,7 @@ def main(argv=None) -> int:
             args.func(args, **_read_flags(args))  # every flag is read before the command runs
         return _EXIT_OK
     except (RateLabError, OSError) as exc:
-        config = isinstance(exc, (ValidationError, DomainError, FileNotFoundError))
+        config = isinstance(exc, (ValidationError, DomainError, OSError))  # a path the user named
         if isinstance(exc, OSError) and exc.filename is not None:  # a path of any length, cut short
             exc = f"[Errno {exc.errno}] {exc.strerror}: {reprlib.repr(exc.filename)}"
         print(f"ratelab: {'error' if config else 'runtime error'}: {exc}", file=sys.stderr)

@@ -212,10 +212,11 @@ def _terms(r, rho: float) -> RateTerms:
     return r
 
 
-def crs_noma_rate(r: ChannelRealization, rho: float, mode: str = "exact") -> RateBreakdown:
+def crs_noma_rate(r: ChannelRealization, rho: float, mode: str) -> RateBreakdown:
     """CRS-NOMA rates: relayed s1 (decode-and-forward min), direct s1, s2.
 
-    In paper mode the total reduces to
+    ``mode``, ``"paper"`` or ``"exact"``, has no default.  In paper mode
+    the total reduces to
     0.5*log2(1 + rho*min(lambda_RD, lambda_SR)) + log2(1 + rho*lambda_SD).
     """
     t = _terms(r, rho)

@@ -23,8 +23,6 @@ from ratelab import (
     ergodic_rate_quadrature_quantities,
     ergodic_rate_series,
     estimate_rates,
-    g_rho,
-    h_rho,
     make_link,
     power_gain_cdf,
     power_gain_pdf,
@@ -37,6 +35,11 @@ from ratelab.rates import QUANTITIES, RATES, RateBreakdown
 from ratelab.sweep import parse_config, preset_geometry, run_sweep
 
 FIG3 = NetworkGeometry(sr=make_link(0, 8), rd=make_link(0, 8), sd=make_link(0, 3))
+
+
+def series(*links, rho):
+    """The log-rate series (nats) over one link or a pair, at one rho."""
+    return analytic._rate_series(links, [rho])[0]
 
 
 def ln_rate_exponential(rho, omega):
@@ -216,25 +219,25 @@ _EXTREME_SCALES = [(1e308, 1e308), (1e300, 1e-300), (1e308, 1e-20)]
 
 @pytest.mark.parametrize("k", [0, 3])
 @pytest.mark.parametrize("scales", _EXTREME_SCALES + [pair[::-1] for pair in _EXTREME_SCALES[1:]])
-def test_h_rho_is_finite_at_extreme_inverse_scale_ratios(scales, k):
+def test_pair_series_is_finite_at_extreme_inverse_scale_ratios(scales, k):
     # the links are built at mean power (1 + K)/a, so each has inverse scale a
     a, b = (make_link(k, (1 + k) / scale) for scale in scales)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModelAssumptionWarning)
         geometry = NetworkGeometry(sr=a, rd=b, sd=make_link(k, 1))
     for rho in (10 ** 0.5, 10 ** 1.5):
-        h = h_rho(a, b, rho)
+        h = series(a, b, rho=rho)
         oracle = ergodic_rate_quadrature_quantities(geometry, rho, "crs_noma_paper")["c_relay_s1"]
         assert math.isfinite(h) and abs(h - 2 * math.log(2) * oracle) <= 1e-8, (scales, k, rho)
 
 
-def test_h_rho_rayleigh_high_snr_against_oracle():
+def test_pair_series_rayleigh_high_snr_closed_form():
     # K=0, Omega=8 pair: exact value e^z E1(z), z = (a_a+a_b)/rho
     a = make_link(0, 8)
     b = make_link(0, 8)
     rho = 1e3
     want = ln_rate_exponential(rho, 4.0)  # min of two exp(8) is exp(4)
-    assert h_rho(a, b, rho) == pytest.approx(want, rel=1e-12)
+    assert series(a, b, rho=rho) == pytest.approx(want, rel=1e-12)
 
 
 def _moment_by_quadrature(m, c):
@@ -285,27 +288,34 @@ def test_moment_kernel_limits_and_stop_bound(monkeypatch):
     with pytest.raises(DomainError, match=r"^the series need alpha/rho > 0, got 0\.0$"):
         analytic._moment_kernel(3, 0.0)
     with pytest.raises(DomainError, match="alpha/rho > 0"):
-        h_rho(make_link(0, 1e300), make_link(0, 1e300), 1e300)
+        series(make_link(0, 1e300), make_link(0, 1e300), rho=1e300)
     monkeypatch.setattr(analytic, "_MAX_FRACTION_TERMS", 1)
     with pytest.raises(ConvergenceError, match=r"^continued fraction for E_4\(2\.5\) did not converge within 1 terms$"):
         analytic._moment_kernel(5, 2.5)
 
 
-def test_h_rho_rejects_nonpositive_rho():
-    with pytest.raises(DomainError):
-        h_rho(make_link(0, 1), make_link(0, 1), 0.0)
-    with pytest.raises(DomainError):
-        g_rho(make_link(0, 1), None, -2.0)
+@pytest.mark.parametrize("call", [
+    lambda rho: ergodic_rate_series(FIG3, rho),
+    lambda rho: ergodic_rate_series(FIG3, rho, literal=True),
+    lambda rho: ergodic_rate_quadrature_quantities(FIG3, rho, "crs_noma_paper"),
+], ids=["series", "series-literal", "oracle"])
+def test_series_and_oracle_refuse_a_nonpositive_rho_in_order(call):
+    # each rho in turn, first finite and >= 0, then > 0
+    positive = r"^rho must be > 0 for the series and the oracle, got 0$"
+    nonneg = r"^rho must be finite and >= 0, got -2\.0$"
+    for rho, message in ((0.0, positive), (-2.0, nonneg), ([1.0, 0.0, -2.0], positive), ([1.0, -2.0, 0.0], nonneg)):
+        with pytest.raises(DomainError, match=message):
+            call(rho)
 
 
-def test_g_rho_single_link_against_oracle():
+def test_single_link_series_rayleigh_closed_form():
     # corrected mode: the S-D link alone, at K = 0 the closed form e^z E1(z)
     for rho in (1e-2, 1.0, 1e3, 1e8):
-        assert g_rho(make_link(0, 3), None, rho) == pytest.approx(ln_rate_exponential(rho, 3.0), rel=1e-13)
+        assert series(make_link(0, 3), rho=rho) == pytest.approx(ln_rate_exponential(rho, 3.0), rel=1e-13)
 
 
-def double_cumsum_h_rho(link_a, link_b, rhos):
-    """h_rho at each rho as wa @ cumsum(cumsum(W, 0), 1) @ wb, over the links'
+def double_cumsum_pair_series(link_a, link_b, rhos):
+    """The pair series at each rho as wa @ cumsum(cumsum(W, 0), 1) @ wb, over the links'
     Poisson weights, with W[i, j] = C(i+j, i) p^i q^j G[i+j] and its binomial
     terms from SciPy's pmf."""
     wa, wb = analytic.poisson_weights(link_a.k_factor), analytic.poisson_weights(link_b.k_factor)
@@ -317,21 +327,24 @@ def double_cumsum_h_rho(link_a, link_b, rhos):
 
 
 @pytest.mark.parametrize("k", [0, 3, 10, 100, 500])
-def test_h_rho_matches_the_double_cumsum_reference(k):
+def test_pair_series_matches_the_double_cumsum_reference(k):
     # at K = 500, binomial terms from logs of m! (up to 8000) are 7e-13 off
     rhos = [10 ** (rho_db / 10) for rho_db in range(-20, 101, 20)]
     for omegas in ((8, 8, 3), (100, 0.5, 0.1)):
         sr, rd, sd = (make_link(k, omega) for omega in omegas)
         for a, b in ((sr, rd), (sd, sr)):
-            for rho, want in zip(rhos, double_cumsum_h_rho(a, b, rhos)):
-                h = h_rho(a, b, rho)
+            for rho, want in zip(rhos, double_cumsum_pair_series(a, b, rhos)):
+                h = series(a, b, rho=rho)
                 assert h == pytest.approx(want, rel=1e-13), (omegas, a, b, rho)
-                assert h == pytest.approx(h_rho(b, a, rho), rel=1e-14), (omegas, a, b, rho)
+                assert h == pytest.approx(series(b, a, rho=rho), rel=1e-14), (omegas, a, b, rho)
 
 
-def test_g_rho_pair_matches_h_rho():
-    z, y = make_link(2, 5), make_link(1, 7)
-    assert g_rho(z, y, 50.0) == h_rho(z, y, 50.0)
+def test_literal_g_is_the_corrected_h_of_the_swapped_relay_links():
+    # the printed two-link G over (R-D, S-R) is the pair form H takes over (S-R, R-D)
+    sd = make_link(0, 3)
+    g = NetworkGeometry(sr=make_link(1, 7), rd=make_link(2, 5), sd=sd)
+    swapped = NetworkGeometry(sr=g.rd, rd=g.sr, sd=sd)
+    assert ergodic_rate_series(g, 50.0, literal=True).c_direct_s1 == ergodic_rate_series(swapped, 50.0).c_relay_s1
 
 
 def test_ergodic_series_report_invariant_and_mapping():
@@ -341,12 +354,12 @@ def test_ergodic_series_report_invariant_and_mapping():
     assert rep.c_s2 == rep.c_direct_s1
     to_bits = 2.0 * math.log(2.0)
     # corrected: H over (S-R, R-D), G over the S-D link alone
-    assert rep.c_relay_s1 == h_rho(FIG3.sr, FIG3.rd, 100.0) / to_bits
-    assert rep.c_direct_s1 == g_rho(FIG3.sd, None, 100.0) / to_bits
+    assert rep.c_relay_s1 == series(FIG3.sr, FIG3.rd, rho=100.0) / to_bits
+    assert rep.c_direct_s1 == series(FIG3.sd, rho=100.0) / to_bits
     # literal: H over (S-D, S-R), G over (R-D, S-R), as printed
     lit = ergodic_rate_series(FIG3, 100.0, literal=True)
-    assert lit.c_relay_s1 == h_rho(FIG3.sd, FIG3.sr, 100.0) / to_bits
-    assert lit.c_direct_s1 == g_rho(FIG3.rd, FIG3.sr, 100.0) / to_bits
+    assert lit.c_relay_s1 == series(FIG3.sd, FIG3.sr, rho=100.0) / to_bits
+    assert lit.c_direct_s1 == series(FIG3.rd, FIG3.sr, rho=100.0) / to_bits
     # the two symbol mappings disagree; the gap is data for the report
     assert abs(lit.c_total - rep.c_total) > 0.02
 

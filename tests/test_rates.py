@@ -13,8 +13,6 @@ from ratelab import (
     ergodic_rate_quadrature_quantities,
     ergodic_rate_series,
     estimate_rates,
-    g_rho,
-    h_rho,
     make_link,
     paired_gap,
 )
@@ -81,6 +79,9 @@ def test_snrs_rejects_negative_rho_and_bad_mode():
         crs_noma_rate(R1, -1.0, "paper")
     with pytest.raises(DomainError):
         crs_noma_rate(R1, 1.0, "bogus")
+    # the mode has no default, as paper mode is the default everywhere else
+    with pytest.raises(TypeError, match="mode"):
+        crs_noma_rate(R1, 1.0)
 
 
 @pytest.mark.parametrize("rho", [math.inf, math.nan, pytest.param(10**400, id="10**400")])
@@ -94,7 +95,6 @@ def test_every_rate_entry_point_refuses_a_non_finite_rho(rho):
              lambda: conventional_noma_rate(r, rho, PowerSplit(0.9, 0.1)), lambda: crs_oma_rate(r, rho),
              lambda: estimate_rates(geometry, rho, ("crs_noma",), trials=10),
              # the series and the oracle take the same rule, then also refuse rho = 0
-             lambda: h_rho(geometry.sr, geometry.rd, rho), lambda: g_rho(geometry.sd, None, rho),
              lambda: ergodic_rate_series(geometry, rho),
              lambda: ergodic_rate_quadrature_quantities(geometry, rho, "crs_oma"))
     for call in calls:
@@ -104,11 +104,12 @@ def test_every_rate_entry_point_refuses_a_non_finite_rho(rho):
 
 @pytest.mark.parametrize("rho", [[1.0, 2.0], [1.0], np.array([1.0, 2.0])], ids=["list", "one-element-list", "array"])
 @pytest.mark.parametrize("call", [
-    lambda rho: h_rho(FIG3.sr, FIG3.rd, rho),
-    lambda rho: g_rho(FIG3.sd, None, rho),
-    lambda rho: crs_noma_rate(R1, rho),
+    lambda rho: RateTerms(R1, rho),
+    lambda rho: crs_noma_rate(R1, rho, "paper"),
+    lambda rho: conventional_noma_rate(R1, rho, PowerSplit(0.9, 0.1)),
+    lambda rho: crs_oma_rate(R1, rho),
     lambda rho: paired_gap(FIG3, rho, "crs_noma", "crs_oma", trials=10),
-], ids=["h_rho", "g_rho", "crs_noma_rate", "paired_gap"])
+], ids=["RateTerms", "crs_noma_rate", "conventional_noma_rate", "crs_oma_rate", "paired_gap"])
 def test_a_one_rho_entry_refuses_a_sequence_of_rho(call, rho):
     with pytest.raises(DomainError, match=r"^rho must be one number, got "):
         call(rho)

@@ -19,7 +19,7 @@ from ratelab import (
     render_csv,
     run_sweep,
 )
-from ratelab import analytic, montecarlo, sweep
+from ratelab import analytic, cli, montecarlo, sweep
 from ratelab.cli import main
 from ratelab.errors import DomainError, ValidationError
 from ratelab.montecarlo import MAX_TRIALS, MAX_WORKERS
@@ -918,14 +918,43 @@ def test_an_empty_out_is_refused_before_any_work(argv, tmp_path, monkeypatch, ca
 
 
 def test_a_path_of_any_length_is_echoed_cut_short(tmp_path, monkeypatch, capsys):
+    # every error the system gives for a path the user named exits 1
     monkeypatch.chdir(tmp_path)
     name = "1" + "0" * 5000
     line = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: '100000000000...0000000000000'"
-    assert main(["sweep", "--config", name]) == 2
-    assert capsys.readouterr().err == f"ratelab: runtime error: {line}\n"
-    assert main(["discrepancy", "--preset", "fig3", "--rho-grid", "5", "--out", name]) == 2
-    assert capsys.readouterr() == ("", f"ratelab: runtime error: {line}\n")
+    assert main(["sweep", "--config", name]) == 1
+    assert capsys.readouterr().err == f"ratelab: error: {line}\n"
+    assert main(["discrepancy", "--preset", "fig3", "--rho-grid", "5", "--out", name]) == 1
+    assert capsys.readouterr() == ("", f"ratelab: error: {line}\n")
     assert os.listdir(tmp_path) == []
+
+
+_MISSING = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: 'missing/'"
+_DIRECTORY = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: 'made'"
+
+
+@pytest.mark.parametrize("argv, path, line", [
+    (["sweep", "--config", "made"], None, _DIRECTORY),
+    (["sweep", "--config", "cfg.txt", "--out", "missing/x.csv"], None, _MISSING),
+    (["sweep", "--config", "cfg.txt", "--out", "made"], None, _DIRECTORY),
+    (["sweep", "--config", "cfg.txt"], "missing/x.csv", _MISSING),
+    (["sweep", "--config", "cfg.txt"], "made", _DIRECTORY),
+    (["calibrate", "--preset", "fig3", "--out", "missing/x.csv"], None, _MISSING),
+    (["calibrate", "--preset", "fig3", "--out", "made"], None, _DIRECTORY),
+    (["discrepancy", "--preset", "fig3", "--out", "missing/x.csv"], None, _MISSING),
+    (["discrepancy", "--preset", "fig3", "--out", "made"], None, _DIRECTORY),
+], ids=["sweep-config-directory", "sweep-out-missing", "sweep-out-directory", "sweep-path-missing",
+        "sweep-path-directory", "calibrate-missing", "calibrate-directory", "discrepancy-missing",
+        "discrepancy-directory"])
+def test_a_path_that_cannot_be_used_is_refused_before_any_estimator(argv, path, line, tmp_path, monkeypatch, capsys):
+    for estimator in ("run_sweep", "calibrate_k", "discrepancy_report"):
+        monkeypatch.setattr(cli, estimator, lambda *args, **kwargs: pytest.fail("an estimator ran"))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "made").mkdir()
+    (tmp_path / "cfg.txt").write_text(CLI_CONFIG + ("" if path is None else f"[output]\npath = {path}\n"))
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"ratelab: error: {line}\n")
+    assert sorted(os.listdir(tmp_path)) == ["cfg.txt", "made"] and os.listdir(tmp_path / "made") == []
 
 
 def test_run_sweep_and_calibrate_k_refuse_bad_arguments(monkeypatch):
