@@ -12,23 +12,25 @@ discrepancy; the discrepancy table is read from the rows of a sweep of
 both series and the oracle.  A grid that starts below zero is written
 with '=', --rho-grid=-10:30:5, since a bare -10:30:5 reads as an option.
 
-Exit codes: 0 success, 1 configuration/validation error (usage errors
-and any error the system gives for a named path included), 2 runtime or
-convergence error.  A warning prints as one
-``ratelab: warning: ...`` line and leaves the exit code alone.  Each
-value flag is read by the rule of the setting it names before any
-command runs, so an empty value is refused, not taken as absent.
+Exit codes: 0 success, 1 a refused input (a ``DomainError``: a config
+line or field, a flag, a usage error or a value outside its domain) or
+any error the system gives for a named path, 2 a ``ConvergenceError``.
+A warning prints as one ``ratelab: warning: ...`` line and leaves the
+exit code alone.  Each value flag is read by the rule of the setting it
+names before any command runs, so an empty value is refused, not taken
+as absent.
 """
 
 import argparse
 import errno
 import os
 import reprlib
+import stat
 import sys
 import warnings
 from dataclasses import replace
 
-from .errors import DomainError, RateLabError, ValidationError
+from .errors import ConvergenceError, DomainError, RateLabError
 from .montecarlo import _check_workers
 from .sweep import (
     _FIELDS,
@@ -66,18 +68,22 @@ def _read_flags(args) -> dict:
         if getattr(args, name, None) is not None:
             try:
                 flags[name] = rule(getattr(args, name))
-            except (ValueError, DomainError) as exc:
-                raise ValidationError(f"--{name.replace('_', '-')}: {exc}") from None
+            except DomainError as exc:
+                raise DomainError(f"--{name.replace('_', '-')}: {exc}") from None
     return flags
 
 
 def _writable(path: str) -> str:
-    """``path``, refused where it names a directory or lies in one that is
-    missing, so that no estimator runs for a table that cannot be written;
-    "-" is stdout."""
+    """``path``, refused where it names a directory, lies in one that is
+    missing or gives any other system error but a missing file, so that
+    no estimator runs for a table that cannot be written; "-" is stdout."""
     if path != "-":
         os.stat(os.path.join(os.path.dirname(path), "") or ".")  # a missing parent, or a file, raises
-        if os.path.isdir(path):
+        try:
+            mode = os.stat(path).st_mode
+        except FileNotFoundError:  # a new file
+            return path
+        if stat.S_ISDIR(mode):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     return path
 
@@ -112,11 +118,11 @@ def _cmd_discrepancy(args, k=0.0, rho_grid=tuple(range(0, 31, 5)), out="-"):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose usage errors are configuration errors: one
-    line and exit 1, where argparse prints its usage and exits 2."""
+    """An ArgumentParser whose usage errors are refused inputs: one line
+    and exit 1, where argparse prints its usage and exits 2."""
 
     def error(self, message):
-        raise ValidationError(message)
+        raise DomainError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,11 +170,11 @@ def main(argv=None) -> int:
             args.func(args, **_read_flags(args))  # every flag is read before the command runs
         return _EXIT_OK
     except (RateLabError, OSError) as exc:
-        config = isinstance(exc, (ValidationError, DomainError, OSError))  # a path the user named
+        refused = not isinstance(exc, ConvergenceError)  # an OSError comes from a path the user named
         if isinstance(exc, OSError) and exc.filename is not None:  # a path of any length, cut short
             exc = f"[Errno {exc.errno}] {exc.strerror}: {reprlib.repr(exc.filename)}"
-        print(f"ratelab: {'error' if config else 'runtime error'}: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG if config else _EXIT_RUNTIME
+        print(f"ratelab: {'error' if refused else 'runtime error'}: {exc}", file=sys.stderr)
+        return _EXIT_CONFIG if refused else _EXIT_RUNTIME
 
 
 if __name__ == "__main__":

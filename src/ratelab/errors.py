@@ -4,27 +4,23 @@ raises them."""
 
 
 class RateLabError(Exception):
-    """Base class for all ratelab errors.  The CLI exits 2 on those not
-    named below as configuration errors."""
+    """Base class for all ratelab errors."""
 
 
 class DomainError(RateLabError):
-    """Argument outside the mathematical domain of an operation; the
-    message names the bad input.  The CLI exits 1 on it, like on a
-    configuration error."""
+    """An input that is refused: a config line, field or flag that cannot
+    be read or breaks its setting's rule, a usage error, or an argument
+    outside the mathematical domain of an operation.  The message is one
+    line naming the bad input: a config gives either the first line that
+    cannot be read at all (not ``key = value`` or a section header, or
+    one with an empty key), or each bad field, named after its line, with
+    what is wrong with it, joined by "; ".  The CLI exits 1 on it."""
 
 
 class ConvergenceError(RateLabError):
     """A quadrature rule, or the series' continued fraction, used all of
-    its steps without converging to the requested tolerance."""
-
-
-class ValidationError(RateLabError):
-    """A configuration that cannot be used.  The message is one line:
-    either the first line that cannot be read at all (not ``key = value``
-    or a section header, or one with an empty key), or each bad field,
-    named after its line in the text form, with what is wrong with it,
-    joined by "; "."""
+    its steps without converging to the requested tolerance.  The CLI
+    exits 2 on it."""
 
 
 class TruncationWarning(UserWarning):

@@ -4,8 +4,9 @@ The engine evaluates one flat list of cells.  A cell is (geometry, rho,
 token, minus): the rates of one :data:`~ratelab.rates.RATES` token of
 one geometry at one rho, less those of ``minus`` trial by trial (common
 random numbers) unless it is None.  :func:`estimate_rates`,
-:func:`paired_gap` and :func:`ratelab.sweep.calibrate_k` each build
-their own cells.
+:func:`paired_gap` and :func:`ratelab.sweep.calibrate_k` each map their
+schemes to tokens and build their own cells; the engine checks the
+settings and cells it is given.
 
 Trials are partitioned into fixed-size blocks.  Block b draws its
 standard normals once, from the sub-stream ``split_stream(seed, b)`` in
@@ -141,21 +142,6 @@ def _token_rates(r: RateTerms, rho: float, token: str, split: PowerSplit | None)
     return crs_noma_rate(r, rho, RATES[token][1])
 
 
-def _resolve(schemes, mode: str, split: PowerSplit | None, rhos, trials: int, seed: int,
-             workers: int) -> list[str]:
-    """Check the arguments every caller of the engine shares; return the
-    RATES token of each requested scheme under ``mode``."""
-    _check_trials(trials)
-    _check_workers(workers)
-    _check_seed(seed)
-    for rho in rhos:
-        _check_rho(rho)
-    tokens = [rate_token(s, mode) for s in schemes]
-    if "conventional" in tokens:
-        _check_split(split)
-    return tokens
-
-
 def _cell_sums(terms: RateTerms, cell, split: PowerSplit | None, quantities, work: _Workspace) -> list:
     """Sum and sum of squares of each quantity of one cell on one
     sub-block, flat.
@@ -262,7 +248,17 @@ def _mean_stderr(s: float, sq: float, n: int):
 
 def _estimate(cells, split, trials: int, seed: int, workers: int, quantities) -> list:
     """The engine: (mean, std_err) of every quantity of every cell, flat,
-    cell by cell."""
+    cell by cell.  The run settings, each distinct cell rho in order and,
+    where a cell reads the conventional scheme, the split are checked
+    before any block is drawn."""
+    _check_trials(trials)
+    _check_workers(workers)
+    _check_seed(seed)
+    # by identity, as a refused rho may be unhashable
+    for rho in {id(rho): rho for _, rho, _, _ in cells}.values():
+        _check_rho(rho)
+    if any("conventional" in (token, minus) for _, _, token, minus in cells):
+        _check_split(split)
     partials = _run_blocks(lambda b, n: _block_sums(cells, split, quantities, seed, b, n), trials, workers)
     return [_mean_stderr(s, sq, trials) for s, sq in _kahan(partials).reshape(-1, 2).tolist()]
 
@@ -296,7 +292,7 @@ def estimate_rates(
     schemes = tuple(schemes)
     if not (rhos and schemes):
         raise DomainError(f"rho and schemes must be nonempty, got {len(rhos)} rho(s), {len(schemes)} scheme(s)")
-    tokens = _resolve(schemes, mode, split, rhos, trials, seed, workers)
+    tokens = [rate_token(s, mode) for s in schemes]
     cells = [(geometry, x, token, None) for x in rhos for token in tokens]
     labels = [(x, s, q) for x in rhos for s in schemes for q in QUANTITIES]
     moments = _estimate(cells, split, trials, seed, workers, QUANTITIES)
@@ -321,7 +317,7 @@ def paired_gap(
     Differencing inside each trial cancels the shared channel noise, so
     the standard error is far below that of two independent runs.
     """
-    token_a, token_b = _resolve((scheme_a, scheme_b), mode, split, [rho], trials, seed, workers)
+    token_a, token_b = rate_token(scheme_a, mode), rate_token(scheme_b, mode)
     if quantity not in QUANTITIES:
         raise DomainError(f"unknown quantity {quantity!r}")
     [(mean, se)] = _estimate([(geometry, rho, token_a, token_b)], split, trials, seed, workers, (quantity,))

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from . import __version__
 from .analytic import ergodic_rate_quadrature_quantities, ergodic_rate_series
 from .channel import KERNEL_TOL, NetworkGeometry, make_link
-from .errors import DomainError, ValidationError
-from .montecarlo import _check_seed, _check_trials, _estimate, _resolve, estimate_rates
-from .rates import QUANTITIES, RATES, PowerSplit
+from .errors import DomainError
+from .montecarlo import _check_seed, _check_trials, _estimate, estimate_rates
+from .rates import QUANTITIES, RATES, PowerSplit, rate_token
 
 __all__ = [
     "SweepConfig",
@@ -135,7 +135,7 @@ def parse_grid(spec: str) -> list[float]:
     A start:stop:step grid has floor((stop - start)/step + 1e-9) + 1
     points, start + i*step each rounded to 12 decimals, so a fractional
     step yields the decimals it names (0:1:0.1 gives 0.3, not
-    0.30000000000000004).  Raises ValueError on malformed text, on a
+    0.30000000000000004).  Raises DomainError on malformed text, on a
     start:stop:step grid with a nonpositive step or more than
     :data:`MAX_GRID_POINTS` points (before any point is built) and on a
     grid that holds a non-finite point, is empty or is not strictly
@@ -146,28 +146,28 @@ def parse_grid(spec: str) -> list[float]:
     else:
         parts = [_number(p) for p in spec.split(":")]
         if len(parts) != 3:
-            raise ValueError("need start:stop:step")
+            raise DomainError("need start:stop:step")
         start, stop, step = parts
         if step <= 0:
-            raise ValueError("step must be > 0")
+            raise DomainError("step must be > 0")
         if not (stop - start) / step <= MAX_GRID_POINTS - 1:
-            raise ValueError(
+            raise DomainError(
                 f"grid {start:g}:{stop:g}:{step:g} must be finite with at most {MAX_GRID_POINTS} points"
             )
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
         vals = [round(start + i * step, 12) for i in range(n)]
     for v in vals:
         if not math.isfinite(v):
-            raise ValueError(f"grid points must be finite, got {v}")
+            raise DomainError(f"grid points must be finite, got {v}")
     if not vals:
-        raise ValueError("grid must be nonempty")
+        raise DomainError("grid must be nonempty")
     if any(b <= a for a, b in zip(vals, vals[1:])):
-        raise ValueError("grid must be strictly increasing")
+        raise DomainError("grid must be strictly increasing")
     return vals
 
 
-# Field parsers: each takes the text of a value and raises ValueError, or
-# the DomainError of the setting's rule, saying what is wrong with it.  A
+# Field parsers: each takes the text of a value and raises DomainError,
+# its own or that of the setting's rule, saying what is wrong with it.  A
 # value they echo is cut short by reprlib, so a value of thousands of
 # digits still gives a short line.
 
@@ -175,25 +175,25 @@ def _number(raw: str) -> float:
     try:
         return float(raw)
     except ValueError:
-        raise ValueError(f"cannot interpret {reprlib.repr(raw)}") from None
+        raise DomainError(f"cannot interpret {reprlib.repr(raw)}") from None
 
 
 def _integer(raw: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"cannot interpret {reprlib.repr(raw)}") from None
+        raise DomainError(f"cannot interpret {reprlib.repr(raw)}") from None
 
 
 def _one_of(allowed, name):
     if name not in allowed:
-        raise ValueError(f"unknown value {reprlib.repr(name)} (allowed: {', '.join(allowed)})")
+        raise DomainError(f"unknown value {reprlib.repr(name)} (allowed: {', '.join(allowed)})")
     return name
 
 
 def _path(raw: str) -> str:
     if not raw:
-        raise ValueError("must not be empty")
+        raise DomainError("must not be empty")
     return raw
 
 
@@ -208,7 +208,7 @@ def _names(allowed: tuple, what: str):
     def parse(raw: str) -> tuple:
         names = [_one_of(allowed, n.strip()) for n in raw.split(",") if n.strip()]
         if not names:
-            raise ValueError(f"at least one {what} required")
+            raise DomainError(f"at least one {what} required")
         return tuple(dict.fromkeys(names))
 
     return parse
@@ -216,12 +216,13 @@ def _names(allowed: tuple, what: str):
 
 _LINKS = ("sr", "rd", "sd")
 
-# Every config field: section -> key -> (parser, default text).  Defaults
-# go through the parser like given values.  A default of None leaves the
+# Every config field: section -> key -> (parser, default text); the
+# section "" is the top level, whose one key is the preset.  Defaults go
+# through the parser like given values.  A default of None leaves the
 # field unset: a preset's powers fill unset omega_*, k fills unset k_*.
 _FIELDS = {
+    "": {"preset": (_preset, None)},
     "sweep": {
-        "preset": (_preset, None),
         "rho_db": (lambda raw: tuple(parse_grid(raw)), "0:30:1"),
         "schemes": (_names(tuple(dict.fromkeys(s for s, _ in RATES.values())), "scheme"),
                     "crs_noma, conventional"),
@@ -238,17 +239,15 @@ _FIELDS = {
     "split": {"a1": (_number, "0.9"), "a2": (_number, "0.1")},
     "output": {"path": (_path, "sweep.csv")},
 }
-# The section of each key a document may also give at its top level.
-_TOP_LEVEL = {"preset": "sweep", "seed": "sweep", "trials": "sweep", "rho_db": "sweep", "path": "output"}
 
 
 def parse_config(text: str) -> SweepConfig:
     """Parse a sweep configuration document into a validated SweepConfig.
 
-    Keys at the top level are folded into their section; unknown
-    sections or keys are errors.  Raises :class:`ValidationError`: for
-    the first line that cannot be read at all, or with one
-    line-referenced message per bad field.
+    ``preset`` is the one key of the top level; every other key is
+    given in its section, and unknown sections or keys are errors.
+    Raises :class:`DomainError`: for the first line that cannot be read
+    at all, or with one line-referenced message per bad field.
     """
     sections: dict = {"": {}}
     lines: dict = {}  # (section, key) -> "line N"; key None for the section's header
@@ -263,11 +262,11 @@ def parse_config(text: str) -> SweepConfig:
             lines.setdefault((current, None), f"line {lineno}")
             continue
         if "=" not in line:
-            raise ValidationError(f"line {lineno}: expected 'key = value', got {reprlib.repr(line)}")
+            raise DomainError(f"line {lineno}: expected 'key = value', got {reprlib.repr(line)}")
         key, _, value = line.partition("=")
         key = key.strip().lower()
         if not key:
-            raise ValidationError(f"line {lineno}: empty key")
+            raise DomainError(f"line {lineno}: empty key")
         value = value.strip()
         if len(value) >= 2 and value[0] == value[-1] and value[0] in "'\"":
             value = value[1:-1]
@@ -276,42 +275,34 @@ def parse_config(text: str) -> SweepConfig:
 
     errors: list[str] = []
 
-    def where(name, origin=None):
-        """The field's name, once, after its line when the document gave one."""
-        line = lines.get(origin)
+    def where(section, key):
+        """The field's name, once, after its line when the document gave it."""
+        name = f"{section}.{key}" if section else key
+        line = lines.get((section, key))
         return f"{line}: {name}" if line else f"field {name}"
 
-    given = {}  # key -> (raw text, its (section, key) in the document)
     for section, content in sections.items():
-        if section and section not in _FIELDS:
+        if section not in _FIELDS:
             errors.append(f"{lines[section, None]}: unknown section [{section}]")
             continue
-        for key, raw in content.items():
-            home = section or _TOP_LEVEL.get(key)
-            if home is None:
-                errors.append(f"{where(key, (section, key))}: unknown top-level key")
-            elif key not in _FIELDS[home]:
-                errors.append(f"{where(f'{home}.{key}', (section, key))}: unknown key")
-            else:
-                given[key] = raw, (section, key)
+        for key in content:
+            if key not in _FIELDS[section]:
+                errors.append(f"{where(section, key)}: unknown {'key' if section else 'top-level key'}")
 
     values = {}
     for section, fields in _FIELDS.items():
         for key, (parse, default) in fields.items():
-            if key in given:
-                raw, origin = given[key]
-            else:
-                power = PRESETS.get(values.get("preset"), {}).get(key)
-                raw, origin = default if power is None else str(power), None
-                if raw is None:
-                    values[key] = None  # unset
-                    continue
+            power = PRESETS.get(values.get("preset"), {}).get(key)
+            raw = sections.get(section, {}).get(key, default if power is None else str(power))
+            if raw is None:
+                values[key] = None  # unset
+                continue
             try:
                 values[key] = parse(raw)
-            except (ValueError, DomainError) as exc:
-                errors.append(f"{where(f'{section}.{key}', origin)}: {exc}")
+            except DomainError as exc:
+                errors.append(f"{where(section, key)}: {exc}")
     if errors:
-        raise ValidationError("; ".join(errors))
+        raise DomainError("; ".join(errors))
 
     def build(label, make, *args):
         try:
@@ -323,12 +314,12 @@ def parse_config(text: str) -> SweepConfig:
     for name in _LINKS:
         k, omega = values[f"k_{name}"], values[f"omega_{name}"]
         if omega is None:
-            errors.append(f"{where(f'geometry.omega_{name}')}: required (set it or choose a preset)")
+            errors.append(f"{where('geometry', f'omega_{name}')}: required (set it or choose a preset)")
         else:
             links[name] = build(f"geometry.{name}", make_link, values["k"] if k is None else k, omega)
     split = build("split", PowerSplit, values["a1"], values["a2"])
     if errors:
-        raise ValidationError("; ".join(errors))
+        raise DomainError("; ".join(errors))
 
     return SweepConfig(
         rho_grid_db=values["rho_db"],
@@ -444,19 +435,19 @@ def calibrate_k(
     way.
     """
     if preset not in PRESETS:
-        raise ValidationError(f"unknown preset {preset!r}")
+        raise DomainError(f"unknown preset {preset!r}")
     targets = PAPER_TARGETS[preset] if targets is None else tuple(targets)
     if not targets:
-        raise ValidationError("targets must be nonempty")
+        raise DomainError("targets must be nonempty")
     if k_grid is None:
         k_grid = [i * 0.5 for i in range(21)]
     geometries = [preset_geometry(preset, k) for k in k_grid]
     if not geometries:
-        raise ValidationError("k_grid must be nonempty")
+        raise DomainError("k_grid must be nonempty")
     split = PowerSplit(0.9, 0.1)
 
     rhos = [db_to_linear(rho_db) for rho_db, _, _ in targets]
-    tokens = _resolve([scheme for _, scheme, _ in targets], "paper", split, rhos, trials, seed, workers)
+    tokens = [rate_token(scheme, "paper") for _, scheme, _ in targets]
     cells = [(g, rho, token, None) for g in geometries for rho, token in zip(rhos, tokens)]
     # one pass for every K: each block's normals are drawn once
     sims = [mean for mean, _ in _estimate(cells, split, trials, seed, workers, ("c_total",))]

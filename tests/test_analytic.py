@@ -821,7 +821,7 @@ def test_oracle_at_3000_db_gives_finite_rows_without_a_warning():
     # half rate overflows its denominator and takes its limit 0 without a
     # RuntimeWarning; at rho = 1e305 exact mode's rho*s and y*(1 + rho*s)
     # can pass the float range too
-    cfg = parse_config("preset = fig3\nrho_db = 3000, 3050\n[sweep]\nschemes = crs_noma, conventional, crs_oma\n"
+    cfg = parse_config("preset = fig3\n[sweep]\nrho_db = 3000, 3050\nschemes = crs_noma, conventional, crs_oma\n"
                        "modes = paper, exact\nestimators = quadrature_oracle\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -349,7 +349,7 @@ def test_a_sweep_builds_each_links_poisson_weights_once(monkeypatch):
     calls = []
     real = channel.poisson_weights
     monkeypatch.setattr(channel, "poisson_weights", lambda mean: calls.append(mean) or real(mean))
-    cfg = parse_config("preset = fig3\nrho_db = 5, 15, 25\n[geometry]\nk = 3\n[sweep]\n"
+    cfg = parse_config("preset = fig3\n[geometry]\nk = 3\n[sweep]\nrho_db = 5, 15, 25\n"
                        "schemes = crs_noma, conventional, crs_oma\nmodes = paper, exact\n"
                        "estimators = quadrature_oracle, series_corrected, series_paper_literal\n")
     run_sweep(cfg)

@@ -1,8 +1,8 @@
 """Seeded config and flag fuzzer: one valid config document, or one valid
-command line, mutated in one or two fields or flags per case, run through
-the command line in-process.  Whatever the values, a run exits 0, 1 or 2;
-a refused run prints one short error line, no traceback, and writes no
-output file; and no case takes long."""
+command line, mutated in one or two fields, split pairs or flags per
+case, run through the command line in-process.  Whatever the values, a
+run exits 0, 1 or 2; a refused run prints one short error line, no
+traceback, and writes no output file; and no case takes long."""
 
 import copy
 import os
@@ -45,6 +45,9 @@ MENU = ["", "NaN", "Infinity", "-Infinity", "1e+308", "1e-308", "5e-324", "3000"
 K = ("0", "0.5", "10")
 OMEGA = ("1", "20", "0.5")
 GRID = ("0:30:10", "-5, 25")
+# Valid (a1, a2) pairs other than the base 0.9/0.1, set together: changing
+# one field alone never gives one.
+SPLITS = (("0.8", "0.2"), ("0.75", "0.25"), ("0.6", "0.4"))
 VALID = {
     "preset": ("fig4",), "k": K, "k_sr": K, "k_rd": K, "k_sd": K,
     "omega_sr": OMEGA, "omega_rd": OMEGA, "omega_sd": OMEGA,
@@ -73,6 +76,9 @@ def mutate(rng) -> dict:
         elif op == 2:
             section = [None, "geometry", "sweep", "split", "extra"][rng.integers(5)]
             key, value = "bogus", "1"
+        elif op == 3:
+            doc["split"] = dict(zip(("a1", "a2"), SPLITS[rng.integers(len(SPLITS))]))
+            continue
         else:
             section, key = FIELDS[rng.integers(len(FIELDS))]
             value = value_for(rng, key)

@@ -21,7 +21,7 @@ from ratelab import (
 )
 from ratelab import analytic, cli, montecarlo, sweep
 from ratelab.cli import main
-from ratelab.errors import DomainError, ValidationError
+from ratelab.errors import DomainError
 from ratelab.montecarlo import MAX_TRIALS, MAX_WORKERS
 from ratelab.rates import QUANTITIES, RATES
 from ratelab.sweep import (
@@ -67,7 +67,7 @@ def test_minimal_document_gets_documented_defaults():
 
 def test_descending_grid_is_rejected_by_name():
     doc = MINIMAL + "\n[sweep]\nrho_db = 10, 5, 1\n"
-    with pytest.raises(ValidationError, match="rho_db"):
+    with pytest.raises(DomainError, match="rho_db"):
         parse_config(doc)
 
 
@@ -91,17 +91,17 @@ def test_explicit_keys_override_preset():
 
 
 def test_parse_errors_and_field_errors():
-    with pytest.raises(ValidationError):
+    with pytest.raises(DomainError):
         parse_config("this is not a key value line\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(DomainError):
         parse_config("{not json")
-    with pytest.raises(ValidationError, match="line 2"):
+    with pytest.raises(DomainError, match="line 2"):
         parse_config("[sweep]\ntrials = many\n" + MINIMAL)
-    with pytest.raises(ValidationError, match="unknown key"):
+    with pytest.raises(DomainError, match="unknown key"):
         parse_config(MINIMAL + "\n[sweep]\nbogus = 1\n")
-    with pytest.raises(ValidationError, match="estimators"):
+    with pytest.raises(DomainError, match="estimators"):
         parse_config(MINIMAL + "\n[sweep]\nestimators = magic\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(DomainError):
         parse_config("[geometry]\nomega_sr = 8\n")  # missing links
 
 
@@ -345,7 +345,7 @@ def test_trials_and_workers_are_bounded_everywhere(tmp_path, monkeypatch, capsys
 
     monkeypatch.setattr(montecarlo, "_run_blocks", no_blocks)
     # each bound is inclusive: the config and the flags take it, and the flags pass it on
-    assert parse_config(f"preset = fig3\ntrials = {MAX_TRIALS}\n").trials == MAX_TRIALS
+    assert parse_config(f"preset = fig3\n[sweep]\ntrials = {MAX_TRIALS}\n").trials == MAX_TRIALS
     with pytest.raises(AssertionError, match=f"^blocks run for {MAX_TRIALS} trials on {MAX_WORKERS} workers$"):
         main(["calibrate", "--preset", "fig3", "--k-grid", "0", "--trials", str(MAX_TRIALS),
               "--workers", str(MAX_WORKERS)])
@@ -425,7 +425,7 @@ def test_import_leaves_json_unloaded():
     code = ("import sys, ratelab; print('json' in sys.modules, end=' '); ratelab.parse_config('preset = fig3'); "
             "print('json' in sys.modules, end=' ')\n"
             "try:\n    ratelab.parse_config('{\"preset\": \"fig3\"}')\n"
-            "except ratelab.errors.ValidationError:\n    print('json' in sys.modules)")
+            "except ratelab.errors.DomainError:\n    print('json' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False False False\n", "")
 
@@ -475,7 +475,7 @@ def test_grid_length_is_bounded_before_the_grid_is_built(tmp_path, capsys):
     assert len(parse_config(MINIMAL + f"[sweep]\nrho_db = 0:{MAX_GRID_POINTS - 1}:1\n").rho_grid_db) \
         == MAX_GRID_POINTS
     for spec in (too_long, "0:inf:1", "0:nan:1"):
-        with pytest.raises(ValidationError, match="rho_db: grid .* at most"):
+        with pytest.raises(DomainError, match="rho_db: grid .* at most"):
             parse_config(MINIMAL + f"[sweep]\nrho_db = {spec}\n")
     for argv in (["discrepancy", "--preset", "fig3", "--rho-grid", too_long],
                  ["calibrate", "--preset", "fig3", "--k-grid", too_long],
@@ -640,7 +640,7 @@ def test_negative_seed_exits_one_on_every_cli_route(tmp_path, capsys):
     (",", "grid must be nonempty"),
 ])
 def test_cli_and_config_reject_a_bad_grid_alike(spec, message, tmp_path, capsys):
-    with pytest.raises(ValidationError, match=f"rho_db: {message}"):
+    with pytest.raises(DomainError, match=f"rho_db: {message}"):
         parse_config(MINIMAL + f"[sweep]\nrho_db = {spec}\n")
     out = tmp_path / "d.csv"
     assert main(["discrepancy", "--preset", "fig3", "--rho-grid", spec, "--out", str(out)]) == 1
@@ -716,7 +716,7 @@ def test_series_controls_are_bounded_in_a_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.txt"
     for line in ("quad_order = 50", "tail_tol = 1e-9", "n_max = 20"):
         cfg.write_text(f"preset = fig3\n[series]\n{line}\n")
-        with pytest.raises(ValidationError, match=r"^line 2: unknown section \[series\]$"):
+        with pytest.raises(DomainError, match=r"^line 2: unknown section \[series\]$"):
             parse_config(cfg.read_text())
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 1
         assert capsys.readouterr().err == "ratelab: error: line 2: unknown section [series]\n"
@@ -724,14 +724,14 @@ def test_series_controls_are_bounded_in_a_config(tmp_path, capsys):
 
 
 def test_integer_fields_reject_fractions_and_booleans():
-    with pytest.raises(ValidationError, match="cannot interpret '1.9'"):
+    with pytest.raises(DomainError, match="cannot interpret '1.9'"):
         parse_config(MINIMAL + "[sweep]\ntrials = 1.9\n")
-    with pytest.raises(ValidationError, match="^line 7: sweep.seed: cannot interpret 'true'$"):
+    with pytest.raises(DomainError, match="^line 7: sweep.seed: cannot interpret 'true'$"):
         parse_config(MINIMAL + "[sweep]\nseed = true\n")
 
 
 def test_config_errors_name_the_field_once():
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(DomainError) as err:
         parse_config("preset = fig3\n[sweep]\ntrials = 1.9\nestimators = magic\n")
     message = str(err.value)
     assert "line 3: sweep.trials: cannot interpret '1.9'" in message
@@ -754,7 +754,7 @@ BIG = "1" + "0" * 400  # an integer above the float range
     ("[sweep]\nschemes =\n", "line 3: sweep.schemes: at least one scheme required"),
     ("[sweep]\ntrials =\n", "line 3: sweep.trials: cannot interpret ''"),
     ("[sweep]\nseed = null\n", "line 3: sweep.seed: cannot interpret 'null'"),
-    ("preset =\n", "line 2: sweep.preset: unknown value '' (allowed: fig3, fig4)"),
+    ("preset =\n", "line 2: preset: unknown value '' (allowed: fig3, fig4)"),
     ("[output]\npath =\n", "line 3: output.path: must not be empty"),
     # a boolean word is never a number
     ("[geometry]\nk = true\n", "line 3: geometry.k: cannot interpret 'true'"),
@@ -783,7 +783,7 @@ def test_a_bad_text_field_is_one_line_naming_it(config, message, tmp_path, capsy
     # every field is refused when the config is parsed, before any block runs
     monkeypatch.setattr(montecarlo, "_run_blocks", lambda *args: pytest.fail("a block ran"))
     text = "preset = fig3\n" + config
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(DomainError) as err:
         parse_config(text)
     assert str(err.value) == message
     cfg = tmp_path / "cfg.txt"
@@ -794,16 +794,46 @@ def test_a_bad_text_field_is_one_line_naming_it(config, message, tmp_path, capsy
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: parse_grid("5, 1" + "0" * 400), ValueError, "grid points must be finite, got inf"),
+    (lambda: parse_grid("5, 1" + "0" * 400), DomainError, "grid points must be finite, got inf"),
     (lambda: calibrate_k("fig3", k_grid=[0, 10**400], trials=10), DomainError,
      "k_factor must be finite and >= 0, got an integer above the float range"),
     # a boolean word is never a number, in a library grid as in a config
-    (lambda: parse_grid("true, 2"), ValueError, "cannot interpret 'true'"),
+    (lambda: parse_grid("true, 2"), DomainError, "cannot interpret 'true'"),
 ], ids=["parse_grid", "calibrate_k", "parse_grid-boolean"])
 def test_a_library_grid_point_that_is_no_float_is_one_error(call, error, message, monkeypatch):
     monkeypatch.setattr(montecarlo, "_run_blocks", lambda *args: pytest.fail("a block ran"))
     with pytest.raises(error, match=f"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize("key, value, section", [
+    ("seed", "7", "sweep"), ("trials", "1000", "sweep"), ("rho_db", "5", "sweep"), ("path", "x.csv", "output"),
+])
+def test_a_sectioned_key_at_the_top_level_is_refused(key, value, section, tmp_path, monkeypatch, capsys):
+    # preset is the one top-level key; every other key is read in its section only
+    monkeypatch.setattr(montecarlo, "_run_blocks", lambda *args: pytest.fail("a block ran"))
+    monkeypatch.chdir(tmp_path)
+    text = f"preset = fig3\n{key} = {value}\n"
+    (tmp_path / "cfg.txt").write_text(text)
+    assert main(["sweep", "--config", "cfg.txt", "--out", "out.csv"]) == 1
+    assert capsys.readouterr() == ("", f"ratelab: error: line 2: {key}: unknown top-level key\n")
+    assert os.listdir(tmp_path) == ["cfg.txt"]
+    assert parse_config(f"preset = fig3\n[{section}]\n{key} = {value}\n") != parse_config("preset = fig3\n")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: parse_grid("0:10"), "need start:stop:step"),
+    (lambda: parse_config("preset = fig3\n[sweep]\ntrials = many\n"), "line 3: sweep.trials: cannot interpret 'many'"),
+    (lambda: calibrate_k("fig5"), "unknown preset 'fig5'"),
+    (lambda: cli.build_parser().parse_args(["sweep"]), "the following arguments are required: --config"),
+], ids=["parse_grid", "parse_config", "calibrate_k", "usage"])
+def test_every_refused_input_is_one_domain_error(call, message, monkeypatch):
+    # a grid, a config, a library argument and a command line are refused alike
+    monkeypatch.setattr(montecarlo, "_run_blocks", lambda *args: pytest.fail("a block ran"))
+    with pytest.raises(DomainError) as err:
+        call()
+    assert (err.type, str(err.value)) == (DomainError, message)
+    assert not hasattr(ratelab.errors, "ValidationError")
 
 
 def test_readme_config_block_holds_the_defaults():
@@ -876,8 +906,8 @@ def test_a_mean_power_whose_inverse_scale_overflows_exits_one(tmp_path, capsys):
                  "--trials: cannot interpret '100000000000...0000000000000'", id="flag-5001-digits"),
     (["sweep", "--trials", "abc"], "", "--trials: cannot interpret 'abc'"),
     # long text values, each echoed cut short
-    pytest.param(["sweep"], "rho_db = " + "x" * 5000 + "\n",
-                 "line 2: sweep.rho_db: cannot interpret 'xxxxxxxxxxxx...xxxxxxxxxxxxx'", id="text-long-grid"),
+    pytest.param(["sweep"], "[sweep]\nrho_db = " + "x" * 5000 + "\n",
+                 "line 3: sweep.rho_db: cannot interpret 'xxxxxxxxxxxx...xxxxxxxxxxxxx'", id="text-long-grid"),
     pytest.param(["sweep"], "y" * 5000 + "\n",
                  "line 2: expected 'key = value', got 'yyyyyyyyyyyy...yyyyyyyyyyyyy'", id="text-long-line"),
     pytest.param(["discrepancy", "--preset", "fig3", "--rho-grid", "z" * 5000], None,
@@ -917,15 +947,18 @@ def test_an_empty_out_is_refused_before_any_work(argv, tmp_path, monkeypatch, ca
     assert os.listdir(tmp_path) == ["cfg.txt"]
 
 
+# a name too long for the system, and the line that echoes it cut short
+_LONG = "1" + "0" * 5000
+_TOO_LONG = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: '100000000000...0000000000000'"
+
+
 def test_a_path_of_any_length_is_echoed_cut_short(tmp_path, monkeypatch, capsys):
     # every error the system gives for a path the user named exits 1
     monkeypatch.chdir(tmp_path)
-    name = "1" + "0" * 5000
-    line = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}: '100000000000...0000000000000'"
-    assert main(["sweep", "--config", name]) == 1
-    assert capsys.readouterr().err == f"ratelab: error: {line}\n"
-    assert main(["discrepancy", "--preset", "fig3", "--rho-grid", "5", "--out", name]) == 1
-    assert capsys.readouterr() == ("", f"ratelab: error: {line}\n")
+    assert main(["sweep", "--config", _LONG]) == 1
+    assert capsys.readouterr().err == f"ratelab: error: {_TOO_LONG}\n"
+    assert main(["discrepancy", "--preset", "fig3", "--rho-grid", "5", "--out", _LONG]) == 1
+    assert capsys.readouterr() == ("", f"ratelab: error: {_TOO_LONG}\n")
     assert os.listdir(tmp_path) == []
 
 
@@ -943,9 +976,14 @@ _DIRECTORY = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: 'made'"
     (["calibrate", "--preset", "fig3", "--out", "made"], None, _DIRECTORY),
     (["discrepancy", "--preset", "fig3", "--out", "missing/x.csv"], None, _MISSING),
     (["discrepancy", "--preset", "fig3", "--out", "made"], None, _DIRECTORY),
+    (["sweep", "--config", "cfg.txt", "--out", _LONG], None, _TOO_LONG),
+    (["sweep", "--config", "cfg.txt"], _LONG, _TOO_LONG),
+    (["calibrate", "--preset", "fig3", "--out", _LONG], None, _TOO_LONG),
+    (["discrepancy", "--preset", "fig3", "--out", _LONG], None, _TOO_LONG),
 ], ids=["sweep-config-directory", "sweep-out-missing", "sweep-out-directory", "sweep-path-missing",
         "sweep-path-directory", "calibrate-missing", "calibrate-directory", "discrepancy-missing",
-        "discrepancy-directory"])
+        "discrepancy-directory", "sweep-out-too-long", "sweep-path-too-long", "calibrate-too-long",
+        "discrepancy-too-long"])
 def test_a_path_that_cannot_be_used_is_refused_before_any_estimator(argv, path, line, tmp_path, monkeypatch, capsys):
     for estimator in ("run_sweep", "calibrate_k", "discrepancy_report"):
         monkeypatch.setattr(cli, estimator, lambda *args, **kwargs: pytest.fail("an estimator ran"))
@@ -964,16 +1002,16 @@ def test_run_sweep_and_calibrate_k_refuse_bad_arguments(monkeypatch):
     monkeypatch.setattr(montecarlo, "_run_blocks", no_blocks)
     with pytest.raises(DomainError, match=re.escape(f"estimators must be among {tuple(ESTIMATORS)}, got ('magic',)")):
         run_sweep(replace(parse_config("preset = fig3\n"), estimators=("magic",)))
-    with pytest.raises(ValidationError, match="^unknown preset 'fig5'$"):
+    with pytest.raises(DomainError, match="^unknown preset 'fig5'$"):
         calibrate_k("fig5")
-    with pytest.raises(ValidationError, match="^k_grid must be nonempty$"):
+    with pytest.raises(DomainError, match="^k_grid must be nonempty$"):
         calibrate_k("fig3", k_grid=[])
 
 
 def test_calibrate_k_refuses_an_empty_target_list(monkeypatch):
     # an empty list is given targets, not the paper's
     monkeypatch.setattr(montecarlo, "_run_blocks", lambda *args: pytest.fail("a block ran"))
-    with pytest.raises(ValidationError, match="^targets must be nonempty$"):
+    with pytest.raises(DomainError, match="^targets must be nonempty$"):
         calibrate_k("fig3", targets=[], k_grid=[0.0], trials=10)
 
 
