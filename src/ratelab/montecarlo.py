@@ -8,38 +8,41 @@ random numbers) unless it is None.  :func:`estimate_rates`,
 schemes to tokens and build their own cells; the engine checks the
 settings and cells it is given.
 
-Trials are partitioned into fixed-size blocks.  Block b draws its
-standard normals once, from the sub-stream ``split_stream(seed, b)`` in
-the fixed S-R, R-D, S-D order, and every geometry of the call builds
-its gains from those same normals, the floats ``sample_power_gains``
-gives on that stream.  A gain, a sum of squares of finite floats, fails
-only by overflow, which one maximum a gain row refuses; no overflow in
-the engine warns, as callers refuse a non-finite mean.  Cells are
-evaluated on sub-blocks of at most ``SUB_BLOCK`` trials, the length of
-a workspace row.  On a sub-block the cells are taken geometry by
-geometry, then rho by rho: each geometry's gains are built once, the
-cells of one (geometry, rho) share one
+Trials are partitioned into blocks of ``BLOCK_SIZE`` trials, the last
+one short.  Block b draws its standard normals once, from the
+sub-stream ``split_stream(seed, b)`` in the fixed S-R, R-D, S-D order,
+and every geometry of the call builds its gains from those same
+normals, the floats ``sample_power_gains`` gives on that stream.  A
+gain, a sum of squares of finite floats, fails only by overflow, which
+one maximum a gain row refuses; no overflow in the engine warns, as
+callers refuse a non-finite mean.  On a block the cells are taken
+geometry by geometry, then rho by rho: each geometry's gains are built
+once, the cells of one (geometry, rho) share one
 :class:`~ratelab.rates.RateTerms`, so the logarithms several rates
 share are taken once, and the next geometry's gains reuse the rows of
-the one before.  Within a cell an array read by several
-quantities is summed once: CRS-NOMA's c_s2 is its c_direct_s1, a
-baseline's c_s1 its c_relay_s1.  Sharing changes no float: each shared
-term is the expression every rate that reads it would compute.  The
-sub-block sums are combined along numpy's own pairwise split, so each
-block sum is the float ``np.sum`` over the whole block gives, and block
-sums are merged in block order through compensated (Kahan) summation.
-A cell's result is therefore a pure function of (cell, split, seed,
+the one before.  Within a cell an array read by several quantities is
+summed once: CRS-NOMA's c_s2 is its c_direct_s1, a baseline's c_s1 its
+c_relay_s1.  Sharing changes no float: each shared term is the
+expression every rate that reads it would compute.  A block sum is
+``np.sum`` of one row, and block sums are merged in block order
+through compensated (Kahan) summation as the blocks complete.  A
+cell's result is therefore a pure function of (cell, split, seed,
 trials): it depends neither on how many workers executed the blocks nor
 on which other cells shared the call.
 
-Every per-trial array of a block is written with ufunc ``out=`` to the
-rows of one :class:`_Workspace`, allocated once per block call: in a
-fresh process, which every CLI run is, a temporary per ufunc call costs
-page faults as the allocator maps, frees and faults it in again.
+At most ``workers`` blocks run at once, one on each worker slot, and
+at most twice as many are in flight, so memory does not grow with the
+trial count.  A slot writes a block's
+normals and, with ufunc ``out=``, every per-trial array to the rows of
+one :class:`_Workspace`, allocated on its first block and reused for
+every later one: in a fresh process, which every CLI run is, a
+temporary per ufunc call or per block costs page faults as the
+allocator maps, frees and faults it in again.
 """
 
 from dataclasses import dataclass
 import math
+import threading
 
 import numpy as np
 
@@ -63,9 +66,7 @@ from .rates import (
 __all__ = ["EstimatorResult", "estimate_rates", "paired_gap", "QUANTITIES", "BLOCK_SIZE", "MAX_TRIALS",
            "MAX_WORKERS"]
 
-BLOCK_SIZE = 1 << 17
-SUB_BLOCK = 1 << 15
-# The block plan has one entry per BLOCK_SIZE trials, 76,294 at MAX_TRIALS.
+BLOCK_SIZE = 1 << 15
 MAX_TRIALS = 10**10
 # A constant, unlike os.cpu_count(), so a config that runs on one machine
 # runs on every other.
@@ -105,25 +106,26 @@ class EstimatorResult:
 
 
 class _Workspace:
-    """Every per-trial array of one block call, in rows allocated once.
+    """The normals and every per-trial array of the blocks one worker
+    slot runs, in rows allocated once.
 
-    ``take`` hands out the next free row, cut to the current sub-block
-    length; a row is allocated the first time it is needed and reused
-    for every later sub-block, geometry, rho and cell of the block.
-    ``taken`` counts the rows taken, and setting it lower gives back
-    the rows taken since.  ``scratch`` is one more row, for
+    ``normals`` holds a block's draw.  ``take`` hands out the next free
+    row, cut to the current block length; a row is allocated the first
+    time it is needed and reused for every later geometry, rho, cell and
+    block.  ``taken`` counts the rows taken, and setting it lower gives
+    back the rows taken since.  ``scratch`` is one more row, for
     intermediates that no call keeps: whoever writes it next overwrites
-    it.  The workspace belongs to one block call, so threads share
-    nothing.
+    it.  The workspace belongs to one slot, so threads share nothing.
     """
 
     def __init__(self, width: int):
         self._rows: list = []
+        self.normals = np.empty(6 * width)
         self._scratch = np.empty(width)
         self.start(width)
 
     def start(self, n: int):
-        """Begin a sub-block of n trials, with every row free."""
+        """Begin a geometry of a block of n trials, with every row free."""
         self._n, self.taken = n, 0
         self.scratch = self._scratch[:n]
 
@@ -143,8 +145,7 @@ def _token_rates(r: RateTerms, rho: float, token: str, split: PowerSplit | None)
 
 
 def _cell_sums(terms: RateTerms, cell, split: PowerSplit | None, quantities, work: _Workspace) -> list:
-    """Sum and sum of squares of each quantity of one cell on one
-    sub-block, flat.
+    """Sum and sum of squares of each quantity of one cell on a block, flat.
 
     Both rates of the cell are read from ``terms``, the shared terms of
     its geometry and rho.  An array several quantities read is summed
@@ -165,35 +166,20 @@ def _cell_sums(terms: RateTerms, cell, split: PowerSplit | None, quantities, wor
     return [s for v in values for s in sums[id(v)]]
 
 
-def _pairwise_sum(leaf, lo: int, hi: int):
-    """The sum of leaf(lo, hi) over [lo, hi), split as numpy's pairwise
-    summation splits a float64 array: in halves cut at a multiple of 8,
-    until a part fits in SUB_BLOCK and leaf sums it.  When leaf returns
-    ``np.sum`` of the slice, this is ``np.sum`` over the whole range,
-    float for float."""
-    n = hi - lo
-    if n <= SUB_BLOCK:
-        return leaf(lo, hi)
-    half = n // 2
-    half -= half % 8
-    return _pairwise_sum(leaf, lo, lo + half) + _pairwise_sum(leaf, lo + half, hi)
-
-
-def _block_sums(cells, split, quantities, seed: int, b: int, n: int) -> np.ndarray:
+def _block_sums(cells, split, quantities, seed: int, work: _Workspace, b: int, n: int) -> np.ndarray:
     """Every cell's sums on block b of n trials, flat, in cell order."""
-    # one draw for every geometry, in the fixed order S-R, R-D, S-D
-    normals = split_stream(seed, b).standard_normal((3, 2, n))
-    work = _Workspace(min(n, SUB_BLOCK))
+    # one draw for every geometry, in the fixed order S-R, R-D, S-D: the
+    # floats of standard_normal((3, 2, n)), written to the slot's buffer
+    normals = split_stream(seed, b).standard_normal(out=work.normals[:6 * n].reshape(3, 2, n))
     groups: dict = {}  # geometry -> rho -> indices of its cells
     for i, (geometry, rho, _, _) in enumerate(cells):
         groups.setdefault(geometry, {}).setdefault(rho, []).append(i)
-
-    def leaf(lo, hi):
-        sums = [None] * len(cells)
+    sums = [None] * len(cells)
+    with np.errstate(over="ignore", invalid="ignore"):  # per thread, so set here
         for geometry, by_rho in groups.items():
-            work.start(hi - lo)
+            work.start(n)
             gains = [_power_gains(getattr(geometry, link), z, work.take(), work.scratch)
-                     for link, z in zip(("sr", "rd", "sd"), normals[..., lo:hi])]
+                     for link, z in zip(("sr", "rd", "sd"), normals)]
             for link, g in zip(("sr", "rd", "sd"), gains):
                 if not g.max() < math.inf:
                     raise DomainError(f"lambda_{link} must be finite and >= 0")
@@ -205,30 +191,42 @@ def _block_sums(cells, split, quantities, seed: int, b: int, n: int) -> np.ndarr
                 for i in indices:
                     work.taken = shared  # and those of the cell before
                     sums[i] = _cell_sums(terms, cells[i], split, quantities, work)
-        return np.array([s for cell_sums in sums for s in cell_sums])
-
-    with np.errstate(over="ignore", invalid="ignore"):  # per thread, so set here
-        return _pairwise_sum(leaf, 0, n)
+    return np.array([s for cell_sums in sums for s in cell_sums])
 
 
-def _run_blocks(block_fn, trials: int, workers: int) -> list:
-    """Evaluate block_fn(block_index, block_length) over the partition of
-    the trial count, returning the partials in block order."""
-    full, rest = divmod(trials, BLOCK_SIZE)
-    plan = [(b, BLOCK_SIZE) for b in range(full)] + ([(full, rest)] if rest else [])
-    if workers > 1 and len(plan) > 1:
-        # imported here, so that importing ratelab does not pay for it
-        from concurrent.futures import ThreadPoolExecutor
+def _run_blocks(block_fn, trials: int, workers: int):
+    """Yield block_fn(work, b, n) for each block b of n trials, in block
+    order.  At most ``workers`` blocks run at once, each on a slot, a
+    thread, whose workspace ``work`` is allocated on its first block.
+    At most ``2 * workers`` are in flight, running, queued or done and
+    not yet yielded, so that no slot waits for the oldest block."""
+    slots = threading.local()
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda p: block_fn(*p), plan))
-    return [block_fn(b, n) for b, n in plan]
+    def run(b):
+        if not hasattr(slots, "work"):
+            slots.work = _Workspace(min(trials, BLOCK_SIZE))
+        return block_fn(slots.work, b, min(BLOCK_SIZE, trials - b * BLOCK_SIZE))
+
+    blocks = range(-(-trials // BLOCK_SIZE))
+    if workers == 1 or len(blocks) == 1:
+        yield from map(run, blocks)
+        return
+    # imported here, so that importing ratelab does not pay for it
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        in_flight = [pool.submit(run, b) for b in blocks[:2 * workers]]
+        for b in blocks[2 * workers:]:
+            yield in_flight.pop(0).result()
+            in_flight.append(pool.submit(run, b))
+        while in_flight:
+            yield in_flight.pop(0).result()
 
 
 def _kahan(partials) -> np.ndarray:
     """Position-wise compensated totals of the block partials, in block
     order: at each position, the float a scalar Kahan loop gives."""
-    total = carry = np.zeros_like(partials[0])
+    total = carry = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # an inf sum is refused as a non-finite mean
         for part in partials:
             y = part - carry
@@ -259,7 +257,8 @@ def _estimate(cells, split, trials: int, seed: int, workers: int, quantities) ->
         _check_rho(rho)
     if any("conventional" in (token, minus) for _, _, token, minus in cells):
         _check_split(split)
-    partials = _run_blocks(lambda b, n: _block_sums(cells, split, quantities, seed, b, n), trials, workers)
+    partials = _run_blocks(lambda work, b, n: _block_sums(cells, split, quantities, seed, work, b, n),
+                           trials, workers)
     return [_mean_stderr(s, sq, trials) for s, sq in _kahan(partials).reshape(-1, 2).tolist()]
 
 

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -288,8 +289,8 @@ def test_repeated_rho_and_k_keep_their_positions():
     assert cal.sse_by_k[0] == cal.sse_by_k[1]
 
 
-# a full block and a ragged one, both longer than a sub-block
-ENGINE_TRIALS = BLOCK_SIZE + 50_001
+# five full blocks and a short one
+ENGINE_TRIALS = 181_073
 
 
 def _kahan_sum(values):
@@ -360,19 +361,6 @@ def test_calibration_equals_a_whole_block_reference(workers):
         assert alone.residuals == tuple(r for r in cal.residuals if r[0] == k)
 
 
-def test_pairwise_sub_sums_equal_numpy_sum():
-    rng = np.random.default_rng(3)
-    sub = montecarlo.SUB_BLOCK
-    lengths = [1, 127, sub, sub + 1, 1 << 17, *rng.integers(2, 1 << 18, 40)]
-    for n in lengths:
-        # heavy-tailed values of mixed sign, so a different grouping rounds differently
-        x = rng.standard_normal(n) * rng.exponential(size=n) ** 4
-        total = montecarlo._pairwise_sum(lambda lo, hi: np.sum(x[lo:hi]), 0, n)
-        assert total == np.sum(x), n
-        lo = int(rng.integers(0, n))
-        assert montecarlo._pairwise_sum(lambda a, b: np.sum(x[a:b]), lo, n) == np.sum(x[lo:]), (n, lo)
-
-
 def _same_floats(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
@@ -412,24 +400,31 @@ def test_shared_terms_give_the_standalone_arrays(rho):
 @pytest.mark.parametrize("rho", [0.0, 1.0, 1e3])
 def test_workspace_gives_the_allocating_floats(rho, monkeypatch):
     # the engine's gain rows, caught where it hands them to its rate terms,
-    # on a block of two leaves, each shorter than its workspace rows
-    g, n_block = fig3_geometry(1.5), montecarlo.SUB_BLOCK + 4099
-    leaves = []
+    # on a full block and then a short one in the same workspace: a reused
+    # buffer must not leak the block before
+    g = fig3_geometry(1.5)
+    cells = [(g, rho, "crs_oma", None)]
+    blocks = [(0, BLOCK_SIZE), (1, 4099)]
+    alone = [montecarlo._block_sums(cells, SPLIT, QUANTITIES, 5, montecarlo._Workspace(n), b, n)
+             for b, n in blocks]
+    caught = []
 
     def spy(gains, at, *, work):
         assert all(any(np.shares_memory(x, row) for row in work._rows) for x in gains)
-        leaves.append([np.array(x) for x in gains])
+        caught.append([np.array(x) for x in gains])
         return RateTerms(gains, at, work=work)
 
     monkeypatch.setattr(montecarlo, "RateTerms", spy)
-    montecarlo._block_sums([(g, rho, "crs_oma", None)], SPLIT, QUANTITIES, 5, 0, n_block)
-    assert len(leaves) == 2
-    rng = split_stream(5, 0)
-    for i, link in enumerate((g.sr, g.rd, g.sd)):
-        rows = np.concatenate([gains[i] for gains in leaves])
-        assert _same_floats(rows, sample_power_gains(link, rng, n_block))
+    work = montecarlo._Workspace(BLOCK_SIZE)
+    reused = [montecarlo._block_sums(cells, SPLIT, QUANTITIES, 5, work, b, n) for b, n in blocks]
+    assert len(caught) == 2
+    for (b, n), gains, sums, want in zip(blocks, caught, reused, alone):
+        rng = split_stream(5, b)
+        for i, link in enumerate((g.sr, g.rd, g.sd)):
+            assert _same_floats(gains[i], sample_power_gains(link, rng, n)), (b, i)
+        assert _same_floats(sums, want), b
     n = 4099
-    # wider than the sub-block, as for a block's short last leaf
+    # wider than the block, as for a call's short last block
     work = montecarlo._Workspace(n + 13)
     work.start(n)
     rng = np.random.default_rng(12)
@@ -465,13 +460,38 @@ def test_cells_sharing_a_workspace_give_the_floats_they_give_alone(workers):
     g, g2, rho = fig3_geometry(), fig3_geometry(2.0), 10.0
     cells = [(g, rho, "crs_noma_exact", "conventional"), (g, rho, "conventional", None),
              (g, rho, "crs_noma_paper", None), (g2, rho, "crs_oma", None)]
-    trials = 140_000
-    assert BLOCK_SIZE < trials < 2 * BLOCK_SIZE
+    trials = BLOCK_SIZE + 8_928
     together = montecarlo._estimate(cells, SPLIT, trials, 3, workers, QUANTITIES)
     n = len(QUANTITIES)
     for i, cell in enumerate(cells):
         alone = montecarlo._estimate([cell], SPLIT, trials, 3, workers, QUANTITIES)
         assert together[i * n:(i + 1) * n] == alone, cell[2:]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_memory_does_not_grow_with_trials(workers, monkeypatch):
+    # a partial is one block's sums for every cell; it is alive until merged
+    partials, workspaces, most = [], [], [0]
+    block_sums, workspace = montecarlo._block_sums, montecarlo._Workspace
+
+    def spy_block(*args):
+        part = block_sums(*args)
+        partials.append(weakref.ref(part))
+        most[0] = max(most[0], sum(ref() is not None for ref in partials))
+        return part
+
+    def spy_workspace(*args):
+        workspaces.append(workspace(*args))
+        return workspaces[-1]
+
+    monkeypatch.setattr(montecarlo, "_block_sums", spy_block)
+    monkeypatch.setattr(montecarlo, "_Workspace", spy_workspace)
+    g = fig3_geometry()
+    cells = [(g, 10.0, "crs_oma", None), (fig3_geometry(2.0), 1.0, "crs_noma_paper", None)]
+    montecarlo._estimate(cells, SPLIT, 40 * BLOCK_SIZE, 3, workers, QUANTITIES)
+    assert len(partials) == 40
+    assert 1 <= most[0] <= 2 * workers
+    assert 1 <= len(workspaces) <= workers
 
 
 # One cold Monte-Carlo call at the benchmark's mc_sweep size, in a fresh
@@ -491,23 +511,25 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux minor page faults")
 def test_a_cold_monte_carlo_call_takes_few_page_faults():
-    # a temporary allocated per ufunc call is mapped, freed and faulted
-    # back in; with the block workspace that went from ~9,600 to ~2,200
+    # a temporary allocated per ufunc call or per block is mapped, freed
+    # and faulted back in; a workspace per block took this from ~9,600 to
+    # ~2,200, and one per worker slot to ~1,000
     src = str(Path(ratelab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", COLD_CALL_FAULTS], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) < 4000
+    assert int(proc.stdout) < 1500
 
 
-# Taken with the engine that evaluated each rate on its own, before the
-# rates of one rho shared their terms: the same floats must come out.  The
-# sweep's bytes were re-taken when its '# quad_order' metadata line went,
-# and when its '# tail_tol' line became 1e-13, the one kernel tolerance.
-GOLDEN_SWEEP_SHA256 = "a8c1b257553f83ed1933c986805edc6b77714ee9d8e7d37f6b93e5d1bd4d0ce4"
+# Re-taken when a block became one 2^15-trial workspace row: that moved
+# the stream partition, so every Monte-Carlo mean and standard error.
+# Before that they had held since the engine evaluated each rate on its
+# own, through the rates of one rho sharing their terms, the sweep's
+# '# quad_order' line going and its '# tail_tol' line becoming 1e-13.
+GOLDEN_SWEEP_SHA256 = "ba2a7e05d6b05b5c9acd832b13bc0ecbb8dcd7a5397d461abd88cc0681129670"
 GOLDEN_GAP = ("EstimatorResult(scheme='crs_noma_exact-conventional', quantity='c_s1', "
-              "mean=1.924511157613972, std_err=0.0011261538703475258, trials=181073, seed=29, rho=10.0)")
-GOLDEN_RESIDUAL = "(4.0, 5.0, 'conventional', 1.935308976202007, 3.883, -1.947691023797993)"
+              "mean=1.92650178401357, std_err=0.0011275220129722556, trials=181073, seed=29, rho=10.0)")
+GOLDEN_RESIDUAL = "(4.0, 5.0, 'conventional', 1.9363019238763777, 3.883, -1.9466980761236223)"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
