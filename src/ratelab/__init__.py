@@ -15,7 +15,6 @@ from .channel import (
 )
 from .rates import (
     RATES,
-    ChannelRealization,
     PowerSplit,
     RateBreakdown,
     conventional_noma_rate,
@@ -49,7 +48,7 @@ __all__ = [
     "NetworkGeometry", "RicianLink",
     "make_link", "power_gain_cdf", "power_gain_pdf", "power_gain_sf",
     "sample_power_gains", "split_stream",
-    "RATES", "ChannelRealization", "PowerSplit", "RateBreakdown",
+    "RATES", "PowerSplit", "RateBreakdown",
     "conventional_noma_rate", "crs_noma_rate", "crs_oma_rate",
     "cdf_gamma2_paper", "cdf_min_pair_approx", "cdf_min_pair_series",
     "cdf_single_link_series", "ergodic_rate_quadrature_quantities",

@@ -230,6 +230,7 @@ def _kahan(partials) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # an inf sum is refused as a non-finite mean
         for part in partials:
             y = part - carry
+            del part  # released before the next block is awaited, so at most 2 * workers are alive
             t = total + y
             carry = (t - total) - y
             total = t

@@ -12,9 +12,9 @@ the relay-to-destination SNR of the first symbol:
     is the simplification the published closed-form analysis rests on.
     Paper-mode totals are never below exact-mode totals.
 
-All functions accept scalars or equal-shaped numpy arrays in the
-realization fields, so a Monte-Carlo driver can evaluate whole blocks
-of trials in one call.
+All functions take the three gains of a realization as scalars or
+numpy arrays that broadcast together, so a Monte-Carlo driver can
+evaluate whole blocks of trials in one call.
 
 Baseline schemes (conventional two-slot NOMA relaying with power split
 a1/a2, and CRS-OMA as classical decode-and-forward with receive
@@ -32,7 +32,6 @@ import numpy as np
 from .errors import DomainError, _to_float
 
 __all__ = [
-    "ChannelRealization",
     "RateBreakdown",
     "PowerSplit",
     "RateTerms",
@@ -62,24 +61,6 @@ def rate_token(scheme: str, mode: str) -> str:
     if token not in RATES:
         raise DomainError(f"unknown scheme {scheme!r} (mode {mode!r}); expected one of {tuple(RATES)}")
     return token
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One draw of the three instantaneous power gains, which it unpacks to."""
-
-    lambda_sr: float
-    lambda_rd: float
-    lambda_sd: float
-
-    def __post_init__(self):
-        for name in ("lambda_sr", "lambda_rd", "lambda_sd"):
-            v = np.asarray(getattr(self, name))
-            if not np.all(np.isfinite(v)) or np.any(v < 0.0):
-                raise DomainError(f"{name} must be finite and >= 0")
-
-    def __iter__(self):
-        return iter((self.lambda_sr, self.lambda_rd, self.lambda_sd))
 
 
 def _plus(a, b, work):
@@ -159,6 +140,25 @@ def _check_rho(rho: float) -> float:
     return _to_float(rho, "rho must be finite and >= 0")
 
 
+def _check_gains(gains) -> list:
+    """The three gains as float arrays, each finite and >= 0, with shapes that broadcast together."""
+    gains = tuple(gains)
+    if len(gains) != 3:
+        raise DomainError(f"gains must be three, lambda_sr, lambda_rd and lambda_sd, got {len(gains)}")
+    arrays = []
+    for name, g in zip(("lambda_sr", "lambda_rd", "lambda_sd"), gains):
+        rule = f"{name} must be finite and >= 0"
+        g = _to_float(g, rule, lambda v: np.asarray(v, dtype=float))
+        if not ((0.0 <= g) & (g < math.inf)).all():  # NaN fails both
+            raise DomainError(rule)
+        arrays.append(g)
+    try:
+        np.broadcast_shapes(*(g.shape for g in arrays))
+    except ValueError:
+        raise DomainError(f"the gains' shapes must broadcast together, got {[g.shape for g in arrays]}") from None
+    return arrays
+
+
 class RateTerms:
     """The terms the rate functions share at one realization and rho.
 
@@ -168,18 +168,17 @@ class RateTerms:
     terms are built, so several rates evaluated on one object take each
     logarithm once, with the floats a standalone call gives.  The SNRs
     rho*lambda cost one product and are recomputed on each read rather
-    than held.  ``r`` is a :class:`ChannelRealization` or any three gain
-    arrays in its order, taken unchecked.  The rate functions accept a
-    RateTerms in place of a realization, at its rho.
+    than held.  ``gains`` are checked, before rho, by :func:`_check_gains`.
+    The rate functions accept a RateTerms in place of the gains, at its rho.
 
     With ``work``, a block workspace (see :mod:`ratelab.montecarlo`),
-    the logarithms and the rate functions write every array to its rows,
-    with the same floats.
+    the gains, its own rows, are taken unchecked, and the logarithms and
+    the rate functions write every array to its rows, with the same floats.
     """
 
-    def __init__(self, r, rho: float, *, work=None):
+    def __init__(self, gains, rho: float, *, work=None):
+        self.lambda_sr, self.lambda_rd, self.lambda_sd = gains if work is not None else _check_gains(gains)
         self.rho = _check_rho(rho)
-        self.lambda_sr, self.lambda_rd, self.lambda_sd = (np.asarray(g, dtype=float) for g in r)
         self.work = work
         self.log_sr = self._log2_1p_snr(self.lambda_sr, self.new())
         self.log_rd = self._log2_1p_snr(self.lambda_rd, self.new())
@@ -203,16 +202,15 @@ class RateTerms:
 
 
 def _terms(r, rho: float) -> RateTerms:
-    """``r`` itself when it is the RateTerms of ``rho``, else fresh terms
-    of ``r`` checked as a :class:`ChannelRealization`."""
+    """``r`` itself when it is the RateTerms of ``rho``, else the terms of the gains ``r``."""
     if not isinstance(r, RateTerms):
-        return RateTerms(r if isinstance(r, ChannelRealization) else ChannelRealization(*r), rho)
+        return RateTerms(r, rho)
     if _check_rho(rho) != r.rho:
         raise DomainError(f"rate terms of rho {r.rho} used at rho {rho}")
     return r
 
 
-def crs_noma_rate(r: ChannelRealization, rho: float, mode: str) -> RateBreakdown:
+def crs_noma_rate(r: RateTerms | tuple, rho: float, mode: str) -> RateBreakdown:
     """CRS-NOMA rates: relayed s1 (decode-and-forward min), direct s1, s2.
 
     ``mode``, ``"paper"`` or ``"exact"``, has no default.  In paper mode
@@ -233,7 +231,7 @@ def crs_noma_rate(r: ChannelRealization, rho: float, mode: str) -> RateBreakdown
     return RateBreakdown(c_relay, t.half_log_sd, t.half_log_sd, t.work)
 
 
-def conventional_noma_rate(r: ChannelRealization, rho: float, split: PowerSplit) -> RateBreakdown:
+def conventional_noma_rate(r: RateTerms | tuple, rho: float, split: PowerSplit) -> RateBreakdown:
     """Two-slot conventional-NOMA relaying baseline.
 
     Slot one carries the a1/a2 superposition from the source; only the
@@ -263,7 +261,7 @@ def conventional_noma_rate(r: ChannelRealization, rho: float, split: PowerSplit)
     return RateBreakdown(c_s1, 0.0, c_s2, t.work)
 
 
-def crs_oma_rate(r: ChannelRealization, rho: float) -> RateBreakdown:
+def crs_oma_rate(r: RateTerms | tuple, rho: float) -> RateBreakdown:
     """Classical decode-and-forward with receive combining at D.
 
     Both slots carry the same symbol, so the total is half the min of

@@ -12,7 +12,6 @@ from scipy import integrate, special, stats
 import ratelab
 import ratelab.analytic as analytic
 from ratelab import (
-    ChannelRealization,
     NetworkGeometry,
     PowerSplit,
     cdf_gamma2_paper,
@@ -31,7 +30,7 @@ from ratelab import (
     split_stream,
 )
 from ratelab.errors import ConvergenceError, DomainError, ModelAssumptionWarning
-from ratelab.rates import QUANTITIES, RATES, RateBreakdown
+from ratelab.rates import QUANTITIES, RATES, RateBreakdown, RateTerms
 from ratelab.sweep import parse_config, preset_geometry, run_sweep
 
 FIG3 = NetworkGeometry(sr=make_link(0, 8), rd=make_link(0, 8), sd=make_link(0, 3))
@@ -426,6 +425,29 @@ def test_exact_mode_oracle_matches_the_kim_lee_closed_form(preset, db):
     _assert_oracle_matches_rayleigh_closed_forms(preset_geometry(preset, 0.0), "crs_noma_exact", [db])
 
 
+@pytest.mark.parametrize("preset", ["fig3", "fig4"])
+@pytest.mark.parametrize("k", [0.0, 3.0, 100.0])
+def test_oracle_meets_its_closed_form_high_snr_limits(preset, k):
+    # the affine high-SNR expansion of Lozano, Tulino & Verdu (IEEE Trans.
+    # Inf. Theory 51(12), 2005), whose remainder O(c ln c), c = alpha/rho,
+    # is below rounding from about 200 dB
+    g, split = preset_geometry(preset, k), PowerSplit(0.9, 0.1)
+    rhos = [10.0 ** (db / 10.0) for db in (200, 1000, 3000)]
+    two_ln2 = 2.0 * math.log(2.0)
+    # E psi(N + 1) for N ~ Poisson(K), the Gamma(N + 1) mixture's mean log
+    e_psi = math.log(k) + special.exp1(k) if k > 0.0 else -np.euler_gamma
+    limits = [("crs_noma_paper", "c_direct_s1",
+               lambda rho: (math.log(rho) - math.log(g.sd.inv_scale) + e_psi) / two_ln2),
+              ("conventional", "c_s1", lambda rho: 0.5 * math.log2(1.0 / split.a2))]
+    if k == 0.0:  # the exact-mode relay's ceiling, E ln(1 + lambda_RD/lambda_SD)/(2 ln 2)
+        b = g.sd.mean_power / g.rd.mean_power
+        limits.append(("crs_noma_exact", "c_relay_s1", lambda rho: math.log(b) / ((b - 1.0) * two_ln2)))
+    for token, quantity, limit in limits:
+        for rho, got in zip(rhos, ergodic_rate_quadrature_quantities(g, rhos, token, split)):
+            want = limit(rho)
+            assert abs(got[quantity] - want) <= max(1e-13, 1e-15 * abs(want)), (token, rho, got[quantity] - want)
+
+
 # At rho = 1e304 and beyond, rho*x passes the float range over most of a span.
 @pytest.mark.parametrize("token,db", [(token, db) for token in sorted(RATES) for db in (3000, 3020, 3030, 3040, 3050)])
 def test_oracle_matches_rayleigh_closed_forms_where_rho_x_overflows(token, db):
@@ -469,11 +491,8 @@ def test_quadrature_all_schemes_against_sampled_oracle():
     rho = 10 ** 1.5
     rng = split_stream(606, 0)
     n = 10**6
-    r = ChannelRealization(
-        sample_power_gains(g.sr, rng, n),
-        sample_power_gains(g.rd, rng, n),
-        sample_power_gains(g.sd, rng, n),
-    )
+    # the gains checked once, for the four rates evaluated on them
+    r = RateTerms([sample_power_gains(link, rng, n) for link in (g.sr, g.rd, g.sd)], rho)
     from ratelab import conventional_noma_rate, crs_oma_rate
 
     checks = {

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 import weakref
 from dataclasses import replace
@@ -27,7 +28,6 @@ from ratelab.errors import DomainError, ModelAssumptionWarning
 from ratelab.montecarlo import BLOCK_SIZE, QUANTITIES
 from ratelab.rates import (
     RATES,
-    ChannelRealization,
     RateTerms,
     conventional_noma_rate,
     crs_noma_rate,
@@ -85,7 +85,7 @@ def test_every_conventional_entry_point_takes_one_split_rule(monkeypatch):
     g = fig3_geometry()
     calls = (lambda: estimate_rates(g, 1.0, ("conventional",), split=(0.9, 0.1), trials=10),
              lambda: paired_gap(g, 1.0, "crs_noma", "conventional", split=(0.9, 0.1), trials=10),
-             lambda: conventional_noma_rate(ChannelRealization(1.0, 1.0, 1.0), 1.0, (0.9, 0.1)),
+             lambda: conventional_noma_rate((1.0, 1.0, 1.0), 1.0, (0.9, 0.1)),
              lambda: ergodic_rate_quadrature_quantities(g, 1.0, "conventional", (0.9, 0.1)))
     for call in calls:
         with pytest.raises(DomainError, match=r"^the conventional scheme needs a PowerSplit, got \(0\.9, 0\.1\)$"):
@@ -312,8 +312,7 @@ def _whole_block_reference(geometry, rho, token, trials, seed):
     for b, start in enumerate(range(0, trials, BLOCK_SIZE)):
         n = min(BLOCK_SIZE, trials - start)
         rng = split_stream(seed, b)
-        r = ChannelRealization(*(sample_power_gains(link, rng, n)
-                                 for link in (geometry.sr, geometry.rd, geometry.sd)))
+        r = [sample_power_gains(link, rng, n) for link in (geometry.sr, geometry.rd, geometry.sd)]
         if token == "conventional":
             rates = conventional_noma_rate(r, rho, SPLIT)
         elif token == "crs_oma":
@@ -371,14 +370,13 @@ def test_shared_terms_give_the_standalone_arrays(rho):
     rng = np.random.default_rng(12)
     n = 4099
     gains = [rng.exponential(size=n) * rng.choice([0.0, 1.0, 50.0], size=n) for _ in range(3)]
-    r = ChannelRealization(*gains)
     assert all(np.any(g == 0.0) for g in gains)
     # tokens in both orders, so no rate's arrays depend on the rates evaluated on the terms before it
     for order in (list(RATES), list(RATES)[::-1]):
-        terms = RateTerms(r, rho)
+        terms = RateTerms(gains, rho)
         shared = {token: montecarlo._token_rates(terms, rho, token, SPLIT) for token in order}
         for token, rates in shared.items():
-            fresh = montecarlo._token_rates(ChannelRealization(*gains), rho, token, SPLIT)
+            fresh = montecarlo._token_rates(gains, rho, token, SPLIT)
             for q in QUANTITIES:
                 assert _same_floats(rates[q], fresh[q]), (token, q)
         # the arrays the engine sums once: CRS-NOMA's s2 rate in both modes
@@ -394,7 +392,7 @@ def test_shared_terms_give_the_standalone_arrays(rho):
             assert _same_floats(rates.c_total, rates.c_s1 + rates.c_s2)
         assert shared["crs_oma"].c_total is shared["crs_oma"].c_relay_s1
     with pytest.raises(DomainError, match="rate terms of rho"):
-        crs_noma_rate(RateTerms(r, rho), rho + 1.0, "paper")
+        crs_noma_rate(RateTerms(gains, rho), rho + 1.0, "paper")
 
 
 @pytest.mark.parametrize("rho", [0.0, 1.0, 1e3])
@@ -435,7 +433,7 @@ def test_workspace_gives_the_allocating_floats(rho, monkeypatch):
     held = {token: montecarlo._token_rates(terms, rho, token, SPLIT) for token in RATES}
     values = {(token, q): rates[q] for token, rates in held.items() for q in QUANTITIES}
     for (token, q), v in values.items():
-        fresh = montecarlo._token_rates(ChannelRealization(*gains), rho, token, SPLIT)
+        fresh = montecarlo._token_rates(gains, rho, token, SPLIT)
         assert _same_floats(v, fresh[q]), (token, q)
 
 
@@ -492,6 +490,29 @@ def test_memory_does_not_grow_with_trials(workers, monkeypatch):
     assert len(partials) == 40
     assert 1 <= most[0] <= 2 * workers
     assert 1 <= len(workspaces) <= workers
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_slow_block_keeps_the_memory_bound(workers, monkeypatch):
+    # every 2*workers-th block sleeps, so the blocks queued behind it finish
+    # first and the merge waits on it with every slot of the queue full;
+    # the partial merged before it must be released by then
+    partials, most = [], [0]
+    block_sums = montecarlo._block_sums
+
+    def slow_block(*args):
+        if args[5] % (2 * workers) == 0:  # the block index
+            time.sleep(0.05)
+        part = block_sums(*args)
+        partials.append(weakref.ref(part))
+        most[0] = max(most[0], sum(ref() is not None for ref in partials))
+        return part
+
+    monkeypatch.setattr(montecarlo, "_block_sums", slow_block)
+    cells = [(fig3_geometry(), 10.0, "crs_oma", None)]
+    montecarlo._estimate(cells, SPLIT, 3 * 2 * workers * BLOCK_SIZE, 3, workers, QUANTITIES)
+    assert len(partials) == 3 * 2 * workers
+    assert most[0] <= 2 * workers
 
 
 # One cold Monte-Carlo call at the benchmark's mc_sweep size, in a fresh
