@@ -46,7 +46,7 @@ import numpy as np
 from .channel import (NetworkGeometry, RicianLink, _check_nonneg, poisson_weights, power_gain_cdf,
                       power_gain_pdf, power_gain_sf)
 from .errors import ConvergenceError, DomainError
-from .rates import RATES, PowerSplit, RateBreakdown, _check_rho, _check_split
+from .rates import PAPER_SPLIT, RATES, PowerSplit, RateBreakdown, _check_rho, _check_split
 
 __all__ = [
     "cdf_min_pair_series",
@@ -199,14 +199,16 @@ def _moment_kernel(m_max: int, c: float) -> np.ndarray:
 
 
 def _rhos(rho) -> list[float]:
-    """One rho or a sequence, as a list of floats; each rho in order
-    through :func:`ratelab.rates._check_rho`, then refused at 0, which
-    the series and the oracle need and the rate functions do not."""
+    """One rho or a nonempty sequence, as a list of floats; each rho in
+    order through :func:`ratelab.rates._check_rho`, then refused at 0,
+    which the series and the oracle need and the rate functions do not."""
     rhos = []
     for r in [rho] if np.ndim(rho) == 0 else rho:
         rhos.append(_check_rho(r))
         if rhos[-1] == 0.0:
             raise DomainError("rho must be > 0 for the series and the oracle, got 0")
+    if not rhos:
+        raise DomainError("rho must be one number or a nonempty sequence, got an empty one")
     return rhos
 
 
@@ -426,14 +428,15 @@ def ergodic_rate_quadrature_quantities(
     geometry: NetworkGeometry,
     rho,
     scheme: str,
-    split: PowerSplit | None = None,
+    split: PowerSplit = PAPER_SPLIT,
 ) -> RateBreakdown | list[RateBreakdown]:
     """All five ergodic rate quantities of one :data:`~ratelab.rates.RATES`
     token, by integration.
 
     ``rho`` is one SNR, or a sequence giving a list in its order, which
     evaluates each rho-independent survival once for all; a rho's floats
-    do not depend on the others.
+    do not depend on the others.  ``split`` is checked whatever the
+    token; only the conventional baseline reads it.
 
     Survivals are built from the Marcum-Q single-link survival; min
     terms are survival products.  Every rate is one half rate,
@@ -461,6 +464,7 @@ def ergodic_rate_quadrature_quantities(
     rhos = _rhos(rho)
     if scheme not in RATES:
         raise DomainError(f"scheme must be one of {tuple(RATES)}, got {scheme!r}")
+    _check_split(split)
     sr, rd, sd = geometry.sr, geometry.rd, geometry.sd
     family, mode = RATES[scheme]
 
@@ -485,7 +489,6 @@ def ergodic_rate_quadrature_quantities(
         rates = [RateBreakdown(r, d, d) for r, d in zip(c_relay, c_direct)]
 
     elif scheme == "conventional":
-        _check_split(split)
         a1, a2 = split.a1, split.a2
         # s1 passes through the increasing SINR map g(w) = a1*rho*w/(a2*rho*w+1)
         # of W = min(lambda_SD, lambda_SR), which collapses the min of the

@@ -9,8 +9,11 @@
 
 The three commands write the three tables: sweep, calibration and
 discrepancy; the discrepancy table is read from the rows of a sweep of
-both series and the oracle.  A grid that starts below zero is written
-with '=', --rho-grid=-10:30:5, since a bare -10:30:5 reads as an option.
+both series and the oracle.  ``--out`` is the one output setting of
+each: a path, or "-" for stdout, which calibrate and discrepancy
+default to; sweep defaults to sweep.csv.  A config holds no output
+path.  A grid that starts below zero is written with '=',
+--rho-grid=-10:30:5, since a bare -10:30:5 reads as an option.
 
 Exit codes: 0 success, 1 a refused input (a ``DomainError``: a config
 line or field, a flag, a usage error or a value outside its domain) or
@@ -36,6 +39,7 @@ from .sweep import (
     _FIELDS,
     PRESETS,
     _integer,
+    _path,
     calibrate_k,
     discrepancy_report,
     parse_config,
@@ -56,7 +60,7 @@ _EXIT_RUNTIME = 2
 _FLAGS = {
     "seed": _FIELDS["sweep"]["seed"][0], "trials": _FIELDS["sweep"]["trials"][0],
     "workers": lambda raw: _check_workers(_integer(raw)),
-    "out": _FIELDS["output"]["path"][0], "k": _FIELDS["geometry"]["k"][0],
+    "out": _path, "k": _FIELDS["geometry"]["k"][0],
     "k_grid": parse_grid, "rho_grid": parse_grid,
 }
 
@@ -96,10 +100,10 @@ def _write(path: str, text: str):
             fh.write(text)
 
 
-def _cmd_sweep(args, out=None, **settings):
+def _cmd_sweep(args, out="sweep.csv", **settings):
     with open(args.config) as fh:
         config = replace(parse_config(fh.read()), **settings)
-    out = _writable(config.output_path if out is None else out)
+    _writable(out)
     _write(out, render_csv(run_sweep(config)))
 
 
@@ -134,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run an SNR sweep from a config document")
     p_sweep.add_argument("--config", required=True, help="path to the config document")
-    p_sweep.add_argument("--out", help="output CSV path (default: config output path)")
+    p_sweep.add_argument("--out", help="output CSV path (default: sweep.csv)")
     p_sweep.add_argument("--seed", help="override the config seed")
     p_sweep.add_argument("--trials", help="override the Monte-Carlo trial count")
     p_sweep.add_argument("--workers", help="Monte-Carlo worker threads (result-invariant)")

@@ -1,6 +1,8 @@
 """Exception and warning types shared across the package, one error
-class per kind of failure, and the one int-to-float conversion that
+class per kind of failure, and the one conversion to float that
 raises them."""
+
+import reprlib
 
 
 class RateLabError(Exception):
@@ -37,11 +39,13 @@ class ModelAssumptionWarning(UserWarning):
 
 
 def _to_float(x, rule: str, convert=float):
-    """``convert(x)``, by default ``float(x)``.  Where ``x`` holds an
-    integer above the float range, raises :class:`DomainError` naming
-    ``rule`` in place of OverflowError, without repeating the integer's
-    digits."""
+    """``convert(x)``, by default ``float(x)``.  Where the conversion
+    refuses ``x``, raises :class:`DomainError` naming ``rule`` in its
+    place: for an integer above the float range without repeating its
+    digits, for anything else with ``x`` cut short."""
     try:
         return convert(x)
     except OverflowError:
         raise DomainError(f"{rule}, got an integer above the float range") from None
+    except (TypeError, ValueError):
+        raise DomainError(f"{rule}, got {reprlib.repr(x)}") from None

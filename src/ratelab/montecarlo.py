@@ -42,6 +42,7 @@ allocator maps, frees and faults it in again.
 
 from dataclasses import dataclass
 import math
+import reprlib
 import threading
 
 import numpy as np
@@ -50,6 +51,7 @@ import numpy as np
 from .channel import NetworkGeometry, _power_gains, sample_power_gains, split_stream
 from .errors import DomainError
 from .rates import (
+    PAPER_SPLIT,
     QUANTITIES,
     RATES,
     PowerSplit,
@@ -73,20 +75,30 @@ MAX_TRIALS = 10**10
 MAX_WORKERS = 64
 
 
-# The rule of each run setting, applied wherever it enters; each returns the value.
+# The rule of each run setting, applied wherever it enters; each returns the
+# value.  A run setting is a Python or NumPy integer: a float, a bool or a
+# str is refused, as a config refuses 1e6, 1.9 or true.
+def _check_whole(value, name: str):
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be a whole number, got {reprlib.repr(value)}")
+
+
 def _check_trials(trials: int) -> int:
+    _check_whole(trials, "trials")
     if not 1 <= trials <= MAX_TRIALS:
         raise DomainError(f"trials must be between 1 and {MAX_TRIALS}")
     return trials
 
 
 def _check_workers(workers: int) -> int:
+    _check_whole(workers, "workers")
     if not 1 <= workers <= MAX_WORKERS:
         raise DomainError(f"workers must be between 1 and {MAX_WORKERS}")
     return workers
 
 
 def _check_seed(seed: int) -> int:
+    _check_whole(seed, "seed")
     if seed < 0:
         raise DomainError("seed must be >= 0")
     return seed
@@ -136,7 +148,7 @@ class _Workspace:
         return self._rows[self.taken - 1][:self._n]
 
 
-def _token_rates(r: RateTerms, rho: float, token: str, split: PowerSplit | None) -> RateBreakdown:
+def _token_rates(r: RateTerms, rho: float, token: str, split: PowerSplit) -> RateBreakdown:
     if token == "conventional":
         return conventional_noma_rate(r, rho, split)
     if token == "crs_oma":
@@ -144,7 +156,7 @@ def _token_rates(r: RateTerms, rho: float, token: str, split: PowerSplit | None)
     return crs_noma_rate(r, rho, RATES[token][1])
 
 
-def _cell_sums(terms: RateTerms, cell, split: PowerSplit | None, quantities, work: _Workspace) -> list:
+def _cell_sums(terms: RateTerms, cell, split: PowerSplit, quantities, work: _Workspace) -> list:
     """Sum and sum of squares of each quantity of one cell on a block, flat.
 
     Both rates of the cell are read from ``terms``, the shared terms of
@@ -247,17 +259,16 @@ def _mean_stderr(s: float, sq: float, n: int):
 
 def _estimate(cells, split, trials: int, seed: int, workers: int, quantities) -> list:
     """The engine: (mean, std_err) of every quantity of every cell, flat,
-    cell by cell.  The run settings, each distinct cell rho in order and,
-    where a cell reads the conventional scheme, the split are checked
-    before any block is drawn."""
+    cell by cell.  The run settings, each distinct cell rho in order and
+    the split, whatever the cells' schemes, are checked before any block
+    is drawn."""
     _check_trials(trials)
     _check_workers(workers)
     _check_seed(seed)
     # by identity, as a refused rho may be unhashable
     for rho in {id(rho): rho for _, rho, _, _ in cells}.values():
         _check_rho(rho)
-    if any("conventional" in (token, minus) for _, _, token, minus in cells):
-        _check_split(split)
+    _check_split(split)
     partials = _run_blocks(lambda work, b, n: _block_sums(cells, split, quantities, seed, work, b, n),
                            trials, workers)
     return [_mean_stderr(s, sq, trials) for s, sq in _kahan(partials).reshape(-1, 2).tolist()]
@@ -268,7 +279,7 @@ def estimate_rates(
     rho,
     schemes=("crs_noma", "conventional", "crs_oma"),
     mode: str = "paper",
-    split: PowerSplit | None = None,
+    split: PowerSplit = PAPER_SPLIT,
     trials: int = 10**6,
     seed: int = 42,
     workers: int = 1,
@@ -286,7 +297,9 @@ def estimate_rates(
     scheme in :data:`QUANTITIES` order, each carrying its ``rho``.
     Deterministic in all inputs; a (rho, scheme) result is the same
     float whatever else the call evaluates.  An empty ``rho`` sequence or
-    ``schemes`` raises :class:`DomainError` before any block is drawn.
+    ``schemes`` raises :class:`DomainError` before any block is drawn,
+    and so does a ``split`` that is not a :class:`PowerSplit`, whatever
+    the schemes; only the conventional baseline reads it.
     """
     rhos = [rho] if np.ndim(rho) == 0 else list(rho)
     schemes = tuple(schemes)
@@ -306,7 +319,7 @@ def paired_gap(
     scheme_a: str,
     scheme_b: str,
     mode: str = "paper",
-    split: PowerSplit | None = None,
+    split: PowerSplit = PAPER_SPLIT,
     trials: int = 10**6,
     seed: int = 42,
     quantity: str = "c_total",

@@ -16,11 +16,15 @@ All functions take the three gains of a realization as scalars or
 numpy arrays that broadcast together, so a Monte-Carlo driver can
 evaluate whole blocks of trials in one call.
 
-Baseline schemes (conventional two-slot NOMA relaying with power split
-a1/a2, and CRS-OMA as classical decode-and-forward with receive
-combining) follow the standard textbook rate expressions; the exact
-formulas are documented in the README since the comparison literature
-states the schemes only by description.
+CRS-NOMA sends every symbol at full power.  Only the conventional
+baseline splits the source power, a1 = 1 - a2 to s1 and a2 to s2, so
+its split is the one number a2 of a :class:`PowerSplit`; every entry
+that takes a split defaults to :data:`PAPER_SPLIT`, the published
+a2 = 0.1.  Baseline schemes (conventional two-slot NOMA relaying and
+CRS-OMA as classical decode-and-forward with receive combining) follow
+the standard textbook rate expressions; the exact formulas are
+documented in the README since the comparison literature states the
+schemes only by description.
 """
 
 import math
@@ -34,6 +38,7 @@ from .errors import DomainError, _to_float
 __all__ = [
     "RateBreakdown",
     "PowerSplit",
+    "PAPER_SPLIT",
     "RateTerms",
     "crs_noma_rate",
     "conventional_noma_rate",
@@ -111,40 +116,57 @@ class RateBreakdown:
 
 @dataclass(frozen=True)
 class PowerSplit:
-    """Power-allocation pair (a1, a2) of the conventional-NOMA baseline."""
+    """Power split of the conventional-NOMA baseline: the share ``a2`` of
+    the source power that carries s2, stored as a float, with
+    0 < a2 < 0.5; s1 carries the rest, :attr:`a1` = 1 - a2 > a2."""
 
-    a1: float
     a2: float
 
     def __post_init__(self):
-        if abs(self.a1 + self.a2 - 1.0) > 1e-12:
-            raise DomainError(f"a1 + a2 must equal 1, got {self.a1 + self.a2}")
-        if not (self.a1 > self.a2 > 0.0):
-            raise DomainError(f"need a1 > a2 > 0, got ({self.a1}, {self.a2})")
+        rule = "need 0 < a2 < 0.5"
+        a2 = _to_float(self.a2, rule)
+        if not 0.0 < a2 < 0.5:
+            raise DomainError(f"{rule}, got {a2}")
+        object.__setattr__(self, "a2", a2)  # frozen
+
+    @property
+    def a1(self) -> float:
+        return 1.0 - self.a2
+
+
+# The published split, a1 = 0.9 and a2 = 0.1.
+PAPER_SPLIT = PowerSplit(0.1)
 
 
 def _check_split(split):
-    """Refuse a split that is not a :class:`PowerSplit`, which checks its values."""
+    """Refuse a split that is not a :class:`PowerSplit`, which checks its value."""
     if not isinstance(split, PowerSplit):
-        raise DomainError(f"the conventional scheme needs a PowerSplit, got {split!r}")
+        raise DomainError(f"split must be a PowerSplit, got {reprlib.repr(split)}")
 
 
 def _check_rho(rho: float) -> float:
-    """``rho`` as a float; a sequence or array, a negative, infinite or NaN
-    SNR is refused, and so is an integer above the float range."""
+    """``rho`` as a float.  Refused are a sequence or array, what float()
+    refuses, an integer above the float range, and a negative, infinite
+    or NaN SNR."""
     # a float needs no np.ndim, which costs a microsecond on each engine cell
     if not isinstance(rho, float) and np.ndim(rho) != 0:
         raise DomainError(f"rho must be one number, got {reprlib.repr(rho)}")
-    if not 0.0 <= rho < math.inf:
-        raise DomainError(f"rho must be finite and >= 0, got {rho}")
-    return _to_float(rho, "rho must be finite and >= 0")
+    rule = "rho must be finite and >= 0"
+    x = _to_float(rho, rule)
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"{rule}, got {x}")
+    return x
 
 
 def _check_gains(gains) -> list:
     """The three gains as float arrays, each finite and >= 0, with shapes that broadcast together."""
-    gains = tuple(gains)
+    rule = "gains must be three, lambda_sr, lambda_rd and lambda_sd"
+    try:
+        gains = tuple(gains)
+    except TypeError:  # not a sequence at all
+        raise DomainError(f"{rule}, got {reprlib.repr(gains)}") from None
     if len(gains) != 3:
-        raise DomainError(f"gains must be three, lambda_sr, lambda_rd and lambda_sd, got {len(gains)}")
+        raise DomainError(f"{rule}, got {len(gains)}")
     arrays = []
     for name, g in zip(("lambda_sr", "lambda_rd", "lambda_sd"), gains):
         rule = f"{name} must be finite and >= 0"
@@ -231,11 +253,11 @@ def crs_noma_rate(r: RateTerms | tuple, rho: float, mode: str) -> RateBreakdown:
     return RateBreakdown(c_relay, t.half_log_sd, t.half_log_sd, t.work)
 
 
-def conventional_noma_rate(r: RateTerms | tuple, rho: float, split: PowerSplit) -> RateBreakdown:
+def conventional_noma_rate(r: RateTerms | tuple, rho: float, split: PowerSplit = PAPER_SPLIT) -> RateBreakdown:
     """Two-slot conventional-NOMA relaying baseline.
 
-    Slot one carries the a1/a2 superposition from the source; only the
-    relay transmits in slot two.  s1 is limited by the weaker of the
+    Slot one carries the a1/a2 superposition from the source, with
+    a1 = 1 - a2; only the relay transmits in slot two.  s1 is limited by the weaker of the
     destination's and the relay's SIC-first decode, s2 by the relay's
     second decode and the relay-destination hop.
     """

@@ -4,8 +4,13 @@ The sweep configuration is a flat key = value document with section
 headers (grammar documented in the README).  Presets
 ``fig3`` and ``fig4`` install the two published channel-power setups:
 
-    fig3: Omega_SD = 3, Omega_SR = Omega_RD = 8,  split (0.9, 0.1)
-    fig4: Omega_SD = 3, Omega_SR = Omega_RD = 12, split (0.9, 0.1)
+    fig3: Omega_SD = 3, Omega_SR = Omega_RD = 8
+    fig4: Omega_SD = 3, Omega_SR = Omega_RD = 12
+
+Both use the published power split of the conventional baseline,
+:data:`ratelab.rates.PAPER_SPLIT` (a2 = 0.1), which is also the
+config's default.  A config holds no output path: the command line's
+``--out`` names where a table goes.
 
 The published experiments never state the Rician K factor, so K
 defaults to 0 and :func:`calibrate_k` recovers a best-fit K against
@@ -23,7 +28,7 @@ from .analytic import ergodic_rate_quadrature_quantities, ergodic_rate_series
 from .channel import KERNEL_TOL, NetworkGeometry, make_link
 from .errors import DomainError
 from .montecarlo import _check_seed, _check_trials, _estimate, estimate_rates
-from .rates import QUANTITIES, RATES, PowerSplit, rate_token
+from .rates import PAPER_SPLIT, QUANTITIES, RATES, PowerSplit, _check_split, rate_token
 
 __all__ = [
     "SweepConfig",
@@ -80,7 +85,6 @@ class SweepConfig:
     estimators: tuple
     trials: int
     seed: int
-    output_path: str
     preset: str | None = None
     workers: int = 1
 
@@ -192,6 +196,7 @@ def _one_of(allowed, name):
 
 
 def _path(raw: str) -> str:
+    """An output path, the rule of the command line's --out."""
     if not raw:
         raise DomainError("must not be empty")
     return raw
@@ -236,8 +241,7 @@ _FIELDS = {
         "k_sr": (_number, None), "k_rd": (_number, None), "k_sd": (_number, None),
         "omega_sr": (_number, None), "omega_rd": (_number, None), "omega_sd": (_number, None),
     },
-    "split": {"a1": (_number, "0.9"), "a2": (_number, "0.1")},
-    "output": {"path": (_path, "sweep.csv")},
+    "split": {"a2": (lambda raw: PowerSplit(_number(raw)), str(PAPER_SPLIT.a2))},
 }
 
 
@@ -304,20 +308,16 @@ def parse_config(text: str) -> SweepConfig:
     if errors:
         raise DomainError("; ".join(errors))
 
-    def build(label, make, *args):
-        try:
-            return make(*args)
-        except DomainError as exc:
-            errors.append(f"{label}: {exc}")
-
     links = {}
     for name in _LINKS:
         k, omega = values[f"k_{name}"], values[f"omega_{name}"]
         if omega is None:
             errors.append(f"{where('geometry', f'omega_{name}')}: required (set it or choose a preset)")
-        else:
-            links[name] = build(f"geometry.{name}", make_link, values["k"] if k is None else k, omega)
-    split = build("split", PowerSplit, values["a1"], values["a2"])
+            continue
+        try:
+            links[name] = make_link(values["k"] if k is None else k, omega)
+        except DomainError as exc:
+            errors.append(f"geometry.{name}: {exc}")
     if errors:
         raise DomainError("; ".join(errors))
 
@@ -326,11 +326,10 @@ def parse_config(text: str) -> SweepConfig:
         geometry=NetworkGeometry(**links),
         schemes=values["schemes"],
         modes=values["modes"],
-        split=split,
+        split=values["a2"],
         estimators=values["estimators"],
         trials=values["trials"],
         seed=values["seed"],
-        output_path=values["path"],
         preset=values["preset"],
     )
 
@@ -357,6 +356,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     """
     if not set(config.estimators) <= set(ESTIMATORS):
         raise DomainError(f"estimators must be among {tuple(ESTIMATORS)}, got {config.estimators}")
+    _check_split(config.split)
     # a baseline's single mode "-" is selected whatever the modes
     selected = [token for scheme in config.schemes for token, (s, mode) in RATES.items()
                 if s == scheme and mode in (*config.modes, "-")]
@@ -444,13 +444,11 @@ def calibrate_k(
     geometries = [preset_geometry(preset, k) for k in k_grid]
     if not geometries:
         raise DomainError("k_grid must be nonempty")
-    split = PowerSplit(0.9, 0.1)
-
     rhos = [db_to_linear(rho_db) for rho_db, _, _ in targets]
     tokens = [rate_token(scheme, "paper") for _, scheme, _ in targets]
     cells = [(g, rho, token, None) for g in geometries for rho, token in zip(rhos, tokens)]
     # one pass for every K: each block's normals are drawn once
-    sims = [mean for mean, _ in _estimate(cells, split, trials, seed, workers, ("c_total",))]
+    sims = [mean for mean, _ in _estimate(cells, PAPER_SPLIT, trials, seed, workers, ("c_total",))]
     residuals = []
     sse_by_k = []
     for i, k in enumerate(g.sr.k_factor for g in geometries):  # each K as its links' float
@@ -508,11 +506,11 @@ def discrepancy_report(geometry: NetworkGeometry, rho_grid_db) -> tuple:
     series and the oracle over ``rho_grid_db``, taken in the order given.
     """
     # paper-mode CRS-NOMA reads no power split, and neither the series
-    # nor the oracle reads the trials, the seed or the output path
+    # nor the oracle reads the trials or the seed
     config = SweepConfig(rho_grid_db=tuple(rho_grid_db), geometry=geometry, schemes=("crs_noma",),
-                         modes=("paper",), split=PowerSplit(0.9, 0.1),
+                         modes=("paper",), split=PAPER_SPLIT,
                          estimators=("series_paper_literal", "series_corrected", "quadrature_oracle"),
-                         trials=1, seed=0, output_path="-")
+                         trials=1, seed=0)
     return _discrepancy_rows(run_sweep(config).rows)
 
 

@@ -40,7 +40,7 @@ from ratelab.sweep import PAPER_TARGETS, PRESETS, calibrate_k, render_calibratio
 import conftest
 
 SEED = 42
-SPLIT = PowerSplit(0.9, 0.1)
+SPLIT = PowerSplit(0.1)
 RHO_DB_GRID = (5.0, 15.0, 25.0)
 K_GRID = (0.0, 3.0, 10.0)
 BAND = 0.15

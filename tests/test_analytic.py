@@ -14,6 +14,7 @@ import ratelab.analytic as analytic
 from ratelab import (
     NetworkGeometry,
     PowerSplit,
+    RicianLink,
     cdf_gamma2_paper,
     cdf_min_pair_approx,
     cdf_min_pair_series,
@@ -30,7 +31,7 @@ from ratelab import (
     split_stream,
 )
 from ratelab.errors import ConvergenceError, DomainError, ModelAssumptionWarning
-from ratelab.rates import QUANTITIES, RATES, RateBreakdown, RateTerms
+from ratelab.rates import PAPER_SPLIT, QUANTITIES, RATES, RateBreakdown, RateTerms
 from ratelab.sweep import parse_config, preset_geometry, run_sweep
 
 FIG3 = NetworkGeometry(sr=make_link(0, 8), rd=make_link(0, 8), sd=make_link(0, 3))
@@ -307,6 +308,18 @@ def test_series_and_oracle_refuse_a_nonpositive_rho_in_order(call):
             call(rho)
 
 
+@pytest.mark.parametrize("rho", [[], (), np.array([])], ids=["list", "tuple", "array"])
+@pytest.mark.parametrize("call", [
+    lambda rho: ergodic_rate_series(FIG3, rho),
+    lambda rho: ergodic_rate_series(FIG3, rho, literal=True),
+    lambda rho: ergodic_rate_quadrature_quantities(FIG3, rho, "crs_oma"),
+], ids=["series", "series-literal", "oracle"])
+def test_series_and_oracle_refuse_an_empty_rho_sequence(call, rho):
+    # each returned [], where estimate_rates refuses an empty rho sequence
+    with pytest.raises(DomainError, match=r"^rho must be one number or a nonempty sequence, got an empty one$"):
+        call(rho)
+
+
 def test_single_link_series_rayleigh_closed_form():
     # corrected mode: the S-D link alone, at K = 0 the closed form e^z E1(z)
     for rho in (1e-2, 1.0, 1e3, 1e8):
@@ -408,7 +421,7 @@ _RAYLEIGH_DB = range(-20, 101, 5)
 def _assert_oracle_matches_rayleigh_closed_forms(geometry, token, grid_db):
     for db in grid_db:
         rho = 10.0 ** (db / 10.0)
-        got = ergodic_rate_quadrature_quantities(geometry, rho, token, PowerSplit(0.9, 0.1))
+        got = ergodic_rate_quadrature_quantities(geometry, rho, token, PowerSplit(0.1))
         for quantity, want in _rayleigh_closed_forms(token, geometry, rho).items():
             assert abs(got[quantity] - want) <= 1e-12, (db, quantity, got[quantity] - want)
 
@@ -431,7 +444,7 @@ def test_oracle_meets_its_closed_form_high_snr_limits(preset, k):
     # the affine high-SNR expansion of Lozano, Tulino & Verdu (IEEE Trans.
     # Inf. Theory 51(12), 2005), whose remainder O(c ln c), c = alpha/rho,
     # is below rounding from about 200 dB
-    g, split = preset_geometry(preset, k), PowerSplit(0.9, 0.1)
+    g, split = preset_geometry(preset, k), PowerSplit(0.1)
     rhos = [10.0 ** (db / 10.0) for db in (200, 1000, 3000)]
     two_ln2 = 2.0 * math.log(2.0)
     # E psi(N + 1) for N ~ Poisson(K), the Gamma(N + 1) mixture's mean log
@@ -446,6 +459,36 @@ def test_oracle_meets_its_closed_form_high_snr_limits(preset, k):
         for rho, got in zip(rhos, ergodic_rate_quadrature_quantities(g, rhos, token, split)):
             want = limit(rho)
             assert abs(got[quantity] - want) <= max(1e-13, 1e-15 * abs(want)), (token, rho, got[quantity] - want)
+
+
+def _pair_high_snr_limit(link_a, link_b, rho):
+    """0.5 E[log2(1 + rho min(X_a, X_b))] as rho grows: [ln rho - gamma - ln alpha
+    + sum_(m>=1) D[m]/m]/(2 ln 2), alpha = a_a + a_b and D the pair coefficients
+    sum_(i+j=m) C(m, i) p^i q^j Ta[i] Tb[j], p = a_a/alpha, over the links'
+    Poisson(K) upper tails, with the binomial terms from SciPy's pmf."""
+    ta, tb = link_a._tails, link_b._tails
+    alpha = link_a.inv_scale + link_b.inv_scale
+    i, j = np.arange(len(ta))[:, None], np.arange(len(tb))
+    d = np.bincount((i + j).ravel(), (stats.binom.pmf(i, i + j, link_a.inv_scale / alpha) * np.outer(ta, tb)).ravel())
+    tail_sum = float(np.sum(d[1:] / np.arange(1, len(d))))
+    return (math.log(rho) - np.euler_gamma - math.log(alpha) + tail_sum) / (2.0 * math.log(2.0))
+
+
+@pytest.mark.parametrize("preset", ["fig3", "fig4"])
+@pytest.mark.parametrize("k", [0.0, 3.0, 100.0])
+def test_oracle_meets_the_link_pair_high_snr_limits(preset, k):
+    # paper-mode c_relay_s1 over (S-R, R-D), and conventional c_s2 over
+    # (S-R', R-D), S-R' of mean power a2*Omega_SR, at the default split.
+    # Gaps measured on fig3 and fig4: at most 1.7e-13 at K in {0, 3} and
+    # 5.7e-13 at K = 100, flat in rho; the gate leaves room above that.
+    g = preset_geometry(preset, k)
+    sr_scaled = RicianLink(k, PAPER_SPLIT.a2 * g.sr.mean_power)
+    rhos = [10.0 ** (db / 10.0) for db in (200, 1000, 3000)]
+    for token, quantity, pair in (("crs_noma_paper", "c_relay_s1", (g.sr, g.rd)),
+                                  ("conventional", "c_s2", (sr_scaled, g.rd))):
+        for rho, got in zip(rhos, ergodic_rate_quadrature_quantities(g, rhos, token)):
+            gap = got[quantity] - _pair_high_snr_limit(*pair, rho)
+            assert abs(gap) <= 2e-12, (token, rho, gap)
 
 
 # At rho = 1e304 and beyond, rho*x passes the float range over most of a span.
@@ -487,7 +530,7 @@ def test_quadrature_exact_mode_against_monte_carlo():
 def test_quadrature_all_schemes_against_sampled_oracle():
     # one shared 1e6-draw brute-force pass checks every scheme at once
     g = NetworkGeometry(sr=make_link(1, 8), rd=make_link(1, 8), sd=make_link(1, 3))
-    split = PowerSplit(0.9, 0.1)
+    split = PowerSplit(0.1)
     rho = 10 ** 1.5
     rng = split_stream(606, 0)
     n = 10**6
@@ -668,7 +711,7 @@ def _links(k, omega_sr, omega_rd, omega_sd):
     (30, (100, 0.5, 0.1), 40), (30, (0.01, 0.02, 0.005), 40), (30, (1e3, 5e2, 2e2), 40),
 ])
 def test_quadrature_matches_quadpack_reference(k, omegas, db):
-    g, rho, split = _links(k, *omegas), 10 ** (db / 10), PowerSplit(0.9, 0.1)
+    g, rho, split = _links(k, *omegas), 10 ** (db / 10), PowerSplit(0.1)
     for token in RATES:
         fast = ergodic_rate_quadrature_quantities(g, rho, token, split)
         ref = quadpack_reference(g, rho, token, split)
@@ -685,7 +728,7 @@ def test_quadrature_matches_quadpack_reference(k, omegas, db):
 def test_quadrature_matches_split_interval_reference(k, omegas, db, a2):
     # adaptive QUADPACK over [0, inf) is 4e-9 off at the first case at epsrel
     # 1e-9; tanh-sinh on [0, 1e3] is not (every survival is below 1e-20 by 1e3)
-    g, rho, split = _links(k, *omegas), 10 ** (db / 10), PowerSplit(1 - a2, a2)
+    g, rho, split = _links(k, *omegas), 10 ** (db / 10), PowerSplit(a2)
     c_s1 = split.a1 * rho / (2 * math.log(2)) * tanhsinh_reference(
         lambda w: power_gain_sf(g.sd, w) * power_gain_sf(g.sr, w) / ((a2 * rho * w + 1) * (rho * w + 1)))
     c_s2 = 0.5 / math.log(2) * tanhsinh_reference(
@@ -703,7 +746,7 @@ def test_quadrature_makes_a_few_vectorised_survival_calls_per_level(token, monke
     real_sf = analytic.power_gain_sf
     monkeypatch.setattr(analytic, "power_gain_sf", lambda link, x: sizes.append(np.size(x)) or real_sf(link, x))
     g = _links(3, 8, 8, 3)
-    ergodic_rate_quadrature_quantities(g, 10 ** 2.5, token, PowerSplit(0.9, 0.1))
+    ergodic_rate_quadrature_quantities(g, 10 ** 2.5, token, PowerSplit(0.1))
     integrals = 1 if token == "crs_oma" else 2
     # the first rule and at most 7 refinement levels: these spans take
     # over 64 first-rule steps, and a level evaluates at most 8192 nodes
@@ -778,7 +821,7 @@ from ratelab import (NetworkGeometry, PowerSplit, RATES, ergodic_rate_quadrature
 from ratelab.cli import main
 fig3 = NetworkGeometry(sr=make_link(3, 8), rd=make_link(3, 8), sd=make_link(3, 3))
 for token in RATES:
-    ergodic_rate_quadrature_quantities(fig3, 10.0, token, PowerSplit(0.9, 0.1))
+    ergodic_rate_quadrature_quantities(fig3, 10.0, token, PowerSplit(0.1))
 ergodic_rate_series(fig3, 10.0, literal=True)
 ergodic_rate_series(fig3, 10.0)
 power_gain_pdf(fig3.sd, [0.0, 1.0])
@@ -862,7 +905,7 @@ SEQUENCE_DB = (-10, 5, 7, 15, 47)
 def test_the_oracle_over_a_sequence_of_rho_gives_the_floats_of_single_calls(token, k):
     # each rho's nodes are a slice of one shared set, and its value depends
     # on its own nodes alone
-    g, split = preset_geometry("fig3", k), PowerSplit(0.9, 0.1)
+    g, split = preset_geometry("fig3", k), PowerSplit(0.1)
     rhos = [10 ** (db / 10) for db in SEQUENCE_DB]
     many = ergodic_rate_quadrature_quantities(g, rhos, token, split)
     for rho, rates in zip(rhos, many, strict=True):
@@ -899,7 +942,7 @@ def test_a_sequence_of_rho_evaluates_each_shared_survival_once(monkeypatch):
     grid = [10 ** (db / 10) for db in range(-20, 101)]
     for token in RATES:
         sizes.clear()
-        ergodic_rate_quadrature_quantities(g, grid, token, PowerSplit(0.9, 0.1))
+        ergodic_rate_quadrature_quantities(g, grid, token, PowerSplit(0.1))
         assert 0 < max(sizes) <= analytic._MAX_LEVEL_NODES * analytic._INNER_NODES, token
 
 

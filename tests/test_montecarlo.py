@@ -46,7 +46,7 @@ from ratelab.sweep import (
     run_sweep,
 )
 
-SPLIT = PowerSplit(0.9, 0.1)
+SPLIT = PowerSplit(0.1)
 
 
 def fig3_geometry(k=0.0):
@@ -83,12 +83,18 @@ def test_every_conventional_entry_point_takes_one_split_rule(monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_run_blocks", no_blocks)
     g = fig3_geometry()
+    # every entry that takes a split checks it, whatever the schemes
     calls = (lambda: estimate_rates(g, 1.0, ("conventional",), split=(0.9, 0.1), trials=10),
+             lambda: estimate_rates(g, 1.0, ("crs_noma",), split=(0.9, 0.1), trials=10),
              lambda: paired_gap(g, 1.0, "crs_noma", "conventional", split=(0.9, 0.1), trials=10),
+             lambda: paired_gap(g, 1.0, "crs_noma", "crs_oma", split=(0.9, 0.1), trials=10),
              lambda: conventional_noma_rate((1.0, 1.0, 1.0), 1.0, (0.9, 0.1)),
-             lambda: ergodic_rate_quadrature_quantities(g, 1.0, "conventional", (0.9, 0.1)))
+             lambda: ergodic_rate_quadrature_quantities(g, 1.0, "conventional", (0.9, 0.1)),
+             lambda: ergodic_rate_quadrature_quantities(g, 1.0, "crs_oma", (0.9, 0.1)),
+             lambda: run_sweep(replace(parse_config("preset = fig3\n[sweep]\nschemes = crs_noma\n"
+                                                    "estimators = series_corrected\n"), split=(0.9, 0.1))))
     for call in calls:
-        with pytest.raises(DomainError, match=r"^the conventional scheme needs a PowerSplit, got \(0\.9, 0\.1\)$"):
+        with pytest.raises(DomainError, match=r"^split must be a PowerSplit, got \(0\.9, 0\.1\)$"):
             call()
 
 
@@ -99,6 +105,34 @@ def test_an_empty_rho_or_scheme_list_is_refused_before_any_block(rho, schemes, c
     monkeypatch.setattr(montecarlo, "_run_blocks", lambda *args: pytest.fail("a block ran"))
     with pytest.raises(DomainError, match=f"^rho and schemes must be nonempty, got {re.escape(counts)}$"):
         estimate_rates(fig3_geometry(), rho, schemes, trials=10**7)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g: estimate_rates(g, 1.0, ("crs_noma",), trials=10, seed=1.5), "seed must be a whole number, got 1.5"),
+    (lambda g: estimate_rates(g, 1.0, ("crs_noma",), trials=10, seed=True), "seed must be a whole number, got True"),
+    (lambda g: paired_gap(g, 1.0, "crs_noma", "crs_oma", trials=10, seed="7"), "seed must be a whole number, got '7'"),
+    (lambda g: estimate_rates(g, 1.0, ("crs_noma",), trials=1e4), "trials must be a whole number, got 10000.0"),
+    (lambda g: paired_gap(g, 1.0, "crs_noma", "crs_oma", trials=True), "trials must be a whole number, got True"),
+    (lambda g: calibrate_k("fig3", k_grid=[0.0], trials=2000.5), "trials must be a whole number, got 2000.5"),
+    (lambda g: estimate_rates(g, 1.0, ("crs_noma",), trials=10, workers=2.0),
+     "workers must be a whole number, got 2.0"),
+    (lambda g: calibrate_k("fig3", k_grid=[0.0], trials=10, workers=np.float64(1.0)),
+     re.escape("workers must be a whole number, got np.float64(1.0)")),
+], ids=["seed-float", "seed-bool", "seed-str", "trials-float", "trials-bool", "calibrate-trials-float",
+        "workers-float", "calibrate-workers-numpy-float"])
+def test_a_run_setting_that_is_not_a_whole_number_is_refused(call, message, monkeypatch):
+    # seed=1.5 and seed=True ran seed 1, and workers=2.0 ran; trials=1e4
+    # raised a TypeError after its range check; seed='7' a TypeError
+    monkeypatch.setattr(montecarlo, "_run_blocks", lambda *args: pytest.fail("a block ran"))
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call(fig3_geometry())
+
+
+def test_numpy_integer_run_settings_stay_accepted():
+    g = fig3_geometry()
+    want = estimate_rates(g, 10.0, ("crs_noma",), trials=2000, seed=3, workers=2)
+    got = estimate_rates(g, 10.0, ("crs_noma",), trials=np.int64(2000), seed=np.uint32(3), workers=np.int8(2))
+    assert [r.mean for r in got] == [r.mean for r in want]
 
 
 def test_a_single_trial_has_a_zero_standard_error():
@@ -525,7 +559,7 @@ from ratelab.sweep import preset_geometry
 
 g = preset_geometry("fig3", 0.0)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-estimate_rates(g, [1.0, 10.0, 100.0, 1000.0], tuple(RATES), "paper", PowerSplit(0.9, 0.1), 1 << 18, 1, 1)
+estimate_rates(g, [1.0, 10.0, 100.0, 1000.0], tuple(RATES), "paper", PowerSplit(0.1), 1 << 18, 1, 1)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 

@@ -13,11 +13,13 @@ from ratelab import (
     ergodic_rate_quadrature_quantities,
     ergodic_rate_series,
     estimate_rates,
+    RicianLink,
     make_link,
     paired_gap,
+    power_gain_sf,
 )
 from ratelab.errors import DomainError
-from ratelab.rates import RateTerms
+from ratelab.rates import PAPER_SPLIT, RateTerms
 
 
 R1 = (2.0, 3.0, 1.0)  # lambda_sr, lambda_rd, lambda_sd
@@ -27,7 +29,7 @@ FIG3 = NetworkGeometry(sr=make_link(0, 8), rd=make_link(0, 8), sd=make_link(0, 3
 def test_realization_rejects_bad_gains():
     # a rate function checks a bare triple of gains
     for rate in (lambda r: crs_noma_rate(r, 10.0, "paper"), lambda r: crs_noma_rate(r, 10.0, "exact"),
-                 lambda r: conventional_noma_rate(r, 10.0, PowerSplit(0.9, 0.1)), lambda r: crs_oma_rate(r, 10.0)):
+                 lambda r: conventional_noma_rate(r, 10.0, PowerSplit(0.1)), lambda r: crs_oma_rate(r, 10.0)):
         with pytest.raises(DomainError, match="^lambda_sr must be finite and >= 0$"):
             rate((-1.0, math.nan, 3.0))
         with pytest.raises(DomainError, match="^lambda_sd must be finite and >= 0$"):
@@ -63,14 +65,56 @@ def test_a_bad_gains_input_is_one_domain_error(call, gains, message):
         call(gains)
 
 
+_OBJECT = object()
+_GAINS_RULE = "lambda_sr must be finite and >= 0"
+_RHO_RULE = "rho must be finite and >= 0"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: crs_noma_rate(5.0, 1.0, "paper"), "gains must be three, lambda_sr, lambda_rd and lambda_sd, got 5.0"),
+    (lambda: RateTerms(np.array(5.0), 1.0),
+     re.escape("gains must be three, lambda_sr, lambda_rd and lambda_sd, got array(5.)")),
+    (lambda: crs_noma_rate(("a", 1.0, 1.0), 1.0, "paper"), f"{_GAINS_RULE}, got 'a'"),
+    (lambda: crs_oma_rate((_OBJECT, 1, 1), 1.0), f"{_GAINS_RULE}, got <object objec\\.\\.\\.[0-9a-fx]+>"),
+    (lambda: RicianLink("a", 8), "k_factor must be finite and >= 0, got 'a'"),
+    (lambda: RicianLink(None, 8), "k_factor must be finite and >= 0, got None"),
+    (lambda: RicianLink(3, "x" * 1000), re.escape(f"mean_power must be finite and > 0, got '{'x' * 12}...{'x' * 13}'")),
+    (lambda: power_gain_sf(make_link(0, 8), "a"), "power gain argument must fit in a float, got 'a'"),
+    (lambda: crs_oma_rate(R1, "a"), f"{_RHO_RULE}, got 'a'"),
+    (lambda: conventional_noma_rate(R1, None), f"{_RHO_RULE}, got None"),
+    (lambda: ergodic_rate_series(FIG3, "a"), f"{_RHO_RULE}, got 'a'"),
+    (lambda: ergodic_rate_quadrature_quantities(FIG3, [1.0, None], "crs_oma"), f"{_RHO_RULE}, got None"),
+    (lambda: estimate_rates(FIG3, None, trials=10), f"{_RHO_RULE}, got None"),
+    (lambda: estimate_rates(FIG3, [1.0, "a"], trials=10), f"{_RHO_RULE}, got 'a'"),
+    (lambda: PowerSplit("a"), "need 0 < a2 < 0.5, got 'a'"),
+    (lambda: PowerSplit(10**400), "need 0 < a2 < 0.5, got an integer above the float range"),
+], ids=["gains-scalar", "gains-0d-array", "gain-str", "gain-object", "k-str", "k-none", "power-long-str",
+        "sf-argument-str", "rho-str", "rho-none", "series-rho-str", "oracle-rho-none", "monte-carlo-rho-none",
+        "monte-carlo-rho-str", "split-str", "split-int-above-float-range"])
+def test_a_library_input_that_is_not_a_number_is_one_domain_error(call, message):
+    # each escaped as a TypeError, ValueError or OverflowError traceback
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        call()
+
+
+def test_inputs_float_reads_keep_their_floats():
+    # ints, NumPy scalars, 0-d arrays and numeric strings convert as float() does
+    for k, omega in ((3, 8), (np.int64(3), np.float32(8.0)), (np.array(3.0), "8"), ("3", np.array(8))):
+        assert RicianLink(k, omega) == RicianLink(3.0, 8.0)
+    want = crs_noma_rate(R1, 10.0, "exact").c_total
+    for gains, rho in (((2, 3, 1), 10), (("2", np.float64(3.0), np.array(1.0)), np.int32(10)),
+                       ((np.array(2.0), 3.0, "1e0"), np.array(10.0))):
+        assert crs_noma_rate(gains, rho, "exact").c_total == want
+    assert PowerSplit(np.float64(0.1)) == PowerSplit(np.array(0.1)) == PAPER_SPLIT
+
+
 def test_power_split_validation():
-    PowerSplit(0.9, 0.1)
-    with pytest.raises(DomainError):
-        PowerSplit(0.5, 0.5)  # a1 > a2 required
-    with pytest.raises(DomainError):
-        PowerSplit(0.9, 0.2)  # does not sum to 1
-    with pytest.raises(DomainError):
-        PowerSplit(1.2, -0.2)
+    # one number, a2; a1 = 1 - a2 is the float the published pair names
+    assert (PowerSplit(0.1).a1, PowerSplit(0.1).a2) == (0.9, 0.1) and PAPER_SPLIT == PowerSplit(0.1)
+    assert [PowerSplit(a2).a1 for a2 in (0.2, 0.25, 0.4)] == [0.8, 0.75, 0.6]
+    for a2 in (0.5, 0.0, -0.2, 0.6, float("nan")):  # a1 > a2 > 0 required
+        with pytest.raises(DomainError, match=r"^need 0 < a2 < 0\.5, got "):
+            PowerSplit(a2)
 
 
 def test_snrs_exact_mode_hand_value():
@@ -118,7 +162,7 @@ def test_every_rate_entry_point_refuses_a_non_finite_rho(rho):
     geometry = FIG3
     calls = (lambda: RateTerms(r, rho),
              lambda: crs_noma_rate(r, rho, "exact"), lambda: crs_noma_rate(r, rho, "paper"),
-             lambda: conventional_noma_rate(r, rho, PowerSplit(0.9, 0.1)), lambda: crs_oma_rate(r, rho),
+             lambda: conventional_noma_rate(r, rho, PowerSplit(0.1)), lambda: crs_oma_rate(r, rho),
              lambda: estimate_rates(geometry, rho, ("crs_noma",), trials=10),
              # the series and the oracle take the same rule, then also refuse rho = 0
              lambda: ergodic_rate_series(geometry, rho),
@@ -132,7 +176,7 @@ def test_every_rate_entry_point_refuses_a_non_finite_rho(rho):
 @pytest.mark.parametrize("call", [
     lambda rho: RateTerms(R1, rho),
     lambda rho: crs_noma_rate(R1, rho, "paper"),
-    lambda rho: conventional_noma_rate(R1, rho, PowerSplit(0.9, 0.1)),
+    lambda rho: conventional_noma_rate(R1, rho, PowerSplit(0.1)),
     lambda rho: crs_oma_rate(R1, rho),
     lambda rho: paired_gap(FIG3, rho, "crs_noma", "crs_oma", trials=10),
 ], ids=["RateTerms", "crs_noma_rate", "conventional_noma_rate", "crs_oma_rate", "paired_gap"])
@@ -173,7 +217,7 @@ def test_crs_noma_paper_mode_reduces_to_min_form():
 
 
 def test_conventional_hand_value():
-    split = PowerSplit(0.9, 0.1)
+    split = PowerSplit(0.1)
     r = (4.0, 2.0, 1.0)
     b = conventional_noma_rate(r, 10.0, split)
     assert b.c_s1 == pytest.approx(0.5 * math.log2(5.5))
@@ -184,13 +228,13 @@ def test_conventional_hand_value():
 
 
 def test_conventional_no_power_on_s2():
-    split = PowerSplit(1.0 - 1e-12, 1e-12)
+    split = PowerSplit(1e-12)
     b = conventional_noma_rate(R1, 10.0, split)
     assert b.c_s2 == pytest.approx(0.0, abs=1e-10)
 
 
 def test_conventional_symmetric_min_arguments():
-    split = PowerSplit(0.9, 0.1)
+    split = PowerSplit(0.1)
     r = (2.5, 1.0, 2.5)
     b = conventional_noma_rate(r, 5.0, split)
     one_arm = 0.5 * math.log2(1 + 0.9 * 5 * 2.5 / (0.1 * 5 * 2.5 + 1))
@@ -211,7 +255,7 @@ def test_monotone_in_rho():
     for _ in range(25):
         lam = rng.exponential(2.0, size=3)
         r = lam
-        split = PowerSplit(0.9, 0.1)
+        split = PowerSplit(0.1)
         for fn in (
             lambda rho: crs_noma_rate(r, rho, "exact").c_total,
             lambda rho: crs_noma_rate(r, rho, "paper").c_total,
@@ -246,7 +290,7 @@ def test_mode_equality_conditions():
 
 def test_decomposition_identity():
     rng = np.random.default_rng(23)
-    split = PowerSplit(0.9, 0.1)
+    split = PowerSplit(0.1)
     for _ in range(300):
         r = rng.exponential(2.0, size=3)
         rho = float(rng.exponential(30.0))
@@ -272,7 +316,7 @@ def test_a_breakdown_sums_its_c_s1_once():
 
 def test_zero_channel_zero_rates():
     r = (0.0, 0.0, 0.0)
-    split = PowerSplit(0.9, 0.1)
+    split = PowerSplit(0.1)
     for rho in (0.0, 1.0, 100.0):
         assert crs_noma_rate(r, rho, "paper").c_total == 0.0
         assert crs_noma_rate(r, rho, "exact").c_total == 0.0
@@ -311,7 +355,7 @@ def test_rate_arrays_equal_their_written_out_expressions(rho):
     rng = np.random.default_rng(31)
     n = 5000
     gains = [rng.exponential(size=n) * rng.choice([0.0, 1.0, 50.0], size=n) for _ in range(3)]
-    split = PowerSplit(0.9, 0.1)
+    split = PowerSplit(0.1)
     for token, rates in (("crs_noma_paper", crs_noma_rate(gains, rho, "paper")),
                          ("crs_noma_exact", crs_noma_rate(gains, rho, "exact")),
                          ("conventional", conventional_noma_rate(gains, rho, split)),

@@ -292,14 +292,18 @@ def test_cli_sweep_bytes_do_not_depend_on_workers(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_cli_uses_config_output_path(tmp_path, monkeypatch):
+def test_cli_sweep_writes_sweep_csv_without_out(tmp_path, monkeypatch, capsys):
+    # --out is the one output setting; a config names no path
     monkeypatch.chdir(tmp_path)
-    cfg = tmp_path / "cfg.txt"
-    cfg.write_text(CLI_CONFIG + "\n[output]\npath = from_config.csv\n")
-    assert main(["sweep", "--config", str(cfg)]) == 0
-    assert (tmp_path / "from_config.csv").exists()
-    # the text form reads every value as text, so a numeric path is a name
-    assert parse_config(MINIMAL + "[output]\npath = 5\n").output_path == "5"
+    (tmp_path / "cfg.txt").write_text(CLI_CONFIG)
+    assert main(["sweep", "--config", "cfg.txt", "--out", "5"]) == 0
+    assert main(["sweep", "--config", "cfg.txt"]) == 0
+    assert (tmp_path / "sweep.csv").read_bytes() == (tmp_path / "5").read_bytes()
+    (tmp_path / "sweep.csv").unlink()
+    (tmp_path / "sweep.csv").mkdir()
+    assert main(["sweep", "--config", "cfg.txt"]) == 1
+    assert capsys.readouterr().err == (f"ratelab: error: [Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: "
+                                       "'sweep.csv'\n")
 
 
 def test_cli_exit_codes(tmp_path):
@@ -529,7 +533,7 @@ def test_grid_points_are_the_decimals_the_step_names():
     (["calibrate", "--preset", "fig3", "--k-grid=-1,0", "--trials", "1000"], None),
     (["sweep"], "[geometry]\nk = -1\n"),
     (["sweep"], "[geometry]\nomega_sd = 0\n"),
-    (["sweep"], "[split]\na1 = 0.5\na2 = 0.5\n"),
+    (["sweep"], "[split]\na2 = 0.5\n"),
 ])
 def test_cli_invalid_k_power_or_split_exits_one(argv, config, tmp_path, capsys):
     if config is not None:
@@ -755,7 +759,9 @@ BIG = "1" + "0" * 400  # an integer above the float range
     ("[sweep]\ntrials =\n", "line 3: sweep.trials: cannot interpret ''"),
     ("[sweep]\nseed = null\n", "line 3: sweep.seed: cannot interpret 'null'"),
     ("preset =\n", "line 2: preset: unknown value '' (allowed: fig3, fig4)"),
-    ("[output]\npath =\n", "line 3: output.path: must not be empty"),
+    # the output path is a flag only, and the split one number, a2
+    ("[output]\npath = x.csv\n", "line 2: unknown section [output]"),
+    ("[split]\na1 = 0.9\n", "line 3: split.a1: unknown key"),
     # a boolean word is never a number
     ("[geometry]\nk = true\n", "line 3: geometry.k: cannot interpret 'true'"),
     ("[split]\na2 = false\n", "line 3: split.a2: cannot interpret 'false'"),
@@ -776,7 +782,7 @@ BIG = "1" + "0" * 400  # an integer above the float range
      "geometry.sd: mean_power and (1 + K)/mean_power must be finite and > 0, got inf"),
     (f"[geometry]\nk = {BIG}\n", "; ".join(f"geometry.{link}: k_factor must be finite and >= 0, got inf"
                                           for link in ("sr", "rd", "sd"))),
-    (f"[split]\na1 = {BIG}\n", "split: a1 + a2 must equal 1, got inf"),
+    (f"[split]\na2 = {BIG}\n", "line 3: split.a2: need 0 < a2 < 0.5, got inf"),
     (f"[sweep]\nrho_db = 5, {BIG}\n", "line 3: sweep.rho_db: grid points must be finite, got inf"),
 ])
 def test_a_bad_text_field_is_one_line_naming_it(config, message, tmp_path, capsys, monkeypatch):
@@ -807,7 +813,7 @@ def test_a_library_grid_point_that_is_no_float_is_one_error(call, error, message
 
 
 @pytest.mark.parametrize("key, value, section", [
-    ("seed", "7", "sweep"), ("trials", "1000", "sweep"), ("rho_db", "5", "sweep"), ("path", "x.csv", "output"),
+    ("seed", "7", "sweep"), ("trials", "1000", "sweep"), ("rho_db", "5", "sweep"), ("a2", "0.2", "split"),
 ])
 def test_a_sectioned_key_at_the_top_level_is_refused(key, value, section, tmp_path, monkeypatch, capsys):
     # preset is the one top-level key; every other key is read in its section only
@@ -966,30 +972,26 @@ _MISSING = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: 'missing/'"
 _DIRECTORY = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: 'made'"
 
 
-@pytest.mark.parametrize("argv, path, line", [
-    (["sweep", "--config", "made"], None, _DIRECTORY),
-    (["sweep", "--config", "cfg.txt", "--out", "missing/x.csv"], None, _MISSING),
-    (["sweep", "--config", "cfg.txt", "--out", "made"], None, _DIRECTORY),
-    (["sweep", "--config", "cfg.txt"], "missing/x.csv", _MISSING),
-    (["sweep", "--config", "cfg.txt"], "made", _DIRECTORY),
-    (["calibrate", "--preset", "fig3", "--out", "missing/x.csv"], None, _MISSING),
-    (["calibrate", "--preset", "fig3", "--out", "made"], None, _DIRECTORY),
-    (["discrepancy", "--preset", "fig3", "--out", "missing/x.csv"], None, _MISSING),
-    (["discrepancy", "--preset", "fig3", "--out", "made"], None, _DIRECTORY),
-    (["sweep", "--config", "cfg.txt", "--out", _LONG], None, _TOO_LONG),
-    (["sweep", "--config", "cfg.txt"], _LONG, _TOO_LONG),
-    (["calibrate", "--preset", "fig3", "--out", _LONG], None, _TOO_LONG),
-    (["discrepancy", "--preset", "fig3", "--out", _LONG], None, _TOO_LONG),
-], ids=["sweep-config-directory", "sweep-out-missing", "sweep-out-directory", "sweep-path-missing",
-        "sweep-path-directory", "calibrate-missing", "calibrate-directory", "discrepancy-missing",
-        "discrepancy-directory", "sweep-out-too-long", "sweep-path-too-long", "calibrate-too-long",
-        "discrepancy-too-long"])
-def test_a_path_that_cannot_be_used_is_refused_before_any_estimator(argv, path, line, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("argv, line", [
+    (["sweep", "--config", "made"], _DIRECTORY),
+    (["sweep", "--config", "cfg.txt", "--out", "missing/x.csv"], _MISSING),
+    (["sweep", "--config", "cfg.txt", "--out", "made"], _DIRECTORY),
+    (["calibrate", "--preset", "fig3", "--out", "missing/x.csv"], _MISSING),
+    (["calibrate", "--preset", "fig3", "--out", "made"], _DIRECTORY),
+    (["discrepancy", "--preset", "fig3", "--out", "missing/x.csv"], _MISSING),
+    (["discrepancy", "--preset", "fig3", "--out", "made"], _DIRECTORY),
+    (["sweep", "--config", "cfg.txt", "--out", _LONG], _TOO_LONG),
+    (["calibrate", "--preset", "fig3", "--out", _LONG], _TOO_LONG),
+    (["discrepancy", "--preset", "fig3", "--out", _LONG], _TOO_LONG),
+], ids=["sweep-config-directory", "sweep-out-missing", "sweep-out-directory", "calibrate-missing",
+        "calibrate-directory", "discrepancy-missing", "discrepancy-directory", "sweep-out-too-long",
+        "calibrate-too-long", "discrepancy-too-long"])
+def test_a_path_that_cannot_be_used_is_refused_before_any_estimator(argv, line, tmp_path, monkeypatch, capsys):
     for estimator in ("run_sweep", "calibrate_k", "discrepancy_report"):
         monkeypatch.setattr(cli, estimator, lambda *args, **kwargs: pytest.fail("an estimator ran"))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "made").mkdir()
-    (tmp_path / "cfg.txt").write_text(CLI_CONFIG + ("" if path is None else f"[output]\npath = {path}\n"))
+    (tmp_path / "cfg.txt").write_text(CLI_CONFIG)
     assert main(argv) == 1
     assert capsys.readouterr() == ("", f"ratelab: error: {line}\n")
     assert sorted(os.listdir(tmp_path)) == ["cfg.txt", "made"] and os.listdir(tmp_path / "made") == []
