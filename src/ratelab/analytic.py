@@ -40,13 +40,14 @@ deviations between the two are data, not bugs; see
 import functools
 import itertools
 import math
+import reprlib
 
 import numpy as np
 
 from .channel import (NetworkGeometry, RicianLink, _check_nonneg, poisson_weights, power_gain_cdf,
                       power_gain_pdf, power_gain_sf)
 from .errors import ConvergenceError, DomainError
-from .rates import PAPER_SPLIT, RATES, PowerSplit, RateBreakdown, _check_rho, _check_split
+from .rates import PAPER_SPLIT, RATES, PowerSplit, RateBreakdown, _check_split, _is_one_of, _rhos
 
 __all__ = [
     "cdf_min_pair_series",
@@ -70,16 +71,17 @@ def cdf_min_pair_series(link_a: RicianLink, link_b: RicianLink, gamma: float) ->
     The inner sums factorize per link, so the double sum is the product
     of the two links' survivals, 1 - S_a(g) S_b(g), each from
     :func:`ratelab.channel.power_gain_sf`.  At K = 0 this collapses to
-    1 - e^(-(a_a+a_b)g).
+    1 - e^(-(a_a+a_b)g).  An array ``gamma`` gives an array, as in
+    :func:`ratelab.channel.power_gain_cdf`.
     """
-    gamma = float(_check_nonneg(gamma, "gamma"))
+    gamma = _check_nonneg(gamma, "gamma")
     return 1.0 - power_gain_sf(link_a, gamma) * power_gain_sf(link_b, gamma)
 
 
 def cdf_single_link_series(link: RicianLink, gamma: float) -> float:
     """Single-link gain CDF, :func:`ratelab.channel.power_gain_cdf`; the
     corrected form for gamma_2 = lambda_SD."""
-    return power_gain_cdf(link, float(_check_nonneg(gamma, "gamma")))
+    return power_gain_cdf(link, _check_nonneg(gamma, "gamma"))
 
 
 def cdf_gamma2_paper(link_y: RicianLink, link_z: RicianLink, gamma: float) -> float:
@@ -119,8 +121,11 @@ def cdf_min_pair_approx(
 
     Each link's sum and their product are taken in log space, so the
     raw value is finite, or -inf where it lies below the float range
-    (from K of about 70 at the fig3 powers); it is never NaN.
+    (from K of about 70 at the fig3 powers); it is never NaN.  It takes
+    one ``gamma``: a list or array is refused.
     """
+    if np.ndim(gamma):
+        raise DomainError(f"gamma must be one number, got {reprlib.repr(gamma)}")
     gamma = float(_check_nonneg(gamma, "gamma"))
     terms = [len(poisson_weights(link.k_factor)) for link in (link_a, link_b)]
     # ln E_n(g), E_n(g) = sum_{i<=n} g^i/i!
@@ -198,20 +203,6 @@ def _moment_kernel(m_max: int, c: float) -> np.ndarray:
     return out
 
 
-def _rhos(rho) -> list[float]:
-    """One rho or a nonempty sequence, as a list of floats; each rho in
-    order through :func:`ratelab.rates._check_rho`, then refused at 0,
-    which the series and the oracle need and the rate functions do not."""
-    rhos = []
-    for r in [rho] if np.ndim(rho) == 0 else rho:
-        rhos.append(_check_rho(r))
-        if rhos[-1] == 0.0:
-            raise DomainError("rho must be > 0 for the series and the oracle, got 0")
-    if not rhos:
-        raise DomainError("rho must be one number or a nonempty sequence, got an empty one")
-    return rhos
-
-
 def _rate_series(links: tuple, rhos: list) -> list[float]:
     """E[ln(1 + rho*X)] (nats) at each rho, X one link's gain or a pair's
     min, as sum_m C[m] G[m], G the exact moment kernel at c = sum of a/rho
@@ -235,8 +226,8 @@ def _rate_series(links: tuple, rhos: list) -> list[float]:
         j = np.arange(len(tb))
         w = np.cumprod(np.hstack((p ** i, q * (i + j[1:]) / j[1:])), axis=1)
         coeffs = np.bincount((i + j).ravel(), (w * np.outer(ta, tb)).ravel())
-    # c = a_a/rho + a_b/rho, as a_a + a_b may overflow; an infinite c gives G = 0
-    cs = [sum(link.inv_scale / rho for link in links) for rho in rhos]
+    # c = a_a/rho + a_b/rho, as a_a + a_b may overflow; an infinite c (rho = 0) gives G = 0
+    cs = [sum(link.inv_scale / rho for link in links) if rho else math.inf for rho in rhos]
     return [float(coeffs @ _moment_kernel(len(coeffs) - 1, c)) for c in cs]
 
 
@@ -253,9 +244,9 @@ def ergodic_rate_series(geometry: NetworkGeometry, rho, *,
     ``literal=True``: H over (S-D, S-R) and G over (R-D, S-R), exactly
     as the symbols appear in the published expressions.
 
-    ``rho`` is one SNR, or a sequence giving a list in its order; the
-    coefficients are built once a call, and a rho's floats do not depend
-    on the others.
+    ``rho`` is one SNR, or a sequence giving a list in its order, read by
+    :func:`ratelab.rates._rhos`; rho = 0 rates 0.0.  The coefficients are
+    built once a call, and a rho's floats do not depend on the others.
     """
     rhos = _rhos(rho)
     sr, rd, sd = geometry.sr, geometry.rd, geometry.sd
@@ -369,13 +360,14 @@ def _quad(rhos: list, hi: float, shared, survival=lambda rho, x, s: s) -> list[f
     before; it fails with :class:`ConvergenceError` when its next level
     would evaluate over ``_MAX_LEVEL_NODES`` nodes, and with
     :class:`DomainError` when ln(lo) or ln(hi) is not finite.  A span with
-    hi <= lo integrates to 0.  Value and error depend on the rho's own
-    nodes only; a sequence raises the error of its first rho that fails.
+    hi <= lo integrates to 0, as does rho = 0, where no 1/rho is formed.
+    Value and error depend on the rho's own nodes only; a sequence raises
+    the error of its first rho that fails.
     """
     out, start = [], {}  # value or error by rho; lattice index of each open span's first node
     for i, rho in enumerate(rhos):
         lo = _CUT_MASS / max(rho, 1.0)
-        if hi <= lo:
+        if hi <= lo or rho == 0.0:
             out.append(0.0)
         elif not (lo > 0.0 and math.isfinite(hi)):
             out.append(DomainError(f"integration span [{lo:.3g}, {hi:.3g}] is out of floating-point range"))
@@ -433,10 +425,10 @@ def ergodic_rate_quadrature_quantities(
     """All five ergodic rate quantities of one :data:`~ratelab.rates.RATES`
     token, by integration.
 
-    ``rho`` is one SNR, or a sequence giving a list in its order, which
-    evaluates each rho-independent survival once for all; a rho's floats
-    do not depend on the others.  ``split`` is checked whatever the
-    token; only the conventional baseline reads it.
+    ``rho`` is one SNR, or a sequence read by :func:`ratelab.rates._rhos`
+    giving a list in its order, which evaluates each rho-independent
+    survival once for all; a rho's floats do not depend on the others,
+    and rho = 0 rates 0.0.  ``split`` is checked whatever the token.
 
     Survivals are built from the Marcum-Q single-link survival; min
     terms are survival products.  Every rate is one half rate,
@@ -462,8 +454,8 @@ def ergodic_rate_quadrature_quantities(
     Only the exact-mode inner rule depends on rho.
     """
     rhos = _rhos(rho)
-    if scheme not in RATES:
-        raise DomainError(f"scheme must be one of {tuple(RATES)}, got {scheme!r}")
+    if not _is_one_of(scheme, RATES):
+        raise DomainError(f"scheme must be one of {tuple(RATES)}, got {reprlib.repr(scheme)}")
     _check_split(split)
     sr, rd, sd = geometry.sr, geometry.rd, geometry.sd
     family, mode = RATES[scheme]

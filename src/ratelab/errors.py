@@ -29,8 +29,7 @@ class TruncationWarning(UserWarning):
     """A truncated series stopped while its tail still exceeded the
     requested tolerance.  The package no longer emits it: a series now
     runs until its tail is below ``ratelab.channel.KERNEL_TOL``.  Kept
-    only because the benchmark worker imports it to count it and
-    ``pyproject.toml`` makes it an error in the tests."""
+    only because the benchmark worker imports it to count it."""
 
 
 class ModelAssumptionWarning(UserWarning):
@@ -39,10 +38,10 @@ class ModelAssumptionWarning(UserWarning):
 
 
 def _to_float(x, rule: str, convert=float):
-    """``convert(x)``, by default ``float(x)``.  Where the conversion
-    refuses ``x``, raises :class:`DomainError` naming ``rule`` in its
-    place: for an integer above the float range without repeating its
-    digits, for anything else with ``x`` cut short."""
+    """``convert(x)``, by default ``float(x)``; ``tuple`` reads a sequence.
+    Where the conversion refuses ``x``, raises :class:`DomainError` naming
+    ``rule`` in its place: for an integer above the float range without
+    repeating its digits, for anything else with ``x`` cut short."""
     try:
         return convert(x)
     except OverflowError:

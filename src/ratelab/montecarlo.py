@@ -5,8 +5,8 @@ token, minus): the rates of one :data:`~ratelab.rates.RATES` token of
 one geometry at one rho, less those of ``minus`` trial by trial (common
 random numbers) unless it is None.  :func:`estimate_rates`,
 :func:`paired_gap` and :func:`ratelab.sweep.calibrate_k` each map their
-schemes to tokens and build their own cells; the engine checks the
-settings and cells it is given.
+schemes to tokens and build their own cells of checked rhos; the engine
+checks the run settings and the split.
 
 Trials are partitioned into blocks of ``BLOCK_SIZE`` trials, the last
 one short.  Block b draws its standard normals once, from the
@@ -49,7 +49,7 @@ import numpy as np
 
 # sample_power_gains is not called here; bench/tracer.py wraps this binding
 from .channel import NetworkGeometry, _power_gains, sample_power_gains, split_stream
-from .errors import DomainError
+from .errors import DomainError, _to_float
 from .rates import (
     PAPER_SPLIT,
     QUANTITIES,
@@ -59,6 +59,8 @@ from .rates import (
     RateTerms,
     _check_rho,
     _check_split,
+    _is_one_of,
+    _rhos,
     conventional_noma_rate,
     crs_noma_rate,
     crs_oma_rate,
@@ -106,7 +108,7 @@ def _check_seed(seed: int) -> int:
 
 @dataclass(frozen=True)
 class EstimatorResult:
-    """Sample mean and standard error of one rate quantity at one rho."""
+    """Sample mean and standard error of one rate quantity at the float ``rho`` it ran."""
 
     scheme: str
     quantity: str
@@ -259,15 +261,11 @@ def _mean_stderr(s: float, sq: float, n: int):
 
 def _estimate(cells, split, trials: int, seed: int, workers: int, quantities) -> list:
     """The engine: (mean, std_err) of every quantity of every cell, flat,
-    cell by cell.  The run settings, each distinct cell rho in order and
-    the split, whatever the cells' schemes, are checked before any block
-    is drawn."""
+    cell by cell.  The run settings and the split, whatever the cells'
+    schemes, are checked before any block is drawn; callers check rho."""
     _check_trials(trials)
     _check_workers(workers)
     _check_seed(seed)
-    # by identity, as a refused rho may be unhashable
-    for rho in {id(rho): rho for _, rho, _, _ in cells}.values():
-        _check_rho(rho)
     _check_split(split)
     partials = _run_blocks(lambda work, b, n: _block_sums(cells, split, quantities, seed, work, b, n),
                            trials, workers)
@@ -292,19 +290,20 @@ def estimate_rates(
     :data:`~ratelab.rates.RATES` token or a plain ``crs_noma``, which
     ``mode`` resolves; the baselines ignore ``mode``.
 
-    ``rho`` is one transmit SNR or a sequence of them, and every scheme
-    is evaluated at every rho.  Results come rho by rho, then scheme by
-    scheme in :data:`QUANTITIES` order, each carrying its ``rho``.
-    Deterministic in all inputs; a (rho, scheme) result is the same
+    ``rho``, one SNR or a sequence read by :func:`ratelab.rates._rhos`,
+    gives every scheme at every rho.  Results come rho by rho, then scheme
+    by scheme in :data:`QUANTITIES` order, each carrying the float rho it
+    ran.  Deterministic in all inputs; a (rho, scheme) result is the same
     float whatever else the call evaluates.  An empty ``rho`` sequence or
     ``schemes`` raises :class:`DomainError` before any block is drawn,
     and so does a ``split`` that is not a :class:`PowerSplit`, whatever
     the schemes; only the conventional baseline reads it.
     """
-    rhos = [rho] if np.ndim(rho) == 0 else list(rho)
-    schemes = tuple(schemes)
-    if not (rhos and schemes):
-        raise DomainError(f"rho and schemes must be nonempty, got {len(rhos)} rho(s), {len(schemes)} scheme(s)")
+    rhos = _rhos(rho)
+    rule = "schemes must be a nonempty sequence of scheme names"
+    schemes = _to_float(schemes, rule, tuple)
+    if not schemes:
+        raise DomainError(f"{rule}, got an empty one")
     tokens = [rate_token(s, mode) for s in schemes]
     cells = [(geometry, x, token, None) for x in rhos for token in tokens]
     labels = [(x, s, q) for x in rhos for s in schemes for q in QUANTITIES]
@@ -328,10 +327,12 @@ def paired_gap(
     """E[rate_A - rate_B] with common random numbers.
 
     Differencing inside each trial cancels the shared channel noise, so
-    the standard error is far below that of two independent runs.
+    the standard error is far below that of two independent runs.  The
+    result carries the float :func:`ratelab.rates._check_rho` reads.
     """
+    rho = _check_rho(rho)
     token_a, token_b = rate_token(scheme_a, mode), rate_token(scheme_b, mode)
-    if quantity not in QUANTITIES:
-        raise DomainError(f"unknown quantity {quantity!r}")
+    if not _is_one_of(quantity, QUANTITIES):
+        raise DomainError(f"unknown quantity {reprlib.repr(quantity)}")
     [(mean, se)] = _estimate([(geometry, rho, token_a, token_b)], split, trials, seed, workers, (quantity,))
     return EstimatorResult(f"{scheme_a}-{scheme_b}", quantity, mean, se, trials, seed, rho)

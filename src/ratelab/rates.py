@@ -59,12 +59,18 @@ RATES = {
 QUANTITIES = ("c_s1", "c_s2", "c_total", "c_relay_s1", "c_direct_s1")
 
 
+def _is_one_of(name, names) -> bool:
+    """``name in names`` for a str; any other name, hashable or not, is none."""
+    return isinstance(name, str) and name in names
+
+
 def rate_token(scheme: str, mode: str) -> str:
     """The :data:`RATES` token of ``scheme``; a plain ``crs_noma`` takes
     ``mode``, every other scheme ignores it."""
-    token = f"crs_noma_{mode}" if scheme == "crs_noma" else scheme
-    if token not in RATES:
-        raise DomainError(f"unknown scheme {scheme!r} (mode {mode!r}); expected one of {tuple(RATES)}")
+    token = f"crs_noma_{mode}" if isinstance(scheme, str) and scheme == "crs_noma" else scheme
+    if not _is_one_of(token, RATES):
+        raise DomainError(f"unknown scheme {reprlib.repr(scheme)} (mode {reprlib.repr(mode)}); expected one of "
+                          f"{tuple(RATES)}")
     return token
 
 
@@ -145,9 +151,9 @@ def _check_split(split):
 
 
 def _check_rho(rho: float) -> float:
-    """``rho`` as a float.  Refused are a sequence or array, what float()
-    refuses, an integer above the float range, and a negative, infinite
-    or NaN SNR."""
+    """``rho`` as a float, by the one rule of the SNR on every leg.  Refused
+    are a sequence or array, what float() refuses, an integer above the
+    float range, and a negative, infinite or NaN SNR; rho = 0 rates 0.0."""
     # a float needs no np.ndim, which costs a microsecond on each engine cell
     if not isinstance(rho, float) and np.ndim(rho) != 0:
         raise DomainError(f"rho must be one number, got {reprlib.repr(rho)}")
@@ -158,13 +164,21 @@ def _check_rho(rho: float) -> float:
     return x
 
 
+def _rhos(rho) -> list[float]:
+    """One rho or a nonempty sequence, as a list of floats, each in order
+    through :func:`_check_rho`; every leg reads its rhos so.  A ragged
+    sequence, which has no np.ndim, is refused like an empty one."""
+    rule = "rho must be one number or a nonempty sequence"
+    rhos = [_check_rho(r) for r in ([rho] if _to_float(rho, rule, np.ndim) == 0 else rho)]
+    if not rhos:
+        raise DomainError(f"{rule}, got an empty one")
+    return rhos
+
+
 def _check_gains(gains) -> list:
     """The three gains as float arrays, each finite and >= 0, with shapes that broadcast together."""
     rule = "gains must be three, lambda_sr, lambda_rd and lambda_sd"
-    try:
-        gains = tuple(gains)
-    except TypeError:  # not a sequence at all
-        raise DomainError(f"{rule}, got {reprlib.repr(gains)}") from None
+    gains = _to_float(gains, rule, tuple)
     if len(gains) != 3:
         raise DomainError(f"{rule}, got {len(gains)}")
     arrays = []

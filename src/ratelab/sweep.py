@@ -23,12 +23,14 @@ import math
 import reprlib
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import __version__
 from .analytic import ergodic_rate_quadrature_quantities, ergodic_rate_series
 from .channel import KERNEL_TOL, NetworkGeometry, make_link
-from .errors import DomainError
+from .errors import DomainError, _to_float
 from .montecarlo import _check_seed, _check_trials, _estimate, estimate_rates
-from .rates import PAPER_SPLIT, QUANTITIES, RATES, PowerSplit, _check_split, rate_token
+from .rates import PAPER_SPLIT, QUANTITIES, RATES, PowerSplit, _check_split, _is_one_of, rate_token
 
 __all__ = [
     "SweepConfig",
@@ -116,7 +118,9 @@ class CalibrationResult:
 
 
 def db_to_linear(rho_db: float) -> float:
-    """10^(rho_db/10); raises DomainError where that is not a finite float."""
+    """10^(rho_db/10), ``rho_db`` read by float(); raises DomainError where
+    float() refuses it or the power is not a finite float."""
+    rho_db = _to_float(rho_db, "rho_db must be a number")
     try:
         rho = 10.0 ** (rho_db / 10.0)
     except OverflowError:
@@ -142,8 +146,7 @@ def parse_grid(spec: str) -> list[float]:
     0.30000000000000004).  Raises DomainError on malformed text, on a
     start:stop:step grid with a nonpositive step or more than
     :data:`MAX_GRID_POINTS` points (before any point is built) and on a
-    grid that holds a non-finite point, is empty or is not strictly
-    increasing.
+    grid that breaks the rule of :func:`_check_grid`.
     """
     if ":" not in spec:
         vals = [_number(p) for p in spec.split(",") if p.strip()]
@@ -160,6 +163,18 @@ def parse_grid(spec: str) -> list[float]:
             )
         n = int(math.floor((stop - start) / step + 1e-9)) + 1
         vals = [round(start + i * step, 12) for i in range(n)]
+    return _check_grid(vals)
+
+
+def _check_grid(grid) -> list[float]:
+    """The points of ``grid`` as floats, by the one rule of every grid,
+    parsed or given to :func:`run_sweep`: a sequence of numbers, each
+    finite, at least one, strictly increasing; DomainError otherwise."""
+    rule = "grid must be a sequence of numbers"
+    vals = _to_float(grid, rule, lambda g: np.asarray(g, dtype=float))
+    if vals.ndim != 1:
+        raise DomainError(f"{rule}, got {reprlib.repr(grid)}")
+    vals = vals.tolist()
     for v in vals:
         if not math.isfinite(v):
             raise DomainError(f"grid points must be finite, got {v}")
@@ -347,24 +362,27 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     """Evaluate every (grid point, scheme, estimator, quantity) cell.
 
     Deterministic in the config (the seed covers all stochastic parts).
-    Each estimator evaluates the selected :data:`~ratelab.rates.RATES`
-    tokens that :data:`ESTIMATORS` lists for it (the series paper-mode
-    CRS-NOMA only); a sweep in which none does, or with no grid point,
-    raises :class:`DomainError`.  Each estimator takes the whole grid in one call (the oracle one per
+    ``rho_grid_db`` must keep the rule of a parsed grid,
+    :func:`_check_grid`: finite, nonempty and strictly increasing.  Each
+    estimator evaluates the selected :data:`~ratelab.rates.RATES` tokens
+    that :data:`ESTIMATORS` lists for it (the series paper-mode CRS-NOMA
+    only); a sweep in which none does raises :class:`DomainError`.  Each
+    estimator takes the whole grid in one call (the oracle one per
     token), and a grid point's values are the floats a one-point grid
     gives.
     """
     if not set(config.estimators) <= set(ESTIMATORS):
         raise DomainError(f"estimators must be among {tuple(ESTIMATORS)}, got {config.estimators}")
     _check_split(config.split)
+    grid = _check_grid(config.rho_grid_db)
     # a baseline's single mode "-" is selected whatever the modes
     selected = [token for scheme in config.schemes for token, (s, mode) in RATES.items()
                 if s == scheme and mode in (*config.modes, "-")]
     covered = {e: tokens for e in config.estimators if (tokens := [t for t in selected if t in ESTIMATORS[e]])}
-    if not (covered and config.rho_grid_db):
+    if not covered:
         raise DomainError(f"empty sweep: no rows for schemes {config.schemes}, modes {config.modes} and "
-                          f"estimators {config.estimators} over {len(config.rho_grid_db)} grid point(s)")
-    rhos = [db_to_linear(rho_db) for rho_db in config.rho_grid_db]
+                          f"estimators {config.estimators} over {len(grid)} grid point(s)")
+    rhos = [db_to_linear(rho_db) for rho_db in grid]
     cells = {}  # (estimator, token) -> one {quantity: (value, std_err)} per grid point
     for estimator, tokens in covered.items():
         if estimator == "monte_carlo":
@@ -382,7 +400,7 @@ def run_sweep(config: SweepConfig) -> SweepResult:
                 rates = ergodic_rate_series(config.geometry, rhos, literal=estimator == "series_paper_literal")
             cells[estimator, token] = [{q: (r[q], None) for q in QUANTITIES} for r in rates]
     rows = [SweepRow(rho_db, *RATES[token], estimator, q, value, std_err)
-            for i, rho_db in enumerate(config.rho_grid_db)
+            for i, rho_db in enumerate(grid)
             for estimator, tokens in covered.items()
             for token in tokens
             for q, (value, std_err) in cells[estimator, token][i].items()]
@@ -433,19 +451,32 @@ def calibrate_k(
     a K's values are those a grid holding only that K gives.  The full
     residual table is returned so the fit quality is inspectable either
     way.
+
+    ``targets`` are (rho_dB, scheme, value) triples, each rho_dB read by
+    :func:`db_to_linear` and each value by float(); the K grid and the
+    targets may repeat a value.  Every input is checked before any
+    block is drawn.
     """
-    if preset not in PRESETS:
-        raise DomainError(f"unknown preset {preset!r}")
-    targets = PAPER_TARGETS[preset] if targets is None else tuple(targets)
+    if not _is_one_of(preset, PRESETS):
+        raise DomainError(f"unknown preset {reprlib.repr(preset)}")
+    if targets is None:
+        targets = PAPER_TARGETS[preset]
+    rule = "targets must be a sequence of (rho_db, scheme, value) triples"
+    targets = tuple(_to_float(t, rule, tuple) for t in _to_float(targets, rule, tuple))
     if not targets:
         raise DomainError("targets must be nonempty")
+    for t in targets:
+        if len(t) != 3:
+            raise DomainError(f"{rule}, got {reprlib.repr(t)}")
     if k_grid is None:
         k_grid = [i * 0.5 for i in range(21)]
+    k_grid = _to_float(k_grid, "k_grid must be a sequence of K values", tuple)
     geometries = [preset_geometry(preset, k) for k in k_grid]
     if not geometries:
         raise DomainError("k_grid must be nonempty")
     rhos = [db_to_linear(rho_db) for rho_db, _, _ in targets]
     tokens = [rate_token(scheme, "paper") for _, scheme, _ in targets]
+    values = [_to_float(value, "a target value must be a number") for _, _, value in targets]
     cells = [(g, rho, token, None) for g in geometries for rho, token in zip(rhos, tokens)]
     # one pass for every K: each block's normals are drawn once
     sims = [mean for mean, _ in _estimate(cells, PAPER_SPLIT, trials, seed, workers, ("c_total",))]
@@ -453,9 +484,9 @@ def calibrate_k(
     sse_by_k = []
     for i, k in enumerate(g.sr.k_factor for g in geometries):  # each K as its links' float
         sse = 0.0
-        for (rho_db, scheme, target), sim in zip(targets, sims[i * len(targets):]):
-            residuals.append((k, rho_db, scheme, sim, float(target), sim - float(target)))
-            sse += (sim - float(target)) ** 2
+        for (rho_db, scheme, _), target, sim in zip(targets, values, sims[i * len(targets):]):
+            residuals.append((k, rho_db, scheme, sim, target, sim - target))
+            sse += (sim - target) ** 2
         sse_by_k.append((k, sse))
     best_k = min(sse_by_k, key=lambda kv: kv[1])[0]
     return CalibrationResult(
@@ -503,11 +534,12 @@ def discrepancy_report(geometry: NetworkGeometry, rho_grid_db) -> tuple:
     """Literal vs corrected analytic rates, with the oracle alongside.
 
     The :func:`_discrepancy_rows` of a paper-mode CRS-NOMA sweep by both
-    series and the oracle over ``rho_grid_db``, taken in the order given.
+    series and the oracle over ``rho_grid_db``, held to the rule of
+    every grid, :func:`_check_grid`.
     """
     # paper-mode CRS-NOMA reads no power split, and neither the series
     # nor the oracle reads the trials or the seed
-    config = SweepConfig(rho_grid_db=tuple(rho_grid_db), geometry=geometry, schemes=("crs_noma",),
+    config = SweepConfig(rho_grid_db=tuple(_check_grid(rho_grid_db)), geometry=geometry, schemes=("crs_noma",),
                          modes=("paper",), split=PAPER_SPLIT,
                          estimators=("series_paper_literal", "series_corrected", "quadrature_oracle"),
                          trials=1, seed=0)

@@ -299,11 +299,11 @@ def test_moment_kernel_limits_and_stop_bound(monkeypatch):
     lambda rho: ergodic_rate_series(FIG3, rho, literal=True),
     lambda rho: ergodic_rate_quadrature_quantities(FIG3, rho, "crs_noma_paper"),
 ], ids=["series", "series-literal", "oracle"])
-def test_series_and_oracle_refuse_a_nonpositive_rho_in_order(call):
-    # each rho in turn, first finite and >= 0, then > 0
-    positive = r"^rho must be > 0 for the series and the oracle, got 0$"
+def test_series_and_oracle_refuse_a_negative_rho_in_order(call):
+    # each rho in turn by the one rule, finite and >= 0; 0 passes it
     nonneg = r"^rho must be finite and >= 0, got -2\.0$"
-    for rho, message in ((0.0, positive), (-2.0, nonneg), ([1.0, 0.0, -2.0], positive), ([1.0, -2.0, 0.0], nonneg)):
+    for rho, message in ((-2.0, nonneg), ([1.0, 0.0, -2.0], nonneg), ([1.0, -2.0, "a"], nonneg),
+                         ([0.0, "a"], r"^rho must be finite and >= 0, got 'a'$")):
         with pytest.raises(DomainError, match=message):
             call(rho)
 
@@ -563,8 +563,43 @@ def test_quadrature_breakdown_invariants():
     assert rep.c_total == pytest.approx(rep.c_relay_s1 + 2 * rep.c_direct_s1, rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [0.0, 3.0])
+def test_every_leg_gives_zero_at_rho_zero(k):
+    # rho = 0 is the limit of every rate; the series and the oracle refused
+    # it, although they gave 0.0 at rho = 5e-324
+    g = NetworkGeometry(sr=make_link(k, 8), rd=make_link(k, 8), sd=make_link(k, 3))
+    zeros = [0.0] * len(QUANTITIES)
+    for literal in (False, True):
+        assert [ergodic_rate_series(g, 0.0, literal=literal)[q] for q in QUANTITIES] == zeros
+        at_10 = ergodic_rate_series(g, 10.0, literal=literal)
+        assert ergodic_rate_series(g, [0.0, 10.0], literal=literal) == [RateBreakdown(0.0, 0.0, 0.0), at_10]
+    for token in RATES:
+        assert [ergodic_rate_quadrature_quantities(g, 0.0, token)[q] for q in QUANTITIES] == zeros
+        at_10 = ergodic_rate_quadrature_quantities(g, 10.0, token)
+        assert ergodic_rate_quadrature_quantities(g, [0.0, 10.0], token)[1] == at_10
+    results = estimate_rates(g, 0.0, tuple(RATES), trials=1000, seed=3)
+    assert len(results) == len(RATES) * len(QUANTITIES)
+    assert all((r.mean, r.std_err) == (0.0, 0.0) for r in results)
+
+
+def test_series_cdfs_take_an_array_gamma_as_the_kernel_takes_x():
+    # a list or array gamma escaped as a TypeError
+    a, b = make_link(3, 8), make_link(0, 3)
+    gammas = [0.0, 0.5, 2.0, math.inf]
+    for cdf in (lambda g: cdf_min_pair_series(a, b, g), lambda g: cdf_single_link_series(a, g),
+                lambda g: cdf_gamma2_paper(a, b, g)):
+        got = cdf(gammas)
+        assert isinstance(got, np.ndarray) and got.tolist() == pytest.approx([cdf(x) for x in gammas], rel=1e-15)
+        assert type(cdf(2.0)) is float and cdf(np.array([[0.5, 2.0]])).shape == (1, 2) and cdf([]).shape == (0,)
+    # the as-published form sums in log space for one gamma
+    for gamma in ([1.0, 2.0], np.array([1.0])):
+        with pytest.raises(DomainError, match=r"^gamma must be one number, got "):
+            cdf_min_pair_approx(a, b, gamma)
+    assert cdf_min_pair_approx(a, b, np.array(2.0)) == cdf_min_pair_approx(a, b, 2.0)
+
+
 def test_quadrature_validates_inputs():
-    for rho in (0.0, math.inf, math.nan):
+    for rho in (-1.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             ergodic_rate_quadrature_quantities(FIG3, rho, "crs_noma_paper")
     with pytest.raises(DomainError):

@@ -1,0 +1,85 @@
+"""Junk inputs over the public library entries: each call returns or
+raises one RateLabError line, never another exception."""
+
+import math
+import reprlib
+
+import numpy as np
+import pytest
+
+from ratelab import (
+    NetworkGeometry,
+    PowerSplit,
+    RicianLink,
+    calibrate_k,
+    cdf_gamma2_paper,
+    cdf_min_pair_approx,
+    cdf_min_pair_series,
+    cdf_single_link_series,
+    conventional_noma_rate,
+    crs_noma_rate,
+    crs_oma_rate,
+    discrepancy_report,
+    ergodic_rate_quadrature_quantities,
+    ergodic_rate_series,
+    estimate_rates,
+    make_link,
+    paired_gap,
+    power_gain_cdf,
+    power_gain_pdf,
+    power_gain_sf,
+)
+from ratelab.errors import RateLabError
+
+LINK = make_link(0, 8)
+FIG3 = NetworkGeometry(sr=make_link(0, 8), rd=make_link(0, 8), sd=make_link(0, 3))
+GAINS = (1.0, 2.0, 0.5)
+RUN = {"trials": 100, "seed": 1, "workers": 1}
+
+# Each entry with a valid baseline call: the function and its arguments
+# by name.  Links, geometries and splits stay valid; every other
+# argument, a number, a sequence or a name, takes each junk value in turn.
+ENTRIES = {
+    "crs_noma_rate": (crs_noma_rate, {"r": GAINS, "rho": 10.0, "mode": "paper"}),
+    "conventional_noma_rate": (conventional_noma_rate, {"r": GAINS, "rho": 10.0}),
+    "crs_oma_rate": (crs_oma_rate, {"r": GAINS, "rho": 10.0}),
+    "RicianLink": (RicianLink, {"k_factor": 3.0, "mean_power": 8.0}),
+    "PowerSplit": (PowerSplit, {"a2": 0.1}),
+    "power_gain_pdf": (power_gain_pdf, {"link": LINK, "x": 1.0}),
+    "power_gain_sf": (power_gain_sf, {"link": LINK, "x": 1.0}),
+    "power_gain_cdf": (power_gain_cdf, {"link": LINK, "x": 1.0}),
+    "cdf_min_pair_series": (cdf_min_pair_series, {"link_a": LINK, "link_b": LINK, "gamma": 1.0}),
+    "cdf_min_pair_approx": (cdf_min_pair_approx, {"link_a": LINK, "link_b": LINK, "gamma": 1.0}),
+    "cdf_single_link_series": (cdf_single_link_series, {"link": LINK, "gamma": 1.0}),
+    "cdf_gamma2_paper": (cdf_gamma2_paper, {"link_y": LINK, "link_z": LINK, "gamma": 1.0}),
+    "ergodic_rate_series": (ergodic_rate_series, {"geometry": FIG3, "rho": 10.0}),
+    "oracle": (ergodic_rate_quadrature_quantities, {"geometry": FIG3, "rho": 10.0, "scheme": "crs_oma"}),
+    "estimate_rates": (estimate_rates, {"geometry": FIG3, "rho": 10.0, "schemes": ("crs_oma",), "mode": "paper",
+                                        **RUN}),
+    "paired_gap": (paired_gap, {"geometry": FIG3, "rho": 10.0, "scheme_a": "crs_noma", "scheme_b": "crs_oma",
+                                "mode": "paper", "quantity": "c_total", **RUN}),
+    "calibrate_k": (calibrate_k, {"preset": "fig3", "targets": ((5.0, "crs_noma", 4.29),), "k_grid": (0.0,),
+                                  **RUN}),
+    "discrepancy_report": (discrepancy_report, {"geometry": FIG3, "rho_grid_db": (5.0,)}),
+}
+CASES = [(entry, arg) for entry, (_, kwargs) in ENTRIES.items()
+         for arg, value in kwargs.items() if not isinstance(value, (RicianLink, NetworkGeometry))]
+
+JUNK = (None, "a", object(), [], [1.0, 2.0], 10**400, math.nan, -1.0, np.ones((2, 2)), {})
+
+
+@pytest.mark.parametrize("entry, arg", CASES, ids=[f"{entry}-{arg}" for entry, arg in CASES])
+def test_a_junk_argument_returns_or_is_one_rate_lab_error_line(entry, arg):
+    fn, kwargs = ENTRIES[entry]
+    fn(**kwargs)  # the baseline runs
+    escaped = []
+    for junk in JUNK:
+        try:
+            fn(**{**kwargs, arg: junk})
+        except RateLabError as exc:
+            if "\n" in str(exc):
+                escaped.append(f"{reprlib.repr(junk)}: a message of several lines, {str(exc)!r}")
+        except Exception as exc:  # noqa: BLE001 (what escapes is the finding)
+            escaped.append(f"{reprlib.repr(junk)}: {type(exc).__name__}: {exc}")
+    assert not escaped, "\n".join(escaped)
+

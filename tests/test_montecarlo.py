@@ -98,12 +98,15 @@ def test_every_conventional_entry_point_takes_one_split_rule(monkeypatch):
             call()
 
 
-@pytest.mark.parametrize("rho, schemes, counts", [([], ("crs_noma",), "0 rho(s), 1 scheme(s)"),
-                                                   (1.0, (), "1 rho(s), 0 scheme(s)")], ids=["no-rho", "no-scheme"])
-def test_an_empty_rho_or_scheme_list_is_refused_before_any_block(rho, schemes, counts, monkeypatch):
-    # it used to draw every block and return []
+@pytest.mark.parametrize("rho, schemes, message", [
+    ([], ("crs_noma",), "rho must be one number or a nonempty sequence, got an empty one"),
+    (1.0, (), "schemes must be a nonempty sequence of scheme names, got an empty one"),
+], ids=["no-rho", "no-scheme"])
+def test_an_empty_rho_or_scheme_list_is_refused_before_any_block(rho, schemes, message, monkeypatch):
+    # it used to draw every block and return []; an empty rho sequence
+    # gives the line the series and the oracle give
     monkeypatch.setattr(montecarlo, "_run_blocks", lambda *args: pytest.fail("a block ran"))
-    with pytest.raises(DomainError, match=f"^rho and schemes must be nonempty, got {re.escape(counts)}$"):
+    with pytest.raises(DomainError, match=f"^{message}$"):
         estimate_rates(fig3_geometry(), rho, schemes, trials=10**7)
 
 
@@ -303,6 +306,19 @@ def test_rho_sequence_results_do_not_depend_on_workers():
                            trials, seed=9, workers=3)
     assert one == three
     assert [r.rho for r in one] == [x for x in rhos for _ in range(3 * len(QUANTITIES))]
+
+
+def test_each_result_carries_the_float_rho_it_ran():
+    # estimate_rates labelled a result with the rho as given, such as '10'
+    g = fig3_geometry()
+    want = estimate_rates(g, 10.0, ("crs_oma",), trials=100, seed=2)
+    gap = paired_gap(g, 10.0, "crs_noma", "crs_oma", trials=100, seed=2)
+    for rho in ("10", 10, np.int64(10), np.array(10.0)):
+        got = estimate_rates(g, rho, ("crs_oma",), trials=100, seed=2)
+        assert got == want and all(type(r.rho) is float for r in got)
+        assert estimate_rates(g, [rho], ("crs_oma",), trials=100, seed=2) == want
+        got = paired_gap(g, rho, "crs_noma", "crs_oma", trials=100, seed=2)
+        assert got == gap and type(got.rho) is float
 
 
 def test_repeated_rho_and_k_keep_their_positions():

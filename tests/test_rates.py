@@ -86,11 +86,13 @@ _RHO_RULE = "rho must be finite and >= 0"
     (lambda: ergodic_rate_quadrature_quantities(FIG3, [1.0, None], "crs_oma"), f"{_RHO_RULE}, got None"),
     (lambda: estimate_rates(FIG3, None, trials=10), f"{_RHO_RULE}, got None"),
     (lambda: estimate_rates(FIG3, [1.0, "a"], trials=10), f"{_RHO_RULE}, got 'a'"),
+    (lambda: ergodic_rate_series(FIG3, [1.0, [2.0, 3.0]]),
+     re.escape("rho must be one number or a nonempty sequence, got [1.0, [2.0, 3.0]]")),
     (lambda: PowerSplit("a"), "need 0 < a2 < 0.5, got 'a'"),
     (lambda: PowerSplit(10**400), "need 0 < a2 < 0.5, got an integer above the float range"),
 ], ids=["gains-scalar", "gains-0d-array", "gain-str", "gain-object", "k-str", "k-none", "power-long-str",
         "sf-argument-str", "rho-str", "rho-none", "series-rho-str", "oracle-rho-none", "monte-carlo-rho-none",
-        "monte-carlo-rho-str", "split-str", "split-int-above-float-range"])
+        "monte-carlo-rho-str", "ragged-rho", "split-str", "split-int-above-float-range"])
 def test_a_library_input_that_is_not_a_number_is_one_domain_error(call, message):
     # each escaped as a TypeError, ValueError or OverflowError traceback
     with pytest.raises(DomainError, match=f"^{message}$"):

@@ -245,8 +245,9 @@ def test_discrepancy_table_reads_the_rows_of_a_sweep():
                                       value[(rho_db, "series_corrected", q)],
                                       value[(rho_db, "quadrature_oracle", q)])
         assert abs_gap == abs(lit - cor)
-    # a programmatic grid keeps its order, increasing or not
-    assert [r[0] for r in discrepancy_report(geometry, [25, 5])] == [25.0] * 3 + [5.0] * 3
+    # a programmatic grid keeps the rule of a parsed one
+    with pytest.raises(DomainError, match="^grid must be strictly increasing$"):
+        discrepancy_report(geometry, [25, 5])
 
 
 CLI_CONFIG = """
@@ -607,6 +608,77 @@ def test_each_estimator_gives_rows_for_the_selected_tokens_it_covers(schemes, mo
     assert all((scheme, mode) == ("crs_noma", "paper") for e, scheme, mode in rows if e.startswith("series_"))
 
 
+_GRID_CONFIG = "preset = fig3\n[sweep]\nschemes = crs_noma\nestimators = series_corrected\n"
+
+
+@pytest.mark.parametrize("grid, message", [
+    ((5.0, 5.0), "grid must be strictly increasing"),
+    ((25.0, 5.0), "grid must be strictly increasing"),
+    ((25, 5, 5), "grid must be strictly increasing"),
+    ((), "grid must be nonempty"),
+    ((5.0, math.inf), "grid points must be finite, got inf"),
+    (5, "grid must be a sequence of numbers, got 5"),
+    ("25", "grid must be a sequence of numbers, got '25'"),
+    ((5.0, "a"), "grid must be a sequence of numbers, got (5.0, 'a')"),
+], ids=["repeat", "decreasing", "decreasing-int", "empty", "inf", "number", "str", "str-point"])
+def test_a_library_grid_keeps_the_rule_of_a_parsed_one(grid, message):
+    # (5.0, 5.0) wrote duplicate rows, (25.0, 5.0) ran, and 5 escaped as a TypeError
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        run_sweep(replace(parse_config(_GRID_CONFIG), rho_grid_db=grid))
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        discrepancy_report(preset_geometry("fig3", 0.0), grid)
+
+
+def test_a_library_grid_reads_its_points_as_float_does():
+    cfg = parse_config(_GRID_CONFIG)
+    want = run_sweep(replace(cfg, rho_grid_db=(5.0, 25.0))).rows
+    assert run_sweep(replace(cfg, rho_grid_db=("5", 25))).rows == want
+    assert sweep.db_to_linear("10") == 10.0
+    with pytest.raises(DomainError, match=r"^rho_db must be a number, got 'a'$"):
+        sweep.db_to_linear("a")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: calibrate_k("fig3", targets=5), "targets must be a sequence of (rho_db, scheme, value) triples, got 5"),
+    (lambda: calibrate_k("fig3", targets=[(5.0,)]),
+     "targets must be a sequence of (rho_db, scheme, value) triples, got (5.0,)"),
+    (lambda: calibrate_k("fig3", targets=[(5.0, "crs_noma", "x")]), "a target value must be a number, got 'x'"),
+    (lambda: calibrate_k("fig3", targets=[("a", "crs_noma", 4.29)]), "rho_db must be a number, got 'a'"),
+    (lambda: calibrate_k("fig3", k_grid=5), "k_grid must be a sequence of K values, got 5"),
+    (lambda: calibrate_k(["fig3"]), "unknown preset ['fig3']"),
+    (lambda: calibrate_k("fig3", targets=[(5.0, ["crs_noma"], 4.29)]),
+     f"unknown scheme ['crs_noma'] (mode 'paper'); expected one of {tuple(RATES)}"),
+    (lambda: estimate_rates(preset_geometry("fig3", 0.0), 10.0, None),
+     "schemes must be a nonempty sequence of scheme names, got None"),
+    (lambda: paired_gap(preset_geometry("fig3", 0.0), 10.0, [1.0, 2.0], "crs_oma"),
+     f"unknown scheme [1.0, 2.0] (mode 'paper'); expected one of {tuple(RATES)}"),
+    (lambda: ergodic_rate_quadrature_quantities(preset_geometry("fig3", 0.0), 10.0, ["fig3"]),
+     f"scheme must be one of {tuple(RATES)}, got ['fig3']"),
+], ids=["targets-number", "target-short", "target-value-str", "target-rho-db-str", "k-grid-number",
+        "preset-list", "target-scheme-list", "schemes-none", "scheme-list", "oracle-scheme-list"])
+def test_a_library_name_or_table_that_cannot_be_read_is_one_line(call, message, monkeypatch):
+    # each escaped as a TypeError or ValueError
+    monkeypatch.setattr(montecarlo, "_run_blocks", lambda *args: pytest.fail("a block ran"))
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_rho_zero_runs_on_every_cli_route(tmp_path, capsys):
+    # 10^(-4000/10) is rho = 0.0, which the series and the oracle refused
+    cfg, out = tmp_path / "cfg.txt", tmp_path / "out.csv"
+    cfg.write_text(f"preset = fig3\n[sweep]\nrho_db = -4000, 0\nschemes = crs_noma, conventional, crs_oma\n"
+                   f"modes = paper, exact\nestimators = {', '.join(ESTIMATORS)}\ntrials = 1000\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines() if not line.startswith("#")][1:]
+    low = [row for row in rows if row[0] == "-4000"]
+    assert {row[3] for row in low} == set(ESTIMATORS) and len(low) == len(rows) // 2
+    assert all(float(row[5]) == 0.0 and row[6] in ("", "0") for row in low)
+    assert main(["discrepancy", "--preset", "fig3", "--rho-grid=-4000,0", "--out", str(out)]) == 0
+    table = [line.split(",") for line in out.read_text().splitlines() if not line.startswith("#")][1:]
+    assert all(float(v) == 0.0 for row in table if row[0] == "-4000" for v in row[2:])
+    assert capsys.readouterr().err == ""
+
+
 def test_an_empty_sweep_exits_one_with_one_line_and_no_file(tmp_path, capsys):
     cfg, out = tmp_path / "cfg.txt", tmp_path / "out.csv"
     cfg.write_text("preset = fig3\n[sweep]\nrho_db = 5, 25\nschemes = conventional\nestimators = series_corrected\n")
@@ -614,10 +686,13 @@ def test_an_empty_sweep_exits_one_with_one_line_and_no_file(tmp_path, capsys):
     assert capsys.readouterr().err == ("ratelab: error: empty sweep: no rows for schemes ('conventional',), modes "
                                        "('paper',) and estimators ('series_corrected',) over 2 grid point(s)\n")
     assert not out.exists()
-    # an empty scheme list or grid reaches run_sweep only from the library
-    for overrides in ({"schemes": ()}, {"rho_grid_db": ()}, {"estimators": ()}):
+    # an empty scheme list or grid reaches run_sweep only from the library;
+    # an empty grid is refused by the rule of a parsed one
+    for overrides in ({"schemes": ()}, {"estimators": ()}):
         with pytest.raises(DomainError, match="^empty sweep: "):
             run_sweep(replace(parse_config("preset = fig3\n"), **overrides))
+    with pytest.raises(DomainError, match="^grid must be nonempty$"):
+        run_sweep(replace(parse_config("preset = fig3\n"), rho_grid_db=()))
 
 
 def test_negative_seed_exits_one_on_every_cli_route(tmp_path, capsys):
