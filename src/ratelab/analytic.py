@@ -40,14 +40,13 @@ deviations between the two are data, not bugs; see
 import functools
 import itertools
 import math
-import reprlib
 
 import numpy as np
 
 from .channel import (NetworkGeometry, RicianLink, _check_nonneg, poisson_weights, power_gain_cdf,
                       power_gain_pdf, power_gain_sf)
-from .errors import ConvergenceError, DomainError
-from .rates import PAPER_SPLIT, RATES, PowerSplit, RateBreakdown, _check_split, _is_one_of, _rhos
+from .errors import ConvergenceError, DomainError, _one_of
+from .rates import PAPER_SPLIT, RATES, PowerSplit, RateBreakdown, _check_split, _one_number, _rhos
 
 __all__ = [
     "cdf_min_pair_series",
@@ -124,9 +123,7 @@ def cdf_min_pair_approx(
     (from K of about 70 at the fig3 powers); it is never NaN.  It takes
     one ``gamma``: a list or array is refused.
     """
-    if np.ndim(gamma):
-        raise DomainError(f"gamma must be one number, got {reprlib.repr(gamma)}")
-    gamma = float(_check_nonneg(gamma, "gamma"))
+    gamma = float(_check_nonneg(_one_number(gamma, "gamma"), "gamma"))
     terms = [len(poisson_weights(link.k_factor)) for link in (link_a, link_b)]
     # ln E_n(g), E_n(g) = sum_{i<=n} g^i/i!
     log_e = np.logaddexp.accumulate(_log_powers(gamma, max(terms)))
@@ -210,8 +207,12 @@ def _rate_series(links: tuple, rhos: list) -> list[float]:
 
     One link: C[m] = T[m] = P[N >= m], the link's Poisson(K) upper tails.
     A pair: C[m] = D[m] = sum_(i+j=m) C(m, i) p^i q^j Ta[i] Tb[j],
-    p = a_a/(a_a + a_b) and q = 1 - p.  The only error is the Poisson(K)
-    weight each link's series leaves out, :data:`ratelab.channel.KERNEL_TOL`.
+    p = a_a/(a_a + a_b) and q = 1 - p.  The tails are
+    :attr:`ratelab.channel.RicianLink._tails`, which carry the Poisson(K)
+    weight the truncation leaves out on their last term, as the survival
+    does: T[0] = 1, so the series keep the whole probability mass, and
+    the only error is that the weight, at most
+    :data:`ratelab.channel.KERNEL_TOL`, sits on the last term.
     """
     if len(links) == 1:
         coeffs = links[0]._tails
@@ -454,11 +455,9 @@ def ergodic_rate_quadrature_quantities(
     Only the exact-mode inner rule depends on rho.
     """
     rhos = _rhos(rho)
-    if not _is_one_of(scheme, RATES):
-        raise DomainError(f"scheme must be one of {tuple(RATES)}, got {reprlib.repr(scheme)}")
+    family, mode = RATES[_one_of(scheme, RATES)]
     _check_split(split)
     sr, rd, sd = geometry.sr, geometry.rd, geometry.sd
-    family, mode = RATES[scheme]
 
     if family == "crs_noma":
         c_direct = _quad(rhos, _reach(sd), lambda x: power_gain_sf(sd, x))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ModelAssumptionWarning, _to_float
+from .errors import DomainError, ModelAssumptionWarning, _finite_nonneg, _to_float
 
 __all__ = [
     "MAX_NONCENTRALITY",
@@ -78,11 +78,8 @@ class RicianLink:
     mean_power: float
 
     def __post_init__(self):
-        for name, rule in (("k_factor", "k_factor must be finite and >= 0"),
-                           ("mean_power", "mean_power must be finite and > 0")):
-            object.__setattr__(self, name, _to_float(getattr(self, name), rule))  # frozen
-        if not (self.k_factor >= 0.0) or not math.isfinite(self.k_factor):
-            raise DomainError(f"k_factor must be finite and >= 0, got {self.k_factor}")
+        object.__setattr__(self, "k_factor", _finite_nonneg(self.k_factor, "k_factor"))  # frozen
+        object.__setattr__(self, "mean_power", _to_float(self.mean_power, "mean_power must be finite and > 0"))
         if not (0.0 < self.mean_power < math.inf and self.inv_scale < math.inf):
             raise DomainError(f"mean_power and (1 + K)/mean_power must be finite and > 0, got {self.mean_power}")
 
@@ -111,8 +108,12 @@ class RicianLink:
 
     @functools.cached_property
     def _tails(self) -> np.ndarray:
-        """Upper tails P[N >= j] of :attr:`_weights`, read-only."""
-        return _read_only(_upper_tails(self._weights))
+        """Upper tails P[N >= j] of :attr:`_weights`, read-only, each with
+        the weight the truncation leaves out added, so that T[0] = 1
+        exactly.  That puts the left-out weight on the last term of every
+        series that sums them, the survival's and the rate series'."""
+        tails = np.cumsum(self._weights[::-1])[::-1]
+        return _read_only(tails + (1.0 - tails[0]))
 
 
 @dataclass(frozen=True)
@@ -269,21 +270,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _upper_tails(weights: np.ndarray) -> np.ndarray:
-    """Upper tails P[N >= j] of Poisson ``weights``."""
-    return np.cumsum(weights[::-1])[::-1]
-
-
 def _survival(tails: np.ndarray, scale: float, x: np.ndarray) -> np.ndarray:
-    """Survival sum_j Pois(j; mean) Q(j+1, y) at y = scale*x from the
-    Poisson upper ``tails`` at the mean, to within :data:`KERNEL_TOL`.
+    """Survival sum_j Pois(j; mean) Q(j+1, y) at y = scale*x from a link's
+    :attr:`RicianLink._tails`, to within :data:`KERNEL_TOL`.
 
-    The weight left out is added to every upper tail, which puts it on
-    the last Q(n+1, y): Q increases toward 1 in j, so the truncation
-    error stays below the tolerance, and the first tail is exactly 1,
-    so the survival at y = 0 is exactly 1.
+    The tails carry the weight left out on the last Q(n+1, y): Q
+    increases toward 1 in j, so the truncation error stays below the
+    tolerance, and the first tail is exactly 1, so the survival at
+    y = 0 is exactly 1.
     """
-    return np.minimum(_mixture(tails + (1.0 - tails[0]), scale, x), 1.0)
+    return np.minimum(_mixture(tails, scale, x), 1.0)
 
 
 def _as_result(out: np.ndarray):

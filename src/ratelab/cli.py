@@ -27,18 +27,17 @@ as absent.
 import argparse
 import errno
 import os
-import reprlib
 import stat
 import sys
 import warnings
 from dataclasses import replace
 
-from .errors import ConvergenceError, DomainError, RateLabError
-from .montecarlo import _check_workers
+from .errors import ConvergenceError, DomainError, RateLabError, _echo
+from .montecarlo import _check_setting
 from .sweep import (
     _FIELDS,
     PRESETS,
-    _integer,
+    _number,
     _path,
     calibrate_k,
     discrepancy_report,
@@ -59,7 +58,7 @@ _EXIT_RUNTIME = 2
 # Each value flag and the rule of the setting it names, the config's where it has one
 _FLAGS = {
     "seed": _FIELDS["sweep"]["seed"][0], "trials": _FIELDS["sweep"]["trials"][0],
-    "workers": lambda raw: _check_workers(_integer(raw)),
+    "workers": lambda raw: _check_setting(_number(raw, int), "workers"),
     "out": _path, "k": _FIELDS["geometry"]["k"][0],
     "k_grid": parse_grid, "rho_grid": parse_grid,
 }
@@ -176,7 +175,7 @@ def main(argv=None) -> int:
     except (RateLabError, OSError) as exc:
         refused = not isinstance(exc, ConvergenceError)  # an OSError comes from a path the user named
         if isinstance(exc, OSError) and exc.filename is not None:  # a path of any length, cut short
-            exc = f"[Errno {exc.errno}] {exc.strerror}: {reprlib.repr(exc.filename)}"
+            exc = f"[Errno {exc.errno}] {exc.strerror}: {_echo(exc.filename)}"
         print(f"ratelab: {'error' if refused else 'runtime error'}: {exc}", file=sys.stderr)
         return _EXIT_CONFIG if refused else _EXIT_RUNTIME
 

@@ -42,14 +42,13 @@ allocator maps, frees and faults it in again.
 
 from dataclasses import dataclass
 import math
-import reprlib
 import threading
 
 import numpy as np
 
 # sample_power_gains is not called here; bench/tracer.py wraps this binding
 from .channel import NetworkGeometry, _power_gains, sample_power_gains, split_stream
-from .errors import DomainError, _to_float
+from .errors import DomainError, _echo, _finite_nonneg, _nonempty, _one_of
 from .rates import (
     PAPER_SPLIT,
     QUANTITIES,
@@ -59,7 +58,6 @@ from .rates import (
     RateTerms,
     _check_rho,
     _check_split,
-    _is_one_of,
     _rhos,
     conventional_noma_rate,
     crs_noma_rate,
@@ -77,33 +75,20 @@ MAX_TRIALS = 10**10
 MAX_WORKERS = 64
 
 
-# The rule of each run setting, applied wherever it enters; each returns the
-# value.  A run setting is a Python or NumPy integer: a float, a bool or a
-# str is refused, as a config refuses 1e6, 1.9 or true.
-def _check_whole(value, name: str):
+# The bounds of each run setting; a seed has no upper one.
+_SETTINGS = {"trials": (1, MAX_TRIALS), "workers": (1, MAX_WORKERS), "seed": (0, None)}
+
+
+def _check_setting(value, name: str) -> int:
+    """``value``, by the rule of the run setting ``name``, wherever it
+    enters: a Python or NumPy integer within its bounds.  A float, a bool
+    or a str is refused, as a config refuses 1e6, 1.9 or true."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DomainError(f"{name} must be a whole number, got {reprlib.repr(value)}")
-
-
-def _check_trials(trials: int) -> int:
-    _check_whole(trials, "trials")
-    if not 1 <= trials <= MAX_TRIALS:
-        raise DomainError(f"trials must be between 1 and {MAX_TRIALS}")
-    return trials
-
-
-def _check_workers(workers: int) -> int:
-    _check_whole(workers, "workers")
-    if not 1 <= workers <= MAX_WORKERS:
-        raise DomainError(f"workers must be between 1 and {MAX_WORKERS}")
-    return workers
-
-
-def _check_seed(seed: int) -> int:
-    _check_whole(seed, "seed")
-    if seed < 0:
-        raise DomainError("seed must be >= 0")
-    return seed
+        raise DomainError(f"{name} must be a whole number, got {_echo(value)}")
+    low, high = _SETTINGS[name]
+    if not low <= value <= (value if high is None else high):
+        raise DomainError(f"{name} must be >= {low}" if high is None else f"{name} must be between {low} and {high}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -195,8 +180,8 @@ def _block_sums(cells, split, quantities, seed: int, work: _Workspace, b: int, n
             gains = [_power_gains(getattr(geometry, link), z, work.take(), work.scratch)
                      for link, z in zip(("sr", "rd", "sd"), normals)]
             for link, g in zip(("sr", "rd", "sd"), gains):
-                if not g.max() < math.inf:
-                    raise DomainError(f"lambda_{link} must be finite and >= 0")
+                # the row passes where its largest gain does; as an array, as the gains a rate function takes
+                _finite_nonneg(g.max(), f"lambda_{link}", np.asarray)
             taken = work.taken
             for rho, indices in by_rho.items():
                 work.taken = taken  # the rows of the rho before are free again
@@ -263,9 +248,8 @@ def _estimate(cells, split, trials: int, seed: int, workers: int, quantities) ->
     """The engine: (mean, std_err) of every quantity of every cell, flat,
     cell by cell.  The run settings and the split, whatever the cells'
     schemes, are checked before any block is drawn; callers check rho."""
-    _check_trials(trials)
-    _check_workers(workers)
-    _check_seed(seed)
+    for name, value in (("trials", trials), ("workers", workers), ("seed", seed)):
+        _check_setting(value, name)
     _check_split(split)
     partials = _run_blocks(lambda work, b, n: _block_sums(cells, split, quantities, seed, work, b, n),
                            trials, workers)
@@ -300,10 +284,7 @@ def estimate_rates(
     the schemes; only the conventional baseline reads it.
     """
     rhos = _rhos(rho)
-    rule = "schemes must be a nonempty sequence of scheme names"
-    schemes = _to_float(schemes, rule, tuple)
-    if not schemes:
-        raise DomainError(f"{rule}, got an empty one")
+    schemes = _nonempty(schemes, "schemes must be a sequence of names", "scheme")
     tokens = [rate_token(s, mode) for s in schemes]
     cells = [(geometry, x, token, None) for x in rhos for token in tokens]
     labels = [(x, s, q) for x in rhos for s in schemes for q in QUANTITIES]
@@ -332,7 +313,6 @@ def paired_gap(
     """
     rho = _check_rho(rho)
     token_a, token_b = rate_token(scheme_a, mode), rate_token(scheme_b, mode)
-    if not _is_one_of(quantity, QUANTITIES):
-        raise DomainError(f"unknown quantity {reprlib.repr(quantity)}")
+    _one_of(quantity, QUANTITIES)
     [(mean, se)] = _estimate([(geometry, rho, token_a, token_b)], split, trials, seed, workers, (quantity,))
     return EstimatorResult(f"{scheme_a}-{scheme_b}", quantity, mean, se, trials, seed, rho)

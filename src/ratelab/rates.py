@@ -27,13 +27,11 @@ documented in the README since the comparison literature states the
 schemes only by description.
 """
 
-import math
-import reprlib
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, _to_float
+from .errors import DomainError, _echo, _finite_nonneg, _nonempty, _one_of, _to_float
 
 __all__ = [
     "RateBreakdown",
@@ -57,21 +55,15 @@ RATES = {
     "crs_oma": ("crs_oma", "-"),
 }
 QUANTITIES = ("c_s1", "c_s2", "c_total", "c_relay_s1", "c_direct_s1")
-
-
-def _is_one_of(name, names) -> bool:
-    """``name in names`` for a str; any other name, hashable or not, is none."""
-    return isinstance(name, str) and name in names
+MODES = ("paper", "exact")  # of CRS-NOMA, the one scheme with two
 
 
 def rate_token(scheme: str, mode: str) -> str:
-    """The :data:`RATES` token of ``scheme``; a plain ``crs_noma`` takes
-    ``mode``, every other scheme ignores it."""
-    token = f"crs_noma_{mode}" if isinstance(scheme, str) and scheme == "crs_noma" else scheme
-    if not _is_one_of(token, RATES):
-        raise DomainError(f"unknown scheme {reprlib.repr(scheme)} (mode {reprlib.repr(mode)}); expected one of "
-                          f"{tuple(RATES)}")
-    return token
+    """The :data:`RATES` token of ``scheme``, a token or a plain
+    ``crs_noma``, which takes ``mode``; every other scheme ignores it."""
+    if _one_of(scheme, ("crs_noma", *RATES)) != "crs_noma":
+        return scheme
+    return f"crs_noma_{_one_of(mode, MODES)}"
 
 
 def _plus(a, b, work):
@@ -147,7 +139,16 @@ PAPER_SPLIT = PowerSplit(0.1)
 def _check_split(split):
     """Refuse a split that is not a :class:`PowerSplit`, which checks its value."""
     if not isinstance(split, PowerSplit):
-        raise DomainError(f"split must be a PowerSplit, got {reprlib.repr(split)}")
+        raise DomainError(f"split must be a PowerSplit, got {_echo(split)}")
+
+
+def _one_number(x, name: str):
+    """``x`` where it has no dimension: a sequence or array, ragged or
+    not, is refused."""
+    rule = f"{name} must be one number"
+    if _to_float(x, rule, np.ndim) != 0:
+        raise DomainError(f"{rule}, got {_echo(x)}")
+    return x
 
 
 def _check_rho(rho: float) -> float:
@@ -155,24 +156,16 @@ def _check_rho(rho: float) -> float:
     are a sequence or array, what float() refuses, an integer above the
     float range, and a negative, infinite or NaN SNR; rho = 0 rates 0.0."""
     # a float needs no np.ndim, which costs a microsecond on each engine cell
-    if not isinstance(rho, float) and np.ndim(rho) != 0:
-        raise DomainError(f"rho must be one number, got {reprlib.repr(rho)}")
-    rule = "rho must be finite and >= 0"
-    x = _to_float(rho, rule)
-    if not 0.0 <= x < math.inf:
-        raise DomainError(f"{rule}, got {x}")
-    return x
+    return _finite_nonneg(rho if isinstance(rho, float) else _one_number(rho, "rho"), "rho")
 
 
 def _rhos(rho) -> list[float]:
     """One rho or a nonempty sequence, as a list of floats, each in order
     through :func:`_check_rho`; every leg reads its rhos so.  A ragged
-    sequence, which has no np.ndim, is refused like an empty one."""
-    rule = "rho must be one number or a nonempty sequence"
-    rhos = [_check_rho(r) for r in ([rho] if _to_float(rho, rule, np.ndim) == 0 else rho)]
-    if not rhos:
-        raise DomainError(f"{rule}, got an empty one")
-    return rhos
+    sequence, which has no np.ndim, is refused by that rule."""
+    rule = "rho must be one number or a sequence"
+    rhos = [rho] if _to_float(rho, rule, np.ndim) == 0 else _nonempty(rho, rule, "rho")
+    return [_check_rho(r) for r in rhos]
 
 
 def _check_gains(gains) -> list:
@@ -181,13 +174,8 @@ def _check_gains(gains) -> list:
     gains = _to_float(gains, rule, tuple)
     if len(gains) != 3:
         raise DomainError(f"{rule}, got {len(gains)}")
-    arrays = []
-    for name, g in zip(("lambda_sr", "lambda_rd", "lambda_sd"), gains):
-        rule = f"{name} must be finite and >= 0"
-        g = _to_float(g, rule, lambda v: np.asarray(v, dtype=float))
-        if not ((0.0 <= g) & (g < math.inf)).all():  # NaN fails both
-            raise DomainError(rule)
-        arrays.append(g)
+    arrays = [_finite_nonneg(g, name, lambda v: np.asarray(v, dtype=float))
+              for name, g in zip(("lambda_sr", "lambda_rd", "lambda_sd"), gains)]
     try:
         np.broadcast_shapes(*(g.shape for g in arrays))
     except ValueError:

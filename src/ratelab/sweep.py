@@ -20,7 +20,6 @@ choices, never as ground truth.
 
 import io
 import math
-import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +27,9 @@ import numpy as np
 from . import __version__
 from .analytic import ergodic_rate_quadrature_quantities, ergodic_rate_series
 from .channel import KERNEL_TOL, NetworkGeometry, make_link
-from .errors import DomainError, _to_float
-from .montecarlo import _check_seed, _check_trials, _estimate, estimate_rates
-from .rates import PAPER_SPLIT, QUANTITIES, RATES, PowerSplit, _check_split, _is_one_of, rate_token
+from .errors import DomainError, _echo, _nonempty, _one_of, _to_float
+from .montecarlo import _check_setting, _estimate, estimate_rates
+from .rates import MODES, PAPER_SPLIT, QUANTITIES, RATES, PowerSplit, _check_split, rate_token
 
 __all__ = [
     "SweepConfig",
@@ -54,6 +53,8 @@ __all__ = [
 # series exist for paper-mode CRS-NOMA only.
 ESTIMATORS = {"monte_carlo": tuple(RATES), "series_paper_literal": ("crs_noma_paper",),
               "series_corrected": ("crs_noma_paper",), "quadrature_oracle": tuple(RATES)}
+# The schemes a sweep selects, each with every mode it has.
+_SCHEMES = tuple(dict.fromkeys(s for s, _ in RATES.values()))
 
 # Published channel-power presets and the rate values quoted for them
 # (sum rates in bit/s/Hz at 5 and 25 dB; conventional at 5 dB).
@@ -173,7 +174,7 @@ def _check_grid(grid) -> list[float]:
     rule = "grid must be a sequence of numbers"
     vals = _to_float(grid, rule, lambda g: np.asarray(g, dtype=float))
     if vals.ndim != 1:
-        raise DomainError(f"{rule}, got {reprlib.repr(grid)}")
+        raise DomainError(f"{rule}, got {_echo(grid)}")
     vals = vals.tolist()
     for v in vals:
         if not math.isfinite(v):
@@ -185,29 +186,23 @@ def _check_grid(grid) -> list[float]:
     return vals
 
 
+def _names(names, allowed, what: str) -> tuple:
+    """``names`` as a tuple, at least one, each one of ``allowed``: the
+    rule of a sweep's schemes, modes and estimators, parsed or given to
+    :func:`run_sweep`."""
+    return tuple(_one_of(n, allowed) for n in _nonempty(names, f"{what}s must be a sequence of names", what))
+
+
 # Field parsers: each takes the text of a value and raises DomainError,
-# its own or that of the setting's rule, saying what is wrong with it.  A
-# value they echo is cut short by reprlib, so a value of thousands of
-# digits still gives a short line.
+# its own or that of the setting's rule, saying what is wrong with it.
 
-def _number(raw: str) -> float:
+def _number(raw: str, convert=float):
+    """``convert(raw)``: the number of a value's text, a float or, with
+    ``int``, a whole number."""
     try:
-        return float(raw)
+        return convert(raw)
     except ValueError:
-        raise DomainError(f"cannot interpret {reprlib.repr(raw)}") from None
-
-
-def _integer(raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise DomainError(f"cannot interpret {reprlib.repr(raw)}") from None
-
-
-def _one_of(allowed, name):
-    if name not in allowed:
-        raise DomainError(f"unknown value {reprlib.repr(name)} (allowed: {', '.join(allowed)})")
-    return name
+        raise DomainError(f"cannot interpret {_echo(raw)}") from None
 
 
 def _path(raw: str) -> str:
@@ -217,21 +212,10 @@ def _path(raw: str) -> str:
     return raw
 
 
-def _preset(raw: str) -> str:
-    return _one_of(tuple(PRESETS), raw.strip().lower())
-
-
-def _names(allowed: tuple, what: str):
-    """Parser of a comma list of names from ``allowed``; the first
-    occurrence of each name is kept, in the given order."""
-
-    def parse(raw: str) -> tuple:
-        names = [_one_of(allowed, n.strip()) for n in raw.split(",") if n.strip()]
-        if not names:
-            raise DomainError(f"at least one {what} required")
-        return tuple(dict.fromkeys(names))
-
-    return parse
+def _name_list(allowed, what: str):
+    """Parser of a comma list of :func:`_names`; the first occurrence of
+    each name is kept, in the given order."""
+    return lambda raw: tuple(dict.fromkeys(_names([n.strip() for n in raw.split(",") if n.strip()], allowed, what)))
 
 
 _LINKS = ("sr", "rd", "sd")
@@ -241,15 +225,14 @@ _LINKS = ("sr", "rd", "sd")
 # through the parser like given values.  A default of None leaves the
 # field unset: a preset's powers fill unset omega_*, k fills unset k_*.
 _FIELDS = {
-    "": {"preset": (_preset, None)},
+    "": {"preset": (lambda raw: _one_of(raw.strip().lower(), PRESETS), None)},
     "sweep": {
         "rho_db": (lambda raw: tuple(parse_grid(raw)), "0:30:1"),
-        "schemes": (_names(tuple(dict.fromkeys(s for s, _ in RATES.values())), "scheme"),
-                    "crs_noma, conventional"),
-        "modes": (_names(tuple(m for _, m in RATES.values() if m != "-"), "mode"), "paper"),
-        "estimators": (_names(tuple(ESTIMATORS), "estimator"), "monte_carlo"),
-        "trials": (lambda raw: _check_trials(_integer(raw)), "1000000"),
-        "seed": (lambda raw: _check_seed(_integer(raw)), "42"),
+        "schemes": (_name_list(_SCHEMES, "scheme"), "crs_noma, conventional"),
+        "modes": (_name_list(MODES, "mode"), "paper"),
+        "estimators": (_name_list(ESTIMATORS, "estimator"), "monte_carlo"),
+        "trials": (lambda raw: _check_setting(_number(raw, int), "trials"), "1000000"),
+        "seed": (lambda raw: _check_setting(_number(raw, int), "seed"), "42"),
     },
     "geometry": {
         "k": (_number, "0"),
@@ -281,7 +264,7 @@ def parse_config(text: str) -> SweepConfig:
             lines.setdefault((current, None), f"line {lineno}")
             continue
         if "=" not in line:
-            raise DomainError(f"line {lineno}: expected 'key = value', got {reprlib.repr(line)}")
+            raise DomainError(f"line {lineno}: expected 'key = value', got {_echo(line)}")
         key, _, value = line.partition("=")
         key = key.strip().lower()
         if not key:
@@ -363,7 +346,10 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
     Deterministic in the config (the seed covers all stochastic parts).
     ``rho_grid_db`` must keep the rule of a parsed grid,
-    :func:`_check_grid`: finite, nonempty and strictly increasing.  Each
+    :func:`_check_grid`: finite, nonempty and strictly increasing; the
+    schemes, modes and estimators that of parsed names, :func:`_names`,
+    the preset is None or one of :data:`PRESETS`, and the trials and the
+    seed are checked whatever the estimators.  Each
     estimator evaluates the selected :data:`~ratelab.rates.RATES` tokens
     that :data:`ESTIMATORS` lists for it (the series paper-mode CRS-NOMA
     only); a sweep in which none does raises :class:`DomainError`.  Each
@@ -371,17 +357,21 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     token), and a grid point's values are the floats a one-point grid
     gives.
     """
-    if not set(config.estimators) <= set(ESTIMATORS):
-        raise DomainError(f"estimators must be among {tuple(ESTIMATORS)}, got {config.estimators}")
+    schemes = _names(config.schemes, _SCHEMES, "scheme")
+    modes = _names(config.modes, MODES, "mode")
+    estimators = _names(config.estimators, ESTIMATORS, "estimator")
+    preset = "custom" if config.preset is None else _one_of(config.preset, PRESETS)
+    _check_setting(config.trials, "trials")  # the metadata records both, whatever the estimators
+    _check_setting(config.seed, "seed")
     _check_split(config.split)
     grid = _check_grid(config.rho_grid_db)
     # a baseline's single mode "-" is selected whatever the modes
-    selected = [token for scheme in config.schemes for token, (s, mode) in RATES.items()
-                if s == scheme and mode in (*config.modes, "-")]
-    covered = {e: tokens for e in config.estimators if (tokens := [t for t in selected if t in ESTIMATORS[e]])}
+    selected = [token for scheme in schemes for token, (s, mode) in RATES.items()
+                if s == scheme and mode in (*modes, "-")]
+    covered = {e: tokens for e in estimators if (tokens := [t for t in selected if t in ESTIMATORS[e]])}
     if not covered:
-        raise DomainError(f"empty sweep: no rows for schemes {config.schemes}, modes {config.modes} and "
-                          f"estimators {config.estimators} over {len(grid)} grid point(s)")
+        raise DomainError(f"empty sweep: no rows for schemes {schemes}, modes {modes} and "
+                          f"estimators {estimators} over {len(grid)} grid point(s)")
     rhos = [db_to_linear(rho_db) for rho_db in grid]
     cells = {}  # (estimator, token) -> one {quantity: (value, std_err)} per grid point
     for estimator, tokens in covered.items():
@@ -412,12 +402,12 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     meta = [
         ("tool", "ratelab"),
         ("version", __version__),
-        ("preset", config.preset or "custom"),
+        ("preset", preset),
         ("seed", config.seed),
         ("trials", config.trials),
-        ("schemes", ",".join(config.schemes)),
-        ("modes", ",".join(config.modes)),
-        ("estimators", ",".join(config.estimators)),
+        ("schemes", ",".join(schemes)),
+        ("modes", ",".join(modes)),
+        ("estimators", ",".join(estimators)),
         ("k_sr", g.sr.k_factor), ("k_rd", g.rd.k_factor), ("k_sd", g.sd.k_factor),
         ("omega_sr", g.sr.mean_power), ("omega_rd", g.rd.mean_power), ("omega_sd", g.sd.mean_power),
         ("a1", config.split.a1), ("a2", config.split.a2),
@@ -457,23 +447,18 @@ def calibrate_k(
     targets may repeat a value.  Every input is checked before any
     block is drawn.
     """
-    if not _is_one_of(preset, PRESETS):
-        raise DomainError(f"unknown preset {reprlib.repr(preset)}")
+    _one_of(preset, PRESETS)
     if targets is None:
         targets = PAPER_TARGETS[preset]
     rule = "targets must be a sequence of (rho_db, scheme, value) triples"
-    targets = tuple(_to_float(t, rule, tuple) for t in _to_float(targets, rule, tuple))
-    if not targets:
-        raise DomainError("targets must be nonempty")
+    targets = tuple(_to_float(t, rule, tuple) for t in _nonempty(targets, rule, "target"))
     for t in targets:
         if len(t) != 3:
-            raise DomainError(f"{rule}, got {reprlib.repr(t)}")
+            raise DomainError(f"{rule}, got {_echo(t)}")
     if k_grid is None:
         k_grid = [i * 0.5 for i in range(21)]
-    k_grid = _to_float(k_grid, "k_grid must be a sequence of K values", tuple)
+    k_grid = _nonempty(k_grid, "k_grid must be a sequence of K values", "K value")
     geometries = [preset_geometry(preset, k) for k in k_grid]
-    if not geometries:
-        raise DomainError("k_grid must be nonempty")
     rhos = [db_to_linear(rho_db) for rho_db, _, _ in targets]
     tokens = [rate_token(scheme, "paper") for _, scheme, _ in targets]
     values = [_to_float(value, "a target value must be a number") for _, _, value in targets]
@@ -485,7 +470,7 @@ def calibrate_k(
     for i, k in enumerate(g.sr.k_factor for g in geometries):  # each K as its links' float
         sse = 0.0
         for (rho_db, scheme, _), target, sim in zip(targets, values, sims[i * len(targets):]):
-            residuals.append((k, rho_db, scheme, sim, target, sim - target))
+            residuals.append((k, float(rho_db), scheme, sim, target, sim - target))  # as db_to_linear read it
             sse += (sim - target) ** 2
         sse_by_k.append((k, sse))
     best_k = min(sse_by_k, key=lambda kv: kv[1])[0]

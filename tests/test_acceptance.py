@@ -113,7 +113,7 @@ def test_criterion_2_corrected_series_vs_oracle(tmp_path):
             err = abs(series - oracle)
             rows.append((k, rho_db, series, oracle, err))
             worst = max(worst, err)
-            assert err <= 1e-8, (k, rho_db, err)
+            assert err <= 1e-13, (k, rho_db, err)
     table = tmp_path / "series_vs_oracle.csv"
     table.write_text(
         "k,rho_db,series_corrected,oracle,abs_err\n"
@@ -123,7 +123,7 @@ def test_criterion_2_corrected_series_vs_oracle(tmp_path):
     print(f"  series-vs-oracle error table ({table}):")
     for r in rows:
         print(f"    K={r[0]:>4g} rho={r[1]:>4g}dB abs_err={r[4]:.3e}")
-    verdict(2, True, f"corrected series within 1e-8 bit/s/Hz of the oracle on every row "
+    verdict(2, True, f"corrected series within 1e-13 bit/s/Hz of the oracle on every row "
                      f"(worst {worst:.1e}); full table emitted")
 
 

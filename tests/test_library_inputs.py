@@ -1,8 +1,11 @@
 """Junk inputs over the public library entries: each call returns or
-raises one RateLabError line, never another exception."""
+raises one short RateLabError line, never another exception."""
 
+import ast
+import dataclasses
 import math
 import reprlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,13 +31,17 @@ from ratelab import (
     power_gain_cdf,
     power_gain_pdf,
     power_gain_sf,
+    run_sweep,
 )
 from ratelab.errors import RateLabError
+from ratelab.sweep import parse_config
 
 LINK = make_link(0, 8)
 FIG3 = NetworkGeometry(sr=make_link(0, 8), rd=make_link(0, 8), sd=make_link(0, 3))
 GAINS = (1.0, 2.0, 0.5)
 RUN = {"trials": 100, "seed": 1, "workers": 1}
+# no Monte-Carlo, so that run_sweep itself must refuse junk trials and seeds
+SWEEP = parse_config("preset = fig3\n[sweep]\nrho_db = 5\nestimators = quadrature_oracle\n")
 
 # Each entry with a valid baseline call: the function and its arguments
 # by name.  Links, geometries and splits stay valid; every other
@@ -61,11 +68,18 @@ ENTRIES = {
     "calibrate_k": (calibrate_k, {"preset": "fig3", "targets": ((5.0, "crs_noma", 4.29),), "k_grid": (0.0,),
                                   **RUN}),
     "discrepancy_report": (discrepancy_report, {"geometry": FIG3, "rho_grid_db": (5.0,)}),
+    # a hand-built config: every field but the geometry and the split
+    "run_sweep": (lambda **fields: run_sweep(dataclasses.replace(SWEEP, **fields)),
+                  {f.name: getattr(SWEEP, f.name) for f in dataclasses.fields(SWEEP)
+                   if f.name not in ("geometry", "split")}),
 }
 CASES = [(entry, arg) for entry, (_, kwargs) in ENTRIES.items()
          for arg, value in kwargs.items() if not isinstance(value, (RicianLink, NetworkGeometry))]
 
-JUNK = (None, "a", object(), [], [1.0, 2.0], 10**400, math.nan, -1.0, np.ones((2, 2)), {})
+JUNK = (None, "a", object(), [], [1.0, 2.0], [1.0, [2.0, 3.0]], 10**400, math.nan, -1.0, np.ones((2, 2)),
+        np.zeros((2, 1)), {}, "x" * 5000)
+# The longest message a refusal may give.
+MAX_LINE = 300
 
 
 @pytest.mark.parametrize("entry, arg", CASES, ids=[f"{entry}-{arg}" for entry, arg in CASES])
@@ -77,9 +91,22 @@ def test_a_junk_argument_returns_or_is_one_rate_lab_error_line(entry, arg):
         try:
             fn(**{**kwargs, arg: junk})
         except RateLabError as exc:
-            if "\n" in str(exc):
-                escaped.append(f"{reprlib.repr(junk)}: a message of several lines, {str(exc)!r}")
+            if "\n" in str(exc) or len(str(exc)) > MAX_LINE:
+                escaped.append(f"{reprlib.repr(junk)}: not one short line, {reprlib.repr(str(exc))}")
         except Exception as exc:  # noqa: BLE001 (what escapes is the finding)
             escaped.append(f"{reprlib.repr(junk)}: {type(exc).__name__}: {exc}")
     assert not escaped, "\n".join(escaped)
 
+
+
+def test_only_errors_imports_reprlib():
+    # every echo of a refused value goes through errors._echo
+    src = Path(__file__).resolve().parents[1] / "src" / "ratelab"
+    importers = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "reprlib" in names:
+                importers.append(path.stem)
+    assert importers == ["errors"]

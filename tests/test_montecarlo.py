@@ -99,8 +99,8 @@ def test_every_conventional_entry_point_takes_one_split_rule(monkeypatch):
 
 
 @pytest.mark.parametrize("rho, schemes, message", [
-    ([], ("crs_noma",), "rho must be one number or a nonempty sequence, got an empty one"),
-    (1.0, (), "schemes must be a nonempty sequence of scheme names, got an empty one"),
+    ([], ("crs_noma",), "at least one rho required"),
+    (1.0, (), "at least one scheme required"),
 ], ids=["no-rho", "no-scheme"])
 def test_an_empty_rho_or_scheme_list_is_refused_before_any_block(rho, schemes, message, monkeypatch):
     # it used to draw every block and return []; an empty rho sequence

@@ -87,7 +87,7 @@ _RHO_RULE = "rho must be finite and >= 0"
     (lambda: estimate_rates(FIG3, None, trials=10), f"{_RHO_RULE}, got None"),
     (lambda: estimate_rates(FIG3, [1.0, "a"], trials=10), f"{_RHO_RULE}, got 'a'"),
     (lambda: ergodic_rate_series(FIG3, [1.0, [2.0, 3.0]]),
-     re.escape("rho must be one number or a nonempty sequence, got [1.0, [2.0, 3.0]]")),
+     re.escape("rho must be one number or a sequence, got [1.0, [2.0, 3.0]]")),
     (lambda: PowerSplit("a"), "need 0 < a2 < 0.5, got 'a'"),
     (lambda: PowerSplit(10**400), "need 0 < a2 < 0.5, got an integer above the float range"),
 ], ids=["gains-scalar", "gains-0d-array", "gain-str", "gain-object", "k-str", "k-none", "power-long-str",

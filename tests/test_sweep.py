@@ -645,15 +645,15 @@ def test_a_library_grid_reads_its_points_as_float_does():
     (lambda: calibrate_k("fig3", targets=[(5.0, "crs_noma", "x")]), "a target value must be a number, got 'x'"),
     (lambda: calibrate_k("fig3", targets=[("a", "crs_noma", 4.29)]), "rho_db must be a number, got 'a'"),
     (lambda: calibrate_k("fig3", k_grid=5), "k_grid must be a sequence of K values, got 5"),
-    (lambda: calibrate_k(["fig3"]), "unknown preset ['fig3']"),
+    (lambda: calibrate_k(["fig3"]), "unknown value ['fig3'] (allowed: fig3, fig4)"),
     (lambda: calibrate_k("fig3", targets=[(5.0, ["crs_noma"], 4.29)]),
-     f"unknown scheme ['crs_noma'] (mode 'paper'); expected one of {tuple(RATES)}"),
+     f"unknown value ['crs_noma'] (allowed: crs_noma, {', '.join(RATES)})"),
     (lambda: estimate_rates(preset_geometry("fig3", 0.0), 10.0, None),
-     "schemes must be a nonempty sequence of scheme names, got None"),
+     "schemes must be a sequence of names, got None"),
     (lambda: paired_gap(preset_geometry("fig3", 0.0), 10.0, [1.0, 2.0], "crs_oma"),
-     f"unknown scheme [1.0, 2.0] (mode 'paper'); expected one of {tuple(RATES)}"),
+     f"unknown value [1.0, 2.0] (allowed: crs_noma, {', '.join(RATES)})"),
     (lambda: ergodic_rate_quadrature_quantities(preset_geometry("fig3", 0.0), 10.0, ["fig3"]),
-     f"scheme must be one of {tuple(RATES)}, got ['fig3']"),
+     f"unknown value ['fig3'] (allowed: {', '.join(RATES)})"),
 ], ids=["targets-number", "target-short", "target-value-str", "target-rho-db-str", "k-grid-number",
         "preset-list", "target-scheme-list", "schemes-none", "scheme-list", "oracle-scheme-list"])
 def test_a_library_name_or_table_that_cannot_be_read_is_one_line(call, message, monkeypatch):
@@ -686,11 +686,11 @@ def test_an_empty_sweep_exits_one_with_one_line_and_no_file(tmp_path, capsys):
     assert capsys.readouterr().err == ("ratelab: error: empty sweep: no rows for schemes ('conventional',), modes "
                                        "('paper',) and estimators ('series_corrected',) over 2 grid point(s)\n")
     assert not out.exists()
-    # an empty scheme list or grid reaches run_sweep only from the library;
-    # an empty grid is refused by the rule of a parsed one
-    for overrides in ({"schemes": ()}, {"estimators": ()}):
-        with pytest.raises(DomainError, match="^empty sweep: "):
-            run_sweep(replace(parse_config("preset = fig3\n"), **overrides))
+    # an empty scheme list or grid reaches run_sweep only from the library,
+    # and is refused by the rule of a parsed one
+    for field, what in (("schemes", "scheme"), ("modes", "mode"), ("estimators", "estimator")):
+        with pytest.raises(DomainError, match=f"^at least one {what} required$"):
+            run_sweep(replace(parse_config("preset = fig3\n"), **{field: ()}))
     with pytest.raises(DomainError, match="^grid must be nonempty$"):
         run_sweep(replace(parse_config("preset = fig3\n"), rho_grid_db=()))
 
@@ -905,7 +905,7 @@ def test_a_sectioned_key_at_the_top_level_is_refused(key, value, section, tmp_pa
 @pytest.mark.parametrize("call, message", [
     (lambda: parse_grid("0:10"), "need start:stop:step"),
     (lambda: parse_config("preset = fig3\n[sweep]\ntrials = many\n"), "line 3: sweep.trials: cannot interpret 'many'"),
-    (lambda: calibrate_k("fig5"), "unknown preset 'fig5'"),
+    (lambda: calibrate_k("fig5"), "unknown value 'fig5' (allowed: fig3, fig4)"),
     (lambda: cli.build_parser().parse_args(["sweep"]), "the following arguments are required: --config"),
 ], ids=["parse_grid", "parse_config", "calibrate_k", "usage"])
 def test_every_refused_input_is_one_domain_error(call, message, monkeypatch):
@@ -1077,19 +1077,39 @@ def test_run_sweep_and_calibrate_k_refuse_bad_arguments(monkeypatch):
         raise AssertionError("a block ran past a refused argument")
 
     monkeypatch.setattr(montecarlo, "_run_blocks", no_blocks)
-    with pytest.raises(DomainError, match=re.escape(f"estimators must be among {tuple(ESTIMATORS)}, got ('magic',)")):
+    with pytest.raises(DomainError, match=re.escape(f"unknown value 'magic' (allowed: {', '.join(ESTIMATORS)})")):
         run_sweep(replace(parse_config("preset = fig3\n"), estimators=("magic",)))
-    with pytest.raises(DomainError, match="^unknown preset 'fig5'$"):
+    with pytest.raises(DomainError, match=r"^unknown value 'fig5' \(allowed: fig3, fig4\)$"):
         calibrate_k("fig5")
-    with pytest.raises(DomainError, match="^k_grid must be nonempty$"):
+    with pytest.raises(DomainError, match="^at least one K value required$"):
         calibrate_k("fig3", k_grid=[])
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("seed", -1, "seed must be >= 0"),
+    ("trials", 0, f"trials must be between 1 and {MAX_TRIALS}"),
+    ("seed", [[0.0], [0.0]], "seed must be a whole number, got [[0.0], [0.0]]"),
+], ids=["seed-negative", "trials-zero", "seed-nested-list"])
+def test_run_sweep_checks_the_trials_and_seed_it_records_without_monte_carlo(field, value, message):
+    # the metadata wrote them as given: a negative seed, no trials, a list
+    cfg = parse_config("preset = fig3\n[sweep]\nrho_db = 5\nestimators = quadrature_oracle\n")
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        run_sweep(replace(cfg, **{field: value}))
 
 
 def test_calibrate_k_refuses_an_empty_target_list(monkeypatch):
     # an empty list is given targets, not the paper's
     monkeypatch.setattr(montecarlo, "_run_blocks", lambda *args: pytest.fail("a block ran"))
-    with pytest.raises(DomainError, match="^targets must be nonempty$"):
+    with pytest.raises(DomainError, match="^at least one target required$"):
         calibrate_k("fig3", targets=[], k_grid=[0.0], trials=10)
+
+
+def test_calibration_residuals_carry_the_float_rho_db_that_ran():
+    # a residual kept the target's rho_db as given, such as the string '5'
+    given = calibrate_k("fig3", targets=[("5", "crs_noma", 4.29)], k_grid=[0.0], trials=100)
+    want = calibrate_k("fig3", targets=[(5.0, "crs_noma", 4.29)], k_grid=[0.0], trials=100)
+    assert type(given.residuals[0][1]) is float
+    assert given.residuals == want.residuals
 
 
 def test_a_non_finite_sweep_row_is_refused():
