@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .channel import (
     NetworkGeometry,
     RicianLink,
-    make_link,
     power_gain_cdf,
     power_gain_pdf,
     power_gain_sf,
@@ -46,8 +45,7 @@ from . import errors
 __all__ = [
     "__version__",
     "NetworkGeometry", "RicianLink",
-    "make_link", "power_gain_cdf", "power_gain_pdf", "power_gain_sf",
-    "sample_power_gains", "split_stream",
+    "power_gain_cdf", "power_gain_pdf", "power_gain_sf", "sample_power_gains", "split_stream",
     "RATES", "PowerSplit", "RateBreakdown",
     "conventional_noma_rate", "crs_noma_rate", "crs_oma_rate",
     "cdf_gamma2_paper", "cdf_min_pair_approx", "cdf_min_pair_series",

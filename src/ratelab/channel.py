@@ -33,7 +33,6 @@ __all__ = [
     "KERNEL_TOL",
     "RicianLink",
     "NetworkGeometry",
-    "make_link",
     "sample_power_gains",
     "power_gain_pdf",
     "power_gain_cdf",
@@ -135,7 +134,8 @@ class NetworkGeometry:
 
 
 def make_link(k_factor: float, mean_power: float) -> RicianLink:
-    """Validated constructor for :class:`RicianLink`."""
+    """``RicianLink(k_factor, mean_power)``.  Not public: only
+    ``bench/workloads.py`` imports it, and it goes when that calls ``RicianLink``."""
     return RicianLink(k_factor, mean_power)
 
 

@@ -38,7 +38,6 @@ from .sweep import (
     _FIELDS,
     PRESETS,
     _number,
-    _path,
     calibrate_k,
     discrepancy_report,
     parse_config,
@@ -53,6 +52,13 @@ from .sweep import (
 _EXIT_OK = 0
 _EXIT_CONFIG = 1
 _EXIT_RUNTIME = 2
+
+
+def _path(raw: str) -> str:
+    """An output path, the rule of --out."""
+    if not raw:
+        raise DomainError("must not be empty")
+    return raw
 
 
 # Each value flag and the rule of the setting it names, the config's where it has one

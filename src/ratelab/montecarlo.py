@@ -77,6 +77,8 @@ MAX_WORKERS = 64
 
 # The bounds of each run setting; a seed has no upper one.
 _SETTINGS = {"trials": (1, MAX_TRIALS), "workers": (1, MAX_WORKERS), "seed": (0, None)}
+# The default of each, which every signature and the sweep config read
+DEFAULT_TRIALS, DEFAULT_SEED, DEFAULT_WORKERS = 10**6, 42, 1
 
 
 def _check_setting(value, name: str) -> int:
@@ -262,9 +264,9 @@ def estimate_rates(
     schemes=("crs_noma", "conventional", "crs_oma"),
     mode: str = "paper",
     split: PowerSplit = PAPER_SPLIT,
-    trials: int = 10**6,
-    seed: int = 42,
-    workers: int = 1,
+    trials: int = DEFAULT_TRIALS,
+    seed: int = DEFAULT_SEED,
+    workers: int = DEFAULT_WORKERS,
 ) -> list[EstimatorResult]:
     """Estimate every rate quantity of the requested schemes.
 
@@ -300,10 +302,10 @@ def paired_gap(
     scheme_b: str,
     mode: str = "paper",
     split: PowerSplit = PAPER_SPLIT,
-    trials: int = 10**6,
-    seed: int = 42,
+    trials: int = DEFAULT_TRIALS,
+    seed: int = DEFAULT_SEED,
     quantity: str = "c_total",
-    workers: int = 1,
+    workers: int = DEFAULT_WORKERS,
 ) -> EstimatorResult:
     """E[rate_A - rate_B] with common random numbers.
 

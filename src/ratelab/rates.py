@@ -155,8 +155,7 @@ def _check_rho(rho: float) -> float:
     """``rho`` as a float, by the one rule of the SNR on every leg.  Refused
     are a sequence or array, what float() refuses, an integer above the
     float range, and a negative, infinite or NaN SNR; rho = 0 rates 0.0."""
-    # a float needs no np.ndim, which costs a microsecond on each engine cell
-    return _finite_nonneg(rho if isinstance(rho, float) else _one_number(rho, "rho"), "rho")
+    return _finite_nonneg(_one_number(rho, "rho"), "rho")
 
 
 def _rhos(rho) -> list[float]:

@@ -26,9 +26,9 @@ import numpy as np
 
 from . import __version__
 from .analytic import ergodic_rate_quadrature_quantities, ergodic_rate_series
-from .channel import KERNEL_TOL, NetworkGeometry, make_link
+from .channel import KERNEL_TOL, NetworkGeometry, RicianLink
 from .errors import DomainError, _echo, _nonempty, _one_of, _to_float
-from .montecarlo import _check_setting, _estimate, estimate_rates
+from .montecarlo import DEFAULT_SEED, DEFAULT_TRIALS, DEFAULT_WORKERS, _check_setting, _estimate, estimate_rates
 from .rates import MODES, PAPER_SPLIT, QUANTITIES, RATES, PowerSplit, _check_split, rate_token
 
 __all__ = [
@@ -89,7 +89,7 @@ class SweepConfig:
     trials: int
     seed: int
     preset: str | None = None
-    workers: int = 1
+    workers: int = DEFAULT_WORKERS
 
 
 @dataclass(frozen=True)
@@ -187,10 +187,11 @@ def _check_grid(grid) -> list[float]:
 
 
 def _names(names, allowed, what: str) -> tuple:
-    """``names`` as a tuple, at least one, each one of ``allowed``: the
-    rule of a sweep's schemes, modes and estimators, parsed or given to
-    :func:`run_sweep`."""
-    return tuple(_one_of(n, allowed) for n in _nonempty(names, f"{what}s must be a sequence of names", what))
+    """``names`` as a tuple, at least one, each one of ``allowed``, the first
+    occurrence of each kept in order: the rule of a sweep's schemes, modes
+    and estimators, parsed or given to :func:`run_sweep`."""
+    names = _nonempty(names, f"{what}s must be a sequence of names", what)
+    return tuple(dict.fromkeys(_one_of(n, allowed) for n in names))
 
 
 # Field parsers: each takes the text of a value and raises DomainError,
@@ -205,17 +206,9 @@ def _number(raw: str, convert=float):
         raise DomainError(f"cannot interpret {_echo(raw)}") from None
 
 
-def _path(raw: str) -> str:
-    """An output path, the rule of the command line's --out."""
-    if not raw:
-        raise DomainError("must not be empty")
-    return raw
-
-
 def _name_list(allowed, what: str):
-    """Parser of a comma list of :func:`_names`; the first occurrence of
-    each name is kept, in the given order."""
-    return lambda raw: tuple(dict.fromkeys(_names([n.strip() for n in raw.split(",") if n.strip()], allowed, what)))
+    """Parser of a comma list, read by :func:`_names`."""
+    return lambda raw: _names([n.strip() for n in raw.split(",") if n.strip()], allowed, what)
 
 
 _LINKS = ("sr", "rd", "sd")
@@ -231,8 +224,8 @@ _FIELDS = {
         "schemes": (_name_list(_SCHEMES, "scheme"), "crs_noma, conventional"),
         "modes": (_name_list(MODES, "mode"), "paper"),
         "estimators": (_name_list(ESTIMATORS, "estimator"), "monte_carlo"),
-        "trials": (lambda raw: _check_setting(_number(raw, int), "trials"), "1000000"),
-        "seed": (lambda raw: _check_setting(_number(raw, int), "seed"), "42"),
+        "trials": (lambda raw: _check_setting(_number(raw, int), "trials"), str(DEFAULT_TRIALS)),
+        "seed": (lambda raw: _check_setting(_number(raw, int), "seed"), str(DEFAULT_SEED)),
     },
     "geometry": {
         "k": (_number, "0"),
@@ -313,7 +306,7 @@ def parse_config(text: str) -> SweepConfig:
             errors.append(f"{where('geometry', f'omega_{name}')}: required (set it or choose a preset)")
             continue
         try:
-            links[name] = make_link(values["k"] if k is None else k, omega)
+            links[name] = RicianLink(values["k"] if k is None else k, omega)
         except DomainError as exc:
             errors.append(f"geometry.{name}: {exc}")
     if errors:
@@ -334,7 +327,7 @@ def parse_config(text: str) -> SweepConfig:
 
 def preset_geometry(preset: str, k: float) -> NetworkGeometry:
     """The links of ``preset``, each with Rician factor ``k``."""
-    return NetworkGeometry(**{name: make_link(k, PRESETS[preset][f"omega_{name}"]) for name in _LINKS})
+    return NetworkGeometry(**{name: RicianLink(k, PRESETS[preset][f"omega_{name}"]) for name in _LINKS})
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +421,9 @@ def calibrate_k(
     preset: str,
     targets=None,
     k_grid=None,
-    trials: int = 10**6,
-    seed: int = 42,
-    workers: int = 1,
+    trials: int = DEFAULT_TRIALS,
+    seed: int = DEFAULT_SEED,
+    workers: int = DEFAULT_WORKERS,
 ) -> CalibrationResult:
     """Fit a single Rician K (shared by all links) to published rates.
 

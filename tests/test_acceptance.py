@@ -18,6 +18,7 @@ from scipy import stats
 from ratelab import (
     NetworkGeometry,
     PowerSplit,
+    RicianLink,
     cdf_min_pair_series,
     cdf_single_link_series,
     conventional_noma_rate,
@@ -26,7 +27,6 @@ from ratelab import (
     ergodic_rate_quadrature_quantities,
     ergodic_rate_series,
     estimate_rates,
-    make_link,
     paired_gap,
     parse_config,
     power_gain_cdf,
@@ -49,9 +49,9 @@ BAND = 0.15
 def fig_geometry(preset: str, k: float) -> NetworkGeometry:
     om = PRESETS[preset]
     return NetworkGeometry(
-        sr=make_link(k, om["omega_sr"]),
-        rd=make_link(k, om["omega_rd"]),
-        sd=make_link(k, om["omega_sd"]),
+        sr=RicianLink(k, om["omega_sr"]),
+        rd=RicianLink(k, om["omega_rd"]),
+        sd=RicianLink(k, om["omega_sd"]),
     )
 
 
@@ -129,9 +129,9 @@ def test_criterion_2_corrected_series_vs_oracle(tmp_path):
 
 def test_criterion_3_rayleigh_reductions():
     t0 = time.time()
-    link_a = make_link(0, 8)
-    link_b = make_link(0, 8)
-    link_s = make_link(0, 3)
+    link_a = RicianLink(0, 8)
+    link_b = RicianLink(0, 8)
+    link_s = RicianLink(0, 3)
     rate = link_a.inv_scale + link_b.inv_scale
     gs = np.linspace(0.0, 25.0, 1000)
     worst = 0.0
@@ -155,7 +155,7 @@ def test_criterion_4_distributional_validity():
     stream = 0
     for k in (0, 1, 3, 10):
         for om in (1, 3, 8, 12):
-            link = make_link(k, om)
+            link = RicianLink(k, om)
             x = np.sort(sample_power_gains(link, split_stream(SEED, stream), n))
             stream += 1
             f = power_gain_cdf(link, x)
@@ -305,7 +305,7 @@ def test_criterion_9_property_suite():
         ka, kb = rng.uniform(0, 10, size=2)
         oa, ob = rng.uniform(0.5, 12, size=2)
         gam = float(rng.exponential(4.0))
-        a, b = make_link(ka, oa), make_link(kb, ob)
+        a, b = RicianLink(ka, oa), RicianLink(kb, ob)
         fa, fb = power_gain_cdf(a, gam), power_gain_cdf(b, gam)
         want = fa + fb - fa * fb
         worst = max(worst, abs(cdf_min_pair_series(a, b, gam) - want))

@@ -23,7 +23,6 @@ from ratelab import (
     ergodic_rate_quadrature_quantities,
     ergodic_rate_series,
     estimate_rates,
-    make_link,
     power_gain_cdf,
     power_gain_pdf,
     power_gain_sf,
@@ -34,7 +33,7 @@ from ratelab.errors import ConvergenceError, DomainError, ModelAssumptionWarning
 from ratelab.rates import PAPER_SPLIT, QUANTITIES, RATES, RateBreakdown, RateTerms
 from ratelab.sweep import parse_config, preset_geometry, run_sweep
 
-FIG3 = NetworkGeometry(sr=make_link(0, 8), rd=make_link(0, 8), sd=make_link(0, 3))
+FIG3 = NetworkGeometry(sr=RicianLink(0, 8), rd=RicianLink(0, 8), sd=RicianLink(0, 3))
 
 
 def series(*links, rho):
@@ -50,7 +49,7 @@ def ln_rate_exponential(rho, omega):
 
 def test_default_series_emit_no_warning_up_to_the_kernel_bound():
     for k in (3.0, 10.0, 30.0, 500.0):
-        geometry = NetworkGeometry(sr=make_link(k, 8), rd=make_link(k, 8), sd=make_link(k, 3))
+        geometry = NetworkGeometry(sr=RicianLink(k, 8), rd=RicianLink(k, 8), sd=RicianLink(k, 3))
         a, b = geometry.sr, geometry.sd
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -63,7 +62,7 @@ def test_default_series_emit_no_warning_up_to_the_kernel_bound():
 
 
 def test_corrected_series_tracks_the_oracle_at_k10():
-    geometry = NetworkGeometry(sr=make_link(10, 8), rd=make_link(10, 8), sd=make_link(10, 3))
+    geometry = NetworkGeometry(sr=RicianLink(10, 8), rd=RicianLink(10, 8), sd=RicianLink(10, 3))
     for rho_db in (5.0, 25.0):
         rho = 10.0 ** (rho_db / 10.0)
         series = ergodic_rate_series(geometry, rho)["c_total"]
@@ -72,15 +71,15 @@ def test_corrected_series_tracks_the_oracle_at_k10():
 
 
 def test_min_pair_rayleigh_median():
-    a = make_link(0, 1)
-    b = make_link(0, 1)
+    a = RicianLink(0, 1)
+    b = RicianLink(0, 1)
     assert cdf_min_pair_series(a, b, math.log(2) / 2) == pytest.approx(0.5, abs=1e-12)
     assert cdf_min_pair_series(a, b, 0.0) == 0.0
 
 
 def test_min_pair_rayleigh_collapse_grid():
-    a = make_link(0, 2.5)
-    b = make_link(0, 0.7)
+    a = RicianLink(0, 2.5)
+    b = RicianLink(0, 0.7)
     rate = a.inv_scale + b.inv_scale
     for g in np.linspace(0.0, 20.0, 97):
         want = 1.0 - math.exp(-rate * g)
@@ -88,8 +87,8 @@ def test_min_pair_rayleigh_collapse_grid():
 
 
 def test_min_pair_matches_survival_product_oracle():
-    a = make_link(3, 8)
-    b = make_link(3, 8)
+    a = RicianLink(3, 8)
+    b = RicianLink(3, 8)
     fa = power_gain_cdf(a, 4.0)
     fb = power_gain_cdf(b, 4.0)
     want = 1.0 - (1.0 - fa) * (1.0 - fb)
@@ -102,26 +101,26 @@ def test_min_pair_survival_product_identity_sweep():
         ka, kb = rng.uniform(0, 10, size=2)
         oa, ob = rng.uniform(0.5, 12, size=2)
         g = float(rng.exponential(4.0))
-        a, b = make_link(ka, oa), make_link(kb, ob)
+        a, b = RicianLink(ka, oa), RicianLink(kb, ob)
         want = power_gain_cdf(a, g) + power_gain_cdf(b, g) - power_gain_cdf(a, g) * power_gain_cdf(b, g)
         assert cdf_min_pair_series(a, b, g) == pytest.approx(want, abs=1e-8)
 
 
 def test_min_pair_rejects_negative_gamma():
     with pytest.raises(DomainError):
-        cdf_min_pair_series(make_link(0, 1), make_link(0, 1), -0.1)
+        cdf_min_pair_series(RicianLink(0, 1), RicianLink(0, 1), -0.1)
 
 
 def test_single_link_series_values():
-    assert cdf_single_link_series(make_link(0, 1), math.log(2)) == pytest.approx(0.5, abs=1e-12)
-    link = make_link(2, 3)
+    assert cdf_single_link_series(RicianLink(0, 1), math.log(2)) == pytest.approx(0.5, abs=1e-12)
+    link = RicianLink(2, 3)
     assert cdf_single_link_series(link, 1e3 * link.mean_power) == pytest.approx(1.0, abs=1e-6)
-    link = make_link(3, 3)
+    link = RicianLink(3, 3)
     assert cdf_single_link_series(link, 3.0) == pytest.approx(power_gain_cdf(link, 3.0), abs=1e-8)
 
 
 def test_single_link_series_tracks_marcum_grid():
-    link = make_link(7, 5)
+    link = RicianLink(7, 5)
     xs = np.linspace(0.0, 40.0, 1000)
     vals = np.array([cdf_single_link_series(link, float(x)) for x in xs])
     ref = power_gain_cdf(link, xs)
@@ -129,7 +128,7 @@ def test_single_link_series_tracks_marcum_grid():
 
 
 def test_gamma2_paper_form():
-    rd, sr = make_link(0, 8), make_link(0, 8)
+    rd, sr = RicianLink(0, 8), RicianLink(0, 8)
     assert cdf_gamma2_paper(sr, rd, 0.0) == 0.0
     rate = rd.inv_scale + sr.inv_scale
     assert cdf_gamma2_paper(sr, rd, 2.0) == pytest.approx(1 - math.exp(-rate * 2.0), abs=1e-12)
@@ -141,22 +140,22 @@ def test_gamma2_paper_form():
 def test_approx_form_rayleigh_is_omega_blind():
     # raw simplified series at K=0 is 1 - e^-g whatever the mean powers
     for oa, ob in [(1.0, 1.0), (8.0, 3.0)]:
-        a, b = make_link(0, oa), make_link(0, ob)
+        a, b = RicianLink(0, oa), RicianLink(0, ob)
         raw = cdf_min_pair_approx(a, b, 1.7, clamp=False)
         assert raw == pytest.approx(1 - math.exp(-1.7), abs=1e-12)
 
 
 def test_approx_form_boundary_and_clamping():
-    a = make_link(3, 1)  # inv_scale 4 > 1 drives the raw value negative at 0
-    b = make_link(3, 1)
+    a = RicianLink(3, 1)  # inv_scale 4 > 1 drives the raw value negative at 0
+    b = RicianLink(3, 1)
     raw = cdf_min_pair_approx(a, b, 0.0, clamp=False)
     assert raw < 0.0
     assert cdf_min_pair_approx(a, b, 0.0) == min(max(raw, 0.0), 1.0) == 0.0
 
 
 def test_approx_deviation_from_exact_is_visible():
-    a = make_link(3, 8)
-    b = make_link(3, 8)
+    a = RicianLink(3, 8)
+    b = RicianLink(3, 8)
     dev = abs(cdf_min_pair_approx(a, b, 4.0) - cdf_min_pair_series(a, b, 4.0))
     assert dev > 1e-3
 
@@ -180,7 +179,7 @@ def _approx_in_linear_space(link_a, link_b, gamma):
 
 def test_approx_form_is_never_nan_and_never_warns():
     for k in (10, 30, 60, 80, 100):
-        a, b = make_link(k, 8), make_link(k, 3)
+        a, b = RicianLink(k, 8), RicianLink(k, 3)
         for gamma in (0.0, 1.0, 800.0):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -196,7 +195,7 @@ def test_approx_form_is_never_nan_and_never_warns():
 def test_valid_series_cdfs_need_no_clamping():
     # 1 - (product of the survivals), strictly inside (0, 1): clamping
     # cannot have moved either value
-    a, b = make_link(1, 2), make_link(2, 3)
+    a, b = RicianLink(1, 2), RicianLink(2, 3)
     pair = cdf_min_pair_series(a, b, 1.0)
     single = cdf_single_link_series(a, 1.0)
     assert pair == pytest.approx(1.0 - power_gain_sf(a, 1.0) * power_gain_sf(b, 1.0), abs=1e-12)
@@ -206,7 +205,7 @@ def test_valid_series_cdfs_need_no_clamping():
 
 def test_series_cdfs_are_the_kernel_survivals():
     for ka, kb in ((0, 0), (0.5, 3), (30, 10), (500, 3)):
-        a, b = make_link(ka, 2), make_link(kb, 7)
+        a, b = RicianLink(ka, 2), RicianLink(kb, 7)
         for gamma in (0.0, 0.3, 4.0, 60.0):
             assert cdf_min_pair_series(a, b, gamma) == 1.0 - power_gain_sf(a, gamma) * power_gain_sf(b, gamma)
             assert cdf_single_link_series(a, gamma) == power_gain_cdf(a, gamma)
@@ -221,10 +220,10 @@ _EXTREME_SCALES = [(1e308, 1e308), (1e300, 1e-300), (1e308, 1e-20)]
 @pytest.mark.parametrize("scales", _EXTREME_SCALES + [pair[::-1] for pair in _EXTREME_SCALES[1:]])
 def test_pair_series_is_finite_at_extreme_inverse_scale_ratios(scales, k):
     # the links are built at mean power (1 + K)/a, so each has inverse scale a
-    a, b = (make_link(k, (1 + k) / scale) for scale in scales)
+    a, b = (RicianLink(k, (1 + k) / scale) for scale in scales)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModelAssumptionWarning)
-        geometry = NetworkGeometry(sr=a, rd=b, sd=make_link(k, 1))
+        geometry = NetworkGeometry(sr=a, rd=b, sd=RicianLink(k, 1))
     for rho in (10 ** 0.5, 10 ** 1.5):
         h = series(a, b, rho=rho)
         oracle = ergodic_rate_quadrature_quantities(geometry, rho, "crs_noma_paper")["c_relay_s1"]
@@ -233,8 +232,8 @@ def test_pair_series_is_finite_at_extreme_inverse_scale_ratios(scales, k):
 
 def test_pair_series_rayleigh_high_snr_closed_form():
     # K=0, Omega=8 pair: exact value e^z E1(z), z = (a_a+a_b)/rho
-    a = make_link(0, 8)
-    b = make_link(0, 8)
+    a = RicianLink(0, 8)
+    b = RicianLink(0, 8)
     rho = 1e3
     want = ln_rate_exponential(rho, 4.0)  # min of two exp(8) is exp(4)
     assert series(a, b, rho=rho) == pytest.approx(want, rel=1e-12)
@@ -273,7 +272,7 @@ def test_moment_kernel_is_exact():
         assert np.abs(m * g[1:] + c * g[:-1] - 1.0).max() <= 4 * np.finfo(float).eps, c
         assert analytic._moment_kernel(0, c)[0] == pytest.approx(g[0], rel=1e-15), c
     # both series at the ends of the SNR range
-    geometry = NetworkGeometry(sr=make_link(3, 8), rd=make_link(3, 8), sd=make_link(3, 3))
+    geometry = NetworkGeometry(sr=RicianLink(3, 8), rd=RicianLink(3, 8), sd=RicianLink(3, 3))
     for rho in (1e-300, 1e300):
         for literal in (False, True):
             with warnings.catch_warnings():
@@ -288,7 +287,7 @@ def test_moment_kernel_limits_and_stop_bound(monkeypatch):
     with pytest.raises(DomainError, match=r"^the series need alpha/rho > 0, got 0\.0$"):
         analytic._moment_kernel(3, 0.0)
     with pytest.raises(DomainError, match="alpha/rho > 0"):
-        series(make_link(0, 1e300), make_link(0, 1e300), rho=1e300)
+        series(RicianLink(0, 1e300), RicianLink(0, 1e300), rho=1e300)
     monkeypatch.setattr(analytic, "_MAX_FRACTION_TERMS", 1)
     with pytest.raises(ConvergenceError, match=r"^continued fraction for E_4\(2\.5\) did not converge within 1 terms$"):
         analytic._moment_kernel(5, 2.5)
@@ -323,7 +322,7 @@ def test_series_and_oracle_refuse_an_empty_rho_sequence(call, rho):
 def test_single_link_series_rayleigh_closed_form():
     # corrected mode: the S-D link alone, at K = 0 the closed form e^z E1(z)
     for rho in (1e-2, 1.0, 1e3, 1e8):
-        assert series(make_link(0, 3), rho=rho) == pytest.approx(ln_rate_exponential(rho, 3.0), rel=1e-13)
+        assert series(RicianLink(0, 3), rho=rho) == pytest.approx(ln_rate_exponential(rho, 3.0), rel=1e-13)
 
 
 def double_cumsum_pair_series(link_a, link_b, rhos):
@@ -346,7 +345,7 @@ def test_pair_series_matches_the_double_cumsum_reference(k):
     # at K = 500, binomial terms from logs of m! (up to 8000) are 7e-13 off
     rhos = [10 ** (rho_db / 10) for rho_db in range(-20, 101, 20)]
     for omegas in ((8, 8, 3), (100, 0.5, 0.1)):
-        sr, rd, sd = (make_link(k, omega) for omega in omegas)
+        sr, rd, sd = (RicianLink(k, omega) for omega in omegas)
         for a, b in ((sr, rd), (sd, sr)):
             for rho, want in zip(rhos, double_cumsum_pair_series(a, b, rhos)):
                 h = series(a, b, rho=rho)
@@ -356,8 +355,8 @@ def test_pair_series_matches_the_double_cumsum_reference(k):
 
 def test_literal_g_is_the_corrected_h_of_the_swapped_relay_links():
     # the printed two-link G over (R-D, S-R) is the pair form H takes over (S-R, R-D)
-    sd = make_link(0, 3)
-    g = NetworkGeometry(sr=make_link(1, 7), rd=make_link(2, 5), sd=sd)
+    sd = RicianLink(0, 3)
+    g = NetworkGeometry(sr=RicianLink(1, 7), rd=RicianLink(2, 5), sd=sd)
     swapped = NetworkGeometry(sr=g.rd, rd=g.sr, sd=sd)
     assert ergodic_rate_series(g, 50.0, literal=True).c_direct_s1 == ergodic_rate_series(swapped, 50.0).c_relay_s1
 
@@ -388,7 +387,7 @@ def test_ergodic_series_vs_monte_carlo_paper_mode():
 
 
 def test_quadrature_matches_closed_form_exponential():
-    g = NetworkGeometry(sr=make_link(0, 8), rd=make_link(0, 8), sd=make_link(0, 3))
+    g = NetworkGeometry(sr=RicianLink(0, 8), rd=RicianLink(0, 8), sd=RicianLink(0, 3))
     rho = 10.0
     q = ergodic_rate_quadrature_quantities(g, rho, "crs_noma_paper")
     want_relay = 0.5 * ln_rate_exponential(rho, 4.0) / math.log(2)
@@ -494,6 +493,28 @@ def test_oracle_meets_the_link_pair_high_snr_limits(preset, k):
             assert abs(gap) <= 2e-13, (token, rho, gap)
 
 
+@pytest.mark.parametrize("preset", ["fig3", "fig4"])
+def test_oracle_meets_the_crs_oma_high_snr_limit_at_k0(preset):
+    # c_total tends to 0.5 (log2 rho + E ln W / ln 2), W = min(lambda_SR,
+    # lambda_SD + lambda_RD), whose survival is closed-form at K = 0.  E ln W
+    # is integrated in t = ln w, over the spread of scales a plain quad in w
+    # can miss.  Gaps measured on fig3 and fig4: at most 5.7e-14.
+    g = preset_geometry(preset, 0.0)
+    a_sr, a_rd, a_sd = (link.inv_scale for link in (g.sr, g.rd, g.sd))
+
+    def sf(t):  # P[W > e^t]: lambda_SR's survival times the hypoexponential one
+        w = math.exp(t)
+        return math.exp(-a_sr * w) * (a_rd * math.exp(-a_sd * w) - a_sd * math.exp(-a_rd * w)) / (a_rd - a_sd)
+
+    # E ln W = int_0^inf S(e^t) dt - int_-inf^0 (1 - S(e^t)) dt; both ends cut where the integrand is below 1e-17
+    e_ln_w = (integrate.quad(sf, 0.0, 10.0, epsabs=1e-14, epsrel=1e-13)[0]
+              - integrate.quad(lambda t: 1.0 - sf(t), -50.0, 0.0, epsabs=1e-14, epsrel=1e-13)[0])
+    rhos = [10.0 ** (db / 10.0) for db in (200, 1000, 3000)]
+    for rho, got in zip(rhos, ergodic_rate_quadrature_quantities(g, rhos, "crs_oma")):
+        gap = got["c_total"] - 0.5 * (math.log2(rho) + e_ln_w / math.log(2.0))
+        assert abs(gap) <= 2e-13, (rho, gap)
+
+
 # At rho = 1e304 and beyond, rho*x passes the float range over most of a span.
 @pytest.mark.parametrize("token,db", [(token, db) for token in sorted(RATES) for db in (3000, 3020, 3030, 3040, 3050)])
 def test_oracle_matches_rayleigh_closed_forms_where_rho_x_overflows(token, db):
@@ -501,7 +522,7 @@ def test_oracle_matches_rayleigh_closed_forms_where_rho_x_overflows(token, db):
 
 
 def test_quadrature_degenerate_direct_link():
-    g = NetworkGeometry(sr=make_link(0, 8), rd=make_link(0, 8), sd=make_link(0, 1e-9))
+    g = NetworkGeometry(sr=RicianLink(0, 8), rd=RicianLink(0, 8), sd=RicianLink(0, 1e-9))
     rho = 10 ** 2.5
     q = ergodic_rate_quadrature_quantities(g, rho, "crs_noma_paper")
     want = 0.5 * ln_rate_exponential(rho, 4.0) / math.log(2)
@@ -513,7 +534,7 @@ def test_quadrature_unit_power_links_against_large_monte_carlo():
 
     with _w.catch_warnings():
         _w.simplefilter("ignore")  # Omega_SR == Omega_SD trips the placement warning
-        g = NetworkGeometry(sr=make_link(0, 1), rd=make_link(0, 1), sd=make_link(0, 1))
+        g = NetworkGeometry(sr=RicianLink(0, 1), rd=RicianLink(0, 1), sd=RicianLink(0, 1))
     q = ergodic_rate_quadrature_quantities(g, 1.0, "crs_noma_paper")
     res = estimate_rates(g, 1.0, ("crs_noma",), "paper", trials=10**7, seed=6)
     r = next(x for x in res if x.quantity == "c_total")
@@ -521,7 +542,7 @@ def test_quadrature_unit_power_links_against_large_monte_carlo():
 
 
 def test_quadrature_exact_mode_against_monte_carlo():
-    g = NetworkGeometry(sr=make_link(2, 8), rd=make_link(2, 8), sd=make_link(2, 3))
+    g = NetworkGeometry(sr=RicianLink(2, 8), rd=RicianLink(2, 8), sd=RicianLink(2, 3))
     rho = 10.0
     q = ergodic_rate_quadrature_quantities(g, rho, "crs_noma_exact")
     res = estimate_rates(g, rho, ("crs_noma",), "exact", trials=10**6, seed=4)
@@ -532,7 +553,7 @@ def test_quadrature_exact_mode_against_monte_carlo():
 
 def test_quadrature_all_schemes_against_sampled_oracle():
     # one shared 1e6-draw brute-force pass checks every scheme at once
-    g = NetworkGeometry(sr=make_link(1, 8), rd=make_link(1, 8), sd=make_link(1, 3))
+    g = NetworkGeometry(sr=RicianLink(1, 8), rd=RicianLink(1, 8), sd=RicianLink(1, 3))
     split = PowerSplit(0.1)
     rho = 10 ** 1.5
     rng = split_stream(606, 0)
@@ -570,7 +591,7 @@ def test_quadrature_breakdown_invariants():
 def test_every_leg_gives_zero_at_rho_zero(k):
     # rho = 0 is the limit of every rate; the series and the oracle refused
     # it, although they gave 0.0 at rho = 5e-324
-    g = NetworkGeometry(sr=make_link(k, 8), rd=make_link(k, 8), sd=make_link(k, 3))
+    g = NetworkGeometry(sr=RicianLink(k, 8), rd=RicianLink(k, 8), sd=RicianLink(k, 3))
     zeros = [0.0] * len(QUANTITIES)
     for literal in (False, True):
         assert [ergodic_rate_series(g, 0.0, literal=literal)[q] for q in QUANTITIES] == zeros
@@ -587,7 +608,7 @@ def test_every_leg_gives_zero_at_rho_zero(k):
 
 def test_series_cdfs_take_an_array_gamma_as_the_kernel_takes_x():
     # a list or array gamma escaped as a TypeError
-    a, b = make_link(3, 8), make_link(0, 3)
+    a, b = RicianLink(3, 8), RicianLink(0, 3)
     gammas = [0.0, 0.5, 2.0, math.inf]
     for cdf in (lambda g: cdf_min_pair_series(a, b, g), lambda g: cdf_single_link_series(a, g),
                 lambda g: cdf_gamma2_paper(a, b, g)):
@@ -741,7 +762,7 @@ def tanhsinh_reference(f):
 def _links(k, omega_sr, omega_rd, omega_sd):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # some geometries break the relay placement assumption
-        return NetworkGeometry(sr=make_link(k, omega_sr), rd=make_link(k, omega_rd), sd=make_link(k, omega_sd))
+        return NetworkGeometry(sr=RicianLink(k, omega_sr), rd=RicianLink(k, omega_rd), sd=RicianLink(k, omega_sd))
 
 
 @pytest.mark.parametrize("k,omegas,db", [
@@ -855,9 +876,9 @@ import contextlib, io, os, sys
 sys.modules["scipy"] = None  # any scipy import now raises ImportError
 import ratelab
 from ratelab import (NetworkGeometry, PowerSplit, RATES, ergodic_rate_quadrature_quantities,
-                     ergodic_rate_series, make_link, power_gain_pdf, power_gain_sf)
+                     ergodic_rate_series, RicianLink, power_gain_pdf, power_gain_sf)
 from ratelab.cli import main
-fig3 = NetworkGeometry(sr=make_link(3, 8), rd=make_link(3, 8), sd=make_link(3, 3))
+fig3 = NetworkGeometry(sr=RicianLink(3, 8), rd=RicianLink(3, 8), sd=RicianLink(3, 3))
 for token in RATES:
     ergodic_rate_quadrature_quantities(fig3, 10.0, token, PowerSplit(0.1))
 ergodic_rate_series(fig3, 10.0, literal=True)
@@ -896,8 +917,8 @@ def test_gauss_legendre_rule_is_exact_up_to_degree_2n_minus_1(n):
 def test_oracle_builds_its_inner_rules_without_numpy_polynomial():
     code = """
 import sys
-from ratelab import NetworkGeometry, ergodic_rate_quadrature_quantities, make_link
-fig3 = NetworkGeometry(sr=make_link(3, 8), rd=make_link(3, 8), sd=make_link(3, 3))
+from ratelab import NetworkGeometry, RicianLink, ergodic_rate_quadrature_quantities
+fig3 = NetworkGeometry(sr=RicianLink(3, 8), rd=RicianLink(3, 8), sd=RicianLink(3, 3))
 ergodic_rate_quadrature_quantities(fig3, 10.0, "crs_noma_exact")
 ergodic_rate_quadrature_quantities(fig3, 10.0, "crs_oma")
 print("numpy.polynomial" in sys.modules)

@@ -26,7 +26,6 @@ from ratelab import (
     ergodic_rate_quadrature_quantities,
     ergodic_rate_series,
     estimate_rates,
-    make_link,
     paired_gap,
     power_gain_cdf,
     power_gain_pdf,
@@ -36,8 +35,8 @@ from ratelab import (
 from ratelab.errors import RateLabError
 from ratelab.sweep import parse_config
 
-LINK = make_link(0, 8)
-FIG3 = NetworkGeometry(sr=make_link(0, 8), rd=make_link(0, 8), sd=make_link(0, 3))
+LINK = RicianLink(0, 8)
+FIG3 = NetworkGeometry(sr=RicianLink(0, 8), rd=RicianLink(0, 8), sd=RicianLink(0, 3))
 GAINS = (1.0, 2.0, 0.5)
 RUN = {"trials": 100, "seed": 1, "workers": 1}
 # no Monte-Carlo, so that run_sweep itself must refuse junk trials and seeds
@@ -96,6 +95,13 @@ def test_a_junk_argument_returns_or_is_one_rate_lab_error_line(entry, arg):
         except Exception as exc:  # noqa: BLE001 (what escapes is the finding)
             escaped.append(f"{reprlib.repr(junk)}: {type(exc).__name__}: {exc}")
     assert not escaped, "\n".join(escaped)
+
+
+@pytest.mark.parametrize("field", ["schemes", "modes", "estimators"])
+def test_run_sweep_keeps_the_first_occurrence_of_a_name(field):
+    # parse_config's rule: each name given twice reads as given once
+    names = getattr(SWEEP, field)
+    assert run_sweep(dataclasses.replace(SWEEP, **{field: names + names})) == run_sweep(SWEEP)
 
 
 

@@ -16,9 +16,9 @@ import pytest
 from ratelab import (
     NetworkGeometry,
     PowerSplit,
+    RicianLink,
     ergodic_rate_quadrature_quantities,
     estimate_rates,
-    make_link,
     paired_gap,
 )
 import ratelab
@@ -50,7 +50,7 @@ SPLIT = PowerSplit(0.1)
 
 
 def fig3_geometry(k=0.0):
-    return NetworkGeometry(sr=make_link(k, 8), rd=make_link(k, 8), sd=make_link(k, 3))
+    return NetworkGeometry(sr=RicianLink(k, 8), rd=RicianLink(k, 8), sd=RicianLink(k, 3))
 
 
 def test_validation():
@@ -205,7 +205,7 @@ def test_agrees_with_quadrature_oracle():
 
 
 def test_vanishing_direct_link_kills_s2():
-    g = NetworkGeometry(sr=make_link(0, 8), rd=make_link(0, 8), sd=make_link(0, 1e-9))
+    g = NetworkGeometry(sr=RicianLink(0, 8), rd=RicianLink(0, 8), sd=RicianLink(0, 1e-9))
     res = estimate_rates(g, 10.0, ("crs_noma",), "paper", SPLIT, trials=10**5, seed=9)
     s2 = next(r.mean for r in res if r.quantity == "c_s2")
     assert s2 < 1e-6
@@ -493,7 +493,7 @@ def test_an_overflowing_gain_is_refused_without_a_warning(link):
     # of squares of finite floats fails; the suite makes a RuntimeWarning an error
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModelAssumptionWarning)  # an S-D link above the S-R one
-        g = replace(fig3_geometry(), **{link: make_link(0.0, 1e308)})
+        g = replace(fig3_geometry(), **{link: RicianLink(0.0, 1e308)})
     with pytest.raises(DomainError, match=f"^lambda_{link} must be finite and >= 0$"):
         estimate_rates(g, 3.16, split=SPLIT, trials=1000, seed=5)
     with pytest.raises(DomainError, match=f"^lambda_{link} must be finite and >= 0$"):

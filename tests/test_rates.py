@@ -14,7 +14,6 @@ from ratelab import (
     ergodic_rate_series,
     estimate_rates,
     RicianLink,
-    make_link,
     paired_gap,
     power_gain_sf,
 )
@@ -23,7 +22,7 @@ from ratelab.rates import PAPER_SPLIT, RateTerms
 
 
 R1 = (2.0, 3.0, 1.0)  # lambda_sr, lambda_rd, lambda_sd
-FIG3 = NetworkGeometry(sr=make_link(0, 8), rd=make_link(0, 8), sd=make_link(0, 3))
+FIG3 = NetworkGeometry(sr=RicianLink(0, 8), rd=RicianLink(0, 8), sd=RicianLink(0, 3))
 
 
 def test_realization_rejects_bad_gains():
@@ -79,7 +78,7 @@ _RHO_RULE = "rho must be finite and >= 0"
     (lambda: RicianLink("a", 8), "k_factor must be finite and >= 0, got 'a'"),
     (lambda: RicianLink(None, 8), "k_factor must be finite and >= 0, got None"),
     (lambda: RicianLink(3, "x" * 1000), re.escape(f"mean_power must be finite and > 0, got '{'x' * 12}...{'x' * 13}'")),
-    (lambda: power_gain_sf(make_link(0, 8), "a"), "power gain argument must fit in a float, got 'a'"),
+    (lambda: power_gain_sf(RicianLink(0, 8), "a"), "power gain argument must fit in a float, got 'a'"),
     (lambda: crs_oma_rate(R1, "a"), f"{_RHO_RULE}, got 'a'"),
     (lambda: conventional_noma_rate(R1, None), f"{_RHO_RULE}, got None"),
     (lambda: ergodic_rate_series(FIG3, "a"), f"{_RHO_RULE}, got 'a'"),

@@ -1097,6 +1097,14 @@ def test_run_sweep_checks_the_trials_and_seed_it_records_without_monte_carlo(fie
         run_sweep(replace(cfg, **{field: value}))
 
 
+def test_run_sweep_reads_a_scheme_named_twice_once():
+    # a hand-built config named twice wrote every row twice and listed the scheme twice
+    cfg = parse_config("preset = fig3\n[sweep]\nrho_db = 5\nestimators = quadrature_oracle\n")
+    result = run_sweep(replace(cfg, schemes=("crs_oma", "crs_oma")))
+    assert len(result.rows) == len(QUANTITIES) == 5
+    assert "# schemes = crs_oma\n" in render_csv(result)
+
+
 def test_calibrate_k_refuses_an_empty_target_list(monkeypatch):
     # an empty list is given targets, not the paper's
     monkeypatch.setattr(montecarlo, "_run_blocks", lambda *args: pytest.fail("a block ran"))
