@@ -1,11 +1,12 @@
 """Command-line front end.
 
-    ratelab sweep --config cfg.txt [--out sweep.csv] [--seed N]
-                  [--trials N] [--workers N]
-    ratelab calibrate --preset fig3|fig4 [--k-grid a:b:step] [--trials N]
-                  [--seed N] [--workers N] [--out residuals.csv]
-    ratelab discrepancy --preset fig3|fig4 [--k K] [--rho-grid a:b:step]
-                  [--out table.csv]
+    ratelab sweep [-h] --config CONFIG [--out OUT] [--seed SEED]
+                  [--trials TRIALS] [--workers WORKERS]
+    ratelab calibrate [-h] --preset {fig3,fig4} [--k-grid K_GRID]
+                  [--trials TRIALS] [--seed SEED] [--workers WORKERS]
+                  [--out OUT]
+    ratelab discrepancy [-h] --preset {fig3,fig4} [--k K]
+                  [--rho-grid RHO_GRID] [--out OUT]
 
 The three commands write the three tables: sweep, calibration and
 discrepancy; the discrepancy table is read from the rows of a sweep of
@@ -14,14 +15,17 @@ each: a path, or "-" for stdout, which calibrate and discrepancy
 default to; sweep defaults to sweep.csv.  A config holds no output
 path.  A grid that starts below zero is written with '=',
 --rho-grid=-10:30:5, since a bare -10:30:5 reads as an option.
+``--help`` shows each command's defaults.
 
 Exit codes: 0 success, 1 a refused input (a ``DomainError``: a config
 line or field, a flag, a usage error or a value outside its domain) or
 any error the system gives for a named path, 2 a ``ConvergenceError``.
 A warning prints as one ``ratelab: warning: ...`` line and leaves the
-exit code alone.  Each value flag is read by the rule of the setting it
-names before any command runs, so an empty value is refused, not taken
-as absent.
+exit code alone.  argparse reads each value flag, and each default
+given as text, by the rule of the setting it names while it parses the
+command line, so an empty value is refused, not taken as absent, and
+an output path that cannot be written is refused before any command
+runs.
 """
 
 import argparse
@@ -33,11 +37,12 @@ import warnings
 from dataclasses import replace
 
 from .errors import ConvergenceError, DomainError, RateLabError, _echo
-from .montecarlo import _check_setting
+from .montecarlo import DEFAULT_SEED, DEFAULT_TRIALS, DEFAULT_WORKERS
 from .sweep import (
-    _FIELDS,
+    DEFAULT_K_GRID,
     PRESETS,
     _number,
+    _setting,
     calibrate_k,
     discrepancy_report,
     parse_config,
@@ -54,38 +59,13 @@ _EXIT_CONFIG = 1
 _EXIT_RUNTIME = 2
 
 
-def _path(raw: str) -> str:
-    """An output path, the rule of --out."""
-    if not raw:
+def _out(path: str) -> str:
+    """``path``, the rule of --out: refused where it is empty, names a
+    directory, lies in one that is missing or gives any other system
+    error but a missing file, so that no estimator runs for a table that
+    cannot be written; "-" is stdout."""
+    if not path:
         raise DomainError("must not be empty")
-    return raw
-
-
-# Each value flag and the rule of the setting it names, the config's where it has one
-_FLAGS = {
-    "seed": _FIELDS["sweep"]["seed"][0], "trials": _FIELDS["sweep"]["trials"][0],
-    "workers": lambda raw: _check_setting(_number(raw, int), "workers"),
-    "out": _path, "k": _FIELDS["geometry"]["k"][0],
-    "k_grid": parse_grid, "rho_grid": parse_grid,
-}
-
-
-def _read_flags(args) -> dict:
-    """The value flags given, each read by its rule."""
-    flags = {}
-    for name, rule in _FLAGS.items():
-        if getattr(args, name, None) is not None:
-            try:
-                flags[name] = rule(getattr(args, name))
-            except DomainError as exc:
-                raise DomainError(f"--{name.replace('_', '-')}: {exc}") from None
-    return flags
-
-
-def _writable(path: str) -> str:
-    """``path``, refused where it names a directory, lies in one that is
-    missing or gives any other system error but a missing file, so that
-    no estimator runs for a table that cannot be written; "-" is stdout."""
     if path != "-":
         os.stat(os.path.join(os.path.dirname(path), "") or ".")  # a missing parent, or a file, raises
         try:
@@ -97,6 +77,17 @@ def _writable(path: str) -> str:
     return path
 
 
+def _flag(parser, flag: str, rule, **kwargs):
+    """Add the value flag ``flag``, which argparse reads by ``rule``, its
+    text default too; a refusal names the flag."""
+    def read(raw):
+        try:
+            return rule(raw)
+        except DomainError as exc:
+            raise DomainError(f"{flag}: {exc}") from None
+    parser.add_argument(flag, type=read, **kwargs)
+
+
 def _write(path: str, text: str):
     if path == "-":
         sys.stdout.write(text)
@@ -105,25 +96,23 @@ def _write(path: str, text: str):
             fh.write(text)
 
 
-def _cmd_sweep(args, out="sweep.csv", **settings):
+def _cmd_sweep(args):
     with open(args.config) as fh:
-        config = replace(parse_config(fh.read()), **settings)
-    _writable(out)
-    _write(out, render_csv(run_sweep(config)))
+        config = parse_config(fh.read())
+    given = {name: getattr(args, name) for name in ("seed", "trials") if getattr(args, name) is not None}
+    _write(args.out, render_csv(run_sweep(replace(config, workers=args.workers, **given))))
 
 
-def _cmd_calibrate(args, out="-", **settings):
-    _writable(out)
-    result = calibrate_k(args.preset, **settings)
-    _write(out, render_calibration_csv(result))
-    if out != "-":
+def _cmd_calibrate(args):
+    result = calibrate_k(args.preset, k_grid=args.k_grid, trials=args.trials, seed=args.seed, workers=args.workers)
+    _write(args.out, render_calibration_csv(result))
+    if args.out != "-":
         sys.stdout.write(f"best_k = {result.best_k}\n")
 
 
-def _cmd_discrepancy(args, k=0.0, rho_grid=tuple(range(0, 31, 5)), out="-"):
-    geometry = preset_geometry(args.preset, k)
-    _writable(out)
-    _write(out, render_discrepancy_csv(discrepancy_report(geometry, rho_grid), geometry))
+def _cmd_discrepancy(args):
+    geometry = preset_geometry(args.preset, args.k)
+    _write(args.out, render_discrepancy_csv(discrepancy_report(geometry, args.rho_grid), geometry))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,31 +130,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    workers = "Monte-Carlo worker threads, result-invariant (default: %(default)s)"
     p_sweep = sub.add_parser("sweep", help="run an SNR sweep from a config document")
     p_sweep.add_argument("--config", required=True, help="path to the config document")
-    p_sweep.add_argument("--out", help="output CSV path (default: sweep.csv)")
-    p_sweep.add_argument("--seed", help="override the config seed")
-    p_sweep.add_argument("--trials", help="override the Monte-Carlo trial count")
-    p_sweep.add_argument("--workers", help="Monte-Carlo worker threads (result-invariant)")
+    _flag(p_sweep, "--out", _out, default="sweep.csv", help="output CSV path, - for stdout (default: %(default)s)")
+    _flag(p_sweep, "--seed", _setting("seed"), help="override the config seed")
+    _flag(p_sweep, "--trials", _setting("trials"), help="override the config's Monte-Carlo trial count")
+    _flag(p_sweep, "--workers", _setting("workers"), default=DEFAULT_WORKERS, help=workers)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_cal = sub.add_parser("calibrate", help="fit the unreported Rician K to published rates")
     p_cal.add_argument("--preset", required=True, choices=sorted(PRESETS))
-    p_cal.add_argument("--k-grid", help="K grid as start:stop:step or comma list (default 0:10:0.5)")
-    p_cal.add_argument("--trials")
-    p_cal.add_argument("--seed")
-    p_cal.add_argument("--workers", help="Monte-Carlo worker threads (result-invariant)")
-    p_cal.add_argument("--out", help="residual-table CSV path (default: stdout)")
+    _flag(p_cal, "--k-grid", parse_grid, default=DEFAULT_K_GRID,
+          help="K grid as start:stop:step or comma list (default: %(default)s)")
+    _flag(p_cal, "--trials", _setting("trials"), default=DEFAULT_TRIALS, help="trial count (default: %(default)s)")
+    _flag(p_cal, "--seed", _setting("seed"), default=DEFAULT_SEED, help="Monte-Carlo seed (default: %(default)s)")
+    _flag(p_cal, "--workers", _setting("workers"), default=DEFAULT_WORKERS, help=workers)
+    _flag(p_cal, "--out", _out, default="-", help="residual-table CSV path, - for stdout (default: %(default)s)")
     p_cal.set_defaults(func=_cmd_calibrate)
 
-    p_dis = sub.add_parser(
-        "discrepancy", help="literal vs corrected analytic rate table with the oracle"
-    )
+    p_dis = sub.add_parser("discrepancy", help="literal vs corrected analytic rate table with the oracle")
     p_dis.add_argument("--preset", required=True, choices=sorted(PRESETS))
-    p_dis.add_argument("--k", help="Rician K on all links (default 0)")
-    p_dis.add_argument("--rho-grid", help="dB grid as start:stop:step (default 0:30:5); "
-                       "write a negative start as --rho-grid=-10:30:5")
-    p_dis.add_argument("--out", help="output CSV path (default: stdout)")
+    _flag(p_dis, "--k", _number, default="0", help="Rician K on all links (default: %(default)s)")
+    _flag(p_dis, "--rho-grid", parse_grid, default="0:30:5",
+          help="dB grid as start:stop:step or comma list (default: %(default)s); "
+               "write a negative start as --rho-grid=-10:30:5")
+    _flag(p_dis, "--out", _out, default="-", help="output CSV path, - for stdout (default: %(default)s)")
     p_dis.set_defaults(func=_cmd_discrepancy)
     return parser
 
@@ -176,7 +166,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = lambda message, *_: print(f"ratelab: warning: {message}", file=sys.stderr)
             args = build_parser().parse_args(argv)
-            args.func(args, **_read_flags(args))  # every flag is read before the command runs
+            args.func(args)
         return _EXIT_OK
     except (RateLabError, OSError) as exc:
         refused = not isinstance(exc, ConvergenceError)  # an OSError comes from a path the user named

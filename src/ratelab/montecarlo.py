@@ -95,7 +95,8 @@ def _check_setting(value, name: str) -> int:
 
 @dataclass(frozen=True)
 class EstimatorResult:
-    """Sample mean and standard error of one rate quantity at the float ``rho`` it ran."""
+    """Sample mean and standard error of one rate quantity of the token
+    ``scheme`` (a paired gap's ``"token_a-token_b"``) at the float ``rho`` it ran."""
 
     scheme: str
     quantity: str
@@ -274,7 +275,8 @@ def estimate_rates(
     trial and shared across schemes and rho values, so cross-scheme
     comparisons are variance-coupled.  A scheme is a
     :data:`~ratelab.rates.RATES` token or a plain ``crs_noma``, which
-    ``mode`` resolves; the baselines ignore ``mode``.
+    ``mode`` resolves; the baselines ignore ``mode``.  Each result
+    carries the token it ran as its ``scheme``, one group per scheme given.
 
     ``rho``, one SNR or a sequence read by :func:`ratelab.rates._rhos`,
     gives every scheme at every rho.  Results come rho by rho, then scheme
@@ -289,10 +291,10 @@ def estimate_rates(
     schemes = _nonempty(schemes, "schemes must be a sequence of names", "scheme")
     tokens = [rate_token(s, mode) for s in schemes]
     cells = [(geometry, x, token, None) for x in rhos for token in tokens]
-    labels = [(x, s, q) for x in rhos for s in schemes for q in QUANTITIES]
+    labels = [(x, token, q) for x in rhos for token in tokens for q in QUANTITIES]
     moments = _estimate(cells, split, trials, seed, workers, QUANTITIES)
-    return [EstimatorResult(s, q, mean, se, trials, seed, x)
-            for (x, s, q), (mean, se) in zip(labels, moments)]
+    return [EstimatorResult(token, q, mean, se, trials, seed, x)
+            for (x, token, q), (mean, se) in zip(labels, moments)]
 
 
 def paired_gap(
@@ -311,10 +313,11 @@ def paired_gap(
 
     Differencing inside each trial cancels the shared channel noise, so
     the standard error is far below that of two independent runs.  The
-    result carries the float :func:`ratelab.rates._check_rho` reads.
+    result carries the float :func:`ratelab.rates._check_rho` reads and
+    the tokens that ran, ``"token_a-token_b"``.
     """
     rho = _check_rho(rho)
     token_a, token_b = rate_token(scheme_a, mode), rate_token(scheme_b, mode)
     _one_of(quantity, QUANTITIES)
     [(mean, se)] = _estimate([(geometry, rho, token_a, token_b)], split, trials, seed, workers, (quantity,))
-    return EstimatorResult(f"{scheme_a}-{scheme_b}", quantity, mean, se, trials, seed, rho)
+    return EstimatorResult(f"{token_a}-{token_b}", quantity, mean, se, trials, seed, rho)

@@ -84,10 +84,10 @@ class SweepConfig:
     geometry: NetworkGeometry
     schemes: tuple
     modes: tuple
-    split: PowerSplit
     estimators: tuple
-    trials: int
-    seed: int
+    split: PowerSplit = PAPER_SPLIT
+    trials: int = DEFAULT_TRIALS
+    seed: int = DEFAULT_SEED
     preset: str | None = None
     workers: int = DEFAULT_WORKERS
 
@@ -136,6 +136,8 @@ def db_to_linear(rho_db: float) -> float:
 # ---------------------------------------------------------------------------
 
 MAX_GRID_POINTS = 100_000
+# The K grid a calibration fits over, the default of calibrate_k and of --k-grid
+DEFAULT_K_GRID = "0:10:0.5"
 
 
 def parse_grid(spec: str) -> list[float]:
@@ -211,6 +213,11 @@ def _name_list(allowed, what: str):
     return lambda raw: _names([n.strip() for n in raw.split(",") if n.strip()], allowed, what)
 
 
+def _setting(name: str):
+    """Parser of the run setting ``name``, a whole number read by :func:`_check_setting`."""
+    return lambda raw: _check_setting(_number(raw, int), name)
+
+
 _LINKS = ("sr", "rd", "sd")
 
 # Every config field: section -> key -> (parser, default text); the
@@ -224,8 +231,8 @@ _FIELDS = {
         "schemes": (_name_list(_SCHEMES, "scheme"), "crs_noma, conventional"),
         "modes": (_name_list(MODES, "mode"), "paper"),
         "estimators": (_name_list(ESTIMATORS, "estimator"), "monte_carlo"),
-        "trials": (lambda raw: _check_setting(_number(raw, int), "trials"), str(DEFAULT_TRIALS)),
-        "seed": (lambda raw: _check_setting(_number(raw, int), "seed"), str(DEFAULT_SEED)),
+        "trials": (_setting("trials"), str(DEFAULT_TRIALS)),
+        "seed": (_setting("seed"), str(DEFAULT_SEED)),
     },
     "geometry": {
         "k": (_number, "0"),
@@ -449,7 +456,7 @@ def calibrate_k(
         if len(t) != 3:
             raise DomainError(f"{rule}, got {_echo(t)}")
     if k_grid is None:
-        k_grid = [i * 0.5 for i in range(21)]
+        k_grid = parse_grid(DEFAULT_K_GRID)
     k_grid = _nonempty(k_grid, "k_grid must be a sequence of K values", "K value")
     geometries = [preset_geometry(preset, k) for k in k_grid]
     rhos = [db_to_linear(rho_db) for rho_db, _, _ in targets]
@@ -515,12 +522,8 @@ def discrepancy_report(geometry: NetworkGeometry, rho_grid_db) -> tuple:
     series and the oracle over ``rho_grid_db``, held to the rule of
     every grid, :func:`_check_grid`.
     """
-    # paper-mode CRS-NOMA reads no power split, and neither the series
-    # nor the oracle reads the trials or the seed
     config = SweepConfig(rho_grid_db=tuple(_check_grid(rho_grid_db)), geometry=geometry, schemes=("crs_noma",),
-                         modes=("paper",), split=PAPER_SPLIT,
-                         estimators=("series_paper_literal", "series_corrected", "quadrature_oracle"),
-                         trials=1, seed=0)
+                         modes=("paper",), estimators=("series_paper_literal", "series_corrected", "quadrature_oracle"))
     return _discrepancy_rows(run_sweep(config).rows)
 
 

@@ -81,11 +81,11 @@ def test_criterion_1_oracle_triangle():
             for r in estimate_rates(g, rho, ("crs_noma", "conventional", "crs_oma"),
                                     "paper", SPLIT, trials=10**6, seed=SEED):
                 if r.quantity == "c_total":
-                    mc[r.scheme if r.scheme != "crs_noma" else "crs_noma_paper"] = r
+                    mc[r.scheme] = r
             for r in estimate_rates(g, rho, ("crs_noma",), "exact", SPLIT,
                                     trials=10**6, seed=SEED):
                 if r.quantity == "c_total":
-                    mc["crs_noma_exact"] = r
+                    mc[r.scheme] = r
             for token, row in mc.items():
                 oracle = ergodic_rate_quadrature_quantities(g, rho, token, SPLIT)["c_total"]
                 tol = max(3 * row.std_err, 0.005)

@@ -197,11 +197,23 @@ def test_agrees_with_quadrature_oracle():
     rho = 10 ** 0.5
     res = estimate_rates(g, rho, ("crs_noma", "conventional", "crs_oma"), "paper", SPLIT,
                          trials=10**6, seed=42)
-    for scheme, token in (("crs_noma", "crs_noma_paper"), ("conventional", "conventional"),
-                          ("crs_oma", "crs_oma")):
+    for token in ("crs_noma_paper", "conventional", "crs_oma"):
         q = ergodic_rate_quadrature_quantities(g, rho, token, SPLIT)
-        r = next(x for x in res if x.scheme == scheme and x.quantity == "c_total")
-        assert abs(r.mean - q["c_total"]) < max(3 * r.std_err, 5e-3), scheme
+        r = next(x for x in res if x.scheme == token and x.quantity == "c_total")
+        assert abs(r.mean - q["c_total"]) < max(3 * r.std_err, 5e-3), token
+
+
+def test_results_carry_the_token_that_ran():
+    # a plain crs_noma gave scheme 'crs_noma' in either mode, so the two could not be told apart
+    g = fig3_geometry()
+    paper = estimate_rates(g, 10.0, ("crs_noma",), "paper", SPLIT, trials=2000, seed=1)
+    exact = estimate_rates(g, 10.0, ("crs_noma",), "exact", SPLIT, trials=2000, seed=1)
+    assert {r.scheme for r in paper} == {"crs_noma_paper"} and {r.scheme for r in exact} == {"crs_noma_exact"}
+    # one group per scheme given, a token named twice included
+    both = estimate_rates(g, 10.0, ("crs_noma", "crs_noma_paper"), "paper", SPLIT, trials=2000, seed=1)
+    assert [(r.scheme, r.quantity, r.mean) for r in both] == 2 * [(r.scheme, r.quantity, r.mean) for r in paper]
+    gap = paired_gap(g, 10.0, "crs_noma", "conventional", "exact", SPLIT, trials=2000, seed=1)
+    assert gap.scheme == "crs_noma_exact-conventional"
 
 
 def test_vanishing_direct_link_kills_s2():
@@ -236,11 +248,11 @@ def test_paired_gap_variance_is_below_unpaired():
     gap = paired_gap(g, rho, "crs_noma", "conventional", "paper", SPLIT, trials=trials, seed=21)
     res = estimate_rates(g, rho, ("crs_noma", "conventional"), "paper", SPLIT, trials=trials, seed=21)
     se = {r.scheme: r.std_err for r in res if r.quantity == "c_total"}
-    unpaired = math.hypot(se["crs_noma"], se["conventional"])
+    unpaired = math.hypot(se["crs_noma_paper"], se["conventional"])
     assert gap.std_err <= unpaired
     # and the point estimate matches the difference of the coupled means
     means = {r.scheme: r.mean for r in res if r.quantity == "c_total"}
-    assert gap.mean == pytest.approx(means["crs_noma"] - means["conventional"], abs=1e-12)
+    assert gap.mean == pytest.approx(means["crs_noma_paper"] - means["conventional"], abs=1e-12)
 
 
 def test_std_err_scaling_with_trials():

@@ -1152,3 +1152,58 @@ def test_out_dash_writes_the_table_to_stdout(capsys):
     assert main(["discrepancy", "--preset", "fig3", "--rho-grid", "5", "--out", "-"]) == 0
     geometry = preset_geometry("fig3", 0.0)
     assert capsys.readouterr() == (render_discrepancy_csv(discrepancy_report(geometry, [5.0]), geometry), "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--config", "c.txt", "--trials", "many"], "--trials: cannot interpret 'many'"),
+    (["calibrate", "--preset", "fig3", "--workers", "0"], f"--workers: {RULES['workers']}"),
+    (["discrepancy", "--preset", "fig3", "--out", ""], "--out: must not be empty"),
+    (["discrepancy", "--preset", "fig3", "--rho-grid", ""], "--rho-grid: grid must be nonempty"),
+    (["calibrate", "--preset", "fig3", "--k-grid", "0:nan:1"],
+     f"--k-grid: grid 0:nan:1 must be finite with at most {MAX_GRID_POINTS} points"),
+], ids=["trials", "workers", "out", "rho-grid", "k-grid"])
+def test_the_parser_reads_each_value_flag_by_its_rule(argv, message, monkeypatch, capsys):
+    # the parser returned the raw text, trials='many', and a second reader refused it later
+    monkeypatch.setattr(montecarlo, "_run_blocks", lambda *args: pytest.fail("a block ran"))
+    with pytest.raises(DomainError) as err:
+        cli.build_parser().parse_args(argv)
+    assert (err.type, str(err.value)) == (DomainError, message)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"ratelab: error: {message}\n")
+
+
+def test_the_parser_gives_each_default_read_by_its_rule():
+    parse = cli.build_parser().parse_args
+    cal = parse(["calibrate", "--preset", "fig3"])
+    assert (cal.k_grid, cal.trials, cal.seed, cal.workers, cal.out) == (
+        [i * 0.5 for i in range(21)], montecarlo.DEFAULT_TRIALS, montecarlo.DEFAULT_SEED, 1, "-")
+    dis = parse(["discrepancy", "--preset", "fig3"])
+    assert (dis.k, dis.rho_grid, dis.out) == (0.0, [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0], "-")
+    # sweep's seed and trials default to the config's
+    swp = parse(["sweep", "--config", "c.txt"])
+    assert (swp.out, swp.seed, swp.trials, swp.workers) == ("sweep.csv", None, None, 1)
+
+
+@pytest.mark.parametrize("command, defaults", [
+    ("sweep", ["sweep.csv", "1"]),
+    ("calibrate", ["0:10:0.5", str(montecarlo.DEFAULT_TRIALS), str(montecarlo.DEFAULT_SEED), "1", "-"]),
+    ("discrepancy", ["0", "0:30:5", "-"]),
+])
+def test_help_shows_each_default_and_the_usage_of_the_module_docstring(command, defaults, monkeypatch, capsys):
+    # a bad %(default)s in a help string fails only when the help is printed
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exit_:
+        cli.build_parser().parse_args([command, "--help"])
+    assert exit_.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    for default in defaults:
+        assert f"(default: {default})" in out, default
+    usage = out.split(" options: ")[0].removeprefix("usage: ")
+    assert usage in " ".join(cli.__doc__.split())
+
+
+def test_a_sweep_config_defaults_its_settings_as_a_config_does():
+    parsed = parse_config("preset = fig3\n")
+    built = sweep.SweepConfig(rho_grid_db=parsed.rho_grid_db, geometry=parsed.geometry, schemes=parsed.schemes,
+                              modes=parsed.modes, estimators=parsed.estimators, preset="fig3")
+    assert built == parsed
