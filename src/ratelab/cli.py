@@ -24,8 +24,8 @@ A warning prints as one ``ratelab: warning: ...`` line and leaves the
 exit code alone.  argparse reads each value flag, and each default
 given as text, by the rule of the setting it names while it parses the
 command line, so an empty value is refused, not taken as absent, and
-an output path that cannot be written is refused before any command
-runs.
+an output path that cannot be written, or a path with a NUL byte, is
+refused before any command runs.
 """
 
 import argparse
@@ -59,14 +59,23 @@ _EXIT_CONFIG = 1
 _EXIT_RUNTIME = 2
 
 
+def _named(path: str) -> str:
+    """``path``, the rule of --config: refused where it holds a NUL byte,
+    which no system path can, and for which the system calls raise a
+    ValueError, not an OSError naming the path."""
+    if "\0" in path:
+        raise DomainError(f"a path cannot hold a NUL byte, got {_echo(path)}")
+    return path
+
+
 def _out(path: str) -> str:
-    """``path``, the rule of --out: refused where it is empty, names a
-    directory, lies in one that is missing or gives any other system
-    error but a missing file, so that no estimator runs for a table that
-    cannot be written; "-" is stdout."""
+    """``path``, the rule of --out: refused where it is empty, holds a NUL
+    byte, names a directory, lies in one that is missing or gives any
+    other system error but a missing file, so that no estimator runs for
+    a table that cannot be written; "-" is stdout."""
     if not path:
         raise DomainError("must not be empty")
-    if path != "-":
+    if _named(path) != "-":
         os.stat(os.path.join(os.path.dirname(path), "") or ".")  # a missing parent, or a file, raises
         try:
             mode = os.stat(path).st_mode
@@ -132,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     workers = "Monte-Carlo worker threads, result-invariant (default: %(default)s)"
     p_sweep = sub.add_parser("sweep", help="run an SNR sweep from a config document")
-    p_sweep.add_argument("--config", required=True, help="path to the config document")
+    _flag(p_sweep, "--config", _named, required=True, help="path to the config document")
     _flag(p_sweep, "--out", _out, default="sweep.csv", help="output CSV path, - for stdout (default: %(default)s)")
     _flag(p_sweep, "--seed", _setting("seed"), help="override the config seed")
     _flag(p_sweep, "--trials", _setting("trials"), help="override the config's Monte-Carlo trial count")

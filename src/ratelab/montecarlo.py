@@ -6,7 +6,10 @@ one geometry at one rho, less those of ``minus`` trial by trial (common
 random numbers) unless it is None.  :func:`estimate_rates`,
 :func:`paired_gap` and :func:`ratelab.sweep.calibrate_k` each map their
 schemes to tokens and build their own cells of checked rhos; the engine
-checks the run settings and the split.
+checks the run settings and the split.  Every input is so checked once
+per call, before the first block: a block reads no rho again, the mode
+and split tests the rate functions keep for their public callers cost
+one comparison each, and a gain row is read by its maximum alone.
 
 Trials are partitioned into blocks of ``BLOCK_SIZE`` trials, the last
 one short.  Block b draws its standard normals once, from the
@@ -24,11 +27,14 @@ the one before.  Within a cell an array read by several quantities is
 summed once: CRS-NOMA's c_s2 is its c_direct_s1, a baseline's c_s1 its
 c_relay_s1.  Sharing changes no float: each shared term is the
 expression every rate that reads it would compute.  A block sum is
-``np.sum`` of one row, and block sums are merged in block order
-through compensated (Kahan) summation as the blocks complete.  A
-cell's result is therefore a pure function of (cell, split, seed,
-trials): it depends neither on how many workers executed the blocks nor
-on which other cells shared the call.
+``np.add.reduce`` of one row, the floats ``np.sum`` gives, and a sum
+of squares is taken only where the caller reads a standard error;
+:func:`ratelab.sweep.calibrate_k` reads means only.  Block sums are
+merged in block order through compensated (Kahan) summation as the
+blocks complete.  A cell's result is therefore a pure function of
+(cell, split, seed, trials): it depends neither on how many workers
+executed the blocks, nor on which other cells shared the call, nor on
+whether squares were summed beside it.
 
 At most ``workers`` blocks run at once, one on each worker slot, and
 at most twice as many are in flight, so memory does not grow with the
@@ -146,30 +152,36 @@ def _token_rates(r: RateTerms, rho: float, token: str, split: PowerSplit) -> Rat
     return crs_noma_rate(r, rho, RATES[token][1])
 
 
-def _cell_sums(terms: RateTerms, cell, split: PowerSplit, quantities, work: _Workspace) -> list:
-    """Sum and sum of squares of each quantity of one cell on a block, flat.
+def _cell_sums(terms: RateTerms, cell, split: PowerSplit, quantities, work: _Workspace, squares: bool) -> list:
+    """Sum of each quantity of one cell on a block, each followed by its
+    sum of squares where ``squares`` is true, flat.
 
     Both rates of the cell are read from ``terms``, the shared terms of
-    its geometry and rho.  An array several quantities read is summed
-    once, matched by identity: every array lives in its own row of
-    ``work`` until the caller releases the cell's rows.  Squares go to
-    the workspace's scratch row.
+    its geometry and rho, which the caller checked, at the float the
+    terms hold: the cell's rho may be an equal float of its own, which
+    a rate function would read again.  An array several quantities read
+    is summed once, matched by identity: every array lives in its own
+    row of ``work`` until the caller releases the cell's rows.  Squares
+    go to the workspace's scratch row.
     """
-    _, rho, token, minus = cell
-    rates = _token_rates(terms, rho, token, split)
+    token, minus = cell[2:]
+    rates = _token_rates(terms, terms.rho, token, split)
     values = [rates[q] for q in quantities]
     if minus is not None:
-        other = _token_rates(terms, rho, minus, split)
+        other = _token_rates(terms, terms.rho, minus, split)
         values = [np.subtract(v, other[q], out=work.take()) for v, q in zip(values, quantities)]
     sums: dict = {}
     for v in values:
         if id(v) not in sums:
-            sums[id(v)] = np.sum(v), np.sum(np.multiply(v, v, out=work.scratch[:np.size(v)]))
+            s = np.add.reduce(v)
+            sums[id(v)] = (s, np.add.reduce(np.multiply(v, v, out=work.scratch[:np.size(v)]))) if squares else (s,)
     return [s for v in values for s in sums[id(v)]]
 
 
-def _block_sums(cells, split, quantities, seed: int, work: _Workspace, b: int, n: int) -> np.ndarray:
-    """Every cell's sums on block b of n trials, flat, in cell order."""
+def _block_sums(cells, split, quantities, seed: int, work: _Workspace, b: int, n: int,
+                squares: bool = True) -> np.ndarray:
+    """Every cell's sums on block b of n trials, flat, in cell order, with
+    sums of squares where ``squares`` is true."""
     # one draw for every geometry, in the fixed order S-R, R-D, S-D: the
     # floats of standard_normal((3, 2, n)), written to the slot's buffer
     normals = split_stream(seed, b).standard_normal(out=work.normals[:6 * n].reshape(3, 2, n))
@@ -183,8 +195,11 @@ def _block_sums(cells, split, quantities, seed: int, work: _Workspace, b: int, n
             gains = [_power_gains(getattr(geometry, link), z, work.take(), work.scratch)
                      for link, z in zip(("sr", "rd", "sd"), normals)]
             for link, g in zip(("sr", "rd", "sd"), gains):
-                # the row passes where its largest gain does; as an array, as the gains a rate function takes
-                _finite_nonneg(g.max(), f"lambda_{link}", np.asarray)
+                # the row passes where its largest gain does, which is not NaN;
+                # the rule refuses it as an array, as the gains a rate function takes
+                top = g.max()
+                if not top < math.inf:
+                    _finite_nonneg(top, f"lambda_{link}", np.asarray)
             taken = work.taken
             for rho, indices in by_rho.items():
                 work.taken = taken  # the rows of the rho before are free again
@@ -192,7 +207,7 @@ def _block_sums(cells, split, quantities, seed: int, work: _Workspace, b: int, n
                 shared = work.taken
                 for i in indices:
                     work.taken = shared  # and those of the cell before
-                    sums[i] = _cell_sums(terms, cells[i], split, quantities, work)
+                    sums[i] = _cell_sums(terms, cells[i], split, quantities, work, squares)
     return np.array([s for cell_sums in sums for s in cell_sums])
 
 
@@ -239,24 +254,31 @@ def _kahan(partials) -> np.ndarray:
     return total
 
 
-def _mean_stderr(s: float, sq: float, n: int):
+def _mean_stderr(n: int, s: float, sq: float | None = None):
+    """Mean and standard error of n values of sum s and sum of squares
+    sq; without sq, the mean and None."""
     mean = s / n
+    if sq is None:
+        return mean, None
     if n < 2:
         return mean, 0.0
     var = max(sq - n * mean * mean, 0.0) / (n - 1)
     return mean, math.sqrt(var / n)
 
 
-def _estimate(cells, split, trials: int, seed: int, workers: int, quantities) -> list:
+def _estimate(cells, split, trials: int, seed: int, workers: int, quantities, *, std_err: bool = True) -> list:
     """The engine: (mean, std_err) of every quantity of every cell, flat,
     cell by cell.  The run settings and the split, whatever the cells'
-    schemes, are checked before any block is drawn; callers check rho."""
+    schemes, are checked once, before any block is drawn; callers check
+    rho and the tokens, so no block checks them again.  Without
+    ``std_err`` no block takes a square, and each std_err is None; the
+    means are the same floats."""
     for name, value in (("trials", trials), ("workers", workers), ("seed", seed)):
         _check_setting(value, name)
     _check_split(split)
-    partials = _run_blocks(lambda work, b, n: _block_sums(cells, split, quantities, seed, work, b, n),
+    partials = _run_blocks(lambda work, b, n: _block_sums(cells, split, quantities, seed, work, b, n, std_err),
                            trials, workers)
-    return [_mean_stderr(s, sq, trials) for s, sq in _kahan(partials).reshape(-1, 2).tolist()]
+    return [_mean_stderr(trials, *sums) for sums in _kahan(partials).reshape(-1, 1 + std_err).tolist()]
 
 
 def estimate_rates(

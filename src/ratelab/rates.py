@@ -195,13 +195,17 @@ class RateTerms:
     The rate functions accept a RateTerms in place of the gains, at its rho.
 
     With ``work``, a block workspace (see :mod:`ratelab.montecarlo`),
-    the gains, its own rows, are taken unchecked, and the logarithms and
-    the rate functions write every array to its rows, with the same floats.
+    the gains, its own rows, and rho, a float the engine read by
+    :func:`_check_rho` before its first block, are taken unchecked, and
+    the logarithms and the rate functions write every array to its rows,
+    with the same floats.  Only the engine passes ``work``.
     """
 
     def __init__(self, gains, rho: float, *, work=None):
-        self.lambda_sr, self.lambda_rd, self.lambda_sd = gains if work is not None else _check_gains(gains)
-        self.rho = _check_rho(rho)
+        if work is None:
+            gains, rho = _check_gains(gains), _check_rho(rho)
+        self.lambda_sr, self.lambda_rd, self.lambda_sd = gains
+        self.rho = rho
         self.work = work
         self.log_sr = self._log2_1p_snr(self.lambda_sr, self.new())
         self.log_rd = self._log2_1p_snr(self.lambda_rd, self.new())
@@ -225,10 +229,11 @@ class RateTerms:
 
 
 def _terms(r, rho: float) -> RateTerms:
-    """``r`` itself when it is the RateTerms of ``rho``, else the terms of the gains ``r``."""
+    """``r`` itself when it is the RateTerms of ``rho``, else the terms of the
+    gains ``r``.  The rho the terms hold, the very object, is not read again."""
     if not isinstance(r, RateTerms):
         return RateTerms(r, rho)
-    if _check_rho(rho) != r.rho:
+    if rho is not r.rho and _check_rho(rho) != r.rho:
         raise DomainError(f"rate terms of rho {r.rho} used at rho {rho}")
     return r
 
@@ -241,7 +246,7 @@ def crs_noma_rate(r: RateTerms | tuple, rho: float, mode: str) -> RateBreakdown:
     0.5*log2(1 + rho*min(lambda_RD, lambda_SR)) + log2(1 + rho*lambda_SD).
     """
     t = _terms(r, rho)
-    rate_token("crs_noma", mode)
+    _one_of(mode, MODES)
     out = t.new()
     # paper mode's gamma_RD is rho*lambda_RD, whose log the terms hold
     if mode == "exact":

@@ -463,8 +463,8 @@ def calibrate_k(
     tokens = [rate_token(scheme, "paper") for _, scheme, _ in targets]
     values = [_to_float(value, "a target value must be a number") for _, _, value in targets]
     cells = [(g, rho, token, None) for g in geometries for rho, token in zip(rhos, tokens)]
-    # one pass for every K: each block's normals are drawn once
-    sims = [mean for mean, _ in _estimate(cells, PAPER_SPLIT, trials, seed, workers, ("c_total",))]
+    # one pass for every K, of means only: each block's normals are drawn once, and no square is taken
+    sims = [mean for mean, _ in _estimate(cells, PAPER_SPLIT, trials, seed, workers, ("c_total",), std_err=False)]
     residuals = []
     sse_by_k = []
     for i, k in enumerate(g.sr.k_factor for g in geometries):  # each K as its links' float

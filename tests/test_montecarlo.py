@@ -22,7 +22,7 @@ from ratelab import (
     paired_gap,
 )
 import ratelab
-from ratelab import montecarlo
+from ratelab import montecarlo, rates
 from ratelab.channel import sample_power_gains, split_stream
 from ratelab.errors import DomainError, ModelAssumptionWarning
 from ratelab.montecarlo import BLOCK_SIZE, QUANTITIES
@@ -420,6 +420,49 @@ def test_calibration_equals_a_whole_block_reference(workers):
         alone = calibrate_k("fig3", k_grid=[k], trials=ENGINE_TRIALS, seed=6, workers=workers)
         assert alone.residuals == tuple(r for r in grid.residuals if r[0] == k)
         assert alone.residuals == tuple(r for r in cal.residuals if r[0] == k)
+
+
+def test_checks_run_once_per_call_not_once_per_block(monkeypatch):
+    # each block re-read every rho and checked every gain row by its rule
+    counts = {}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def count(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, count)
+
+    counted(rates, "_check_rho")
+    counted(montecarlo, "_finite_nonneg")
+    # calibrate_k's targets give 5 dB twice, as two equal floats
+    for call, rho_reads in ((lambda trials: estimate_rates(fig3_geometry(1.5), [1.0, 300.0], tuple(RATES), "paper",
+                                                           SPLIT, trials, seed=3), 2),
+                            (lambda trials: calibrate_k("fig3", k_grid=[0.0, 3.0], trials=trials, seed=3), 0)):
+        per_blocks = []
+        for trials in (BLOCK_SIZE, 4 * BLOCK_SIZE):
+            counts.clear()
+            call(trials)
+            per_blocks.append(dict(counts))
+        assert per_blocks[0] == per_blocks[1]
+        assert per_blocks[0].get("_check_rho", 0) == rho_reads  # each rho where it is read, and no more
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_means_only_pass_gives_the_full_pass_means(workers):
+    # calibrate_k reads means only, so its blocks take no squares
+    g, g2 = fig3_geometry(), fig3_geometry(2.5)
+    cells = [(g, 3.0, "crs_noma_paper", None), (g, 3.0, "conventional", None),
+             (g2, 300.0, "crs_noma_exact", "crs_oma"), (g2, 3.0, "crs_oma", None)]
+    for quantities in (QUANTITIES, ("c_total",)):
+        full = montecarlo._estimate(cells, SPLIT, ENGINE_TRIALS, 9, workers, quantities)
+        means = montecarlo._estimate(cells, SPLIT, ENGINE_TRIALS, 9, workers, quantities, std_err=False)
+        assert len(means) == len(full) == len(cells) * len(quantities)
+        assert [m for m, _ in means] == [m for m, _ in full]
+        assert all(se is None for _, se in means)
+        assert all(isinstance(se, float) for _, se in full)
 
 
 def _same_floats(a, b) -> bool:

@@ -17,6 +17,7 @@ from ratelab import (
     paired_gap,
     power_gain_sf,
 )
+from ratelab import montecarlo
 from ratelab.errors import DomainError
 from ratelab.rates import PAPER_SPLIT, RateTerms
 
@@ -48,6 +49,59 @@ def test_rate_terms_check_the_gains_they_are_built_from():
     scalar = crs_noma_rate((2.0, np.array([1.0, 3.0]), np.array([0.5, 4.0])), 10.0, "exact")
     full = crs_noma_rate((np.full(2, 2.0), np.array([1.0, 3.0]), np.array([0.5, 4.0])), 10.0, "exact")
     assert scalar.c_total.tobytes() == full.c_total.tobytes()
+
+
+GAIN_ARRAYS = (np.array([2.0, 0.0, 5.0]), np.array([3.0, 1.0, 0.0]), np.array([1.0, 4.0, 0.5]))
+
+
+def _terms_at(rho, work):
+    """RateTerms of GAIN_ARRAYS at rho: allocating, or on a block
+    workspace, which takes its gains and rho unchecked."""
+    if not work:
+        return RateTerms(GAIN_ARRAYS, rho)
+    workspace = montecarlo._Workspace(3)
+    rows = [workspace.take() for _ in GAIN_ARRAYS]
+    for row, g in zip(rows, GAIN_ARRAYS):
+        row[:] = g
+    return RateTerms(rows, rho, work=workspace)
+
+
+RATE_CALLS = {
+    "crs_noma_rate": lambda r, rho: crs_noma_rate(r, rho, "exact"),
+    "conventional_noma_rate": lambda r, rho: conventional_noma_rate(r, rho, PAPER_SPLIT),
+    "crs_oma_rate": crs_oma_rate,
+}
+
+
+@pytest.mark.parametrize("work", [False, True], ids=["allocating", "workspace"])
+@pytest.mark.parametrize("name", sorted(RATE_CALLS))
+def test_the_public_refusals_survive_the_rate_terms_fast_paths(name, work):
+    # terms skip the checks of a rho they hold and of a workspace's
+    # gains; a call with other inputs is refused all the same
+    rho = 10.0
+    terms = _terms_at(rho, work)
+    call = RATE_CALLS[name]
+    call(terms, rho)
+    # an equal rho that is another float object passes, and so does an int
+    same = float(repr(rho))
+    assert same is not rho
+    fresh = call(GAIN_ARRAYS, rho)
+    for given in (same, 10):
+        assert call(terms, given).c_total.tobytes() == fresh.c_total.tobytes()
+    for other in (rho + 1.0, 0.0):
+        with pytest.raises(DomainError, match=f"^rate terms of rho 10.0 used at rho {other}$"):
+            call(terms, other)
+    with pytest.raises(DomainError, match="^rho must be finite and >= 0, got nan$"):
+        call(terms, math.nan)
+    if name == "crs_noma_rate":
+        # an array mode too, which a bare `in` test would let out as a ValueError
+        for mode in ("bogus", None, np.array("paper"), np.array(["paper", "exact"]), ["paper"]):
+            with pytest.raises(DomainError, match=r"^unknown value .* \(allowed: paper, exact\)$"):
+                crs_noma_rate(terms, rho, mode)
+    if name == "conventional_noma_rate":
+        for split in (0.1, None, "0.1"):
+            with pytest.raises(DomainError, match="^split must be a PowerSplit, got "):
+                conventional_noma_rate(terms, rho, split)
 
 
 @pytest.mark.parametrize("gains, message", [

@@ -1045,6 +1045,7 @@ def test_a_path_of_any_length_is_echoed_cut_short(tmp_path, monkeypatch, capsys)
 
 _MISSING = f"[Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: 'missing/'"
 _DIRECTORY = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: 'made'"
+_NUL = "{flag}: a path cannot hold a NUL byte, got 'a\\x00b'"
 
 
 @pytest.mark.parametrize("argv, line", [
@@ -1058,9 +1059,12 @@ _DIRECTORY = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: 'made'"
     (["sweep", "--config", "cfg.txt", "--out", _LONG], _TOO_LONG),
     (["calibrate", "--preset", "fig3", "--out", _LONG], _TOO_LONG),
     (["discrepancy", "--preset", "fig3", "--out", _LONG], _TOO_LONG),
+    # a NUL byte, for which the system calls raise a ValueError
+    (["sweep", "--config", "a\x00b"], _NUL.format(flag="--config")),
+    (["sweep", "--config", "cfg.txt", "--out", "a\x00b"], _NUL.format(flag="--out")),
 ], ids=["sweep-config-directory", "sweep-out-missing", "sweep-out-directory", "calibrate-missing",
         "calibrate-directory", "discrepancy-missing", "discrepancy-directory", "sweep-out-too-long",
-        "calibrate-too-long", "discrepancy-too-long"])
+        "calibrate-too-long", "discrepancy-too-long", "sweep-config-nul", "sweep-out-nul"])
 def test_a_path_that_cannot_be_used_is_refused_before_any_estimator(argv, line, tmp_path, monkeypatch, capsys):
     for estimator in ("run_sweep", "calibrate_k", "discrepancy_report"):
         monkeypatch.setattr(cli, estimator, lambda *args, **kwargs: pytest.fail("an estimator ran"))
