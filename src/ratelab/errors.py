@@ -84,7 +84,9 @@ def _one_of(name, names):
 
 def _nonempty(items, rule: str, what: str) -> tuple:
     """``items`` as a tuple, holding at least one ``what``; where tuple()
-    refuses them, raises naming ``rule``."""
+    refuses them, or they are one str, raises naming ``rule``."""
+    if isinstance(items, str):  # which tuple() would read as its characters
+        raise DomainError(f"{rule}, got {_echo(items)}")
     items = _to_float(items, rule, tuple)
     if not items:
         raise DomainError(f"at least one {what} required")

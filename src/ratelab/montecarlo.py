@@ -1,15 +1,16 @@
 """Seeded Monte-Carlo estimation of ergodic rates with standard errors.
 
-The engine evaluates one flat list of cells.  A cell is (geometry, rho,
-token, minus): the rates of one :data:`~ratelab.rates.RATES` token of
-one geometry at one rho, less those of ``minus`` trial by trial (common
-random numbers) unless it is None.  :func:`estimate_rates`,
-:func:`paired_gap` and :func:`ratelab.sweep.calibrate_k` each map their
-schemes to tokens and build their own cells of checked rhos; the engine
-checks the run settings and the split.  Every input is so checked once
-per call, before the first block: a block reads no rho again, the mode
-and split tests the rate functions keep for their public callers cost
-one comparison each, and a gain row is read by its maximum alone.
+The engine evaluates every cell of a call for every geometry of it.
+A cell is (rho, token, minus): the rates of one
+:data:`~ratelab.rates.RATES` token at one rho, less those of ``minus``
+trial by trial (common random numbers) unless it is None.
+:func:`estimate_rates` and :func:`paired_gap` pass one geometry and
+:func:`ratelab.sweep.calibrate_k` one per K, each with cells of checked
+rhos and tokens.  The engine checks the run settings and the split and
+groups the cells by rho, once per call, before the first block: a block
+reads no rho again, the mode and split tests the rate functions keep for
+their public callers cost one comparison each, and a gain row is read by
+its maximum alone.
 
 Trials are partitioned into blocks of ``BLOCK_SIZE`` trials, the last
 one short.  Block b draws its standard normals once, from the
@@ -20,8 +21,8 @@ gain, a sum of squares of finite floats, fails only by overflow, which
 one maximum a gain row refuses; no overflow in the engine warns, as
 callers refuse a non-finite mean.  On a block the cells are taken
 geometry by geometry, then rho by rho: each geometry's gains are built
-once, the cells of one (geometry, rho) share one
-:class:`~ratelab.rates.RateTerms`, so the logarithms several rates
+once, the cells of one rho share one :class:`~ratelab.rates.RateTerms`
+per geometry, so the logarithms several rates
 share are taken once, and the next geometry's gains reuse the rows of
 the one before.  Within a cell an array read by several quantities is
 summed once: CRS-NOMA's c_s2 is its c_direct_s1, a baseline's c_s1 its
@@ -32,9 +33,9 @@ of squares is taken only where the caller reads a standard error;
 :func:`ratelab.sweep.calibrate_k` reads means only.  Block sums are
 merged in block order through compensated (Kahan) summation as the
 blocks complete.  A cell's result is therefore a pure function of
-(cell, split, seed, trials): it depends neither on how many workers
-executed the blocks, nor on which other cells shared the call, nor on
-whether squares were summed beside it.
+(geometry, cell, split, seed, trials): it depends neither on how many
+workers executed the blocks, nor on which other cells or geometries
+shared the call, nor on whether squares were summed beside it.
 
 At most ``workers`` blocks run at once, one on each worker slot, and
 at most twice as many are in flight, so memory does not grow with the
@@ -164,7 +165,7 @@ def _cell_sums(terms: RateTerms, cell, split: PowerSplit, quantities, work: _Wor
     row of ``work`` until the caller releases the cell's rows.  Squares
     go to the workspace's scratch row.
     """
-    token, minus = cell[2:]
+    _, token, minus = cell
     rates = _token_rates(terms, terms.rho, token, split)
     values = [rates[q] for q in quantities]
     if minus is not None:
@@ -178,19 +179,17 @@ def _cell_sums(terms: RateTerms, cell, split: PowerSplit, quantities, work: _Wor
     return [s for v in values for s in sums[id(v)]]
 
 
-def _block_sums(cells, split, quantities, seed: int, work: _Workspace, b: int, n: int,
+def _block_sums(geometries, cells, by_rho, split, quantities, seed: int, work: _Workspace, b: int, n: int,
                 squares: bool = True) -> np.ndarray:
-    """Every cell's sums on block b of n trials, flat, in cell order, with
-    sums of squares where ``squares`` is true."""
+    """Every cell's sums on block b of n trials for each geometry, flat,
+    geometry by geometry, then in cell order, with sums of squares where
+    ``squares`` is true; ``by_rho`` gives the indices of each rho's cells."""
     # one draw for every geometry, in the fixed order S-R, R-D, S-D: the
     # floats of standard_normal((3, 2, n)), written to the slot's buffer
     normals = split_stream(seed, b).standard_normal(out=work.normals[:6 * n].reshape(3, 2, n))
-    groups: dict = {}  # geometry -> rho -> indices of its cells
-    for i, (geometry, rho, _, _) in enumerate(cells):
-        groups.setdefault(geometry, {}).setdefault(rho, []).append(i)
-    sums = [None] * len(cells)
+    sums = []
     with np.errstate(over="ignore", invalid="ignore"):  # per thread, so set here
-        for geometry, by_rho in groups.items():
+        for geometry in geometries:
             work.start(n)
             gains = [_power_gains(getattr(geometry, link), z, work.take(), work.scratch)
                      for link, z in zip(("sr", "rd", "sd"), normals)]
@@ -200,15 +199,16 @@ def _block_sums(cells, split, quantities, seed: int, work: _Workspace, b: int, n
                 top = g.max()
                 if not top < math.inf:
                     _finite_nonneg(top, f"lambda_{link}", np.asarray)
-            taken = work.taken
+            taken, by_cell = work.taken, [None] * len(cells)
             for rho, indices in by_rho.items():
                 work.taken = taken  # the rows of the rho before are free again
                 terms = RateTerms(gains, rho, work=work)
                 shared = work.taken
                 for i in indices:
                     work.taken = shared  # and those of the cell before
-                    sums[i] = _cell_sums(terms, cells[i], split, quantities, work, squares)
-    return np.array([s for cell_sums in sums for s in cell_sums])
+                    by_cell[i] = _cell_sums(terms, cells[i], split, quantities, work, squares)
+            sums += [s for cell_sums in by_cell for s in cell_sums]
+    return np.array(sums)
 
 
 def _run_blocks(block_fn, trials: int, workers: int):
@@ -266,18 +266,22 @@ def _mean_stderr(n: int, s: float, sq: float | None = None):
     return mean, math.sqrt(var / n)
 
 
-def _estimate(cells, split, trials: int, seed: int, workers: int, quantities, *, std_err: bool = True) -> list:
-    """The engine: (mean, std_err) of every quantity of every cell, flat,
-    cell by cell.  The run settings and the split, whatever the cells'
-    schemes, are checked once, before any block is drawn; callers check
+def _estimate(geometries, cells, split, trials: int, seed: int, workers: int, quantities, *, std_err=True) -> list:
+    """The engine: (mean, std_err) of every quantity of every cell for each
+    geometry, flat, geometry by geometry, then cell by cell.  The run
+    settings and the split, whatever the schemes, are checked and the
+    cells grouped by rho once, before any block is drawn; callers check
     rho and the tokens, so no block checks them again.  Without
     ``std_err`` no block takes a square, and each std_err is None; the
     means are the same floats."""
     for name, value in (("trials", trials), ("workers", workers), ("seed", seed)):
         _check_setting(value, name)
     _check_split(split)
-    partials = _run_blocks(lambda work, b, n: _block_sums(cells, split, quantities, seed, work, b, n, std_err),
-                           trials, workers)
+    by_rho: dict = {}  # equal floats as one rho, in order of first appearance
+    for i, (rho, _, _) in enumerate(cells):
+        by_rho.setdefault(rho, []).append(i)
+    partials = _run_blocks(lambda work, b, n: _block_sums(geometries, cells, by_rho, split, quantities, seed, work,
+                                                          b, n, std_err), trials, workers)
     return [_mean_stderr(trials, *sums) for sums in _kahan(partials).reshape(-1, 1 + std_err).tolist()]
 
 
@@ -312,11 +316,9 @@ def estimate_rates(
     rhos = _rhos(rho)
     schemes = _nonempty(schemes, "schemes must be a sequence of names", "scheme")
     tokens = [rate_token(s, mode) for s in schemes]
-    cells = [(geometry, x, token, None) for x in rhos for token in tokens]
-    labels = [(x, token, q) for x in rhos for token in tokens for q in QUANTITIES]
-    moments = _estimate(cells, split, trials, seed, workers, QUANTITIES)
-    return [EstimatorResult(token, q, mean, se, trials, seed, x)
-            for (x, token, q), (mean, se) in zip(labels, moments)]
+    cells = [(x, token, None) for x in rhos for token in tokens]
+    moments = iter(_estimate([geometry], cells, split, trials, seed, workers, QUANTITIES))
+    return [EstimatorResult(token, q, *next(moments), trials, seed, x) for x, token, _ in cells for q in QUANTITIES]
 
 
 def paired_gap(
@@ -341,5 +343,5 @@ def paired_gap(
     rho = _check_rho(rho)
     token_a, token_b = rate_token(scheme_a, mode), rate_token(scheme_b, mode)
     _one_of(quantity, QUANTITIES)
-    [(mean, se)] = _estimate([(geometry, rho, token_a, token_b)], split, trials, seed, workers, (quantity,))
+    [(mean, se)] = _estimate([geometry], [(rho, token_a, token_b)], split, trials, seed, workers, (quantity,))
     return EstimatorResult(f"{token_a}-{token_b}", quantity, mean, se, trials, seed, rho)

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .analytic import ergodic_rate_quadrature_quantities, ergodic_rate_series
 from .channel import KERNEL_TOL, NetworkGeometry, RicianLink
-from .errors import DomainError, _echo, _nonempty, _one_of, _to_float
+from .errors import DomainError, _echo, _finite_nonneg, _nonempty, _one_of, _to_float
 from .montecarlo import DEFAULT_SEED, DEFAULT_TRIALS, DEFAULT_WORKERS, _check_setting, _estimate, estimate_rates
 from .rates import MODES, PAPER_SPLIT, QUANTITIES, RATES, PowerSplit, _check_split, rate_token
 
@@ -443,9 +443,9 @@ def calibrate_k(
     way.
 
     ``targets`` are (rho_dB, scheme, value) triples, each rho_dB read by
-    :func:`db_to_linear` and each value by float(); the K grid and the
-    targets may repeat a value.  Every input is checked before any
-    block is drawn.
+    :func:`db_to_linear` and each value, a rate, by float() as finite
+    and >= 0; the K grid and the targets may repeat a value.  Every
+    input is checked before any block is drawn.
     """
     _one_of(preset, PRESETS)
     if targets is None:
@@ -459,12 +459,10 @@ def calibrate_k(
         k_grid = parse_grid(DEFAULT_K_GRID)
     k_grid = _nonempty(k_grid, "k_grid must be a sequence of K values", "K value")
     geometries = [preset_geometry(preset, k) for k in k_grid]
-    rhos = [db_to_linear(rho_db) for rho_db, _, _ in targets]
-    tokens = [rate_token(scheme, "paper") for _, scheme, _ in targets]
-    values = [_to_float(value, "a target value must be a number") for _, _, value in targets]
-    cells = [(g, rho, token, None) for g in geometries for rho, token in zip(rhos, tokens)]
+    cells = [(db_to_linear(rho_db), rate_token(scheme, "paper"), None) for rho_db, scheme, _ in targets]
+    values = [_finite_nonneg(value, "a target value") for _, _, value in targets]  # a rate
     # one pass for every K, of means only: each block's normals are drawn once, and no square is taken
-    sims = [mean for mean, _ in _estimate(cells, PAPER_SPLIT, trials, seed, workers, ("c_total",), std_err=False)]
+    sims = [m for m, _ in _estimate(geometries, cells, PAPER_SPLIT, trials, seed, workers, ("c_total",), std_err=False)]
     residuals = []
     sse_by_k = []
     for i, k in enumerate(g.sr.k_factor for g in geometries):  # each K as its links' float

@@ -437,6 +437,8 @@ def test_checks_run_once_per_call_not_once_per_block(monkeypatch):
 
     counted(rates, "_check_rho")
     counted(montecarlo, "_finite_nonneg")
+    # and grouped its cells by geometry, hashing one per cell: calibrate_k's 6 cells gave 24 hashes on 4 blocks
+    counted(NetworkGeometry, "__hash__")
     # calibrate_k's targets give 5 dB twice, as two equal floats
     for call, rho_reads in ((lambda trials: estimate_rates(fig3_geometry(1.5), [1.0, 300.0], tuple(RATES), "paper",
                                                            SPLIT, trials, seed=3), 2),
@@ -453,13 +455,13 @@ def test_checks_run_once_per_call_not_once_per_block(monkeypatch):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_the_means_only_pass_gives_the_full_pass_means(workers):
     # calibrate_k reads means only, so its blocks take no squares
-    g, g2 = fig3_geometry(), fig3_geometry(2.5)
-    cells = [(g, 3.0, "crs_noma_paper", None), (g, 3.0, "conventional", None),
-             (g2, 300.0, "crs_noma_exact", "crs_oma"), (g2, 3.0, "crs_oma", None)]
+    geometries = [fig3_geometry(), fig3_geometry(2.5)]
+    cells = [(3.0, "crs_noma_paper", None), (3.0, "conventional", None), (300.0, "crs_noma_exact", "crs_oma"),
+             (3.0, "crs_oma", None)]
     for quantities in (QUANTITIES, ("c_total",)):
-        full = montecarlo._estimate(cells, SPLIT, ENGINE_TRIALS, 9, workers, quantities)
-        means = montecarlo._estimate(cells, SPLIT, ENGINE_TRIALS, 9, workers, quantities, std_err=False)
-        assert len(means) == len(full) == len(cells) * len(quantities)
+        full = montecarlo._estimate(geometries, cells, SPLIT, ENGINE_TRIALS, 9, workers, quantities)
+        means = montecarlo._estimate(geometries, cells, SPLIT, ENGINE_TRIALS, 9, workers, quantities, std_err=False)
+        assert len(means) == len(full) == len(geometries) * len(cells) * len(quantities)
         assert [m for m, _ in means] == [m for m, _ in full]
         assert all(se is None for _, se in means)
         assert all(isinstance(se, float) for _, se in full)
@@ -506,9 +508,9 @@ def test_workspace_gives_the_allocating_floats(rho, monkeypatch):
     # on a full block and then a short one in the same workspace: a reused
     # buffer must not leak the block before
     g = fig3_geometry(1.5)
-    cells = [(g, rho, "crs_oma", None)]
+    cells, by_rho = [(rho, "crs_oma", None)], {rho: [0]}
     blocks = [(0, BLOCK_SIZE), (1, 4099)]
-    alone = [montecarlo._block_sums(cells, SPLIT, QUANTITIES, 5, montecarlo._Workspace(n), b, n)
+    alone = [montecarlo._block_sums([g], cells, by_rho, SPLIT, QUANTITIES, 5, montecarlo._Workspace(n), b, n)
              for b, n in blocks]
     caught = []
 
@@ -519,7 +521,7 @@ def test_workspace_gives_the_allocating_floats(rho, monkeypatch):
 
     monkeypatch.setattr(montecarlo, "RateTerms", spy)
     work = montecarlo._Workspace(BLOCK_SIZE)
-    reused = [montecarlo._block_sums(cells, SPLIT, QUANTITIES, 5, work, b, n) for b, n in blocks]
+    reused = [montecarlo._block_sums([g], cells, by_rho, SPLIT, QUANTITIES, 5, work, b, n) for b, n in blocks]
     assert len(caught) == 2
     for (b, n), gains, sums, want in zip(blocks, caught, reused, alone):
         rng = split_stream(5, b)
@@ -558,17 +560,19 @@ def test_an_overflowing_gain_is_refused_without_a_warning(link):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_cells_sharing_a_workspace_give_the_floats_they_give_alone(workers):
-    # a paired cell, two single ones and a second geometry's cell, on one
-    # full block and a short one
-    g, g2, rho = fig3_geometry(), fig3_geometry(2.0), 10.0
-    cells = [(g, rho, "crs_noma_exact", "conventional"), (g, rho, "conventional", None),
-             (g, rho, "crs_noma_paper", None), (g2, rho, "crs_oma", None)]
+    # a paired cell and three single ones, one at a second rho between the
+    # others, for two geometries, on one full block and a short one
+    geometries, rho = [fig3_geometry(), fig3_geometry(2.0)], 10.0
+    cells = [(rho, "crs_noma_exact", "conventional"), (1.0, "crs_oma", None), (rho, "conventional", None),
+             (rho, "crs_noma_paper", None)]
     trials = BLOCK_SIZE + 8_928
-    together = montecarlo._estimate(cells, SPLIT, trials, 3, workers, QUANTITIES)
+    together = montecarlo._estimate(geometries, cells, SPLIT, trials, 3, workers, QUANTITIES)
     n = len(QUANTITIES)
-    for i, cell in enumerate(cells):
-        alone = montecarlo._estimate([cell], SPLIT, trials, 3, workers, QUANTITIES)
-        assert together[i * n:(i + 1) * n] == alone, cell[2:]
+    for j, geometry in enumerate(geometries):
+        for i, cell in enumerate(cells):
+            alone = montecarlo._estimate([geometry], [cell], SPLIT, trials, 3, workers, QUANTITIES)
+            at = (j * len(cells) + i) * n
+            assert together[at:at + n] == alone, (j, cell)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -589,9 +593,8 @@ def test_memory_does_not_grow_with_trials(workers, monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_block_sums", spy_block)
     monkeypatch.setattr(montecarlo, "_Workspace", spy_workspace)
-    g = fig3_geometry()
-    cells = [(g, 10.0, "crs_oma", None), (fig3_geometry(2.0), 1.0, "crs_noma_paper", None)]
-    montecarlo._estimate(cells, SPLIT, 40 * BLOCK_SIZE, 3, workers, QUANTITIES)
+    cells = [(10.0, "crs_oma", None), (1.0, "crs_noma_paper", None)]
+    montecarlo._estimate([fig3_geometry(), fig3_geometry(2.0)], cells, SPLIT, 40 * BLOCK_SIZE, 3, workers, QUANTITIES)
     assert len(partials) == 40
     assert 1 <= most[0] <= 2 * workers
     assert 1 <= len(workspaces) <= workers
@@ -606,7 +609,7 @@ def test_a_slow_block_keeps_the_memory_bound(workers, monkeypatch):
     block_sums = montecarlo._block_sums
 
     def slow_block(*args):
-        if args[5] % (2 * workers) == 0:  # the block index
+        if args[7] % (2 * workers) == 0:  # the block index
             time.sleep(0.05)
         part = block_sums(*args)
         partials.append(weakref.ref(part))
@@ -614,8 +617,8 @@ def test_a_slow_block_keeps_the_memory_bound(workers, monkeypatch):
         return part
 
     monkeypatch.setattr(montecarlo, "_block_sums", slow_block)
-    cells = [(fig3_geometry(), 10.0, "crs_oma", None)]
-    montecarlo._estimate(cells, SPLIT, 3 * 2 * workers * BLOCK_SIZE, 3, workers, QUANTITIES)
+    montecarlo._estimate([fig3_geometry()], [(10.0, "crs_oma", None)], SPLIT, 3 * 2 * workers * BLOCK_SIZE, 3, workers,
+                         QUANTITIES)
     assert len(partials) == 3 * 2 * workers
     assert most[0] <= 2 * workers
 

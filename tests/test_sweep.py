@@ -642,20 +642,29 @@ def test_a_library_grid_reads_its_points_as_float_does():
     (lambda: calibrate_k("fig3", targets=5), "targets must be a sequence of (rho_db, scheme, value) triples, got 5"),
     (lambda: calibrate_k("fig3", targets=[(5.0,)]),
      "targets must be a sequence of (rho_db, scheme, value) triples, got (5.0,)"),
-    (lambda: calibrate_k("fig3", targets=[(5.0, "crs_noma", "x")]), "a target value must be a number, got 'x'"),
+    (lambda: calibrate_k("fig3", targets=[(5.0, "crs_noma", "x")]), "a target value must be finite and >= 0, got 'x'"),
+    (lambda: calibrate_k("fig3", targets=[(5.0, "crs_noma", math.nan)], k_grid=[1.0, 0.0]),
+     "a target value must be finite and >= 0, got nan"),
+    (lambda: calibrate_k("fig3", targets=[(5.0, "crs_noma", math.inf)], k_grid=[1.0, 0.0]),
+     "a target value must be finite and >= 0, got inf"),
+    (lambda: calibrate_k("fig3", targets=[(5.0, "crs_noma", -1)]), "a target value must be finite and >= 0, got -1.0"),
     (lambda: calibrate_k("fig3", targets=[("a", "crs_noma", 4.29)]), "rho_db must be a number, got 'a'"),
     (lambda: calibrate_k("fig3", k_grid=5), "k_grid must be a sequence of K values, got 5"),
+    (lambda: calibrate_k("fig3", k_grid="05"), "k_grid must be a sequence of K values, got '05'"),
     (lambda: calibrate_k(["fig3"]), "unknown value ['fig3'] (allowed: fig3, fig4)"),
     (lambda: calibrate_k("fig3", targets=[(5.0, ["crs_noma"], 4.29)]),
      f"unknown value ['crs_noma'] (allowed: crs_noma, {', '.join(RATES)})"),
     (lambda: estimate_rates(preset_geometry("fig3", 0.0), 10.0, None),
      "schemes must be a sequence of names, got None"),
+    (lambda: estimate_rates(preset_geometry("fig3", 0.0), 10.0, "crs_oma"),
+     "schemes must be a sequence of names, got 'crs_oma'"),
     (lambda: paired_gap(preset_geometry("fig3", 0.0), 10.0, [1.0, 2.0], "crs_oma"),
      f"unknown value [1.0, 2.0] (allowed: crs_noma, {', '.join(RATES)})"),
     (lambda: ergodic_rate_quadrature_quantities(preset_geometry("fig3", 0.0), 10.0, ["fig3"]),
      f"unknown value ['fig3'] (allowed: {', '.join(RATES)})"),
-], ids=["targets-number", "target-short", "target-value-str", "target-rho-db-str", "k-grid-number",
-        "preset-list", "target-scheme-list", "schemes-none", "scheme-list", "oracle-scheme-list"])
+], ids=["targets-number", "target-short", "target-value-str", "target-value-nan", "target-value-inf",
+        "target-value-negative", "target-rho-db-str", "k-grid-number", "k-grid-str", "preset-list",
+        "target-scheme-list", "schemes-none", "schemes-str", "scheme-list", "oracle-scheme-list"])
 def test_a_library_name_or_table_that_cannot_be_read_is_one_line(call, message, monkeypatch):
     # each escaped as a TypeError or ValueError
     monkeypatch.setattr(montecarlo, "_run_blocks", lambda *args: pytest.fail("a block ran"))
